@@ -599,6 +599,253 @@ let incremental_refine_prop ((sc : Gen.scenario), seed) =
     else true
   end
 
+(* --- Render-free dedup -------------------------------------------------- *)
+
+module Partial = Duocore.Partial
+
+(* A derivation sample without dedup: a bounded breadth-first expansion
+   (the same decided content reached along different join-fork orders,
+   as in the enumerator's visited hits) plus seeded random walks down to
+   complete queries with their siblings (predicates, literals, ORDER BY,
+   multi-table FROM clauses). *)
+let derivation_sample (sc : Gen.scenario) seed ~max_states =
+  let ctx = ctx_of sc in
+  let hints = Duocore.Enumerate.hints_of_tsq sc.Gen.sc_tsq in
+  let expand = Duocore.Enumerate.expand ~guided:true hints ctx in
+  let q = Queue.create () in
+  Queue.add Partial.root q;
+  let acc = ref [] and n = ref 0 in
+  while (not (Queue.is_empty q)) && !n < max_states do
+    let t = Queue.pop q in
+    incr n;
+    acc := t :: !acc;
+    List.iter (fun c -> Queue.add c q) (expand t)
+  done;
+  let st = Random.State.make [| seed |] in
+  for _ = 1 to 12 do
+    let rec walk t steps =
+      match expand t with
+      | [] -> ()
+      | children ->
+          acc := List.rev_append children !acc;
+          if steps > 0 then
+            walk (List.nth children (Random.State.int st (List.length children))) (steps - 1)
+    in
+    walk Partial.root 40
+  done;
+  List.rev !acc
+
+(* Variants of a state that print like it, or nearly: literals swapped
+   between [Int n] and [Float n.], the direction flipped beside no ORDER
+   item, the FROM tables after the first (or the join edges) reversed, a
+   COUNT( * ) slot's aggregate decision changed, confidence and depth
+   changed.  Some print alike and some do not; the property is stated
+   over whichever do. *)
+let twins (t : Partial.t) =
+  let open Duosql.Ast in
+  let swap_value = function
+    | Value.Int n -> Value.Float (float_of_int n)
+    | Value.Float f when Float.is_integer f && Float.abs f < 1e15 -> Value.Int (int_of_float f)
+    | (Value.Null | Value.Float _ | Value.Text _) as v -> v
+  in
+  let swap_pred p =
+    match p.pr_rhs with
+    | Cmp (op, v) -> { p with pr_rhs = Cmp (op, swap_value v) }
+    | Between (lo, hi) -> { p with pr_rhs = Between (swap_value lo, swap_value hi) }
+  in
+  let reorder f_of =
+    match t.Partial.from with
+    | Some f -> [ { t with Partial.from = Some (f_of f) } ]
+    | None -> []
+  in
+  [
+    { t with
+      Partial.where_preds = List.map swap_pred t.Partial.where_preds;
+      having_pred = Option.map swap_pred t.Partial.having_pred };
+    { t with
+      Partial.order_dir = (match t.Partial.order_dir with Asc -> Desc | Desc -> Asc) };
+    { t with
+      Partial.projs =
+        List.map
+          (fun (s : Partial.proj_slot) ->
+            match s.Partial.pj_target with
+            | Duoguide.Model.Target_count_star ->
+                { s with
+                  Partial.pj_agg =
+                    (match s.Partial.pj_agg with None -> Some (Some Count) | Some _ -> None) }
+            | Duoguide.Model.Target_column _ -> s)
+          t.Partial.projs };
+    { t with Partial.confidence = t.Partial.confidence /. 3.0; depth = t.Partial.depth + 7 };
+  ]
+  @ reorder (fun f ->
+        match f.f_tables with
+        | first :: rest -> { f with f_tables = first :: List.rev rest }
+        | [] -> f)
+  @ reorder (fun f -> { f with f_joins = List.rev f.f_joins })
+
+(* [key_hash] is consistent with [key] ([key a = key b] implies equal
+   hashes) over a derivation sample and each state's twins;
+   [equal_rendered] implies equal keys; [Partial.Tbl] partitions the
+   sample exactly like a string-keyed table; and a state without
+   predicates shares its canonical key with no predicated state and only
+   with states of its own key — the two facts that let the enumerator
+   skip the canonical layer for such states. *)
+let key_hash_prop ((sc : Gen.scenario), seed) =
+  let sample = derivation_sample sc seed ~max_states:(100 + (seed mod 100)) in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let pair_ok a b =
+    let ka = Partial.key a and kb = Partial.key b in
+    if String.equal ka kb && Partial.key_hash a <> Partial.key_hash b then
+      fail "equal keys, different hashes:\n%s\n%s" (Partial.to_string a) (Partial.to_string b)
+    else if Partial.equal_rendered a b && not (String.equal ka kb) then
+      fail "equal_rendered states with different keys:\n%s\n%s" ka kb
+    else
+      let tbl = Partial.Tbl.create 4 in
+      ignore (Partial.Tbl.find_or_add tbl a ());
+      (Partial.Tbl.find_or_add tbl b () <> None) = String.equal ka kb
+      || fail "Partial.Tbl disagrees with key equality:\n%s\n%s" ka kb
+  in
+  let by_key = Hashtbl.create 256 in
+  let tbl = Partial.Tbl.create 16 in
+  let canon = Hashtbl.create 256 in
+  List.for_all
+    (fun t ->
+      List.for_all (pair_ok t) (twins t)
+      &&
+      let k = Partial.key t in
+      let first = Hashtbl.find_opt by_key k in
+      (match first with
+      | Some t' -> pair_ok t t'
+      | None ->
+          Hashtbl.replace by_key k t;
+          true)
+      && (Option.is_none (Partial.Tbl.find_or_add tbl t ()) = Option.is_none first
+         || fail "Partial.Tbl and the string table disagree on %s" k)
+      &&
+      let ck = Partial.canonical_key t in
+      match Hashtbl.find_opt canon ck with
+      | None ->
+          Hashtbl.replace canon ck (k, Partial.has_predicates t);
+          true
+      | Some (k', preds') ->
+          let preds = Partial.has_predicates t in
+          if preds <> preds' then
+            fail "canonical collision between a state with predicates and one without:\n%s\n%s" k k'
+          else if (not preds) && not (String.equal k k') then
+            fail "predicate-free states collide canonically with different keys:\n%s\n%s" k k'
+          else true)
+    sample
+
+(* The string-keyed two-layer dedup the enumerator used to run
+   ([Partial.key], then [Partial.canonical_key] for every state), replayed
+   over a run's offers through [Enumerate.init ~on_offer]. *)
+type replay = {
+  rp_visited : (string, unit) Hashtbl.t;
+  rp_canon : (string, unit) Hashtbl.t;
+  mutable rp_hits : int;
+  mutable rp_canon_hits : int;
+  mutable rp_admitted : int;
+  mutable rp_mismatch : (string * bool) option;
+}
+
+let new_replay () =
+  {
+    rp_visited = Hashtbl.create 256;
+    rp_canon = Hashtbl.create 256;
+    rp_hits = 0;
+    rp_canon_hits = 0;
+    rp_admitted = 0;
+    rp_mismatch = None;
+  }
+
+let replay_offer r child admitted =
+  let k = Partial.key child in
+  let expected =
+    if Hashtbl.mem r.rp_visited k then begin
+      r.rp_hits <- r.rp_hits + 1;
+      false
+    end
+    else begin
+      Hashtbl.replace r.rp_visited k ();
+      let ck = Partial.canonical_key child in
+      if Hashtbl.mem r.rp_canon ck then begin
+        r.rp_canon_hits <- r.rp_canon_hits + 1;
+        false
+      end
+      else begin
+        Hashtbl.replace r.rp_canon ck ();
+        true
+      end
+    end
+  in
+  if admitted then r.rp_admitted <- r.rp_admitted + 1;
+  if expected <> admitted && r.rp_mismatch = None then r.rp_mismatch <- Some (k, expected)
+
+(* The hashed run pushes exactly what the string-keyed run pushes.  Every
+   verified child the committing loop offers is replayed through the
+   string-keyed two-layer dedup it replaced ([Partial.key], then
+   [Partial.canonical_key] for every state); the verdicts must agree at
+   every offer.  Agreement at every offer makes the two runs' frontiers,
+   pops and offers identical by induction, so one run checks both.
+   Modes: NLI (no sketch), dual, two domains, and a warm rebase. *)
+let dedup_exact_prop ((sc : Gen.scenario), seed) =
+  let module Tsq = Duocore.Tsq in
+  let module E = Duocore.Enumerate in
+  let ctx = ctx_of sc in
+  let config =
+    { E.default_config with
+      E.max_pops = 400;
+      max_candidates = 10;
+      time_budget_s = 20.0;
+      overcommit = true }
+  in
+  let new_t = { sc.Gen.sc_tsq with Tsq.min_support = None } in
+  let old_t =
+    { new_t with
+      Tsq.tuples = (match new_t.Tsq.tuples with [] -> [] | t :: _ -> [ t ]);
+      sorted = false;
+      negatives = [] }
+  in
+  let check_mode name ~domains ~tsq ~rebase =
+    let r = new_replay () in
+    let st =
+      E.init { config with E.domains } ctx sc.Gen.sc_db ~tsq ~literals:[]
+        ~on_offer:(replay_offer r) ()
+    in
+    let o =
+      Fun.protect
+        ~finally:(fun () -> E.release st)
+        (fun () ->
+          if rebase then begin
+            ignore (E.step ~max_pops:(1 + (seed mod 40)) st);
+            E.rebase st ~tsq:new_t
+          end;
+          let rec go () = match E.step st with E.Running -> go () | E.Finished -> () in
+          go ();
+          E.outcome st)
+    in
+    match r.rp_mismatch with
+    | Some (k, expected) ->
+        QCheck.Test.fail_reportf "%s: hashed dedup %s a state the string-keyed run %s: %s" name
+          (if expected then "rejected" else "admitted")
+          (if expected then "admits" else "rejects")
+          k
+    | None ->
+        let stats = o.E.out_stats in
+        if r.rp_admitted + 1 <> o.E.out_pushed then
+          QCheck.Test.fail_reportf "%s: %d admitted offers but %d pushes" name r.rp_admitted
+            o.E.out_pushed
+        else if stats.Duocore.Verify.visited_hits <> r.rp_hits then
+          QCheck.Test.fail_reportf "%s: %d visited hits counted, %d replayed" name
+            stats.Duocore.Verify.visited_hits r.rp_hits
+        else true
+  in
+  check_mode "nli" ~domains:1 ~tsq:None ~rebase:false
+  && check_mode "dual" ~domains:1 ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
+  && check_mode "domains=2" ~domains:2 ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
+  && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
+     || check_mode "warm-rebase" ~domains:1 ~tsq:(Some old_t) ~rebase:true)
+
 (* --- Duolint error soundness ---------------------------------------- *)
 
 (* A query Duolint rejects as an {e error} can never be a correct intent.
@@ -951,6 +1198,12 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(6 * mult)
       ~name:"incremental refine = from-root restart"
       arb_seeded incremental_refine_prop;
+    QCheck.Test.make ~count:(20 * mult)
+      ~name:"render-free dedup: key_hash is consistent with key" arb_seeded
+      key_hash_prop;
+    QCheck.Test.make ~count:(6 * mult)
+      ~name:"render-free dedup: hashed run pushes what string keys push"
+      arb_seeded dedup_exact_prop;
     QCheck.Test.make ~count:(80 * mult)
       ~name:"Duosem equivalence: canonical query = original on its database"
       Gen.arb_scenario duosem_equiv_prop;

@@ -25,6 +25,14 @@
     - {b incremental refine}: enumerating under a loosened sketch, then
       rebasing onto the original mid-run, emits the same candidates as a
       from-root run under the original;
+    - {b render-free dedup}: {!Duocore.Partial.key_hash} is consistent
+      with {!Duocore.Partial.key} on derivation samples and on twins that
+      print alike (literal [Int n] vs [Float n.], direction without an
+      ORDER item, reordered FROM lists); a state without predicates never
+      collides canonically with one that has them; and the hashed
+      enumerator admits exactly the states the string-keyed two-layer
+      dedup admits, offer by offer, in NLI, dual, two-domain and
+      warm-rebase runs;
     - {b Duosem equivalence}: {!Duolint.Duosem.canonical_query} keeps the
       error status and the result multiset of every generated query on
       its database, and canonicalization is idempotent;
@@ -44,6 +52,27 @@ val columnar_prop : Gen.scenario -> bool
 val batch_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool
+val key_hash_prop : Gen.scenario * int -> bool
+
+(** The string-keyed two-layer dedup ({!Duocore.Partial.key}, then
+    {!Duocore.Partial.canonical_key} for every state) the enumerator ran
+    before its visited set stopped printing keys, as an
+    [Enumerate.init ~on_offer] observer that replays each offer and
+    records the first verdict that differs. *)
+type replay = {
+  rp_visited : (string, unit) Hashtbl.t;
+  rp_canon : (string, unit) Hashtbl.t;
+  mutable rp_hits : int;  (** offers rejected by the key layer *)
+  mutable rp_canon_hits : int;  (** offers rejected by the canonical layer *)
+  mutable rp_admitted : int;  (** offers the run admitted *)
+  mutable rp_mismatch : (string * bool) option;
+      (** the first differing offer's key and the string-keyed verdict *)
+}
+
+val new_replay : unit -> replay
+val replay_offer : replay -> Duocore.Partial.t -> bool -> unit
+
+val dedup_exact_prop : Gen.scenario * int -> bool
 val duosem_equiv_prop : Gen.scenario -> bool
 val duosem_card_prop : Gen.scenario -> bool
 val domain_lattice_prop : int -> bool

@@ -59,7 +59,7 @@ let check ?(guided = true) ?(max_states = 200) ?(max_pruned = 40)
     ?(max_completion_nodes = 600) ?(max_completions = 80) env ctx ~hints () =
   let violations = ref [] in
   let pruned_checked = ref 0 in
-  let seen = Hashtbl.create 256 in
+  let seen = Partial.Tbl.create 256 in
   let frontier = Duocore.Frontier.create () in
   Duocore.Frontier.push frontier Partial.root;
   let popped = ref 0 in
@@ -73,12 +73,10 @@ let check ?(guided = true) ?(max_states = 200) ?(max_pruned = 40)
           (fun child ->
             match first_failing_stage env child with
             | None ->
-                let key = Partial.key child in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
-                  if not (Partial.is_complete child) then
-                    Duocore.Frontier.push frontier child
-                end
+                if
+                  Partial.Tbl.find_or_add seen child () = None
+                  && not (Partial.is_complete child)
+                then Duocore.Frontier.push frontier child
             | Some "complete" ->
                 (* the complete stage IS the ground truth the earlier
                    stages are checked against; nothing to brute-force *)

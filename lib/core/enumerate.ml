@@ -536,11 +536,14 @@ type state = {
   st_stats : Verify.stats;
   st_domain_stats : Verify.stats array;
   st_frontier : Frontier.t;
-  st_visited : (string, unit) Hashtbl.t;
+  st_visited : unit Partial.Tbl.t;
+      (* admitted states, by [Partial.key] partition, probed without
+         printing keys *)
   st_canon : (string, unit) Hashtbl.t;
-      (* Duosem canonical keys of admitted states: a second visited-set
-         layer collapsing states that differ only by predicate order or
-         by equivalent predicate spellings ([Partial.canonical_key]) *)
+      (* Duosem canonical keys of admitted states with a WHERE or HAVING
+         predicate: a second visited-set layer collapsing states that
+         differ only by predicate order or by equivalent predicate
+         spellings ([Partial.canonical_key]) *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
   st_pool : Duopar.Pool.t option;
@@ -549,11 +552,12 @@ type state = {
       (* adaptive round-size controller; [None] pins the fixed
          [4 * domains] v1 round *)
   st_arena : arena option;  (* [None] = v1 allocate-per-task profile *)
-  st_memo : (string, task_result) Hashtbl.t;
-      (* v1 speculation memo, keyed by rendered [Partial.key] *)
+  st_memo : task_result Partial.Tbl.t;
+      (* v1 speculation memo, keyed by [Partial.key] partition *)
   st_memo_phys : task_result Phys_tbl.t;
       (* arena-path speculation memo, keyed by physical state *)
   st_on_candidate : candidate -> unit;
+  st_on_offer : Partial.t -> bool -> unit;
   mutable st_candidates : candidate list;  (* newest first *)
   mutable st_n_candidates : int;
   mutable st_pops : int;
@@ -575,7 +579,7 @@ type state = {
 }
 
 let init config ctx db ?index ?relcache ?pool ~tsq ~literals
-    ?(on_candidate = fun _ -> ()) () =
+    ?(on_candidate = fun _ -> ()) ?(on_offer = fun _ _ -> ()) () =
   (* A caller-supplied pool fixes the domain count: the caller already
      decided how much parallelism this process runs with (one pool per
      server or bench process, shared across runs). *)
@@ -635,16 +639,17 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_stats = stats;
     st_domain_stats = domain_stats;
     st_frontier = frontier;
-    st_visited = Hashtbl.create 4096;
+    st_visited = Partial.Tbl.create 4096;
     st_canon = Hashtbl.create 4096;
     st_emitted = Hashtbl.create 64;
     st_pool = pool;
     st_owns_pool = owns_pool;
     st_controller = controller;
     st_arena = arena;
-    st_memo = Hashtbl.create 256;
+    st_memo = Partial.Tbl.create 256;
     st_memo_phys = Phys_tbl.create 256;
     st_on_candidate = on_candidate;
+    st_on_offer = on_offer;
     st_candidates = [];
     st_n_candidates = 0;
     st_pops = 0;
@@ -688,21 +693,41 @@ let deprioritize s (child : Partial.t) =
         }
 
 let push_fresh s (child : Partial.t) =
-  let key = Partial.key child in
-  if not (Hashtbl.mem s.st_visited key) then begin
-    Hashtbl.replace s.st_visited key ();
-    (* Second layer: collapse states whose decided content is Duosem-
-       canonically equal (predicate order, equivalent spellings).  Runs
-       only on the committing loop, so the collapse — like all dedup —
-       is deterministic across domain counts. *)
-    let ckey = Partial.canonical_key child in
-    if Hashtbl.mem s.st_canon ckey then
-      s.st_stats.Verify.dedup_semantic <- s.st_stats.Verify.dedup_semantic + 1
-    else begin
-      Hashtbl.replace s.st_canon ckey ();
-      Frontier.push s.st_frontier (deprioritize s child)
-    end
-  end
+  let stats = s.st_stats in
+  let seen = Partial.Tbl.find_or_add s.st_visited child () in
+  stats.Verify.key_renders <-
+    stats.Verify.key_renders + Partial.Tbl.take_renders s.st_visited;
+  match seen with
+  | Some () ->
+      stats.Verify.visited_hits <- stats.Verify.visited_hits + 1;
+      s.st_on_offer child false
+  | None ->
+      (* Second layer: collapse states whose decided content is Duosem-
+         canonically equal (predicate order, equivalent spellings).  Runs
+         only on the committing loop, so the collapse — like all dedup —
+         is deterministic across domain counts.  A state without WHERE or
+         HAVING predicates skips it: its canonical key is its key with an
+         empty literal segment spliced in, so it can collide only with a
+         predicate-free state of the same key (a predicated state's
+         literal segment is never empty), which the visited layer has
+         already caught. *)
+      let fresh =
+        (not (Partial.has_predicates child))
+        || begin
+             stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
+             let ckey = Partial.canonical_key child in
+             if Hashtbl.mem s.st_canon ckey then begin
+               stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
+               false
+             end
+             else begin
+               Hashtbl.replace s.st_canon ckey ();
+               true
+             end
+           end
+      in
+      s.st_on_offer child fresh;
+      if fresh then Frontier.push s.st_frontier (deprioritize s child)
 
 let process s worker (p : Partial.t) =
   let tstats = Verify.new_stats () in
@@ -751,9 +776,9 @@ let process_into s worker (p : Partial.t) (r : task_result) =
 
 (* One speculative pool round ahead of the committing loop: batch-pop the
    top of the frontier, process every un-memoized incomplete state on some
-   domain, memoize (by physical state on the arena path, by rendered key
-   on the v1 path — [push_fresh] admits each key once, so either way a
-   memo entry belongs to exactly one live state), restore. *)
+   domain, memoize (by physical state on the arena path, by [Partial.key]
+   partition on the v1 path — [push_fresh] admits each key once, so
+   either way a memo entry belongs to exactly one live state), restore. *)
 let arena_round_fn s ar =
   match ar.ar_fn with
   | Some f -> f
@@ -832,7 +857,7 @@ let fill s pool (p : Partial.t) =
                (fun ((st : Partial.t), _) ->
                  if
                    Partial.is_complete st
-                   || Hashtbl.mem s.st_memo (Partial.key st)
+                   || Option.is_some (Partial.Tbl.find_opt s.st_memo st)
                  then None
                  else Some st)
                extras)
@@ -847,7 +872,7 @@ let fill s pool (p : Partial.t) =
       Array.iteri
         (fun i st ->
           match results.(i) with
-          | Some r -> Hashtbl.replace s.st_memo (Partial.key st) r
+          | Some r -> ignore (Partial.Tbl.find_or_add s.st_memo st r)
           | None -> ())
         tasks;
       Frontier.restore s.st_frontier extras
@@ -970,15 +995,16 @@ let step ?max_pops s =
                            Phys_tbl.remove s.st_memo_phys p;
                            r)
                    | None ->
-                       let key = Partial.key p in
                        let r =
-                         match Hashtbl.find_opt s.st_memo key with
+                         match Partial.Tbl.find_opt s.st_memo p with
                          | Some r -> r
-                         | None ->
+                         | None -> (
                              fill s pool p;
-                             Hashtbl.find s.st_memo key
+                             match Partial.Tbl.find_opt s.st_memo p with
+                             | Some r -> r
+                             | None -> assert false (* [p] is a task *))
                        in
-                       Hashtbl.remove s.st_memo key;
+                       Partial.Tbl.remove s.st_memo p;
                        r
                  in
                  s.st_spec_hits <- s.st_spec_hits + 1;
@@ -1040,13 +1066,12 @@ let rebase s ~tsq =
      state stays pruned under a tightening). *)
   Array.iteri (fun d env -> s.st_envs.(d) <- Verify.retarget env ~tsq) s.st_envs;
   s.st_hints <- hints_of_tsq tsq;
-  (* the dropped memo records go back to the arena, not the GC *)
+  (* the dropped memo records go back to the arena, not the GC (with an
+     arena, [st_memo] is never filled) *)
   Option.iter
-    (fun ar ->
-      Hashtbl.iter (fun _ r -> arena_recycle ar r) s.st_memo;
-      Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo_phys)
+    (fun ar -> Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo_phys)
     s.st_arena;
-  Hashtbl.reset s.st_memo;
+  Partial.Tbl.reset s.st_memo;
   Phys_tbl.reset s.st_memo_phys;
   let env = s.st_envs.(0) in
   (* Re-verify the frontier survivors.  Under NoPQ partial states were

@@ -176,6 +176,10 @@ type status =
 (** [init config ctx db ~tsq ~literals ()] builds a paused run with the
     root state on the frontier.  [tsq = None] is the pure-NLI setting.
     [on_candidate] fires at each emission (the paper's streaming UI).
+    [on_offer child admitted] fires for each verified child the
+    committing loop offers to the frontier, after dedup decided whether
+    to admit it (observability: which states were enumerated, and in
+    what order).
     [index] and [relcache] thread a session's inverted index and shared
     relation cache into the verification environment (see
     {!Verify.make_env}).  [pool] supplies a caller-owned worker pool
@@ -193,6 +197,7 @@ val init :
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->
   ?on_candidate:(candidate -> unit) ->
+  ?on_offer:(Partial.t -> bool -> unit) ->
   unit ->
   state
 

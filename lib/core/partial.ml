@@ -274,6 +274,263 @@ let canonical_key t =
     lits
     (to_string { t with where_preds; having_pred })
 
+(* --- render-free identity ------------------------------------------------
+
+   [key_hash] hashes exactly what [key] prints, token by token, without
+   printing it: the same fields under the same guards (WHERE only past
+   P_keywords and when chosen, the direction only beside an ORDER BY
+   item, ...), and the printer's lossy spots normalized — an integral
+   float prints like the int it equals, any other float is hashed through
+   its printed form, and FROM is hashed in the order [Pretty.from_clause]
+   emits it, not in list order.  So [key a = key b] implies
+   [key_hash a = key_hash b], given identifiers that print as single
+   tokens (no separators in table or column names). *)
+
+let mix h x =
+  let h = (h lxor x) * 0x2127599bf4325c37 in
+  h lxor (h lsr 29)
+
+let mix_str h s = mix h (Hashtbl.hash (s : string))
+let mix_col h table name = mix_str (mix_str h table) name
+let mix_ref h c = mix_col h c.cr_table c.cr_col
+
+let agg_code = function
+  | Count -> 1
+  | Sum -> 2
+  | Avg -> 3
+  | Min -> 4
+  | Max -> 5
+
+let cmp_code = function
+  | Eq -> 1
+  | Neq -> 2
+  | Lt -> 3
+  | Le -> 4
+  | Gt -> 5
+  | Ge -> 6
+  | Like -> 7
+  | Not_like -> 8
+
+let mix_value h (v : Duodb.Value.t) =
+  match v with
+  | Duodb.Value.Null -> mix h 11
+  | Duodb.Value.Int i -> mix (mix h 12) i
+  | Duodb.Value.Float f when Float.is_integer f && Float.abs f < 1e15 ->
+      mix (mix h 12) (int_of_float f)
+  | Duodb.Value.Float _ -> mix_str (mix h 13) (Duodb.Value.to_sql v)
+  | Duodb.Value.Text s -> mix_str (mix h 14) s
+
+let mix_agg h = function None -> mix h 21 | Some a -> mix h (21 + agg_code a)
+
+(* [Pretty.agg_arg] / [pred_lhs] / [order_item]'s left-hand side *)
+let mix_lhs h agg col =
+  let h = mix_agg h agg in
+  match col with None -> mix h 27 | Some c -> mix_ref h c
+
+let mix_pred h p =
+  let h = mix_lhs h p.pr_agg p.pr_col in
+  match p.pr_rhs with
+  | Cmp (op, v) -> mix_value (mix h (30 + cmp_code op)) v
+  | Between (lo, hi) -> mix_value (mix_value (mix h 39) lo) hi
+
+let rec mix_list f h = function
+  | [] -> mix h 41
+  | x :: rest -> mix_list f (f h x) rest
+
+let mix_slot h s =
+  match s.pj_target, s.pj_agg with
+  | Duoguide.Model.Target_count_star, _ -> mix h 51
+  | Duoguide.Model.Target_column c, None ->
+      mix_col (mix h 52) c.Duodb.Schema.col_table c.Duodb.Schema.col_name
+  | Duoguide.Model.Target_column c, Some agg ->
+      mix_col (mix_agg (mix h 53) agg) c.Duodb.Schema.col_table c.Duodb.Schema.col_name
+
+(* [Pretty.from_clause] emits the first table, then repeatedly the first
+   unconsumed join edge (in list order) with exactly one end emitted; when
+   there is none, or it leads outside the pending tables, the pending
+   tables follow bare.  [mix_walk] replays that walk over bitmasks of
+   list positions instead of lists, so it allocates nothing. *)
+let rec has_name mask name i = function
+  | [] -> false
+  | t :: rest ->
+      (mask land (1 lsl i) <> 0 && String.equal t name) || has_name mask name (i + 1) rest
+
+let rec positions_of name i = function
+  | [] -> 0
+  | t :: rest -> (if String.equal t name then 1 lsl i else 0) lor positions_of name (i + 1) rest
+
+let rec positions_of_edge e i = function
+  | [] -> 0
+  | e' :: rest -> (if e' == e then 1 lsl i else 0) lor positions_of_edge e (i + 1) rest
+
+let rec next_edge tables seen used i = function
+  | [] -> -1
+  | e :: rest ->
+      if
+        used land (1 lsl i) = 0
+        && has_name seen e.j_from.cr_table 0 tables <> has_name seen e.j_to.cr_table 0 tables
+      then i
+      else next_edge tables seen used (i + 1) rest
+
+let rec mix_bare h pending i = function
+  | [] -> h
+  | t :: rest ->
+      mix_bare (if pending land (1 lsl i) <> 0 then mix_str (mix h 62) t else h) pending (i + 1) rest
+
+let rec mix_walk h tables joins seen pending used =
+  if pending = 0 then h
+  else
+    let i = next_edge tables seen used 0 joins in
+    if i < 0 then mix_bare h pending 0 tables
+    else
+      let e = List.nth joins i in
+      let next =
+        if has_name seen e.j_from.cr_table 0 tables then e.j_to.cr_table else e.j_from.cr_table
+      in
+      if not (has_name pending next 0 tables) then mix_bare h pending 0 tables
+      else
+        let named = positions_of next 0 tables in
+        mix_walk
+          (mix_ref (mix_ref (mix_str (mix h 61) next) e.j_from) e.j_to)
+          tables joins (seen lor named) (pending land lnot named)
+          (used lor positions_of_edge e 0 joins)
+
+let mix_from h f =
+  match f.f_tables with
+  | [] -> h
+  | first :: _ when List.length f.f_tables > 62 || List.length f.f_joins > 62 ->
+      mix_str (mix_str h first) (Duosql.Pretty.from_clause f)
+  | first :: _ as tables ->
+      let all = (1 lsl List.length tables) - 1 in
+      mix_walk (mix_str h first) tables f.f_joins 1 (all land lnot 1) 0
+
+let key_hash t =
+  let kw = t.kw in
+  let decided = t.phase <> P_keywords in
+  let h = mix 0 (phase_index t.phase) in
+  let h = mix (mix h t.nproj) t.where_n in
+  let h = mix h (match t.conn with And -> 1 | Or -> 2) in
+  let h =
+    mix h
+      ((if kw.Duoguide.Model.kw_where then 1 else 0)
+      + (if kw.Duoguide.Model.kw_group then 2 else 0)
+      + if kw.Duoguide.Model.kw_order then 4 else 0)
+  in
+  let h =
+    match t.where_pending with
+    | Some c -> mix_col (mix h 71) c.Duodb.Schema.col_table c.Duodb.Schema.col_name
+    | None -> mix h 72
+  in
+  (* SELECT: "?" when no slot is decided, else the slots (the holes
+     follow from [nproj]) *)
+  let h = match t.projs with [] -> mix h 73 | projs -> mix_list mix_slot h projs in
+  let h = match t.from with Some f -> mix_from (mix h 74) f | None -> mix h 75 in
+  let h =
+    if kw.Duoguide.Model.kw_where && decided then mix_list mix_pred (mix h 76) t.where_preds
+    else h
+  in
+  let h =
+    if kw.Duoguide.Model.kw_group && decided then
+      match t.group_col with Some c -> mix_ref (mix h 77) c | None -> mix h 78
+    else h
+  in
+  let h = match t.having_pred with Some p -> mix_pred (mix h 79) p | None -> h in
+  let h =
+    if kw.Duoguide.Model.kw_order && decided then
+      match t.order_item with
+      | Some (agg, c) ->
+          mix (mix_lhs (mix h 80) agg c) (match t.order_dir with Asc -> 1 | Desc -> 2)
+      | None -> mix h 81
+    else h
+  in
+  match t.limit with Some n -> mix (mix h 82) n | None -> h
+
+(* Field-wise equality of everything [key] prints: [true] implies
+   [key a = key b]; [false] can still mean equal keys (the printer's
+   lossy spots, or fields [key] ignores like a COUNT( * ) slot's
+   aggregate decision), which [Tbl] settles by printing. *)
+let equal_rendered a b =
+  a == b
+  || a.phase = b.phase && a.nproj = b.nproj && a.where_n = b.where_n
+     && a.conn = b.conn && a.kw = b.kw
+     && (a.projs == b.projs || a.projs = b.projs)
+     && (a.from == b.from || a.from = b.from)
+     && (a.where_preds == b.where_preds || a.where_preds = b.where_preds)
+     && a.where_pending = b.where_pending
+     && a.group_col = b.group_col && a.having_pred = b.having_pred
+     && a.order_item = b.order_item
+     && (a.order_item = None || a.order_dir = b.order_dir)
+     && a.limit = b.limit
+
+(* A table keyed by [key]'s partition, probed without printing: buckets
+   are indexed by the full [key_hash], so only states whose hashes are
+   equal are ever compared, and only those that are not field-wise equal
+   print their keys. *)
+module Tbl = struct
+  module H = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash h = h
+  end)
+
+  type state = t
+
+  type 'a t = {
+    buckets : (state * 'a) list H.t;
+    mutable renders : int;
+  }
+
+  let create n = { buckets = H.create n; renders = 0 }
+
+  let same tbl a b =
+    equal_rendered a b
+    || begin
+         tbl.renders <- tbl.renders + 2;
+         String.equal (key a) (key b)
+       end
+
+  let rec assoc tbl st = function
+    | [] -> None
+    | (st', v) :: rest -> if same tbl st st' then Some v else assoc tbl st rest
+
+  let find_opt tbl st =
+    match H.find_opt tbl.buckets (key_hash st) with
+    | None -> None
+    | Some bucket -> assoc tbl st bucket
+
+  let find_or_add tbl st v =
+    let h = key_hash st in
+    match H.find_opt tbl.buckets h with
+    | None ->
+        H.replace tbl.buckets h [ (st, v) ];
+        None
+    | Some bucket -> (
+        match assoc tbl st bucket with
+        | Some _ as found -> found
+        | None ->
+            H.replace tbl.buckets h ((st, v) :: bucket);
+            None)
+
+  let remove tbl st =
+    let h = key_hash st in
+    match H.find_opt tbl.buckets h with
+    | None -> ()
+    | Some bucket -> (
+        match List.filter (fun (st', _) -> not (same tbl st st')) bucket with
+        | [] -> H.remove tbl.buckets h
+        | rest -> H.replace tbl.buckets h rest)
+
+  let reset tbl = H.reset tbl.buckets
+
+  let take_renders tbl =
+    let n = tbl.renders in
+    tbl.renders <- 0;
+    n
+end
+
+let has_predicates t = t.where_preds <> [] || Option.is_some t.having_pred
+
 let join_length t =
   match t.from with
   | None -> 0

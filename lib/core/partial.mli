@@ -91,7 +91,9 @@ val to_string : t -> string
 
 (** Canonical identity of a state's decided content (phase, decisions and
     join path; not confidence).  States produced by different join-fork
-    orders can coincide; the enumerator dedupes on this key. *)
+    orders can coincide.  This printed key is the specification of state
+    identity: the enumerator dedupes on its partition through {!Tbl},
+    which hashes with {!key_hash} instead of printing it. *)
 val key : t -> string
 
 (** Like {!key}, but with WHERE/HAVING conjuncts put into Duosem normal
@@ -101,8 +103,55 @@ val key : t -> string
     and the verbatim join path are part of the key, keeping the
     complete-stage literal check and row-order-sensitive sketch
     satisfaction observationally equal across collapsed states.  The
-    enumerator uses it as a second visited-set layer ([dedup_semantic]). *)
+    enumerator uses it as a second visited-set layer ([dedup_semantic])
+    for states with predicates ({!has_predicates}); for the others it is
+    {!key} with an empty literal segment, so the layer cannot collapse
+    anything the first one did not. *)
 val canonical_key : t -> string
+
+(** A hash of {!key}'s partition, computed from the state's fields
+    without printing anything or allocating (except for a non-integral
+    float literal, hashed through its printed form).  Consistent with
+    {!key}: [key a = key b] implies [key_hash a = key_hash b] — it reads
+    only printed fields under the printer's own guards and normalizes the
+    printer's lossy spots ([Int 3] and [Float 3.0] hash alike; FROM
+    clauses that print alike hash alike whatever their list order).
+    Assumes identifiers print as single tokens (no separator characters
+    in table or column names). *)
+val key_hash : t -> int
+
+(** Field-wise equality of everything {!key} prints.  [true] implies
+    [key a = key b]; [false] does not imply the converse. *)
+val equal_rendered : t -> t -> bool
+
+(** Tables over {!key}'s partition that never print on the hot path:
+    buckets are indexed by the full {!key_hash}, only hash-equal states
+    are compared, and only those that are not {!equal_rendered} print
+    their keys (counted in {!Tbl.take_renders}). *)
+module Tbl : sig
+  type state := t
+  type 'a t
+
+  val create : int -> 'a t
+
+  (** The value bound to a state with the same key. *)
+  val find_opt : 'a t -> state -> 'a option
+
+  (** [find_or_add tbl st v] returns the value bound to a state with
+      [st]'s key, or binds [st] to [v] and returns [None]: the visited-set
+      test-and-insert in one hash computation. *)
+  val find_or_add : 'a t -> state -> 'a -> 'a option
+
+  val remove : 'a t -> state -> unit
+  val reset : 'a t -> unit
+
+  (** Keys printed by equality fallbacks since the last call (two per
+      fallback comparison); resets the count. *)
+  val take_renders : 'a t -> int
+end
+
+(** Whether the state has decided a WHERE or HAVING predicate. *)
+val has_predicates : t -> bool
 
 (** Confidence-then-join-length ordering for the best-first frontier:
     higher confidence first; ties prefer shorter join paths

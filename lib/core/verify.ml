@@ -57,6 +57,9 @@ type stats = {
   mutable pruned_by_row : int;
   mutable pruned_by_complete : int;
   mutable dedup_semantic : int;
+  mutable visited_hits : int;
+  mutable canon_checked : int;
+  mutable key_renders : int;
   mutable static_warnings : int;
   mutable batch_rounds : int;
   mutable batched_probes : int;
@@ -69,7 +72,8 @@ let new_stats () =
     pruned_by_static = 0; pruned_by_clauses = 0; pruned_by_cardinality = 0;
     pruned_by_semantics = 0;
     pruned_by_types = 0; pruned_by_column = 0; pruned_by_row = 0;
-    pruned_by_complete = 0; dedup_semantic = 0; static_warnings = 0;
+    pruned_by_complete = 0; dedup_semantic = 0; visited_hits = 0;
+    canon_checked = 0; key_renders = 0; static_warnings = 0;
     batch_rounds = 0; batched_probes = 0;
     stage_seconds = Array.make (List.length all_stages) 0.0 }
 
@@ -92,6 +96,9 @@ let reset_stats s =
   s.pruned_by_row <- 0;
   s.pruned_by_complete <- 0;
   s.dedup_semantic <- 0;
+  s.visited_hits <- 0;
+  s.canon_checked <- 0;
+  s.key_renders <- 0;
   s.static_warnings <- 0;
   s.batch_rounds <- 0;
   s.batched_probes <- 0;
@@ -130,6 +137,9 @@ let merge_stats ~into s =
   into.pruned_by_row <- into.pruned_by_row + s.pruned_by_row;
   into.pruned_by_complete <- into.pruned_by_complete + s.pruned_by_complete;
   into.dedup_semantic <- into.dedup_semantic + s.dedup_semantic;
+  into.visited_hits <- into.visited_hits + s.visited_hits;
+  into.canon_checked <- into.canon_checked + s.canon_checked;
+  into.key_renders <- into.key_renders + s.key_renders;
   into.static_warnings <- into.static_warnings + s.static_warnings;
   into.batch_rounds <- into.batch_rounds + s.batch_rounds;
   into.batched_probes <- into.batched_probes + s.batched_probes;

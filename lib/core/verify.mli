@@ -66,6 +66,16 @@ type stats = {
   mutable dedup_semantic : int;
       (** enumerator pushes/emissions suppressed because a
           Duosem-canonically-equal state or candidate was already seen *)
+  mutable visited_hits : int;
+      (** enumerator pushes suppressed because a state with the same
+          {!Partial.key} was already admitted *)
+  mutable canon_checked : int;
+      (** admitted states looked up in the canonical layer
+          ({!Partial.canonical_key} rendered); states without WHERE or
+          HAVING predicates skip it *)
+  mutable key_renders : int;
+      (** {!Partial.key} strings rendered by the visited set's equality
+          fallback (hash-equal states that are not structurally equal) *)
   mutable static_warnings : int;
       (** Duolint warnings used to deprioritize frontier pushes *)
   mutable batch_rounds : int;

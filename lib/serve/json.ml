@@ -26,10 +26,19 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of [%.15g] / [%.16g] / [%.17g] that parses back to [f]:
+   17 significant digits always round-trip a double, and a sketch's exact
+   float cell (an AVG, say) must reach the server unchanged. *)
 let add_num buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%d" (int_of_float f))
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if Float.equal (float_of_string s15) f then Buffer.add_string buf s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      Buffer.add_string buf
+        (if Float.equal (float_of_string s16) f then s16 else Printf.sprintf "%.17g" f)
 
 let rec add buf v =
   match v with

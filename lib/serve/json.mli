@@ -16,7 +16,8 @@ type t =
   | Obj of (string * t) list
 
 (** Compact single-line rendering; integral numbers print without a
-    decimal point. *)
+    decimal point, other numbers in the fewest significant digits (15 to
+    17) that parse back to the same float. *)
 val to_string : t -> string
 
 (** Parse a complete document; trailing garbage (other than whitespace)

@@ -30,11 +30,13 @@ type t = {
   mutable is_draining : bool;
   mutable opened : int;
   mutable rejected : int;
-  mutable completed : int;
-  mutable cancelled : int;
+  mutable completed : int;  (** sessions whose outcome is [Finished] *)
+  mutable cancelled : int;  (** sessions whose outcome is [Cancelled] *)
+  mutable runs_completed : int;  (** enumeration runs that finished *)
   mutable refined : int;
   mutable rebased : int;  (** refinements served by the warm rebase path *)
   mutable slices : int;
+  retired : Duocore.Verify.stats;  (** dedup counters of closed sessions *)
 }
 
 let create ?pool config dbs =
@@ -61,9 +63,11 @@ let create ?pool config dbs =
     rejected = 0;
     completed = 0;
     cancelled = 0;
+    runs_completed = 0;
     refined = 0;
     rebased = 0;
     slices = 0;
+    retired = Duocore.Verify.new_stats ();
   }
 
 let draining t = t.is_draining
@@ -99,6 +103,24 @@ let next_runnable t =
     t.sessions (None, None)
   |> fun (after, any) -> (match after with Some _ -> after | None -> any)
 
+(* The session books count each session once, by its current outcome,
+   so [opened = completed + cancelled + running] at all times: a refine
+   takes its session's outcome off the books while it runs again, and a
+   run that finishes books its session (back) as completed.  Run
+   completions, a refined session's included, are [runs_completed]. *)
+let book t s delta =
+  match Session.status s with
+  | Session.Finished -> t.completed <- t.completed + delta
+  | Session.Cancelled -> t.cancelled <- t.cancelled + delta
+  | Session.Running -> ()
+
+let book_run t s =
+  match Session.status s with
+  | Session.Finished ->
+      book t s 1;
+      t.runs_completed <- t.runs_completed + 1
+  | Session.Running | Session.Cancelled -> ()
+
 let tick t =
   match next_runnable t with
   | None -> false
@@ -107,9 +129,7 @@ let tick t =
       t.rr_last <- sid;
       t.slices <- t.slices + 1;
       Session.step ~max_pops:t.config.slice_pops s;
-      (match Session.status s with
-      | Session.Finished -> t.completed <- t.completed + 1
-      | Session.Running | Session.Cancelled -> ());
+      book_run t s;
       true
 
 (* --- protocol dispatch ----------------------------------------------- *)
@@ -215,6 +235,20 @@ let duopar_fields t =
     ("spec_hits", Json.Num (float_of_int !hits));
   ]
 
+(* Visited-set dedup over the open sessions' runs and the closed
+   sessions' last runs. *)
+let dedup_fields t =
+  let total = Duocore.Verify.new_stats () in
+  Duocore.Verify.merge_stats ~into:total t.retired;
+  Hashtbl.iter
+    (fun _ s -> Duocore.Verify.merge_stats ~into:total (Session.outcome s).Enumerate.out_stats)
+    t.sessions;
+  [
+    ("visited_hits", Json.Num (float_of_int total.Duocore.Verify.visited_hits));
+    ("canon_checked", Json.Num (float_of_int total.Duocore.Verify.canon_checked));
+    ("key_renders", Json.Num (float_of_int total.Duocore.Verify.key_renders));
+  ]
+
 let stats_fields t =
   [
     ("sessions", Json.Num (float_of_int (Hashtbl.length t.sessions)));
@@ -222,11 +256,13 @@ let stats_fields t =
     ("opened", Json.Num (float_of_int t.opened));
     ("rejected", Json.Num (float_of_int t.rejected));
     ("completed", Json.Num (float_of_int t.completed));
+    ("runs_completed", Json.Num (float_of_int t.runs_completed));
     ("cancelled", Json.Num (float_of_int t.cancelled));
     ("refined", Json.Num (float_of_int t.refined));
     ("rebased", Json.Num (float_of_int t.rebased));
     ("slices", Json.Num (float_of_int t.slices));
     ("draining", Json.Bool t.is_draining);
+    ("dedup", Json.Obj (dedup_fields t));
     ("duopar", Json.Obj (duopar_fields t));
   ]
 
@@ -241,16 +277,14 @@ let handle_request t req =
       | Error e -> Protocol.error_line e
       | Ok s ->
           let before = Session.rebased s in
+          book t s (-1);
           Session.refine s tsq;
           let warm = Session.rebased s > before in
           t.refined <- t.refined + 1;
           if warm then t.rebased <- t.rebased + 1;
           (* A warm rebase can finish on the spot when the carried
-             candidates already fill the budget; keep the completion
-             books consistent with the tick path. *)
-          (match Session.status s with
-          | Session.Finished -> t.completed <- t.completed + 1
-          | Session.Running | Session.Cancelled -> ());
+             candidates already fill the budget. *)
+          book_run t s;
           Protocol.ok_line
             (session_fields s
             @ [
@@ -265,19 +299,18 @@ let handle_request t req =
       match find_session t sid with
       | Error e -> Protocol.error_line e
       | Ok s ->
-          (match Session.status s with
-          | Session.Running -> t.cancelled <- t.cancelled + 1
-          | Session.Finished | Session.Cancelled -> ());
+          let running = Session.status s = Session.Running in
           Session.cancel s;
+          if running then book t s 1;
           Protocol.ok_line (session_fields s))
   | Protocol.Close sid -> (
       match find_session t sid with
       | Error e -> Protocol.error_line e
       | Ok s ->
-          (match Session.status s with
-          | Session.Running -> t.cancelled <- t.cancelled + 1
-          | Session.Finished | Session.Cancelled -> ());
+          let running = Session.status s = Session.Running in
+          Duocore.Verify.merge_stats ~into:t.retired (Session.outcome s).Enumerate.out_stats;
           Session.close s;
+          if running then book t s 1;
           Hashtbl.remove t.sessions sid;
           Protocol.ok_line
             [

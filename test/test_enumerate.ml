@@ -167,6 +167,135 @@ let test_partial_key_distinguishes () =
     (Partial.key a <> Partial.key b);
   Alcotest.(check string) "key deterministic" (Partial.key a) (Partial.key a)
 
+(* Hand-built pairs that print the same key but differ in fields: the
+   render-free hash must agree, and the visited table must treat each pair
+   as one state. *)
+let decided_state () =
+  let col t c = Duodb.Schema.find_column_exn schema ~table:t c in
+  { Partial.root with
+    Partial.phase = Partial.P_limit;
+    kw = { Model.kw_where = true; kw_group = false; kw_order = true };
+    nproj = 1;
+    projs = [ { Partial.pj_target = Model.Target_column (col "movies" "name"); pj_agg = Some None } ];
+    where_n = 1;
+    where_preds =
+      [ { Duosql.Ast.pr_agg = None; pr_col = Some (Duosql.Ast.col "movies" "year");
+          pr_rhs = Duosql.Ast.Cmp (Duosql.Ast.Gt, Duodb.Value.Int 1994) } ];
+    from = Some (Duosql.Ast.from_table "movies") }
+
+(* Whether the visited table treats [b] as a visit of [a]. *)
+let same (a : Partial.t) (b : Partial.t) =
+  let tbl = Partial.Tbl.create 4 in
+  ignore (Partial.Tbl.find_or_add tbl a ());
+  Partial.Tbl.find_or_add tbl b () <> None
+
+let check_same_key name (a : Partial.t) (b : Partial.t) =
+  Alcotest.(check string) (name ^ ": keys print alike") (Partial.key a) (Partial.key b);
+  Alcotest.(check int) (name ^ ": hashes agree") (Partial.key_hash a) (Partial.key_hash b);
+  Alcotest.(check bool) (name ^ ": the twin is a visit") true (same a b)
+
+let test_key_hash_int_float () =
+  let a = decided_state () in
+  let b =
+    { a with
+      Partial.where_preds =
+        List.map
+          (fun p -> { p with Duosql.Ast.pr_rhs = Duosql.Ast.Cmp (Duosql.Ast.Gt, Duodb.Value.Float 1994.0) })
+          a.Partial.where_preds;
+      confidence = 0.5 }
+  in
+  Alcotest.(check bool) "fields differ" false (Partial.equal_rendered a b);
+  check_same_key "Int 3 vs Float 3." a b;
+  let tbl = Partial.Tbl.create 4 in
+  ignore (Partial.Tbl.find_or_add tbl a ());
+  ignore (Partial.Tbl.find_or_add tbl b ());
+  Alcotest.(check int) "the fallback printed both keys" 2 (Partial.Tbl.take_renders tbl);
+  Alcotest.(check int) "the count resets" 0 (Partial.Tbl.take_renders tbl);
+  let c =
+    { a with
+      Partial.where_preds =
+        List.map
+          (fun p -> { p with Duosql.Ast.pr_rhs = Duosql.Ast.Cmp (Duosql.Ast.Gt, Duodb.Value.Float 1994.5) })
+          a.Partial.where_preds }
+  in
+  Alcotest.(check bool) "a non-integral float is another state" false (same a c)
+
+let test_key_hash_dir_without_order () =
+  let a = { (decided_state ()) with Partial.order_item = None; order_dir = Duosql.Ast.Asc } in
+  let b = { a with Partial.order_dir = Duosql.Ast.Desc } in
+  Alcotest.(check bool) "the unprinted direction is ignored" true (Partial.equal_rendered a b);
+  check_same_key "Asc/Desc without ORDER item" a b;
+  let with_item dir =
+    { a with
+      Partial.order_item = Some (None, Some (Duosql.Ast.col "movies" "year"));
+      order_dir = dir }
+  in
+  Alcotest.(check bool) "the printed direction counts" false
+    (same (with_item Duosql.Ast.Asc) (with_item Duosql.Ast.Desc))
+
+let test_key_hash_from_order () =
+  let joins =
+    [ { Duosql.Ast.j_from = Duosql.Ast.col "starring" "aid"; j_to = Duosql.Ast.col "actor" "aid" };
+      { Duosql.Ast.j_from = Duosql.Ast.col "starring" "mid"; j_to = Duosql.Ast.col "movies" "mid" } ]
+  in
+  let with_tables tables =
+    { (decided_state ()) with
+      Partial.from = Some { Duosql.Ast.f_tables = tables; f_joins = joins } }
+  in
+  let a = with_tables [ "starring"; "actor"; "movies" ] in
+  let b = with_tables [ "starring"; "movies"; "actor" ] in
+  Alcotest.(check bool) "lists differ" false (Partial.equal_rendered a b);
+  check_same_key "FROM tables reordered" a b;
+  let c = with_tables [ "actor"; "starring"; "movies" ] in
+  Alcotest.(check bool) "another first table is another state" false (same a c)
+
+(* A state without WHERE or HAVING predicates never shares a canonical key
+   with a predicated one (its literal segment is empty, theirs never is),
+   so the enumerator may skip the canonical layer for it. *)
+let test_canonical_no_pred_vs_pred () =
+  let base = decided_state () in
+  let bare = { base with Partial.where_preds = []; where_n = 0 } in
+  let pred rhs = { Duosql.Ast.pr_agg = None; pr_col = Some (Duosql.Ast.col "movies" "name"); pr_rhs = rhs } in
+  let empty_text = { bare with Partial.where_preds = [ pred (Duosql.Ast.Cmp (Duosql.Ast.Eq, Duodb.Value.Text "")) ] } in
+  let having =
+    { bare with
+      Partial.having_pred =
+        Some
+          { Duosql.Ast.pr_agg = Some Duosql.Ast.Count; pr_col = None;
+            pr_rhs = Duosql.Ast.Cmp (Duosql.Ast.Gt, Duodb.Value.Int 1) } }
+  in
+  let ck = Partial.canonical_key bare in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check bool) (name ^ ": no canonical collision") true
+        (not (String.equal ck (Partial.canonical_key t))))
+    [ ("where", base); ("empty text literal", empty_text); ("having", having) ];
+  Alcotest.(check bool) "predicate-free: canonical key follows the key" true
+    (String.equal ck (Partial.canonical_key { bare with Partial.confidence = 0.1 }))
+
+(* The dedup counters: a dual-spec run hits the visited set, checks the
+   canonical layer only for predicated states, and prints (almost) no
+   keys. *)
+let test_dedup_counters () =
+  let tsq =
+    Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
+      ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
+      ()
+  in
+  let config = { Enumerate.default_config with Enumerate.max_pops = 2_000 } in
+  let o =
+    Enumerate.run config (ctx "movie names before 1995") db ~tsq:(Some tsq)
+      ~literals:[ Duodb.Value.Int 1995 ] ()
+  in
+  let st = o.Enumerate.out_stats in
+  Alcotest.(check bool) "visited hits counted" true (st.Duocore.Verify.visited_hits > 0);
+  Alcotest.(check bool) "canonical layer only for some pushes" true
+    (st.Duocore.Verify.canon_checked > 0
+    && st.Duocore.Verify.canon_checked < o.Enumerate.out_pushed);
+  Alcotest.(check bool) "keys printed on under 1% of lookups" true
+    (100 * st.Duocore.Verify.key_renders
+    < st.Duocore.Verify.visited_hits + o.Enumerate.out_pushed)
+
 let test_stats_attribution () =
   let tsq =
     Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
@@ -469,5 +598,12 @@ let suite =
     Alcotest.test_case "candidates unique" `Quick test_candidates_unique;
     Alcotest.test_case "partial to_query" `Quick test_partial_to_query_roundtrip;
     Alcotest.test_case "partial keys" `Quick test_partial_key_distinguishes;
+    Alcotest.test_case "key hash: Int vs Float literal" `Quick test_key_hash_int_float;
+    Alcotest.test_case "key hash: direction without ORDER item" `Quick
+      test_key_hash_dir_without_order;
+    Alcotest.test_case "key hash: reordered FROM tables" `Quick test_key_hash_from_order;
+    Alcotest.test_case "canonical: no-predicate vs predicate" `Quick
+      test_canonical_no_pred_vs_pred;
+    Alcotest.test_case "dedup counters" `Quick test_dedup_counters;
     Alcotest.test_case "prune attribution" `Quick test_stats_attribution;
   ]

@@ -31,6 +31,28 @@ let test_json_roundtrip () =
       | Error e -> Alcotest.failf "round-trip parse failed: %s" e)
     values
 
+(* Numbers survive the wire exactly: an AVG cell like dev task 155's
+   (4384838.709677...) printed to 12 digits used to reach the server
+   changed. *)
+let test_json_float_exact () =
+  let avg = 135_930_000.0 /. 31.0 in
+  Alcotest.(check bool) "12 digits would lose it" false
+    (Float.equal (float_of_string (Printf.sprintf "%.12g" avg)) avg);
+  (match Json.parse (Json.to_string (Json.Num avg)) with
+  | Ok (Json.Num f) -> Alcotest.(check bool) "AVG cell round-trips" true (Float.equal f avg)
+  | Ok _ | Error _ -> Alcotest.fail "AVG cell did not parse back as a number");
+  Alcotest.(check string) "short floats stay short" "0.1" (Json.to_string (Json.Num 0.1));
+  Alcotest.(check string) "integers print bare" "42" (Json.to_string (Json.Num 42.0))
+
+let prop_json_float_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"json: parse (to_string (Num f)) = Num f"
+    QCheck.(make ~print:(Printf.sprintf "%h") Gen.(oneof [ float; map2 (fun a b -> float_of_int a /. float_of_int (1 + abs b)) int int ]))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Json.parse (Json.to_string (Json.Num f)) with
+      | Ok (Json.Num f') -> Float.equal f f'
+      | Ok _ | Error _ -> false)
+
 let test_json_parse_cases () =
   (match Json.parse "  {\"k\" : [1, 2.5, \"\\u0041\\n\"]} " with
   | Ok j ->
@@ -179,7 +201,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
@@ -367,6 +389,54 @@ let test_concurrent_sessions_match_solo () =
 
 (* --- refine_tsq: the interaction loop --------------------------------- *)
 
+(* The session books: every opened session is booked once, as completed,
+   cancelled or live, whatever sequence of refines, cancels and closes it
+   went through; a refined session's second run completion is a run, not
+   a session. *)
+let test_session_books () =
+  let server = make_server ~slice:20 () in
+  let stat name =
+    let j = Result.get_ok (Json.parse (Server.handle_line server "{\"op\":\"stats\"}")) in
+    Option.get (Json.get_int (Option.get (Json.member name j)))
+  in
+  let balanced step =
+    Alcotest.(check int)
+      (step ^ ": opened = completed + cancelled + live")
+      (stat "opened")
+      (stat "completed" + stat "cancelled" + stat "running")
+  in
+  let run_all () = while Server.tick server do () done in
+  let send line = ignore (Server.handle_line server line) in
+  let open_line = "{\"op\":\"open_session\",\"db\":\"movies\",\"nlq\":\"movie names\",\"max_pops\":300}" in
+  send open_line;
+  send open_line;
+  send open_line;
+  balanced "three open";
+  run_all ();
+  balanced "all finished";
+  Alcotest.(check int) "three completed" 3 (stat "completed");
+  send "{\"op\":\"refine_tsq\",\"session\":1,\"tsq\":{\"types\":[\"text\"]}}";
+  balanced "refined";
+  Alcotest.(check int) "the refined session is live again" 1 (stat "running");
+  ignore (Server.tick server);
+  send "{\"op\":\"refine_tsq\",\"session\":2,\"tsq\":{\"types\":[\"text\"]}}";
+  send "{\"op\":\"cancel\",\"session\":2}";
+  balanced "cancelled mid-run";
+  send "{\"op\":\"cancel\",\"session\":3}";
+  balanced "cancel after finish is a no-op";
+  run_all ();
+  balanced "refined run finished";
+  send open_line;
+  ignore (Server.tick server);
+  send "{\"op\":\"close\",\"session\":4}";
+  send "{\"op\":\"close\",\"session\":1}";
+  balanced "closed";
+  Alcotest.(check int) "opened" 4 (stat "opened");
+  Alcotest.(check int) "completed: sessions 1 and 3" 2 (stat "completed");
+  Alcotest.(check int) "cancelled: sessions 2 and 4" 2 (stat "cancelled");
+  Alcotest.(check int) "runs: three first runs and session 1's refine" 4 (stat "runs_completed");
+  Server.destroy server
+
 let test_refine_restarts () =
   let server = make_server () in
   let _ =
@@ -444,4 +514,8 @@ let suite =
       test_concurrent_sessions_match_solo;
     Alcotest.test_case "refine_tsq restarts enumeration" `Quick
       test_refine_restarts;
+    Alcotest.test_case "session books balance" `Quick test_session_books;
+    Alcotest.test_case "json floats exact" `Quick test_json_float_exact;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150A7 |])
+      prop_json_float_roundtrip;
   ]
