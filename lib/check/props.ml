@@ -25,6 +25,49 @@ let differential_prop (sc : Gen.scenario) =
   | Error _, Error _, Error _ -> true
   | (Ok _ | Error _), (Ok _ | Error _), (Ok _ | Error _) -> false
 
+(* Cached execution = uncached = reference.  One relation cache is shared
+   by the scenario query and a two-table join over every FK edge in both
+   FROM orders, so one table gets attached on different columns and join
+   indexes are reused across queries.  Each query, run twice through that
+   cache (a build, then a hit) and as a two-query batch through
+   [run_batch] on it, returns exactly what its uncached run returns, and
+   that agrees with the reference.  A tight [max_rows] bound fails (or
+   not) identically with and without a cache. *)
+let cached_prop (sc : Gen.scenario) =
+  let open Duosql.Ast in
+  let db = sc.Gen.sc_db in
+  let same a b =
+    match (a, b) with
+    | Ok a, Ok b -> resultsets_agree a b
+    | Error a, Error b -> String.equal a b
+    | (Ok _ | Error _), (Ok _ | Error _) -> false
+  in
+  let edge_joins =
+    List.concat_map
+      (fun (fk : Duodb.Schema.foreign_key) ->
+        let fk_col = col fk.Duodb.Schema.fk_table fk.Duodb.Schema.fk_column
+        and pk_col = col fk.Duodb.Schema.pk_table fk.Duodb.Schema.pk_column in
+        let f_joins = [ { j_from = fk_col; j_to = pk_col } ] in
+        List.map
+          (fun f_tables -> simple [ proj_col fk_col; proj_col pk_col ] { f_tables; f_joins })
+          [ [ fk_col.cr_table; pk_col.cr_table ]; [ pk_col.cr_table; fk_col.cr_table ] ])
+      (Duodb.Database.schema db).Duodb.Schema.foreign_keys
+  in
+  let cache = Executor.create_cache () and bounded = Executor.create_cache () in
+  List.for_all
+    (fun q ->
+      let uncached = Executor.run db q in
+      let batched, _ = Executor.run_batch ~cache db [| q; q |] in
+      let tight () = Executor.run ~cache:bounded ~max_rows:4 db q in
+      (match (uncached, Reference.run db q) with
+      | Ok a, Ok b -> resultsets_agree a b
+      | Error _, Error _ -> true
+      | (Ok _ | Error _), (Ok _ | Error _) -> false)
+      && List.for_all (same uncached)
+           [ Executor.run ~cache db q; Executor.run ~cache db q; batched.(0); batched.(1) ]
+      && List.for_all (same (Executor.run ~max_rows:4 db q)) [ tight (); tight () ])
+    (sc.Gen.sc_query :: edge_joins)
+
 (* parse (pretty q) = q *)
 let roundtrip_prop (sc : Gen.scenario) =
   let sql = Duosql.Pretty.query sc.Gen.sc_query in
@@ -1210,6 +1253,9 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(80 * mult)
       ~name:"Duosem cardinality bound contains the true row count"
       Gen.arb_scenario duosem_card_prop;
+    QCheck.Test.make ~count:(40 * mult)
+      ~name:"cached joins: shared relation cache and batch = uncached = reference"
+      Gen.arb_scenario cached_prop;
     QCheck.Test.make ~count:(200 * mult)
       ~name:"Domain lattice laws: meet/join/leq/widen vs membership"
       (QCheck.make ~print:string_of_int (fun st ->

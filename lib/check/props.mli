@@ -9,6 +9,10 @@
       row view and a scalar reference scan;
     - {b batched execution}: {!Duoengine.Executor.run_batch} returns
       exactly what per-query {!Duoengine.Executor.run} returns;
+    - {b cached joins}: a query run twice through one shared relation
+      cache (so over its cached join-key indexes) and as a batch on that
+      cache returns exactly the uncached result — errors, a tight
+      [max_rows] overflow included — which agrees with the reference;
     - {b cascade soundness}: no Verify stage prunes a partial query that
       has a completion satisfying the TSQ ({!Soundness.check});
     - {b Property 1}: every expansion's children partition the parent's
@@ -46,10 +50,16 @@
 
 (** Individual properties, exposed for ad-hoc harnesses. *)
 
+(** Exact resultset equality: columns, row count, row order and cells
+    (by [Value.equal]). *)
+val resultsets_agree :
+  Duoengine.Executor.resultset -> Duoengine.Executor.resultset -> bool
+
 val differential_prop : Gen.scenario -> bool
 val roundtrip_prop : Gen.scenario -> bool
 val columnar_prop : Gen.scenario -> bool
 val batch_prop : Gen.scenario -> bool
+val cached_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool
 val key_hash_prop : Gen.scenario * int -> bool

@@ -743,6 +743,8 @@ let process s worker (p : Partial.t) =
      once, when the run finishes. *)
   tstats.Verify.relcache_hits <- 0;
   tstats.Verify.pushdown_builds <- 0;
+  tstats.Verify.join_index_builds <- 0;
+  tstats.Verify.join_index_hits <- 0;
   {
     tr_worker = worker;
     tr_children = verdicts;
@@ -769,6 +771,8 @@ let process_into s worker (p : Partial.t) (r : task_result) =
      mirrors are cumulative and re-derived at outcome time *)
   r.tr_stats.Verify.relcache_hits <- 0;
   r.tr_stats.Verify.pushdown_builds <- 0;
+  r.tr_stats.Verify.join_index_builds <- 0;
+  r.tr_stats.Verify.join_index_hits <- 0;
   r.tr_worker <- worker;
   r.tr_children <- verdicts;
   r.tr_expand_s <- t1 -. t0;
@@ -1132,11 +1136,13 @@ let outcome s =
          themselves; task records were zeroed (see [process]). *)
       Array.iteri
         (fun d ds ->
-          let hits, _misses, pushd =
-            Duoengine.Executor.cache_stats (Verify.relcache s.st_envs.(d))
-          in
+          let cache = Verify.relcache s.st_envs.(d) in
+          let hits, _misses, pushd = Duoengine.Executor.cache_stats cache in
+          let ji_builds, ji_hits = Duoengine.Executor.join_index_stats cache in
           ds.Verify.relcache_hits <- hits;
-          ds.Verify.pushdown_builds <- pushd)
+          ds.Verify.pushdown_builds <- pushd;
+          ds.Verify.join_index_builds <- ji_builds;
+          ds.Verify.join_index_hits <- ji_hits)
         s.st_domain_stats;
       let total = Verify.new_stats () in
       (* [st_stats] holds only push-time deprioritization warnings in

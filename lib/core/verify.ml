@@ -47,6 +47,8 @@ type stats = {
   mutable full_executions : int;
   mutable relcache_hits : int;
   mutable pushdown_builds : int;
+  mutable join_index_builds : int;
+  mutable join_index_hits : int;
   mutable pruned : int;
   mutable pruned_by_static : int;
   mutable pruned_by_clauses : int;
@@ -68,7 +70,8 @@ type stats = {
 
 let new_stats () =
   { column_probes = 0; index_probes = 0; row_probes = 0; full_executions = 0;
-    relcache_hits = 0; pushdown_builds = 0; pruned = 0;
+    relcache_hits = 0; pushdown_builds = 0; join_index_builds = 0;
+    join_index_hits = 0; pruned = 0;
     pruned_by_static = 0; pruned_by_clauses = 0; pruned_by_cardinality = 0;
     pruned_by_semantics = 0;
     pruned_by_types = 0; pruned_by_column = 0; pruned_by_row = 0;
@@ -86,6 +89,8 @@ let reset_stats s =
   s.full_executions <- 0;
   s.relcache_hits <- 0;
   s.pushdown_builds <- 0;
+  s.join_index_builds <- 0;
+  s.join_index_hits <- 0;
   s.pruned <- 0;
   s.pruned_by_static <- 0;
   s.pruned_by_clauses <- 0;
@@ -115,10 +120,11 @@ let pruned_by s = function
   | S_complete -> s.pruned_by_complete
 
 (* All counters are plain adds; [stage_seconds] sums elementwise.  The
-   relation-cache mirrors ([relcache_hits], [pushdown_builds]) are also
-   summed, so a caller merging several per-domain stats records must
-   make sure each record carries only its own cache's numbers (see
-   [sync_relcache], which {e sets} cumulative values). *)
+   relation-cache mirrors ([relcache_hits], [pushdown_builds],
+   [join_index_builds], [join_index_hits]) are also summed, so a caller
+   merging several per-domain stats records must make sure each record
+   carries only its own cache's numbers (see [sync_relcache], which
+   {e sets} cumulative values). *)
 let merge_stats ~into s =
   into.column_probes <- into.column_probes + s.column_probes;
   into.index_probes <- into.index_probes + s.index_probes;
@@ -126,6 +132,8 @@ let merge_stats ~into s =
   into.full_executions <- into.full_executions + s.full_executions;
   into.relcache_hits <- into.relcache_hits + s.relcache_hits;
   into.pushdown_builds <- into.pushdown_builds + s.pushdown_builds;
+  into.join_index_builds <- into.join_index_builds + s.join_index_builds;
+  into.join_index_hits <- into.join_index_hits + s.join_index_hits;
   into.pruned <- into.pruned + s.pruned;
   into.pruned_by_static <- into.pruned_by_static + s.pruned_by_static;
   into.pruned_by_clauses <- into.pruned_by_clauses + s.pruned_by_clauses;
@@ -249,8 +257,11 @@ let set_stats env stats = env.e_stats <- stats
    each executor call, so outcomes report pushdown and reuse activity. *)
 let sync_relcache env =
   let hits, _, pushdowns = Duoengine.Executor.cache_stats env.e_relcache in
+  let ji_builds, ji_hits = Duoengine.Executor.join_index_stats env.e_relcache in
   env.e_stats.relcache_hits <- hits;
-  env.e_stats.pushdown_builds <- pushdowns
+  env.e_stats.pushdown_builds <- pushdowns;
+  env.e_stats.join_index_builds <- ji_builds;
+  env.e_stats.join_index_hits <- ji_hits
 
 (* --- phase predicates --- *)
 

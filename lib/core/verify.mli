@@ -52,6 +52,11 @@ type stats = {
   mutable relcache_hits : int;  (** joined relations served from cache *)
   mutable pushdown_builds : int;
       (** relations built with predicates pushed into base scans *)
+  mutable join_index_builds : int;
+      (** join-key indexes built by the relation cache (first use of an
+          attached column, or its table grew since) *)
+  mutable join_index_hits : int;
+      (** join steps served by an already-built join-key index *)
   mutable pruned : int;  (** states rejected by any stage *)
   mutable pruned_by_static : int;
   mutable pruned_by_clauses : int;
@@ -102,7 +107,8 @@ val pruned_by : stats -> stage -> int
     speculative verification task against a private stats record and
     merges it into the run's totals only when the task's state is
     committed, so parallel prune counts match the sequential run
-    exactly.  Note [relcache_hits]/[pushdown_builds] are summed too —
+    exactly.  Note [relcache_hits]/[pushdown_builds] and the
+    [join_index_*] mirrors are summed too —
     callers must ensure each merged record carries only its own
     relation cache's numbers. *)
 val merge_stats : into:stats -> stats -> unit

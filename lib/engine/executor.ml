@@ -31,13 +31,20 @@ exception Exec_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 
-(* A joined relation: wide rows concatenating the base tables' columns,
-   with a lookup from (table, column) to position.  Rows are array-backed;
-   grouping and DISTINCT passes work on row indices into [rel_rows]. *)
+(* A joined relation, never materialized as wide rows: one row-id vector
+   per FROM table, in slots by canonical attach position, so joined row
+   [r] is the source rows [rel_ids.(s).(r)].  [rel_index] maps (table,
+   column) to (slot, column position); cells are read from the tables'
+   own row views.  Grouping and DISTINCT work on indices [0, rel_len). *)
 type relation = {
-  rel_index : (string * string, int) Hashtbl.t;
-  rel_rows : Value.t array array;
+  rel_index : (string * string, int * int) Hashtbl.t;
+  rel_tables : Duodb.Table.t array;
+  rel_ids : int array array;
+  rel_len : int;
 }
+
+let cell rel (slot, j) r =
+  (Duodb.Table.get rel.rel_tables.(slot) rel.rel_ids.(slot).(r)).(j)
 
 (* Minimal growable array; OCaml < 5.2 has no Dynarray. *)
 module Dyn = struct
@@ -59,6 +66,17 @@ module Dyn = struct
     d.len <- d.len + 1
 
   let to_array d = Array.sub d.arr 0 d.len
+
+  (* Append [x] to [k]'s bucket in [tbl], opening the bucket on first
+     sight; [on_new] sees each new bucket once, in first-seen order. *)
+  let add_to ?(on_new = ignore) find add tbl k x =
+    match find tbl k with
+    | Some d -> push d x
+    | None ->
+        let d = create () in
+        push d x;
+        add tbl k d;
+        on_new d
 end
 
 let column_type db c =
@@ -76,7 +94,7 @@ let lookup rel c =
   | Some i -> i
   | None -> fail "column %s.%s not in FROM clause" c.cr_table c.cr_col
 
-(* Scalar predicate evaluation on a single wide row. *)
+(* Scalar predicate evaluation on a single joined row. *)
 let eval_cmp op lhs rhs =
   if Value.is_null lhs || Value.is_null rhs then false
   else
@@ -106,16 +124,20 @@ let eval_rhs rhs v =
       && Value.compare v lo >= 0
       && Value.compare v hi <= 0
 
-let eval_where rel cond wide =
-  let eval_pred p =
-    match p.pr_agg, p.pr_col with
-    | Some _, _ -> fail "aggregate predicate in WHERE"
-    | None, None -> fail "missing column in WHERE predicate"
-    | None, Some c -> eval_rhs p.pr_rhs wide.(lookup rel c)
-  in
-  match cond.c_conn with
-  | And -> List.for_all eval_pred cond.c_preds
-  | Or -> List.exists eval_pred cond.c_preds
+(* A condition's predicates [xs], each decided by [f], under [conn]. *)
+let holds conn f xs =
+  match conn with
+  | And -> List.for_all f xs
+  | Or -> List.exists f xs
+
+let eval_where rel cond r =
+  holds cond.c_conn
+    (fun p ->
+      match p.pr_agg, p.pr_col with
+      | Some _, _ -> fail "aggregate predicate in WHERE"
+      | None, None -> fail "missing column in WHERE predicate"
+      | None, Some c -> eval_rhs p.pr_rhs (cell rel (lookup rel c) r))
+    cond.c_preds
 
 (* --- relation building (plan execution) --- *)
 
@@ -130,10 +152,7 @@ let scan_filter tbl (cond : condition) =
         | None -> fail "missing column in pushed predicate")
       cond.c_preds
   in
-  fun row ->
-    match cond.c_conn with
-    | And -> List.for_all (fun (i, rhs) -> eval_rhs rhs row.(i)) compiled
-    | Or -> List.exists (fun (i, rhs) -> eval_rhs rhs row.(i)) compiled
+  fun row -> holds cond.c_conn (fun (i, rhs) -> eval_rhs rhs row.(i)) compiled
 
 (* Matching row indices for an optional pushed condition: the vectorized
    kernel scan (zone-map block skipping, dictionary probes) when the
@@ -154,40 +173,93 @@ let scan_indices tbl cond_opt =
           done;
           Some (Dyn.to_array out))
 
-(* Filtered base scan: surviving rows plus their original row indices
-   (join provenance). *)
-let scan db name pushed =
-  ignore (table_columns db name);
-  let tbl = Duodb.Database.table_exn db name in
-  match scan_indices tbl (List.assoc_opt name pushed) with
-  | None -> Array.init (Duodb.Table.row_count tbl) (fun i -> (Duodb.Table.get tbl i, i))
-  | Some idxs -> Array.map (fun i -> (Duodb.Table.get tbl i, i)) idxs
+(* Join-key index of one attached column: each non-null key maps to its
+   rows in ascending id order, so probing it keeps table order within a
+   key and in-order executions need no sort.  [ji_rows] is the table's
+   row count at build time — an append makes the index stale. *)
+type join_index = {
+  ji_rows : int;
+  ji_ids : int Dyn.t V1tbl.t;
+}
+
+let build_join_index tbl j =
+  let ids = V1tbl.create 256 in
+  let n = Duodb.Table.row_count tbl in
+  for i = 0 to n - 1 do
+    let v = (Duodb.Table.get tbl i).(j) in
+    if not (Value.is_null v) then Dyn.add_to V1tbl.find_opt V1tbl.replace ids v i
+  done;
+  { ji_rows = n; ji_ids = ids }
+
+(* Memoizes joined relations and join-key indexes.  [Error msg] relation
+   entries memoize relations that exceeded the row bound, so repeated
+   probes over an exploding join fail fast.  Relation keys come from the
+   planner and cover FROM plus pushed predicates, so probes sharing a
+   join tree and WHERE clause reuse one relation.  Join indexes are keyed
+   by (table, column position) and rebuilt when the table's row count
+   moved. *)
+type relation_cache = {
+  rc_tbl : (string, (relation, string) result) Hashtbl.t;
+  rc_join : (string * int, join_index) Hashtbl.t;
+  mutable rc_hits : int;
+  mutable rc_misses : int;
+  mutable rc_pushdown_builds : int;
+  mutable rc_join_builds : int;
+  mutable rc_join_hits : int;
+}
+
+let create_cache () =
+  { rc_tbl = Hashtbl.create 64; rc_join = Hashtbl.create 16; rc_hits = 0;
+    rc_misses = 0; rc_pushdown_builds = 0; rc_join_builds = 0; rc_join_hits = 0 }
+
+let cache_stats c = (c.rc_hits, c.rc_misses, c.rc_pushdown_builds)
+
+let join_index_stats c = (c.rc_join_builds, c.rc_join_hits)
+
+let join_index cache t tbl j =
+  match cache with
+  | None -> build_join_index tbl j
+  | Some c -> (
+      match Hashtbl.find_opt c.rc_join (t, j) with
+      | Some ji when ji.ji_rows = Duodb.Table.row_count tbl ->
+          c.rc_join_hits <- c.rc_join_hits + 1;
+          ji
+      | Some _ | None ->
+          let ji = build_join_index tbl j in
+          c.rc_join_builds <- c.rc_join_builds + 1;
+          Hashtbl.replace c.rc_join (t, j) ji;
+          ji)
 
 (* Build the joined relation following the plan's attach sequence.  Each
-   wide row carries a provenance vector (per-table source row index, in
-   canonical attach order) so reordered executions can be sorted back to
+   step probes the attached table's join index with the left cell of
+   every joined row so far and keeps the hits its pushed filter admits,
+   gathering the earlier slots' row ids through the source-row vector.
+   The slots' row ids are exactly the provenance (per-table source row,
+   in canonical attach order) that sorts a reordered execution back to
    the historical nested-loop row order. *)
-let build_relation ?(max_rows = max_int) db (plan : Planner.t) =
+let build_relation ?cache ?(max_rows = max_int) db (plan : Planner.t) =
   let ntables = List.length plan.Planner.plan_canonical in
   let cpos t = List.assoc t plan.Planner.plan_canonical in
   let pushed = plan.Planner.plan_pushed in
-  (* base *)
-  let base_cols = table_columns db plan.Planner.plan_base in
   let rel_index = Hashtbl.create 16 in
-  List.iteri
-    (fun i c ->
-      Hashtbl.replace rel_index (plan.Planner.plan_base, c.Duodb.Schema.col_name) i)
-    base_cols;
-  let base_pos = cpos plan.Planner.plan_base in
-  let rows =
-    ref
-      (Array.map
-         (fun (row, i) ->
-           let prov = Array.make ntables 0 in
-           prov.(base_pos) <- i;
-           (row, prov))
-         (scan db plan.Planner.plan_base pushed))
+  let attach t slot cols =
+    List.iteri
+      (fun i c -> Hashtbl.replace rel_index (t, c.Duodb.Schema.col_name) (slot, i))
+      cols
   in
+  (* base *)
+  let base = plan.Planner.plan_base in
+  let base_slot = cpos base in
+  attach base base_slot (table_columns db base);
+  let base_tbl = Duodb.Database.table_exn db base in
+  let tables = Array.make ntables base_tbl in
+  let ids = Array.make ntables [||] in
+  ids.(base_slot) <-
+    (match scan_indices base_tbl (List.assoc_opt base pushed) with
+    | None -> Array.init (Duodb.Table.row_count base_tbl) Fun.id
+    | Some idxs -> idxs);
+  let len = ref (Array.length ids.(base_slot)) in
+  let slots = ref [ base_slot ] in
   (* joins *)
   List.iter
     (fun (op : Planner.join_op) ->
@@ -195,103 +267,66 @@ let build_relation ?(max_rows = max_int) db (plan : Planner.t) =
       let cols = table_columns db t in
       let tbl = Duodb.Database.table_exn db t in
       let right_idx = Duodb.Table.column_index tbl op.Planner.jo_right in
-      (* Bucket the attached table's surviving rows by join key, keeping
-         table order within each bucket so in-order executions need no
-         sort afterwards.  The pushed filter runs as a kernel scan when
-         it compiles. *)
-      let buckets = V1tbl.create 256 in
-      let bucket_row i =
-        let row = Duodb.Table.get tbl i in
-        let v = row.(right_idx) in
-        if not (Value.is_null v) then begin
-          match V1tbl.find_opt buckets v with
-          | Some d -> Dyn.push d (row, i)
-          | None ->
-              let d = Dyn.create () in
-              Dyn.push d (row, i);
-              V1tbl.replace buckets v d
-        end
+      (* The pushed filter runs as a kernel scan when it compiles and
+         becomes a row mask over the index's hits. *)
+      let mask =
+        Option.map
+          (fun idxs ->
+            let m = Duodb.Bitset.create (Duodb.Table.row_count tbl) in
+            Array.iter (Duodb.Bitset.set m) idxs;
+            m)
+          (scan_indices tbl (List.assoc_opt t pushed))
       in
-      (match scan_indices tbl (List.assoc_opt t pushed) with
-      | None ->
-          for i = 0 to Duodb.Table.row_count tbl - 1 do
-            bucket_row i
-          done
-      | Some idxs -> Array.iter bucket_row idxs);
-      let left_idx =
-        match Hashtbl.find_opt rel_index op.Planner.jo_left with
-        | Some i -> i
-        | None ->
-            fail "join column %s.%s not in relation" (fst op.Planner.jo_left)
-              (snd op.Planner.jo_left)
+      let ji = join_index cache t tbl right_idx in
+      let lslot, lcol =
+        let lt, lc = op.Planner.jo_left in
+        match Hashtbl.find_opt rel_index (lt, lc) with
+        | Some loc -> loc
+        | None -> fail "join column %s.%s not in relation" lt lc
       in
-      let width = Hashtbl.length rel_index in
-      List.iteri
-        (fun i c -> Hashtbl.replace rel_index (t, c.Duodb.Schema.col_name) (width + i))
-        cols;
       let pos = cpos t in
-      let out = Dyn.create () in
-      let count = ref 0 in
-      Array.iter
-        (fun (wide, prov) ->
-          let v = wide.(left_idx) in
-          if not (Value.is_null v) then
-            match V1tbl.find_opt buckets v with
-            | None -> ()
-            | Some d ->
-                count := !count + d.Dyn.len;
-                if !count > max_rows then
-                  fail "joined relation exceeds %d rows" max_rows;
-                for k = 0 to d.Dyn.len - 1 do
-                  let row, i = d.Dyn.arr.(k) in
-                  let prov' = Array.copy prov in
-                  prov'.(pos) <- i;
-                  Dyn.push out (Array.append wide row, prov')
-                done)
-        !rows;
-      rows := Dyn.to_array out)
+      attach t pos cols;
+      tables.(pos) <- tbl;
+      let src = Dyn.create () and hit = Dyn.create () in
+      for r = 0 to !len - 1 do
+        let v = (Duodb.Table.get tables.(lslot) ids.(lslot).(r)).(lcol) in
+        if not (Value.is_null v) then
+          match V1tbl.find_opt ji.ji_ids v with
+          | None -> ()
+          | Some d ->
+              for k = 0 to d.Dyn.len - 1 do
+                let i = d.Dyn.arr.(k) in
+                if match mask with None -> true | Some m -> Duodb.Bitset.get m i
+                then begin
+                  if hit.Dyn.len >= max_rows then
+                    fail "joined relation exceeds %d rows" max_rows;
+                  Dyn.push src r;
+                  Dyn.push hit i
+                end
+              done
+      done;
+      let src = Dyn.to_array src in
+      List.iter (fun s -> ids.(s) <- Array.map (fun r -> ids.(s).(r)) src) !slots;
+      ids.(pos) <- Dyn.to_array hit;
+      len := Array.length src;
+      slots := pos :: !slots)
     plan.Planner.plan_joins;
-  let rows = !rows in
   (* Provenance sort: restore canonical nested-loop order after a
-     reordered execution.  Provenance vectors are unique per row, so the
-     order is total. *)
-  if not plan.Planner.plan_in_order then
-    Array.sort
-      (fun (_, pa) (_, pb) ->
-        let rec go i =
-          if i >= Array.length pa then 0
-          else
-            let c = Int.compare pa.(i) pb.(i) in
-            if c <> 0 then c else go (i + 1)
-        in
-        go 0)
-      rows;
-  { rel_index; rel_rows = Array.map fst rows }
-
-(* [Error msg] entries memoize relations that exceeded the row bound, so
-   repeated probes over an exploding join fail fast.  Keys come from the
-   planner and cover FROM plus pushed predicates, so probes sharing a join
-   tree and WHERE clause reuse one relation. *)
-type relation_cache = {
-  rc_tbl : (string, (relation, string) result) Hashtbl.t;
-  mutable rc_hits : int;
-  mutable rc_misses : int;
-  mutable rc_pushdown_builds : int;
-}
-
-let create_cache () =
-  { rc_tbl = Hashtbl.create 64; rc_hits = 0; rc_misses = 0; rc_pushdown_builds = 0 }
-
-let cache_stats c = (c.rc_hits, c.rc_misses, c.rc_pushdown_builds)
-
-(* Parallel verification keeps one relation cache per domain (a shared
-   [Hashtbl] would race); reporting sums their counters. *)
-let combined_stats caches =
-  List.fold_left
-    (fun (h, m, p) c ->
-      let h', m', p' = cache_stats c in
-      (h + h', m + m', p + p'))
-    (0, 0, 0) caches
+     reordered execution by sorting a row permutation on the slots' row
+     ids.  Those id tuples are unique per row, so the order is total. *)
+  let rel_ids =
+    if plan.Planner.plan_in_order then ids
+    else begin
+      let perm = Array.init !len Fun.id in
+      let rec cmp s a b =
+        if s = ntables then 0
+        else match Int.compare ids.(s).(a) ids.(s).(b) with 0 -> cmp (s + 1) a b | c -> c
+      in
+      Array.stable_sort (cmp 0) perm;
+      Array.map (fun v -> Array.map (fun r -> v.(r)) perm) ids
+    end
+  in
+  { rel_index; rel_tables = tables; rel_ids; rel_len = !len }
 
 let build_relation_cached ?cache ?max_rows db (plan : Planner.t) =
   match cache with
@@ -309,7 +344,7 @@ let build_relation_cached ?cache ?max_rows db (plan : Planner.t) =
           c.rc_misses <- c.rc_misses + 1;
           if plan.Planner.plan_pushdown then
             c.rc_pushdown_builds <- c.rc_pushdown_builds + 1;
-          match build_relation ?max_rows db plan with
+          match build_relation ~cache:c ?max_rows db plan with
           | rel ->
               Hashtbl.replace c.rc_tbl key (Ok rel);
               rel
@@ -319,27 +354,17 @@ let build_relation_cached ?cache ?max_rows db (plan : Planner.t) =
 
 (* --- aggregation --- *)
 
-(* Aggregate over a group of wide rows, given as row indices into the
+(* Aggregate over a group of joined rows, given as row indices into the
    relation. *)
 let eval_agg rel agg col distinct (group : int array) =
-  let rows = rel.rel_rows in
   let values () =
     let c = match col with Some c -> c | None -> fail "aggregate needs a column" in
-    let i = lookup rel c in
+    let loc = lookup rel c in
     Array.fold_right
-      (fun r acc -> if Value.is_null rows.(r).(i) then acc else rows.(r).(i) :: acc)
+      (fun r acc ->
+        let v = cell rel loc r in
+        if Value.is_null v then acc else v :: acc)
       group []
-  in
-  let distinct_values vs =
-    let seen = V1tbl.create 16 in
-    List.filter
-      (fun v ->
-        if V1tbl.mem seen v then false
-        else begin
-          V1tbl.add seen v ();
-          true
-        end)
-      vs
   in
   let numeric vs =
     List.map
@@ -352,8 +377,12 @@ let eval_agg rel agg col distinct (group : int array) =
       | None -> Value.Int (Array.length group)
       | Some _ ->
           let vs = values () in
-          let vs = if distinct then distinct_values vs else vs in
-          Value.Int (List.length vs))
+          if not distinct then Value.Int (List.length vs)
+          else begin
+            let seen = V1tbl.create 16 in
+            List.iter (fun v -> V1tbl.replace seen v ()) vs;
+            Value.Int (V1tbl.length seen)
+          end)
   | Sum -> (
       match values () with
       | [] -> Value.Null
@@ -361,24 +390,17 @@ let eval_agg rel agg col distinct (group : int array) =
           (* Integer columns sum in integer arithmetic: float accumulation
              silently loses precision past 2^53.  Floats keep the float
              path (with the historical integral-total collapse to Int). *)
-          if
-            List.for_all
-              (function
-                | Value.Int _ -> true
-                | Value.Null | Value.Float _ | Value.Text _ -> false)
-              vs
-          then
-            Value.Int
-              (List.fold_left
-                 (fun acc v ->
-                   match v with
-                   | Value.Int i -> acc + i
-                   | Value.Null | Value.Float _ | Value.Text _ -> acc)
-                 0 vs)
-          else
-            let total = List.fold_left ( +. ) 0. (numeric vs) in
-            if Float.is_integer total then Value.Int (int_of_float total)
-            else Value.Float total)
+          let int_sum acc v =
+            match acc, v with
+            | Some a, Value.Int i -> Some (a + i)
+            | (Some _ | None), (Value.Null | Value.Int _ | Value.Float _ | Value.Text _) -> None
+          in
+          match List.fold_left int_sum (Some 0) vs with
+          | Some total -> Value.Int total
+          | None ->
+              let total = List.fold_left ( +. ) 0. (numeric vs) in
+              if Float.is_integer total then Value.Int (int_of_float total)
+              else Value.Float total)
   | Avg -> (
       match values () with
       | [] -> Value.Null
@@ -405,22 +427,17 @@ let eval_item rel (agg, col, distinct) (group : int array) =
       match col with
       | Some c ->
           if Array.length group = 0 then Value.Null
-          else rel.rel_rows.(group.(0)).(lookup rel c)
+          else cell rel (lookup rel c) group.(0)
       | None -> fail "bare star projection")
 
 let eval_having rel cond group =
-  let eval_pred p =
-    let v = eval_item rel (p.pr_agg, p.pr_col, false) group in
-    eval_rhs p.pr_rhs v
-  in
-  match cond.c_conn with
-  | And -> List.for_all eval_pred cond.c_preds
-  | Or -> List.exists eval_pred cond.c_preds
+  holds cond.c_conn
+    (fun p -> eval_rhs p.pr_rhs (eval_item rel (p.pr_agg, p.pr_col, false) group))
+    cond.c_preds
 
 let proj_type db (p : proj) =
   match p.p_agg with
-  | Some Count -> Datatype.Number
-  | Some (Sum | Avg) -> Datatype.Number
+  | Some (Count | Sum | Avg) -> Datatype.Number
   | Some (Min | Max) | None -> (
       match p.p_col with
       | Some c -> column_type db c
@@ -431,7 +448,7 @@ let output_types db q =
   | Exec_error e -> Error e
 
 (* Group the filtered rows when the query aggregates; otherwise each row is
-   its own singleton group.  Groups are index vectors into [rel_rows]:
+   its own singleton group.  Groups are index vectors into the relation:
    first-seen key order, insertion order within each group. *)
 let make_groups q rel (sel : int array) : int array list =
   let needs_groups =
@@ -443,20 +460,13 @@ let make_groups q rel (sel : int array) : int array list =
   if not needs_groups then Array.to_list (Array.map (fun r -> [| r |]) sel)
   else if q.q_group_by = [] then [ sel ]  (* single group, even when empty *)
   else begin
-    let idxs = List.map (lookup rel) q.q_group_by in
+    let locs = List.map (lookup rel) q.q_group_by in
     let order = Dyn.create () in
     let buckets = Vtbl.create 64 in
     Array.iter
       (fun r ->
-        let row = rel.rel_rows.(r) in
-        let key = List.map (fun i -> row.(i)) idxs in
-        match Vtbl.find_opt buckets key with
-        | Some d -> Dyn.push d r
-        | None ->
-            let d = Dyn.create () in
-            Dyn.push d r;
-            Vtbl.add buckets key d;
-            Dyn.push order d)
+        Dyn.add_to ~on_new:(Dyn.push order) Vtbl.find_opt Vtbl.add buckets
+          (List.map (fun loc -> cell rel loc r) locs) r)
       sel;
     Array.to_list (Array.map Dyn.to_array (Dyn.to_array order))
   end
@@ -464,7 +474,7 @@ let make_groups q rel (sel : int array) : int array list =
 (* Execute the post-relation pipeline (filter, group, HAVING, project,
    DISTINCT, sort, limit) of [q] against an already-built relation.
    [sel] short-circuits the residual filter with a precomputed selection
-   vector (indices into [rel.rel_rows]) — the batched probe path feeds
+   vector (joined-row indices into [rel]) — the batched probe path feeds
    kernel-computed selections for shared single-table scans. *)
 let exec_on_relation ?sel ~residual db rel q =
   (* Validate every referenced column against the FROM clause up front. *)
@@ -474,12 +484,12 @@ let exec_on_relation ?sel ~residual db rel q =
     | Some s -> s
     | None -> (
         match residual with
-        | None -> Array.init (Array.length rel.rel_rows) Fun.id
+        | None -> Array.init rel.rel_len Fun.id
         | Some cond ->
             let out = Dyn.create () in
-            Array.iteri
-              (fun i row -> if eval_where rel cond row then Dyn.push out i)
-              rel.rel_rows;
+            for r = 0 to rel.rel_len - 1 do
+              if eval_where rel cond r then Dyn.push out r
+            done;
             Dyn.to_array out)
   in
     let groups = make_groups q rel sel in
@@ -508,11 +518,7 @@ let exec_on_relation ?sel ~residual db rel q =
         List.filter
           (fun (out, _) ->
             let k = Array.to_list out in
-            if Vtbl.mem seen k then false
-            else begin
-              Vtbl.add seen k ();
-              true
-            end)
+            (not (Vtbl.mem seen k)) && (Vtbl.add seen k (); true))
           projected
       end
     in
@@ -534,11 +540,10 @@ let exec_on_relation ?sel ~residual db rel q =
         in
         List.stable_sort cmp projected
     in
-    let out_rows = List.map fst projected in
     let out_rows =
-      match q.q_limit with
-      | None -> out_rows
-      | Some n -> List.filteri (fun i _ -> i < n) out_rows
+      List.filteri
+        (fun i _ -> match q.q_limit with None -> true | Some n -> i < n)
+        (List.map fst projected)
     in
     let res_cols =
       List.map (fun p -> (Duosql.Pretty.proj p, proj_type db p)) q.q_select
@@ -577,7 +582,7 @@ type batch_report = {
    [max_rows] (only join growth is checked), so the shared unfiltered
    relation cannot raise an error that per-query pushed execution would
    have avoided; and because the relation is in table order, kernel
-   selection indices address [rel_rows] directly.  Multi-table probes
+   selection indices address its joined rows directly.  Multi-table probes
    keep per-query execution (an unfiltered join could overflow
    [max_rows] where the pushed join would not) and still share work
    through the relation cache.  Each result is exactly what {!run}
@@ -590,13 +595,8 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : query array) =
   Array.iteri
     (fun i q ->
       match q.q_from.f_tables with
-      | [ t ] when q.q_from.f_joins = [] -> (
-          match Hashtbl.find_opt groups t with
-          | Some d -> Dyn.push d i
-          | None ->
-              let d = Dyn.create () in
-              Dyn.push d i;
-              Hashtbl.replace groups t d)
+      | [ t ] when q.q_from.f_joins = [] ->
+          Dyn.add_to Hashtbl.find_opt Hashtbl.replace groups t i
       | [] | _ :: _ -> ())
     qs;
   let br_groups = ref 0 and br_shared = ref 0 in

@@ -7,10 +7,14 @@
     Execution follows a {!Planner} plan: WHERE predicates confined to a
     single table are applied during that table's base scan (before any
     join), and the join order is chosen by estimated post-pushdown
-    cardinality.  Results are identical to naive FROM-order evaluation —
-    including row order under ORDER BY and first-seen group order —
-    because every joined row carries provenance and reordered executions
-    are sorted back to the canonical nested-loop order.
+    cardinality.  A joined relation is late-materialized: one row-id
+    vector per FROM table, built by probing per-(table, column) join-key
+    indexes, with cells read from the tables themselves — no wide rows.
+    Results are identical to naive FROM-order evaluation — including row
+    order under ORDER BY and first-seen group order — because the row-id
+    vectors are the rows' provenance: in-order executions produce the
+    canonical nested-loop order directly, and reordered ones are sorted
+    back to it by a permutation over the ids.
 
     SQL semantics notes:
     - comparisons involving [NULL] are false; aggregates skip nulls except
@@ -28,8 +32,12 @@ type resultset = {
 
 (** Memoizes joined relations keyed by (FROM clause, pushed predicates),
     for callers (the verification cascade) that execute many probe queries
-    over the same join tree.  Safe because databases are append-only
-    during synthesis. *)
+    over the same join tree, and the join-key indexes those relations are
+    built over, keyed by (table, column).  A join index records its
+    table's row count and is rebuilt once the table has grown, so an
+    append never serves a stale index; cached relations are row ids into
+    append-only tables, so they stay valid.  One cache per domain (it is
+    not thread-safe); Duoserve shares one per database across sessions. *)
 type relation_cache
 
 val create_cache : unit -> relation_cache
@@ -38,9 +46,10 @@ val create_cache : unit -> relation_cache
     how many of those builds had predicates pushed into base scans. *)
 val cache_stats : relation_cache -> int * int * int
 
-(** Sum of {!cache_stats} over several caches — parallel verification
-    keeps one relation cache per domain, and reports merge them. *)
-val combined_stats : relation_cache list -> int * int * int
+(** [(builds, hits)] of the cache's join-key indexes: indexes built
+    (first use of a (table, column), or a table that grew since) and
+    join steps served by an existing index. *)
+val join_index_stats : relation_cache -> int * int
 
 (** [run ?cache ?max_rows ?planner db q] executes [q]. [Error msg] reports
     unknown tables/columns, disconnected FROM clauses, aggregates over

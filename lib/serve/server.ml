@@ -37,6 +37,8 @@ type t = {
   mutable rebased : int;  (** refinements served by the warm rebase path *)
   mutable slices : int;
   retired : Duocore.Verify.stats;  (** dedup counters of closed sessions *)
+  mutable retired_spec_tasks : int;  (** Duopar speculation of closed sessions *)
+  mutable retired_spec_hits : int;
 }
 
 let create ?pool config dbs =
@@ -68,6 +70,8 @@ let create ?pool config dbs =
     rebased = 0;
     slices = 0;
     retired = Duocore.Verify.new_stats ();
+    retired_spec_tasks = 0;
+    retired_spec_hits = 0;
   }
 
 let draining t = t.is_draining
@@ -204,14 +208,15 @@ let handle_candidates s k =
     ]
 
 (* Duopar visibility for operators: pool shape plus the adaptive
-   controller's live state aggregated over the open sessions —
-   [round_size] is the widest current round (sessions inherit their
-   controller across slices, so this is the steady-state answer to "how
-   far ahead is the server speculating"), and [commit_rate] is the
-   cumulative hits/tasks ratio (1.0 when nothing was speculated: the
+   controller's state — [round_size] is the widest current round over the
+   open sessions (sessions inherit their controller across slices, so
+   this is the steady-state answer to "how far ahead is the server
+   speculating"), and [commit_rate] is the cumulative hits/tasks ratio
+   over open and closed sessions (1.0 when nothing was speculated: the
    degenerate sequential path wastes nothing). *)
 let duopar_fields t =
-  let tasks = ref 0 and hits = ref 0 and round_size = ref 0 in
+  let tasks = ref t.retired_spec_tasks and hits = ref t.retired_spec_hits in
+  let round_size = ref 0 in
   Hashtbl.iter
     (fun _ s ->
       let o = Session.outcome s in
@@ -249,6 +254,25 @@ let dedup_fields t =
     ("key_renders", Json.Num (float_of_int total.Duocore.Verify.key_renders));
   ]
 
+(* The per-database relation caches shared by every session on that
+   database: joined relations and the join-key indexes they are built
+   over. *)
+let relcache_fields t =
+  let hits, misses, ji_builds, ji_hits =
+    List.fold_left
+      (fun (h, m, b, jh) (_, c) ->
+        let h', m', _ = Duoengine.Executor.cache_stats c in
+        let b', jh' = Duoengine.Executor.join_index_stats c in
+        (h + h', m + m', b + b', jh + jh'))
+      (0, 0, 0, 0) t.caches
+  in
+  [
+    ("hits", Json.Num (float_of_int hits));
+    ("misses", Json.Num (float_of_int misses));
+    ("join_index_builds", Json.Num (float_of_int ji_builds));
+    ("join_index_hits", Json.Num (float_of_int ji_hits));
+  ]
+
 let stats_fields t =
   [
     ("sessions", Json.Num (float_of_int (Hashtbl.length t.sessions)));
@@ -263,6 +287,7 @@ let stats_fields t =
     ("slices", Json.Num (float_of_int t.slices));
     ("draining", Json.Bool t.is_draining);
     ("dedup", Json.Obj (dedup_fields t));
+    ("relcache", Json.Obj (relcache_fields t));
     ("duopar", Json.Obj (duopar_fields t));
   ]
 
@@ -308,7 +333,10 @@ let handle_request t req =
       | Error e -> Protocol.error_line e
       | Ok s ->
           let running = Session.status s = Session.Running in
-          Duocore.Verify.merge_stats ~into:t.retired (Session.outcome s).Enumerate.out_stats;
+          let o = Session.outcome s in
+          Duocore.Verify.merge_stats ~into:t.retired o.Enumerate.out_stats;
+          t.retired_spec_tasks <- t.retired_spec_tasks + o.Enumerate.out_spec_tasks;
+          t.retired_spec_hits <- t.retired_spec_hits + o.Enumerate.out_spec_hits;
           Session.close s;
           if running then book t s 1;
           Hashtbl.remove t.sessions sid;

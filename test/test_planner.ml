@@ -143,6 +143,125 @@ let test_cache_keyed_by_pushed_preds () =
   Alcotest.(check int) "misses" 2 misses;
   Alcotest.(check int) "pushdown builds" 2 pushdowns
 
+(* --- late-materialized join builds --- *)
+
+let reference_agrees db q =
+  match (Executor.run db q, Duocheck.Reference.run db q) with
+  | Ok a, Ok b -> Duocheck.Props.resultsets_agree a b
+  | Error _, Error _ -> true
+  | (Ok _ | Error _), (Ok _ | Error _) -> false
+
+let test_reordered_pushed_attached () =
+  (* movies is the cheapest base, so actor attaches last — through its
+     join index, with its own pushed filter as a row mask *)
+  let q =
+    parse
+      "SELECT a.name, m.name FROM actor a JOIN starring s ON a.aid = s.aid \
+       JOIN movies m ON s.mid = m.mid WHERE m.year BETWEEN 1994 AND 2017 \
+       AND a.birth_yr < 1970"
+  in
+  let p = plan_exn q in
+  Alcotest.(check string) "base" "movies" p.Planner.plan_base;
+  Alcotest.(check bool) "reordered" false p.Planner.plan_in_order;
+  Alcotest.(check bool) "actor filter pushed" true
+    (List.mem_assoc "actor" p.Planner.plan_pushed);
+  check_differential db q;
+  Alcotest.(check bool) "reference agrees" true (reference_agrees db q);
+  Alcotest.check Fixtures.rows_testable "canonical nested-loop order"
+    Fixtures.
+      [
+        [| t "Tom Hanks"; t "Forrest Gump" |];
+        [| t "Tom Hanks"; t "The Post" |];
+        [| t "Sandra Bullock"; t "Gravity" |];
+        [| t "Brad Pitt"; t "Seven" |];
+        [| t "Meryl Streep"; t "The Post" |];
+      ]
+    (Executor.run_exn db q).Executor.res_rows
+
+let test_null_join_keys () =
+  let schema =
+    Duodb.Schema.make ~name:"nulls"
+      [
+        Duodb.Schema.table "p"
+          [ ("pid", Duodb.Datatype.Number); ("name", Duodb.Datatype.Text) ]
+          ~pk:[ "pid" ];
+        Duodb.Schema.table "c"
+          [ ("cid", Duodb.Datatype.Number); ("pid", Duodb.Datatype.Number) ]
+          ~pk:[ "cid" ];
+      ]
+      [ Duodb.Schema.fk ("c", "pid") ("p", "pid") ]
+  in
+  let ndb = Duodb.Database.create schema in
+  let open Fixtures in
+  Duodb.Database.insert_all ndb ~table:"p"
+    [ [| i 1; t "one" |]; [| Value.Null; t "nobody" |]; [| i 2; t "two" |] ];
+  Duodb.Database.insert_all ndb ~table:"c"
+    [ [| i 10; i 2 |]; [| i 11; Value.Null |]; [| i 12; i 1 |]; [| i 13; i 2 |] ];
+  let run sql =
+    let q = Duosql.Parser.query_exn ~schema sql in
+    Alcotest.(check bool) "reference agrees" true (reference_agrees ndb q);
+    check_differential ndb q;
+    (Executor.run_exn ndb q).Executor.res_rows
+  in
+  Alcotest.check rows_testable "p outer: NULL keys on both sides never match"
+    [ [| t "one"; i 12 |]; [| t "two"; i 10 |]; [| t "two"; i 13 |] ]
+    (run "SELECT p.name, c.cid FROM p JOIN c ON p.pid = c.pid");
+  Alcotest.check rows_testable "c outer: NULL keys on both sides never match"
+    [ [| t "two"; i 10 |]; [| t "one"; i 12 |]; [| t "two"; i 13 |] ]
+    (run "SELECT p.name, c.cid FROM c JOIN p ON c.pid = p.pid")
+
+let test_max_rows_overflow () =
+  (* actor x starring has 7 rows; the bound applies per join step *)
+  let q =
+    parse
+      "SELECT a.name, m.name FROM actor a JOIN starring s ON a.aid = s.aid \
+       JOIN movies m ON s.mid = m.mid"
+  in
+  let overflow = Error "joined relation exceeds 6 rows" in
+  let verdict r = Result.map (fun r -> List.length r.Executor.res_rows) r in
+  Alcotest.(check (result int string)) "planner on" overflow
+    (verdict (Executor.run ~max_rows:6 db q));
+  Alcotest.(check (result int string)) "planner off" overflow
+    (verdict (Executor.run ~planner:false ~max_rows:6 db q));
+  Alcotest.(check (result int string)) "at the bound" (Ok 7)
+    (verdict (Executor.run ~max_rows:7 db q));
+  let cache = Executor.create_cache () in
+  Alcotest.(check (result int string)) "cached build" overflow
+    (verdict (Executor.run ~cache ~max_rows:6 db q));
+  Alcotest.(check (result int string)) "served from the cache" overflow
+    (verdict (Executor.run ~cache ~max_rows:6 db q));
+  let hits, misses, _ = Executor.cache_stats cache in
+  Alcotest.(check (pair int int)) "one build, one hit" (1, 1) (misses, hits)
+
+let test_join_index_shared_and_stale () =
+  let db = Fixtures.movie_db () in
+  let cache = Executor.create_cache () in
+  let q gender extra =
+    parse
+      (Printf.sprintf
+         "SELECT a.name, s.mid FROM actor a JOIN starring s ON a.aid = s.aid \
+          WHERE a.gender = '%s'%s"
+         gender extra)
+  in
+  ignore (Executor.run_exn ~cache db (q "male" ""));
+  ignore (Executor.run_exn ~cache db (q "female" ""));
+  Alcotest.(check (pair int int)) "two builds over starring.aid share one index"
+    (1, 1) (Executor.join_index_stats cache);
+  (* Sandra Bullock joins Titanic: starring grew, so its index is stale *)
+  Duodb.Database.insert db ~table:"starring" Fixtures.[| i 107; i 2; i 14 |];
+  let grown = q "female" " AND a.birth_yr > 1900" in
+  let rows = (Executor.run_exn ~cache db grown).Executor.res_rows in
+  Alcotest.(check (pair int int)) "grown table gets a fresh index" (2, 1)
+    (Executor.join_index_stats cache);
+  Alcotest.check Fixtures.rows_testable "rows see the appended row"
+    Fixtures.
+      [ [| t "Sandra Bullock"; i 11 |]; [| t "Sandra Bullock"; i 14 |];
+        [| t "Meryl Streep"; i 13 |] ]
+    rows;
+  Alcotest.check Fixtures.rows_testable "cached = uncached"
+    (Executor.run_exn db grown).Executor.res_rows rows;
+  Alcotest.(check bool) "reference agrees" true (reference_agrees db grown)
+
 (* --- differential corpus: generated Spider-like gold queries --- *)
 
 let differential_corpus () =
@@ -198,6 +317,13 @@ let suite =
       test_reorder_preserves_group_order;
     Alcotest.test_case "cache keyed by (FROM, pushed)" `Quick
       test_cache_keyed_by_pushed_preds;
+    Alcotest.test_case "reordered join: pushed filter on attached table" `Quick
+      test_reordered_pushed_attached;
+    Alcotest.test_case "NULL join keys never match" `Quick test_null_join_keys;
+    Alcotest.test_case "max_rows overflow: same error, cached" `Quick
+      test_max_rows_overflow;
+    Alcotest.test_case "join index shared, rebuilt when stale" `Quick
+      test_join_index_shared_and_stale;
     Alcotest.test_case "differential: generated corpus" `Slow differential_corpus;
     QCheck_alcotest.to_alcotest prop_differential_random;
   ]

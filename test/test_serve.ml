@@ -142,7 +142,7 @@ let test_tsq_wire_cells () =
 
 (* --- golden request/response transcripts over handle_line ------------- *)
 
-let make_server ?(max_sessions = 8) ?(slice = 50) () =
+let make_server ?(max_sessions = 8) ?(slice = 50) ?(domains = 1) () =
   let config =
     {
       Server.max_sessions;
@@ -151,7 +151,9 @@ let make_server ?(max_sessions = 8) ?(slice = 50) () =
         { Enumerate.default_config with
           Enumerate.max_pops = 2_000;
           max_candidates = 8;
-          time_budget_s = 20.0 };
+          time_budget_s = 20.0;
+          domains;
+          overcommit = domains > 1 };
     }
   in
   Server.create config [ ("movies", Fixtures.movie_db ()) ]
@@ -201,7 +203,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0},\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
@@ -437,6 +439,36 @@ let test_session_books () =
   Alcotest.(check int) "runs: three first runs and session 1's refine" 4 (stat "runs_completed");
   Server.destroy server
 
+(* Closing a session keeps its Duopar speculation and its relation-cache
+   work on the books: [spec_tasks] / [spec_hits] are folded into a retired
+   total on close, and the per-database relation cache (with its join
+   indexes) outlives the sessions that filled it. *)
+let test_stats_survive_close () =
+  let server = make_server ~slice:40 ~domains:2 () in
+  let totals () =
+    let stats = Result.get_ok (Json.parse (Server.handle_line server "{\"op\":\"stats\"}")) in
+    List.map
+      (fun (block, name) ->
+        let b = Option.get (Json.member block stats) in
+        Option.get (Json.get_int (Option.get (Json.member name b))))
+      [ ("duopar", "spec_tasks"); ("duopar", "spec_hits"); ("relcache", "misses");
+        ("relcache", "join_index_builds") ]
+  in
+  let send line = ignore (Server.handle_line server line) in
+  send
+    "{\"op\":\"open_session\",\"db\":\"movies\",\"nlq\":\"movie names\",\"max_pops\":300,\
+     \"tsq\":{\"types\":[\"text\"],\"tuples\":[[\"Forrest Gump\"]]}}";
+  send "{\"op\":\"open_session\",\"db\":\"movies\",\"nlq\":\"actor names\",\"max_pops\":300}";
+  while Server.tick server do () done;
+  let before = totals () in
+  Alcotest.(check bool) "speculation ran; relations and join indexes built" true
+    (List.for_all (fun n -> n > 0) before);
+  send "{\"op\":\"close\",\"session\":1}";
+  Alcotest.(check (list int)) "one close keeps every total" before (totals ());
+  send "{\"op\":\"close\",\"session\":2}";
+  Alcotest.(check (list int)) "both closed: totals unchanged" before (totals ());
+  Server.destroy server
+
 let test_refine_restarts () =
   let server = make_server () in
   let _ =
@@ -515,6 +547,7 @@ let suite =
     Alcotest.test_case "refine_tsq restarts enumeration" `Quick
       test_refine_restarts;
     Alcotest.test_case "session books balance" `Quick test_session_books;
+    Alcotest.test_case "stats survive session close" `Quick test_stats_survive_close;
     Alcotest.test_case "json floats exact" `Quick test_json_float_exact;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150A7 |])
       prop_json_float_roundtrip;
