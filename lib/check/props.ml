@@ -6,14 +6,40 @@ module Executor = Duoengine.Executor
    test runner, [tests ~mult:50 ()] is a long fuzz run (the [@fuzz]
    alias). *)
 
+let rows_agree a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun ra rb -> Array.length ra = Array.length rb && Array.for_all2 Value.equal ra rb)
+       a b
+
 let resultsets_agree (a : Executor.resultset) (b : Executor.resultset) =
   a.Executor.res_cols = b.Executor.res_cols
-  && List.length a.Executor.res_rows = List.length b.Executor.res_rows
-  && List.for_all2
-       (fun ra rb ->
-         Array.length ra = Array.length rb
-         && List.for_all2 Value.equal (Array.to_list ra) (Array.to_list rb))
-       a.Executor.res_rows b.Executor.res_rows
+  && rows_agree a.Executor.res_rows b.Executor.res_rows
+
+let collector (q : Duosql.Ast.query) =
+  let ncols = List.length q.Duosql.Ast.q_select in
+  let rows = ref [] in
+  ( (fun _ read ->
+      rows := Array.init ncols read :: !rows;
+      true),
+    fun () -> List.rev !rows )
+
+(* [run_batch] with a collecting visitor per query: each entry is the rows
+   the visitor saw, or the error. *)
+let batch_rows ?cache db qs =
+  let cs = Array.map collector qs in
+  let res, report =
+    Executor.run_batch ?cache db (Array.map2 (fun q (visit, _) -> (q, visit)) qs cs)
+  in
+  (Array.map2 (fun r (_, rows) -> Result.map (fun _ -> rows ()) r) res cs, report)
+
+(* A materialized run and a streamed one agree: the same rows, or the
+   same error. *)
+let same_rows (run : (Executor.resultset, string) result) streamed =
+  match (run, streamed) with
+  | Ok a, Ok rows -> rows_agree a.Executor.res_rows rows
+  | Error a, Error b -> String.equal a b
+  | (Ok _ | Error _), (Ok _ | Error _) -> false
 
 (* planner-on = planner-off = naive reference interpreter *)
 let differential_prop (sc : Gen.scenario) =
@@ -57,14 +83,14 @@ let cached_prop (sc : Gen.scenario) =
   List.for_all
     (fun q ->
       let uncached = Executor.run db q in
-      let batched, _ = Executor.run_batch ~cache db [| q; q |] in
+      let batched, _ = batch_rows ~cache db [| q; q |] in
       let tight () = Executor.run ~cache:bounded ~max_rows:4 db q in
       (match (uncached, Reference.run db q) with
       | Ok a, Ok b -> resultsets_agree a b
       | Error _, Error _ -> true
       | (Ok _ | Error _), (Ok _ | Error _) -> false)
-      && List.for_all (same uncached)
-           [ Executor.run ~cache db q; Executor.run ~cache db q; batched.(0); batched.(1) ]
+      && List.for_all (same uncached) [ Executor.run ~cache db q; Executor.run ~cache db q ]
+      && Array.for_all (same_rows uncached) batched
       && List.for_all (same (Executor.run ~max_rows:4 db q)) [ tight (); tight () ])
     (sc.Gen.sc_query :: edge_joins)
 
@@ -174,62 +200,189 @@ let columnar_prop (sc : Gen.scenario) =
         tdef.Schema.tbl_columns)
     schema.Schema.tables
 
+(* Simple single-table probes over every column of [db]: an unfiltered
+   scan plus, where the column has a value, an equality and a range
+   predicate on it — several per table, so [run_batch]'s shared-scan
+   grouping (kernel selections over one base relation) is actually taken. *)
+let single_table_probes db =
+  let open Duosql.Ast in
+  List.concat_map
+    (fun (t : Duodb.Schema.table) ->
+      let tbl = Duodb.Database.table_exn db t.Duodb.Schema.tbl_name in
+      List.concat_map
+        (fun (c : Duodb.Schema.column) ->
+          let cr = col t.Duodb.Schema.tbl_name c.Duodb.Schema.col_name in
+          let base =
+            {
+              q_distinct = false;
+              q_select = [ { p_agg = None; p_col = Some cr; p_distinct = false } ];
+              q_from = from_table t.Duodb.Schema.tbl_name;
+              q_where = None;
+              q_group_by = [];
+              q_having = None;
+              q_order_by = [];
+              q_limit = None;
+            }
+          in
+          let with_pred rhs =
+            { base with
+              q_where =
+                Some
+                  { c_preds = [ { pr_agg = None; pr_col = Some cr; pr_rhs = rhs } ];
+                    c_conn = And } }
+          in
+          base
+          :: (match
+                Array.find_opt
+                  (fun v -> not (Value.is_null v))
+                  (Duodb.Table.column_array tbl c.Duodb.Schema.col_name)
+              with
+             | Some v -> [ with_pred (Cmp (Eq, v)); with_pred (Cmp (Le, v)) ]
+             | None -> []))
+        t.Duodb.Schema.tbl_columns)
+    (Duodb.Database.schema db).Duodb.Schema.tables
+
 (* run_batch = run, query by query: batching shared base scans is purely
    executional.  The batch mixes the scenario's own (possibly joining)
-   query with simple single-table probes over every column — several per
-   table, so the shared-scan grouping path is actually taken. *)
+   query with {!single_table_probes}; each visitor sees exactly the rows
+   [run] returns, and errors match. *)
 let batch_prop (sc : Gen.scenario) =
-  let open Duosql.Ast in
   let db = sc.Gen.sc_db in
-  let schema = Duodb.Database.schema db in
-  let probes =
-    List.concat_map
-      (fun (t : Duodb.Schema.table) ->
-        let tbl = Duodb.Database.table_exn db t.Duodb.Schema.tbl_name in
-        List.concat_map
-          (fun (c : Duodb.Schema.column) ->
-            let cr = col t.Duodb.Schema.tbl_name c.Duodb.Schema.col_name in
-            let base =
-              {
-                q_distinct = false;
-                q_select = [ { p_agg = None; p_col = Some cr; p_distinct = false } ];
-                q_from = from_table t.Duodb.Schema.tbl_name;
-                q_where = None;
-                q_group_by = [];
-                q_having = None;
-                q_order_by = [];
-                q_limit = None;
-              }
-            in
-            let with_pred rhs =
-              { base with
-                q_where =
-                  Some
-                    { c_preds = [ { pr_agg = None; pr_col = Some cr; pr_rhs = rhs } ];
-                      c_conn = And } }
-            in
-            base
-            :: (match
-                  Array.find_opt
-                    (fun v -> not (Value.is_null v))
-                    (Duodb.Table.column_array tbl c.Duodb.Schema.col_name)
-                with
-               | Some v -> [ with_pred (Cmp (Eq, v)); with_pred (Cmp (Le, v)) ]
-               | None -> []))
-          t.Duodb.Schema.tbl_columns)
-      schema.Duodb.Schema.tables
+  let qs = Array.of_list (sc.Gen.sc_query :: single_table_probes db) in
+  let batched, _report = batch_rows db qs in
+  Array.for_all2 (fun q b -> same_rows (Executor.run db q) b) qs batched
+
+(* Streamed example matching = materialized matching.  Queries: the
+   scenario's own, a plain projection of it (aggregates, grouping,
+   DISTINCT, ORDER BY and LIMIT stripped, so it streams without
+   materializing), and {!single_table_probes}.  Tuples: the sketch's
+   (with [Any] and [Range] cells), a NULL-cell mutation, a duplicated
+   tuple, and rows sampled from the plain query's own result.  For
+   random decided positions (some cell indices past the tuple width) and
+   a random support threshold per query, the {!Duocore.Tsq.matcher} fed by
+   [Executor.stream] through one shared relation cache, and by
+   [run_batch], gives [Tsq.distinct_match_on]'s verdict on [run]'s rows.
+   The streamed [Tsq.satisfies] equals [Tsq.satisfies_result] on the
+   engine's result and on the reference interpreter's. *)
+let streamed_match_prop ((sc : Gen.scenario), seed) =
+  let open Duosql.Ast in
+  let module Tsq = Duocore.Tsq in
+  let st = Random.State.make [| seed |] in
+  let db = sc.Gen.sc_db and q = sc.Gen.sc_query in
+  let plain =
+    let cols =
+      List.filter_map (fun p -> p.p_col) q.q_select
+      @ List.concat_map
+          (fun t ->
+            List.map
+              (fun c -> col t c.Duodb.Schema.col_name)
+              (Duodb.Table.schema (Duodb.Database.table_exn db t)).Duodb.Schema.tbl_columns)
+          q.q_from.f_tables
+    in
+    let width = max 1 (List.length q.q_select) in
+    {
+      q with
+      q_distinct = false;
+      q_select =
+        List.filteri (fun i _ -> i < width) cols
+        |> List.map (fun c -> { p_agg = None; p_col = Some c; p_distinct = false });
+      q_group_by = [];
+      q_having = None;
+      q_order_by = [];
+      q_limit = None;
+    }
   in
-  let qs = Array.of_list (sc.Gen.sc_query :: probes) in
-  let batched, _report = Executor.run_batch db qs in
-  let ok = ref true in
+  let pick xs = List.nth xs (Random.State.int st (List.length xs)) in
+  let sampled =
+    match Executor.run db plain with
+    | Ok { Executor.res_rows = _ :: _ as rows; _ } ->
+        List.init 2 (fun _ ->
+            Array.to_list
+              (Array.map
+                 (fun v -> if Random.State.int st 4 = 0 then Tsq.Any else Tsq.Exact v)
+                 (pick rows)))
+    | Ok _ | Error _ -> []
+  in
+  let tuples =
+    let base = sc.Gen.sc_tsq.Tsq.tuples @ sampled in
+    let nulled =
+      match base with
+      | [] -> []
+      | tup :: _ -> [ List.mapi (fun i c -> if i = 0 then Tsq.Exact Value.Null else c) tup ]
+    in
+    let dup = match sampled with tup :: _ -> [ tup ] | [] -> [] in
+    base @ nulled @ dup
+  in
+  let ntuples = List.length tuples in
+  let width = List.fold_left (fun acc t -> max acc (List.length t)) 0 tuples in
+  let qs = Array.of_list (q :: plain :: single_table_probes db) in
+  let cache = Executor.create_cache () in
+  let positions q =
+    List.filter_map
+      (fun out ->
+        if Random.State.int st 4 = 0 then None
+        else Some (out, Random.State.int st (width + 2)))
+      (List.init (List.length q.q_select) Fun.id)
+  in
+  let cases =
+    Array.map (fun q -> (positions q, Random.State.int st (ntuples + 2))) qs
+  in
+  let expected =
+    Array.map2
+      (fun q (pos, support) ->
+        Result.map
+          (fun res ->
+            Tsq.distinct_match_on ~support pos tuples res.Executor.res_rows)
+          (Executor.run db q))
+      qs cases
+  in
+  let verdict m = Result.map (fun (_ : bool) -> Tsq.matched m) in
+  let streamed =
+    Array.map2
+      (fun q (pos, support) ->
+        let m = Tsq.matcher ~support pos tuples in
+        verdict m (Executor.stream ~cache db q (Tsq.feed m)))
+      qs cases
+  in
+  let batched =
+    let ms = Array.map (fun (pos, support) -> Tsq.matcher ~support pos tuples) cases in
+    let res, _ =
+      Executor.run_batch ~cache db (Array.map2 (fun q m -> (q, Tsq.feed m)) qs ms)
+    in
+    Array.map2 verdict ms res
+  in
+  let agree a b =
+    match (a, b) with
+    | Ok x, Ok y -> x = y
+    | Error _, Error _ -> true
+    | (Ok _ | Error _), (Ok _ | Error _) -> false
+  in
+  let sketch = { sc.Gen.sc_tsq with Tsq.tuples } in
+  let sketches =
+    [ sketch;
+      { sketch with
+        Tsq.types = None; negatives = []; sorted = false; limit = 0;
+        min_support = Some (Random.State.int st (ntuples + 1)) } ]
+  in
+  let sat_ok q t =
+    let streamed = Tsq.satisfies ~cache t db q in
+    streamed = Tsq.satisfies_result t q (Executor.run db q)
+    && streamed = Tsq.satisfies_result t q (Reference.run db q)
+  in
+  let bad = ref None in
   Array.iteri
     (fun i q ->
-      match (batched.(i), Executor.run db q) with
-      | Ok a, Ok b -> if not (resultsets_agree a b) then ok := false
-      | Error ea, Error eb -> if ea <> eb then ok := false
-      | Ok _, Error _ | Error _, Ok _ -> ok := false)
+      if
+        !bad = None
+        && not
+             (agree expected.(i) streamed.(i) && agree expected.(i) batched.(i)
+             && List.for_all (sat_ok q) sketches)
+      then bad := Some q)
     qs;
-  !ok
+  match !bad with
+  | None -> true
+  | Some q ->
+      QCheck.Test.fail_reportf "streamed matching diverges on %s" (Duosql.Pretty.query q)
 
 (* Guidance context for a scenario: the query's own literals plus a few
    database values, so the model's WHERE/HAVING branches are populated. *)
@@ -1217,6 +1370,9 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(20 * mult)
       ~name:"batched probe execution = per-query run" Gen.arb_scenario
       batch_prop;
+    QCheck.Test.make ~count:(40 * mult)
+      ~name:"streamed example matching = materialized matching" arb_seeded
+      streamed_match_prop;
     QCheck.Test.make ~count:(8 * mult)
       ~name:"cascade soundness: pruned states have no satisfying completion"
       Gen.arb_scenario soundness_prop;

@@ -7,8 +7,18 @@
     - {b columnar}: Duodb's columnar views (cells, column vectors, zone
       maps) and the engine's probe kernels agree with the materialized
       row view and a scalar reference scan;
-    - {b batched execution}: {!Duoengine.Executor.run_batch} returns
-      exactly what per-query {!Duoengine.Executor.run} returns;
+    - {b batched execution}: {!Duoengine.Executor.run_batch} feeds each
+      query's visitor exactly the rows per-query
+      {!Duoengine.Executor.run} returns, and errors match;
+    - {b streamed matching}: the early-stopping {!Duocore.Tsq.matcher},
+      fed by {!Duoengine.Executor.stream} through a shared relation cache
+      and by [run_batch]'s shared single-table scans, gives
+      {!Duocore.Tsq.distinct_match_on}'s verdict on the materialized rows
+      for random positions, support thresholds and tuples (duplicates,
+      [Any]/[Range]/NULL cells, cell indices past the width); the
+      streamed {!Duocore.Tsq.satisfies} equals
+      {!Duocore.Tsq.satisfies_result} on the engine's and the
+      {!Reference} interpreter's results;
     - {b cached joins}: a query run twice through one shared relation
       cache (so over its cached join-key indexes) and as a batch on that
       cache returns exactly the uncached result — errors, a tight
@@ -50,6 +60,13 @@
 
 (** Individual properties, exposed for ad-hoc harnesses. *)
 
+(** [collector q] is a visitor copying every row it is fed (as wide as
+    [q]'s projection) and a thunk returning the rows seen, in order — for
+    comparing streamed output ({!Duoengine.Executor.stream},
+    {!Duoengine.Executor.run_batch}) with materialized output. *)
+val collector :
+  Duosql.Ast.query -> Duoengine.Executor.visitor * (unit -> Duodb.Value.t array list)
+
 (** Exact resultset equality: columns, row count, row order and cells
     (by [Value.equal]). *)
 val resultsets_agree :
@@ -59,6 +76,7 @@ val differential_prop : Gen.scenario -> bool
 val roundtrip_prop : Gen.scenario -> bool
 val columnar_prop : Gen.scenario -> bool
 val batch_prop : Gen.scenario -> bool
+val streamed_match_prop : Gen.scenario * int -> bool
 val cached_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool

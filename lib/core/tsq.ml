@@ -88,7 +88,64 @@ let cells_match_at positions tuple row =
 let distinct_match_on ~support positions tuples rows =
   distinct_match_core ~tuple_ok:(cells_match_at positions) support tuples rows
 
+(* The same verdict from a stream of rows, stopping early.  With [n]
+   example tuples, each tuple keeps at most [n] of its matching rows; once
+   every tuple holds [n] the rest of the scan cannot change the verdict:
+   a tuple matched (in any maximum matching) to a row it did not keep
+   holds [n] kept rows, at most [n - 1] of which the other tuples use, so
+   it can be moved onto a free one of its own.  Truncation therefore
+   keeps the size of the maximum distinct matching, and the backtracking
+   core runs over the kept rows only — each recorded as the set of
+   still-open tuples it matched. *)
+type matcher = {
+  m_tuples : cell array array;
+  m_at : (int * int) array;
+  m_support : int;
+  m_kept_per : int array;
+  mutable m_open : int;
+  m_hits : bool array;
+  mutable m_kept : bool array list;
+}
 
+let matcher ~support positions tuples =
+  let m_tuples = Array.of_list (List.map Array.of_list tuples) in
+  let n = Array.length m_tuples in
+  { m_tuples; m_at = Array.of_list positions; m_support = support;
+    m_kept_per = Array.make n 0; m_open = n; m_hits = Array.make n false;
+    m_kept = [] }
+
+let feed m _ read =
+  let n = Array.length m.m_tuples in
+  let keep = ref false in
+  for t = 0 to n - 1 do
+    let cells = m.m_tuples.(t) in
+    let hit =
+      m.m_kept_per.(t) < n
+      && Array.for_all
+           (fun (out_idx, cell_idx) ->
+             cell_idx >= Array.length cells || cell_matches cells.(cell_idx) (read out_idx))
+           m.m_at
+    in
+    m.m_hits.(t) <- hit;
+    if hit then keep := true
+  done;
+  if !keep then begin
+    m.m_kept <- Array.copy m.m_hits :: m.m_kept;
+    for t = 0 to n - 1 do
+      if m.m_hits.(t) then begin
+        m.m_kept_per.(t) <- m.m_kept_per.(t) + 1;
+        if m.m_kept_per.(t) = n then m.m_open <- m.m_open - 1
+      end
+    done
+  end;
+  m.m_open > 0
+
+let matched m =
+  distinct_match_core
+    ~tuple_ok:(fun t hits -> hits.(t))
+    m.m_support
+    (List.init (Array.length m.m_tuples) Fun.id)
+    (List.rev m.m_kept)
 
 (* Order-preserving variant (Definition 2.4, item 3): example tuples must
    match result rows at strictly increasing indices, in the order the
@@ -114,55 +171,83 @@ let ordered_match_atleast support tuples rows =
 
 
 
-let satisfies ?cache ?max_rows t db q =
+let clause_ok t q =
   let open Duosql.Ast in
-  let clause_ok =
-    (* tau obliges an ORDER BY clause and k a LIMIT clause (Example 3.3).
-       The implications only run one way: an unchecked sorted box means
-       "no order constraint", not "must be unordered" — Definition 2.4
-       constrains the result order only when tau holds. *)
-    ((not t.sorted) || q.q_order_by <> [])
-    && (if t.limit = 0 then q.q_limit = None
-        else match q.q_limit with Some n -> n <= t.limit | None -> false)
-  in
-  clause_ok
+  (* tau obliges an ORDER BY clause and k a LIMIT clause (Example 3.3).
+     The implications only run one way: an unchecked sorted box means
+     "no order constraint", not "must be unordered" — Definition 2.4
+     constrains the result order only when tau holds. *)
+  ((not t.sorted) || q.q_order_by <> [])
+  && (if t.limit = 0 then q.q_limit = None
+      else match q.q_limit with Some n -> n <= t.limit | None -> false)
+
+let types_ok t (tys : Duodb.Datatype.t list) =
+  match t.types with
+  | None -> true
+  | Some want -> List.length want = List.length tys && List.for_all2 Duodb.Datatype.equal want tys
+
+let widths_ok tuples ncols = List.for_all (fun tup -> List.length tup = ncols) tuples
+
+let satisfies_result t q (res : (Duoengine.Executor.resultset, string) result) =
+  clause_ok t q
   &&
-  match Duoengine.Executor.run ?cache ?max_rows db q with
+  match res with
   | Error _ -> false
   | Ok res ->
-      let types_ok =
-        match t.types with
-        | None -> true
-        | Some tys ->
-            List.length tys = List.length res.Duoengine.Executor.res_cols
-            && List.for_all2
-                 (fun ty (_, ty') -> Duodb.Datatype.equal ty ty')
-                 tys res.Duoengine.Executor.res_cols
-      in
+      let cols = res.Duoengine.Executor.res_cols
+      and rows = res.Duoengine.Executor.res_rows in
+      let ncols = List.length cols in
       let tuples_ok =
         t.tuples = []
-        || (List.for_all
-              (fun tup ->
-                List.length tup = List.length res.Duoengine.Executor.res_cols)
-              t.tuples
+        || widths_ok t.tuples ncols
            &&
            let support = required_support t in
            if t.sorted && List.length t.tuples >= 2 then
-             ordered_match_atleast support t.tuples res.Duoengine.Executor.res_rows
-           else distinct_match_atleast support t.tuples res.Duoengine.Executor.res_rows)
+             ordered_match_atleast support t.tuples rows
+           else distinct_match_atleast support t.tuples rows
       in
       let negatives_ok =
         List.for_all
-          (fun neg ->
-            List.length neg = List.length res.Duoengine.Executor.res_cols
-            && not
-                 (List.exists (tuple_matches neg) res.Duoengine.Executor.res_rows))
+          (fun neg -> List.length neg = ncols && not (List.exists (tuple_matches neg) rows))
           t.negatives
       in
-      let limit_ok =
-        t.limit = 0 || List.length res.Duoengine.Executor.res_rows <= t.limit
-      in
-      types_ok && tuples_ok && negatives_ok && limit_ok
+      let limit_ok = t.limit = 0 || List.length rows <= t.limit in
+      types_ok t (List.map snd cols) && tuples_ok && negatives_ok && limit_ok
+
+(* A plain query under an unsorted sketch with tuples and no negatives
+   needs only the distinct-match verdict (its clauses rule out LIMIT),
+   so its rows stream through the matcher and nothing is materialized.
+   The relation is built either way — a failed header check still
+   executes, so relation-cache accounting matches the materializing
+   path — but then the scan stops at once. *)
+let satisfies ?cache ?max_rows ?(on_early_stop = ignore) t db q =
+  clause_ok t q
+  &&
+  if
+    Duoengine.Executor.is_plain q && t.tuples <> [] && t.negatives = []
+    && not t.sorted
+  then begin
+    let ncols = List.length q.Duosql.Ast.q_select in
+    let header_ok =
+      widths_ok t.tuples ncols
+      && match Duoengine.Executor.output_types db q with
+         | Ok tys -> types_ok t tys
+         | Error _ -> false
+    in
+    let m =
+      matcher ~support:(required_support t) (List.init ncols (fun j -> (j, j))) t.tuples
+    in
+    let visit = if header_ok then feed m else fun _ _ -> false in
+    match Duoengine.Executor.stream ?cache ?max_rows db q visit with
+    | Error _ -> false
+    | Ok stopped ->
+        header_ok
+        && begin
+             if stopped then on_early_stop ();
+             matched m
+           end
+  end
+  else satisfies_result t q (Duoengine.Executor.run ?cache ?max_rows db q)
 
 let num_tuples t = List.length t.tuples
 

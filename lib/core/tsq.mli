@@ -75,18 +75,53 @@ val distinct_match_atleast : int -> tuple list -> Duodb.Value.t array list -> bo
 val distinct_match_on :
   support:int -> (int * int) list -> tuple list -> Duodb.Value.t array list -> bool
 
+(** An early-stopping form of {!distinct_match_on} over a stream of
+    rows.  With [n] example tuples it keeps at most [n] matching rows per
+    tuple and asks the executor to stop once every tuple holds [n]; the
+    backtracking matcher then runs over the kept rows.  Truncating to [n]
+    keeps the size of the maximum distinct matching (a tuple matched to a
+    row it did not keep has [n] kept rows, at most [n - 1] of them used by
+    the others), so after a full feed [matched] equals
+    [distinct_match_on ~support positions tuples rows] on the same rows. *)
+type matcher
+
+(** [matcher ~support positions tuples] — arguments as for
+    {!distinct_match_on}; one matcher serves one scan. *)
+val matcher : support:int -> (int * int) list -> tuple list -> matcher
+
+(** The matcher as an {!Duoengine.Executor.visitor}: checks the row's
+    decided positions against the tuples still below their quota and
+    returns [false] once none is. *)
+val feed : matcher -> Duoengine.Executor.visitor
+
+(** The distinct-match verdict over the rows fed so far. *)
+val matched : matcher -> bool
+
 (** Order-preserving variant (Definition 2.4, item 3): matched rows must
     appear at strictly increasing result indices, in example order. *)
 val ordered_match_atleast : int -> tuple list -> Duodb.Value.t array list -> bool
 
-(** [satisfies t db q] is the function [T(q, D)] of Definition 2.4: executes
-    [q] and checks (1) type annotations, (2) a distinct result tuple per
-    example tuple (maximum bipartite matching, so overlapping examples are
-    handled correctly), (3) order preservation when sorted, and (4) the row
-    limit.  Queries that fail to execute do not satisfy. *)
+(** [satisfies_result t q res] is Definition 2.4 over [q]'s already
+    executed result: the clause obligations (tau needs ORDER BY, k a LIMIT
+    of at most k), then (1) type annotations, (2) a distinct result tuple
+    per example tuple (maximum bipartite matching, so overlapping examples
+    are handled correctly), (3) order preservation when sorted, (4) the
+    row limit, and no row matching a negative tuple.  An [Error] result
+    does not satisfy. *)
+val satisfies_result :
+  t -> Duosql.Ast.query -> (Duoengine.Executor.resultset, string) result -> bool
+
+(** [satisfies t db q] is the function [T(q, D)] of Definition 2.4, the
+    verdict of {!satisfies_result} on [q]'s execution.  A plain query
+    ({!Duoengine.Executor.is_plain}) under an unsorted sketch with example
+    tuples and no negatives streams its rows through a {!matcher} instead
+    of materializing them; every other shape runs the materializing check.
+    [on_early_stop] is called when that stream stopped before its last
+    row.  Queries that fail to execute do not satisfy. *)
 val satisfies :
   ?cache:Duoengine.Executor.relation_cache ->
   ?max_rows:int ->
+  ?on_early_stop:(unit -> unit) ->
   t ->
   Duodb.Database.t ->
   Duosql.Ast.query ->

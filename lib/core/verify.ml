@@ -65,6 +65,7 @@ type stats = {
   mutable static_warnings : int;
   mutable batch_rounds : int;
   mutable batched_probes : int;
+  mutable early_stops : int;
   mutable stage_seconds : float array;
 }
 
@@ -77,7 +78,7 @@ let new_stats () =
     pruned_by_types = 0; pruned_by_column = 0; pruned_by_row = 0;
     pruned_by_complete = 0; dedup_semantic = 0; visited_hits = 0;
     canon_checked = 0; key_renders = 0; static_warnings = 0;
-    batch_rounds = 0; batched_probes = 0;
+    batch_rounds = 0; batched_probes = 0; early_stops = 0;
     stage_seconds = Array.make (List.length all_stages) 0.0 }
 
 (* Zero a stats record in place so Duopar task arenas can recycle one
@@ -107,6 +108,7 @@ let reset_stats s =
   s.static_warnings <- 0;
   s.batch_rounds <- 0;
   s.batched_probes <- 0;
+  s.early_stops <- 0;
   Array.fill s.stage_seconds 0 (Array.length s.stage_seconds) 0.0
 
 let pruned_by s = function
@@ -151,6 +153,7 @@ let merge_stats ~into s =
   into.static_warnings <- into.static_warnings + s.static_warnings;
   into.batch_rounds <- into.batch_rounds + s.batch_rounds;
   into.batched_probes <- into.batched_probes + s.batched_probes;
+  into.early_stops <- into.early_stops + s.early_stops;
   Array.iteri
     (fun i v -> into.stage_seconds.(i) <- into.stage_seconds.(i) +. v)
     s.stage_seconds
@@ -689,11 +692,6 @@ let can_check_rows (t : Partial.t) =
   let has_agg = List.exists slot_has_agg t.Partial.projs in
   (not has_agg) || (where_done t && group_decided t)
 
-(* Distinct matching restricted to the decided projection positions, with
-   the noisy-example support threshold — the shared matcher from [Tsq], so
-   partial-query and complete-query semantics cannot drift. *)
-let distinct_match_on = Tsq.distinct_match_on
-
 (* A row probe the stage has decided to run: the probe query, the
    (output position, example cell index) pairs to match on, and the
    memoization key.  Splitting planning from execution lets
@@ -785,30 +783,33 @@ let row_probe_plan env (t : Partial.t) : row_plan option =
           end
         end
 
-(* Match a probe's result rows against the example tuples at the plan's
-   decided positions. *)
-let row_probe_matches env plan (res : Duoengine.Executor.resultset) =
-  let support =
-    match env.e_tsq with None -> 0 | Some tsq -> Tsq.required_support tsq
-  in
-  let tuples =
-    match env.e_tsq with None -> [] | Some tsq -> tsq.Tsq.tuples
-  in
-  distinct_match_on ~support plan.rp_positions tuples
-    res.Duoengine.Executor.res_rows
+(* The early-stopping matcher a probe's output rows stream into: the
+   example tuples at the plan's decided positions, under the
+   noisy-example support threshold — the same matcher [Tsq.satisfies]
+   uses, so partial-query and complete-query semantics cannot drift. *)
+let row_matcher env plan =
+  let tsq = Option.value env.e_tsq ~default:Tsq.empty in
+  Tsq.matcher ~support:(Tsq.required_support tsq) plan.rp_positions tsq.Tsq.tuples
+
+let count_early_stop env =
+  env.e_stats.early_stops <- env.e_stats.early_stops + 1
+
+let row_verdict env m = function
+  | Error _ -> false
+  | Ok stopped ->
+      if stopped then count_early_stop env;
+      Tsq.matched m
 
 let run_row_probe env plan =
   match Hashtbl.find_opt env.e_row_cache plan.rp_key with
   | Some r -> r
   | None ->
       env.e_stats.row_probes <- env.e_stats.row_probes + 1;
+      let m = row_matcher env plan in
       let r =
-        match
-          Duoengine.Executor.run ~cache:env.e_relcache
-            ~max_rows:verification_max_rows env.e_db plan.rp_probe
-        with
-        | Error _ -> false
-        | Ok res -> row_probe_matches env plan res
+        row_verdict env m
+          (Duoengine.Executor.stream ~cache:env.e_relcache
+             ~max_rows:verification_max_rows env.e_db plan.rp_probe (Tsq.feed m))
       in
       sync_relcache env;
       Hashtbl.replace env.e_row_cache plan.rp_key r;
@@ -838,8 +839,9 @@ let verify_complete env q =
   | Some tsq ->
       env.e_stats.full_executions <- env.e_stats.full_executions + 1;
       let r =
-        Tsq.satisfies ~cache:env.e_relcache ~max_rows:verification_max_rows tsq
-          env.e_db q
+        Tsq.satisfies ~cache:env.e_relcache ~max_rows:verification_max_rows
+          ~on_early_stop:(fun () -> count_early_stop env)
+          tsq env.e_db q
       in
       sync_relcache env;
       r
@@ -1033,21 +1035,17 @@ let verify_batch env (children : Partial.t list) =
   in
   if Array.length todo > 0 then begin
     s.batch_rounds <- s.batch_rounds + 1;
+    let matchers = Array.map (row_matcher env) todo in
     let results, report =
       Duoengine.Executor.run_batch ~cache:env.e_relcache
         ~max_rows:verification_max_rows env.e_db
-        (Array.map (fun p -> p.rp_probe) todo)
+        (Array.mapi (fun k p -> (p.rp_probe, Tsq.feed matchers.(k))) todo)
     in
     s.batched_probes <- s.batched_probes + report.Duoengine.Executor.br_shared;
     Array.iteri
       (fun k p ->
         s.row_probes <- s.row_probes + 1;
-        let r =
-          match results.(k) with
-          | Error _ -> false
-          | Ok res -> row_probe_matches env p res
-        in
-        Hashtbl.replace env.e_row_cache p.rp_key r)
+        Hashtbl.replace env.e_row_cache p.rp_key (row_verdict env matchers.(k) results.(k)))
       todo;
     sync_relcache env
   end;

@@ -87,6 +87,11 @@ type stats = {
       (** {!verify_batch} rounds that executed at least one row probe *)
   mutable batched_probes : int;
       (** row probes served by a shared base scan inside a batch round *)
+  mutable early_stops : int;
+      (** streamed example-matching scans (row probes and plain
+          complete-query checks) that stopped before the end of their
+          output because every example tuple already held enough
+          matching rows *)
   mutable stage_seconds : float array;
       (** processor time per cascade stage, indexed by {!stage_index} *)
 }

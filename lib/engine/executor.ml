@@ -130,14 +130,26 @@ let holds conn f xs =
   | And -> List.for_all f xs
   | Or -> List.exists f xs
 
-let eval_where rel cond r =
-  holds cond.c_conn
-    (fun p ->
-      match p.pr_agg, p.pr_col with
-      | Some _, _ -> fail "aggregate predicate in WHERE"
-      | None, None -> fail "missing column in WHERE predicate"
-      | None, Some c -> eval_rhs p.pr_rhs (cell rel (lookup rel c) r))
-    cond.c_preds
+(* Residual WHERE over joined-row indices.  Column locations resolve once
+   per execution (every referenced column was validated up front, so this
+   cannot raise early); an aggregate or column-less predicate still raises
+   only when a row reaches it. *)
+let compile_where rel cond =
+  let preds =
+    List.map
+      (fun p ->
+        match p.pr_agg, p.pr_col with
+        | Some _, _ -> Error "aggregate predicate in WHERE"
+        | None, None -> Error "missing column in WHERE predicate"
+        | None, Some c -> Ok (lookup rel c, p.pr_rhs))
+      cond.c_preds
+  in
+  fun r ->
+    holds cond.c_conn
+      (function
+        | Ok (loc, rhs) -> eval_rhs rhs (cell rel loc r)
+        | Error e -> raise (Exec_error e))
+      preds
 
 (* --- relation building (plan execution) --- *)
 
@@ -355,11 +367,10 @@ let build_relation_cached ?cache ?max_rows db (plan : Planner.t) =
 (* --- aggregation --- *)
 
 (* Aggregate over a group of joined rows, given as row indices into the
-   relation. *)
-let eval_agg rel agg col distinct (group : int array) =
+   relation; [loc] is the aggregated column's resolved location. *)
+let eval_agg rel agg loc distinct (group : int array) =
   let values () =
-    let c = match col with Some c -> c | None -> fail "aggregate needs a column" in
-    let loc = lookup rel c in
+    let loc = match loc with Some l -> l | None -> fail "aggregate needs a column" in
     Array.fold_right
       (fun r acc ->
         let v = cell rel loc r in
@@ -373,7 +384,7 @@ let eval_agg rel agg col distinct (group : int array) =
   in
   match agg with
   | Count -> (
-      match col with
+      match loc with
       | None -> Value.Int (Array.length group)
       | Some _ ->
           let vs = values () in
@@ -416,24 +427,25 @@ let eval_agg rel agg col distinct (group : int array) =
       | [] -> Value.Null
       | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
 
-(* Evaluate a projection-like item (agg option, col option, distinct) for a
-   group.  For unaggregated items the group's first row supplies the value
-   (SQL-legal only when the item is in GROUP BY; Semantics rules enforce
-   this upstream, and tests rely on executor-level enforcement too). *)
-let eval_item rel (agg, col, distinct) (group : int array) =
-  match agg with
-  | Some a -> eval_agg rel a col distinct group
-  | None -> (
-      match col with
-      | Some c ->
-          if Array.length group = 0 then Value.Null
-          else cell rel (lookup rel c) group.(0)
-      | None -> fail "bare star projection")
+(* Compile a projection-like item (agg option, col option, distinct) into
+   its per-group evaluator, resolving the column once.  For unaggregated
+   items the group's first row supplies the value (SQL-legal only when the
+   item is in GROUP BY; Semantics rules enforce this upstream, and tests
+   rely on executor-level enforcement too).  A bare star or column-less
+   aggregate raises only when a group reaches it. *)
+let compile_item rel (agg, col, distinct) : int array -> Value.t =
+  let loc = Option.map (lookup rel) col in
+  match agg, loc with
+  | Some a, _ -> eval_agg rel a loc distinct
+  | None, Some loc ->
+      fun group -> if Array.length group = 0 then Value.Null else cell rel loc group.(0)
+  | None, None -> fun _ -> fail "bare star projection"
 
-let eval_having rel cond group =
-  holds cond.c_conn
-    (fun p -> eval_rhs p.pr_rhs (eval_item rel (p.pr_agg, p.pr_col, false) group))
-    cond.c_preds
+let compile_having rel cond =
+  let preds =
+    List.map (fun p -> (compile_item rel (p.pr_agg, p.pr_col, false), p.pr_rhs)) cond.c_preds
+  in
+  fun group -> holds cond.c_conn (fun (item, rhs) -> eval_rhs rhs (item group)) preds
 
 let proj_type db (p : proj) =
   match p.p_agg with
@@ -471,44 +483,65 @@ let make_groups q rel (sel : int array) : int array list =
     Array.to_list (Array.map Dyn.to_array (Dyn.to_array order))
   end
 
+(* --- output: streamed or materialized --- *)
+
+type visitor = int -> (int -> Value.t) -> bool
+
+(* What the post-relation pipeline leaves for the caller.  A plain query
+   (no GROUP BY, aggregate, HAVING, DISTINCT, ORDER BY or LIMIT; every
+   item a column) is its selection ([None]: every joined row) plus the
+   projected columns' resolved locations — no output row is built until
+   someone reads one.  Every other shape is materialized. *)
+type output =
+  | Streamed of int array option * (int * int) array
+  | Materialized of Value.t array list
+
+let is_plain q =
+  not
+    (q.q_distinct || q.q_group_by <> [] || Option.is_some q.q_having
+    || q.q_order_by <> [] || Option.is_some q.q_limit)
+  && List.for_all (fun p -> p.p_agg = None && Option.is_some p.p_col) q.q_select
+
 (* Execute the post-relation pipeline (filter, group, HAVING, project,
    DISTINCT, sort, limit) of [q] against an already-built relation.
    [sel] short-circuits the residual filter with a precomputed selection
    vector (joined-row indices into [rel]) — the batched probe path feeds
-   kernel-computed selections for shared single-table scans. *)
-let exec_on_relation ?sel ~residual db rel q =
+   kernel-computed selections for shared single-table scans.  The
+   residual filter always runs to completion, so a row that raises (LIKE
+   on a non-text value, an aggregate predicate) raises whatever the
+   consumer of the output does later. *)
+let exec_on_relation ?sel ~residual rel q =
   (* Validate every referenced column against the FROM clause up front. *)
   List.iter (fun c -> ignore (lookup rel c)) (referenced_columns q);
   let sel =
-    match sel with
-    | Some s -> s
-    | None -> (
-        match residual with
-        | None -> Array.init rel.rel_len Fun.id
-        | Some cond ->
-            let out = Dyn.create () in
-            for r = 0 to rel.rel_len - 1 do
-              if eval_where rel cond r then Dyn.push out r
-            done;
-            Dyn.to_array out)
+    match sel, residual with
+    | Some _, _ | None, None -> sel
+    | None, Some cond ->
+        let keep = compile_where rel cond in
+        let out = Dyn.create () in
+        for r = 0 to rel.rel_len - 1 do
+          if keep r then Dyn.push out r
+        done;
+        Some (Dyn.to_array out)
   in
+  if is_plain q then
+    Streamed
+      (sel, Array.of_list (List.filter_map (fun p -> Option.map (lookup rel) p.p_col) q.q_select))
+  else
+    let sel = match sel with Some s -> s | None -> Array.init rel.rel_len Fun.id in
     let groups = make_groups q rel sel in
     let groups =
       match q.q_having with
       | None -> groups
-      | Some cond -> List.filter (eval_having rel cond) groups
+      | Some cond -> List.filter (compile_having rel cond) groups
     in
     (* Project and compute ORDER BY keys in the same pass so sort keys can
        reference non-projected expressions. *)
+    let items =
+      List.map (fun p -> compile_item rel (p.p_agg, p.p_col, p.p_distinct)) q.q_select
+    and keys = List.map (fun o -> compile_item rel (o.o_agg, o.o_col, false)) q.q_order_by in
     let project group =
-      let out =
-        Array.of_list
-          (List.map (fun p -> eval_item rel (p.p_agg, p.p_col, p.p_distinct) group) q.q_select)
-      in
-      let keys =
-        List.map (fun o -> eval_item rel (o.o_agg, o.o_col, false) group) q.q_order_by
-      in
-      (out, keys)
+      (Array.of_list (List.map (fun f -> f group) items), List.map (fun f -> f group) keys)
     in
     let projected = List.map project groups in
     let projected =
@@ -540,25 +573,72 @@ let exec_on_relation ?sel ~residual db rel q =
         in
         List.stable_sort cmp projected
     in
-    let out_rows =
-      List.filteri
-        (fun i _ -> match q.q_limit with None -> true | Some n -> i < n)
-        (List.map fst projected)
-    in
-    let res_cols =
-      List.map (fun p -> (Duosql.Pretty.proj p, proj_type db p)) q.q_select
-    in
-    { res_cols; res_rows = out_rows }
+    Materialized
+      (List.filteri
+         (fun i _ -> match q.q_limit with None -> true | Some n -> i < n)
+         (List.map fst projected))
+
+(* The one projection loop: hand each output row to [visit] in order, with
+   a reader over its columns (a streamed row is read straight from the
+   tables through the resolved locations).  [true] when the visitor
+   stopped the scan before the last row. *)
+let feed rel out (visit : visitor) =
+  match out with
+  | Streamed (sel, locs) ->
+      let r = ref 0 in
+      let read j = cell rel locs.(j) !r in
+      let n = match sel with Some s -> Array.length s | None -> rel.rel_len in
+      let rec go i =
+        i < n
+        && begin
+             r := (match sel with Some s -> s.(i) | None -> i);
+             if visit i read then go (i + 1) else i < n - 1
+           end
+      in
+      go 0
+  | Materialized rows ->
+      let row = ref [||] in
+      let read j = !row.(j) in
+      let rec go i = function
+        | [] -> false
+        | x :: rest ->
+            row := x;
+            if visit i read then go (i + 1) rest else rest <> []
+      in
+      go 0 rows
+
+let rows_of rel = function
+  | Materialized rows -> rows
+  | Streamed (_, locs) as out ->
+      let acc = ref [] in
+      ignore
+        (feed rel out (fun _ read ->
+             acc := Array.init (Array.length locs) read :: !acc;
+             true));
+      List.rev !acc
+
+let execute ?cache ?max_rows ~planner db q =
+  let plan =
+    match Planner.plan ~enabled:planner db q with
+    | Ok p -> p
+    | Error e -> fail "%s" e
+  in
+  let rel = build_relation_cached ?cache ?max_rows db plan in
+  (rel, exec_on_relation ~residual:plan.Planner.plan_residual rel q)
 
 let run ?cache ?max_rows ?(planner = true) db q =
   try
-    let plan =
-      match Planner.plan ~enabled:planner db q with
-      | Ok p -> p
-      | Error e -> fail "%s" e
-    in
-    let rel = build_relation_cached ?cache ?max_rows db plan in
-    Ok (exec_on_relation ~residual:plan.Planner.plan_residual db rel q)
+    let rel, out = execute ?cache ?max_rows ~planner db q in
+    let res_rows = rows_of rel out in
+    Ok { res_cols = List.map (fun p -> (Duosql.Pretty.proj p, proj_type db p)) q.q_select;
+         res_rows }
+  with
+  | Exec_error e -> Error e
+
+let stream ?cache ?max_rows ?(planner = true) db q visit =
+  try
+    let rel, out = execute ?cache ?max_rows ~planner db q in
+    Ok (feed rel out visit)
   with
   | Exec_error e -> Error e
 
@@ -570,13 +650,13 @@ type batch_report = {
   br_shared : int;
 }
 
-(* Execute a batch of candidate probe queries together.  Single-table
-   probes are grouped per base table: the unfiltered base scan is built
-   (or fetched from the cache) once, and each candidate's WHERE clause
-   becomes a selection over that shared in-order relation — computed by
-   the vectorized kernel when it compiles, by the scalar residual
-   evaluator otherwise.  This replaces N near-identical filtered scans
-   with one scan plus N cheap selections.
+(* Execute a batch of candidate probe queries together, streaming each
+   one's output to its visitor.  Single-table probes are grouped per base
+   table: the unfiltered base scan is built (or fetched from the cache)
+   once, and each candidate's WHERE clause becomes a selection over that
+   shared in-order relation — computed by the vectorized kernel when it
+   compiles, by the scalar residual evaluator otherwise.  This replaces N
+   near-identical filtered scans with one scan plus N cheap selections.
 
    Soundness of sharing: a single-table relation is never bounded by
    [max_rows] (only join growth is checked), so the shared unfiltered
@@ -585,15 +665,15 @@ type batch_report = {
    selection indices address its joined rows directly.  Multi-table probes
    keep per-query execution (an unfiltered join could overflow
    [max_rows] where the pushed join would not) and still share work
-   through the relation cache.  Each result is exactly what {!run}
-   would return for that query. *)
-let run_batch ?cache ?max_rows ?(planner = true) db (qs : query array) =
+   through the relation cache.  Each result is exactly what {!stream}
+   would return for that query and visitor. *)
+let run_batch ?cache ?max_rows ?(planner = true) db (qs : (query * visitor) array) =
   let nq = Array.length qs in
   let results = Array.make nq (Error "batch: not executed") in
   let done_ = Array.make nq false in
   let groups : (string, int Dyn.t) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
-    (fun i q ->
+    (fun i (q, _) ->
       match q.q_from.f_tables with
       | [ t ] when q.q_from.f_joins = [] ->
           Dyn.add_to Hashtbl.find_opt Hashtbl.replace groups t i
@@ -604,7 +684,7 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : query array) =
     (fun t d ->
       if d.Dyn.len >= 2 then begin
         let members = Dyn.to_array d in
-        match Planner.plan ~enabled:planner db { qs.(members.(0)) with q_where = None } with
+        match Planner.plan ~enabled:planner db { (fst qs.(members.(0))) with q_where = None } with
         | Error _ -> () (* members fall through to per-query execution *)
         | Ok plan -> (
             incr br_groups;
@@ -621,15 +701,18 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : query array) =
                 let tbl = Duodb.Database.table_exn db t in
                 Array.iter
                   (fun i ->
-                    let q = qs.(i) in
+                    let q, visit = qs.(i) in
                     results.(i) <-
                       (try
-                         match q.q_where with
-                         | None -> Ok (exec_on_relation ~residual:None db rel q)
-                         | Some cond -> (
-                             match Kernel.select tbl cond with
-                             | Some sel -> Ok (exec_on_relation ~sel ~residual:None db rel q)
-                             | None -> Ok (exec_on_relation ~residual:(Some cond) db rel q))
+                         let out =
+                           match q.q_where with
+                           | None -> exec_on_relation ~residual:None rel q
+                           | Some cond -> (
+                               match Kernel.select tbl cond with
+                               | Some sel -> exec_on_relation ~sel ~residual:None rel q
+                               | None -> exec_on_relation ~residual:(Some cond) rel q)
+                         in
+                         Ok (feed rel out visit)
                        with Exec_error e -> Error e);
                     done_.(i) <- true;
                     incr br_shared)
@@ -637,8 +720,8 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : query array) =
       end)
     groups;
   Array.iteri
-    (fun i q ->
-      if not done_.(i) then results.(i) <- run ?cache ?max_rows ~planner db q)
+    (fun i (q, visit) ->
+      if not done_.(i) then results.(i) <- stream ?cache ?max_rows ~planner db q visit)
     qs;
   (results, { br_queries = nq; br_groups = !br_groups; br_shared = !br_shared })
 

@@ -16,6 +16,18 @@
     canonical nested-loop order directly, and reordered ones are sorted
     back to it by a permutation over the ids.
 
+    Output is either materialized ({!run}) or streamed to a caller's
+    {!visitor} ({!stream}, {!run_batch}) — one projection loop serves
+    both.  A plain query (no GROUP BY, aggregate, HAVING, DISTINCT,
+    ORDER BY or LIMIT) streams straight off its selection vector: the
+    visitor reads cells through the projected columns' [(slot, column)]
+    locations, resolved once per execution, and no output row is built.
+    Every other shape is executed in full and its rows are then fed to
+    the visitor.  Either way the residual WHERE filter runs to
+    completion first, so a row that raises makes the whole execution an
+    [Error] exactly as {!run} reports it; only the projection loop stops
+    early.
+
     SQL semantics notes:
     - comparisons involving [NULL] are false; aggregates skip nulls except
       [COUNT] of all rows;
@@ -67,6 +79,30 @@ val run :
   Duosql.Ast.query ->
   (resultset, string) result
 
+(** A streaming consumer of query output: [visit i read] sees output row
+    [i] (0-based ordinal) and [read j] returns its column [j]; [read] is
+    only valid during the call.  Returning [false] stops the scan. *)
+type visitor = int -> (int -> Duodb.Value.t) -> bool
+
+(** [is_plain q]: [q] has no GROUP BY, aggregate, HAVING, DISTINCT,
+    ORDER BY or LIMIT and projects only columns — the shape {!stream}
+    feeds without materializing any output row. *)
+val is_plain : Duosql.Ast.query -> bool
+
+(** [stream db q visit] executes [q] like {!run} and feeds its output
+    rows, in {!run}'s order, to [visit].  [Ok stopped]: [stopped] is
+    [true] when [visit] ended the scan before the last output row.
+    Errors are exactly {!run}'s: the visitor never turns an [Error] into
+    [Ok] or back. *)
+val stream :
+  ?cache:relation_cache ->
+  ?max_rows:int ->
+  ?planner:bool ->
+  Duodb.Database.t ->
+  Duosql.Ast.query ->
+  visitor ->
+  (bool, string) result
+
 (** What {!run_batch} shared: [br_groups] shared base scans served
     [br_shared] of the [br_queries] probe queries; the rest executed
     individually (still sharing relations through the cache). *)
@@ -76,22 +112,23 @@ type batch_report = {
   br_shared : int;
 }
 
-(** [run_batch db qs] executes candidate probe queries together.
-    Single-table probes that scan the same base table share one
-    unfiltered scan: each candidate's WHERE becomes a vectorized
-    selection over the shared in-order relation instead of its own
-    filtered table scan.  Multi-table probes run individually (an
-    unfiltered join could exceed [max_rows] where the pushed join would
-    not), sharing relations through [cache] as usual.  The result array
-    is positionally aligned with [qs] and each entry is exactly what
-    {!run} returns for that query. *)
+(** [run_batch db qs] executes candidate probe queries together, each
+    streaming its output to its own visitor.  Single-table probes that
+    scan the same base table share one unfiltered scan: each candidate's
+    WHERE becomes a vectorized selection over the shared in-order
+    relation instead of its own filtered table scan.  Multi-table probes
+    run individually (an unfiltered join could exceed [max_rows] where
+    the pushed join would not), sharing relations through [cache] as
+    usual.  The result array is positionally aligned with [qs]; each
+    entry, and the rows its visitor saw, are exactly what {!stream}
+    returns and feeds for that query and visitor. *)
 val run_batch :
   ?cache:relation_cache ->
   ?max_rows:int ->
   ?planner:bool ->
   Duodb.Database.t ->
-  Duosql.Ast.query array ->
-  (resultset, string) result array * batch_report
+  (Duosql.Ast.query * visitor) array ->
+  (bool, string) result array * batch_report
 
 (** Like {!run} but raises [Failure]. *)
 val run_exn :

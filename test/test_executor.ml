@@ -225,14 +225,17 @@ let test_run_batch_agrees () =
     ]
   in
   let qs = Array.of_list (List.map Fixtures.parse sqls) in
-  let batched, report = Executor.run_batch db qs in
+  let cs = Array.map Duocheck.Props.collector qs in
+  let batched, report =
+    Executor.run_batch db (Array.map2 (fun q (visit, _) -> (q, visit)) qs cs)
+  in
   Array.iteri
     (fun k q ->
       match (batched.(k), Executor.run db q) with
-      | Ok a, Ok b ->
+      | Ok _, Ok b ->
           Alcotest.check Fixtures.rows_testable
             (Printf.sprintf "batch query %d rows" k)
-            b.Executor.res_rows a.Executor.res_rows
+            b.Executor.res_rows (snd cs.(k) ())
       | Error a, Error b ->
           Alcotest.(check string) (Printf.sprintf "batch query %d error" k) b a
       | Ok _, Error _ | Error _, Ok _ ->
@@ -244,15 +247,15 @@ let test_run_batch_agrees () =
 
 let test_run_batch_singleton () =
   (* a lone query and a group of one never share — they run individually *)
-  let qs =
-    [| Fixtures.parse "SELECT movies.name FROM movies WHERE movies.year > 2000" |]
-  in
-  let batched, report = Executor.run_batch db qs in
+  let q = Fixtures.parse "SELECT movies.name FROM movies WHERE movies.year > 2000" in
+  let visit, rows = Duocheck.Props.collector q in
+  let batched, report = Executor.run_batch db [| (q, visit) |] in
   (match batched.(0) with
-  | Ok res ->
+  | Ok stopped ->
+      Alcotest.(check bool) "visitor saw every row" false stopped;
       Alcotest.check Fixtures.rows_testable "same rows"
         [ [| t "Gravity" |]; [| t "The Post" |]; [| t "Inception" |] ]
-        res.Executor.res_rows
+        (rows ())
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "no groups" 0 report.Executor.br_groups;
   Alcotest.(check int) "nothing shared" 0 report.Executor.br_shared

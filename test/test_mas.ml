@@ -53,11 +53,41 @@ let test_prolific_author_exists () =
       | _ -> Alcotest.fail "unexpected result shape")
     [ "Wei Zhang"; "Maria Garcia" ]
 
+(* The row and complete stages stream a probe's output into the example
+   matcher and stop once every tuple has enough matching rows: a dual run
+   on a study task stops some scans early; an NLI run has no example
+   tuples and never reaches the matcher. *)
+let test_early_stops () =
+  let task = List.hd Mas.nli_study_tasks in
+  let tsq =
+    match
+      Duobench.Tsq_synth.synthesize (Duobench.Rng.create 7) db (Mas.gold task)
+        ~detail:Duobench.Tsq_synth.Full
+    with
+    | Some tsq -> tsq
+    | None -> Alcotest.fail "no sketch for the task"
+  in
+  let config =
+    { Duocore.Enumerate.default_config with
+      Duocore.Enumerate.max_pops = 2000;
+      max_candidates = 10;
+      time_budget_s = 60.0 }
+  in
+  let run mode =
+    (Duocore.Duoquest.synthesize ~config ~mode ~tsq
+       ~literals:task.Mas.task_literals (Duocore.Duoquest.create_session db)
+       ~nlq:task.Mas.task_nlq ())
+      .Duocore.Enumerate.out_stats.Duocore.Verify.early_stops
+  in
+  Alcotest.(check bool) "dual run stops scans early" true (run `Duoquest > 0);
+  Alcotest.(check int) "NLI run never streams a match" 0 (run `Nli)
+
 let suite =
   [
     Alcotest.test_case "schema statistics" `Quick test_schema_stats;
     Alcotest.test_case "referential integrity" `Quick test_integrity;
     Alcotest.test_case "deterministic generation" `Quick test_deterministic;
     Alcotest.test_case "prolific authors exist" `Quick test_prolific_author_exists;
+    Alcotest.test_case "early stops: dual > 0, NLI = 0" `Quick test_early_stops;
   ]
   @ task_cases

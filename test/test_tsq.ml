@@ -125,6 +125,70 @@ let test_shared_position_matcher () =
        [ [ Tsq.Exact (t "a") ]; [ Tsq.Exact (t "a") ] ]
        rows)
 
+(* Feed [rows] to a fresh matcher the way the executor streams them,
+   stopping when the matcher asks; returns the matcher and how many rows
+   it consumed. *)
+let stream_rows ~support positions tuples rows =
+  let m = Tsq.matcher ~support positions tuples in
+  let rec go i = function
+    | [] -> i
+    | row :: rest -> if Tsq.feed m i (Array.get row) then go (i + 1) rest else i + 1
+  in
+  let consumed = go 0 rows in
+  (m, consumed)
+
+let test_matcher_truncation_backtracks () =
+  (* Tuple A matches rows 0..5, tuple B only row 0.  With two tuples each
+     keeps at most two rows: A keeps 0 and 1, B keeps 0.  The first
+     assignment tried (A -> 0) starves B, so the verdict needs the
+     matcher to backtrack onto A's second kept row. *)
+  let a = [ Tsq.Exact (t "x"); Tsq.Any ] and b = [ Tsq.Any; Tsq.Exact (i 0) ] in
+  let rows = List.init 6 (fun k -> [| t "x"; i k |]) in
+  let pos = [ (0, 0); (1, 1) ] in
+  let m, consumed = stream_rows ~support:2 pos [ a; b ] rows in
+  Alcotest.(check bool) "A and B get distinct rows" true (Tsq.matched m);
+  Alcotest.(check bool) "agrees with the materialized matcher"
+    (Tsq.distinct_match_on ~support:2 pos [ a; b ] rows)
+    (Tsq.matched m);
+  (* B never fills its quota, so the scan runs to the end *)
+  Alcotest.(check int) "no early stop while B is open" 6 consumed;
+  (* Two tuples matching every row stop the scan at the second row. *)
+  let m, consumed = stream_rows ~support:2 pos [ a; a ] rows in
+  Alcotest.(check bool) "duplicate tuples matched" true (Tsq.matched m);
+  Alcotest.(check int) "stops once both quotas are full" 2 consumed
+
+let test_matcher_min_support () =
+  (* Three tuples, one of which matches nothing: support 2 is reachable,
+     full support is not. *)
+  let tuples =
+    [ [ Tsq.Exact (t "a") ]; [ Tsq.Exact (t "b") ]; [ Tsq.Exact (t "zzz") ] ]
+  in
+  let rows = [ [| t "a" |]; [| t "b" |]; [| t "a" |] ] in
+  List.iter
+    (fun support ->
+      let m, _ = stream_rows ~support [ (0, 0) ] tuples rows in
+      Alcotest.(check bool)
+        (Printf.sprintf "support %d as materialized" support)
+        (Tsq.distinct_match_on ~support [ (0, 0) ] tuples rows)
+        (Tsq.matched m))
+    [ 0; 1; 2; 3 ];
+  let m, _ = stream_rows ~support:2 [ (0, 0) ] tuples rows in
+  Alcotest.(check bool) "support 2 of 3 met" true (Tsq.matched m);
+  let m, _ = stream_rows ~support:3 [ (0, 0) ] tuples rows in
+  Alcotest.(check bool) "full support missed" false (Tsq.matched m);
+  (* through [satisfies]: the streamed plain-query path honours the
+     sketch's threshold *)
+  let q = parse "SELECT movies.name FROM movies" in
+  let sketch min_support =
+    Tsq.make
+      ~tuples:
+        [ [ Tsq.Exact (t "Gravity") ]; [ Tsq.Exact (t "Seven") ];
+          [ Tsq.Exact (t "Jaws") ] ]
+      ~min_support ()
+  in
+  Alcotest.(check bool) "2 of 3 movies present" true (Tsq.satisfies (sketch 2) db q);
+  Alcotest.(check bool) "all 3 are not" false (Tsq.satisfies (sketch 3) db q)
+
 let test_width () =
   Alcotest.(check (option int)) "from types" (Some 2)
     (Tsq.width (Tsq.make ~types:[ Duodb.Datatype.Text; Duodb.Datatype.Number ] ()));
@@ -166,6 +230,10 @@ let suite =
     Alcotest.test_case "ordered matching" `Quick test_ordered_matching;
     Alcotest.test_case "limit flag" `Quick test_limit_flag;
     Alcotest.test_case "shared position matcher" `Quick test_shared_position_matcher;
+    Alcotest.test_case "matcher: truncation backtracks" `Quick
+      test_matcher_truncation_backtracks;
+    Alcotest.test_case "matcher: min_support below tuple count" `Quick
+      test_matcher_min_support;
     Alcotest.test_case "width" `Quick test_width;
     QCheck_alcotest.to_alcotest prop_satisfies_soundness;
   ]

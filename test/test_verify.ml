@@ -153,6 +153,97 @@ let test_limit_counts_as_literal_use () =
   let q = Fixtures.parse "SELECT movies.name FROM movies ORDER BY movies.year DESC LIMIT 3" in
   Alcotest.(check bool) "LIMIT 3 uses literal 3" true (Verify.verify_complete e q)
 
+(* A row-checkable state: its projections and WHERE are decided (the
+   cursor sits at GROUP BY), over [sql]'s FROM clause. *)
+let row_state ~projs ~preds ~conn sql =
+  { (with_kw ~where:true (Partial.P_group_col)) with
+    Partial.nproj = List.length projs;
+    projs;
+    where_n = List.length preds;
+    where_preds = preds;
+    conn;
+    from = Some (Fixtures.parse sql).Duosql.Ast.q_from }
+
+let test_row_probe_residual_error () =
+  let open Duosql.Ast in
+  (* Canonical join order starts with Tom Hanks's two rows, which satisfy
+     the first disjunct and fill the single tuple's quota; Sandra
+     Bullock's row then reaches [movies.year LIKE ...] on a number.  The
+     residual filter runs to completion before the matcher sees a row, so
+     the probe fails as it did when rows were materialized. *)
+  let from_sql =
+    "SELECT actor.name FROM actor JOIN starring ON actor.aid = starring.aid \
+     JOIN movies ON starring.mid = movies.mid"
+  in
+  let tsq = Tsq.make ~tuples:[ [ Tsq.Exact (Value.Text "Tom Hanks") ] ] () in
+  let male =
+    { pr_agg = None; pr_col = Some (col "actor" "gender");
+      pr_rhs = Cmp (Eq, Value.Text "male") }
+  in
+  let state second =
+    row_state ~projs:[ slot "actor" "name" (Some None) ] ~preds:[ male; second ]
+      ~conn:Or from_sql
+  in
+  let like_year =
+    { pr_agg = None; pr_col = Some (col "movies" "year");
+      pr_rhs = Cmp (Like, Value.Text "%9%") }
+  and late_year =
+    { pr_agg = None; pr_col = Some (col "movies" "year");
+      pr_rhs = Cmp (Gt, Value.Int 2000) }
+  in
+  Alcotest.(check bool) "control: same probe without the bad disjunct" true
+    (Verify.verify_by_row (env ~tsq ()) (state late_year));
+  Alcotest.(check bool) "LIKE on a number fails the probe" false
+    (Verify.verify_by_row (env ~tsq ()) (state like_year));
+  (* the complete-query check streams the same shape and fails alike *)
+  let q =
+    { (Fixtures.parse from_sql) with
+      q_where = Some { c_preds = [ male; like_year ]; c_conn = Or } }
+  in
+  Alcotest.(check bool) "plain complete query fails too" false (Tsq.satisfies tsq db q)
+
+let test_row_probe_over_max_rows () =
+  (* One parent row and 20,001 children: the join exceeds the
+     verification row cap. *)
+  let schema =
+    Duodb.Schema.make ~name:"fanout"
+      [
+        Duodb.Schema.table "parent"
+          [ ("pid", Duodb.Datatype.Number); ("name", Duodb.Datatype.Text) ]
+          ~pk:[ "pid" ];
+        Duodb.Schema.table "child"
+          [ ("cid", Duodb.Datatype.Number); ("pid", Duodb.Datatype.Number) ]
+          ~pk:[ "cid" ];
+      ]
+      [ Duodb.Schema.fk ("child", "pid") ("parent", "pid") ]
+  in
+  let fdb = Duodb.Database.create schema in
+  Duodb.Database.insert_all fdb ~table:"parent" [ [| Value.Int 1; Value.Text "p" |] ];
+  Duodb.Database.insert_all fdb ~table:"child"
+    (List.init 20_001 (fun k -> [| Value.Int k; Value.Int 1 |]));
+  let cslot t c =
+    { Partial.pj_target =
+        Model.Target_column (Duodb.Schema.find_column_exn schema ~table:t c);
+      pj_agg = Some None }
+  in
+  let state =
+    { (with_kw Partial.P_where_num) with
+      Partial.nproj = 2;
+      projs = [ cslot "parent" "name"; cslot "child" "cid" ];
+      from =
+        Some
+          (Duosql.Parser.query_exn ~schema
+             "SELECT parent.name FROM parent JOIN child ON parent.pid = child.pid")
+            .Duosql.Ast.q_from }
+  in
+  let tsq = Tsq.make ~tuples:[ [ Tsq.Exact (Value.Text "p"); Tsq.Any ] ] () in
+  let e = Verify.make_env ~db:fdb ~tsq:(Some tsq) ~literals:[] () in
+  Alcotest.(check bool) "overflowing probe fails" false (Verify.verify_by_row e state);
+  Alcotest.(check int) "one probe executed" 1 (Verify.stats e).Verify.row_probes;
+  Alcotest.(check bool) "second call fails again" false (Verify.verify_by_row e state);
+  Alcotest.(check int) "served from the row cache" 1 (Verify.stats e).Verify.row_probes;
+  Alcotest.(check int) "no early stop on an error" 0 (Verify.stats e).Verify.early_stops
+
 (* Anti-pruning property: run full GPQE on a task where the gold query is
    known to satisfy the sketch; the gold must be emitted, which can only
    happen if none of its prefixes was pruned. *)
@@ -197,5 +288,9 @@ let suite =
     Alcotest.test_case "COUNT/SUM skipped column-wise" `Quick test_count_sum_never_pruned_column_wise;
     Alcotest.test_case "literal usage" `Quick test_literals_must_be_used;
     Alcotest.test_case "limit as literal use" `Quick test_limit_counts_as_literal_use;
+    Alcotest.test_case "row probe: residual error after matches" `Quick
+      test_row_probe_residual_error;
+    Alcotest.test_case "row probe: over max_rows, then cached" `Quick
+      test_row_probe_over_max_rows;
     QCheck_alcotest.to_alcotest prop_no_prefix_of_gold_pruned;
   ]
