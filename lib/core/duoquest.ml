@@ -1,11 +1,34 @@
+(* [s_caches]: the relation cache of each domain that prepared a run on
+   this session, by [Domain.self ()].  A cache is not thread-safe and
+   [Simulation.shard_map] synthesizes on one session from several
+   domains at once, so each domain gets its own; [s_lock] guards the
+   table, never a cache. *)
 type session = {
   s_db : Duodb.Database.t;
   s_index : Duodb.Index.t;
+  s_caches : (int, Duoengine.Executor.relation_cache) Hashtbl.t;
+  s_lock : Mutex.t;
 }
 
-let create_session db = { s_db = db; s_index = Duodb.Index.build db }
+let create_session db =
+  { s_db = db; s_index = Duodb.Index.build db; s_caches = Hashtbl.create 4;
+    s_lock = Mutex.create () }
+
 let session_db s = s.s_db
 let session_index s = s.s_index
+
+let domain_cache s =
+  let d = (Domain.self () :> int) in
+  Mutex.protect s.s_lock (fun () ->
+      match Hashtbl.find_opt s.s_caches d with
+      | Some c -> c
+      | None ->
+          let c = Duoengine.Executor.create_cache () in
+          Hashtbl.replace s.s_caches d c;
+          c)
+
+let session_relcaches s =
+  Mutex.protect s.s_lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) s.s_caches [])
 
 type mode =
   [ `Duoquest
@@ -21,7 +44,7 @@ let mode_name = function
   | `No_pq -> "NoPQ"
 
 let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
-    ?literals ?relcache ?pool ?on_candidate session ~nlq () =
+    ?literals ?pool ?on_candidate session ~nlq () =
   let config =
     match mode with
     | `Duoquest | `Nli -> config
@@ -43,15 +66,13 @@ let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
   let literal_values =
     List.map (fun l -> l.Duonl.Nlq.lit_value) analyzed.Duonl.Nlq.literals
   in
-  Enumerate.init config ctx session.s_db ~index:session.s_index ?relcache ?pool
-    ~tsq ~literals:literal_values ?on_candidate ()
+  Enumerate.init config ctx session.s_db ~index:session.s_index
+    ~relcache:(domain_cache session) ?pool ~tsq ~literals:literal_values
+    ?on_candidate ()
 
-let synthesize ?config ?mode ?tsq ?literals ?relcache ?pool ?on_candidate
-    session ~nlq () =
-  let state =
-    prepare ?config ?mode ?tsq ?literals ?relcache ?pool ?on_candidate session
-      ~nlq ()
-  in
+let synthesize ?config ?mode ?tsq ?literals ?pool ?on_candidate session ~nlq ()
+    =
+  let state = prepare ?config ?mode ?tsq ?literals ?pool ?on_candidate session ~nlq () in
   Fun.protect
     ~finally:(fun () -> Enumerate.release state)
     (fun () ->

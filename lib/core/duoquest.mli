@@ -1,9 +1,17 @@
 (** The Duoquest system facade (Section 4).
 
     A {!session} packages a database with its inverted column index (the
-    autocomplete substrate).  {!synthesize} consumes the dual specification
-    — an NLQ plus an optional TSQ — and streams ranked candidate queries,
-    exactly the Enumerator + Verifier micro-service pair of Figure 3.
+    autocomplete substrate) and the relation caches of the runs on it:
+    one {!Duoengine.Executor.relation_cache} per domain that synthesizes
+    on the session, so joined relations and join-key indexes one run
+    built serve every later run on that database — as a database
+    server's buffer pool stays warm across a user's queries.  The caches
+    never change a result (entries are stamped with their tables' row
+    counts) and are kept for the session's lifetime.
+
+    {!synthesize} consumes the dual specification — an NLQ plus an
+    optional TSQ — and streams ranked candidate queries, exactly the
+    Enumerator + Verifier micro-service pair of Figure 3.
 
     The [mode] argument selects the paper's systems:
     - [`Duoquest] — GPQE with guidance and partial-query pruning;
@@ -18,6 +26,12 @@ type session
 val create_session : Duodb.Database.t -> session
 val session_db : session -> Duodb.Database.t
 val session_index : session -> Duodb.Index.t
+
+(** The session's relation caches, one per domain that has prepared a
+    run on it (Duoserve's [stats] sums their counters).  A cache's
+    counters are cumulative over every run on its domain; a run's own
+    share is in its {!Enumerate.outcome} stats. *)
+val session_relcaches : session -> Duoengine.Executor.relation_cache list
 
 type mode =
   [ `Duoquest
@@ -35,8 +49,6 @@ val mode_name : mode -> string
     - [tsq]: the table sketch query; omitting it (or passing [`Nli]) makes
       the run single-specification.
     - [config]: enumeration budgets (see {!Enumerate.config}).
-    - [relcache]: a relation cache shared across runs on the same
-      database (sound while the database is immutable).
     - [pool]: a caller-owned {!Duopar.Pool.t} reused across runs instead
       of spawning and joining domains per call.
     - [on_candidate]: streaming callback, as the front-end displays
@@ -46,7 +58,6 @@ val synthesize :
   ?mode:mode ->
   ?tsq:Tsq.t ->
   ?literals:Duodb.Value.t list ->
-  ?relcache:Duoengine.Executor.relation_cache ->
   ?pool:Duopar.Pool.t ->
   ?on_candidate:(Enumerate.candidate -> unit) ->
   session ->
@@ -56,7 +67,10 @@ val synthesize :
 
 (** [prepare] is {!synthesize} stopped before the first enumeration step:
     it analyzes the NLQ, builds the guidance context and returns the
-    paused {!Enumerate.state}.  Duoserve sessions are built on this —
+    paused {!Enumerate.state}.  The run verifies against the calling
+    domain's relation cache of [session] (Duopar worker domains get
+    private per-run caches), so the state must be stepped on the domain
+    that prepared it.  Duoserve sessions are built on this —
     the server time-slices many prepared states with {!Enumerate.step}.
     The caller owns the state ({!Enumerate.release} when done). *)
 val prepare :
@@ -64,7 +78,6 @@ val prepare :
   ?mode:mode ->
   ?tsq:Tsq.t ->
   ?literals:Duodb.Value.t list ->
-  ?relcache:Duoengine.Executor.relation_cache ->
   ?pool:Duopar.Pool.t ->
   ?on_candidate:(Enumerate.candidate -> unit) ->
   session ->

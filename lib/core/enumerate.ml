@@ -737,8 +737,8 @@ let process s worker (p : Partial.t) =
   let t1 = Clock.mono () in
   let verdicts = judge env_t s.st_config children in
   let t2 = Clock.mono () in
-  (* [sync_relcache] copies the worker cache's *cumulative* counters
-     into the current record; merging those per task would multiply
+  (* [Verify.relcache_delta] copies the worker cache's counters for the
+     whole run into the current record; merging those per task would multiply
      them.  Per-domain cache numbers are re-derived from the caches
      once, when the run finishes. *)
   tstats.Verify.relcache_hits <- 0;
@@ -768,7 +768,7 @@ let process_into s worker (p : Partial.t) (r : task_result) =
   let verdicts = judge env_t s.st_config children in
   let t2 = Clock.mono () in
   (* zeroed for the same reason as in [process]: the relation-cache
-     mirrors are cumulative and re-derived at outcome time *)
+     mirrors cover the whole run and are re-derived at outcome time *)
   r.tr_stats.Verify.relcache_hits <- 0;
   r.tr_stats.Verify.pushdown_builds <- 0;
   r.tr_stats.Verify.join_index_builds <- 0;
@@ -1126,24 +1126,16 @@ let rebase s ~tsq =
 
 (* Snapshot the run's observable outcome.  Pure with respect to results:
    recomputing the per-domain relation-cache counters just overwrites them
-   with the caches' current cumulative numbers, so calling this mid-run
+   with the caches' activity since the run began, so calling this mid-run
    (Duoserve's [get_candidates]) and again at the end is safe. *)
 let outcome s =
   let out_stats =
     if s.st_domains = 1 then s.st_stats
     else begin
       (* Per-domain relation-cache numbers come from the caches
-         themselves; task records were zeroed (see [process]). *)
-      Array.iteri
-        (fun d ds ->
-          let cache = Verify.relcache s.st_envs.(d) in
-          let hits, _misses, pushd = Duoengine.Executor.cache_stats cache in
-          let ji_builds, ji_hits = Duoengine.Executor.join_index_stats cache in
-          ds.Verify.relcache_hits <- hits;
-          ds.Verify.pushdown_builds <- pushd;
-          ds.Verify.join_index_builds <- ji_builds;
-          ds.Verify.join_index_hits <- ji_hits)
-        s.st_domain_stats;
+         themselves, as deltas since the envs were made; task records
+         were zeroed (see [process]). *)
+      Array.iteri (fun d ds -> Verify.relcache_delta s.st_envs.(d) ds) s.st_domain_stats;
       let total = Verify.new_stats () in
       (* [st_stats] holds only push-time deprioritization warnings in
          parallel mode (verification runs through task records). *)
@@ -1188,8 +1180,8 @@ let outcome s =
     out_rebase_dropped = s.st_rebase_dropped;
   }
 
-let run config ctx db ?index ?relcache ?pool ~tsq ~literals ?on_candidate () =
-  let s = init config ctx db ?index ?relcache ?pool ~tsq ~literals ?on_candidate () in
+let run config ctx db ?index ?pool ~tsq ~literals ?on_candidate () =
+  let s = init config ctx db ?index ?pool ~tsq ~literals ?on_candidate () in
   Fun.protect
     ~finally:(fun () -> release s)
     (fun () ->

@@ -180,9 +180,10 @@ type status =
     committing loop offers to the frontier, after dedup decided whether
     to admit it (observability: which states were enumerated, and in
     what order).
-    [index] and [relcache] thread a session's inverted index and shared
-    relation cache into the verification environment (see
-    {!Verify.make_env}).  [pool] supplies a caller-owned worker pool
+    [index] and [relcache] thread a session's inverted index and its
+    relation cache for the calling domain into the verification
+    environment (see {!Verify.make_env}); without [relcache] the run
+    gets a fresh cache.  [pool] supplies a caller-owned worker pool
     shared across runs (one per server or bench process); it fixes the
     domain count and is {e not} shut down by {!release}.  Without it a
     pool is created when {!effective_domains} exceeds 1 and owned by the
@@ -248,13 +249,13 @@ val rebase : state -> tsq:Tsq.t -> unit
 val charge : state -> float -> unit
 
 (** Run the enumeration to completion: [init] + one unbounded [step] +
-    [outcome] + [release].  Arguments as {!init}. *)
+    [outcome] + [release].  Arguments as {!init}; the run verifies
+    against a fresh relation cache. *)
 val run :
   config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
   ?index:Duodb.Index.t ->
-  ?relcache:Duoengine.Executor.relation_cache ->
   ?pool:Duopar.Pool.t ->
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->

@@ -125,8 +125,8 @@ let pruned_by s = function
    relation-cache mirrors ([relcache_hits], [pushdown_builds],
    [join_index_builds], [join_index_hits]) are also summed, so a caller
    merging several per-domain stats records must make sure each record
-   carries only its own cache's numbers (see [sync_relcache], which
-   {e sets} cumulative values). *)
+   carries only its own cache's numbers (see [relcache_delta], which
+   {e sets} the values since the env was made). *)
 let merge_stats ~into s =
   into.column_probes <- into.column_probes + s.column_probes;
   into.index_probes <- into.index_probes + s.index_probes;
@@ -171,6 +171,15 @@ let total_verifies () = Atomic.get verify_calls
    the nature of the query"). *)
 let verification_max_rows = 20_000
 
+(* [relcache_hits], [pushdown_builds], [join_index_builds],
+   [join_index_hits] of a relation cache *)
+type relcache_counters = int * int * int * int
+
+let relcache_counters c : relcache_counters =
+  let hits, _, pushdowns = Duoengine.Executor.cache_stats c in
+  let ji_builds, ji_hits = Duoengine.Executor.join_index_stats c in
+  (hits, pushdowns, ji_builds, ji_hits)
+
 type env = {
   e_db : Duodb.Database.t;
   e_tsq : Tsq.t option;
@@ -195,12 +204,21 @@ type env = {
   (* rendered row-probe query + positions -> probe result *)
   e_row_cache : (string, bool) Hashtbl.t;
   e_relcache : Duoengine.Executor.relation_cache;
+  (* [e_relcache]'s counters when the env was made: the cache may be a
+     session's, warm from earlier runs, and a run reports only its own
+     activity *)
+  e_relcache_base : relcache_counters;
   (* (table, column) -> min/max range, for AVG checks *)
   e_range_cache : (string * string, (Value.t * Value.t) option) Hashtbl.t;
 }
 
 let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
     ~tsq ~literals () =
+  let relcache =
+    match relcache with
+    | Some c -> c
+    | None -> Duoengine.Executor.create_cache ()
+  in
   {
     e_db = db;
     e_tsq = tsq;
@@ -216,15 +234,12 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
       | None -> lazy (Duodb.Index.build db));
     e_cache = Hashtbl.create 256;
     e_row_cache = Hashtbl.create 256;
-    e_relcache =
-      (match relcache with
-      | Some c -> c
-      | None -> Duoengine.Executor.create_cache ());
+    e_relcache = relcache;
+    e_relcache_base = relcache_counters relcache;
     e_range_cache = Hashtbl.create 64;
   }
 
 let stats env = env.e_stats
-let relcache env = env.e_relcache
 
 (* Per-domain environment for the Duopar speculative rounds: shares the
    immutable inputs (database, TSQ, literals, the *forced* inverted
@@ -242,6 +257,7 @@ let fork_env env =
     e_cache = Hashtbl.create 256;
     e_row_cache = Hashtbl.create 256;
     e_relcache = Duoengine.Executor.create_cache ();
+    e_relcache_base = (0, 0, 0, 0);
     e_range_cache = Hashtbl.create 64;
   }
 
@@ -256,15 +272,16 @@ let with_stats env stats = { env with e_stats = stats }
    tasks never races. *)
 let set_stats env stats = env.e_stats <- stats
 
-(* Mirror the shared relation cache's counters into the stats record after
-   each executor call, so outcomes report pushdown and reuse activity. *)
-let sync_relcache env =
-  let hits, _, pushdowns = Duoengine.Executor.cache_stats env.e_relcache in
-  let ji_builds, ji_hits = Duoengine.Executor.join_index_stats env.e_relcache in
-  env.e_stats.relcache_hits <- hits;
-  env.e_stats.pushdown_builds <- pushdowns;
-  env.e_stats.join_index_builds <- ji_builds;
-  env.e_stats.join_index_hits <- ji_hits
+(* Set [into]'s relation-cache counters to the env's cache activity
+   since the env was made.  Called after each executor call with the
+   env's own stats, so outcomes report pushdown and reuse activity. *)
+let relcache_delta env into =
+  let hits, pushdowns, ji_builds, ji_hits = relcache_counters env.e_relcache in
+  let hits0, pushdowns0, ji_builds0, ji_hits0 = env.e_relcache_base in
+  into.relcache_hits <- hits - hits0;
+  into.pushdown_builds <- pushdowns - pushdowns0;
+  into.join_index_builds <- ji_builds - ji_builds0;
+  into.join_index_hits <- ji_hits - ji_hits0
 
 (* --- phase predicates --- *)
 
@@ -811,7 +828,7 @@ let run_row_probe env plan =
           (Duoengine.Executor.stream ~cache:env.e_relcache
              ~max_rows:verification_max_rows env.e_db plan.rp_probe (Tsq.feed m))
       in
-      sync_relcache env;
+      relcache_delta env env.e_stats;
       Hashtbl.replace env.e_row_cache plan.rp_key r;
       r
 
@@ -843,7 +860,7 @@ let verify_complete env q =
           ~on_early_stop:(fun () -> count_early_stop env)
           tsq env.e_db q
       in
-      sync_relcache env;
+      relcache_delta env env.e_stats;
       r
 
 let bump_pruned s = function
@@ -1047,7 +1064,7 @@ let verify_batch env (children : Partial.t list) =
         s.row_probes <- s.row_probes + 1;
         Hashtbl.replace env.e_row_cache p.rp_key (row_verdict env matchers.(k) results.(k)))
       todo;
-    sync_relcache env
+    relcache_delta env env.e_stats
   end;
   Array.iteri
     (fun i _ ->

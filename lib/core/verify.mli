@@ -115,7 +115,7 @@ val pruned_by : stats -> stage -> int
     exactly.  Note [relcache_hits]/[pushdown_builds] and the
     [join_index_*] mirrors are summed too —
     callers must ensure each merged record carries only its own
-    relation cache's numbers. *)
+    relation cache's numbers ({!relcache_delta}). *)
 val merge_stats : into:stats -> stats -> unit
 
 (** Process-wide count of cascade invocations ({!verify} +
@@ -133,7 +133,10 @@ type env
     [true].  [index] supplies a prebuilt inverted index for column probes
     (sessions already hold one); without it the index is built lazily on
     first text probe.  [relcache] shares a relation cache across
-    environments — sound only while the database is not mutated. *)
+    environments (a session's, for every run on its domain); entries are
+    stamped with their tables' row counts, so appends are safe.  The env
+    snapshots the cache's counters: the run's stats report only the
+    activity since then (see {!relcache_delta}). *)
 val make_env :
   ?stats:stats ->
   ?semantics:bool ->
@@ -148,9 +151,11 @@ val make_env :
 
 val stats : env -> stats
 
-(** The environment's relation cache (per-domain in parallel runs), for
-    aggregating {!Duoengine.Executor.cache_stats} across domains. *)
-val relcache : env -> Duoengine.Executor.relation_cache
+(** [relcache_delta env s] sets [s]'s relation-cache counters
+    ([relcache_hits], [pushdown_builds], [join_index_*]) to the activity
+    of [env]'s cache since [env] was made — what a run on a shared cache
+    did itself, never an earlier run's totals. *)
+val relcache_delta : env -> stats -> unit
 
 (** [fork_env env] builds a per-domain clone for Duopar workers: the
     database, TSQ, literals and the (forced) inverted index are shared —

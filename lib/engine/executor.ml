@@ -205,13 +205,21 @@ let build_join_index tbl j =
 
 (* Memoizes joined relations and join-key indexes.  [Error msg] relation
    entries memoize relations that exceeded the row bound, so repeated
-   probes over an exploding join fail fast.  Relation keys come from the
-   planner and cover FROM plus pushed predicates, so probes sharing a
-   join tree and WHERE clause reuse one relation.  Join indexes are keyed
-   by (table, column position) and rebuilt when the table's row count
-   moved. *)
+   probes over an exploding join fail fast.  Relation keys pair the
+   planner's key (FROM plus pushed predicates, so probes sharing a join
+   tree and WHERE clause reuse one relation) with the row bound, which
+   decides whether a build succeeds.  Each entry is stamped with its FROM
+   tables' row counts and rebuilt once one of them moved, as join indexes
+   are: row ids into append-only tables stay valid, but a grown table can
+   add rows to the join. *)
+type rel_entry = {
+  re_tables : Duodb.Table.t array;
+  re_rows : int array;  (** [re_tables]' row counts at build time *)
+  re_result : (relation, string) result;
+}
+
 type relation_cache = {
-  rc_tbl : (string, (relation, string) result) Hashtbl.t;
+  rc_tbl : (string * int, rel_entry) Hashtbl.t;
   rc_join : (string * int, join_index) Hashtbl.t;
   mutable rc_hits : int;
   mutable rc_misses : int;
@@ -340,29 +348,43 @@ let build_relation ?cache ?(max_rows = max_int) db (plan : Planner.t) =
   in
   { rel_index; rel_tables = tables; rel_ids; rel_len = !len }
 
+(* None of the entry's tables grew since it was built. *)
+let fresh e =
+  let rec go i =
+    i = Array.length e.re_tables
+    || (Duodb.Table.row_count e.re_tables.(i) = e.re_rows.(i) && go (i + 1))
+  in
+  go 0
+
 let build_relation_cached ?cache ?max_rows db (plan : Planner.t) =
   match cache with
   | None -> build_relation ?max_rows db plan
   | Some c -> (
-      let key = plan.Planner.plan_key in
+      let key = (plan.Planner.plan_key, Option.value max_rows ~default:max_int) in
       match Hashtbl.find_opt c.rc_tbl key with
-      | Some (Ok rel) ->
+      | Some e when fresh e -> (
           c.rc_hits <- c.rc_hits + 1;
-          rel
-      | Some (Error e) ->
-          c.rc_hits <- c.rc_hits + 1;
-          raise (Exec_error e)
-      | None -> (
+          match e.re_result with Ok rel -> rel | Error e -> raise (Exec_error e))
+      | Some _ | None ->
           c.rc_misses <- c.rc_misses + 1;
           if plan.Planner.plan_pushdown then
             c.rc_pushdown_builds <- c.rc_pushdown_builds + 1;
-          match build_relation ~cache:c ?max_rows db plan with
-          | rel ->
-              Hashtbl.replace c.rc_tbl key (Ok rel);
-              rel
-          | exception Exec_error e ->
-              Hashtbl.replace c.rc_tbl key (Error e);
-              raise (Exec_error e)))
+          (* stamped before the build: a table unknown to the database
+             never becomes known, so it needs no stamp *)
+          let re_tables =
+            Array.of_list
+              (List.filter_map
+                 (fun (t, _) -> Duodb.Database.table db t)
+                 plan.Planner.plan_canonical)
+          in
+          let re_rows = Array.map Duodb.Table.row_count re_tables in
+          let result =
+            match build_relation ~cache:c ?max_rows db plan with
+            | rel -> Ok rel
+            | exception Exec_error e -> Error e
+          in
+          Hashtbl.replace c.rc_tbl key { re_tables; re_rows; re_result = result };
+          match result with Ok rel -> rel | Error e -> raise (Exec_error e))
 
 (* --- aggregation --- *)
 

@@ -42,14 +42,14 @@ type resultset = {
   res_rows : Duodb.Value.t array list;
 }
 
-(** Memoizes joined relations keyed by (FROM clause, pushed predicates),
-    for callers (the verification cascade) that execute many probe queries
-    over the same join tree, and the join-key indexes those relations are
-    built over, keyed by (table, column).  A join index records its
-    table's row count and is rebuilt once the table has grown, so an
-    append never serves a stale index; cached relations are row ids into
-    append-only tables, so they stay valid.  One cache per domain (it is
-    not thread-safe); Duoserve shares one per database across sessions. *)
+(** Memoizes joined relations keyed by (FROM clause, pushed predicates,
+    [max_rows]), for callers (the verification cascade) that execute many
+    probe queries over the same join tree, and the join-key indexes those
+    relations are built over, keyed by (table, column).  Relation entries
+    (row-bound errors included) and join indexes record their tables' row
+    counts and are rebuilt once a table has grown, so an append never
+    serves a stale relation or index.  Not thread-safe: one cache per
+    domain (the Duoquest facade keeps one per session and domain). *)
 type relation_cache
 
 val create_cache : unit -> relation_cache

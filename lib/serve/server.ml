@@ -21,7 +21,6 @@ let default_config =
 type t = {
   config : config;
   dbs : (string * Duoquest.session) list;
-  caches : (string * Duoengine.Executor.relation_cache) list;
   pool : Duopar.Pool.t option;
   owns_pool : bool;
   sessions : (int, Session.t) Hashtbl.t;
@@ -53,8 +52,6 @@ let create ?pool config dbs =
   {
     config;
     dbs = List.map (fun (name, db) -> (name, Duoquest.create_session db)) dbs;
-    caches =
-      List.map (fun (name, _) -> (name, Duoengine.Executor.create_cache ())) dbs;
     pool;
     owns_pool;
     sessions = Hashtbl.create 64;
@@ -184,7 +181,6 @@ let handle_open t (p : Protocol.open_params) =
         let config = clamp_config t p in
         let s =
           Session.create ~sid ~db_name:p.Protocol.op_db ~config
-            ?relcache:(List.assoc_opt p.Protocol.op_db t.caches)
             ?pool:t.pool ~nlq:p.Protocol.op_nlq ?tsq:p.Protocol.op_tsq
             ?literals:p.Protocol.op_literals duo
         in
@@ -254,17 +250,20 @@ let dedup_fields t =
     ("key_renders", Json.Num (float_of_int total.Duocore.Verify.key_renders));
   ]
 
-(* The per-database relation caches shared by every session on that
+(* The databases' relation caches, shared by every session on that
    database: joined relations and the join-key indexes they are built
    over. *)
 let relcache_fields t =
   let hits, misses, ji_builds, ji_hits =
     List.fold_left
-      (fun (h, m, b, jh) (_, c) ->
-        let h', m', _ = Duoengine.Executor.cache_stats c in
-        let b', jh' = Duoengine.Executor.join_index_stats c in
-        (h + h', m + m', b + b', jh + jh'))
-      (0, 0, 0, 0) t.caches
+      (fun acc (_, duo) ->
+        List.fold_left
+          (fun (h, m, b, jh) c ->
+            let h', m', _ = Duoengine.Executor.cache_stats c in
+            let b', jh' = Duoengine.Executor.join_index_stats c in
+            (h + h', m + m', b + b', jh + jh'))
+          acc (Duoquest.session_relcaches duo))
+      (0, 0, 0, 0) t.dbs
   in
   [
     ("hits", Json.Num (float_of_int hits));

@@ -18,7 +18,6 @@ type t = {
   nlq : string;
   config : Enumerate.config;
   duo : Duoquest.session;
-  relcache : Duoengine.Executor.relation_cache option;
   pool : Duopar.Pool.t option;
   literals : Duodb.Value.t list option;
   mutable tsq : Duocore.Tsq.t option;
@@ -41,9 +40,9 @@ let rebased s = s.rebased
 
 let prepare s =
   Duoquest.prepare ~config:s.config ?tsq:s.tsq ?literals:s.literals
-    ?relcache:s.relcache ?pool:s.pool s.duo ~nlq:s.nlq ()
+    ?pool:s.pool s.duo ~nlq:s.nlq ()
 
-let create ~sid ~db_name ~config ?relcache ?pool ~nlq ?tsq ?literals duo =
+let create ~sid ~db_name ~config ?pool ~nlq ?tsq ?literals duo =
   let s =
     {
       sid;
@@ -51,7 +50,6 @@ let create ~sid ~db_name ~config ?relcache ?pool ~nlq ?tsq ?literals duo =
       nlq;
       config;
       duo;
-      relcache;
       pool;
       literals;
       tsq;

@@ -233,6 +233,33 @@ let test_max_rows_overflow () =
   let hits, misses, _ = Executor.cache_stats cache in
   Alcotest.(check (pair int int)) "one build, one hit" (1, 1) (misses, hits)
 
+(* The bound is part of the relation key: one cache serves an unbounded
+   and a bounded caller, in either order, exactly as separate uncached
+   runs would. *)
+let test_cache_keyed_by_max_rows () =
+  let q =
+    parse
+      "SELECT a.name, m.name FROM actor a JOIN starring s ON a.aid = s.aid \
+       JOIN movies m ON s.mid = m.mid"
+  in
+  let verdict r = Result.map (fun r -> List.length r.Executor.res_rows) r in
+  let uncached max_rows = verdict (Executor.run ?max_rows db q) in
+  Alcotest.(check (result int string)) "uncached, unbounded" (Ok 7) (uncached None);
+  Alcotest.(check (result int string)) "uncached, bounded"
+    (Error "joined relation exceeds 2 rows") (uncached (Some 2));
+  List.iter
+    (fun order ->
+      let cache = Executor.create_cache () in
+      List.iter
+        (fun max_rows ->
+          Alcotest.(check (result int string))
+            (Printf.sprintf "cached, bound %s"
+               (Option.fold ~none:"none" ~some:string_of_int max_rows))
+            (uncached max_rows)
+            (verdict (Executor.run ~cache ?max_rows db q)))
+        order)
+    [ [ None; Some 2 ]; [ Some 2; None ] ]
+
 let test_join_index_shared_and_stale () =
   let db = Fixtures.movie_db () in
   let cache = Executor.create_cache () in
@@ -260,7 +287,26 @@ let test_join_index_shared_and_stale () =
     rows;
   Alcotest.check Fixtures.rows_testable "cached = uncached"
     (Executor.run_exn db grown).Executor.res_rows rows;
-  Alcotest.(check bool) "reference agrees" true (reference_agrees db grown)
+  Alcotest.(check bool) "reference agrees" true (reference_agrees db grown);
+  (* the same query as before the append: its cached relation is stamped
+     with starring's old row count, so it is rebuilt *)
+  let same = q "female" "" in
+  Alcotest.check Fixtures.rows_testable "same query re-run sees the appended row"
+    (Executor.run_exn db same).Executor.res_rows
+    (Executor.run_exn ~cache db same).Executor.res_rows;
+  Alcotest.(check int) "re-run gets 3 rows" 3
+    (List.length (Executor.run_exn ~cache db same).Executor.res_rows);
+  (* a row-bound error is stamped too: one more row for Meryl Streep
+     lifts the bounded join past 3 rows after the append *)
+  let bounded = q "female" "" in
+  Alcotest.(check (result int string)) "bounded run before the append" (Ok 3)
+    (Result.map (fun r -> List.length r.Executor.res_rows)
+       (Executor.run ~cache ~max_rows:3 db bounded));
+  Duodb.Database.insert db ~table:"starring" Fixtures.[| i 108; i 4; i 11 |];
+  Alcotest.(check (result int string)) "bounded run after the append"
+    (Error "joined relation exceeds 3 rows")
+    (Result.map (fun r -> List.length r.Executor.res_rows)
+       (Executor.run ~cache ~max_rows:3 db bounded))
 
 (* --- differential corpus: generated Spider-like gold queries --- *)
 
@@ -322,6 +368,8 @@ let suite =
     Alcotest.test_case "NULL join keys never match" `Quick test_null_join_keys;
     Alcotest.test_case "max_rows overflow: same error, cached" `Quick
       test_max_rows_overflow;
+    Alcotest.test_case "cache keyed by max_rows, either order" `Quick
+      test_cache_keyed_by_max_rows;
     Alcotest.test_case "join index shared, rebuilt when stale" `Quick
       test_join_index_shared_and_stale;
     Alcotest.test_case "differential: generated corpus" `Slow differential_corpus;
