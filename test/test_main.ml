@@ -30,7 +30,7 @@ let () =
       ("refinement", Test_refine.suite);
       ("mas workload", Test_mas.suite);
       ("duoserve", Test_serve.suite);
-      ("session relation cache", Test_session.suite);
+      ("relation cache", Test_session.suite);
       ("duocheck", Test_check.suite);
       ("user simulation", Test_usersim.suite);
     ]
