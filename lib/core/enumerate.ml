@@ -978,9 +978,7 @@ let step ?max_pops s =
                      (fun () -> judge s.st_envs.(0) config children)
                  in
                  List.iter
-                   (fun ((child : Partial.t), ok) ->
-                     if over_time () then raise Budget_exhausted;
-                     if ok then push_fresh s child)
+                   (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
                    verdicts
              | Some pool ->
                  let r =
@@ -1018,9 +1016,7 @@ let step ?max_pops s =
                  s.st_expand_s <- s.st_expand_s +. r.tr_expand_s;
                  s.st_verify_s <- s.st_verify_s +. r.tr_verify_s;
                  List.iter
-                   (fun ((child : Partial.t), ok) ->
-                     if over_time () then raise Budget_exhausted;
-                     if ok then push_fresh s child)
+                   (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
                    r.tr_children;
                  (* committed: the record's memo ownership ends here *)
                  Option.iter (fun ar -> arena_recycle ar r) s.st_arena)

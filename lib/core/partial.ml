@@ -218,17 +218,16 @@ let key t =
     | None -> "")
     (to_string t)
 
-(* Whether the decided predicate list and connective can still change.
-   Mirrors [Verify.where_done]; duplicated because the dependency runs
-   the other way. *)
-let rec where_settled = function
-  | P_joinpath inner -> where_settled inner
-  | P_keywords | P_num_proj | P_proj_target _ | P_proj_agg _ | P_where_num
-  | P_where_col _ | P_where_op _ | P_where_conn ->
-      false
-  | P_group_col | P_having_presence | P_having_pred | P_order_target
-  | P_order_dir | P_limit | P_done ->
-      true
+let rec progress = function
+  | P_joinpath inner -> progress inner
+  | P_keywords -> 0
+  | P_num_proj | P_proj_target _ | P_proj_agg _ -> 1
+  | P_where_num | P_where_col _ | P_where_op _ | P_where_conn -> 2
+  | P_group_col -> 3
+  | P_having_presence | P_having_pred -> 4
+  | P_order_target | P_order_dir -> 5
+  | P_limit -> 6
+  | P_done -> 7
 
 let canonical_key t =
   (* Interval-folding the conjuncts is only meaning-preserving when the
@@ -239,7 +238,7 @@ let canonical_key t =
   let fold_ok =
     match t.where_preds with
     | [] | [ _ ] -> true
-    | _ :: _ :: _ -> where_settled t.phase && t.conn = And
+    | _ :: _ :: _ -> progress t.phase > 2 && t.conn = And
   in
   let where_preds =
     if fold_ok then Duolint.Duosem.canonical_conjuncts t.where_preds

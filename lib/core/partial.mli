@@ -89,6 +89,12 @@ val used_literals : t -> Duodb.Value.t list
 (** Render the partial query for display, with [?] placeholders. *)
 val to_string : t -> string
 
+(** Which clause the phase is deciding, in decision order: 0 keywords,
+    1 SELECT, 2 WHERE, 3 GROUP BY, 4 HAVING, 5 ORDER BY, 6 LIMIT, 7
+    done.  A join-path phase has the progress of the phase it wraps, so
+    [progress p > k] means clause [k] can no longer change. *)
+val progress : phase -> int
+
 (** Canonical identity of a state's decided content (phase, decisions and
     join path; not confidence).  States produced by different join-fork
     orders can coincide.  This printed key is the specification of state

@@ -180,9 +180,36 @@ let relcache_counters c : relcache_counters =
   let ji_builds, ji_hits = Duoengine.Executor.join_index_stats c in
   (hits, pushdowns, ji_builds, ji_hits)
 
+(* Column-probe cache key of an example cell. *)
+let cell_key = function
+  | Tsq.Any -> "_"
+  | Tsq.Exact v -> "=" ^ Value.to_sql v
+  | Tsq.Range (lo, hi) -> "[" ^ Value.to_sql lo ^ "," ^ Value.to_sql hi ^ "]"
+
+(* The sketch's example tuples compiled once per env: every cell paired
+   with its column-probe cache key, plus the required support, so the
+   column stage neither converts lists nor prints keys per child. *)
+type sketch = {
+  sk_tuples : (Tsq.cell * string) array array;
+  sk_support : int;
+}
+
+let compile_sketch = function
+  | None -> { sk_tuples = [||]; sk_support = 0 }
+  | Some tsq ->
+      {
+        sk_tuples =
+          Array.of_list
+            (List.map
+               (fun tuple -> Array.of_list (List.map (fun c -> (c, cell_key c)) tuple))
+               tsq.Tsq.tuples);
+        sk_support = Tsq.required_support tsq;
+      }
+
 type env = {
   e_db : Duodb.Database.t;
   e_tsq : Tsq.t option;
+  e_sketch : sketch;  (* [e_tsq] compiled; shared by forks *)
   e_literals : Value.t list;
   e_semantics : bool;
   e_static : bool;
@@ -222,6 +249,7 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
   {
     e_db = db;
     e_tsq = tsq;
+    e_sketch = compile_sketch tsq;
     e_literals = literals;
     e_semantics = semantics;
     e_static = static;
@@ -285,78 +313,13 @@ let relcache_delta env into =
 
 (* --- phase predicates --- *)
 
-(* A state deciding its join path carries the progress of the wrapped
-   phase. *)
-let rec effective_phase = function
-  | Partial.P_joinpath inner -> effective_phase inner
-  | ( Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-    | Partial.P_proj_agg _ | Partial.P_where_num | Partial.P_where_col _
-    | Partial.P_where_op _ | Partial.P_where_conn | Partial.P_group_col
-    | Partial.P_having_presence | Partial.P_having_pred
-    | Partial.P_order_target | Partial.P_order_dir | Partial.P_limit
-    | Partial.P_done ) as p ->
-      p
-
-let kw_decided (t : Partial.t) =
-  effective_phase t.Partial.phase <> Partial.P_keywords
-
-let select_done (t : Partial.t) =
-  match effective_phase t.Partial.phase with
-  | Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-  | Partial.P_proj_agg _ ->
-      false
-  | Partial.P_where_num | Partial.P_where_col _ | Partial.P_where_op _
-  | Partial.P_where_conn | Partial.P_group_col | Partial.P_having_presence
-  | Partial.P_having_pred | Partial.P_order_target | Partial.P_order_dir
-  | Partial.P_limit | Partial.P_done ->
-      true
-  | Partial.P_joinpath _ -> assert false (* effective_phase unwraps *)
-
-let where_done (t : Partial.t) =
-  match effective_phase t.Partial.phase with
-  | Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-  | Partial.P_proj_agg _ | Partial.P_where_num | Partial.P_where_col _
-  | Partial.P_where_op _ | Partial.P_where_conn ->
-      false
-  | Partial.P_group_col | Partial.P_having_presence | Partial.P_having_pred
-  | Partial.P_order_target | Partial.P_order_dir | Partial.P_limit
-  | Partial.P_done ->
-      true
-  | Partial.P_joinpath _ -> assert false
-
-let group_decided (t : Partial.t) =
-  match effective_phase t.Partial.phase with
-  | Partial.P_having_presence | Partial.P_having_pred | Partial.P_order_target
-  | Partial.P_order_dir | Partial.P_limit | Partial.P_done ->
-      true
-  | Partial.P_joinpath _ -> assert false
-  | Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-  | Partial.P_proj_agg _ | Partial.P_where_num | Partial.P_where_col _
-  | Partial.P_where_op _ | Partial.P_where_conn | Partial.P_group_col ->
-      false
-
-let having_done (t : Partial.t) =
-  match effective_phase t.Partial.phase with
-  | Partial.P_order_target | Partial.P_order_dir | Partial.P_limit
-  | Partial.P_done ->
-      true
-  | Partial.P_joinpath _ -> assert false
-  | Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-  | Partial.P_proj_agg _ | Partial.P_where_num | Partial.P_where_col _
-  | Partial.P_where_op _ | Partial.P_where_conn | Partial.P_group_col
-  | Partial.P_having_presence | Partial.P_having_pred ->
-      false
-
-let order_done (t : Partial.t) =
-  match effective_phase t.Partial.phase with
-  | Partial.P_limit | Partial.P_done -> true
-  | Partial.P_joinpath _ -> assert false
-  | Partial.P_keywords | Partial.P_num_proj | Partial.P_proj_target _
-  | Partial.P_proj_agg _ | Partial.P_where_num | Partial.P_where_col _
-  | Partial.P_where_op _ | Partial.P_where_conn | Partial.P_group_col
-  | Partial.P_having_presence | Partial.P_having_pred
-  | Partial.P_order_target | Partial.P_order_dir ->
-      false
+let past k (t : Partial.t) = Partial.progress t.Partial.phase > k
+let kw_decided = past 0
+let select_done = past 1
+let where_done = past 2
+let group_decided = past 3
+let having_done = past 4
+let order_done = past 5
 
 (* --- stage 1: clause presence (Example 3.3) --- *)
 
@@ -435,22 +398,6 @@ let verify_static env (t : Partial.t) =
   (not env.e_static)
   || not (Duolint.Analyze.has_errors_p env.e_lint (outline_of_partial t))
 
-(* Frontier-side entry point: lets the enumerator reject statically dead
-   children before they are ever pushed, with time and prunes attributed
-   to stage 0. *)
-let check_static env (t : Partial.t) =
-  Atomic.incr verify_calls;
-  let s = env.e_stats in
-  let t0 = Clock.mono () in
-  let ok = verify_static env t in
-  let i = stage_index S_static in
-  s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-  if not ok then begin
-    s.pruned_by_static <- s.pruned_by_static + 1;
-    s.pruned <- s.pruned + 1
-  end;
-  ok
-
 (* Warning count for the enumerator's deprioritization: warnings never
    prune, they only push suspicious states down the frontier. *)
 let static_warnings env (t : Partial.t) =
@@ -504,18 +451,15 @@ let outline_for_cardinality env (t : Partial.t) =
   else o
 
 let verify_cardinality env (t : Partial.t) =
-  match env.e_tsq with
+  let support = env.e_sketch.sk_support in
+  support <= 0
+  ||
+  match
+    (Duolint.Duosem.bound env.e_sem (outline_for_cardinality env t))
+      .Duolint.Duosem.c_hi
+  with
   | None -> true
-  | Some tsq -> (
-      let support = Tsq.required_support tsq in
-      support <= 0
-      ||
-      match
-        (Duolint.Duosem.bound env.e_sem (outline_for_cardinality env t))
-          .Duolint.Duosem.c_hi
-      with
-      | None -> true
-      | Some hi -> hi >= support)
+  | Some hi -> hi >= support
 
 let verify_semantics env (t : Partial.t) =
   env.e_semantics = false
@@ -586,16 +530,11 @@ let verify_column_types env (t : Partial.t) =
 
 (* --- stage 4: column-wise probes (Example 3.5) --- *)
 
-let cell_key = function
-  | Tsq.Any -> "_"
-  | Tsq.Exact v -> "=" ^ Value.to_sql v
-  | Tsq.Range (lo, hi) -> "[" ^ Value.to_sql lo ^ "," ^ Value.to_sql hi ^ "]"
-
 (* Existence probe: SELECT 1 FROM table WHERE col <cell> LIMIT 1.  Exact
    text cells on text columns are answered from the inverted index when it
    is definitive; everything else falls back to a direct column scan. *)
-let column_probe env (c : Duodb.Schema.column) cell =
-  let key = (c.Duodb.Schema.col_table, c.Duodb.Schema.col_name, cell_key cell) in
+let column_probe env (c : Duodb.Schema.column) cell ckey =
+  let key = (c.Duodb.Schema.col_table, c.Duodb.Schema.col_name, ckey) in
   match Hashtbl.find_opt env.e_cache key with
   | Some r -> r
   | None ->
@@ -640,62 +579,55 @@ let cell_interval = function
 let ranges_intersect (a_lo, a_hi) (b_lo, b_hi) =
   Value.compare a_lo b_hi <= 0 && Value.compare b_lo a_hi <= 0
 
+(* One example cell against one projection slot; only decided plain,
+   MIN and MAX slots probe, AVG checks the column's range. *)
+let slot_ok env (s : Partial.proj_slot) (cell, ckey) =
+  match cell, s.Partial.pj_target, s.Partial.pj_agg with
+  | Tsq.Any, _, _ -> true
+  | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_count_star, _ -> true
+  | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_column _, None -> true
+  | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_column _, Some (Some (Count | Sum))
+    ->
+      true (* no conclusion for partial queries *)
+  | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_column c, Some (Some Avg) -> (
+      (* AVG lies within the column's min-max range. *)
+      let rkey = (c.Duodb.Schema.col_table, c.Duodb.Schema.col_name) in
+      let range =
+        match Hashtbl.find_opt env.e_range_cache rkey with
+        | Some r -> r
+        | None ->
+            env.e_stats.column_probes <- env.e_stats.column_probes + 1;
+            let tbl = Duodb.Database.table_exn env.e_db c.Duodb.Schema.col_table in
+            let r = Duodb.Table.column_range tbl c.Duodb.Schema.col_name in
+            Hashtbl.replace env.e_range_cache rkey r;
+            r
+      in
+      match range, cell_interval cell with
+      | Some r1, Some r2 -> ranges_intersect r1 r2
+      | None, _ | _, None -> false)
+  | ( (Tsq.Exact _ | Tsq.Range _),
+      Duoguide.Model.Target_column c,
+      Some (Some (Min | Max) | None) ) ->
+      column_probe env c cell ckey
+
+(* Slots past the tuple's width are unconstrained; the first failing slot
+   ends the tuple's probes. *)
+let rec tuple_ok env cells i = function
+  | [] -> true
+  | _ :: _ when i >= Array.length cells -> true
+  | s :: rest -> slot_ok env s cells.(i) && tuple_ok env cells (i + 1) rest
+
+(* Every tuple is checked (no early exit across tuples), so the probes
+   run — and [column_probes] counts — do not depend on the support. *)
 let verify_by_column env (t : Partial.t) =
-  let tuples =
-    match env.e_tsq with None -> [] | Some tsq -> tsq.Tsq.tuples
-  in
-  let support =
-    match env.e_tsq with None -> 0 | Some tsq -> Tsq.required_support tsq
-  in
-  tuples = []
-  || support
-     <= List.length
-          (List.filter
-             (fun tuple ->
-         let cells = Array.of_list tuple in
-         List.for_all
-           (fun (i, slot) ->
-             if i >= Array.length cells then true
-             else
-               let cell = cells.(i) in
-               match cell, slot.Partial.pj_target, slot.Partial.pj_agg with
-               | Tsq.Any, _, _ -> true
-               | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_count_star, _
-                 ->
-                   true
-               | (Tsq.Exact _ | Tsq.Range _), Duoguide.Model.Target_column _, None
-                 ->
-                   true
-               | ( (Tsq.Exact _ | Tsq.Range _),
-                   Duoguide.Model.Target_column _,
-                   Some (Some (Count | Sum)) ) ->
-                   true (* no conclusion for partial queries *)
-               | ( (Tsq.Exact _ | Tsq.Range _),
-                   Duoguide.Model.Target_column c,
-                   Some (Some Avg) ) -> (
-                   (* AVG lies within the column's min-max range. *)
-                   let rkey = (c.Duodb.Schema.col_table, c.Duodb.Schema.col_name) in
-                   let range =
-                     match Hashtbl.find_opt env.e_range_cache rkey with
-                     | Some r -> r
-                     | None ->
-                         env.e_stats.column_probes <- env.e_stats.column_probes + 1;
-                         let tbl =
-                           Duodb.Database.table_exn env.e_db c.Duodb.Schema.col_table
-                         in
-                         let r = Duodb.Table.column_range tbl c.Duodb.Schema.col_name in
-                         Hashtbl.replace env.e_range_cache rkey r;
-                         r
-                   in
-                   match range, cell_interval cell with
-                   | Some r1, Some r2 -> ranges_intersect r1 r2
-                   | None, _ | _, None -> false)
-               | ( (Tsq.Exact _ | Tsq.Range _),
-                   Duoguide.Model.Target_column c,
-                   Some (Some (Min | Max) | None) ) ->
-                   column_probe env c cell)
-           (List.mapi (fun i s -> (i, s)) t.Partial.projs))
-             tuples)
+  let sk = env.e_sketch in
+  Array.length sk.sk_tuples = 0
+  ||
+  let held = ref 0 in
+  for k = 0 to Array.length sk.sk_tuples - 1 do
+    if tuple_ok env sk.sk_tuples.(k) 0 t.Partial.projs then incr held
+  done;
+  sk.sk_support <= !held
 
 (* --- stage 5: row-wise probes (Example 3.6) --- *)
 
@@ -721,10 +653,7 @@ type row_plan = {
 }
 
 let row_probe_plan env (t : Partial.t) : row_plan option =
-  let tuples =
-    match env.e_tsq with None -> [] | Some tsq -> tsq.Tsq.tuples
-  in
-  if tuples = [] then None
+  if Array.length env.e_sketch.sk_tuples = 0 then None
   else if Partial.is_complete t then None
     (* complete states go through the full Definition 2.4 check instead *)
   else if not (can_check_rows t) then None
@@ -806,7 +735,7 @@ let row_probe_plan env (t : Partial.t) : row_plan option =
    uses, so partial-query and complete-query semantics cannot drift. *)
 let row_matcher env plan =
   let tsq = Option.value env.e_tsq ~default:Tsq.empty in
-  Tsq.matcher ~support:(Tsq.required_support tsq) plan.rp_positions tsq.Tsq.tuples
+  Tsq.matcher ~support:env.e_sketch.sk_support plan.rp_positions tsq.Tsq.tuples
 
 let count_early_stop env =
   env.e_stats.early_stops <- env.e_stats.early_stops + 1
@@ -873,57 +802,149 @@ let bump_pruned s = function
   | S_row -> s.pruned_by_row <- s.pruned_by_row + 1
   | S_complete -> s.pruned_by_complete <- s.pruned_by_complete + 1
 
-let verify env (t : Partial.t) =
-  Atomic.incr verify_calls;
+(* --- the stage-major cascade --- *)
+
+(* One stage over a sibling set: [pass env children alive fail] calls
+   [fail i] for each live child [i] the stage rejects, and never looks
+   at a dead one. *)
+type pass = env -> Partial.t array -> bool array -> (int -> unit) -> unit
+
+let per_child check : pass =
+ fun env children alive fail ->
+  for i = 0 to Array.length children - 1 do
+    if alive.(i) && not (check env children.(i)) then fail i
+  done
+
+let verify_complete_state env (t : Partial.t) =
+  (not (Partial.is_complete t))
+  || match Partial.to_query t with Some q -> verify_complete env q | None -> true
+
+(* Batched row stage: plan every survivor's probe, then run the uncached
+   plans (deduplicated by key) through one {!Duoengine.Executor.run_batch}
+   call, so candidates scanning the same base table share one scan.  The
+   plan array and the pending table exist only when some survivor has a
+   plan. *)
+let row_batch : pass =
+ fun env children alive fail ->
   let s = env.e_stats in
-  let stage st check =
-    let i = stage_index st in
-    (* stage_seconds is a profiling accumulator, not a budget: it uses
-       the cheap monotonic clock so sub-microsecond stages measure the
-       stage and not the clock (see {!Clock}). *)
-    let t0 = Clock.mono () in
-    let ok = check env t in
-    s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-    ok
-    || begin
-         bump_pruned s st;
-         false
-       end
-  in
-  let ok =
-    stage S_static verify_static
-    && stage S_clauses verify_clauses
-    && stage S_cardinality verify_cardinality
-    && stage S_semantics verify_semantics
-    && stage S_types verify_column_types
-    && stage S_column verify_by_column
-    && stage S_row verify_by_row
-    &&
-    match Partial.to_query t with
-    | Some q when Partial.is_complete t ->
-        let i = stage_index S_complete in
+  let n = Array.length children in
+  let plans = ref [||] in
+  for i = 0 to n - 1 do
+    if alive.(i) then
+      match row_probe_plan env children.(i) with
+      | None -> ()
+      | Some _ as p ->
+          if Array.length !plans = 0 then plans := Array.make n None;
+          !plans.(i) <- p
+  done;
+  let plans = !plans in
+  if Array.length plans > 0 then begin
+    let pending : (string, row_plan) Hashtbl.t = Hashtbl.create 8 in
+    Array.iter
+      (function
+        | Some p
+          when (not (Hashtbl.mem env.e_row_cache p.rp_key))
+               && not (Hashtbl.mem pending p.rp_key) ->
+            Hashtbl.add pending p.rp_key p
+        | Some _ | None -> ())
+      plans;
+    let todo = Array.of_list (Hashtbl.fold (fun _ p acc -> p :: acc) pending []) in
+    if Array.length todo > 0 then begin
+      s.batch_rounds <- s.batch_rounds + 1;
+      let matchers = Array.map (row_matcher env) todo in
+      let results, report =
+        Duoengine.Executor.run_batch ~cache:env.e_relcache
+          ~max_rows:verification_max_rows env.e_db
+          (Array.mapi (fun k p -> (p.rp_probe, Tsq.feed matchers.(k))) todo)
+      in
+      s.batched_probes <- s.batched_probes + report.Duoengine.Executor.br_shared;
+      Array.iteri
+        (fun k p ->
+          s.row_probes <- s.row_probes + 1;
+          Hashtbl.replace env.e_row_cache p.rp_key
+            (row_verdict env matchers.(k) results.(k)))
+        todo;
+      relcache_delta env s
+    end;
+    (* every plan is a cache hit after the batch *)
+    Array.iteri
+      (fun i -> function
+        | Some p -> if not (run_row_probe env p) then fail i
+        | None -> ())
+      plans
+  end
+
+(* Run [stages] in order over a sibling set, each stage over all live
+   children before the next starts, and return the verdicts.  Every stage
+   is a pure function of the child plus deterministic caches, so the
+   verdicts, prune attribution and probe counts are those of running the
+   stages child by child; only [stage_seconds] changes grain, to one
+   clock pair per stage pass.  A pass with no live child is skipped. *)
+let cascade stages env children =
+  let n = Array.length children in
+  ignore (Atomic.fetch_and_add verify_calls n);
+  let s = env.e_stats in
+  let alive = Array.make n true in
+  let live = ref n in
+  List.iter
+    (fun (st, (pass : pass)) ->
+      if !live > 0 then begin
+        let fail i =
+          bump_pruned s st;
+          s.pruned <- s.pruned + 1;
+          alive.(i) <- false;
+          decr live
+        in
+        let k = stage_index st in
         let t0 = Clock.mono () in
-        let ok = verify_complete env q in
-        s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-        ok
-        || begin
-             bump_pruned s S_complete;
-             false
-           end
-    | Some _ | None -> true
-  in
-  if not ok then s.pruned <- s.pruned + 1;
-  ok
+        pass env children alive fail;
+        s.stage_seconds.(k) <- s.stage_seconds.(k) +. (Clock.mono () -. t0)
+      end)
+    stages;
+  alive
+
+let static_stage = (S_static, per_child verify_static)
+let clauses_stage = (S_clauses, per_child verify_clauses)
+let cardinality_stage = (S_cardinality, per_child verify_cardinality)
+let column_stage = (S_column, per_child verify_by_column)
+let row_stage = (S_row, per_child verify_by_row)
+let complete_stage = (S_complete, per_child verify_complete_state)
+
+let early_stages =
+  [ static_stage; clauses_stage; cardinality_stage;
+    (S_semantics, per_child verify_semantics);
+    (S_types, per_child verify_column_types); column_stage ]
+
+let verify_stages = early_stages @ [ row_stage; complete_stage ]
+let batch_stages = early_stages @ [ (S_row, row_batch); complete_stage ]
+
+let verify env (t : Partial.t) = (cascade verify_stages env [| t |]).(0)
+
+(* Frontier-side entry point: lets the enumerator reject statically dead
+   children before they are ever pushed, with time and prunes attributed
+   to stage 0. *)
+let check_static env (t : Partial.t) = (cascade [ static_stage ] env [| t |]).(0)
+
+(* Batched cascade over a sibling set (the children of one expansion):
+   the verdicts and counters of {!verify} on each child in order, except
+   that the uncached row probes run as one batch. *)
+let verify_batch env (children : Partial.t list) =
+  let alive = cascade batch_stages env (Array.of_list children) in
+  List.mapi (fun i t -> (t, alive.(i))) children
 
 (* --- incremental refinement (Enumerate.rebase) --- *)
 
 (* Point the environment at a tightened sketch.  The column-probe and
    range caches memoize pure facts about the database ("does this cell
    occur in this column") that no sketch edit can change, so they carry
-   over; the row-probe cache memoizes *match verdicts* against the
-   sketch's tuples and support threshold, so it must start empty. *)
+   over; the compiled sketch is rebuilt, and the row-probe cache memoizes
+   *match verdicts* against the sketch's tuples and support threshold, so
+   it must start empty. *)
 let retarget env ~tsq =
-  { env with e_tsq = Some tsq; e_row_cache = Hashtbl.create 256 }
+  { env with
+    e_tsq = Some tsq;
+    e_sketch = compile_sketch (Some tsq);
+    e_row_cache = Hashtbl.create 256 }
 
 (* Re-verification of a state that already survived the full cascade
    under the pre-refinement sketch.  Under a [Tsq.Tightening] edit the
@@ -934,41 +955,10 @@ let retarget env ~tsq =
    the support threshold: [S_clauses], [S_cardinality] (the required
    tuple count only grows under a tightening), [S_column], [S_row], and
    the full Definition 2.4 check on complete states. *)
-let reverify env (t : Partial.t) =
-  Atomic.incr verify_calls;
-  let s = env.e_stats in
-  let stage st check =
-    let i = stage_index st in
-    let t0 = Clock.mono () in
-    let ok = check env t in
-    s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-    ok
-    || begin
-         bump_pruned s st;
-         false
-       end
-  in
-  let ok =
-    stage S_clauses verify_clauses
-    && stage S_cardinality verify_cardinality
-    && stage S_column verify_by_column
-    && stage S_row verify_by_row
-    &&
-    match Partial.to_query t with
-    | Some q when Partial.is_complete t ->
-        let i = stage_index S_complete in
-        let t0 = Clock.mono () in
-        let ok = verify_complete env q in
-        s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-        ok
-        || begin
-             bump_pruned s S_complete;
-             false
-           end
-    | Some _ | None -> true
-  in
-  if not ok then s.pruned <- s.pruned + 1;
-  ok
+let reverify_stages =
+  [ clauses_stage; cardinality_stage; column_stage; row_stage; complete_stage ]
+
+let reverify env (t : Partial.t) = (cascade reverify_stages env [| t |]).(0)
 
 (* Re-check an already-emitted candidate (a complete query) under the
    retargeted sketch; counted and timed like a complete-stage prune. *)
@@ -984,111 +974,3 @@ let reverify_query env q =
     s.pruned <- s.pruned + 1
   end;
   ok
-
-(* Batched cascade over a sibling set (the children of one expansion).
-   Verdicts, prune counters and probe counts are exactly what running
-   {!verify} on each child in order would produce — the batching only
-   changes *how* the uncached row probes execute: their plans are
-   collected across the surviving children, deduplicated against the
-   row-probe cache, and executed through one
-   {!Duoengine.Executor.run_batch} call, so candidates scanning the same
-   base table share a single scan. *)
-let verify_batch env (children : Partial.t list) =
-  let s = env.e_stats in
-  let arr = Array.of_list children in
-  let n = Array.length arr in
-  let alive = Array.make n true in
-  let fail i st =
-    bump_pruned s st;
-    s.pruned <- s.pruned + 1;
-    alive.(i) <- false
-  in
-  let timed_stage st check t =
-    let k = stage_index st in
-    let t0 = Clock.mono () in
-    let ok = check env t in
-    s.stage_seconds.(k) <- s.stage_seconds.(k) +. (Clock.mono () -. t0);
-    ok
-  in
-  (* Stages 0-4 are pure or probe-cached per candidate; run them with the
-     usual early exit. *)
-  let early =
-    [ (S_static, verify_static);
-      (S_clauses, verify_clauses);
-      (S_cardinality, verify_cardinality);
-      (S_semantics, verify_semantics);
-      (S_types, verify_column_types);
-      (S_column, verify_by_column) ]
-  in
-  Array.iteri
-    (fun i t ->
-      Atomic.incr verify_calls;
-      let rec go = function
-        | [] -> ()
-        | (st, check) :: rest ->
-            if timed_stage st check t then go rest else fail i st
-      in
-      go early)
-    arr;
-  (* Row stage: plan every survivor's probe, then run the uncached plans
-     (deduplicated by key) as one batch. *)
-  let t0 = Clock.mono () in
-  let plans = Array.make n None in
-  Array.iteri
-    (fun i t -> if alive.(i) then plans.(i) <- row_probe_plan env t)
-    arr;
-  let pending : (string, row_plan) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun p ->
-      match p with
-      | Some p
-        when (not (Hashtbl.mem env.e_row_cache p.rp_key))
-             && not (Hashtbl.mem pending p.rp_key) ->
-          Hashtbl.add pending p.rp_key p
-      | Some _ | None -> ())
-    plans;
-  let todo =
-    Array.of_list (Hashtbl.fold (fun _ p acc -> p :: acc) pending [])
-  in
-  if Array.length todo > 0 then begin
-    s.batch_rounds <- s.batch_rounds + 1;
-    let matchers = Array.map (row_matcher env) todo in
-    let results, report =
-      Duoengine.Executor.run_batch ~cache:env.e_relcache
-        ~max_rows:verification_max_rows env.e_db
-        (Array.mapi (fun k p -> (p.rp_probe, Tsq.feed matchers.(k))) todo)
-    in
-    s.batched_probes <- s.batched_probes + report.Duoengine.Executor.br_shared;
-    Array.iteri
-      (fun k p ->
-        s.row_probes <- s.row_probes + 1;
-        Hashtbl.replace env.e_row_cache p.rp_key (row_verdict env matchers.(k) results.(k)))
-      todo;
-    relcache_delta env env.e_stats
-  end;
-  Array.iteri
-    (fun i _ ->
-      if alive.(i) then
-        let ok =
-          match plans.(i) with
-          | None -> true
-          | Some p -> run_row_probe env p (* cache hit after the batch *)
-        in
-        if not ok then fail i S_row)
-    arr;
-  let k = stage_index S_row in
-  s.stage_seconds.(k) <- s.stage_seconds.(k) +. (Clock.mono () -. t0);
-  (* Complete-query stage, per candidate as before. *)
-  Array.iteri
-    (fun i t ->
-      if alive.(i) then
-        match Partial.to_query t with
-        | Some q when Partial.is_complete t ->
-            let kc = stage_index S_complete in
-            let tc = Clock.mono () in
-            let ok = verify_complete env q in
-            s.stage_seconds.(kc) <- s.stage_seconds.(kc) +. (Clock.mono () -. tc);
-            if not ok then fail i S_complete
-        | Some _ | None -> ())
-    arr;
-  Array.to_list (Array.mapi (fun i t -> (t, alive.(i))) arr)

@@ -93,7 +93,9 @@ type stats = {
           output because every example tuple already held enough
           matching rows *)
   mutable stage_seconds : float array;
-      (** processor time per cascade stage, indexed by {!stage_index} *)
+      (** monotonic wall time per cascade stage, indexed by
+          {!stage_index}: the sum of the stage's passes, one clock pair
+          per stage per sibling set ({!verify_batch}) or per call *)
 }
 
 val new_stats : unit -> stats
@@ -118,8 +120,9 @@ val pruned_by : stats -> stage -> int
     relation cache's numbers ({!relcache_delta}). *)
 val merge_stats : into:stats -> stats -> unit
 
-(** Process-wide count of cascade invocations ({!verify} +
-    {!check_static}) across all domains and runs — the one globally
+(** Process-wide count of cascade invocations (one per child through
+    {!verify}, {!verify_batch}, {!check_static}, {!reverify} and
+    {!reverify_query}) across all domains and runs — the one globally
     shared counter, backed by an [Atomic].  Monotone; callers interested
     in a single run take a delta. *)
 val total_verifies : unit -> int
@@ -159,7 +162,8 @@ val relcache_delta : env -> stats -> unit
 
 (** [fork_env env] builds a per-domain clone for Duopar workers: the
     database, TSQ, literals and the (forced) inverted index are shared —
-    all immutable during synthesis — while every mutable part (probe
+    all immutable during synthesis, as is the compiled sketch — while
+    every mutable part (probe
     caches, relation cache, stats, Duolint prepared tables with their
     one-slot memos) is private to the clone.  Caches only memoize pure
     probe results, so which domain answers a probe can never change a
@@ -183,10 +187,13 @@ val verify : env -> Partial.t -> bool
 
 (** [verify_batch env children] runs the cascade over a sibling set (the
     children of one expansion) and returns each child with its verdict,
-    in order.  Verdicts, prune counters and probe counts are exactly
-    those of calling {!verify} on each child in sequence; the difference
-    is purely executional — the uncached row probes of the surviving
-    children are deduplicated and executed through one
+    in order.  It runs stage-major: each stage passes over every child
+    still alive before the next stage starts.  Every stage is a pure
+    function of the child plus deterministic caches, so verdicts, prune
+    counters and probe counts are exactly those of calling {!verify} on
+    each child in sequence; what differs is executional — one clock pair
+    per stage pass, and the uncached row probes of the surviving
+    children deduplicated and executed through one
     {!Duoengine.Executor.run_batch} call, so candidates probing the same
     base table share a single scan ([stats.batch_rounds] /
     [stats.batched_probes] report the activity). *)
@@ -238,7 +245,8 @@ val verify_complete : env -> Duosql.Ast.query -> bool
 
 (** [retarget env ~tsq] points the environment at a tightened sketch for
     {!Enumerate.rebase}.  The column-probe and range caches memoize pure
-    database facts and carry over; the row-probe cache memoizes match
+    database facts and carry over; the sketch's compiled example cells
+    and support are rebuilt, and the row-probe cache memoizes match
     verdicts against the sketch's tuples and is reset. *)
 val retarget : env -> tsq:Tsq.t -> env
 

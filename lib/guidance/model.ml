@@ -1,14 +1,180 @@
+type kw_set = {
+  kw_where : bool;
+  kw_group : bool;
+  kw_order : bool;
+}
+
+type col_target =
+  | Target_column of Duodb.Schema.column
+  | Target_count_star
+
+type op_shape =
+  | Shape_cmp of Duosql.Ast.cmp
+  | Shape_between
+
+(* Lexicon evidence read off the NLQ (see {!Hints}); the operator and
+   OR signals read every word, the rest the content words. *)
+type signals = {
+  sg_agg : float * float * float * float * float * float;
+  sg_op : float array;
+  sg_where : float;
+  sg_group : float;
+  sg_order : float;
+  sg_or : float;
+  sg_having : float;
+  sg_desc : float;
+  sg_limit : float;
+  sg_between : float;
+}
+
+let signals_of ~words ~all_words =
+  {
+    sg_agg = Hints.agg_signals words;
+    sg_op = Hints.op_signals all_words;
+    sg_where = Hints.where_signal words;
+    sg_group = Hints.group_signal words;
+    sg_order = Hints.order_signal words;
+    sg_or = Hints.or_signal all_words;
+    sg_having = Hints.having_signal words;
+    sg_desc = Hints.descending_signal words;
+    sg_limit = Hints.limit_signal words;
+    sg_between = Hints.count_matches words [ "between"; "within" ];
+  }
+
+let ty_index = function Duodb.Datatype.Text -> 0 | Duodb.Datatype.Number -> 1
+let all_types = [| Duodb.Datatype.Text; Duodb.Datatype.Number |]
+
+(* [aggregates] distributions by (column type, annotated output type) *)
+let agg_slot ty out =
+  (3 * ty_index ty) + match out with None -> 0 | Some o -> 1 + ty_index o
+
 type ctx = {
   c_schema : Duodb.Schema.t;
   c_nlq : Duonl.Nlq.t;
   c_temperature : float;
   c_words : string list;  (* stemmed content words *)
-  c_all_words : string list;  (* stemmed words incl. stopwords, for "or" etc. *)
   (* per-column raw evidence, precomputed once: expansion calls the column
      modules thousands of times per synthesis *)
   c_base_scores : (Duodb.Schema.column * float) list;
   c_where_scores : (Duodb.Schema.column * float) list;
+  (* the NLQ's lexicon evidence and the distributions of the modules
+     whose only other input is finite, likewise computed once *)
+  c_signals : signals;
+  c_keywords : (kw_set * float) list;
+  c_aggregates : (Duosql.Ast.agg option * float) list array;  (* by [agg_slot] *)
+  c_operators : (op_shape * float) list array;  (* by [ty_index] *)
+  c_num_predicates : (int * float) list;
+  c_connective : (Duosql.Ast.connective * float) list;
+  c_having_presence : (bool * float) list;
+  c_direction : (Duosql.Ast.dir * float) list;
 }
+
+(* --- KW module --- *)
+
+let keywords_dist ~temperature sg (nlq : Duonl.Nlq.t) =
+  let has_literals = nlq.Duonl.Nlq.literals <> [] in
+  let where_ev = sg.sg_where +. (if has_literals then 1.5 else 0.0) in
+  let group_ev =
+    sg.sg_group
+    +. (let _, c, s, a, _, _ = sg.sg_agg in
+        (* aggregate phrasing next to an entity word often implies grouping *)
+        0.4 *. (c +. s +. a))
+  in
+  let order_ev = sg.sg_order in
+  let base = 0.6 in
+  let score set =
+    (if set.kw_where then where_ev else base)
+    +. (if set.kw_group then group_ev else base)
+    +. if set.kw_order then order_ev else base
+  in
+  let all =
+    List.concat_map
+      (fun wh ->
+        List.concat_map
+          (fun gr ->
+            List.map
+              (fun ord -> { kw_where = wh; kw_group = gr; kw_order = ord })
+              [ false; true ])
+          [ false; true ])
+      [ false; true ]
+  in
+  Score.normalize ~temperature (List.map (fun s -> (s, score s)) all)
+
+(* --- AGG module --- *)
+
+let aggregates_dist ~temperature sg ty out =
+  let none, count, sum, avg, mx, mn = sg.sg_agg in
+  let cands =
+    match ty with
+    | Duodb.Datatype.Text -> [ (None, none +. 1.0); (Some Duosql.Ast.Count, count) ]
+    | Duodb.Datatype.Number ->
+        [
+          (None, none +. 0.6);
+          (Some Duosql.Ast.Count, count -. 0.3);
+          (Some Duosql.Ast.Sum, sum);
+          (Some Duosql.Ast.Avg, avg);
+          (Some Duosql.Ast.Min, mn);
+          (Some Duosql.Ast.Max, mx);
+        ]
+  in
+  (* TSQ-annotated output type for the slot: keep only aggregates whose
+     result type matches (COUNT/SUM/AVG produce numbers; MIN/MAX and the
+     identity keep the column's type). *)
+  let cands =
+    match out with
+    | None -> cands
+    | Some want ->
+        List.filter
+          (fun (agg, _) ->
+            let produced =
+              match agg with
+              | Some (Duosql.Ast.Count | Duosql.Ast.Sum | Duosql.Ast.Avg) ->
+                  Duodb.Datatype.Number
+              | Some (Duosql.Ast.Min | Duosql.Ast.Max) | None -> ty
+            in
+            Duodb.Datatype.equal produced want)
+          cands
+  in
+  Score.normalize ~temperature cands
+
+(* --- OP module --- *)
+
+let operators_dist ~temperature sg nlq ty =
+  let s = sg.sg_op in
+  match ty with
+  | Duodb.Datatype.Text ->
+      Score.normalize ~temperature
+        [
+          (Shape_cmp Duosql.Ast.Eq, s.(0) +. 1.0);
+          (Shape_cmp Duosql.Ast.Neq, s.(1) -. 0.5);
+          (Shape_cmp Duosql.Ast.Like, s.(6) -. 0.3);
+          (Shape_cmp Duosql.Ast.Not_like, s.(7) -. 0.8);
+        ]
+  | Duodb.Datatype.Number ->
+      let between_ev =
+        if List.length (Duonl.Nlq.numeric_literals nlq) >= 2 then 0.4 +. sg.sg_between
+        else -2.0
+      in
+      Score.normalize ~temperature
+        [
+          (Shape_cmp Duosql.Ast.Eq, s.(0));
+          (Shape_cmp Duosql.Ast.Neq, s.(1) -. 0.5);
+          (Shape_cmp Duosql.Ast.Lt, s.(2));
+          (Shape_cmp Duosql.Ast.Le, s.(3) -. 0.3);
+          (Shape_cmp Duosql.Ast.Gt, s.(4));
+          (Shape_cmp Duosql.Ast.Ge, s.(5) -. 0.3);
+          (Shape_between, between_ev);
+        ]
+
+let num_predicates_dist ~temperature (nlq : Duonl.Nlq.t) =
+  let lit_count = List.length nlq.Duonl.Nlq.literals in
+  let cands =
+    List.init 3 (fun i ->
+        let n = i + 1 in
+        let s = if n <= lit_count then 1.0 else -0.5 -. float_of_int (n - lit_count) in
+        (n, s +. if n = 1 then 0.3 else 0.0))
+  in
+  Score.normalize ~temperature cands
 
 let make ?(temperature = 1.0) ?index schema nlq =
   (* Re-ground literals when an index is supplied and the NLQ lacks
@@ -76,66 +242,39 @@ let make ?(temperature = 1.0) ?index schema nlq =
     base_score col +. ground_bonus +. numeric_bonus
   in
   let all_cols = Duodb.Schema.all_columns schema in
+  (* stemmed words incl. stopwords, for "or" etc. *)
+  let all_words = Duonl.Token.words nlq.Duonl.Nlq.tokens in
+  let sg = signals_of ~words:c_words ~all_words in
+  let norm cands = Score.normalize ~temperature cands in
   {
     c_schema = schema;
     c_nlq = nlq;
     c_temperature = temperature;
     c_words;
-    c_all_words = Duonl.Token.words nlq.Duonl.Nlq.tokens;
     c_base_scores = List.map (fun c -> (c, base_score c)) all_cols;
     c_where_scores = List.map (fun c -> (c, where_score c)) all_cols;
+    c_signals = sg;
+    c_keywords = keywords_dist ~temperature sg nlq;
+    c_aggregates =
+      Array.init 6 (fun k ->
+          let out = if k mod 3 = 0 then None else Some all_types.((k mod 3) - 1) in
+          aggregates_dist ~temperature sg all_types.(k / 3) out);
+    c_operators = Array.map (operators_dist ~temperature sg nlq) all_types;
+    c_num_predicates = num_predicates_dist ~temperature nlq;
+    c_connective = norm [ (Duosql.Ast.And, 1.0); (Duosql.Ast.Or, sg.sg_or -. 0.3) ];
+    c_having_presence = norm [ (false, 1.0); (true, sg.sg_having -. 0.4) ];
+    c_direction = norm [ (Duosql.Ast.Asc, 0.6); (Duosql.Ast.Desc, sg.sg_desc) ];
   }
 
 let schema t = t.c_schema
 let nlq t = t.c_nlq
+let signals t = t.c_signals
 
 let norm t cands = Score.normalize ~temperature:t.c_temperature cands
 
-(* --- KW module --- *)
-
-type kw_set = {
-  kw_where : bool;
-  kw_group : bool;
-  kw_order : bool;
-}
-
-let keywords t =
-  let w = t.c_words in
-  let has_literals = t.c_nlq.Duonl.Nlq.literals <> [] in
-  let where_ev =
-    Hints.where_signal w +. (if has_literals then 1.5 else 0.0)
-  in
-  let group_ev =
-    Hints.group_signal w
-    +. (let _, c, s, a, _, _ = Hints.agg_signals w in
-        (* aggregate phrasing next to an entity word often implies grouping *)
-        0.4 *. (c +. s +. a))
-  in
-  let order_ev = Hints.order_signal w in
-  let base = 0.6 in
-  let score set =
-    (if set.kw_where then where_ev else base)
-    +. (if set.kw_group then group_ev else base)
-    +. if set.kw_order then order_ev else base
-  in
-  let all =
-    List.concat_map
-      (fun wh ->
-        List.concat_map
-          (fun gr ->
-            List.map
-              (fun ord -> { kw_where = wh; kw_group = gr; kw_order = ord })
-              [ false; true ])
-          [ false; true ])
-      [ false; true ]
-  in
-  norm t (List.map (fun s -> (s, score s)) all)
+let keywords t = t.c_keywords
 
 (* --- COL module --- *)
-
-type col_target =
-  | Target_column of Duodb.Schema.column
-  | Target_count_star
 
 let equal_column (a : Duodb.Schema.column) (b : Duodb.Schema.column) =
   String.equal a.Duodb.Schema.col_table b.Duodb.Schema.col_table
@@ -148,7 +287,7 @@ let equal_target a b =
   | Target_count_star, Target_column _ | Target_column _, Target_count_star -> false
 
 let projection_targets ?out t ~used =
-  let _, count_ev, _, _, _, _ = Hints.agg_signals t.c_words in
+  let _, count_ev, _, _, _, _ = t.c_signals.sg_agg in
   let cands =
     (Target_count_star, count_ev -. 0.5)
     :: List.map (fun (c, s) -> (Target_column c, s)) t.c_base_scores
@@ -217,77 +356,9 @@ let group_columns t ~projected =
   in
   norm t cands
 
-(* --- AGG module --- *)
+let aggregates ?out t ty = t.c_aggregates.(agg_slot ty out)
 
-let aggregates ?out t ty =
-  let none, count, sum, avg, mx, mn = Hints.agg_signals t.c_words in
-  let cands =
-    match ty with
-    | Duodb.Datatype.Text -> [ (None, none +. 1.0); (Some Duosql.Ast.Count, count) ]
-    | Duodb.Datatype.Number ->
-        [
-          (None, none +. 0.6);
-          (Some Duosql.Ast.Count, count -. 0.3);
-          (Some Duosql.Ast.Sum, sum);
-          (Some Duosql.Ast.Avg, avg);
-          (Some Duosql.Ast.Min, mn);
-          (Some Duosql.Ast.Max, mx);
-        ]
-  in
-  (* TSQ-annotated output type for the slot: keep only aggregates whose
-     result type matches (COUNT/SUM/AVG produce numbers; MIN/MAX and the
-     identity keep the column's type). *)
-  let cands =
-    match out with
-    | None -> cands
-    | Some want ->
-        List.filter
-          (fun (agg, _) ->
-            let produced =
-              match agg with
-              | Some (Duosql.Ast.Count | Duosql.Ast.Sum | Duosql.Ast.Avg) ->
-                  Duodb.Datatype.Number
-              | Some (Duosql.Ast.Min | Duosql.Ast.Max) | None -> ty
-            in
-            Duodb.Datatype.equal produced want)
-          cands
-  in
-  norm t cands
-
-(* --- OP module --- *)
-
-type op_shape =
-  | Shape_cmp of Duosql.Ast.cmp
-  | Shape_between
-
-let operators t ty =
-  let s = Hints.op_signals t.c_all_words in
-  let numeric_lits = Duonl.Nlq.numeric_literals t.c_nlq in
-  match ty with
-  | Duodb.Datatype.Text ->
-      norm t
-        [
-          (Shape_cmp Duosql.Ast.Eq, s.(0) +. 1.0);
-          (Shape_cmp Duosql.Ast.Neq, s.(1) -. 0.5);
-          (Shape_cmp Duosql.Ast.Like, s.(6) -. 0.3);
-          (Shape_cmp Duosql.Ast.Not_like, s.(7) -. 0.8);
-        ]
-  | Duodb.Datatype.Number ->
-      let between_ev =
-        if List.length numeric_lits >= 2 then
-          0.4 +. Hints.count_matches t.c_words [ "between"; "within" ]
-        else -2.0
-      in
-      norm t
-        [
-          (Shape_cmp Duosql.Ast.Eq, s.(0));
-          (Shape_cmp Duosql.Ast.Neq, s.(1) -. 0.5);
-          (Shape_cmp Duosql.Ast.Lt, s.(2));
-          (Shape_cmp Duosql.Ast.Le, s.(3) -. 0.3);
-          (Shape_cmp Duosql.Ast.Gt, s.(4));
-          (Shape_cmp Duosql.Ast.Ge, s.(5) -. 0.3);
-          (Shape_between, between_ev);
-        ]
+let operators t ty = t.c_operators.(ty_index ty)
 
 (* --- Value assignment --- *)
 
@@ -328,36 +399,13 @@ let value_ranges t =
   in
   pairs nums
 
-let num_predicates t =
-  let lit_count = List.length t.c_nlq.Duonl.Nlq.literals in
-  let cands =
-    List.init 3 (fun i ->
-        let n = i + 1 in
-        let s = if n <= lit_count then 1.0 else -0.5 -. float_of_int (n - lit_count) in
-        (n, s +. if n = 1 then 0.3 else 0.0))
-  in
-  norm t cands
-
-(* --- AND/OR module --- *)
-
-let connective t =
-  let or_ev = Hints.or_signal t.c_all_words in
-  norm t [ (Duosql.Ast.And, 1.0); (Duosql.Ast.Or, or_ev -. 0.3) ]
-
-(* --- HAVING module --- *)
-
-let having_presence t =
-  let ev = Hints.having_signal t.c_words in
-  norm t [ (false, 1.0); (true, ev -. 0.4) ]
-
-(* --- DESC/ASC module --- *)
-
-let direction t =
-  let desc_ev = Hints.descending_signal t.c_words in
-  norm t [ (Duosql.Ast.Asc, 0.6); (Duosql.Ast.Desc, desc_ev) ]
+let num_predicates t = t.c_num_predicates
+let connective t = t.c_connective
+let having_presence t = t.c_having_presence
+let direction t = t.c_direction
 
 let limit t ~hint =
-  let limit_ev = Hints.limit_signal t.c_words in
+  let limit_ev = t.c_signals.sg_limit in
   let nums =
     List.filter_map
       (function
@@ -408,7 +456,7 @@ let order_targets t ~projected =
       (Duodb.Schema.all_columns t.c_schema)
   in
   let count_cand =
-    let _, count_ev, _, _, _, _ = Hints.agg_signals t.c_words in
+    let _, count_ev, _, _, _, _ = t.c_signals.sg_agg in
     [ ((Some Duosql.Ast.Count, None), count_ev -. 0.5) ]
   in
   norm t (proj_cands @ extra @ count_cand)

@@ -17,7 +17,12 @@ type ctx
 
 (** [make ?temperature ?index schema nlq] prepares a scoring context.
     [temperature] flattens (>1) or sharpens (<1) all distributions;
-    [index] enables grounding text literals to columns. *)
+    [index] enables grounding text literals to columns.  Everything that
+    depends on the NLQ alone is computed here, once: the per-column
+    scores, the {!signals}, and the distributions of {!keywords},
+    {!aggregates}, {!operators}, {!num_predicates}, {!connective},
+    {!having_presence} and {!direction}, which those functions return
+    as stored. *)
 val make :
   ?temperature:float ->
   ?index:Duodb.Index.t ->
@@ -27,6 +32,25 @@ val make :
 
 val schema : ctx -> Duodb.Schema.t
 val nlq : ctx -> Duonl.Nlq.t
+
+(** The NLQ's {!Hints} lexicon evidence as {!make} stored it: [sg_op]
+    and [sg_or] over every word ({!Duonl.Token.words}), the rest over
+    the content words ({!Duonl.Nlq.content_words}); [sg_between] counts
+    "between"/"within".  [sg_op] must not be mutated. *)
+type signals = {
+  sg_agg : float * float * float * float * float * float;
+  sg_op : float array;
+  sg_where : float;
+  sg_group : float;
+  sg_order : float;
+  sg_or : float;
+  sg_having : float;
+  sg_desc : float;
+  sg_limit : float;
+  sg_between : float;
+}
+
+val signals : ctx -> signals
 
 (** {1 KW module} *)
 

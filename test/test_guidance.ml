@@ -152,6 +152,122 @@ let prop_distributions_sum_to_one =
       && close (Model.where_columns c ~used:[])
       && close (Model.num_projections c ~hint:None))
 
+(* [Model.make] stores the NLQ's lexicon evidence and the distributions
+   of the modules whose only other input is finite; each must equal, bit
+   for bit, what the lexicon and [Score.normalize] rebuild from the NLQ's
+   words — the operator and OR signals from every word, the rest from
+   the content words. *)
+let check_precomputed name c =
+  let nlq = Model.nlq c in
+  let words = Duonl.Nlq.content_words nlq in
+  let all_words = Duonl.Token.words nlq.Duonl.Nlq.tokens in
+  let same what a b = if a <> b then Alcotest.failf "%s: %s differs" name what in
+  let sg = Model.signals c in
+  same "agg signals" sg.Model.sg_agg (Hints.agg_signals words);
+  same "op signals" sg.Model.sg_op (Hints.op_signals all_words);
+  same "where signal" sg.Model.sg_where (Hints.where_signal words);
+  same "group signal" sg.Model.sg_group (Hints.group_signal words);
+  same "order signal" sg.Model.sg_order (Hints.order_signal words);
+  same "or signal" sg.Model.sg_or (Hints.or_signal all_words);
+  same "having signal" sg.Model.sg_having (Hints.having_signal words);
+  same "descending signal" sg.Model.sg_desc (Hints.descending_signal words);
+  same "limit signal" sg.Model.sg_limit (Hints.limit_signal words);
+  same "between count" sg.Model.sg_between
+    (Hints.count_matches words [ "between"; "within" ]);
+  let none, count, sum, avg, mx, mn = Hints.agg_signals words in
+  let where_ev =
+    Hints.where_signal words +. if nlq.Duonl.Nlq.literals <> [] then 1.5 else 0.0
+  in
+  let group_ev = Hints.group_signal words +. (0.4 *. (count +. sum +. avg)) in
+  let order_ev = Hints.order_signal words in
+  let bools = [ false; true ] in
+  same "keywords" (Model.keywords c)
+    (Score.normalize
+       (List.concat_map
+          (fun wh ->
+            List.concat_map
+              (fun gr ->
+                List.map
+                  (fun ord ->
+                    ( { Model.kw_where = wh; kw_group = gr; kw_order = ord },
+                      (if wh then where_ev else 0.6)
+                      +. (if gr then group_ev else 0.6)
+                      +. if ord then order_ev else 0.6 ))
+                  bools)
+              bools)
+          bools));
+  let text = Duodb.Datatype.Text and number = Duodb.Datatype.Number in
+  let open Duosql.Ast in
+  List.iter
+    (fun ty ->
+      let cands =
+        if ty = text then [ (None, none +. 1.0); (Some Count, count) ]
+        else
+          [ (None, none +. 0.6); (Some Count, count -. 0.3); (Some Sum, sum);
+            (Some Avg, avg); (Some Min, mn); (Some Max, mx) ]
+      in
+      List.iter
+        (fun out ->
+          let produced = function
+            | Some (Count | Sum | Avg) -> number
+            | Some (Min | Max) | None -> ty
+          in
+          same "aggregates"
+            (Model.aggregates ?out c ty)
+            (Score.normalize
+               (match out with
+               | None -> cands
+               | Some want -> List.filter (fun (a, _) -> produced a = want) cands)))
+        [ None; Some text; Some number ])
+    [ text; number ];
+  let o = Hints.op_signals all_words in
+  same "text operators" (Model.operators c text)
+    (Score.normalize
+       [ (Model.Shape_cmp Eq, o.(0) +. 1.0); (Model.Shape_cmp Neq, o.(1) -. 0.5);
+         (Model.Shape_cmp Like, o.(6) -. 0.3); (Model.Shape_cmp Not_like, o.(7) -. 0.8) ]);
+  let between_ev =
+    if List.length (Duonl.Nlq.numeric_literals nlq) >= 2 then
+      0.4 +. Hints.count_matches words [ "between"; "within" ]
+    else -2.0
+  in
+  same "number operators" (Model.operators c number)
+    (Score.normalize
+       [ (Model.Shape_cmp Eq, o.(0)); (Model.Shape_cmp Neq, o.(1) -. 0.5);
+         (Model.Shape_cmp Lt, o.(2)); (Model.Shape_cmp Le, o.(3) -. 0.3);
+         (Model.Shape_cmp Gt, o.(4)); (Model.Shape_cmp Ge, o.(5) -. 0.3);
+         (Model.Shape_between, between_ev) ]);
+  let lits = List.length nlq.Duonl.Nlq.literals in
+  same "num_predicates" (Model.num_predicates c)
+    (Score.normalize
+       (List.map
+          (fun n ->
+            let s = if n <= lits then 1.0 else -0.5 -. float_of_int (n - lits) in
+            (n, s +. if n = 1 then 0.3 else 0.0))
+          [ 1; 2; 3 ]));
+  same "connective" (Model.connective c)
+    (Score.normalize [ (And, 1.0); (Or, Hints.or_signal all_words -. 0.3) ]);
+  same "having_presence" (Model.having_presence c)
+    (Score.normalize [ (false, 1.0); (true, Hints.having_signal words -. 0.4) ]);
+  same "direction" (Model.direction c)
+    (Score.normalize [ (Asc, 0.6); (Desc, Hints.descending_signal words) ])
+
+let test_precomputed_guidance () =
+  let mas = Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks in
+  List.iter
+    (fun (t : Duobench.Mas.task) ->
+      check_precomputed t.Duobench.Mas.task_id
+        (Model.make Duobench.Mas.schema (Duonl.Nlq.analyze t.Duobench.Mas.task_nlq)))
+    mas;
+  let dev = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+  List.iter
+    (fun (t : Duobench.Spider_gen.task) ->
+      let db = List.assoc t.Duobench.Spider_gen.sp_db dev.Duobench.Spider_gen.databases in
+      check_precomputed t.Duobench.Spider_gen.sp_nlq
+        (Model.make (Duodb.Database.schema db)
+           (Duonl.Nlq.with_literals t.Duobench.Spider_gen.sp_nlq
+              t.Duobench.Spider_gen.sp_literals)))
+    dev.Duobench.Spider_gen.tasks
+
 let suite =
   [
     Alcotest.test_case "softmax normalizes" `Quick test_softmax_normalizes;
@@ -168,4 +284,5 @@ let suite =
     Alcotest.test_case "limit hint" `Quick test_limit_hint;
     Alcotest.test_case "hint lexicon" `Quick test_hint_lexicon;
     QCheck_alcotest.to_alcotest prop_distributions_sum_to_one;
+    Alcotest.test_case "precomputed = recomputed" `Quick test_precomputed_guidance;
   ]

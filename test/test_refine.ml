@@ -294,6 +294,34 @@ let test_empty_outcome_not_shared () =
   Alcotest.(check int) "mutation does not leak across calls" 0
     o2.Enumerate.out_stats.Verify.pruned
 
+(* [retarget] must recompile the sketch the column stage reads: after a
+   tightening appends an example ("Tom Hanks") that no movie name
+   matches, a state projecting movies.name passes under the original env
+   and is pruned column-wise under the retargeted one. *)
+let test_retarget_recompiles_sketch () =
+  let module Partial = Duocore.Partial in
+  let tightened = Tsq.add_positive base [ Tsq.Exact (Value.Text "Tom Hanks") ] in
+  check_refines "precondition" Tsq.Tightening ~old:base ~new_:tightened;
+  let name = Duodb.Schema.find_column_exn Fixtures.movie_schema ~table:"movies" "name" in
+  let state =
+    { Partial.root with
+      Partial.phase = Partial.P_where_num;
+      kw = { Duoguide.Model.kw_where = true; kw_group = false; kw_order = false };
+      nproj = 1;
+      projs = [ { Partial.pj_target = Duoguide.Model.Target_column name; pj_agg = Some None } ] }
+  in
+  let env =
+    Verify.make_env ~db:(Fixtures.movie_db ()) ~tsq:(Some base) ~literals:[] ()
+  in
+  let env' = Verify.retarget env ~tsq:tightened in
+  Alcotest.(check bool) "passes under the original sketch" true
+    (Verify.verify_by_column env state);
+  Alcotest.(check bool) "pruned under the tightened sketch" false
+    (Verify.verify_by_column env' state);
+  Alcotest.(check bool) "reverify prunes it" false (Verify.reverify env' state);
+  Alcotest.(check int) "at the column stage" 1
+    (Verify.pruned_by (Verify.stats env') Verify.S_column)
+
 let suite =
   [
     Alcotest.test_case "classifier: tightenings" `Quick
@@ -321,4 +349,6 @@ let suite =
       test_close_cancels_running;
     Alcotest.test_case "empty outcome is per-call" `Quick
       test_empty_outcome_not_shared;
+    Alcotest.test_case "retarget recompiles the sketch" `Quick
+      test_retarget_recompiles_sketch;
   ]

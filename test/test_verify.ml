@@ -276,6 +276,143 @@ let prop_no_prefix_of_gold_pruned =
           in
           Option.is_some (Duocore.Duoquest.rank_of outcome ~gold))
 
+(* --- sibling-set cascade = child-by-child cascade -------------------- *)
+
+(* Every counter a sibling-set pass must reproduce exactly; the batch
+   only changes how row probes execute ([batch_rounds],
+   [batched_probes]) and the grain of [stage_seconds]. *)
+let counters (s : Verify.stats) =
+  [ ("column_probes", s.Verify.column_probes); ("index_probes", s.Verify.index_probes);
+    ("row_probes", s.Verify.row_probes); ("full_executions", s.Verify.full_executions);
+    ("relcache_hits", s.Verify.relcache_hits);
+    ("pushdown_builds", s.Verify.pushdown_builds);
+    ("join_index_builds", s.Verify.join_index_builds);
+    ("join_index_hits", s.Verify.join_index_hits); ("pruned", s.Verify.pruned);
+    ("dedup_semantic", s.Verify.dedup_semantic); ("visited_hits", s.Verify.visited_hits);
+    ("canon_checked", s.Verify.canon_checked); ("key_renders", s.Verify.key_renders);
+    ("static_warnings", s.Verify.static_warnings); ("early_stops", s.Verify.early_stops) ]
+  @ List.map (fun st -> ("pruned." ^ Verify.stage_name st, Verify.pruned_by s st)) Verify.all_stages
+
+(* The children and grandchildren of every state along the gold's
+   derivation, as the enumerator expands them: realistic sibling sets
+   mixing survivors with children pruned at every stage, many of them
+   failing several stages at once (so prune attribution depends on the
+   stage order). *)
+let sibling_sets ctx hints gold =
+  match Duocheck.Soundness.derivation_states (Model.schema ctx) gold with
+  | None -> Alcotest.fail "gold outside the enumeration space"
+  | Some states ->
+      let expand = Enumerate.expand ~guided:true hints ctx in
+      List.filter
+        (fun cs -> cs <> [])
+        (List.concat_map (fun st -> let cs = expand st in cs :: List.map expand cs) states)
+
+(* The cascade in the paper's ascending-cost order (Section 3.4), stage
+   by stage on one child: the oracle for which stage prunes a child. *)
+let stage_check st env (t : Partial.t) =
+  match st with
+  | Verify.S_static -> Verify.verify_static env t
+  | Verify.S_clauses -> Verify.verify_clauses env t
+  | Verify.S_cardinality -> Verify.verify_cardinality env t
+  | Verify.S_semantics -> Verify.verify_semantics env t
+  | Verify.S_types -> Verify.verify_column_types env t
+  | Verify.S_column -> Verify.verify_by_column env t
+  | Verify.S_row -> Verify.verify_by_row env t
+  | Verify.S_complete -> (
+      (not (Partial.is_complete t))
+      || match Partial.to_query t with Some q -> Verify.verify_complete env q | None -> true)
+
+(* Runs the sets through [verify_batch] on one fresh env, through
+   [verify] child by child on another, and through the stage oracle on a
+   third. *)
+let check_sibling_sets name ~db ~tsq ~literals ctx gold =
+  let hints = match tsq with Some t -> Enumerate.hints_of_tsq t | None -> Enumerate.no_hints in
+  let fresh () = Verify.make_env ~db ~tsq ~literals () in
+  let batch = fresh () and single = fresh () and oracle = fresh () in
+  let nstages = List.length Verify.all_stages in
+  let ran = Array.make nstages false and pruned = Array.make nstages 0 in
+  List.iter
+    (fun children ->
+      let got = Verify.verify_batch batch children in
+      List.iter2
+        (fun child (child', ok) ->
+          if child != child' then Alcotest.failf "%s: verdicts out of order" name;
+          let ok' = Verify.verify single child in
+          if ok <> ok' then
+            Alcotest.failf "%s: %s is %b batched, %b alone" name (Partial.to_string child)
+              ok ok';
+          (* the child reaches every stage up to the one that prunes it *)
+          let rec reach = function
+            | [] -> true
+            | st :: rest ->
+                ran.(Verify.stage_index st) <- true;
+                if stage_check st oracle child then reach rest
+                else begin
+                  pruned.(Verify.stage_index st) <- pruned.(Verify.stage_index st) + 1;
+                  false
+                end
+          in
+          if reach Verify.all_stages <> ok then
+            Alcotest.failf "%s: %s is %b batched, %b by the stage oracle" name
+              (Partial.to_string child) ok (not ok))
+        children got)
+    (sibling_sets ctx hints gold);
+  List.iter2
+    (fun (k, a) (_, b) -> if a <> b then Alcotest.failf "%s: %s %d batched, %d alone" name k a b)
+    (counters (Verify.stats batch))
+    (counters (Verify.stats single));
+  List.iter
+    (fun st ->
+      let k = Verify.stage_index st in
+      let got = Verify.pruned_by (Verify.stats batch) st in
+      if got <> pruned.(k) then
+        Alcotest.failf "%s: stage %s pruned %d, the oracle %d" name (Verify.stage_name st)
+          got pruned.(k);
+      let secs = (Verify.stats batch).Verify.stage_seconds.(k) in
+      if ran.(k) && not (secs > 0.0) then
+        Alcotest.failf "%s: stage %s ran but was not timed" name (Verify.stage_name st);
+      if (not ran.(k)) && secs <> 0.0 then
+        Alcotest.failf "%s: stage %s never ran but was timed" name (Verify.stage_name st))
+    Verify.all_stages
+
+let test_sibling_set_cascade () =
+  let mdb = Duobench.Mas.database () in
+  let tasks = Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks in
+  List.iter
+    (fun id ->
+      let task = List.find (fun t -> t.Duobench.Mas.task_id = id) tasks in
+      let gold = Duobench.Mas.gold task in
+      let ctx =
+        Model.make Duobench.Mas.schema (Duonl.Nlq.analyze task.Duobench.Mas.task_nlq)
+      in
+      List.iter
+        (fun detail ->
+          let name = id ^ "/" ^ Duobench.Tsq_synth.detail_to_string detail in
+          let rng = Duobench.Rng.create (Hashtbl.hash name) in
+          match Duobench.Tsq_synth.synthesize rng mdb gold ~detail with
+          | None -> Alcotest.failf "%s: no sketch" name
+          | Some tsq ->
+              check_sibling_sets name ~db:mdb ~tsq:(Some tsq)
+                ~literals:task.Duobench.Mas.task_literals ctx gold)
+        [ Duobench.Tsq_synth.Full; Duobench.Tsq_synth.Partial; Duobench.Tsq_synth.Minimal ])
+    [ "A1"; "B1"; "B4"; "D1" ];
+  (* one dev task in NLI mode: no sketch, so only the sketch-free stages prune *)
+  let dev = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+  let task =
+    List.find
+      (fun t -> Option.is_some (Duocheck.Soundness.derivation_states
+                  (Duodb.Database.schema (List.assoc t.Duobench.Spider_gen.sp_db
+                     dev.Duobench.Spider_gen.databases)) t.Duobench.Spider_gen.sp_gold)
+                && t.Duobench.Spider_gen.sp_difficulty = `Hard)
+      dev.Duobench.Spider_gen.tasks
+  in
+  let ddb = List.assoc task.Duobench.Spider_gen.sp_db dev.Duobench.Spider_gen.databases in
+  check_sibling_sets "dev" ~db:ddb ~tsq:None ~literals:task.Duobench.Spider_gen.sp_literals
+    (Model.make (Duodb.Database.schema ddb)
+       (Duonl.Nlq.with_literals task.Duobench.Spider_gen.sp_nlq
+          task.Duobench.Spider_gen.sp_literals))
+    task.Duobench.Spider_gen.sp_gold
+
 let suite =
   [
     Alcotest.test_case "clauses: sorted flag" `Quick test_clauses_sorted_mismatch;
@@ -293,4 +430,5 @@ let suite =
     Alcotest.test_case "row probe: over max_rows, then cached" `Quick
       test_row_probe_over_max_rows;
     QCheck_alcotest.to_alcotest prop_no_prefix_of_gold_pruned;
+    Alcotest.test_case "sibling set = child by child" `Quick test_sibling_set_cascade;
   ]
