@@ -31,6 +31,37 @@ let get_bool j field =
   | Some b -> b
   | None -> die "response missing boolean %S" field
 
+(* A raw line client, to control how request bytes reach the server. *)
+type raw = { fd : Unix.file_descr; pending : Buffer.t }
+
+let raw_connect path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a reply that never comes fails the smoke instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  { fd; pending = Buffer.create 256 }
+
+let raw_send r s =
+  if Unix.write_substring r.fd s 0 (String.length s) <> String.length s then die "short write"
+
+let rec raw_read_line r =
+  let s = Buffer.contents r.pending in
+  match String.index_opt s '\n' with
+  | Some nl ->
+      Buffer.clear r.pending;
+      Buffer.add_string r.pending (String.sub s (nl + 1) (String.length s - nl - 1));
+      String.sub s 0 nl
+  | None ->
+      let chunk = Bytes.create 4096 in
+      let n =
+        try Unix.read r.fd chunk 0 4096
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          die "no reply line within 10 s"
+      in
+      if n = 0 then die "server closed a raw connection";
+      Buffer.add_subbytes r.pending chunk 0 n;
+      raw_read_line r
+
 let () =
   let path = Printf.sprintf "/tmp/duoserve-smoke-%d.sock" (Unix.getpid ()) in
   let split = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:2 ~per_db:2 () in
@@ -144,7 +175,34 @@ let () =
   let sid2 = get_int second "session" in
   let cancelled = Client.request_exn c (Protocol.Cancel sid2) in
   check "cancelled" (get_str cancelled "status" = "cancelled");
-  (* 6. close both, check the books, drain *)
+  (* 6. framing: a request written byte by byte, and two requests in one
+     write, are answered exactly like the same requests sent one shot *)
+  let lines =
+    List.map Protocol.request_to_line
+      [ Protocol.List_dbs; Protocol.Get_candidates (987_654, None) ]
+  in
+  let one_shot line =
+    let r = raw_connect path in
+    raw_send r (line ^ "\n");
+    let reply = raw_read_line r in
+    Unix.close r.fd;
+    reply
+  in
+  let want = List.map one_shot lines in
+  let bytewise = raw_connect path in
+  String.iter
+    (fun ch ->
+      raw_send bytewise (String.make 1 ch);
+      Unix.sleepf 0.001)
+    (List.hd lines ^ "\n");
+  check "byte-by-byte request answered like one shot" (raw_read_line bytewise = List.hd want);
+  Unix.close bytewise.fd;
+  let batched = raw_connect path in
+  raw_send batched (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  check "two requests in one write answered like one shot"
+    (List.map (fun _ -> raw_read_line batched) lines = want);
+  Unix.close batched.fd;
+  (* 7. close both, check the books, drain *)
   ignore (Client.request_exn c (Protocol.Close sid));
   ignore (Client.request_exn c (Protocol.Close sid2));
   let stats = Client.request_exn c Protocol.Stats in

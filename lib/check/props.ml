@@ -879,13 +879,47 @@ let twins (t : Partial.t) =
         | [] -> f)
   @ reorder (fun f -> { f with f_joins = List.rev f.f_joins })
 
+(* Variants of a state for the canonical layer: the WHERE predicates
+   reversed; a numeric comparison joined by a duplicate of itself, by a
+   weaker comparison on the same target (the two fold alike once WHERE
+   is settled and conjunctive, but consume different literals), and by
+   the weaker one first; the HAVING predicate dropped, or a WHERE
+   predicate added as one. *)
+let canonical_twins (t : Partial.t) =
+  let open Duosql.Ast in
+  let preds = t.Partial.where_preds in
+  let weaker p =
+    match p.pr_rhs with
+    | Cmp (((Gt | Ge) as op), Value.Int n) -> Some { p with pr_rhs = Cmp (op, Value.Int (n - 1)) }
+    | Cmp (((Lt | Le) as op), Value.Int n) -> Some { p with pr_rhs = Cmp (op, Value.Int (n + 1)) }
+    | Cmp ((Eq | Neq | Like | Not_like), _)
+    | Cmp ((Gt | Ge | Lt | Le), (Value.Null | Value.Float _ | Value.Text _))
+    | Between _ ->
+        None
+  in
+  let with_preds l = { t with Partial.where_preds = l; where_n = List.length l } in
+  { t with Partial.where_preds = List.rev preds }
+  :: { t with Partial.having_pred = (match t.Partial.having_pred with Some _ -> None | None -> List.nth_opt preds 0) }
+  :: List.concat_map
+       (fun p ->
+         with_preds (preds @ [ p ])
+         :: (match weaker p with
+            | Some w -> [ with_preds (preds @ [ w ]); with_preds (w :: preds) ]
+            | None -> []))
+       (List.filteri (fun i _ -> i < 2) preds)
+
 (* [key_hash] is consistent with [key] ([key a = key b] implies equal
    hashes) over a derivation sample and each state's twins;
    [equal_rendered] implies equal keys; [Partial.Tbl] partitions the
    sample exactly like a string-keyed table; and a state without
    predicates shares its canonical key with no predicated state and only
    with states of its own key — the two facts that let the enumerator
-   skip the canonical layer for such states. *)
+   skip the canonical layer for such states.  The canonical layer: over
+   every pair of a state and its twins, [canonical_hash] is equal
+   exactly when [canonical_key] is (no collisions on the sample), and
+   [Partial.Canon] collides exactly when [canonical_key] is equal; over
+   the sample, [Partial.Canon] partitions like a string-keyed table of
+   canonical keys. *)
 let key_hash_prop ((sc : Gen.scenario), seed) =
   let sample = derivation_sample sc seed ~max_states:(100 + (seed mod 100)) in
   let fail fmt = QCheck.Test.fail_reportf fmt in
@@ -897,16 +931,42 @@ let key_hash_prop ((sc : Gen.scenario), seed) =
       fail "equal_rendered states with different keys:\n%s\n%s" ka kb
     else
       let tbl = Partial.Tbl.create 4 in
-      ignore (Partial.Tbl.find_or_add tbl a ());
-      (Partial.Tbl.find_or_add tbl b () <> None) = String.equal ka kb
+      ignore (Partial.Tbl.add tbl a);
+      (not (Partial.Tbl.add tbl b)) = String.equal ka kb
       || fail "Partial.Tbl disagrees with key equality:\n%s\n%s" ka kb
+  in
+  (* every pair of a family: hash equality iff key equality; and one
+     [Canon] set over the family admits exactly the first of each key *)
+  let canon_family_ok family =
+    let keyed = List.map (fun t -> (Partial.canonical_key t, Partial.canonical_hash t)) family in
+    List.for_all
+      (fun (ca, ha) ->
+        List.for_all
+          (fun (cb, hb) ->
+            let same = String.equal ca cb in
+            same = (ha = hb)
+            || fail "canonical_hash %s canonical_key equality:\n%s\n%s"
+                 (if same then "breaks" else "collides beyond") ca cb)
+          keyed)
+      keyed
+    &&
+    let c = Partial.Canon.create 4 and seen = Hashtbl.create 8 in
+    List.for_all2
+      (fun t (ck, _) ->
+        let fresh = not (Hashtbl.mem seen ck) in
+        Hashtbl.replace seen ck ();
+        Partial.Canon.add c t = fresh
+        || fail "Partial.Canon disagrees with canonical_key equality on %s" ck)
+      family keyed
   in
   let by_key = Hashtbl.create 256 in
   let tbl = Partial.Tbl.create 16 in
   let canon = Hashtbl.create 256 in
+  let canon_set = Partial.Canon.create 16 in
   List.for_all
     (fun t ->
       List.for_all (pair_ok t) (twins t)
+      && canon_family_ok (t :: canonical_twins t)
       &&
       let k = Partial.key t in
       let first = Hashtbl.find_opt by_key k in
@@ -915,10 +975,13 @@ let key_hash_prop ((sc : Gen.scenario), seed) =
       | None ->
           Hashtbl.replace by_key k t;
           true)
-      && (Option.is_none (Partial.Tbl.find_or_add tbl t ()) = Option.is_none first
+      && (Partial.Tbl.add tbl t = Option.is_none first
          || fail "Partial.Tbl and the string table disagree on %s" k)
       &&
       let ck = Partial.canonical_key t in
+      (Partial.Canon.add canon_set t = not (Hashtbl.mem canon ck)
+      || fail "Partial.Canon and the string table disagree on %s" ck)
+      &&
       match Hashtbl.find_opt canon ck with
       | None ->
           Hashtbl.replace canon ck (k, Partial.has_predicates t);

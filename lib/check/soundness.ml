@@ -74,7 +74,7 @@ let check ?(guided = true) ?(max_states = 200) ?(max_pruned = 40)
             match first_failing_stage env child with
             | None ->
                 if
-                  Partial.Tbl.find_or_add seen child () = None
+                  Partial.Tbl.add seen child
                   && not (Partial.is_complete child)
                 then Duocore.Frontier.push frontier child
             | Some "complete" ->

@@ -83,6 +83,7 @@ type outcome = {
   out_elapsed_s : float;
   out_expand_s : float;
   out_verify_s : float;
+  out_admit_s : float;
   out_exhausted : bool;
   out_dropped : int;
   out_domains : int;
@@ -437,15 +438,24 @@ let judge env config children =
    when the state is actually popped by the sequential committing loop —
    speculation on states that are never popped leaves no trace, keeping
    prune counts identical to a [domains = 1] run. *)
+(* Loop timers, in an all-float record so that an update stores an
+   unboxed float instead of allocating one. *)
+type timers = {
+  mutable expand_s : float;
+  mutable verify_s : float;
+  mutable admit_s : float;
+}
+
+let new_timers () = { expand_s = 0.0; verify_s = 0.0; admit_s = 0.0 }
+
 type task_result = {
   (* mutable so the task arena can recycle one record per slot across
      rounds ([tr_stats] is zeroed with [Verify.reset_stats]) instead of
-     allocating a record + stats + timing floats per task *)
+     allocating a record + stats + timers per task *)
   mutable tr_worker : int;
   mutable tr_children : (Partial.t * bool) list;
   tr_stats : Verify.stats;
-  mutable tr_expand_s : float;
-  mutable tr_verify_s : float;
+  tr_times : timers;  (* expansion and verification of the task *)
 }
 
 let fresh_result () =
@@ -453,8 +463,7 @@ let fresh_result () =
     tr_worker = 0;
     tr_children = [];
     tr_stats = Verify.new_stats ();
-    tr_expand_s = 0.0;
-    tr_verify_s = 0.0;
+    tr_times = new_timers ();
   }
 
 (* Reusable per-round scratch (Duopar v2 task arena).  All arrays are
@@ -466,7 +475,7 @@ let fresh_result () =
    free stack once the committing loop has merged (or a rebase dropped)
    it — so recycling can never let two tasks write one stats record. *)
 type arena = {
-  ar_entries : (Partial.t * int) array;  (* [Frontier.pop_entries_into] buffer *)
+  ar_entries : Frontier.buffer;  (* [Frontier.pop_entries_into] buffer *)
   ar_tasks : Partial.t array;  (* states picked for this round *)
   ar_results : task_result array;  (* slot -> recycled result record *)
   ar_free : task_result array;  (* stack of recycled records *)
@@ -477,7 +486,7 @@ type arena = {
 
 let make_arena ~capacity =
   {
-    ar_entries = Array.make capacity (Partial.root, -1);
+    ar_entries = Frontier.buffer capacity;
     ar_tasks = Array.make capacity Partial.root;
     ar_results = Array.make capacity (fresh_result ());
     ar_free = Array.make (4 * capacity) (fresh_result ());
@@ -485,7 +494,7 @@ let make_arena ~capacity =
     ar_fn = None;
   }
 
-(* The arena path memoizes speculative results by the *physical* state:
+(* Speculative results are memoized by the *physical* state:
    the committing loop pops the very same [Partial.t] object the round
    staged (the frontier stores states, never copies them), so identity
    is an exact key and no [Partial.key] string is ever rendered on the
@@ -536,14 +545,14 @@ type state = {
   st_stats : Verify.stats;
   st_domain_stats : Verify.stats array;
   st_frontier : Frontier.t;
-  st_visited : unit Partial.Tbl.t;
-      (* admitted states, by [Partial.key] partition, probed without
+  st_visited : Partial.Tbl.t;
+      (* offered states, by [Partial.key] partition, probed without
          printing keys *)
-  st_canon : (string, unit) Hashtbl.t;
-      (* Duosem canonical keys of admitted states with a WHERE or HAVING
-         predicate: a second visited-set layer collapsing states that
-         differ only by predicate order or by equivalent predicate
-         spellings ([Partial.canonical_key]) *)
+  st_canon : Partial.Canon.t;
+      (* admitted states with a WHERE or HAVING predicate, by
+         [Partial.canonical_key] partition: a second visited-set layer
+         collapsing states that differ only by predicate order or by
+         equivalent predicate spellings, probed without printing keys *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
   st_pool : Duopar.Pool.t option;
@@ -552,10 +561,8 @@ type state = {
       (* adaptive round-size controller; [None] pins the fixed
          [4 * domains] v1 round *)
   st_arena : arena option;  (* [None] = v1 allocate-per-task profile *)
-  st_memo : task_result Partial.Tbl.t;
-      (* v1 speculation memo, keyed by [Partial.key] partition *)
-  st_memo_phys : task_result Phys_tbl.t;
-      (* arena-path speculation memo, keyed by physical state *)
+  st_memo : task_result Phys_tbl.t;
+      (* speculation memo, keyed by physical state *)
   st_on_candidate : candidate -> unit;
   st_on_offer : Partial.t -> bool -> unit;
   mutable st_candidates : candidate list;  (* newest first *)
@@ -571,8 +578,7 @@ type state = {
   mutable st_finished : bool;
   mutable st_released : bool;
   mutable st_elapsed_s : float;  (* active wall time across steps *)
-  mutable st_expand_s : float;
-  mutable st_verify_s : float;
+  st_times : timers;
   mutable st_spec_rounds : int;
   mutable st_spec_tasks : int;
   mutable st_spec_hits : int;
@@ -639,15 +645,14 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_stats = stats;
     st_domain_stats = domain_stats;
     st_frontier = frontier;
-    st_visited = Partial.Tbl.create 4096;
-    st_canon = Hashtbl.create 4096;
+    st_visited = Partial.Tbl.create 2048;
+    st_canon = Partial.Canon.create 512;
     st_emitted = Hashtbl.create 64;
     st_pool = pool;
     st_owns_pool = owns_pool;
     st_controller = controller;
     st_arena = arena;
-    st_memo = Partial.Tbl.create 256;
-    st_memo_phys = Phys_tbl.create 256;
+    st_memo = Phys_tbl.create 256;
     st_on_candidate = on_candidate;
     st_on_offer = on_offer;
     st_candidates = [];
@@ -661,8 +666,7 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_finished = false;
     st_released = false;
     st_elapsed_s = 0.0;
-    st_expand_s = 0.0;
-    st_verify_s = 0.0;
+    st_times = new_timers ();
     st_spec_rounds = 0;
     st_spec_tasks = 0;
     st_spec_hits = 0;
@@ -694,40 +698,37 @@ let deprioritize s (child : Partial.t) =
 
 let push_fresh s (child : Partial.t) =
   let stats = s.st_stats in
-  let seen = Partial.Tbl.find_or_add s.st_visited child () in
+  let unseen = Partial.Tbl.add s.st_visited child in
   stats.Verify.key_renders <-
     stats.Verify.key_renders + Partial.Tbl.take_renders s.st_visited;
-  match seen with
-  | Some () ->
-      stats.Verify.visited_hits <- stats.Verify.visited_hits + 1;
-      s.st_on_offer child false
-  | None ->
-      (* Second layer: collapse states whose decided content is Duosem-
-         canonically equal (predicate order, equivalent spellings).  Runs
-         only on the committing loop, so the collapse — like all dedup —
-         is deterministic across domain counts.  A state without WHERE or
-         HAVING predicates skips it: its canonical key is its key with an
-         empty literal segment spliced in, so it can collide only with a
-         predicate-free state of the same key (a predicated state's
-         literal segment is never empty), which the visited layer has
-         already caught. *)
-      let fresh =
-        (not (Partial.has_predicates child))
-        || begin
-             stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
-             let ckey = Partial.canonical_key child in
-             if Hashtbl.mem s.st_canon ckey then begin
-               stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
-               false
-             end
-             else begin
-               Hashtbl.replace s.st_canon ckey ();
-               true
-             end
-           end
-      in
-      s.st_on_offer child fresh;
-      if fresh then Frontier.push s.st_frontier (deprioritize s child)
+  if not unseen then begin
+    stats.Verify.visited_hits <- stats.Verify.visited_hits + 1;
+    s.st_on_offer child false
+  end
+  else
+    (* Second layer: collapse states whose decided content is Duosem-
+       canonically equal (predicate order, equivalent spellings).  Runs
+       only on the committing loop, so the collapse — like all dedup —
+       is deterministic across domain counts.  A state without WHERE or
+       HAVING predicates skips it: its canonical key is its key with an
+       empty literal segment spliced in, so it can collide only with a
+       predicate-free state of the same key (a predicated state's
+       literal segment is never empty), which the visited layer has
+       already caught. *)
+    let fresh =
+      (not (Partial.has_predicates child))
+      || begin
+           stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
+           let fresh = Partial.Canon.add s.st_canon child in
+           stats.Verify.key_renders <-
+             stats.Verify.key_renders + Partial.Canon.take_renders s.st_canon;
+           if not fresh then
+             stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
+           fresh
+         end
+    in
+    s.st_on_offer child fresh;
+    if fresh then Frontier.push s.st_frontier (deprioritize s child)
 
 let process s worker (p : Partial.t) =
   let tstats = Verify.new_stats () in
@@ -749,8 +750,7 @@ let process s worker (p : Partial.t) =
     tr_worker = worker;
     tr_children = verdicts;
     tr_stats = tstats;
-    tr_expand_s = t1 -. t0;
-    tr_verify_s = t2 -. t1;
+    tr_times = { expand_s = t1 -. t0; verify_s = t2 -. t1; admit_s = 0.0 };
   }
 
 (* Arena variant of [process]: fill a recycled [task_result] in place.
@@ -775,14 +775,14 @@ let process_into s worker (p : Partial.t) (r : task_result) =
   r.tr_stats.Verify.join_index_hits <- 0;
   r.tr_worker <- worker;
   r.tr_children <- verdicts;
-  r.tr_expand_s <- t1 -. t0;
-  r.tr_verify_s <- t2 -. t1
+  r.tr_times.expand_s <- t1 -. t0;
+  r.tr_times.verify_s <- t2 -. t1
 
 (* One speculative pool round ahead of the committing loop: batch-pop the
-   top of the frontier, process every un-memoized incomplete state on some
-   domain, memoize (by physical state on the arena path, by [Partial.key]
-   partition on the v1 path — [push_fresh] admits each key once, so
-   either way a memo entry belongs to exactly one live state), restore. *)
+   top of the frontier, process [p] and every un-memoized incomplete
+   state on some domain, memoize the others' results by physical state
+   ([push_fresh] admits each key once, so a memo entry belongs to exactly
+   one live state), restore, and return [p]'s result. *)
 let arena_round_fn s ar =
   match ar.ar_fn with
   | Some f -> f
@@ -825,10 +825,10 @@ let fill s pool (p : Partial.t) =
       ar.ar_tasks.(0) <- p;
       let n_tasks = ref 1 in
       for i = 0 to n_extra - 1 do
-        let st, _ = ar.ar_entries.(i) in
+        let st = Frontier.buffer_state ar.ar_entries i in
         if
           (not (Partial.is_complete st))
-          && not (Phys_tbl.mem s.st_memo_phys st)
+          && not (Phys_tbl.mem s.st_memo st)
         then begin
           ar.ar_tasks.(!n_tasks) <- st;
           incr n_tasks
@@ -839,32 +839,31 @@ let fill s pool (p : Partial.t) =
         ar.ar_results.(i) <- arena_take ar
       done;
       s.st_spec_tasks <- s.st_spec_tasks + n;
-      Option.iter
-        (fun c -> Duopar.Controller.launched c ~tasks:n)
-        s.st_controller;
+      (match s.st_controller with
+      | Some c -> Duopar.Controller.launched c ~tasks:n
+      | None -> ());
       Duopar.Pool.run pool n (arena_round_fn s ar);
       (* [process_into] retargeted worker 0's (the caller's) stats sink;
          point it back at the run record before the committing loop's
          own verifications ([deprioritize]) resume. *)
       Verify.set_stats s.st_envs.(0) s.st_stats;
-      for i = 0 to n - 1 do
-        Phys_tbl.replace s.st_memo_phys ar.ar_tasks.(i) ar.ar_results.(i);
+      ar.ar_tasks.(0) <- Partial.root;
+      for i = 1 to n - 1 do
+        Phys_tbl.replace s.st_memo ar.ar_tasks.(i) ar.ar_results.(i);
         ar.ar_tasks.(i) <- Partial.root
       done;
-      Frontier.restore_array s.st_frontier ar.ar_entries n_extra
+      Frontier.restore_array s.st_frontier ar.ar_entries n_extra;
+      ar.ar_results.(0)
   | None ->
-      let extras = Frontier.pop_entries s.st_frontier (spec_batch - 1) in
+      let extras = Frontier.buffer (spec_batch - 1) in
+      let n_extra = Frontier.pop_entries_into s.st_frontier extras (spec_batch - 1) in
       let tasks =
         Array.of_list
           (p
-          :: List.filter_map
-               (fun ((st : Partial.t), _) ->
-                 if
-                   Partial.is_complete st
-                   || Option.is_some (Partial.Tbl.find_opt s.st_memo st)
-                 then None
-                 else Some st)
-               extras)
+          :: List.filter
+               (fun (st : Partial.t) ->
+                 not (Partial.is_complete st || Phys_tbl.mem s.st_memo st))
+               (List.init n_extra (Frontier.buffer_state extras)))
       in
       s.st_spec_tasks <- s.st_spec_tasks + Array.length tasks;
       Option.iter
@@ -876,10 +875,11 @@ let fill s pool (p : Partial.t) =
       Array.iteri
         (fun i st ->
           match results.(i) with
-          | Some r -> ignore (Partial.Tbl.find_or_add s.st_memo st r)
-          | None -> ())
+          | Some r when i > 0 -> Phys_tbl.replace s.st_memo st r
+          | Some _ | None -> ())
         tasks;
-      Frontier.restore s.st_frontier extras
+      Frontier.restore_array s.st_frontier extras n_extra;
+      Option.get results.(0)
 
 exception Slice_exhausted
 
@@ -927,12 +927,6 @@ let step ?max_pops s =
           raise Budget_exhausted
       end
     in
-    let timed acc f =
-      let m0 = Clock.mono () in
-      let r = f () in
-      acc (Clock.mono () -. m0);
-      r
-    in
     (* The sequential best-first loop stays the single committing loop: it
        alone pops, emits, merges stats and pushes children, so candidate
        order, dedup and prune accounting are decided exactly as with
@@ -964,62 +958,47 @@ let step ?max_pops s =
              s.st_pops <- s.st_pops + 1;
              match s.st_pool with
              | None ->
+                 (* expand, verify and admit share their clock stamps *)
+                 let m0 = Clock.mono () in
                  let children =
-                   timed
-                     (fun d -> s.st_expand_s <- s.st_expand_s +. d)
-                     (fun () ->
-                       expand ~guided:config.guided s.st_hints s.st_ctx p)
+                   expand ~guided:config.guided s.st_hints s.st_ctx p
                  in
+                 let m1 = Clock.mono () in
+                 s.st_times.expand_s <- s.st_times.expand_s +. (m1 -. m0);
                  (* verification can dominate a pop; respect the budget *)
                  if over_time () then raise Budget_exhausted;
-                 let verdicts =
-                   timed
-                     (fun d -> s.st_verify_s <- s.st_verify_s +. d)
-                     (fun () -> judge s.st_envs.(0) config children)
-                 in
+                 let verdicts = judge s.st_envs.(0) config children in
+                 let m2 = Clock.mono () in
+                 s.st_times.verify_s <- s.st_times.verify_s +. (m2 -. m1);
                  List.iter
                    (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
-                   verdicts
+                   verdicts;
+                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
              | Some pool ->
+                 (* Identity lookup: [p] is the object the round staged,
+                    so no key string is rendered here. *)
                  let r =
-                   match s.st_arena with
-                   | Some _ -> (
-                       (* Identity lookup: [p] is the object the round
-                          staged, so no key string is rendered here. *)
-                       match Phys_tbl.find_opt s.st_memo_phys p with
-                       | Some r ->
-                           Phys_tbl.remove s.st_memo_phys p;
-                           r
-                       | None ->
-                           (* [p] is always the first task of the fill. *)
-                           fill s pool p;
-                           let r = Phys_tbl.find s.st_memo_phys p in
-                           Phys_tbl.remove s.st_memo_phys p;
-                           r)
-                   | None ->
-                       let r =
-                         match Partial.Tbl.find_opt s.st_memo p with
-                         | Some r -> r
-                         | None -> (
-                             fill s pool p;
-                             match Partial.Tbl.find_opt s.st_memo p with
-                             | Some r -> r
-                             | None -> assert false (* [p] is a task *))
-                       in
-                       Partial.Tbl.remove s.st_memo p;
+                   match Phys_tbl.find s.st_memo p with
+                   | r ->
+                       Phys_tbl.remove s.st_memo p;
                        r
+                   | exception Not_found -> fill s pool p
                  in
                  s.st_spec_hits <- s.st_spec_hits + 1;
                  Verify.merge_stats
                    ~into:s.st_domain_stats.(r.tr_worker)
                    r.tr_stats;
-                 s.st_expand_s <- s.st_expand_s +. r.tr_expand_s;
-                 s.st_verify_s <- s.st_verify_s +. r.tr_verify_s;
+                 s.st_times.expand_s <- s.st_times.expand_s +. r.tr_times.expand_s;
+                 s.st_times.verify_s <- s.st_times.verify_s +. r.tr_times.verify_s;
+                 let m0 = Clock.mono () in
                  List.iter
                    (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
                    r.tr_children;
+                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m0);
                  (* committed: the record's memo ownership ends here *)
-                 Option.iter (fun ar -> arena_recycle ar r) s.st_arena)
+                 match s.st_arena with
+                 | Some ar -> arena_recycle ar r
+                 | None -> ())
        done
      with
     | Budget_exhausted -> s.st_finished <- true
@@ -1051,8 +1030,8 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
    Equivalence with a from-root run under the new sketch: a tightening
    also keeps the guidance header ([hints_of_tsq]) identical, so
    expansion proposes the same children with the same confidences;
-   [Frontier.pop_entries]/[restore] preserve insertion sequence numbers,
-   so the surviving frontier keeps the exact relative order the cold
+   [Frontier.filter] preserves insertion sequence numbers, so the
+   surviving frontier keeps the exact relative order the cold
    run's frontier would impose on those states.  The re-filtered
    candidate list is therefore candidate-for-candidate the cold run's
    prefix (unit- and property-tested). *)
@@ -1066,29 +1045,21 @@ let rebase s ~tsq =
      state stays pruned under a tightening). *)
   Array.iteri (fun d env -> s.st_envs.(d) <- Verify.retarget env ~tsq) s.st_envs;
   s.st_hints <- hints_of_tsq tsq;
-  (* the dropped memo records go back to the arena, not the GC (with an
-     arena, [st_memo] is never filled) *)
+  (* the dropped memo records go back to the arena, not the GC *)
   Option.iter
-    (fun ar -> Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo_phys)
+    (fun ar -> Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo)
     s.st_arena;
-  Partial.Tbl.reset s.st_memo;
-  Phys_tbl.reset s.st_memo_phys;
+  Phys_tbl.reset s.st_memo;
   let env = s.st_envs.(0) in
   (* Re-verify the frontier survivors.  Under NoPQ partial states were
      never verified against the sketch, so only complete states are
      re-checked there. *)
-  let entries =
-    Frontier.pop_entries s.st_frontier (Frontier.size s.st_frontier)
+  let dropped =
+    Frontier.filter s.st_frontier (fun p ->
+        (not (s.st_config.prune_partial || Partial.is_complete p))
+        || Verify.reverify env p)
   in
-  let kept, dropped =
-    List.partition
-      (fun ((p : Partial.t), _) ->
-        if s.st_config.prune_partial || Partial.is_complete p then
-          Verify.reverify env p
-        else true)
-      entries
-  in
-  Frontier.restore s.st_frontier kept;
+  let kept = Frontier.size s.st_frontier in
   (* Re-filter the emitted candidates ([st_candidates] is newest-first)
      and renumber the survivors in emission order. *)
   let kept_cands =
@@ -1108,8 +1079,8 @@ let rebase s ~tsq =
   let dropped_cands = s.st_n_candidates - n in
   s.st_n_candidates <- n;
   s.st_rebases <- s.st_rebases + 1;
-  s.st_rebase_kept <- s.st_rebase_kept + List.length kept + n;
-  s.st_rebase_dropped <- s.st_rebase_dropped + List.length dropped + dropped_cands;
+  s.st_rebase_kept <- s.st_rebase_kept + kept + n;
+  s.st_rebase_dropped <- s.st_rebase_dropped + dropped + dropped_cands;
   (* The pop budget is per refinement; the time budget stays cumulative
      (rebase work itself is on the meter).  If the carried candidates
      already fill the candidate budget, a cold run under the new sketch
@@ -1117,7 +1088,7 @@ let rebase s ~tsq =
   s.st_pop_base <- s.st_pops;
   s.st_finished <- s.st_n_candidates >= s.st_config.max_candidates;
   if not s.st_finished then s.st_exhausted <- false;
-  s.st_verify_s <- s.st_verify_s +. (Clock.mono () -. m0);
+  s.st_times.verify_s <- s.st_times.verify_s +. (Clock.mono () -. m0);
   s.st_elapsed_s <- s.st_elapsed_s +. (Clock.now () -. t0)
 
 (* Snapshot the run's observable outcome.  Pure with respect to results:
@@ -1146,8 +1117,9 @@ let outcome s =
     out_pushed = Frontier.pushed s.st_frontier;
     out_stats;
     out_elapsed_s = s.st_elapsed_s;
-    out_expand_s = s.st_expand_s;
-    out_verify_s = s.st_verify_s;
+    out_expand_s = s.st_times.expand_s;
+    out_verify_s = s.st_times.verify_s;
+    out_admit_s = s.st_times.admit_s;
     out_exhausted = s.st_exhausted;
     out_dropped = Frontier.dropped s.st_frontier;
     out_domains = s.st_domains;

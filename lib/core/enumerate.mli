@@ -97,6 +97,10 @@ type outcome = {
   out_elapsed_s : float;  (** wall-clock seconds for the whole run *)
   out_expand_s : float;  (** processor time spent in EnumNextStep *)
   out_verify_s : float;  (** processor time spent in the verification cascade *)
+  out_admit_s : float;
+      (** time spent admitting verified children (visited and canonical
+          dedup, warning count, frontier push); with [out_expand_s] and
+          [out_verify_s] it accounts for the enumeration loop *)
   out_exhausted : bool;
       (** the frontier emptied within budget {e and} compaction never
           dropped a state — i.e. the reachable space was fully enumerated *)

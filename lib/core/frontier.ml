@@ -1,126 +1,179 @@
-type entry = Partial.t * int
+(* A binary min-heap stored as parallel arrays: the states, and beside
+   them the priority keys unboxed — confidence in a float array, and join
+   length and insertion sequence number packed into one int
+   ([jlen * 2^40 + seq], which orders like the pair).  A push stores
+   three words and allocates nothing; a comparison reads no state. *)
 
 type t = {
-  mutable heap : entry array;
+  mutable states : Partial.t array;
+  mutable conf : float array;
+  mutable ranks : int array;
   mutable len : int;
   mutable seq : int;
   mutable dropped : int;
   cap : int;
-  dummy : entry;
 }
 
 let create ?(cap = max_int) () =
-  let dummy = (Partial.root, -1) in
-  { heap = Array.make 64 dummy; len = 0; seq = 0; dropped = 0; cap; dummy }
+  {
+    states = Array.make 64 Partial.root;
+    conf = Array.make 64 0.0;
+    ranks = Array.make 64 0;
+    len = 0;
+    seq = 0;
+    dropped = 0;
+    cap;
+  }
 
 let dropped t = t.dropped
-
 let size t = t.len
 let is_empty t = t.len = 0
 let pushed t = t.seq
 
-(* entry [a] has higher priority than [b] when compare_priority a b < 0 *)
-let higher a b = Partial.compare_priority a b < 0
+let seq_bits = 40
+let rank jlen seq = (jlen lsl seq_bits) lor seq
+let seq_of rank = rank land ((1 lsl seq_bits) - 1)
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
+(* Whether keys [(conf, rank)] have higher priority than slot [j]: the
+   order of {!Partial.compare_priority} on the stored keys. *)
+let key_higher t conf rank j =
+  let c = Float.compare t.conf.(j) conf in
+  if c <> 0 then c < 0 else rank < t.ranks.(j)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if higher t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
+let higher t i j = key_higher t t.conf.(i) t.ranks.(i) j
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.len && higher t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.len && higher t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    swap t i !best;
-    sift_down t !best
-  end
+(* Move slot [src] to slot [dst] (no heap repair). *)
+let move t ~src ~dst =
+  t.states.(dst) <- t.states.(src);
+  t.conf.(dst) <- t.conf.(src);
+  t.ranks.(dst) <- t.ranks.(src)
+
+(* The live slots in priority order. *)
+let sorted_slots t =
+  let order = Array.init t.len Fun.id in
+  Array.sort (fun i j -> if i = j then 0 else if higher t i j then -1 else 1) order;
+  order
+
+(* Keep the slots [order.(0 .. len-1)], in that order: a sorted prefix is
+   a valid heap.  Vacated state slots are cleared so they pin nothing. *)
+let permute t order len =
+  let pick a fill = Array.init (Array.length a) (fun i -> if i < len then a.(order.(i)) else fill) in
+  t.states <- pick t.states Partial.root;
+  t.conf <- pick t.conf 0.0;
+  t.ranks <- pick t.ranks 0;
+  t.len <- len
 
 (* Compact to the best cap/2 entries when the cap is exceeded. *)
 let compact t =
-  let live = Array.sub t.heap 0 t.len in
-  Array.sort Partial.compare_priority live;
-  let keep = max 1 (t.cap / 2) in
-  let keep = min keep t.len in
+  let order = sorted_slots t in
+  let keep = min (max 1 (t.cap / 2)) t.len in
   t.dropped <- t.dropped + (t.len - keep);
-  Array.fill t.heap 0 t.len t.dummy;
-  Array.blit live 0 t.heap 0 keep;
-  t.len <- keep
+  permute t order keep
 
-(* Insert a pre-stamped entry: shared by [push] (fresh sequence number)
-   and [restore] (original sequence number, no counter bump). *)
-let push_entry t entry =
+let grow t =
+  let n = 2 * Array.length t.states in
+  let extend a fill =
+    let a' = Array.make n fill in
+    Array.blit a 0 a' 0 t.len;
+    a'
+  in
+  t.states <- extend t.states Partial.root;
+  t.conf <- extend t.conf 0.0;
+  t.ranks <- extend t.ranks 0
+
+(* Write [p] and its keys to slot [i]. *)
+let store t i (p : Partial.t) conf rank =
+  t.states.(i) <- p;
+  t.conf.(i) <- conf;
+  t.ranks.(i) <- rank
+
+(* Insert a state under a given sequence number: shared by [push] (fresh
+   sequence number) and the restores (original sequence number, no
+   counter bump).  Sifts a hole up from the end, moving each parent down
+   once, and writes the state where the hole stops. *)
+let push_seq t (p : Partial.t) seq =
   if t.len >= t.cap then compact t;
-  if t.len = Array.length t.heap then begin
-    let heap' = Array.make (2 * t.len) t.dummy in
-    Array.blit t.heap 0 heap' 0 t.len;
-    t.heap <- heap'
-  end;
-  t.heap.(t.len) <- entry;
+  if t.len = Array.length t.states then grow t;
+  let conf = p.Partial.confidence and rank = rank (Partial.join_length p) seq in
+  let hole = ref t.len in
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  while !hole > 0 && key_higher t conf rank ((!hole - 1) / 2) do
+    let parent = (!hole - 1) / 2 in
+    move t ~src:parent ~dst:!hole;
+    hole := parent
+  done;
+  store t !hole p conf rank
 
-let push t pq =
-  push_entry t (pq, t.seq);
+let push t p =
+  push_seq t p t.seq;
   t.seq <- t.seq + 1
 
-let pop_entry t =
+(* Remove the top slot (the caller has read it): the last slot's entry
+   sifts down from a hole at the root. *)
+let drop_top t =
+  let last = t.len - 1 in
+  t.len <- last;
+  if last > 0 then begin
+    let p = t.states.(last) and conf = t.conf.(last) and rank = t.ranks.(last) in
+    let hole = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !hole) + 1 in
+      let child = if l + 1 < last && higher t (l + 1) l then l + 1 else l in
+      if child < last && not (key_higher t conf rank child) then begin
+        move t ~src:child ~dst:!hole;
+        hole := child
+      end
+      else sifting := false
+    done;
+    store t !hole p conf rank
+  end;
+  t.states.(last) <- Partial.root
+
+let pop t =
   if t.len = 0 then None
   else begin
-    let entry = t.heap.(0) in
-    t.len <- t.len - 1;
-    t.heap.(0) <- t.heap.(t.len);
-    t.heap.(t.len) <- t.dummy;
-    if t.len > 0 then sift_down t 0;
-    Some entry
+    let p = t.states.(0) in
+    drop_top t;
+    Some p
   end
 
-let pop t = Option.map fst (pop_entry t)
+type buffer = {
+  b_states : Partial.t array;
+  b_seqs : int array;
+}
 
-let pop_entries t k =
-  let rec go k acc =
-    if k <= 0 then List.rev acc
-    else
-      match pop_entry t with
-      | None -> List.rev acc
-      | Some e -> go (k - 1) (e :: acc)
-  in
-  go k []
+let buffer n = { b_states = Array.make n Partial.root; b_seqs = Array.make n 0 }
+let buffer_state b i = b.b_states.(i)
 
-let pop_k t k = List.map fst (pop_entries t k)
-
-let restore t entries = List.iter (push_entry t) entries
-
-(* Arena variants: same semantics as [pop_entries]/[restore], but the
-   batch lives in a caller-owned buffer so a pop-and-restore round
-   allocates nothing (the entry tuples themselves were allocated at push
-   time and are merely moved). *)
-let pop_entries_into t buf k =
-  let k = min k (Array.length buf) in
+let pop_entries_into t b k =
+  let k = min k (Array.length b.b_states) in
   let n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !n < k do
-    match pop_entry t with
-    | None -> continue_ := false
-    | Some e ->
-        buf.(!n) <- e;
-        incr n
+  while !n < k && t.len > 0 do
+    b.b_states.(!n) <- t.states.(0);
+    b.b_seqs.(!n) <- seq_of t.ranks.(0);
+    drop_top t;
+    incr n
   done;
   !n
 
-let restore_array t buf n =
+let restore_array t b n =
   for i = 0 to n - 1 do
-    push_entry t buf.(i);
-    (* drop the arena's alias so it does not pin the state between rounds *)
-    buf.(i) <- t.dummy
+    push_seq t b.b_states.(i) b.b_seqs.(i);
+    (* drop the buffer's alias so it does not pin the state between rounds *)
+    b.b_states.(i) <- Partial.root
   done
+
+let filter t keep =
+  (* decide in priority order, as successive pops would present the states *)
+  let order = sorted_slots t in
+  let n = ref 0 in
+  Array.iter
+    (fun i ->
+      if keep t.states.(i) then begin
+        order.(!n) <- i;
+        incr n
+      end)
+    order;
+  let dropped = t.len - !n in
+  permute t order !n;
+  dropped

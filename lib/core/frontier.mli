@@ -1,6 +1,7 @@
 (** Best-first frontier for Algorithm 1: a binary min-heap ordered by
     {!Partial.compare_priority} (highest confidence first, then shorter join
-    paths, then insertion order for determinism). *)
+    paths, then insertion order for determinism).  The priority keys are
+    kept unboxed beside the states, so a push allocates nothing. *)
 
 type t
 
@@ -25,35 +26,41 @@ val push : t -> Partial.t -> unit
 (** Remove and return the highest-priority state. *)
 val pop : t -> Partial.t option
 
-(** [pop_k t k] removes and returns up to [k] states in priority order —
-    exactly the states [k] successive {!pop} calls would return.  Fewer
-    than [k] states come back only when the frontier runs dry. *)
-val pop_k : t -> int -> Partial.t list
-
-(** Like {!pop_k} but keeps each state's insertion sequence number, so a
-    batch that was only {e inspected} can be put back verbatim with
-    {!restore}.  Used by the Duopar speculative rounds: the enumerator
-    batch-pops the top-K, processes them on worker domains, and restores
-    the ones it has not yet committed. *)
-val pop_entries : t -> int -> (Partial.t * int) list
-
-(** Re-insert entries from {!pop_entries} with their original sequence
-    numbers.  Does not advance the {!pushed} counter, so a
-    pop-and-restore round leaves priority order, tie-breaking and
-    accounting exactly as if it never happened.  (Restoring into a
-    frontier past its cap still triggers compaction, like any insert.) *)
-val restore : t -> (Partial.t * int) list -> unit
-
 (** Total states ever pushed (the sequence counter). *)
 val pushed : t -> int
 
-(** [pop_entries_into t buf k] is {!pop_entries} into a caller-owned
-    buffer: pops up to [min k (Array.length buf)] entries into
-    [buf.(0 .. n-1)] (priority order) and returns [n].  Allocates
-    nothing — this is the Duopar v2 task-arena entry point. *)
-val pop_entries_into : t -> (Partial.t * int) array -> int -> int
+(** A caller-owned batch of states with their sequence numbers. *)
+type buffer
 
-(** [restore_array t buf n] is {!restore} for [buf.(0 .. n-1)], clearing
-    each slot after re-insertion so the arena does not retain states
-    between rounds. *)
-val restore_array : t -> (Partial.t * int) array -> int -> unit
+(** [buffer n] holds up to [n] entries. *)
+val buffer : int -> buffer
+
+(** The state in slot [i]. *)
+val buffer_state : buffer -> int -> Partial.t
+
+(** [pop_entries_into t buf k] removes up to [k] states (at most the
+    buffer's size) in priority order — exactly the states [k] successive
+    {!pop} calls would return — into slots [0 .. n-1] with each state's
+    insertion sequence number, and returns [n].  A batch that was only
+    {e inspected} can be put back verbatim with {!restore_array}: the
+    Duopar speculative rounds batch-pop the top of the frontier, process
+    it on worker domains, and restore what they have not committed.
+    Allocates nothing. *)
+val pop_entries_into : t -> buffer -> int -> int
+
+(** [restore_array t buf n] re-inserts slots [0 .. n-1] with their
+    original sequence numbers, clearing each slot so the buffer does not
+    retain states between rounds.  Does not advance the {!pushed}
+    counter, so a pop-and-restore round leaves priority order,
+    tie-breaking and accounting exactly as if it never happened.
+    (Restoring into a frontier past its cap still triggers compaction,
+    like any insert.) *)
+val restore_array : t -> buffer -> int -> unit
+
+(** [filter t keep] drops every queued state for which [keep] is false,
+    in place, and returns how many it dropped.  [keep] sees the states
+    in priority order.  The survivors keep their sequence numbers, so the
+    result pops exactly like popping everything with
+    {!pop_entries_into} and restoring the kept entries; neither
+    {!pushed} nor {!dropped} moves. *)
+val filter : t -> (Partial.t -> bool) -> int

@@ -229,29 +229,32 @@ let rec progress = function
   | P_limit -> 6
   | P_done -> 7
 
+(* Interval-folding the conjuncts is only meaning-preserving when the
+   predicate set is conjunctive and settled; otherwise fall back to
+   sorting, which is sound under either connective (commutativity and
+   idempotence).  FROM and the join path stay verbatim: their order can
+   steer executor row order, which a sorted sketch observes. *)
+let fold_ok t =
+  match t.where_preds with
+  | [] | [ _ ] -> true
+  | _ :: _ :: _ -> progress t.phase > 2 && t.conn = And
+
+let canonical_where t =
+  if fold_ok t then Duolint.Duosem.canonical_conjuncts t.where_preds
+  else Duolint.Duosem.sorted_preds t.where_preds
+
+let canonical_having = function
+  | None -> None
+  | Some p as having -> (
+      match Duolint.Duosem.canonical_conjuncts [ p ] with
+      | [ p' ] -> Some p'
+      | [] | _ :: _ :: _ -> having)
+
+(* The state with its WHERE/HAVING in Duosem normal form. *)
+let canonical_form t =
+  { t with where_preds = canonical_where t; having_pred = canonical_having t.having_pred }
+
 let canonical_key t =
-  (* Interval-folding the conjuncts is only meaning-preserving when the
-     predicate set is conjunctive and settled; otherwise fall back to
-     sorting, which is sound under either connective (commutativity and
-     idempotence).  FROM and the join path stay verbatim: their order can
-     steer executor row order, which a sorted sketch observes. *)
-  let fold_ok =
-    match t.where_preds with
-    | [] | [ _ ] -> true
-    | _ :: _ :: _ -> progress t.phase > 2 && t.conn = And
-  in
-  let where_preds =
-    if fold_ok then Duolint.Duosem.canonical_conjuncts t.where_preds
-    else Duolint.Duosem.sorted_preds t.where_preds
-  in
-  let having_pred =
-    match t.having_pred with
-    | None -> None
-    | Some p -> (
-        match Duolint.Duosem.canonical_conjuncts [ p ] with
-        | [ p' ] -> Some p'
-        | [] | _ :: _ :: _ -> Some p)
-  in
   (* Folding can erase which tagged literals the state consumed (x > 3
      AND x > 5 folds like x > 4 AND x > 5), and the complete-stage
      literal check observes exactly that — so the key carries the used
@@ -271,7 +274,7 @@ let canonical_key t =
     | Some c -> c.Duodb.Schema.col_table ^ "." ^ c.Duodb.Schema.col_name
     | None -> "")
     lits
-    (to_string { t with where_preds; having_pred })
+    (to_string (canonical_form t))
 
 (* --- render-free identity ------------------------------------------------
 
@@ -403,7 +406,21 @@ let mix_from h f =
       let all = (1 lsl List.length tables) - 1 in
       mix_walk (mix_str h first) tables f.f_joins 1 (all land lnot 1) 0
 
-let key_hash t =
+(* Clause hashes, each from a fixed seed so that a table can memoize it
+   per clause value: siblings physically share every clause their
+   parent decided ([{ p with ... }] copies the pointers). *)
+let pending_hash = function
+  | Some c -> mix_col 71 c.Duodb.Schema.col_table c.Duodb.Schema.col_name
+  | None -> 72
+
+let projs_hash = function [] -> 73 | projs -> mix_list mix_slot 0 projs
+let from_hash = function Some f -> mix_from 74 f | None -> 75
+let preds_hash preds = mix_list mix_pred 76 preds
+let group_hash = function Some c -> mix_ref 77 c | None -> 78
+let having_hash = function Some p -> mix_pred 79 p | None -> 0
+let order_hash = function Some (agg, c) -> mix_lhs 80 agg c | None -> 81
+
+let combine t ~pending_h ~projs_h ~from_h ~where_h ~group_h ~having_h ~order_h =
   let kw = t.kw in
   let decided = t.phase <> P_keywords in
   let h = mix 0 (phase_index t.phase) in
@@ -415,34 +432,46 @@ let key_hash t =
       + (if kw.Duoguide.Model.kw_group then 2 else 0)
       + if kw.Duoguide.Model.kw_order then 4 else 0)
   in
-  let h =
-    match t.where_pending with
-    | Some c -> mix_col (mix h 71) c.Duodb.Schema.col_table c.Duodb.Schema.col_name
-    | None -> mix h 72
-  in
   (* SELECT: "?" when no slot is decided, else the slots (the holes
      follow from [nproj]) *)
-  let h = match t.projs with [] -> mix h 73 | projs -> mix_list mix_slot h projs in
-  let h = match t.from with Some f -> mix_from (mix h 74) f | None -> mix h 75 in
-  let h =
-    if kw.Duoguide.Model.kw_where && decided then mix_list mix_pred (mix h 76) t.where_preds
-    else h
-  in
-  let h =
-    if kw.Duoguide.Model.kw_group && decided then
-      match t.group_col with Some c -> mix_ref (mix h 77) c | None -> mix h 78
-    else h
-  in
-  let h = match t.having_pred with Some p -> mix_pred (mix h 79) p | None -> h in
+  let h = mix (mix (mix h pending_h) projs_h) from_h in
+  let h = if kw.Duoguide.Model.kw_where && decided then mix h where_h else h in
+  let h = if kw.Duoguide.Model.kw_group && decided then mix h group_h else h in
+  let h = mix h having_h in
   let h =
     if kw.Duoguide.Model.kw_order && decided then
       match t.order_item with
-      | Some (agg, c) ->
-          mix (mix_lhs (mix h 80) agg c) (match t.order_dir with Asc -> 1 | Desc -> 2)
-      | None -> mix h 81
+      | Some _ -> mix (mix h order_h) (match t.order_dir with Asc -> 1 | Desc -> 2)
+      | None -> mix h order_h
     else h
   in
   match t.limit with Some n -> mix (mix h 82) n | None -> h
+
+let key_hash t =
+  combine t ~pending_h:(pending_hash t.where_pending) ~projs_h:(projs_hash t.projs)
+    ~from_h:(from_hash t.from) ~where_h:(preds_hash t.where_preds)
+    ~group_h:(group_hash t.group_col) ~having_h:(having_hash t.having_pred)
+    ~order_h:(order_hash t.order_item)
+
+(* The used-literal multiset, hashed order-independently (a sum), with
+   [Int 3] and [Float 3.0] alike as their printed forms are. *)
+let literal_hash acc (v : Duodb.Value.t) = acc + mix_value 91 v
+
+let pred_literals_hash acc p =
+  match p.pr_rhs with
+  | Cmp (_, v) -> literal_hash acc v
+  | Between (lo, hi) -> literal_hash (literal_hash acc lo) hi
+
+let with_literals t ~where_lits h =
+  mix h (match t.having_pred with Some p -> pred_literals_hash where_lits p | None -> where_lits)
+
+let canonical_hash t =
+  with_literals t ~where_lits:(List.fold_left pred_literals_hash 0 t.where_preds)
+    (combine t ~pending_h:(pending_hash t.where_pending) ~projs_h:(projs_hash t.projs)
+       ~from_h:(from_hash t.from) ~where_h:(preds_hash (canonical_where t))
+       ~group_h:(group_hash t.group_col)
+       ~having_h:(having_hash (canonical_having t.having_pred))
+       ~order_h:(order_hash t.order_item))
 
 (* Field-wise equality of everything [key] prints: [true] implies
    [key a = key b]; [false] can still mean equal keys (the printer's
@@ -461,71 +490,192 @@ let equal_rendered a b =
      && (a.order_item = None || a.order_dir = b.order_dir)
      && a.limit = b.limit
 
-(* A table keyed by [key]'s partition, probed without printing: buckets
-   are indexed by the full [key_hash], so only states whose hashes are
-   equal are ever compared, and only those that are not field-wise equal
-   print their keys. *)
-module Tbl = struct
-  module H = Hashtbl.Make (struct
-    type t = int
+(* Equal literal multisets (compared like [equal_rendered] compares
+   predicates). *)
+let same_literals a b =
+  List.sort compare (used_literals a) = List.sort compare (used_literals b)
 
-    let equal = Int.equal
-    let hash h = h
-  end)
+(* --- sets over state partitions -------------------------------------------
 
-  type state = t
+   Open addressing with linear probing: the full hash of each entry in
+   an int array beside the state array, so an entry costs two words and
+   no bucket, cons cell or tuple, and a probe reads the state only on a
+   hash match.  Hash 0 marks a free slot (a real 0 is stored as 1).
+   Each set keeps one-slot memos of the clause hashes keyed on physical
+   identity: siblings share the clauses their parent decided, so a
+   child re-hashes only the clause it changed.  The memos belong to the
+   set, so sets on different domains or sessions never share one. *)
 
-  type 'a t = {
-    buckets : (state * 'a) list H.t;
-    mutable renders : int;
+type 'k memo = { mutable m_key : 'k; mutable m_hash : int }
+
+let memo m k f =
+  if m.m_key == k then m.m_hash
+  else begin
+    let h = f k in
+    m.m_key <- k;
+    m.m_hash <- h;
+    h
+  end
+
+let memo_of f k = { m_key = k; m_hash = f k }
+
+type set = {
+  mutable hashes : int array;
+  mutable states : t array;
+  mutable count : int;
+  mutable renders : int;
+  m_pending : Duodb.Schema.column option memo;
+  m_projs : proj_slot list memo;
+  m_from : from_clause option memo;
+  m_where : pred list memo;
+  m_group : col_ref option memo;
+  m_having : pred option memo;
+  m_order : (agg option * col_ref option) option memo;
+}
+
+let set n =
+  let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
+  let cap = pow2 16 in
+  {
+    hashes = Array.make cap 0;
+    states = Array.make cap root;
+    count = 0;
+    renders = 0;
+    m_pending = memo_of pending_hash None;
+    m_projs = memo_of projs_hash [];
+    m_from = memo_of from_hash None;
+    m_where = memo_of preds_hash [];
+    m_group = memo_of group_hash None;
+    m_having = memo_of having_hash None;
+    m_order = memo_of order_hash None;
   }
 
-  let create n = { buckets = H.create n; renders = 0 }
+(* [combine] with the clause hashes from the set's memos; [where_h] and
+   [having_h] are the caller's. *)
+let memo_combine m t ~where_h ~having_h =
+  combine t
+    ~pending_h:(memo m.m_pending t.where_pending pending_hash)
+    ~projs_h:(memo m.m_projs t.projs projs_hash)
+    ~from_h:(memo m.m_from t.from from_hash)
+    ~where_h
+    ~group_h:(memo m.m_group t.group_col group_hash)
+    ~having_h
+    ~order_h:(memo m.m_order t.order_item order_hash)
 
-  let same tbl a b =
+let grow m =
+  let hashes = m.hashes and states = m.states in
+  let cap = 2 * Array.length states in
+  let mask = cap - 1 in
+  m.hashes <- Array.make cap 0;
+  m.states <- Array.make cap root;
+  Array.iteri
+    (fun j h ->
+      if h <> 0 then begin
+        let rec free i = if m.hashes.(i) = 0 then i else free ((i + 1) land mask) in
+        let i = free (h land mask) in
+        m.hashes.(i) <- h;
+        m.states.(i) <- states.(j)
+      end)
+    hashes
+
+(* Add [st] unless a member is [same] as it; [true] when it was added. *)
+let add m same st h =
+  let h = if h = 0 then 1 else h in
+  let mask = Array.length m.hashes - 1 in
+  let rec probe i =
+    let hi = m.hashes.(i) in
+    if hi = 0 then begin
+      m.hashes.(i) <- h;
+      m.states.(i) <- st;
+      m.count <- m.count + 1;
+      if 2 * m.count > Array.length m.hashes then grow m;
+      true
+    end
+    else if hi = h && same m st m.states.(i) then false
+    else probe ((i + 1) land mask)
+  in
+  probe (h land mask)
+
+let take_renders m =
+  let n = m.renders in
+  m.renders <- 0;
+  n
+
+(* A set over [key]'s partition, probed without printing: only states
+   with equal [key_hash]es are compared, and only those that are not
+   field-wise equal print their keys. *)
+module Tbl = struct
+  type t = set
+
+  let create = set
+
+  let same m a b =
     equal_rendered a b
     || begin
-         tbl.renders <- tbl.renders + 2;
+         m.renders <- m.renders + 2;
          String.equal (key a) (key b)
        end
 
-  let rec assoc tbl st = function
-    | [] -> None
-    | (st', v) :: rest -> if same tbl st st' then Some v else assoc tbl st rest
+  let add m st =
+    add m same st
+      (memo_combine m st
+         ~where_h:(memo m.m_where st.where_preds preds_hash)
+         ~having_h:(memo m.m_having st.having_pred having_hash))
 
-  let find_opt tbl st =
-    match H.find_opt tbl.buckets (key_hash st) with
-    | None -> None
-    | Some bucket -> assoc tbl st bucket
+  let take_renders = take_renders
+end
 
-  let find_or_add tbl st v =
-    let h = key_hash st in
-    match H.find_opt tbl.buckets h with
-    | None ->
-        H.replace tbl.buckets h [ (st, v) ];
-        None
-    | Some bucket -> (
-        match assoc tbl st bucket with
-        | Some _ as found -> found
-        | None ->
-            H.replace tbl.buckets h ((st, v) :: bucket);
-            None)
+(* The canonical layer's set: [canonical_key]'s partition, hashed with
+   [canonical_hash] through memos of the canonical WHERE (keyed on the
+   predicate list and whether it may fold) and HAVING.  Only states whose
+   hashes are equal are compared, structurally on their canonical forms
+   and literal multisets; only those that still differ print their
+   canonical keys. *)
+module Canon = struct
+  type state = t
 
-  let remove tbl st =
-    let h = key_hash st in
-    match H.find_opt tbl.buckets h with
-    | None -> ()
-    | Some bucket -> (
-        match List.filter (fun (st', _) -> not (same tbl st st')) bucket with
-        | [] -> H.remove tbl.buckets h
-        | rest -> H.replace tbl.buckets h rest)
+  type t = {
+    set : set;
+    mutable cw_key : pred list;
+    mutable cw_fold : bool;
+    mutable cw_hash : int;
+    mutable cw_lits : int;
+    cw_having : pred option memo;
+  }
 
-  let reset tbl = H.reset tbl.buckets
+  let create n =
+    {
+      set = set n;
+      cw_key = [];
+      cw_fold = true;
+      cw_hash = preds_hash [];
+      cw_lits = 0;
+      cw_having = memo_of having_hash None;
+    }
 
-  let take_renders tbl =
-    let n = tbl.renders in
-    tbl.renders <- 0;
-    n
+  let canonical_having_hash p = having_hash (canonical_having p)
+
+  let hash c (st : state) =
+    let fold = fold_ok st in
+    if not (c.cw_key == st.where_preds && Bool.equal c.cw_fold fold) then begin
+      c.cw_key <- st.where_preds;
+      c.cw_fold <- fold;
+      c.cw_hash <- preds_hash (canonical_where st);
+      c.cw_lits <- List.fold_left pred_literals_hash 0 st.where_preds
+    end;
+    with_literals st ~where_lits:c.cw_lits
+      (memo_combine c.set st ~where_h:c.cw_hash
+         ~having_h:(memo c.cw_having st.having_pred canonical_having_hash))
+
+  let same m a b =
+    (equal_rendered (canonical_form a) (canonical_form b) && same_literals a b)
+    || begin
+         m.renders <- m.renders + 2;
+         String.equal (canonical_key a) (canonical_key b)
+       end
+
+  let add c st = add c.set same st (hash c st)
+  let take_renders c = take_renders c.set
 end
 
 let has_predicates t = t.where_preds <> [] || Option.is_some t.having_pred

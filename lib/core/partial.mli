@@ -108,11 +108,12 @@ val key : t -> string
     equivalent predicate spellings collide.  The used literal multiset
     and the verbatim join path are part of the key, keeping the
     complete-stage literal check and row-order-sensitive sketch
-    satisfaction observationally equal across collapsed states.  The
-    enumerator uses it as a second visited-set layer ([dedup_semantic])
-    for states with predicates ({!has_predicates}); for the others it is
-    {!key} with an empty literal segment, so the layer cannot collapse
-    anything the first one did not. *)
+    satisfaction observationally equal across collapsed states.  This
+    printed key is the specification of the enumerator's second
+    visited-set layer ([dedup_semantic]), which partitions states with
+    predicates ({!has_predicates}) like it through {!Canon}; for the
+    others it is {!key} with an empty literal segment, so the layer
+    cannot collapse anything the first one did not. *)
 val canonical_key : t -> string
 
 (** A hash of {!key}'s partition, computed from the state's fields
@@ -130,34 +131,64 @@ val key_hash : t -> int
     [key a = key b]; [false] does not imply the converse. *)
 val equal_rendered : t -> t -> bool
 
-(** Tables over {!key}'s partition that never print on the hot path:
-    buckets are indexed by the full {!key_hash}, only hash-equal states
-    are compared, and only those that are not {!equal_rendered} print
-    their keys (counted in {!Tbl.take_renders}). *)
+(** Sets over {!key}'s partition that never print on the hot path:
+    open addressing on the full {!key_hash}, computed through one-slot
+    memos of the clause hashes that the set owns (keyed on physical
+    identity, so siblings re-hash only the clause they changed).  Only
+    hash-equal states are compared, and only those that are not
+    {!equal_rendered} print their keys (counted in
+    {!Tbl.take_renders}). *)
 module Tbl : sig
   type state := t
-  type 'a t
+  type t
 
-  val create : int -> 'a t
+  val create : int -> t
 
-  (** The value bound to a state with the same key. *)
-  val find_opt : 'a t -> state -> 'a option
-
-  (** [find_or_add tbl st v] returns the value bound to a state with
-      [st]'s key, or binds [st] to [v] and returns [None]: the visited-set
-      test-and-insert in one hash computation. *)
-  val find_or_add : 'a t -> state -> 'a -> 'a option
-
-  val remove : 'a t -> state -> unit
-  val reset : 'a t -> unit
+  (** [add tbl st] adds [st] and returns [true] when no member has
+      [st]'s key; otherwise returns [false] and adds nothing: the
+      visited-set test-and-insert in one hash computation. *)
+  val add : t -> state -> bool
 
   (** Keys printed by equality fallbacks since the last call (two per
       fallback comparison); resets the count. *)
-  val take_renders : 'a t -> int
+  val take_renders : t -> int
+end
+
+(** A hash of {!canonical_key}'s partition, computed without printing:
+    {!key_hash}'s fields with WHERE/HAVING in Duosem normal form, mixed
+    with an order-independent hash of the used-literal multiset ([Int 3]
+    and [Float 3.0] alike).  [canonical_key a = canonical_key b] implies
+    [canonical_hash a = canonical_hash b]. *)
+val canonical_hash : t -> int
+
+(** Sets over {!canonical_key}'s partition, with no printing on the hot
+    path.  A set stores the admitted states themselves and hashes with
+    {!canonical_hash} (through memos of the canonical WHERE and HAVING and
+    of the SELECT and FROM hashes); on a hash hit it compares the two
+    states' canonical forms and literal multisets field by field, and
+    prints their canonical keys only when that comparison cannot decide
+    (counted in {!Canon.take_renders}).  Membership partitions states
+    exactly like [String.equal] on {!canonical_key}. *)
+module Canon : sig
+  type state := t
+  type t
+
+  val create : int -> t
+
+  (** [add c st] admits [st] and returns [true] when no admitted state
+      shares its canonical key; otherwise returns [false]. *)
+  val add : t -> state -> bool
+
+  (** Canonical keys printed by fallbacks since the last call; resets
+      the count. *)
+  val take_renders : t -> int
 end
 
 (** Whether the state has decided a WHERE or HAVING predicate. *)
 val has_predicates : t -> bool
+
+(** Number of join edges on the state's join path. *)
+val join_length : t -> int
 
 (** Confidence-then-join-length ordering for the best-first frontier:
     higher confidence first; ties prefer shorter join paths

@@ -154,9 +154,9 @@ let merge_stats ~into s =
   into.batch_rounds <- into.batch_rounds + s.batch_rounds;
   into.batched_probes <- into.batched_probes + s.batched_probes;
   into.early_stops <- into.early_stops + s.early_stops;
-  Array.iteri
-    (fun i v -> into.stage_seconds.(i) <- into.stage_seconds.(i) +. v)
-    s.stage_seconds
+  for i = 0 to Array.length s.stage_seconds - 1 do
+    into.stage_seconds.(i) <- into.stage_seconds.(i) +. s.stage_seconds.(i)
+  done
 
 (* Process-wide cascade invocation counter.  The per-run stats records
    above are all domain-confined; this is the one counter that must be
@@ -206,6 +206,19 @@ let compile_sketch = function
         sk_support = Tsq.required_support tsq;
       }
 
+(* One-slot memos turning a state's SELECT slots and HAVING predicate
+   into the outline's clause lists, keyed on physical identity: siblings
+   then present physically equal outline clauses, which is what the
+   Duolint memos ([has_errors_p], [count_warnings_p]) key on. *)
+type outline_memo = {
+  mutable om_projs : Partial.proj_slot list;
+  mutable om_select : proj list;
+  mutable om_having_key : pred option;
+  mutable om_having : pred list;
+}
+
+let outline_memo () = { om_projs = []; om_select = []; om_having_key = None; om_having = [] }
+
 type env = {
   e_db : Duodb.Database.t;
   e_tsq : Tsq.t option;
@@ -215,6 +228,7 @@ type env = {
   e_static : bool;
   (* schema compiled to hash lookups for the stage-0 rules *)
   e_lint : Duolint.Analyze.prepared;
+  e_outline : outline_memo;  (* per domain, like [e_lint] *)
   (* immutable schema key facts for the Duosem cardinality stage; safe
      to share across forked domains *)
   e_sem : Duolint.Duosem.prepared;
@@ -254,6 +268,7 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
     e_semantics = semantics;
     e_static = static;
     e_lint = Duolint.Analyze.prepare (Duodb.Database.schema db);
+    e_outline = outline_memo ();
     e_sem = Duolint.Duosem.prepare (Duodb.Database.schema db);
     e_stats = (match stats with Some s -> s | None -> new_stats ());
     e_index =
@@ -273,13 +288,14 @@ let stats env = env.e_stats
    immutable inputs (database, TSQ, literals, the *forced* inverted
    index) and gets private copies of everything mutable — probe caches,
    relation cache, stats, and the Duolint prepared tables (whose
-   one-slot memos are written on every check).  Forcing the index here
-   runs on the caller's domain, so worker domains never race the lazy
-   thunk. *)
+   one-slot memos are written on every check) with their outline memo.
+   Forcing the index here runs on the caller's domain, so worker domains
+   never race the lazy thunk. *)
 let fork_env env =
   {
     env with
     e_lint = Duolint.Analyze.prepare (Duodb.Database.schema env.e_db);
+    e_outline = outline_memo ();
     e_stats = new_stats ();
     e_index = Lazy.from_val (Lazy.force env.e_index);
     e_cache = Hashtbl.create 256;
@@ -363,15 +379,22 @@ let decided_slot_proj (s : Partial.proj_slot) =
    decision can change that clause.  FROM is the delicate one — join-path
    construction replaces the clause wholesale, so it is final only on
    complete states. *)
-let outline_of_partial (t : Partial.t) : Duolint.Outline.t =
+let outline_with m (t : Partial.t) : Duolint.Outline.t =
+  if m.om_projs != t.Partial.projs then begin
+    m.om_projs <- t.Partial.projs;
+    m.om_select <- List.filter_map decided_slot_proj t.Partial.projs
+  end;
+  if m.om_having_key != t.Partial.having_pred then begin
+    m.om_having_key <- t.Partial.having_pred;
+    m.om_having <- Option.to_list t.Partial.having_pred
+  end;
   let kw = t.Partial.kw in
   let kwd = kw_decided t in
   let complete = Partial.is_complete t in
   let no_group = kwd && not kw.Duoguide.Model.kw_group in
   let no_order = kwd && not kw.Duoguide.Model.kw_order in
   {
-    Duolint.Outline.o_select =
-      List.filter_map decided_slot_proj t.Partial.projs;
+    Duolint.Outline.o_select = m.om_select;
     o_select_final = select_done t;
     o_from = t.Partial.from;
     o_from_final = complete;
@@ -380,7 +403,7 @@ let outline_of_partial (t : Partial.t) : Duolint.Outline.t =
     o_where_final = where_done t;
     o_group_by = Option.to_list t.Partial.group_col;
     o_group_final = no_group || group_decided t;
-    o_having = Option.to_list t.Partial.having_pred;
+    o_having = m.om_having;
     o_having_conn =
       (if no_group || having_done t then Some And else None);
     o_having_final = no_group || having_done t;
@@ -394,16 +417,19 @@ let outline_of_partial (t : Partial.t) : Duolint.Outline.t =
     o_limit_final = complete || no_order;
   }
 
+let outline_of_partial t = outline_with (outline_memo ()) t
+let outline env t = outline_with env.e_outline t
+
 let verify_static env (t : Partial.t) =
   (not env.e_static)
-  || not (Duolint.Analyze.has_errors_p env.e_lint (outline_of_partial t))
+  || not (Duolint.Analyze.has_errors_p env.e_lint (outline env t))
 
 (* Warning count for the enumerator's deprioritization: warnings never
    prune, they only push suspicious states down the frontier. *)
 let static_warnings env (t : Partial.t) =
   if not env.e_static then 0
   else begin
-    let n = Duolint.Analyze.count_warnings_p env.e_lint (outline_of_partial t) in
+    let n = Duolint.Analyze.count_warnings_p env.e_lint (outline env t) in
     if n > 0 then env.e_stats.static_warnings <- env.e_stats.static_warnings + n;
     n
   end
@@ -433,7 +459,7 @@ let verify_static_query env q =
    static rules: without them, ungrouped-projection completions survive
    and keep SQLite's bare-column (many-row) semantics. *)
 let outline_for_cardinality env (t : Partial.t) =
-  let o = outline_of_partial t in
+  let o = outline env t in
   if
     env.e_static && kw_decided t
     && t.Partial.kw.Duoguide.Model.kw_group

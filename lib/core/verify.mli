@@ -76,11 +76,12 @@ type stats = {
           {!Partial.key} was already admitted *)
   mutable canon_checked : int;
       (** admitted states looked up in the canonical layer
-          ({!Partial.canonical_key} rendered); states without WHERE or
-          HAVING predicates skip it *)
+          ({!Partial.Canon}); states without WHERE or HAVING predicates
+          skip it *)
   mutable key_renders : int;
-      (** {!Partial.key} strings rendered by the visited set's equality
-          fallback (hash-equal states that are not structurally equal) *)
+      (** {!Partial.key} and {!Partial.canonical_key} strings rendered by
+          the visited and canonical sets' equality fallbacks (hash-equal
+          states that are not structurally equal) *)
   mutable static_warnings : int;
       (** Duolint warnings used to deprioritize frontier pushes *)
   mutable batch_rounds : int;

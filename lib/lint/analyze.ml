@@ -22,6 +22,17 @@ let pp_col c = c.cr_table ^ "." ^ c.cr_col
    clause the child just changed. *)
 type 'k memo = { mutable m_key : 'k; mutable m_ok : bool }
 
+(* The warning-count twins: a clause's count of warnings, and for WHERE
+   and HAVING the connective it was counted under (subsumption only
+   fires under a decided AND). *)
+type 'k count_memo = { mutable c_key : 'k; mutable c_n : int }
+
+type cond_memo = {
+  mutable w_preds : pred list;
+  mutable w_conn : connective option;
+  mutable w_n : int;
+}
+
 type prepared = {
   p_tables : (string, unit) Hashtbl.t;
   p_cols : (string * string, Datatype.t) Hashtbl.t;
@@ -34,9 +45,18 @@ type prepared = {
   m_where_sat : (pred list * connective) memo;
   m_having_sat : (pred list * connective) memo;
   m_from : from_clause memo;
+  w_select : proj list count_memo;
+  w_from : from_clause count_memo;
+  w_where : cond_memo;
+  w_having : cond_memo;
+  (* the counting sink: [w_emit] bumps [w_hits] on every warning, so a
+     count needs no closure per call *)
+  w_hits : int ref;
+  w_emit : D.t -> unit;
 }
 
 let prepare (schema : Schema.t) =
+  let w_hits = ref 0 in
   let p_tables = Hashtbl.create 16 in
   let p_cols = Hashtbl.create 64 in
   let p_pks = Hashtbl.create 16 in
@@ -67,6 +87,13 @@ let prepare (schema : Schema.t) =
     m_where_sat = { m_key = ([], And); m_ok = true };
     m_having_sat = { m_key = ([], And); m_ok = true };
     m_from = { m_key = { f_tables = []; f_joins = [] }; m_ok = true };
+    (* likewise no warnings *)
+    w_select = { c_key = []; c_n = 0 };
+    w_from = { c_key = { f_tables = []; f_joins = [] }; c_n = 0 };
+    w_where = { w_preds = []; w_conn = None; w_n = 0 };
+    w_having = { w_preds = []; w_conn = None; w_n = 0 };
+    w_hits;
+    w_emit = (fun d -> if not (D.is_error d) then incr w_hits);
   }
 
 let column_type pre (c : col_ref) =
@@ -428,16 +455,59 @@ let order_rules pre emit items =
       check_agg pre emit D.Order_by i.o_agg i.o_col)
     items
 
-(* [errors]/[warnings] select which rule classes run: the cascade's
-   boolean fast path skips the warning rules entirely, and the
-   deprioritization pass skips the error rules (the cascade already ran
-   them on the same state). *)
-let run_rules ~errors ~warnings pre (o : Outline.t) emit =
+(* The two cross-clause warning rules, for a final WHERE and a final
+   non-empty GROUP BY respectively. *)
+let constant_output_rule emit (o : Outline.t) =
+  match o.Outline.o_where_conn, o.Outline.o_where with
+  | _, [] | Some Or, _ :: _ :: _ -> ()
+  | (Some (And | Or) | None), _ ->
+      List.iter
+        (fun (p : proj) ->
+          match p.p_agg, p.p_col with
+          | None, Some c ->
+              if
+                List.exists
+                  (fun pr ->
+                    match pr.pr_agg, pr.pr_col, pr.pr_rhs with
+                    | None, Some pc, rhs -> is_eq_rhs rhs && equal_col_ref c pc
+                    | Some _, _, _ | None, None, _ -> false)
+                  o.Outline.o_where
+              then
+                emit
+                  (D.make D.Constant_output D.Select
+                     "%s is pinned to a constant by WHERE" (pp_col c))
+          | (None | Some _), _ -> ())
+        o.Outline.o_select
+
+let order_unprojected_rule emit (o : Outline.t) =
+  List.iter
+    (fun (i : order_item) ->
+      match i.o_agg, i.o_col with
+      | None, Some c ->
+          if
+            (not (List.exists (equal_col_ref c) o.Outline.o_group_by))
+            && not
+                 (List.exists
+                    (fun (p : proj) ->
+                      p.p_agg = None
+                      && match p.p_col with Some pc -> equal_col_ref pc c | None -> false)
+                    o.Outline.o_select)
+          then
+            emit
+              (D.make D.Order_by_unprojected D.Order_by
+                 "ordering a grouped query by ungrouped column %s" (pp_col c))
+      | (None | Some _), _ -> ())
+    o.Outline.o_order_by
+
+(* Every rule, in order: the error rules, then the warning rules.  The
+   cascade's boolean fast path ([has_errors_p]) and the memoized
+   warning count ([count_warnings_p]) run their own halves. *)
+let run_rules pre (o : Outline.t) emit =
   let { Outline.o_select; o_select_final; o_from; o_from_final; o_where;
         o_where_conn; o_where_final; o_group_by; o_group_final; o_having;
         o_having_conn; o_having_final; o_order_by; o_order_final; o_limit;
         o_limit_final = _ } = o in
-  if errors then begin
+  begin
     (* 1. schema/type checks on every decided reference: decided clause
        parts persist along every completion, so these fire eagerly. *)
     select_rules pre emit o_select;
@@ -495,7 +565,7 @@ let run_rules ~errors ~warnings pre (o : Outline.t) emit =
         emit (D.make D.Nonpositive_limit D.Limit "LIMIT %d returns nothing" n)
     | Some _ | None -> ()
   end;
-  if warnings then begin
+  begin
     (* 4. redundancy: warnings fire on decided parts, no finality needed
        (they deprioritize rather than prune). *)
     Option.iter (check_join_redundancy emit) o_from;
@@ -504,55 +574,13 @@ let run_rules ~errors ~warnings pre (o : Outline.t) emit =
     check_subsumed emit D.Where o_where o_where_conn;
     check_subsumed emit D.Having o_having o_having_conn;
     check_duplicate_projs emit o_select;
-    if o_where_final then
-      (match o_where_conn, o_where with
-      | Some Or, _ :: _ :: _ -> ()
-      | (Some (And | Or) | None), _ ->
-          List.iter
-            (fun (p : proj) ->
-              match p.p_agg, p.p_col with
-              | None, Some c ->
-                  if
-                    List.exists
-                      (fun pr ->
-                        match pr.pr_agg, pr.pr_col, pr.pr_rhs with
-                        | None, Some pc, rhs ->
-                            is_eq_rhs rhs && equal_col_ref c pc
-                        | Some _, _, _ | None, None, _ -> false)
-                      o_where
-                  then
-                    emit
-                      (D.make D.Constant_output D.Select
-                         "%s is pinned to a constant by WHERE" (pp_col c))
-              | (None | Some _), _ -> ())
-            o_select);
-    if o_group_final && o_group_by <> [] then
-      List.iter
-        (fun (i : order_item) ->
-          match i.o_agg, i.o_col with
-          | None, Some c ->
-              if
-                (not (List.exists (equal_col_ref c) o_group_by))
-                && not
-                     (List.exists
-                        (fun (p : proj) ->
-                          p.p_agg = None
-                          && match p.p_col with
-                             | Some pc -> equal_col_ref pc c
-                             | None -> false)
-                        o_select)
-              then
-                emit
-                  (D.make D.Order_by_unprojected D.Order_by
-                     "ordering a grouped query by ungrouped column %s"
-                     (pp_col c))
-          | (None | Some _), _ -> ())
-        o_order_by
+    if o_where_final then constant_output_rule emit o;
+    if o_group_final && o_group_by <> [] then order_unprojected_rule emit o
   end
 
 let check_p pre o =
   let acc = ref [] in
-  run_rules ~errors:true ~warnings:true pre o (fun d -> acc := d :: !acc);
+  run_rules pre o (fun d -> acc := d :: !acc);
   List.rev !acc
 
 exception Found_error
@@ -668,11 +696,55 @@ let has_errors_p pre (o : Outline.t) =
   in
   not ok
 
-let count_warnings_p pre o =
-  let n = ref 0 in
-  run_rules ~errors:false ~warnings:true pre o (fun d ->
-      if not (D.is_error d) then incr n);
-  !n
+(* The warning half of [run_rules], counted through [w_emit] with the
+   per-clause rules memoized like [has_errors_p]'s: each clause's count
+   is keyed on the clause's physical identity (and a condition's on its
+   connective too, which subsumption reads), so a caller that passes
+   siblings' shared clauses re-counts only the clause a child changed.
+   The two cross-clause rules are re-run, and only when their finality
+   flags hold. *)
+let same_conn a b =
+  match a, b with
+  | None, None | Some And, Some And | Some Or, Some Or -> true
+  | (None | Some (And | Or)), _ -> false
+
+let cond_warnings pre m clause preds conn =
+  if m.w_preds == preds && same_conn m.w_conn conn then m.w_n
+  else begin
+    pre.w_hits := 0;
+    check_duplicate_preds pre.w_emit clause preds;
+    check_subsumed pre.w_emit clause preds conn;
+    m.w_preds <- preds;
+    m.w_conn <- conn;
+    m.w_n <- !(pre.w_hits);
+    m.w_n
+  end
+
+let clause_warnings pre m key rule =
+  if m.c_key != key then begin
+    pre.w_hits := 0;
+    rule pre.w_emit key;
+    m.c_key <- key;
+    m.c_n <- !(pre.w_hits)
+  end;
+  m.c_n
+
+let count_warnings_p pre (o : Outline.t) =
+  let from_n =
+    match o.Outline.o_from with
+    | None -> 0
+    | Some f -> clause_warnings pre pre.w_from f check_join_redundancy
+  in
+  let select_n = clause_warnings pre pre.w_select o.Outline.o_select check_duplicate_projs in
+  let where_n = cond_warnings pre pre.w_where D.Where o.Outline.o_where o.Outline.o_where_conn in
+  let having_n =
+    cond_warnings pre pre.w_having D.Having o.Outline.o_having o.Outline.o_having_conn
+  in
+  pre.w_hits := 0;
+  if o.Outline.o_where_final then constant_output_rule pre.w_emit o;
+  if o.Outline.o_group_final && o.Outline.o_group_by <> [] then
+    order_unprojected_rule pre.w_emit o;
+  from_n + select_n + where_n + having_n + !(pre.w_hits)
 
 let check schema o = check_p (prepare schema) o
 let has_errors schema o = has_errors_p (prepare schema) o

@@ -20,7 +20,11 @@ val has_errors_p : prepared -> Outline.t -> bool
 
 val count_warnings_p : prepared -> Outline.t -> int
 (** Number of warnings (deprioritization weight for the enumerator);
-    runs only the warning rules. *)
+    runs only the warning rules.  Like {!has_errors_p} it memoizes each
+    clause's count on the clause's physical identity (a condition's also
+    on its connective), so callers that pass clause lists shared between
+    consecutive calls re-count only the clauses that changed; the
+    cross-clause rules re-run whenever their finality flags hold. *)
 
 val check : Duodb.Schema.t -> Outline.t -> Diagnostic.t list
 val has_errors : Duodb.Schema.t -> Outline.t -> bool

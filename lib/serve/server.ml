@@ -369,35 +369,61 @@ let destroy t =
 
 (* --- the event loop --------------------------------------------------- *)
 
+(* A client's partial input line, and its pending replies: the bytes
+   [out.(out_pos .. out_len-1)] are not yet written. *)
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  mutable outbuf : string;
+  mutable out : Bytes.t;
+  mutable out_len : int;
+  mutable out_pos : int;
 }
 
-let feed t client data =
-  Buffer.add_string client.inbuf data;
-  let s = Buffer.contents client.inbuf in
-  let rec split from acc =
-    match String.index_from_opt s from '\n' with
-    | Some nl -> split (nl + 1) (String.sub s from (nl - from) :: acc)
-    | None -> (List.rev acc, String.sub s from (String.length s - from))
+let new_client fd =
+  { fd; inbuf = Buffer.create 256; out = Bytes.create 256; out_len = 0; out_pos = 0 }
+
+let pending c = c.out_len > c.out_pos
+
+let reply c line =
+  let need = c.out_len + String.length line + 1 in
+  if need > Bytes.length c.out then begin
+    let out = Bytes.create (max need (2 * Bytes.length c.out)) in
+    Bytes.blit c.out 0 out 0 c.out_len;
+    c.out <- out
+  end;
+  Bytes.blit_string line 0 c.out c.out_len (String.length line);
+  Bytes.set c.out (need - 1) '\n';
+  c.out_len <- need
+
+(* Answer every line completed by [data.(0 .. n-1)]: only the new bytes
+   are searched for newlines, and each line is copied out once. *)
+let feed t client data n =
+  let rec lines from =
+    match Bytes.index_from_opt data from '\n' with
+    | Some nl when nl < n ->
+        Buffer.add_subbytes client.inbuf data from (nl - from);
+        let line = String.trim (Buffer.contents client.inbuf) in
+        Buffer.clear client.inbuf;
+        if line <> "" then reply client (handle_line t line);
+        lines (nl + 1)
+    | Some _ | None -> Buffer.add_subbytes client.inbuf data from (n - from)
   in
-  let lines, rest = split 0 [] in
-  Buffer.clear client.inbuf;
-  Buffer.add_string client.inbuf rest;
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if line <> "" then
-        client.outbuf <- client.outbuf ^ handle_line t line ^ "\n")
-    lines
+  lines 0
+
+(* Write what the socket takes; a fully written buffer is reset. *)
+let flush c =
+  c.out_pos <- c.out_pos + Unix.write c.fd c.out c.out_pos (c.out_len - c.out_pos);
+  if c.out_pos = c.out_len then begin
+    c.out_len <- 0;
+    c.out_pos <- 0
+  end
 
 let serve t ~listen =
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
   let clients = ref [] in
+  let buf = Bytes.create 4096 in
   let drop c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     clients := List.filter (fun c' -> c'.fd <> c.fd) !clients
@@ -405,7 +431,7 @@ let serve t ~listen =
   let finished = ref false in
   while not !finished do
     let can_exit =
-      drained t && List.for_all (fun c -> c.outbuf = "") !clients
+      drained t && not (List.exists pending !clients)
     in
     if can_exit then begin
       List.iter drop !clients;
@@ -419,7 +445,7 @@ let serve t ~listen =
       in
       let write_fds =
         List.filter_map
-          (fun c -> if c.outbuf = "" then None else Some c.fd)
+          (fun c -> if pending c then Some c.fd else None)
           !clients
       in
       let timeout = if running_count t > 0 then 0.0 else 0.05 in
@@ -429,17 +455,14 @@ let serve t ~listen =
       in
       if List.mem listen readable then (
         match Unix.accept ~cloexec:true listen with
-        | fd, _ ->
-            clients :=
-              { fd; inbuf = Buffer.create 256; outbuf = "" } :: !clients
+        | fd, _ -> clients := new_client fd :: !clients
         | exception Unix.Unix_error _ -> ());
       List.iter
         (fun c ->
           if List.mem c.fd readable then
-            let buf = Bytes.create 4096 in
-            match Unix.read c.fd buf 0 4096 with
+            match Unix.read c.fd buf 0 (Bytes.length buf) with
             | 0 -> drop c
-            | n -> feed t c (Bytes.sub_string buf 0 n)
+            | n -> feed t c buf n
             | exception
                 Unix.Unix_error
                   ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
@@ -450,12 +473,9 @@ let serve t ~listen =
         !clients;
       List.iter
         (fun c ->
-          if List.mem c.fd writable && c.outbuf <> "" then
-            let data = Bytes.of_string c.outbuf in
-            match Unix.write c.fd data 0 (Bytes.length data) with
-            | n ->
-                c.outbuf <-
-                  String.sub c.outbuf n (String.length c.outbuf - n)
+          if List.mem c.fd writable && pending c then
+            match flush c with
+            | () -> ()
             | exception
                 Unix.Unix_error
                   ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->

@@ -93,6 +93,7 @@ let empty_outcome () =
     out_elapsed_s = 0.0;
     out_expand_s = 0.0;
     out_verify_s = 0.0;
+    out_admit_s = 0.0;
     out_exhausted = false;
     out_dropped = 0;
     out_domains = 1;

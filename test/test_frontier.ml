@@ -3,6 +3,16 @@ module Partial = Duocore.Partial
 
 let state conf = { Partial.root with Partial.confidence = conf }
 
+(* [k] successive pops as one batch *)
+let pop_k f k =
+  let b = Frontier.buffer k in
+  List.init (Frontier.pop_entries_into f b k) (Frontier.buffer_state b)
+
+(* pop a batch of [k] and put it back *)
+let pop_restore f k =
+  let b = Frontier.buffer k in
+  Frontier.restore_array f b (Frontier.pop_entries_into f b k)
+
 let test_pop_order () =
   let f = Frontier.create () in
   List.iter (fun c -> Frontier.push f (state c)) [ 0.3; 0.9; 0.1; 0.5 ];
@@ -81,10 +91,10 @@ let test_pop_k_order () =
   List.iter (fun c -> Frontier.push f (state c)) [ 0.3; 0.9; 0.1; 0.5; 0.7 ];
   let confs l = List.map (fun (s : Partial.t) -> s.Partial.confidence) l in
   Alcotest.(check (list (float 1e-9))) "best k, descending" [ 0.9; 0.7; 0.5 ]
-    (confs (Frontier.pop_k f 3));
+    (confs (pop_k f 3));
   Alcotest.(check (list (float 1e-9))) "remainder still ordered" [ 0.3; 0.1 ]
-    (confs (Frontier.pop_k f 10));
-  Alcotest.(check (list (float 1e-9))) "empty" [] (confs (Frontier.pop_k f 4))
+    (confs (pop_k f 10));
+  Alcotest.(check (list (float 1e-9))) "empty" [] (confs (pop_k f 4))
 
 let test_pop_k_matches_pops =
   QCheck.Test.make ~name:"pop_k equals k single pops" ~count:100
@@ -100,7 +110,7 @@ let test_pop_k_matches_pops =
           Frontier.push f2 (state c))
         confs;
       let batch =
-        List.map (fun (s : Partial.t) -> s.Partial.confidence) (Frontier.pop_k f1 k)
+        List.map (fun (s : Partial.t) -> s.Partial.confidence) (pop_k f1 k)
       in
       let rec singles n acc =
         if n = 0 then List.rev acc
@@ -117,8 +127,7 @@ let test_restore_preserves_order () =
   List.iteri
     (fun i _ -> Frontier.push f { (state 0.5) with Partial.nproj = i })
     [ (); (); (); () ];
-  let entries = Frontier.pop_entries f 3 in
-  Frontier.restore f entries;
+  pop_restore f 3;
   let order = List.init 4 (fun _ -> (Option.get (Frontier.pop f)).Partial.nproj) in
   Alcotest.(check (list int)) "original FIFO order back" [ 0; 1; 2; 3 ] order;
   Alcotest.(check int) "restore does not count as pushes" 4 (Frontier.pushed f)
@@ -133,12 +142,115 @@ let test_pop_k_compaction_interaction () =
   (* batch pop + restore must not disturb the dropped accounting, and
      restoring past the cap still triggers compaction rather than
      unbounded growth *)
-  let entries = Frontier.pop_entries f (Frontier.size f) in
-  Frontier.restore f entries;
+  pop_restore f (Frontier.size f);
   Alcotest.(check bool) "size still bounded" true (Frontier.size f <= 11);
   Alcotest.(check (float 1e-9)) "best survivor unchanged" 0.5
     (Option.get (Frontier.pop f)).Partial.confidence;
   Alcotest.(check bool) "dropped monotone" true (Frontier.dropped f >= dropped0)
+
+(* The frontier against a sorted-list model.  Each operation runs on
+   both; pops, sizes and the pushed/dropped counters must agree after
+   every step.  Confidences and join lengths come from small sets so
+   ties on both are common; states carry a unique id in [depth]. *)
+type op =
+  | Push of float * int
+  | Pop
+  | Pop_into_restore of int
+  | Filter of int
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun c j -> Push (c, j)) (oneofl [ 0.2; 0.5; 0.9 ]) (int_range 0 2));
+        (2, return Pop);
+        (1, map (fun k -> Pop_into_restore k) (int_range 0 6));
+        (1, map (fun m -> Filter m) (int_range 2 4));
+      ])
+
+let show_op = function
+  | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
+  | Pop -> "pop"
+  | Pop_into_restore k -> Printf.sprintf "pop_entries_into %d + restore_array" k
+  | Filter m -> Printf.sprintf "filter mod %d" m
+
+let edge =
+  { Duosql.Ast.j_from = Duosql.Ast.col "starring" "aid"; j_to = Duosql.Ast.col "actor" "aid" }
+
+type model = {
+  mutable entries : (Partial.t * int) list;  (* sorted by priority *)
+  mutable m_pushed : int;
+  mutable m_dropped : int;
+}
+
+let model_insert m cap e =
+  if List.length m.entries >= cap then begin
+    let keep = min (max 1 (cap / 2)) (List.length m.entries) in
+    m.m_dropped <- m.m_dropped + (List.length m.entries - keep);
+    m.entries <- List.filteri (fun i _ -> i < keep) m.entries
+  end;
+  m.entries <- List.merge Partial.compare_priority m.entries [ e ]
+
+let model_pop m k =
+  let rec go k acc =
+    match m.entries with
+    | e :: rest when k > 0 ->
+        m.entries <- rest;
+        go (k - 1) (e :: acc)
+    | _ -> List.rev acc
+  in
+  go k []
+
+let prop_model =
+  QCheck.Test.make ~name:"frontier = sorted-list model" ~count:300
+    QCheck.(
+      pair (int_range 2 12)
+        (make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_range 0 80) gen_op)))
+    (fun (cap, ops) ->
+      let f = Frontier.create ~cap () in
+      let m = { entries = []; m_pushed = 0; m_dropped = 0 } in
+      let buf = Frontier.buffer 4 in
+      let next_id = ref 0 in
+      let ids l = List.map (fun (p : Partial.t) -> p.Partial.depth) l in
+      let step = function
+        | Push (c, j) ->
+            let p =
+              { (state c) with
+                Partial.depth = !next_id;
+                from =
+                  Some { Duosql.Ast.f_tables = [ "actor" ]; f_joins = List.init j (fun _ -> edge) } }
+            in
+            incr next_id;
+            Frontier.push f p;
+            model_insert m cap (p, m.m_pushed);
+            m.m_pushed <- m.m_pushed + 1;
+            true
+        | Pop ->
+            ids (Option.to_list (Frontier.pop f)) = ids (List.map fst (model_pop m 1))
+        | Pop_into_restore k ->
+            let n = Frontier.pop_entries_into f buf k in
+            let got = List.init n (Frontier.buffer_state buf) in
+            let want = model_pop m (min k 4) in
+            Frontier.restore_array f buf n;
+            List.iter (model_insert m cap) want;
+            ids got = ids (List.map fst want)
+        | Filter md ->
+            let keep (p : Partial.t) = p.Partial.depth mod md <> 0 in
+            let dropped = Frontier.filter f keep in
+            let before = List.length m.entries in
+            m.entries <- List.filter (fun (p, _) -> keep p) m.entries;
+            dropped = before - List.length m.entries
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Frontier.size f = List.length m.entries
+          && Frontier.pushed f = m.m_pushed
+          && Frontier.dropped f = m.m_dropped)
+        ops
+      &&
+      let rec drain acc = match Frontier.pop f with Some p -> drain (p :: acc) | None -> List.rev acc in
+      ids (drain []) = ids (List.map fst m.entries))
 
 let suite =
   [
@@ -153,4 +265,5 @@ let suite =
     Alcotest.test_case "cap compaction" `Quick test_cap_compaction;
     QCheck_alcotest.to_alcotest prop_heap_order;
     QCheck_alcotest.to_alcotest prop_pushed_count;
+    QCheck_alcotest.to_alcotest prop_model;
   ]

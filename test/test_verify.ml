@@ -413,6 +413,107 @@ let test_sibling_set_cascade () =
           task.Duobench.Spider_gen.sp_literals))
     task.Duobench.Spider_gen.sp_gold
 
+(* --- memoized warning count = recomputed warning count -------------- *)
+
+(* The enumerator's warning count ([Verify.static_warnings], memoized per
+   clause on one env across calls) must equal Duolint's count on a fresh
+   [prepare] for every child and grandchild of the gold derivations, in
+   derivation order and shuffled.  Returns the total count, so callers
+   can check the states raise warnings at all. *)
+let check_warning_memo name ~db ~tsq ~literals states =
+  let schema = Duodb.Database.schema db in
+  let run order states =
+    let env = Verify.make_env ~db ~tsq ~literals () in
+    List.fold_left
+      (fun total (t : Partial.t) ->
+        let got = Verify.static_warnings env t in
+        let want =
+          Duolint.Analyze.count_warnings_p (Duolint.Analyze.prepare schema)
+            (Verify.outline_of_partial t)
+        in
+        if got <> want then
+          Alcotest.failf "%s (%s order): %s has %d warnings memoized, %d recomputed" name order
+            (Partial.to_string t) got want;
+        total + got)
+      0 states
+  in
+  let total = run "derivation" states in
+  let rng = Random.State.make [| Hashtbl.hash name |] in
+  let shuffled =
+    List.map snd
+      (List.sort compare (List.map (fun t -> (Random.State.bits rng, t)) states))
+  in
+  ignore (run "shuffled" shuffled);
+  total
+
+let test_warning_memo () =
+  let mdb = Duobench.Mas.database () in
+  let tasks = Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks in
+  List.iter
+    (fun id ->
+      let task = List.find (fun t -> t.Duobench.Mas.task_id = id) tasks in
+      let gold = Duobench.Mas.gold task in
+      let ctx =
+        Model.make Duobench.Mas.schema (Duonl.Nlq.analyze task.Duobench.Mas.task_nlq)
+      in
+      List.iter
+        (fun detail ->
+          let name = id ^ "/" ^ Duobench.Tsq_synth.detail_to_string detail in
+          let rng = Duobench.Rng.create (Hashtbl.hash name) in
+          match Duobench.Tsq_synth.synthesize rng mdb gold ~detail with
+          | None -> Alcotest.failf "%s: no sketch" name
+          | Some tsq ->
+              ignore
+                (check_warning_memo name ~db:mdb ~tsq:(Some tsq)
+                   ~literals:task.Duobench.Mas.task_literals
+                   (List.concat (sibling_sets ctx (Enumerate.hints_of_tsq tsq) gold))))
+        [ Duobench.Tsq_synth.Full; Duobench.Tsq_synth.Partial; Duobench.Tsq_synth.Minimal ])
+    [ "A1"; "B1"; "B4"; "D1" ];
+  (* quick-dev tasks in NLI mode, where warnings do fire *)
+  let dev = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+  let total =
+    List.fold_left
+      (fun total (t : Duobench.Spider_gen.task) ->
+        let db = List.assoc t.Duobench.Spider_gen.sp_db dev.Duobench.Spider_gen.databases in
+        match
+          Duocheck.Soundness.derivation_states (Duodb.Database.schema db)
+            t.Duobench.Spider_gen.sp_gold
+        with
+        | None -> total
+        | Some _ ->
+            let ctx =
+              Model.make (Duodb.Database.schema db)
+                (Duonl.Nlq.with_literals t.Duobench.Spider_gen.sp_nlq
+                   t.Duobench.Spider_gen.sp_literals)
+            in
+            total
+            + check_warning_memo ("dev " ^ t.Duobench.Spider_gen.sp_nlq) ~db ~tsq:None
+                ~literals:t.Duobench.Spider_gen.sp_literals
+                (List.concat (sibling_sets ctx Enumerate.no_hints t.Duobench.Spider_gen.sp_gold)))
+      0 dev.Duobench.Spider_gen.tasks
+  in
+  if total = 0 then Alcotest.fail "no dev state raised a warning: the check is vacuous";
+  (* Siblings that differ only by the WHERE connective share the predicate
+     list physically; subsumption fires under AND only. *)
+  let year n =
+    { Duosql.Ast.pr_agg = None; pr_col = Some (Duosql.Ast.col "publication" "year");
+      pr_rhs = Duosql.Ast.Cmp (Duosql.Ast.Gt, Duodb.Value.Int n) }
+  in
+  let settled =
+    { Partial.root with
+      Partial.phase = Partial.P_group_col;
+      kw = { Duoguide.Model.kw_where = true; kw_group = false; kw_order = false };
+      nproj = 1;
+      where_n = 2;
+      where_preds = [ year 2000; year 2005 ];
+      from = Some (Duosql.Ast.from_table "publication") }
+  in
+  let siblings =
+    List.map (fun conn -> { settled with Partial.conn }) Duosql.Ast.[ And; Or; And ]
+  in
+  if check_warning_memo "connective siblings" ~db:mdb ~tsq:None ~literals:[] siblings = 0 then
+    Alcotest.fail "the AND siblings raised no subsumption warning"
+
 let suite =
   [
     Alcotest.test_case "clauses: sorted flag" `Quick test_clauses_sorted_mismatch;
@@ -431,4 +532,5 @@ let suite =
       test_row_probe_over_max_rows;
     QCheck_alcotest.to_alcotest prop_no_prefix_of_gold_pruned;
     Alcotest.test_case "sibling set = child by child" `Quick test_sibling_set_cascade;
+    Alcotest.test_case "memoized warnings = recomputed" `Quick test_warning_memo;
   ]
