@@ -6,7 +6,7 @@
    smoke testing; the default regenerates the full paper-sized splits.
 
    Flags: --micro-only skips part 1; --json PATH additionally writes the
-   microbenchmark estimates (and planner-on/off speedups) as JSON. *)
+   microbenchmark estimates and the profiles below as JSON. *)
 
 open Bechamel
 
@@ -75,24 +75,20 @@ let synth_movie mode tsq () =
 
 let mas_task_a1 = List.hd Duobench.Mas.nli_study_tasks
 
-(* Planner-on vs planner-off executor pairs on MAS gold queries: A1 is a
-   two-table join, B1 a three-table join and B4 a four-table join with
-   grouping — each with a selective equality WHERE predicate, the shape of
-   the GPQE verification hot path. *)
+(* Executor runs of MAS gold queries: A1 is a two-table join, B1 a
+   three-table join and B4 a four-table join with grouping — each with a
+   selective equality WHERE predicate, the shape of the GPQE verification
+   hot path. *)
 let executor_bench_tests () =
   let db = Lazy.force mas_db in
   let all_tasks = Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks in
-  let pair id =
-    let task = List.find (fun t -> t.Duobench.Mas.task_id = id) all_tasks in
-    let q = Duobench.Mas.gold task in
-    List.map
-      (fun (tag, planner) ->
-        Test.make ~name:(Printf.sprintf "executor/%s/planner-%s" id tag)
-          (Staged.stage (fun () ->
-               ignore (Duoengine.Executor.run_exn ~planner db q))))
-      [ ("on", true); ("off", false) ]
-  in
-  List.concat_map pair [ "A1"; "B1"; "B4" ]
+  List.map
+    (fun id ->
+      let task = List.find (fun t -> t.Duobench.Mas.task_id = id) all_tasks in
+      let q = Duobench.Mas.gold task in
+      Test.make ~name:(Printf.sprintf "executor/%s" id)
+        (Staged.stage (fun () -> ignore (Duoengine.Executor.run_exn db q))))
+    [ "A1"; "B1"; "B4" ]
 
 (* --- Duodb columnar kernels: scan/probe microbenchmarks and a
    batched-vs-unbatched probe comparison, all on the largest MAS table --- *)
@@ -355,18 +351,6 @@ let run_microbench () =
     tests;
   List.rev !estimates
 
-(* Pair every "X/planner-on" estimate with its "X/planner-off" twin. *)
-let speedups estimates =
-  List.filter_map
-    (fun (name, on_ns) ->
-      match Filename.chop_suffix_opt ~suffix:"/planner-on" name with
-      | None -> None
-      | Some base -> (
-          match List.assoc_opt (base ^ "/planner-off") estimates with
-          | Some off_ns when on_ns > 0. -> Some (base, on_ns, off_ns)
-          | _ -> None))
-    estimates
-
 (* Cascade stage profile: guided MAS synthesis over the NLI study tasks
    (each with a synthesized full-detail TSQ), accumulated into per-stage
    totals so the JSON records where cascade time goes and what each stage
@@ -505,13 +489,13 @@ let duopar_profile () =
    by the rounds run.
 
    Two views are reported:
-   - [bytes_per_round] / [bytes_per_round_fixed]: the round *machinery*,
-     isolated with a pinned floor-1 [spec_schedule] — each round stages
-     exactly the state the committing loop pops next, so the expansion
-     work cancels against the sequential baseline bit-for-bit and only
-     the task-arena (resp. v1 allocate-per-task) plumbing remains;
-   - the [controller] block: adaptive vs fixed 4*domains rounds at full
-     speculation depth, where (1 - commit_rate) is the wasted work. *)
+   - [bytes_per_round]: the round *machinery*, isolated with a pinned
+     floor-1 [spec_schedule] — each round stages exactly the state the
+     committing loop pops next, so the expansion work cancels against the
+     sequential baseline bit-for-bit and only the task-arena plumbing
+     remains;
+   - the [controller] block: adaptive rounds at full speculation depth,
+     where (1 - commit_rate) is the wasted work. *)
 
 type duopar_alloc = {
   da_bytes_per_round : float option;
@@ -531,13 +515,11 @@ let heap_bytes () =
 
 let duopar_alloc_profile () =
   let domains = duopar_domains () in
-  let measure ~domains ?schedule ~adaptive ~arena () =
+  let measure ~domains ?schedule () =
     let config =
       { (duopar_config domains) with
         Duocore.Enumerate.overcommit = true;
-        spec_adaptive = adaptive;
-        spec_schedule = schedule;
-        arena }
+        spec_schedule = schedule }
     in
     let pool =
       if domains > 1 then Some (Duopar.Pool.create ~domains) else None
@@ -552,7 +534,7 @@ let duopar_alloc_profile () =
   in
   (* The wall-time profile above already forced every lazy (database,
      model context, index), so these runs measure steady state. *)
-  let seq, seq_bytes = measure ~domains:1 ~adaptive:false ~arena:false () in
+  let seq, seq_bytes = measure ~domains:1 () in
   let summarize (outcomes, bytes) =
     let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
     let rounds = sum (fun o -> o.Duocore.Enumerate.out_spec_rounds) in
@@ -576,18 +558,10 @@ let duopar_alloc_profile () =
       da_hash = digest_outcomes outcomes;
     }
   in
-  let floor1 = Some (fun _ -> 1) in
-  let machinery =
-    summarize (measure ~domains ?schedule:floor1 ~adaptive:true ~arena:true ())
-  in
-  let machinery_v1 =
-    summarize
-      (measure ~domains ?schedule:floor1 ~adaptive:true ~arena:false ())
-  in
-  let adaptive = summarize (measure ~domains ~adaptive:true ~arena:true ()) in
-  let fixed = summarize (measure ~domains ~adaptive:false ~arena:true ()) in
+  let machinery = summarize (measure ~domains ~schedule:(fun _ -> 1) ()) in
+  let adaptive = summarize (measure ~domains ()) in
   let seq_hash = digest_outcomes seq in
-  (domains, seq_hash, machinery, machinery_v1, adaptive, fixed)
+  (domains, seq_hash, machinery, adaptive)
 
 let json_escape s =
   let buf = Buffer.create (String.length s) in
@@ -614,17 +588,6 @@ let write_json path estimates =
         ns
         (if i = List.length estimates - 1 then "" else ","))
     estimates;
-  out "  ],\n";
-  out "  \"speedups\": [\n";
-  let sp = speedups estimates in
-  List.iteri
-    (fun i (base, on_ns, off_ns) ->
-      out
-        "    {\"benchmark\": \"%s\", \"planner_on_ns\": %.1f, \
-         \"planner_off_ns\": %.1f, \"speedup\": %.2f}%s\n"
-        (json_escape base) on_ns off_ns (off_ns /. on_ns)
-        (if i = List.length sp - 1 then "" else ","))
-    sp;
   out "  ],\n";
   let tname, trows, n_cand, reps, batched_s, unbatched_s =
     duodb_batch_profile ()
@@ -727,7 +690,7 @@ let write_json path estimates =
     (if spec_tasks = 0 then "1.0"
      else
        Printf.sprintf "%.3f" (float_of_int spec_hits /. float_of_int spec_tasks));
-  let alloc_domains, alloc_seq_hash, machinery, machinery_v1, adaptive, fixed =
+  let alloc_domains, alloc_seq_hash, machinery, adaptive =
     duopar_alloc_profile ()
   in
   let commit_rate a =
@@ -737,35 +700,27 @@ let write_json path estimates =
   out "    \"controller\": {\n";
   out "      \"overcommit_domains\": %d,\n" alloc_domains;
   out "      \"round_size\": %d,\n" adaptive.da_round_size;
-  out "      \"round_size_fixed\": %d,\n" fixed.da_round_size;
   out "      \"ewma_min\": %.3f,\n" adaptive.da_ewma;
   out "      \"grows\": %d,\n" adaptive.da_grows;
   out "      \"shrinks\": %d,\n" adaptive.da_shrinks;
   out "      \"commit_rate_adaptive\": %s,\n" (commit_rate adaptive);
-  out "      \"commit_rate_fixed\": %s,\n" (commit_rate fixed);
-  out "      \"spec_tasks_adaptive\": %d,\n" adaptive.da_tasks;
-  out "      \"spec_tasks_fixed\": %d\n" fixed.da_tasks;
+  out "      \"spec_tasks_adaptive\": %d\n" adaptive.da_tasks;
   out "    },\n";
   let bytes_field = function
     | None -> "null"
     | Some b -> Printf.sprintf "%.0f" b
   in
   (* Round-machinery allocation, isolated with floor-1 rounds (see
-     [duopar_alloc_profile]): v2 task arenas vs the v1
-     allocate-per-task path. *)
+     [duopar_alloc_profile]). *)
   out "    \"alloc\": {\n";
   out "      \"bytes_per_round\": %s,\n" (bytes_field machinery.da_bytes_per_round);
-  out "      \"bytes_per_round_fixed\": %s,\n"
-    (bytes_field machinery_v1.da_bytes_per_round);
   out "      \"machinery_rounds\": %d,\n" machinery.da_rounds;
   out "      \"spec_bytes_per_round_adaptive\": %s,\n"
     (bytes_field adaptive.da_bytes_per_round);
   out "      \"spec_rounds_adaptive\": %d,\n" adaptive.da_rounds;
   out "      \"identical_candidates\": %b\n"
     (String.equal alloc_seq_hash machinery.da_hash
-    && String.equal alloc_seq_hash machinery_v1.da_hash
-    && String.equal alloc_seq_hash adaptive.da_hash
-    && String.equal alloc_seq_hash fixed.da_hash);
+    && String.equal alloc_seq_hash adaptive.da_hash);
   out "    },\n";
   out "    \"per_domain\": [\n";
   Array.iteri
@@ -801,12 +756,7 @@ let write_json path estimates =
   out "  \"static_warnings\": %d\n" static_warnings;
   out "}\n";
   close_out oc;
-  Printf.printf "wrote %s\n%!" path;
-  List.iter
-    (fun (base, on_ns, off_ns) ->
-      Printf.printf "%-36s speedup %.2fx (%.0f -> %.0f ns)\n%!" base
-        (off_ns /. on_ns) off_ns on_ns)
-    sp
+  Printf.printf "wrote %s\n%!" path
 
 let () =
   let micro_only = ref false and json_path = ref None in

@@ -1,10 +1,10 @@
 (* par_check: fast Duopar v2 determinism + allocation gate (@bench-par).
 
    Runs a pop-bounded MAS workload under every controller regime —
-   sequential, adaptive, fixed round size, adversarial [spec_schedule],
-   no-arena — all with [overcommit] so speculation runs even on a
-   single-core CI host, and fails if any configuration's candidate list
-   diverges from the sequential run (the Duopar determinism contract).
+   sequential, adaptive, adversarial [spec_schedule], floor-1 schedule —
+   all with [overcommit] so speculation runs even on a single-core CI
+   host, and fails if any configuration's candidate list diverges from
+   the sequential run (the Duopar determinism contract).
    A refinement sweep (warm [rebase] mid-run) covers the serve path's
    controller inheritance the same way.
 
@@ -12,9 +12,8 @@
    deltas against the sequential run.  Floor-1 rounds (a pinned
    [spec_schedule] of 1) isolate the round *machinery* — every staged
    state is the state about to be popped, so expansion work cancels
-   against the sequential baseline exactly — and the gate holds the
-   arena path to a fixed per-round byte ceiling plus a >= 5x drop vs
-   the v1 allocate-per-task path.  Pop bounds make the work
+   against the sequential baseline exactly — and the gate holds them to
+   a fixed per-round byte ceiling.  Pop bounds make the work
    deterministic, so the gate is stable enough for @check. *)
 
 module Enumerate = Duocore.Enumerate
@@ -141,9 +140,8 @@ let commit_rate outcomes =
   let _, tasks, hits = spec_sums outcomes in
   if tasks = 0 then 1.0 else float_of_int hits /. float_of_int tasks
 
-(* The arena-path machinery may allocate at most this much per round in
-   steady state (~14x above the observed value, still ~4x under the v1
-   allocate-per-task path's). *)
+(* The round machinery may allocate at most this much per round in
+   steady state (about 25x the ~80 bytes observed). *)
 let machinery_ceiling = 2_000.0
 
 let () =
@@ -161,23 +159,15 @@ let () =
   let adversarial i =
     match i mod 4 with 0 -> 1 | 1 -> 1024 | 2 -> 3 | _ -> 7
   in
-  let floor1 = Some (fun _ -> 1) in
   let regimes =
     [
       ("adaptive", { base_config with Enumerate.domains });
-      ("fixed", { base_config with Enumerate.domains; spec_adaptive = false });
       ( "adversarial",
         { base_config with
           Enumerate.domains;
           spec_schedule = Some adversarial } );
-      ("no-arena", { base_config with Enumerate.domains; arena = false });
-      ( "floor1-arena",
-        { base_config with Enumerate.domains; spec_schedule = floor1 } );
-      ( "floor1-noarena",
-        { base_config with
-          Enumerate.domains;
-          spec_schedule = floor1;
-          arena = false } );
+      ( "floor1",
+        { base_config with Enumerate.domains; spec_schedule = Some (fun _ -> 1) } );
     ]
   in
   let results =
@@ -196,26 +186,13 @@ let () =
         Printf.printf
           "par_check: %-15s rounds=%-5d bytes/round=%-8.0f commit=%.3f\n%!"
           name rounds per_round (commit_rate outcomes);
-        (name, (per_round, commit_rate outcomes)))
+        (name, per_round))
       regimes
   in
-  let per_round name = fst (List.assoc name results) in
-  let machinery = per_round "floor1-arena" in
-  let machinery_v1 = per_round "floor1-noarena" in
+  let machinery = List.assoc "floor1" results in
   if machinery > machinery_ceiling then
-    die "arena round machinery allocates %.0f bytes/round (ceiling %.0f)"
+    die "round machinery allocates %.0f bytes/round (ceiling %.0f)"
       machinery machinery_ceiling;
-  if machinery *. 5.0 > machinery_v1 then
-    die
-      "arena round machinery (%.0f bytes/round) is not >= 5x below the v1 \
-       path (%.0f)"
-      machinery machinery_v1;
-  (* Wasted speculative work under overcommit: the budget-aware adaptive
-     controller must not waste more than the fixed 4*domains round. *)
-  let rate name = snd (List.assoc name results) in
-  if rate "adaptive" < rate "fixed" then
-    die "adaptive commit rate %.3f fell below the fixed round's %.3f"
-      (rate "adaptive") (rate "fixed");
   (* Refinement sweep: warm rebases with the controller running must
      stay bit-identical to the sequential refine path. *)
   let refine_seq, _ =
@@ -229,6 +206,6 @@ let () =
       (digest refine_par) (digest refine_seq);
   Printf.printf
     "par_check: OK — %d regimes bit-identical to sequential; machinery %.0f \
-     vs v1 %.0f bytes/round; adaptive commit %.3f >= fixed %.3f\n%!"
+     bytes/round\n%!"
     (List.length regimes + 1)
-    machinery machinery_v1 (rate "adaptive") (rate "fixed")
+    machinery

@@ -37,8 +37,10 @@ type raw = { fd : Unix.file_descr; pending : Buffer.t }
 let raw_connect path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
-  (* a reply that never comes fails the smoke instead of hanging it *)
+  (* a reply that never comes, or a server that stops reading, fails the
+     smoke instead of hanging it *)
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0;
   { fd; pending = Buffer.create 256 }
 
 let raw_send r s =
@@ -202,6 +204,34 @@ let () =
   check "two requests in one write answered like one shot"
     (List.map (fun _ -> raw_read_line batched) lines = want);
   Unix.close batched.fd;
+  (* 6b. a client that pipelines requests whose replies far exceed the
+     socket buffers, then reads only some of them, must not stall anyone
+     else: another client's round trip still completes *)
+  let stats_line = Protocol.request_to_line Protocol.Stats ^ "\n" in
+  let reply_len = String.length (one_shot (Protocol.request_to_line Protocol.Stats)) in
+  let n_piped = 1 + ((4 * 1024 * 1024) / (reply_len + 1)) in
+  let slow = raw_connect path in
+  raw_send slow (String.concat "" (List.init n_piped (fun _ -> stats_line)));
+  (* let the server answer until the socket is full, then drain a
+     quarter MiB so the socket turns writable with megabytes pending *)
+  Unix.sleepf 0.5;
+  let n_read = ref 0 in
+  while !n_read * (reply_len + 1) < 256 * 1024 do
+    ignore (raw_read_line slow);
+    incr n_read
+  done;
+  Unix.sleepf 0.1;
+  let other = raw_connect path in
+  raw_send other stats_line;
+  check "round trip beside a slow reader"
+    (match Json.parse (raw_read_line other) with
+    | Ok j -> Json.member "sessions" j <> None
+    | Error _ -> false);
+  Unix.close other.fd;
+  for _ = !n_read + 1 to n_piped do
+    ignore (raw_read_line slow)
+  done;
+  Unix.close slow.fd;
   (* 7. close both, check the books, drain *)
   ignore (Client.request_exn c (Protocol.Close sid));
   ignore (Client.request_exn c (Protocol.Close sid2));

@@ -41,15 +41,15 @@ let same_rows (run : (Executor.resultset, string) result) streamed =
   | Error a, Error b -> String.equal a b
   | (Ok _ | Error _), (Ok _ | Error _) -> false
 
-(* planner-on = planner-off = naive reference interpreter *)
+(* planned engine = naive reference interpreter *)
 let differential_prop (sc : Gen.scenario) =
-  let on = Executor.run ~planner:true sc.Gen.sc_db sc.Gen.sc_query in
-  let off = Executor.run ~planner:false sc.Gen.sc_db sc.Gen.sc_query in
-  let oracle = Reference.run sc.Gen.sc_db sc.Gen.sc_query in
-  match (on, off, oracle) with
-  | Ok a, Ok b, Ok c -> resultsets_agree a b && resultsets_agree a c
-  | Error _, Error _, Error _ -> true
-  | (Ok _ | Error _), (Ok _ | Error _), (Ok _ | Error _) -> false
+  match
+    ( Executor.run sc.Gen.sc_db sc.Gen.sc_query,
+      Reference.run sc.Gen.sc_db sc.Gen.sc_query )
+  with
+  | Ok a, Ok b -> resultsets_agree a b
+  | Error _, Error _ -> true
+  | (Ok _ | Error _), (Ok _ | Error _) -> false
 
 (* Cached execution = uncached = reference.  One relation cache is shared
    by the scenario query and a two-table join over every FK edge in both
@@ -510,10 +510,9 @@ let parallel_determinism_prop ((sc : Gen.scenario), seed) =
   else true
 
 (* Adaptive determinism (Duopar v2): the speculation round size is a pure
-   performance knob.  Whatever the controller does — the AIMD law, the
-   fixed v1 round, or a seed-derived adversarial [spec_schedule]
-   thrashing between the floor and past the ceiling — and whether the
-   task arena is on or off, the candidates, loop accounting and prune
+   performance knob.  Whatever the controller does — the AIMD law or a
+   seed-derived adversarial [spec_schedule] thrashing between the floor
+   and past the ceiling — the candidates, loop accounting and prune
    counts are bit-identical to the sequential run.  This is the contract
    that lets the controller adapt freely at runtime. *)
 let adaptive_determinism_prop ((sc : Gen.scenario), seed) =
@@ -537,16 +536,10 @@ let adaptive_determinism_prop ((sc : Gen.scenario), seed) =
   let regimes =
     [
       ("adaptive", { base with Duocore.Enumerate.domains });
-      ("fixed", { base with Duocore.Enumerate.domains; spec_adaptive = false });
       ( "adversarial",
         { base with
           Duocore.Enumerate.domains;
           spec_schedule = Some schedule } );
-      ( "no-arena",
-        { base with
-          Duocore.Enumerate.domains;
-          spec_schedule = Some schedule;
-          arena = false } );
     ]
   in
   let sigs (o : Duocore.Enumerate.outcome) =
@@ -1424,7 +1417,7 @@ let arb_seeded =
 let tests ?(mult = 1) () =
   [
     QCheck.Test.make ~count:(60 * mult)
-      ~name:"differential: planner-on = planner-off = reference"
+      ~name:"differential: planned engine = reference"
       Gen.arb_scenario differential_prop;
     QCheck.Test.make ~count:(120 * mult)
       ~name:"round-trip: parse (pretty q) = q" Gen.arb_scenario roundtrip_prop;

@@ -1,8 +1,8 @@
 (** The Duocheck fuzz properties, as QCheck tests.
 
-    - {b differential}: planner-on and planner-off execution agree with
-      the naive {!Reference} interpreter on every generated query (all
-      three error out on out-of-scope inputs);
+    - {b differential}: planned execution agrees with the naive
+      {!Reference} interpreter on every generated query (both error out
+      on out-of-scope inputs);
     - {b round-trip}: [parse (pretty q) = q] under {!Duosql.Equal.queries};
     - {b columnar}: Duodb's columnar views (cells, column vectors, zone
       maps) and the engine's probe kernels agree with the materialized

@@ -4,8 +4,8 @@
     joins in FROM-clause order, no planner, no predicate pushdown, no
     caches, no provenance machinery.  It is deliberately slow and
     deliberately independent of [Duoengine] — the differential property
-    (planner-on ≡ planner-off ≡ reference) is only meaningful when the
-    two sides share no execution code.
+    (planned execution ≡ reference) is only meaningful when the two
+    sides share no execution code.
 
     Semantics mirrored from the dialect definition:
     - joins attach in clause order starting from the first FROM table;

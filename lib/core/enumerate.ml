@@ -14,16 +14,9 @@ type config = {
   max_frontier : int;
   domains : int;
   overcommit : bool;
-  spec_adaptive : bool;
-      (* adaptive speculative round size (Duopar v2); [false] pins the
-         v1 fixed [4 * domains] round for A/B baselines *)
   spec_schedule : (int -> int) option;
       (* test hook: force round [i]'s size (clamped to the controller's
          bounds) — determinism must hold under any schedule *)
-  arena : bool;
-      (* reusable task arenas: recycle round buffers and per-task stats
-         records so a steady-state round allocates (near-)zero fresh
-         heap; [false] keeps the v1 allocate-per-task profile *)
 }
 
 let default_config =
@@ -40,9 +33,7 @@ let default_config =
     max_frontier = 400_000;
     domains = 1;
     overcommit = false;
-    spec_adaptive = true;
     spec_schedule = None;
-    arena = true;
   }
 
 (* Speculation only pays off when the extra domains map to real cores:
@@ -428,16 +419,6 @@ let judge env config children =
         (child, ok))
       children
 
-(* The result of speculatively processing one frontier state on some
-   domain: the expanded children with their cascade verdicts, plus the
-   private stats and profile times the task accumulated.  Expansion and
-   verification are pure functions of the state (the database, model
-   context and TSQ are immutable during a run; every cache only memoizes
-   deterministic results), so a task's verdicts are independent of which
-   domain ran it or when.  Stats are merged into the run's totals only
-   when the state is actually popped by the sequential committing loop —
-   speculation on states that are never popped leaves no trace, keeping
-   prune counts identical to a [domains = 1] run. *)
 (* Loop timers, in an all-float record so that an update stores an
    unboxed float instead of allocating one. *)
 type timers = {
@@ -448,10 +429,19 @@ type timers = {
 
 let new_timers () = { expand_s = 0.0; verify_s = 0.0; admit_s = 0.0 }
 
+(* The result of speculatively processing one frontier state on some
+   domain: the expanded children with their cascade verdicts, plus the
+   private stats and profile times the task accumulated.  Expansion and
+   verification are pure functions of the state (the database, model
+   context and TSQ are immutable during a run; every cache only memoizes
+   deterministic results), so a task's verdicts are independent of which
+   domain ran it or when.  Stats are merged into the run's totals only
+   when the state is actually popped by the sequential committing loop —
+   speculation on states that are never popped leaves no trace, keeping
+   prune counts identical to a [domains = 1] run.  The fields are mutable
+   so one record per round slot is recycled across rounds ([tr_stats] is
+   zeroed with [Verify.reset_stats]). *)
 type task_result = {
-  (* mutable so the task arena can recycle one record per slot across
-     rounds ([tr_stats] is zeroed with [Verify.reset_stats]) instead of
-     allocating a record + stats + timers per task *)
   mutable tr_worker : int;
   mutable tr_children : (Partial.t * bool) list;
   tr_stats : Verify.stats;
@@ -464,34 +454,6 @@ let fresh_result () =
     tr_children = [];
     tr_stats = Verify.new_stats ();
     tr_times = new_timers ();
-  }
-
-(* Reusable per-round scratch (Duopar v2 task arena).  All arrays are
-   sized once to the controller's ceiling, so a steady-state round does
-   no array allocation; [task_result] records circulate through
-   round slot -> speculation memo -> (commit) -> free stack.  The
-   aliasing contract: a record belongs to exactly one owner at a time —
-   a round slot while its task runs, the memo entry afterwards, and the
-   free stack once the committing loop has merged (or a rebase dropped)
-   it — so recycling can never let two tasks write one stats record. *)
-type arena = {
-  ar_entries : Frontier.buffer;  (* [Frontier.pop_entries_into] buffer *)
-  ar_tasks : Partial.t array;  (* states picked for this round *)
-  ar_results : task_result array;  (* slot -> recycled result record *)
-  ar_free : task_result array;  (* stack of recycled records *)
-  mutable ar_n_free : int;
-  mutable ar_fn : (worker:int -> int -> unit) option;
-      (* the round body closure, built once on first use *)
-}
-
-let make_arena ~capacity =
-  {
-    ar_entries = Frontier.buffer capacity;
-    ar_tasks = Array.make capacity Partial.root;
-    ar_results = Array.make capacity (fresh_result ());
-    ar_free = Array.make (4 * capacity) (fresh_result ());
-    ar_n_free = 0;
-    ar_fn = None;
   }
 
 (* Speculative results are memoized by the *physical* state:
@@ -508,19 +470,59 @@ module Phys_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Duopar speculation state, present exactly when the run has more than
+   one domain.  The round scratch (task arena) is sized once to the
+   controller's ceiling, so a steady-state round does no array
+   allocation; [task_result] records circulate through round slot ->
+   speculation memo -> (commit) -> free stack.  The aliasing contract: a
+   record belongs to exactly one owner at a time — a round slot while
+   its task runs, the memo entry afterwards, and the free stack once the
+   committing loop has merged (or a rebase dropped) it — so recycling
+   can never let two tasks write one stats record. *)
+type spec = {
+  sp_pool : Duopar.Pool.t;
+  sp_owns_pool : bool;
+  sp_controller : Duopar.Controller.t;  (* adaptive round size *)
+  sp_domain_stats : Verify.stats array;  (* committed work per domain *)
+  sp_memo : task_result Phys_tbl.t;  (* keyed by physical state *)
+  sp_entries : Frontier.buffer;  (* [Frontier.pop_entries_into] buffer *)
+  sp_tasks : Partial.t array;  (* states picked for this round *)
+  sp_results : task_result array;  (* slot -> recycled result record *)
+  sp_free : task_result array;  (* stack of recycled records *)
+  mutable sp_n_free : int;
+  mutable sp_fn : (worker:int -> int -> unit) option;
+      (* the round body closure, built once on first use *)
+}
+
+let make_spec ~pool ~owns_pool ~controller ~domains =
+  let capacity = 8 * domains (* the controller ceiling *) in
+  {
+    sp_pool = pool;
+    sp_owns_pool = owns_pool;
+    sp_controller = controller;
+    sp_domain_stats = Array.init domains (fun _ -> Verify.new_stats ());
+    sp_memo = Phys_tbl.create 256;
+    sp_entries = Frontier.buffer capacity;
+    sp_tasks = Array.make capacity Partial.root;
+    sp_results = Array.make capacity (fresh_result ());
+    sp_free = Array.make (4 * capacity) (fresh_result ());
+    sp_n_free = 0;
+    sp_fn = None;
+  }
+
 (* Recycle a result record whose owner (memo entry) is done with it; a
    full stack simply drops the record to the GC — rare, harmless. *)
-let arena_recycle ar r =
-  if ar.ar_n_free < Array.length ar.ar_free then begin
+let recycle sp r =
+  if sp.sp_n_free < Array.length sp.sp_free then begin
     r.tr_children <- [];  (* do not pin children past commit *)
-    ar.ar_free.(ar.ar_n_free) <- r;
-    ar.ar_n_free <- ar.ar_n_free + 1
+    sp.sp_free.(sp.sp_n_free) <- r;
+    sp.sp_n_free <- sp.sp_n_free + 1
   end
 
-let arena_take ar =
-  if ar.ar_n_free > 0 then begin
-    ar.ar_n_free <- ar.ar_n_free - 1;
-    ar.ar_free.(ar.ar_n_free)
+let take sp =
+  if sp.sp_n_free > 0 then begin
+    sp.sp_n_free <- sp.sp_n_free - 1;
+    sp.sp_free.(sp.sp_n_free)
   end
   else fresh_result ()
 
@@ -543,7 +545,6 @@ type state = {
   st_domains : int;
   st_envs : Verify.env array;  (* index 0 is the committing loop's env *)
   st_stats : Verify.stats;
-  st_domain_stats : Verify.stats array;
   st_frontier : Frontier.t;
   st_visited : Partial.Tbl.t;
       (* offered states, by [Partial.key] partition, probed without
@@ -555,14 +556,7 @@ type state = {
          equivalent predicate spellings, probed without printing keys *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
-  st_pool : Duopar.Pool.t option;
-  st_owns_pool : bool;
-  st_controller : Duopar.Controller.t option;
-      (* adaptive round-size controller; [None] pins the fixed
-         [4 * domains] v1 round *)
-  st_arena : arena option;  (* [None] = v1 allocate-per-task profile *)
-  st_memo : task_result Phys_tbl.t;
-      (* speculation memo, keyed by physical state *)
+  st_spec : spec option;  (* [Some] exactly when [st_domains > 1] *)
   st_on_candidate : candidate -> unit;
   st_on_offer : Partial.t -> bool -> unit;
   mutable st_candidates : candidate list;  (* newest first *)
@@ -608,33 +602,21 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
   let envs =
     Array.init domains (fun d -> if d = 0 then env else Verify.fork_env env)
   in
-  (* Committed per-domain work.  With [domains = 1] this aliases [stats],
-     so the sequential path keeps its single-record accounting. *)
-  let domain_stats =
-    if domains = 1 then [| stats |]
-    else Array.init domains (fun _ -> Verify.new_stats ())
-  in
   let hints = match tsq with Some s -> hints_of_tsq s | None -> no_hints in
   let frontier = Frontier.create ~cap:config.max_frontier () in
   Frontier.push frontier Partial.root;
-  let pool, owns_pool =
-    if domains > 1 then
-      match pool with
-      | Some p -> (Some p, false)
-      | None -> (Some (Duopar.Pool.create ~domains), true)
-    else (None, false)
-  in
-  let controller =
-    if domains > 1 && (config.spec_adaptive || config.spec_schedule <> None)
-    then
-      Some (Duopar.Controller.create ?schedule:config.spec_schedule ~domains ())
-    else None
-  in
-  let arena =
-    (* capacity = the controller ceiling (8 * domains), which also covers
-       the fixed 4 * domains round, so fill never outgrows the arrays *)
-    if domains > 1 && config.arena then Some (make_arena ~capacity:(8 * domains))
-    else None
+  let spec =
+    if domains = 1 then None
+    else
+      let pool, owns_pool =
+        match pool with
+        | Some p -> (p, false)
+        | None -> (Duopar.Pool.create ~domains, true)
+      in
+      let controller =
+        Duopar.Controller.create ?schedule:config.spec_schedule ~domains ()
+      in
+      Some (make_spec ~pool ~owns_pool ~controller ~domains)
   in
   {
     st_config = config;
@@ -643,16 +625,11 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_domains = domains;
     st_envs = envs;
     st_stats = stats;
-    st_domain_stats = domain_stats;
     st_frontier = frontier;
     st_visited = Partial.Tbl.create 2048;
     st_canon = Partial.Canon.create 512;
     st_emitted = Hashtbl.create 64;
-    st_pool = pool;
-    st_owns_pool = owns_pool;
-    st_controller = controller;
-    st_arena = arena;
-    st_memo = Phys_tbl.create 256;
+    st_spec = spec;
     st_on_candidate = on_candidate;
     st_on_offer = on_offer;
     st_candidates = [];
@@ -677,7 +654,9 @@ let finished s = s.st_finished
 let release s =
   if not s.st_released then begin
     s.st_released <- true;
-    if s.st_owns_pool then Option.iter Duopar.Pool.shutdown s.st_pool
+    match s.st_spec with
+    | Some sp when sp.sp_owns_pool -> Duopar.Pool.shutdown sp.sp_pool
+    | Some _ | None -> ()
   end
 
 (* Duolint warnings deprioritize at push time, never inside [expand]:
@@ -730,35 +709,11 @@ let push_fresh s (child : Partial.t) =
     s.st_on_offer child fresh;
     if fresh then Frontier.push s.st_frontier (deprioritize s child)
 
-let process s worker (p : Partial.t) =
-  let tstats = Verify.new_stats () in
-  let env_t = Verify.with_stats s.st_envs.(worker) tstats in
-  let t0 = Clock.mono () in
-  let children = expand ~guided:s.st_config.guided s.st_hints s.st_ctx p in
-  let t1 = Clock.mono () in
-  let verdicts = judge env_t s.st_config children in
-  let t2 = Clock.mono () in
-  (* [Verify.relcache_delta] copies the worker cache's counters for the
-     whole run into the current record; merging those per task would multiply
-     them.  Per-domain cache numbers are re-derived from the caches
-     once, when the run finishes. *)
-  tstats.Verify.relcache_hits <- 0;
-  tstats.Verify.pushdown_builds <- 0;
-  tstats.Verify.join_index_builds <- 0;
-  tstats.Verify.join_index_hits <- 0;
-  {
-    tr_worker = worker;
-    tr_children = verdicts;
-    tr_stats = tstats;
-    tr_times = { expand_s = t1 -. t0; verify_s = t2 -. t1; admit_s = 0.0 };
-  }
-
-(* Arena variant of [process]: fill a recycled [task_result] in place.
-   Instead of copying the worker's env per task ([with_stats]), the
-   env's stats sink is retargeted in place — safe because each worker
-   owns its forked env, and worker 0's sink is restored by [fill] before
-   the committing loop runs again. *)
-let process_into s worker (p : Partial.t) (r : task_result) =
+(* Expand and judge [p] on [worker]'s domain into the recycled record
+   [r].  The worker's env has its stats sink retargeted at [r] in place —
+   safe because each worker owns its forked env, and worker 0's sink is
+   restored by [fill] before the committing loop runs again. *)
+let process s worker (p : Partial.t) (r : task_result) =
   Verify.reset_stats r.tr_stats;
   let env_t = s.st_envs.(worker) in
   Verify.set_stats env_t r.tr_stats;
@@ -767,8 +722,10 @@ let process_into s worker (p : Partial.t) (r : task_result) =
   let t1 = Clock.mono () in
   let verdicts = judge env_t s.st_config children in
   let t2 = Clock.mono () in
-  (* zeroed for the same reason as in [process]: the relation-cache
-     mirrors cover the whole run and are re-derived at outcome time *)
+  (* [Verify.relcache_delta] copies the worker cache's counters for the
+     whole run into the current record; merging those per task would
+     multiply them.  Per-domain cache numbers are re-derived from the
+     caches at outcome time. *)
   r.tr_stats.Verify.relcache_hits <- 0;
   r.tr_stats.Verify.pushdown_builds <- 0;
   r.tr_stats.Verify.join_index_builds <- 0;
@@ -778,108 +735,65 @@ let process_into s worker (p : Partial.t) (r : task_result) =
   r.tr_times.expand_s <- t1 -. t0;
   r.tr_times.verify_s <- t2 -. t1
 
-(* One speculative pool round ahead of the committing loop: batch-pop the
-   top of the frontier, process [p] and every un-memoized incomplete
-   state on some domain, memoize the others' results by physical state
-   ([push_fresh] admits each key once, so a memo entry belongs to exactly
-   one live state), restore, and return [p]'s result. *)
-let arena_round_fn s ar =
-  match ar.ar_fn with
+let round_fn s sp =
+  match sp.sp_fn with
   | Some f -> f
   | None ->
-      let f ~worker i = process_into s worker ar.ar_tasks.(i) ar.ar_results.(i) in
-      ar.ar_fn <- Some f;
+      let f ~worker i = process s worker sp.sp_tasks.(i) sp.sp_results.(i) in
+      sp.sp_fn <- Some f;
       f
 
-let fill s pool (p : Partial.t) =
-  (* Round size: the adaptive controller closes the books on the last
-     round (cumulative [st_spec_hits] gives it the commit delta) and
-     picks the next size; without a controller the v1 fixed round
-     stands.  A floor-sized round carries only [p], and [Pool.run _ 1]
-     runs inline — the sequential degeneration really is sequential. *)
+(* One speculative pool round ahead of the committing loop: batch-pop the
+   top of the frontier into the arena buffer, process [p] and every
+   un-memoized incomplete state on some domain, memoize the others'
+   results by physical state ([push_fresh] admits each key once, so a memo
+   entry belongs to exactly one live state), restore, and return [p]'s
+   result. *)
+let fill s sp (p : Partial.t) =
+  (* The controller closes the books on the last round (cumulative
+     [st_spec_hits] gives it the commit delta) and picks the next size.
+     [p] already consumed a pop, so at most [remaining] further states can
+     be popped this refinement — staging past that is guaranteed waste.
+     A floor-sized round carries only [p], and [Pool.run _ 1] runs inline
+     — the sequential degeneration really is sequential.  The size never
+     exceeds the arrays' capacity (controller ceiling). *)
   let spec_batch =
-    match s.st_controller with
-    | Some c ->
-        let b = Duopar.Controller.begin_round c ~hits:s.st_spec_hits in
-        (* Budget awareness is part of the controller law: [p] already
-           consumed a pop, so at most [remaining] further states can be
-           popped this refinement — staging past that is guaranteed
-           waste (the fixed v1 round does exactly that on every run's
-           last round). *)
-        let remaining =
-          s.st_config.max_pops - (s.st_pops - s.st_pop_base)
-        in
-        max 1 (min b (remaining + 1))
-    | None -> s.st_domains * 4
+    let b = Duopar.Controller.begin_round sp.sp_controller ~hits:s.st_spec_hits in
+    let remaining = s.st_config.max_pops - (s.st_pops - s.st_pop_base) in
+    max 1 (min b (remaining + 1))
   in
   s.st_spec_rounds <- s.st_spec_rounds + 1;
-  match s.st_arena with
-  | Some ar ->
-      (* Zero-allocation path: pop into the arena buffer, stage tasks
-         and recycled result records in the arena arrays, run, move the
-         records into the memo, restore.  [spec_batch] never exceeds the
-         arrays' capacity (controller ceiling). *)
-      let n_extra =
-        Frontier.pop_entries_into s.st_frontier ar.ar_entries (spec_batch - 1)
-      in
-      ar.ar_tasks.(0) <- p;
-      let n_tasks = ref 1 in
-      for i = 0 to n_extra - 1 do
-        let st = Frontier.buffer_state ar.ar_entries i in
-        if
-          (not (Partial.is_complete st))
-          && not (Phys_tbl.mem s.st_memo st)
-        then begin
-          ar.ar_tasks.(!n_tasks) <- st;
-          incr n_tasks
-        end
-      done;
-      let n = !n_tasks in
-      for i = 0 to n - 1 do
-        ar.ar_results.(i) <- arena_take ar
-      done;
-      s.st_spec_tasks <- s.st_spec_tasks + n;
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.launched c ~tasks:n
-      | None -> ());
-      Duopar.Pool.run pool n (arena_round_fn s ar);
-      (* [process_into] retargeted worker 0's (the caller's) stats sink;
-         point it back at the run record before the committing loop's
-         own verifications ([deprioritize]) resume. *)
-      Verify.set_stats s.st_envs.(0) s.st_stats;
-      ar.ar_tasks.(0) <- Partial.root;
-      for i = 1 to n - 1 do
-        Phys_tbl.replace s.st_memo ar.ar_tasks.(i) ar.ar_results.(i);
-        ar.ar_tasks.(i) <- Partial.root
-      done;
-      Frontier.restore_array s.st_frontier ar.ar_entries n_extra;
-      ar.ar_results.(0)
-  | None ->
-      let extras = Frontier.buffer (spec_batch - 1) in
-      let n_extra = Frontier.pop_entries_into s.st_frontier extras (spec_batch - 1) in
-      let tasks =
-        Array.of_list
-          (p
-          :: List.filter
-               (fun (st : Partial.t) ->
-                 not (Partial.is_complete st || Phys_tbl.mem s.st_memo st))
-               (List.init n_extra (Frontier.buffer_state extras)))
-      in
-      s.st_spec_tasks <- s.st_spec_tasks + Array.length tasks;
-      Option.iter
-        (fun c -> Duopar.Controller.launched c ~tasks:(Array.length tasks))
-        s.st_controller;
-      let results = Array.make (Array.length tasks) None in
-      Duopar.Pool.run pool (Array.length tasks) (fun ~worker i ->
-          results.(i) <- Some (process s worker tasks.(i)));
-      Array.iteri
-        (fun i st ->
-          match results.(i) with
-          | Some r when i > 0 -> Phys_tbl.replace s.st_memo st r
-          | Some _ | None -> ())
-        tasks;
-      Frontier.restore_array s.st_frontier extras n_extra;
-      Option.get results.(0)
+  let n_extra =
+    Frontier.pop_entries_into s.st_frontier sp.sp_entries (spec_batch - 1)
+  in
+  sp.sp_tasks.(0) <- p;
+  let n_tasks = ref 1 in
+  for i = 0 to n_extra - 1 do
+    let st = Frontier.buffer_state sp.sp_entries i in
+    if (not (Partial.is_complete st)) && not (Phys_tbl.mem sp.sp_memo st)
+    then begin
+      sp.sp_tasks.(!n_tasks) <- st;
+      incr n_tasks
+    end
+  done;
+  let n = !n_tasks in
+  for i = 0 to n - 1 do
+    sp.sp_results.(i) <- take sp
+  done;
+  s.st_spec_tasks <- s.st_spec_tasks + n;
+  Duopar.Controller.launched sp.sp_controller ~tasks:n;
+  Duopar.Pool.run sp.sp_pool n (round_fn s sp);
+  (* [process] retargeted worker 0's (the caller's) stats sink; point it
+     back at the run record before the committing loop's own
+     verifications ([deprioritize]) resume. *)
+  Verify.set_stats s.st_envs.(0) s.st_stats;
+  sp.sp_tasks.(0) <- Partial.root;
+  for i = 1 to n - 1 do
+    Phys_tbl.replace sp.sp_memo sp.sp_tasks.(i) sp.sp_results.(i);
+    sp.sp_tasks.(i) <- Partial.root
+  done;
+  Frontier.restore_array s.st_frontier sp.sp_entries n_extra;
+  sp.sp_results.(0)
 
 exception Slice_exhausted
 
@@ -956,7 +870,7 @@ let step ?max_pops s =
              | None -> ())
          | Some p -> (
              s.st_pops <- s.st_pops + 1;
-             match s.st_pool with
+             match s.st_spec with
              | None ->
                  (* expand, verify and admit share their clock stamps *)
                  let m0 = Clock.mono () in
@@ -974,19 +888,19 @@ let step ?max_pops s =
                    (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
                    verdicts;
                  s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
-             | Some pool ->
+             | Some sp ->
                  (* Identity lookup: [p] is the object the round staged,
                     so no key string is rendered here. *)
                  let r =
-                   match Phys_tbl.find s.st_memo p with
+                   match Phys_tbl.find sp.sp_memo p with
                    | r ->
-                       Phys_tbl.remove s.st_memo p;
+                       Phys_tbl.remove sp.sp_memo p;
                        r
-                   | exception Not_found -> fill s pool p
+                   | exception Not_found -> fill s sp p
                  in
                  s.st_spec_hits <- s.st_spec_hits + 1;
                  Verify.merge_stats
-                   ~into:s.st_domain_stats.(r.tr_worker)
+                   ~into:sp.sp_domain_stats.(r.tr_worker)
                    r.tr_stats;
                  s.st_times.expand_s <- s.st_times.expand_s +. r.tr_times.expand_s;
                  s.st_times.verify_s <- s.st_times.verify_s +. r.tr_times.verify_s;
@@ -996,9 +910,7 @@ let step ?max_pops s =
                    r.tr_children;
                  s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m0);
                  (* committed: the record's memo ownership ends here *)
-                 match s.st_arena with
-                 | Some ar -> arena_recycle ar r
-                 | None -> ())
+                 recycle sp r)
        done
      with
     | Budget_exhausted -> s.st_finished <- true
@@ -1045,11 +957,12 @@ let rebase s ~tsq =
      state stays pruned under a tightening). *)
   Array.iteri (fun d env -> s.st_envs.(d) <- Verify.retarget env ~tsq) s.st_envs;
   s.st_hints <- hints_of_tsq tsq;
-  (* the dropped memo records go back to the arena, not the GC *)
+  (* the dropped memo records go back to the free stack, not the GC *)
   Option.iter
-    (fun ar -> Phys_tbl.iter (fun _ r -> arena_recycle ar r) s.st_memo)
-    s.st_arena;
-  Phys_tbl.reset s.st_memo;
+    (fun sp ->
+      Phys_tbl.iter (fun _ r -> recycle sp r) sp.sp_memo;
+      Phys_tbl.reset sp.sp_memo)
+    s.st_spec;
   let env = s.st_envs.(0) in
   (* Re-verify the frontier survivors.  Under NoPQ partial states were
      never verified against the sketch, so only complete states are
@@ -1094,22 +1007,35 @@ let rebase s ~tsq =
 (* Snapshot the run's observable outcome.  Pure with respect to results:
    recomputing the per-domain relation-cache counters just overwrites them
    with the caches' activity since the run began, so calling this mid-run
-   (Duoserve's [get_candidates]) and again at the end is safe. *)
+   (Duoserve's [get_candidates]) and again at the end is safe.  The stats
+   are copies, so a later [step] never rewrites a snapshot already handed
+   out. *)
 let outcome s =
-  let out_stats =
-    if s.st_domains = 1 then s.st_stats
-    else begin
-      (* Per-domain relation-cache numbers come from the caches
-         themselves, as deltas since the envs were made; task records
-         were zeroed (see [process]). *)
-      Array.iteri (fun d ds -> Verify.relcache_delta s.st_envs.(d) ds) s.st_domain_stats;
-      let total = Verify.new_stats () in
-      (* [st_stats] holds only push-time deprioritization warnings in
-         parallel mode (verification runs through task records). *)
-      Verify.merge_stats ~into:total s.st_stats;
-      Array.iter (fun ds -> Verify.merge_stats ~into:total ds) s.st_domain_stats;
-      total
-    end
+  let copy st =
+    let c = Verify.new_stats () in
+    Verify.merge_stats ~into:c st;
+    c
+  in
+  let out_stats, out_domain_stats =
+    match s.st_spec with
+    | None ->
+        let st = copy s.st_stats in
+        (st, [| st |])
+    | Some sp ->
+        (* Per-domain relation-cache numbers come from the caches
+           themselves, as deltas since the envs were made; task records
+           were zeroed (see [process]). *)
+        Array.iteri
+          (fun d ds -> Verify.relcache_delta s.st_envs.(d) ds)
+          sp.sp_domain_stats;
+        (* [st_stats] holds only push-time deprioritization warnings in
+           parallel mode (verification runs through task records). *)
+        let total = copy s.st_stats in
+        Array.iter (fun ds -> Verify.merge_stats ~into:total ds) sp.sp_domain_stats;
+        (total, Array.map copy sp.sp_domain_stats)
+  in
+  let controller f ~seq =
+    match s.st_spec with Some sp -> f sp.sp_controller | None -> seq
   in
   {
     out_candidates = List.rev s.st_candidates;
@@ -1123,26 +1049,14 @@ let outcome s =
     out_exhausted = s.st_exhausted;
     out_dropped = Frontier.dropped s.st_frontier;
     out_domains = s.st_domains;
-    out_domain_stats = s.st_domain_stats;
+    out_domain_stats;
     out_spec_rounds = s.st_spec_rounds;
     out_spec_tasks = s.st_spec_tasks;
     out_spec_hits = s.st_spec_hits;
-    out_spec_round_size =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.size c
-      | None -> if s.st_pool = None then 0 else s.st_domains * 4);
-    out_spec_ewma =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.ewma c
-      | None -> 1.0);
-    out_spec_grows =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.grows c
-      | None -> 0);
-    out_spec_shrinks =
-      (match s.st_controller with
-      | Some c -> Duopar.Controller.shrinks c
-      | None -> 0);
+    out_spec_round_size = controller Duopar.Controller.size ~seq:0;
+    out_spec_ewma = controller Duopar.Controller.ewma ~seq:1.0;
+    out_spec_grows = controller Duopar.Controller.grows ~seq:0;
+    out_spec_shrinks = controller Duopar.Controller.shrinks ~seq:0;
     out_rebases = s.st_rebases;
     out_rebase_kept = s.st_rebase_kept;
     out_rebase_dropped = s.st_rebase_dropped;

@@ -45,25 +45,13 @@ type config = {
           the sequential path outright.  [true] keeps [domains] as
           requested regardless of the hardware (determinism tests
           exercise the speculative machinery this way). *)
-  spec_adaptive : bool;
-      (** Duopar v2 adaptive speculation: size each speculative round
-          from the measured commit rate ({!Duopar.Controller}'s AIMD law
-          over an EWMA of [spec_hits / spec_tasks], floor 1 — the
-          sequential degeneration — ceiling [8 * domains]).  [false]
-          pins the v1 fixed [4 * domains] round (A/B baseline).  The
-          round size never affects results, only how far ahead workers
-          precompute. *)
   spec_schedule : (int -> int) option;
       (** test hook: force round [i]'s size (clamped to the controller
-          bounds), overriding the AIMD law.  Candidates must be — and
+          bounds), overriding the AIMD law by which
+          {!Duopar.Controller} sizes each speculative round from the
+          measured commit rate.  The round size never affects results,
+          only how far ahead workers precompute: candidates must be — and
           are property-tested to be — bit-identical under any schedule. *)
-  arena : bool;
-      (** Duopar v2 task arenas: recycle the round buffers
-          ({!Frontier.pop_entries_into}), task descriptors and per-task
-          stats records ({!Verify.set_stats}) so a steady-state
-          speculative round allocates (near-)zero fresh heap.  [false]
-          keeps the v1 allocate-per-task profile (the bench's
-          [bytes_per_round] baseline). *)
 }
 
 (** Duoquest defaults: guided, pruning, 200k pops, 100 candidates, 60 s,
@@ -120,11 +108,10 @@ type outcome = {
       (** speculative results committed by a pop; [out_spec_hits /
           out_spec_tasks] is the speculation commit rate *)
   out_spec_round_size : int;
-      (** the controller's current round size (the fixed [4 * domains]
-          with [spec_adaptive = false]; 0 when sequential) *)
+      (** the controller's current round size (0 when sequential) *)
   out_spec_ewma : float;
       (** the controller's commit-rate EWMA ([1.0] before any sample or
-          without a controller) *)
+          when sequential) *)
   out_spec_grows : int;  (** controller additive-increase decisions *)
   out_spec_shrinks : int;  (** controller multiplicative-decrease decisions *)
   out_rebases : int;  (** warm restarts taken via {!rebase} *)
@@ -217,7 +204,9 @@ val finished : state -> bool
 
 (** Snapshot the run's observable outcome; callable mid-run (a streaming
     UI polling candidates) and after the final step — final results are
-    whatever the last call returns once {!finished} holds. *)
+    whatever the last call returns once {!finished} holds.  The stats
+    records are copies, so a later {!step} never changes a snapshot
+    already taken. *)
 val outcome : state -> outcome
 
 (** Shut down the state's worker pool if it owns one (no-op for a pool

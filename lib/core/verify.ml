@@ -234,7 +234,7 @@ type env = {
   e_sem : Duolint.Duosem.prepared;
   (* mutable so Duopar task arenas can retarget one environment at a
      per-slot stats record ([set_stats]) instead of copying the whole
-     env per task ([with_stats], kept for the legacy arena-off path) *)
+     env per task *)
   mutable e_stats : stats;
   (* Master inverted index for text-literal column probes; forced on first
      use when no session index is supplied.  The database is append-only
@@ -305,15 +305,11 @@ let fork_env env =
     e_range_cache = Hashtbl.create 64;
   }
 
-(* Same environment (caches included), different stats sink — gives each
+(* Point the environment's stats sink at [stats] in place — gives each
    speculative task a private stats record that is merged into the run's
-   totals only if the task's state is actually popped. *)
-let with_stats env stats = { env with e_stats = stats }
-
-(* In-place variant of [with_stats]: point the environment's sink at
-   [stats] without copying the record.  Only safe within a single
-   domain — Duopar workers each own a forked env, so retargeting between
-   tasks never races. *)
+   totals only if the task's state is actually popped.  Only safe within
+   a single domain — Duopar workers each own a forked env, so
+   retargeting between tasks never races. *)
 let set_stats env stats = env.e_stats <- stats
 
 (* Set [into]'s relation-cache counters to the env's cache activity

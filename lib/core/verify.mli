@@ -171,15 +171,11 @@ val relcache_delta : env -> stats -> unit
     verdict. *)
 val fork_env : env -> env
 
-(** [with_stats env s] is [env] with [s] as its stats sink; caches are
-    shared with [env].  Used to give each speculative task a private
-    record that is merged (or discarded) at commit time. *)
-val with_stats : env -> stats -> env
-
-(** [set_stats env s] retargets [env]'s stats sink at [s] in place — the
-    zero-allocation counterpart of {!with_stats}.  Only safe from the
-    domain that owns [env]; Duopar workers each own a {!fork_env} clone,
-    so retargeting between arena tasks never races. *)
+(** [set_stats env s] retargets [env]'s stats sink at [s] in place,
+    keeping its caches.  Used to give each speculative task a private
+    record that is merged (or discarded) at commit time.  Only safe from
+    the domain that owns [env]; Duopar workers each own a {!fork_env}
+    clone, so retargeting between tasks never races. *)
 val set_stats : env -> stats -> unit
 
 (** [verify env pq] is Algorithm 3's [Verify]: true when the partial query

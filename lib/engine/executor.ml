@@ -639,27 +639,27 @@ let rows_of rel = function
              true));
       List.rev !acc
 
-let execute ?cache ?max_rows ~planner db q =
+let execute ?cache ?max_rows db q =
   let plan =
-    match Planner.plan ~enabled:planner db q with
+    match Planner.plan db q with
     | Ok p -> p
     | Error e -> fail "%s" e
   in
   let rel = build_relation_cached ?cache ?max_rows db plan in
   (rel, exec_on_relation ~residual:plan.Planner.plan_residual rel q)
 
-let run ?cache ?max_rows ?(planner = true) db q =
+let run ?cache ?max_rows db q =
   try
-    let rel, out = execute ?cache ?max_rows ~planner db q in
+    let rel, out = execute ?cache ?max_rows db q in
     let res_rows = rows_of rel out in
     Ok { res_cols = List.map (fun p -> (Duosql.Pretty.proj p, proj_type db p)) q.q_select;
          res_rows }
   with
   | Exec_error e -> Error e
 
-let stream ?cache ?max_rows ?(planner = true) db q visit =
+let stream ?cache ?max_rows db q visit =
   try
-    let rel, out = execute ?cache ?max_rows ~planner db q in
+    let rel, out = execute ?cache ?max_rows db q in
     Ok (feed rel out visit)
   with
   | Exec_error e -> Error e
@@ -689,7 +689,7 @@ type batch_report = {
    [max_rows] where the pushed join would not) and still share work
    through the relation cache.  Each result is exactly what {!stream}
    would return for that query and visitor. *)
-let run_batch ?cache ?max_rows ?(planner = true) db (qs : (query * visitor) array) =
+let run_batch ?cache ?max_rows db (qs : (query * visitor) array) =
   let nq = Array.length qs in
   let results = Array.make nq (Error "batch: not executed") in
   let done_ = Array.make nq false in
@@ -706,7 +706,7 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : (query * visitor) arra
     (fun t d ->
       if d.Dyn.len >= 2 then begin
         let members = Dyn.to_array d in
-        match Planner.plan ~enabled:planner db { (fst qs.(members.(0))) with q_where = None } with
+        match Planner.plan db { (fst qs.(members.(0))) with q_where = None } with
         | Error _ -> () (* members fall through to per-query execution *)
         | Ok plan -> (
             incr br_groups;
@@ -743,12 +743,12 @@ let run_batch ?cache ?max_rows ?(planner = true) db (qs : (query * visitor) arra
     groups;
   Array.iteri
     (fun i (q, visit) ->
-      if not done_.(i) then results.(i) <- stream ?cache ?max_rows ~planner db q visit)
+      if not done_.(i) then results.(i) <- stream ?cache ?max_rows db q visit)
     qs;
   (results, { br_queries = nq; br_groups = !br_groups; br_shared = !br_shared })
 
-let run_exn ?cache ?max_rows ?planner db q =
-  match run ?cache ?max_rows ?planner db q with
+let run_exn ?cache ?max_rows db q =
+  match run ?cache ?max_rows db q with
   | Ok r -> r
   | Error e -> failwith (Printf.sprintf "Executor.run_exn: %s on %s" e (Duosql.Pretty.query q))
 

@@ -63,18 +63,16 @@ val cache_stats : relation_cache -> int * int * int
     join steps served by an existing index. *)
 val join_index_stats : relation_cache -> int * int
 
-(** [run ?cache ?max_rows ?planner db q] executes [q]. [Error msg] reports
+(** [run ?cache ?max_rows db q] executes [q] through the {!Planner}'s
+    plan. [Error msg] reports
     unknown tables/columns, disconnected FROM clauses, aggregates over
     incompatible types, or non-grouped projections mixed with aggregates.
     [max_rows] bounds the intermediate joined relation — the
     execution-time guard the verifier uses in place of a wall-clock query
-    timeout; exceeding it is an error.  [planner = false] disables
-    predicate pushdown and join reordering (canonical FROM-order
-    evaluation, for differential tests and ablations); default [true]. *)
+    timeout; exceeding it is an error. *)
 val run :
   ?cache:relation_cache ->
   ?max_rows:int ->
-  ?planner:bool ->
   Duodb.Database.t ->
   Duosql.Ast.query ->
   (resultset, string) result
@@ -97,7 +95,6 @@ val is_plain : Duosql.Ast.query -> bool
 val stream :
   ?cache:relation_cache ->
   ?max_rows:int ->
-  ?planner:bool ->
   Duodb.Database.t ->
   Duosql.Ast.query ->
   visitor ->
@@ -125,7 +122,6 @@ type batch_report = {
 val run_batch :
   ?cache:relation_cache ->
   ?max_rows:int ->
-  ?planner:bool ->
   Duodb.Database.t ->
   (Duosql.Ast.query * visitor) array ->
   (bool, string) result array * batch_report
@@ -134,7 +130,6 @@ val run_batch :
 val run_exn :
   ?cache:relation_cache ->
   ?max_rows:int ->
-  ?planner:bool ->
   Duodb.Database.t ->
   Duosql.Ast.query ->
   resultset

@@ -215,7 +215,7 @@ let pushed_key pushed =
              (List.map Duosql.Pretty.pred cond.c_preds))
        pushed)
 
-let plan ?(enabled = true) db (q : query) =
+let plan db (q : query) =
   match canonical_steps q.q_from with
   | Error _ as e -> e
   | Ok (canon_base, canon_joins) ->
@@ -224,12 +224,9 @@ let plan ?(enabled = true) db (q : query) =
           (canon_base :: List.map (fun op -> op.jo_table) canon_joins)
       in
       let schema = Duodb.Database.schema db in
-      let pushed, residual =
-        if enabled then pushdown schema q.q_from q.q_where
-        else ([], q.q_where)
-      in
+      let pushed, residual = pushdown schema q.q_from q.q_where in
       let base, joins =
-        if enabled && is_proper_tree db q.q_from then
+        if is_proper_tree db q.q_from then
           match greedy_order db pushed q.q_from canonical_pos with
           | Some (b, js) -> (b, js)
           | None -> (canon_base, canon_joins)

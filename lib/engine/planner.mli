@@ -49,12 +49,10 @@ type t = {
   plan_pushdown : bool;  (** at least one predicate was pushed *)
 }
 
-(** [plan ?enabled db q] plans [q].  [enabled = false] (differential
-    testing, ablations) keeps canonical join order and pushes nothing,
-    reproducing the pre-planner evaluation strategy exactly.  [Error]
-    reports an empty or disconnected FROM clause with the same messages
-    the executor historically raised. *)
-val plan : ?enabled:bool -> Duodb.Database.t -> Ast.query -> (t, string) result
+(** [plan db q] plans [q].  [Error] reports an empty or disconnected
+    FROM clause with the same messages the executor historically
+    raised. *)
+val plan : Duodb.Database.t -> Ast.query -> (t, string) result
 
 (** Estimated fraction of rows surviving [pred]; a cheap System-R-style
     constant per operator class.  Exposed for tests and the bench. *)

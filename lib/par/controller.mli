@@ -17,8 +17,8 @@
 
 type t
 
-(** [create ~domains ()] starts at size [4 * domains] (the Duopar v1
-    fixed size) with [floor = 1] and [ceiling = 8 * domains].
+(** [create ~domains ()] starts at size [4 * domains] with
+    [floor = 1] and [ceiling = 8 * domains].
     [schedule] is a test hook: it forces round [i]'s size to
     [schedule i] (clamped to [floor, ceiling]), replacing the AIMD law
     while keeping all accounting. *)

@@ -455,7 +455,11 @@ let serve t ~listen =
       in
       if List.mem listen readable then (
         match Unix.accept ~cloexec:true listen with
-        | fd, _ -> clients := new_client fd :: !clients
+        | fd, _ ->
+            (* non-blocking, so [flush] writes only what the socket takes
+               and a client that stops reading stalls no one else *)
+            Unix.set_nonblock fd;
+            clients := new_client fd :: !clients
         | exception Unix.Unix_error _ -> ());
       List.iter
         (fun c ->

@@ -382,12 +382,12 @@ let test_parallel_identical_dual () =
   Alcotest.(check int) "domain prunes sum to total"
     par.Enumerate.out_stats.Duocore.Verify.pruned committed
 
-(* Duopar v2: the adaptive controller, a pinned adversarial schedule and
-   the arena on/off switch are all pure performance knobs — every
-   configuration is observably identical to the sequential run, and the
-   outcome's controller counters reflect the regime that ran. *)
+(* Duopar v2: the adaptive controller and a pinned adversarial schedule
+   are pure performance knobs — every configuration is observably
+   identical to the sequential run, and the outcome's controller counters
+   reflect the regime that ran. *)
 let test_adaptive_regimes_identical () =
-  let run ?(adaptive = true) ?schedule ?(arena = true) domains =
+  let run ?schedule domains =
     let config =
       { Enumerate.default_config with
         Enumerate.max_pops = 4_000;
@@ -395,9 +395,7 @@ let test_adaptive_regimes_identical () =
         time_budget_s = 20.0;
         domains;
         overcommit = true;
-        spec_adaptive = adaptive;
-        spec_schedule = schedule;
-        arena }
+        spec_schedule = schedule }
     in
     Enumerate.run config (ctx "movie names and years") db ~tsq:None
       ~literals:[] ()
@@ -407,15 +405,9 @@ let test_adaptive_regimes_identical () =
   check_identical seq adaptive;
   Alcotest.(check bool) "controller sized some round" true
     (adaptive.Enumerate.out_spec_round_size >= 1);
-  let fixed = run ~adaptive:false 4 in
-  check_identical seq fixed;
-  Alcotest.(check int) "fixed profile never adapts" 0
-    (fixed.Enumerate.out_spec_grows + fixed.Enumerate.out_spec_shrinks);
   (* thrash the size between the floor and far past the ceiling *)
   let adversarial = run ~schedule:(fun i -> (i * 13 mod 37) - 1) 4 in
   check_identical seq adversarial;
-  let no_arena = run ~arena:false 4 in
-  check_identical seq no_arena;
   (* floor-1 rounds degenerate to the sequential loop: every speculated
      state is the one the committing loop pops next *)
   let floor1 = run ~schedule:(fun _ -> 1) 4 in
@@ -564,6 +556,45 @@ let test_resume_snapshot_prefix () =
             (List.filteri (fun i _ -> i < n) final_sigs))
         snapshots)
 
+(* An outcome taken mid-run is a snapshot: stepping the run on to the
+   end must not move its counters, sequential or speculative. *)
+let test_resume_snapshot_fixed () =
+  let counters (st : Duocore.Verify.stats) =
+    st.Duocore.Verify.pruned :: st.Duocore.Verify.visited_hits
+    :: st.Duocore.Verify.canon_checked :: st.Duocore.Verify.column_probes
+    :: List.map (Duocore.Verify.pruned_by st) Duocore.Verify.all_stages
+  in
+  let all (o : Enumerate.outcome) =
+    counters o.Enumerate.out_stats
+    :: Array.to_list (Array.map counters o.Enumerate.out_domain_stats)
+  in
+  let tsq =
+    Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
+      ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
+      ()
+  in
+  List.iter
+    (fun domains ->
+      let s =
+        Enumerate.init (config_for ~domains) (ctx "movie names") db
+          ~tsq:(Some tsq) ~literals:[] ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Enumerate.release s)
+        (fun () ->
+          ignore (Enumerate.step ~max_pops:40 s);
+          let snap = Enumerate.outcome s in
+          let before = all snap in
+          ignore (Enumerate.step s);
+          Alcotest.(check bool)
+            (Printf.sprintf "domains=%d: the run moved on" domains)
+            true
+            (all (Enumerate.outcome s) <> before);
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "domains=%d: snapshot unchanged" domains)
+            before (all snap)))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "root expansion" `Quick test_root_expansion;
@@ -577,6 +608,8 @@ let suite =
       test_resume_exhaustion_flags;
     Alcotest.test_case "resume: snapshots are prefixes" `Quick
       test_resume_snapshot_prefix;
+    Alcotest.test_case "resume: snapshot counters stay fixed" `Quick
+      test_resume_snapshot_fixed;
     Alcotest.test_case "duopar: NLI run identical" `Quick
       test_parallel_identical_nli;
     Alcotest.test_case "duopar: dual-spec run identical" `Quick

@@ -1,6 +1,6 @@
 (* The execution planner: pushdown rules, join-order safety, and a
-   differential check that planner-on and planner-off evaluation produce
-   identical resultsets over a generated query corpus. *)
+   differential check that planned execution agrees with the naive
+   reference interpreter over a generated query corpus. *)
 
 module Value = Duodb.Value
 module Executor = Duoengine.Executor
@@ -10,34 +10,22 @@ open Duosql.Ast
 let db = Fixtures.movie_db ()
 let parse = Fixtures.parse
 
-(* --- resultset comparison (exact, including row order) --- *)
-
-let result_equal a b =
-  match a, b with
-  | Error e1, Error e2 -> String.equal e1 e2
-  | Ok r1, Ok r2 ->
-      List.length r1.Executor.res_cols = List.length r2.Executor.res_cols
-      && List.for_all2
-           (fun (n1, t1) (n2, t2) -> String.equal n1 n2 && Duodb.Datatype.equal t1 t2)
-           r1.Executor.res_cols r2.Executor.res_cols
-      && List.length r1.Executor.res_rows = List.length r2.Executor.res_rows
-      && List.for_all2
-           (fun ra rb ->
-             Array.length ra = Array.length rb
-             && Array.for_all2 Value.equal ra rb)
-           r1.Executor.res_rows r2.Executor.res_rows
-  | Ok _, Error _ | Error _, Ok _ -> false
+(* Planned execution agrees with the reference interpreter: the same
+   rows in the same order, or both error out. *)
+let reference_agrees db q =
+  match (Executor.run db q, Duocheck.Reference.run db q) with
+  | Ok a, Ok b -> Duocheck.Props.resultsets_agree a b
+  | Error _, Error _ -> true
+  | (Ok _ | Error _), (Ok _ | Error _) -> false
 
 let check_differential db q =
-  let on = Executor.run ~planner:true db q in
-  let off = Executor.run ~planner:false db q in
-  if not (result_equal on off) then
-    Alcotest.failf "planner on/off diverge on %s" (Duosql.Pretty.query q)
+  if not (reference_agrees db q) then
+    Alcotest.failf "planner and reference diverge on %s" (Duosql.Pretty.query q)
 
 (* --- pushdown rules --- *)
 
-let plan_exn ?enabled q =
-  match Planner.plan ?enabled db q with
+let plan_exn q =
+  match Planner.plan db q with
   | Ok p -> p
   | Error e -> Alcotest.failf "plan failed: %s" e
 
@@ -90,12 +78,6 @@ let test_pushdown_or_single_table () =
   | _ -> Alcotest.fail "expected movies scan filter");
   check_differential db q
 
-let test_planner_off_pushes_nothing () =
-  let q = parse "SELECT movies.name FROM movies WHERE movies.year < 1995" in
-  let p = plan_exn ~enabled:false q in
-  Alcotest.(check bool) "nothing pushed" true (p.Planner.plan_pushed = []);
-  Alcotest.(check bool) "canonical order" true p.Planner.plan_in_order
-
 (* --- join ordering --- *)
 
 let test_selective_table_first () =
@@ -145,12 +127,6 @@ let test_cache_keyed_by_pushed_preds () =
 
 (* --- late-materialized join builds --- *)
 
-let reference_agrees db q =
-  match (Executor.run db q, Duocheck.Reference.run db q) with
-  | Ok a, Ok b -> Duocheck.Props.resultsets_agree a b
-  | Error _, Error _ -> true
-  | (Ok _ | Error _), (Ok _ | Error _) -> false
-
 let test_reordered_pushed_attached () =
   (* movies is the cheapest base, so actor attaches last — through its
      join index, with its own pushed filter as a row mask *)
@@ -166,7 +142,6 @@ let test_reordered_pushed_attached () =
   Alcotest.(check bool) "actor filter pushed" true
     (List.mem_assoc "actor" p.Planner.plan_pushed);
   check_differential db q;
-  Alcotest.(check bool) "reference agrees" true (reference_agrees db q);
   Alcotest.check Fixtures.rows_testable "canonical nested-loop order"
     Fixtures.
       [
@@ -199,7 +174,6 @@ let test_null_join_keys () =
     [ [| i 10; i 2 |]; [| i 11; Value.Null |]; [| i 12; i 1 |]; [| i 13; i 2 |] ];
   let run sql =
     let q = Duosql.Parser.query_exn ~schema sql in
-    Alcotest.(check bool) "reference agrees" true (reference_agrees ndb q);
     check_differential ndb q;
     (Executor.run_exn ndb q).Executor.res_rows
   in
@@ -219,10 +193,8 @@ let test_max_rows_overflow () =
   in
   let overflow = Error "joined relation exceeds 6 rows" in
   let verdict r = Result.map (fun r -> List.length r.Executor.res_rows) r in
-  Alcotest.(check (result int string)) "planner on" overflow
+  Alcotest.(check (result int string)) "uncached" overflow
     (verdict (Executor.run ~max_rows:6 db q));
-  Alcotest.(check (result int string)) "planner off" overflow
-    (verdict (Executor.run ~planner:false ~max_rows:6 db q));
   Alcotest.(check (result int string)) "at the bound" (Ok 7)
     (verdict (Executor.run ~max_rows:7 db q));
   let cache = Executor.create_cache () in
@@ -322,10 +294,10 @@ let differential_corpus () =
   Alcotest.(check bool) "corpus non-trivial" true (!checked >= 60)
 
 (* Randomized single-database differential: random predicates over the
-   movie fixture, planner on vs off. *)
+   movie fixture, planned execution vs the reference interpreter. *)
 let prop_differential_random =
   let op_gen = QCheck.Gen.oneofl [ Lt; Le; Gt; Ge; Eq; Neq ] in
-  QCheck.Test.make ~name:"planner on/off agree on random WHERE" ~count:200
+  QCheck.Test.make ~name:"planner = reference on random WHERE" ~count:200
     (QCheck.make
        QCheck.Gen.(triple op_gen (int_range 1950 2030) (oneofl [ And; Or ])))
     (fun (op, threshold, conn) ->
@@ -347,7 +319,7 @@ let prop_differential_random =
                 c_conn = conn };
         }
       in
-      result_equal (Executor.run ~planner:true db q) (Executor.run ~planner:false db q))
+      reference_agrees db q)
 
 let suite =
   [
@@ -357,7 +329,6 @@ let suite =
       test_no_pushdown_or_across_tables;
     Alcotest.test_case "pushdown: OR within one table" `Quick
       test_pushdown_or_single_table;
-    Alcotest.test_case "planner off pushes nothing" `Quick test_planner_off_pushes_nothing;
     Alcotest.test_case "join order: selective base first" `Quick test_selective_table_first;
     Alcotest.test_case "reorder preserves group order" `Quick
       test_reorder_preserves_group_order;
