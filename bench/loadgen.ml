@@ -420,26 +420,6 @@ let () =
         (match get_int stats "completed" with Some i -> string_of_int i | None -> "null")
         (match get_int stats "slices" with Some i -> string_of_int i | None -> "null")
       ;
-      (* Duopar view of the run, straight from the server's stats reply:
-         requested vs effective domains and the cross-session
-         speculation counters (zero on a host where the domain count
-         clamps to 1 — commit_rate reports 1.0 then, not null). *)
-      let duopar = Option.bind (Json.member "duopar" stats) (fun d -> Some d) in
-      let dp_int field =
-        match Option.bind duopar (fun d -> Option.bind (Json.member field d) Json.get_int) with
-        | Some i -> string_of_int i
-        | None -> "null"
-      in
-      let dp_num field =
-        match Option.bind duopar (fun d -> Option.bind (Json.member field d) Json.get_num) with
-        | Some f -> Printf.sprintf "%.3f" f
-        | None -> "null"
-      in
-      p "  \"duopar\": {\"domains_requested\": %s, \"domains\": %s, \
-         \"round_size\": %s, \"commit_rate\": %s, \"spec_tasks\": %s, \
-         \"spec_hits\": %s},\n"
-        (dp_int "domains_requested") (dp_int "domains") (dp_int "round_size")
-        (dp_num "commit_rate") (dp_int "spec_tasks") (dp_int "spec_hits");
       p "  \"interference\": {\"tasks_checked\": %d, \"mismatches\": %d},\n"
         checked !mismatches;
       p "  \"refine\": {\"tasks\": %d, \"warm_ms\": {\"p50\": %.2f, \

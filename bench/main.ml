@@ -19,8 +19,8 @@ let scale () =
 
 let run_experiments () =
   (* DUOQUEST_DOMAINS > 1 shards workload generation and the simulation
-     runs over one shared pool (Duopar v2); artifacts are identical to
-     the sequential run. *)
+     runs over one shared pool; artifacts are identical to the sequential
+     run. *)
   let domains =
     Duocore.Enumerate.effective_domains
       { Duocore.Enumerate.default_config with
@@ -397,172 +397,6 @@ let stage_profile () =
     !batched_probes,
     !row_probes )
 
-(* Duopar profile: the B-tier MAS NLI tasks (three- and four-table joins,
-   the heaviest verification load) synthesized with a full-detail TSQ,
-   once sequentially and once with worker domains.  The run is
-   pop-bounded, not time-bounded, so both configurations do identical
-   work and the wall-clock ratio is a real speedup.  Candidate lists are
-   digested to demonstrate Duopar's bit-identical-output guarantee. *)
-let duopar_domains () =
-  match Duocore.Enumerate.domains_from_env () with 1 -> 4 | n -> n
-
-let duopar_tasks () =
-  List.filter
-    (fun t -> String.length t.Duobench.Mas.task_id > 0 && t.Duobench.Mas.task_id.[0] = 'B')
-    Duobench.Mas.nli_study_tasks
-
-let duopar_config domains =
-  { micro_config with
-    Duocore.Enumerate.time_budget_s = 30.0;
-    max_pops = 3_000;
-    domains }
-
-(* Run the B-tier task list once under [config] against [pool] and
-   return the outcomes. *)
-let duopar_run_tasks config pool =
-  let db = Lazy.force mas_db in
-  let session = Lazy.force mas_session in
-  List.map
-    (fun task ->
-      let rng = Duobench.Rng.create 29 in
-      let tsq =
-        Duobench.Tsq_synth.synthesize rng db (Duobench.Mas.gold task)
-          ~detail:Duobench.Tsq_synth.Full
-      in
-      Duocore.Duoquest.synthesize ~config ?tsq ?pool
-        ~literals:task.Duobench.Mas.task_literals session
-        ~nlq:task.Duobench.Mas.task_nlq ())
-    (duopar_tasks ())
-
-let digest_outcomes outcomes =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          (List.concat_map
-             (fun o ->
-               List.map
-                 (fun c -> Duosql.Pretty.query c.Duocore.Enumerate.cand_query)
-                 o.Duocore.Enumerate.out_candidates)
-             outcomes)))
-
-let duopar_profile () =
-  let run_at domains =
-    let config = duopar_config domains in
-    (* One pool for the whole task list (the server-style deployment);
-       on a single-core host effective_domains clamps to 1 and the run
-       takes the sequential path with no pool at all. *)
-    let eff = Duocore.Enumerate.effective_domains config in
-    let pool =
-      if eff > 1 then Some (Duopar.Pool.create ~domains:eff) else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Duopar.Pool.shutdown pool)
-      (fun () ->
-        (* Start from a compacted heap so earlier profiles' GC state
-           (major heap size, pending work) doesn't bleed into the
-           comparison. *)
-        Gc.compact ();
-        let t0 = Duocore.Clock.now () in
-        let outcomes = duopar_run_tasks config pool in
-        (outcomes, Duocore.Clock.now () -. t0))
-  in
-  (* Pop-bounded runs do identical work every time, so wall-clock noise
-     is the only variance.  Interleave the two configurations and keep
-     each one's fastest pass: monotone drift across the bench (first
-     pass cold, CPU ramping, heap state) then cancels instead of
-     biasing whichever configuration happens to run first. *)
-  let seq, sw1 = run_at 1 in
-  let par, pw1 = run_at (duopar_domains ()) in
-  let _, sw2 = run_at 1 in
-  let _, pw2 = run_at (duopar_domains ()) in
-  let seq_wall = Float.min sw1 sw2 in
-  let par_wall = Float.min pw1 pw2 in
-  (duopar_tasks (), seq, seq_wall, par, par_wall, digest_outcomes seq,
-   digest_outcomes par)
-
-(* --- Duopar v2 allocation + wasted-work profile ---------------------
-   Measured with [overcommit] so the speculative machinery runs even on
-   a single-core bench host.  Heap growth is read from [Gc.stat], which
-   aggregates allocation across live domains — the pool stays alive
-   around both readings.  The speculation-attributable cost of a
-   configuration is its allocation minus the sequential run's, divided
-   by the rounds run.
-
-   Two views are reported:
-   - [bytes_per_round]: the round *machinery*, isolated with a pinned
-     floor-1 [spec_schedule] — each round stages exactly the state the
-     committing loop pops next, so the expansion work cancels against the
-     sequential baseline bit-for-bit and only the task-arena plumbing
-     remains;
-   - the [controller] block: adaptive rounds at full speculation depth,
-     where (1 - commit_rate) is the wasted work. *)
-
-type duopar_alloc = {
-  da_bytes_per_round : float option;
-  da_rounds : int;
-  da_tasks : int;
-  da_hits : int;
-  da_round_size : int;
-  da_ewma : float;
-  da_grows : int;
-  da_shrinks : int;
-  da_hash : string;
-}
-
-let heap_bytes () =
-  let st = Gc.stat () in
-  8.0 *. (st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words)
-
-let duopar_alloc_profile () =
-  let domains = duopar_domains () in
-  let measure ~domains ?schedule () =
-    let config =
-      { (duopar_config domains) with
-        Duocore.Enumerate.overcommit = true;
-        spec_schedule = schedule }
-    in
-    let pool =
-      if domains > 1 then Some (Duopar.Pool.create ~domains) else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Duopar.Pool.shutdown pool)
-      (fun () ->
-        let b0 = heap_bytes () in
-        let outcomes = duopar_run_tasks config pool in
-        let b1 = heap_bytes () in
-        (outcomes, b1 -. b0))
-  in
-  (* The wall-time profile above already forced every lazy (database,
-     model context, index), so these runs measure steady state. *)
-  let seq, seq_bytes = measure ~domains:1 () in
-  let summarize (outcomes, bytes) =
-    let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-    let rounds = sum (fun o -> o.Duocore.Enumerate.out_spec_rounds) in
-    {
-      da_bytes_per_round =
-        (if rounds = 0 then None
-         else Some (Float.max 0.0 (bytes -. seq_bytes) /. float_of_int rounds));
-      da_rounds = rounds;
-      da_tasks = sum (fun o -> o.Duocore.Enumerate.out_spec_tasks);
-      da_hits = sum (fun o -> o.Duocore.Enumerate.out_spec_hits);
-      da_round_size =
-        List.fold_left
-          (fun acc o -> max acc o.Duocore.Enumerate.out_spec_round_size)
-          0 outcomes;
-      da_ewma =
-        List.fold_left
-          (fun acc o -> Float.min acc o.Duocore.Enumerate.out_spec_ewma)
-          1.0 outcomes;
-      da_grows = sum (fun o -> o.Duocore.Enumerate.out_spec_grows);
-      da_shrinks = sum (fun o -> o.Duocore.Enumerate.out_spec_shrinks);
-      da_hash = digest_outcomes outcomes;
-    }
-  in
-  let machinery = summarize (measure ~domains ~schedule:(fun _ -> 1) ()) in
-  let adaptive = summarize (measure ~domains ()) in
-  let seq_hash = digest_outcomes seq in
-  (domains, seq_hash, machinery, adaptive)
-
 let json_escape s =
   let buf = Buffer.create (String.length s) in
   String.iter
@@ -636,110 +470,6 @@ let write_json path estimates =
         (if i = n_stages - 1 then "" else ","))
     Duocore.Verify.all_stages;
   out "  ],\n";
-  let tasks, _seq, seq_wall, par, par_wall, seq_hash, par_hash =
-    duopar_profile ()
-  in
-  (* Domains actually used: the requested count clamps to the cores
-     available (overcommit is off), so a single-core host runs the
-     "parallel" configuration on the sequential path. *)
-  let n_domains =
-    List.fold_left
-      (fun acc o -> max acc o.Duocore.Enumerate.out_domains)
-      1 par
-  in
-  (* Sum committed per-domain stats across the parallel outcomes. *)
-  let per_domain =
-    Array.init n_domains (fun _ -> Duocore.Verify.new_stats ())
-  in
-  List.iter
-    (fun o ->
-      Array.iteri
-        (fun d ds ->
-          if d < n_domains then
-            Duocore.Verify.merge_stats ~into:per_domain.(d) ds)
-        o.Duocore.Enumerate.out_domain_stats)
-    par;
-  out "  \"duopar\": {\n";
-  out "    \"domains_requested\": %d,\n" (duopar_domains ());
-  out "    \"domains\": %d,\n" n_domains;
-  out "    \"cores_detected\": %d,\n" (Domain.recommended_domain_count ());
-  out "    \"tasks\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun t -> Printf.sprintf "\"%s\"" (json_escape t.Duobench.Mas.task_id))
-          tasks));
-  out "    \"sequential_wall_s\": %.6f,\n" seq_wall;
-  out "    \"parallel_wall_s\": %.6f,\n" par_wall;
-  out "    \"speedup\": %.3f,\n"
-    (if par_wall > 0. then seq_wall /. par_wall else 0.);
-  out "    \"candidate_hash_sequential\": \"%s\",\n" seq_hash;
-  out "    \"candidate_hash_parallel\": \"%s\",\n" par_hash;
-  out "    \"identical_candidates\": %b,\n" (String.equal seq_hash par_hash);
-  (* Speculation commit rate across the parallel runs: how much of the
-     domains' speculative expand+verify work a pop actually consumed. *)
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 par in
-  let spec_rounds = sum (fun o -> o.Duocore.Enumerate.out_spec_rounds) in
-  let spec_tasks = sum (fun o -> o.Duocore.Enumerate.out_spec_tasks) in
-  let spec_hits = sum (fun o -> o.Duocore.Enumerate.out_spec_hits) in
-  out "    \"spec_rounds\": %d,\n" spec_rounds;
-  out "    \"spec_tasks\": %d,\n" spec_tasks;
-  out "    \"spec_committed\": %d,\n" spec_hits;
-  (* A run with no speculative rounds wasted no speculative work, so its
-     commit rate is 1.0 (not null/unknown). *)
-  out "    \"commit_rate\": %s,\n"
-    (if spec_tasks = 0 then "1.0"
-     else
-       Printf.sprintf "%.3f" (float_of_int spec_hits /. float_of_int spec_tasks));
-  let alloc_domains, alloc_seq_hash, machinery, adaptive =
-    duopar_alloc_profile ()
-  in
-  let commit_rate a =
-    if a.da_tasks = 0 then "1.0"
-    else Printf.sprintf "%.3f" (float_of_int a.da_hits /. float_of_int a.da_tasks)
-  in
-  out "    \"controller\": {\n";
-  out "      \"overcommit_domains\": %d,\n" alloc_domains;
-  out "      \"round_size\": %d,\n" adaptive.da_round_size;
-  out "      \"ewma_min\": %.3f,\n" adaptive.da_ewma;
-  out "      \"grows\": %d,\n" adaptive.da_grows;
-  out "      \"shrinks\": %d,\n" adaptive.da_shrinks;
-  out "      \"commit_rate_adaptive\": %s,\n" (commit_rate adaptive);
-  out "      \"spec_tasks_adaptive\": %d\n" adaptive.da_tasks;
-  out "    },\n";
-  let bytes_field = function
-    | None -> "null"
-    | Some b -> Printf.sprintf "%.0f" b
-  in
-  (* Round-machinery allocation, isolated with floor-1 rounds (see
-     [duopar_alloc_profile]). *)
-  out "    \"alloc\": {\n";
-  out "      \"bytes_per_round\": %s,\n" (bytes_field machinery.da_bytes_per_round);
-  out "      \"machinery_rounds\": %d,\n" machinery.da_rounds;
-  out "      \"spec_bytes_per_round_adaptive\": %s,\n"
-    (bytes_field adaptive.da_bytes_per_round);
-  out "      \"spec_rounds_adaptive\": %d,\n" adaptive.da_rounds;
-  out "      \"identical_candidates\": %b\n"
-    (String.equal alloc_seq_hash machinery.da_hash
-    && String.equal alloc_seq_hash adaptive.da_hash);
-  out "    },\n";
-  out "    \"per_domain\": [\n";
-  Array.iteri
-    (fun d st ->
-      out
-        "      {\"domain\": %d, \"pruned\": %d, \"full_executions\": %d, \
-         \"stage_seconds\": [%s]}%s\n"
-        d st.Duocore.Verify.pruned st.Duocore.Verify.full_executions
-        (String.concat ", "
-           (List.map
-              (fun stage ->
-                Printf.sprintf "%.6f"
-                  st.Duocore.Verify.stage_seconds.(Duocore.Verify.stage_index
-                                                    stage))
-              Duocore.Verify.all_stages))
-        (if d = n_domains - 1 then "" else ","))
-    per_domain;
-  out "    ]\n";
-  out "  },\n";
   out
     "  \"verify_batching\": {\"batch_rounds\": %d, \"shared_scan_probes\": \
      %d, \"row_probes\": %d},\n"

@@ -206,8 +206,15 @@ let () =
   Unix.close batched.fd;
   (* 6b. a client that pipelines requests whose replies far exceed the
      socket buffers, then reads only some of them, must not stall anyone
-     else: another client's round trip still completes *)
+     else: another client's round trip still completes.  The server stops
+     reading the slow client while its reply backlog is over the
+     high-water mark, and still answers every request exactly once. *)
+  let pauses () = get_int (Client.request_exn c Protocol.Stats) "read_pauses" in
+  let pauses_before = pauses () in
   let stats_line = Protocol.request_to_line Protocol.Stats ^ "\n" in
+  let is_stats line =
+    match Json.parse line with Ok j -> Json.member "sessions" j <> None | Error _ -> false
+  in
   let reply_len = String.length (one_shot (Protocol.request_to_line Protocol.Stats)) in
   let n_piped = 1 + ((4 * 1024 * 1024) / (reply_len + 1)) in
   let slow = raw_connect path in
@@ -217,21 +224,38 @@ let () =
   Unix.sleepf 0.5;
   let n_read = ref 0 in
   while !n_read * (reply_len + 1) < 256 * 1024 do
-    ignore (raw_read_line slow);
+    check "slow reader gets stats replies" (is_stats (raw_read_line slow));
     incr n_read
   done;
   Unix.sleepf 0.1;
   let other = raw_connect path in
   raw_send other stats_line;
-  check "round trip beside a slow reader"
-    (match Json.parse (raw_read_line other) with
-    | Ok j -> Json.member "sessions" j <> None
-    | Error _ -> false);
+  check "round trip beside a slow reader" (is_stats (raw_read_line other));
   Unix.close other.fd;
   for _ = !n_read + 1 to n_piped do
-    ignore (raw_read_line slow)
+    check "slow reader gets stats replies" (is_stats (raw_read_line slow))
   done;
+  (* one reply per pipelined request: the next line answers a new one *)
+  raw_send slow (Protocol.request_to_line Protocol.List_dbs ^ "\n");
+  check "no extra replies to the pipelined requests" (raw_read_line slow = List.hd want);
   Unix.close slow.fd;
+  check "the slow reader's reads were paused" (pauses () > pauses_before);
+  (* 6c. a client that sends 2 MiB without a newline gets one error, the
+     rest of its line is dropped unbuffered, and its next line is served;
+     other clients are unaffected *)
+  let long = raw_connect path in
+  raw_send long (String.make (2 * 1024 * 1024) 'x');
+  let other = raw_connect path in
+  raw_send other stats_line;
+  check "round trip beside an endless line" (is_stats (raw_read_line other));
+  Unix.close other.fd;
+  raw_send long ("\n" ^ stats_line);
+  check "over-long line answered with an error"
+    (match Json.parse (raw_read_line long) with
+    | Ok j -> Option.bind (Json.member "ok" j) Json.get_bool = Some false
+    | Error _ -> false);
+  check "the line after it is served" (is_stats (raw_read_line long));
+  Unix.close long.fd;
   (* 7. close both, check the books, drain *)
   ignore (Client.request_exn c (Protocol.Close sid));
   ignore (Client.request_exn c (Protocol.Close sid2));
@@ -240,6 +264,7 @@ let () =
   check "two opened" (get_int stats "opened" = 2);
   check "refinements booked" (get_int stats "refined" = !warm_refines + !cold_refines);
   check "warm rebases booked" (get_int stats "rebased" = !warm_refines);
+  check "one over-long line booked" (get_int stats "long_lines" = 1);
   let bye = Client.request_exn c Protocol.Shutdown in
   check "draining acknowledged"
     (Option.bind (Json.member "draining" bye) Json.get_bool = Some true);

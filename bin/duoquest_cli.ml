@@ -107,17 +107,7 @@ let query_cmd =
   let budget_arg =
     Arg.(value & opt float 10.0 & info [ "budget" ] ~docv:"SECONDS" ~doc:"Synthesis time budget.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt int (Duocore.Enumerate.domains_from_env ())
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for parallel enumeration (Duopar). Defaults to \
-             $(b,DUOQUEST_DOMAINS) or 1. Candidates are identical for any \
-             value.")
-  in
-  let run db_name nlq types tuples sorted limit top budget domains =
+  let run db_name nlq types tuples sorted limit top budget =
     match load_db db_name with
     | Error e -> `Error (false, e)
     | Ok db -> (
@@ -147,8 +137,7 @@ let query_cmd =
             let config =
               { Duocore.Enumerate.default_config with
                 Duocore.Enumerate.time_budget_s = budget;
-                max_candidates = top;
-                domains }
+                max_candidates = top }
             in
             let outcome =
               Duocore.Duoquest.synthesize ~config ?tsq session ~nlq ()
@@ -167,7 +156,7 @@ let query_cmd =
     Term.(
       ret
         (const run $ db_arg $ nlq_arg $ types_arg $ tuples_arg $ sorted_arg
-       $ limit_arg $ top_arg $ budget_arg $ domains_arg))
+       $ limit_arg $ top_arg $ budget_arg))
   in
   Cmd.v (Cmd.info "query" ~doc:"Synthesize SQL from an NLQ plus optional table sketch query") term
 

@@ -60,15 +60,6 @@ let time_budget_arg =
     & info [ "time-budget" ] ~docv:"SECONDS"
         ~doc:"Per-session active-stepping time budget.")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the shared speculation pool (default: \
-           DUOQUEST_DOMAINS, clamped to the cores available).")
-
 let listen_unix path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -84,15 +75,12 @@ let listen_tcp port =
   fd
 
 let run socket port n_dbs seed max_sessions slice max_pops max_candidates
-    time_budget domains =
+    time_budget =
   let session_config =
     { Enumerate.default_config with
       Enumerate.max_pops;
       max_candidates;
-      time_budget_s = time_budget;
-      domains = (match domains with
-                | Some d -> d
-                | None -> Enumerate.domains_from_env ()) }
+      time_budget_s = time_budget }
   in
   let config =
     { Duoserve.Server.max_sessions; slice_pops = slice; session_config }
@@ -106,9 +94,8 @@ let run socket port n_dbs seed max_sessions slice max_pops max_candidates
     | Some p -> (listen_tcp p, Printf.sprintf "127.0.0.1:%d" p)
     | None -> (listen_unix socket, socket)
   in
-  Printf.printf "duoserve: %d databases, %d worker domains, listening on %s\n%!"
+  Printf.printf "duoserve: %d databases, listening on %s\n%!"
     (List.length split.Duobench.Spider_gen.databases)
-    (Enumerate.effective_domains session_config)
     where;
   Fun.protect
     ~finally:(fun () ->
@@ -129,6 +116,6 @@ let () =
         ret
           (const run $ socket_arg $ port_arg $ dbs_arg $ seed_arg
          $ max_sessions_arg $ slice_arg $ max_pops_arg $ max_candidates_arg
-         $ time_budget_arg $ domains_arg))
+         $ time_budget_arg))
   in
   exit (Cmd.eval cmd)

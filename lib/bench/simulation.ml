@@ -13,8 +13,7 @@ let sim_config =
   { Enumerate.default_config with
     Enumerate.max_pops = 40_000;
     max_candidates = 100;
-    time_budget_s = 1.0;
-    domains = Enumerate.domains_from_env () }
+    time_budget_s = 1.0 }
 
 let sessions_of split =
   let tbl = Hashtbl.create 16 in
@@ -26,8 +25,7 @@ let sessions_of split =
 (* Shard [f] over [items] on [pool] when it carries real parallelism,
    merging results by index (fixed shard order).  Each item must carry
    everything mutable it needs (pre-split rng, its own database) so
-   shards never share writable state; [Pool.run] is never nested —
-   sharded work runs its inner synthesis with [domains = 1]. *)
+   shards never share writable state; [Pool.run] is never nested. *)
 let shard_map pool items f =
   match pool with
   | Some p when Duopar.Pool.domains p > 1 ->
@@ -53,57 +51,37 @@ let run_split ?(config = sim_config) ?(seed = 4242) ?pool ~mode ~detail split =
   let rng = Rng.create seed in
   let n_tasks = List.length split.Spider_gen.tasks in
   let rngs = split_rngs rng n_tasks in
-  (* Two ways to use the domains: [pool] shards the split one task per
-     pool shard with sequential inner synthesis (Duopar v2's Duobench
-     scaling — per-task outcomes are domain-count-invariant, so the
-     merged list matches the sequential one); without it the v1 shape
-     stands — one private pool parallelizing {e inside} each synthesis.
-     Pool rounds never nest either way. *)
-  let sharded = match pool with Some p -> Duopar.Pool.domains p > 1 | None -> false in
-  let inner_config =
-    if sharded then { config with Enumerate.domains = 1 } else config
+  let run_task i (task : Spider_gen.task) =
+    let trng = rngs.(i) in
+    let session = Hashtbl.find sessions task.Spider_gen.sp_db in
+    let db = Duoquest.session_db session in
+    let gold = task.Spider_gen.sp_gold in
+    let tsq =
+      match detail with
+      | None -> None
+      | Some d -> Tsq_synth.synthesize trng db gold ~detail:d
+    in
+    let outcome =
+      Duoquest.synthesize ~config ~mode ?tsq
+        ~literals:task.Spider_gen.sp_literals session
+        ~nlq:task.Spider_gen.sp_nlq ()
+    in
+    let rank = Duoquest.rank_of outcome ~gold in
+    let time =
+      Option.bind rank (fun r ->
+          List.nth_opt outcome.Enumerate.out_candidates (r - 1)
+          |> Option.map (fun c -> c.Enumerate.cand_time_s))
+    in
+    {
+      pt_task = task;
+      pt_rank = rank;
+      pt_time = time;
+      pt_candidates = List.length outcome.Enumerate.out_candidates;
+      pt_pops = outcome.Enumerate.out_pops;
+    }
   in
-  let inner_pool =
-    if sharded then None
-    else
-      let eff_domains = Enumerate.effective_domains config in
-      if eff_domains > 1 then Some (Duopar.Pool.create ~domains:eff_domains)
-      else None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Duopar.Pool.shutdown inner_pool)
-    (fun () ->
-      let run_task i (task : Spider_gen.task) =
-        let trng = rngs.(i) in
-        let session = Hashtbl.find sessions task.Spider_gen.sp_db in
-        let db = Duoquest.session_db session in
-        let gold = task.Spider_gen.sp_gold in
-        let tsq =
-          match detail with
-          | None -> None
-          | Some d -> Tsq_synth.synthesize trng db gold ~detail:d
-        in
-        let outcome =
-          Duoquest.synthesize ~config:inner_config ~mode ?tsq ?pool:inner_pool
-            ~literals:task.Spider_gen.sp_literals session
-            ~nlq:task.Spider_gen.sp_nlq ()
-        in
-        let rank = Duoquest.rank_of outcome ~gold in
-        let time =
-          Option.bind rank (fun r ->
-              List.nth_opt outcome.Enumerate.out_candidates (r - 1)
-              |> Option.map (fun c -> c.Enumerate.cand_time_s))
-        in
-        {
-          pt_task = task;
-          pt_rank = rank;
-          pt_time = time;
-          pt_candidates = List.length outcome.Enumerate.out_candidates;
-          pt_pops = outcome.Enumerate.out_pops;
-        }
-      in
-      let indexed = List.mapi (fun i task -> (i, task)) split.Spider_gen.tasks in
-      shard_map pool indexed (fun (i, task) -> run_task i task))
+  let indexed = List.mapi (fun i task -> (i, task)) split.Spider_gen.tasks in
+  shard_map pool indexed (fun (i, task) -> run_task i task)
 
 type pbe_status =
   | Pbe_correct

@@ -23,11 +23,9 @@ val sim_config : Duocore.Enumerate.config
     are cached per database.
 
     [pool] shards the split across the pool's domains — one task per
-    shard, sequential inner synthesis, per-task rngs pre-split in
-    sequential order and results merged in fixed shard order, so the
-    returned list is identical to the sequential one (wall-clock fields
-    aside).  Without [pool], the domains of [config] parallelize
-    {e inside} each synthesis instead (a private pool per call). *)
+    shard, per-task rngs pre-split in sequential order and results
+    merged in fixed shard order, so the returned list is identical to
+    the sequential one (wall-clock fields aside). *)
 val run_split :
   ?config:Duocore.Enumerate.config ->
   ?seed:int ->

@@ -453,148 +453,23 @@ let property1_prop ((sc : Gen.scenario), seed) =
   in
   walk Duocore.Partial.root 40
 
-(* Duopar determinism: enumeration with worker domains is observably
-   identical to the sequential run — same candidate queries in the same
-   emission order, same pop/push counts, and the same per-stage prune
-   counts.  This is the contract that makes [domains] a pure deployment
-   knob (DESIGN.md, "Duopar"): speculation must never leak into results
-   or accounting.  Seed picks the domain count (2..5) and whether
-   partial-query pruning is on. *)
-let parallel_determinism_prop ((sc : Gen.scenario), seed) =
-  let ctx = ctx_of sc in
-  let domains = 2 + (seed mod 4) in
-  let prune_partial = seed land 1 = 0 in
-  let run domains =
-    let config =
-      { Duocore.Enumerate.default_config with
-        Duocore.Enumerate.max_pops = 600;
-        max_candidates = 10;
-        time_budget_s = 20.0;
-        prune_partial;
-        domains;
-        (* exercise the speculative machinery even on one core *)
-        overcommit = true }
-    in
-    Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
-      ~literals:[] ()
-  in
-  let seq = run 1 in
-  let par = run domains in
-  let sigs (o : Duocore.Enumerate.outcome) =
-    List.map
-      (fun (c : Duocore.Enumerate.candidate) ->
-        (Duosql.Pretty.query c.Duocore.Enumerate.cand_query,
-         c.Duocore.Enumerate.cand_pops))
-      o.Duocore.Enumerate.out_candidates
-  in
-  let prunes (o : Duocore.Enumerate.outcome) =
-    List.map
-      (Duocore.Verify.pruned_by o.Duocore.Enumerate.out_stats)
-      Duocore.Verify.all_stages
-  in
-  if sigs seq <> sigs par then
-    QCheck.Test.fail_reportf
-      "candidates diverge at domains=%d:\nseq: %s\npar: %s" domains
-      (String.concat " | " (List.map fst (sigs seq)))
-      (String.concat " | " (List.map fst (sigs par)))
-  else if
-    seq.Duocore.Enumerate.out_pops <> par.Duocore.Enumerate.out_pops
-    || seq.Duocore.Enumerate.out_pushed <> par.Duocore.Enumerate.out_pushed
-  then
-    QCheck.Test.fail_reportf
-      "loop accounting diverges at domains=%d: pops %d/%d pushes %d/%d"
-      domains seq.Duocore.Enumerate.out_pops par.Duocore.Enumerate.out_pops
-      seq.Duocore.Enumerate.out_pushed par.Duocore.Enumerate.out_pushed
-  else if prunes seq <> prunes par then
-    QCheck.Test.fail_reportf "prune counts diverge at domains=%d" domains
-  else true
-
-(* Adaptive determinism (Duopar v2): the speculation round size is a pure
-   performance knob.  Whatever the controller does — the AIMD law or a
-   seed-derived adversarial [spec_schedule] thrashing between the floor
-   and past the ceiling — the candidates, loop accounting and prune
-   counts are bit-identical to the sequential run.  This is the contract
-   that lets the controller adapt freely at runtime. *)
-let adaptive_determinism_prop ((sc : Gen.scenario), seed) =
-  let ctx = ctx_of sc in
-  let domains = 2 + (seed mod 3) in
-  (* adversarial schedule: seed-derived sizes in [-1, 30], thrashing
-     through floor-degenerate rounds and ceiling clamps *)
-  let schedule i = (((seed / 4) + (i * 7)) mod 32) - 1 in
-  let run config =
-    Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
-      ~literals:[] ()
-  in
-  let base =
-    { Duocore.Enumerate.default_config with
-      Duocore.Enumerate.max_pops = 400;
-      max_candidates = 10;
-      time_budget_s = 20.0;
-      overcommit = true }
-  in
-  let seq = run { base with Duocore.Enumerate.domains = 1 } in
-  let regimes =
-    [
-      ("adaptive", { base with Duocore.Enumerate.domains });
-      ( "adversarial",
-        { base with
-          Duocore.Enumerate.domains;
-          spec_schedule = Some schedule } );
-    ]
-  in
-  let sigs (o : Duocore.Enumerate.outcome) =
-    List.map
-      (fun (c : Duocore.Enumerate.candidate) ->
-        (Duosql.Pretty.query c.Duocore.Enumerate.cand_query,
-         c.Duocore.Enumerate.cand_pops))
-      o.Duocore.Enumerate.out_candidates
-  in
-  let prunes (o : Duocore.Enumerate.outcome) =
-    List.map
-      (Duocore.Verify.pruned_by o.Duocore.Enumerate.out_stats)
-      Duocore.Verify.all_stages
-  in
-  List.for_all
-    (fun (name, config) ->
-      let par = run config in
-      if sigs seq <> sigs par then
-        QCheck.Test.fail_reportf
-          "%s schedule diverges at domains=%d:\nseq: %s\npar: %s" name domains
-          (String.concat " | " (List.map fst (sigs seq)))
-          (String.concat " | " (List.map fst (sigs par)))
-      else if
-        seq.Duocore.Enumerate.out_pops <> par.Duocore.Enumerate.out_pops
-        || seq.Duocore.Enumerate.out_pushed <> par.Duocore.Enumerate.out_pushed
-      then
-        QCheck.Test.fail_reportf
-          "%s schedule: loop accounting diverges at domains=%d" name domains
-      else if prunes seq <> prunes par then
-        QCheck.Test.fail_reportf
-          "%s schedule: prune counts diverge at domains=%d" name domains
-      else true)
-    regimes
-
 (* Resume determinism: a run paused via [Enumerate.step] after any number
    of pops and resumed later is observably identical to the uninterrupted
    [run] — same candidates in the same order, same pop/push counts, same
    per-stage prunes, same exhaustion flag.  This is the contract Duoserve
    time-slicing rests on: the scheduler may suspend a session at any
    slice boundary without changing what it computes.  Seed picks the
-   slice size (1..12), the domain count (1..3) and whether partial-query
-   pruning is on. *)
+   slice size (1..12) and whether partial-query pruning is on. *)
 let resume_determinism_prop ((sc : Gen.scenario), seed) =
   let ctx = ctx_of sc in
   let slice = 1 + (seed mod 12) in
-  let domains = 1 + (seed / 12 mod 3) in
   let prune_partial = seed land 1 = 0 in
   let config =
     { Duocore.Enumerate.default_config with
       Duocore.Enumerate.max_pops = 400;
       max_candidates = 10;
       time_budget_s = 20.0;
-      prune_partial;
-      domains;
-      overcommit = true }
+      prune_partial }
   in
   let full =
     Duocore.Enumerate.run config ctx sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
@@ -605,15 +480,12 @@ let resume_determinism_prop ((sc : Gen.scenario), seed) =
       ~literals:[] ()
   in
   let stepped =
-    Fun.protect
-      ~finally:(fun () -> Duocore.Enumerate.release st)
-      (fun () ->
-        let rec go () =
-          match Duocore.Enumerate.step ~max_pops:slice st with
-          | Duocore.Enumerate.Running -> go ()
-          | Duocore.Enumerate.Finished -> Duocore.Enumerate.outcome st
-        in
-        go ())
+    let rec go () =
+      match Duocore.Enumerate.step ~max_pops:slice st with
+      | Duocore.Enumerate.Running -> go ()
+      | Duocore.Enumerate.Finished -> Duocore.Enumerate.outcome st
+    in
+    go ()
   in
   let sigs (o : Duocore.Enumerate.outcome) =
     List.map
@@ -629,8 +501,7 @@ let resume_determinism_prop ((sc : Gen.scenario), seed) =
   in
   if sigs full <> sigs stepped then
     QCheck.Test.fail_reportf
-      "candidates diverge at slice=%d domains=%d:\nrun:  %s\nstep: %s" slice
-      domains
+      "candidates diverge at slice=%d:\nrun:  %s\nstep: %s" slice
       (String.concat " | " (List.map fst (sigs full)))
       (String.concat " | " (List.map fst (sigs stepped)))
   else if
@@ -749,18 +620,11 @@ let incremental_refine_prop ((sc : Gen.scenario), seed) =
     in
     let cold = E.run config ctx sc.Gen.sc_db ~tsq:(Some new_t) ~literals:[] () in
     let st = E.init config ctx sc.Gen.sc_db ~tsq:(Some old_t) ~literals:[] () in
-    let warm =
-      Fun.protect
-        ~finally:(fun () -> E.release st)
-        (fun () ->
-          ignore (E.step ~max_pops:(1 + (seed mod 40)) st);
-          E.rebase st ~tsq:new_t;
-          let rec go () =
-            match E.step st with E.Running -> go () | E.Finished -> ()
-          in
-          go ();
-          E.outcome st)
-    in
+    ignore (E.step ~max_pops:(1 + (seed mod 40)) st);
+    E.rebase st ~tsq:new_t;
+    let rec go () = match E.step st with E.Running -> go () | E.Finished -> () in
+    go ();
+    let warm = E.outcome st in
     let sqls (o : E.outcome) =
       List.map
         (fun (c : E.candidate) -> Duosql.Pretty.query c.E.cand_query)
@@ -1039,7 +903,7 @@ let replay_offer r child admitted =
    [Partial.canonical_key] for every state); the verdicts must agree at
    every offer.  Agreement at every offer makes the two runs' frontiers,
    pops and offers identical by induction, so one run checks both.
-   Modes: NLI (no sketch), dual, two domains, and a warm rebase. *)
+   Modes: NLI (no sketch), dual, and a warm rebase. *)
 let dedup_exact_prop ((sc : Gen.scenario), seed) =
   let module Tsq = Duocore.Tsq in
   let module E = Duocore.Enumerate in
@@ -1048,8 +912,7 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
     { E.default_config with
       E.max_pops = 400;
       max_candidates = 10;
-      time_budget_s = 20.0;
-      overcommit = true }
+      time_budget_s = 20.0 }
   in
   let new_t = { sc.Gen.sc_tsq with Tsq.min_support = None } in
   let old_t =
@@ -1058,24 +921,16 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
       sorted = false;
       negatives = [] }
   in
-  let check_mode name ~domains ~tsq ~rebase =
+  let check_mode name ~tsq ~rebase =
     let r = new_replay () in
-    let st =
-      E.init { config with E.domains } ctx sc.Gen.sc_db ~tsq ~literals:[]
-        ~on_offer:(replay_offer r) ()
-    in
-    let o =
-      Fun.protect
-        ~finally:(fun () -> E.release st)
-        (fun () ->
-          if rebase then begin
-            ignore (E.step ~max_pops:(1 + (seed mod 40)) st);
-            E.rebase st ~tsq:new_t
-          end;
-          let rec go () = match E.step st with E.Running -> go () | E.Finished -> () in
-          go ();
-          E.outcome st)
-    in
+    let st = E.init config ctx sc.Gen.sc_db ~tsq ~literals:[] ~on_offer:(replay_offer r) () in
+    if rebase then begin
+      ignore (E.step ~max_pops:(1 + (seed mod 40)) st);
+      E.rebase st ~tsq:new_t
+    end;
+    let rec go () = match E.step st with E.Running -> go () | E.Finished -> () in
+    go ();
+    let o = E.outcome st in
     match r.rp_mismatch with
     | Some (k, expected) ->
         QCheck.Test.fail_reportf "%s: hashed dedup %s a state the string-keyed run %s: %s" name
@@ -1092,11 +947,10 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
             stats.Duocore.Verify.visited_hits r.rp_hits
         else true
   in
-  check_mode "nli" ~domains:1 ~tsq:None ~rebase:false
-  && check_mode "dual" ~domains:1 ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
-  && check_mode "domains=2" ~domains:2 ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
+  check_mode "nli" ~tsq:None ~rebase:false
+  && check_mode "dual" ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
   && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
-     || check_mode "warm-rebase" ~domains:1 ~tsq:(Some old_t) ~rebase:true)
+     || check_mode "warm-rebase" ~tsq:(Some old_t) ~rebase:true)
 
 (* --- Duolint error soundness ---------------------------------------- *)
 
@@ -1438,12 +1292,6 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(500 * mult)
       ~name:"Duolint soundness: rejected queries match no true answer"
       arb_seeded lint_soundness_prop;
-    QCheck.Test.make ~count:(6 * mult)
-      ~name:"Duopar determinism: parallel enumeration = sequential"
-      arb_seeded parallel_determinism_prop;
-    QCheck.Test.make ~count:(6 * mult)
-      ~name:"adaptive determinism: any controller schedule = sequential"
-      arb_seeded adaptive_determinism_prop;
     QCheck.Test.make ~count:(6 * mult)
       ~name:"resume determinism: stepped enumeration = uninterrupted run"
       arb_seeded resume_determinism_prop;

@@ -27,8 +27,6 @@
       has a completion satisfying the TSQ ({!Soundness.check});
     - {b Property 1}: every expansion's children partition the parent's
       confidence mass (join-path forks exempt by design);
-    - {b Duopar determinism}: enumeration with worker domains is
-      observably identical to the sequential run;
     - {b resume determinism}: a run time-sliced via {!Duocore.Enumerate.step}
       and resumed is observably identical to the uninterrupted run — the
       contract Duoserve's session scheduler rests on;
@@ -45,8 +43,7 @@
       ORDER item, reordered FROM lists); a state without predicates never
       collides canonically with one that has them; and the hashed
       enumerator admits exactly the states the string-keyed two-layer
-      dedup admits, offer by offer, in NLI, dual, two-domain and
-      warm-rebase runs;
+      dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
     - {b Duosem equivalence}: {!Duolint.Duosem.canonical_query} keeps the
       error status and the result multiset of every generated query on
       its database, and canonicalization is idempotent;

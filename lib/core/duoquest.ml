@@ -44,7 +44,7 @@ let mode_name = function
   | `No_pq -> "NoPQ"
 
 let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
-    ?literals ?pool ?on_candidate session ~nlq () =
+    ?literals ?on_candidate session ~nlq () =
   let config =
     match mode with
     | `Duoquest | `Nli -> config
@@ -67,17 +67,14 @@ let prepare ?(config = Enumerate.default_config) ?(mode = `Duoquest) ?tsq
     List.map (fun l -> l.Duonl.Nlq.lit_value) analyzed.Duonl.Nlq.literals
   in
   Enumerate.init config ctx session.s_db ~index:session.s_index
-    ~relcache:(domain_cache session) ?pool ~tsq ~literals:literal_values
+    ~relcache:(domain_cache session) ~tsq ~literals:literal_values
     ?on_candidate ()
 
-let synthesize ?config ?mode ?tsq ?literals ?pool ?on_candidate session ~nlq ()
-    =
-  let state = prepare ?config ?mode ?tsq ?literals ?pool ?on_candidate session ~nlq () in
-  Fun.protect
-    ~finally:(fun () -> Enumerate.release state)
-    (fun () ->
-      ignore (Enumerate.step state);
-      Enumerate.outcome state)
+let synthesize ?config ?mode ?tsq ?literals ?pool:_ ?on_candidate session ~nlq
+    () =
+  let state = prepare ?config ?mode ?tsq ?literals ?on_candidate session ~nlq () in
+  ignore (Enumerate.step state);
+  Enumerate.outcome state
 
 let rank_of outcome ~gold =
   let rec find i = function

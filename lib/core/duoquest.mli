@@ -49,8 +49,8 @@ val mode_name : mode -> string
     - [tsq]: the table sketch query; omitting it (or passing [`Nli]) makes
       the run single-specification.
     - [config]: enumeration budgets (see {!Enumerate.config}).
-    - [pool]: a caller-owned {!Duopar.Pool.t} reused across runs instead
-      of spawning and joining domains per call.
+    - [pool]: accepted and ignored; a run is always the sequential
+      committing loop on the calling domain.
     - [on_candidate]: streaming callback, as the front-end displays
       candidates one at a time. *)
 val synthesize :
@@ -68,17 +68,15 @@ val synthesize :
 (** [prepare] is {!synthesize} stopped before the first enumeration step:
     it analyzes the NLQ, builds the guidance context and returns the
     paused {!Enumerate.state}.  The run verifies against the calling
-    domain's relation cache of [session] (Duopar worker domains get
-    private per-run caches), so the state must be stepped on the domain
-    that prepared it.  Duoserve sessions are built on this —
-    the server time-slices many prepared states with {!Enumerate.step}.
-    The caller owns the state ({!Enumerate.release} when done). *)
+    domain's relation cache of [session], so the state must be stepped
+    on the domain that prepared it.  Duoserve sessions are built on
+    this — the server time-slices many prepared states with
+    {!Enumerate.step}. *)
 val prepare :
   ?config:Enumerate.config ->
   ?mode:mode ->
   ?tsq:Tsq.t ->
   ?literals:Duodb.Value.t list ->
-  ?pool:Duopar.Pool.t ->
   ?on_candidate:(Enumerate.candidate -> unit) ->
   session ->
   nlq:string ->

@@ -14,9 +14,6 @@ type config = {
   max_frontier : int;
   domains : int;
   overcommit : bool;
-  spec_schedule : (int -> int) option;
-      (* test hook: force round [i]'s size (clamped to the controller's
-         bounds) — determinism must hold under any schedule *)
 }
 
 let default_config =
@@ -33,22 +30,19 @@ let default_config =
     max_frontier = 400_000;
     domains = 1;
     overcommit = false;
-    spec_schedule = None;
   }
 
-(* Speculation only pays off when the extra domains map to real cores:
-   on a single-core host the workers time-share with the committing loop
-   and every round is pure overhead (the 0.34x "speedup" of the first
-   Duopar bench).  The default path therefore clamps the domain count to
-   the hardware; [overcommit] keeps the old behavior for tests that must
-   exercise the parallel machinery regardless of the machine. *)
+(* The sharding width a caller that runs whole syntheses side by side
+   (bench, simulation) should use: [domains] clamped to [1, 64] and,
+   without [overcommit], to the cores available.  A run itself is always
+   the sequential committing loop. *)
 let effective_domains config =
   let requested = max 1 (min config.domains 64) in
   if config.overcommit then requested
   else min requested (max 1 (Domain.recommended_domain_count ()))
 
-(* DUOQUEST_DOMAINS=<n> is the deployment-side knob (CLI, bench,
-   simulation); unset, unparsable or out-of-range values fall back to
+(* DUOQUEST_DOMAINS=<n> is the sharding knob of the bench harnesses;
+   unset, unparsable or out-of-range values fall back to
    sequential. *)
 let domains_from_env () =
   match Sys.getenv_opt "DUOQUEST_DOMAINS" with
@@ -78,12 +72,10 @@ type outcome = {
   out_exhausted : bool;
   out_dropped : int;
   out_domains : int;
-  out_domain_stats : Verify.stats array;
   out_spec_rounds : int;
   out_spec_tasks : int;
   out_spec_hits : int;
   out_spec_round_size : int;
-  out_spec_ewma : float;
   out_spec_grows : int;
   out_spec_shrinks : int;
   out_rebases : int;
@@ -400,10 +392,8 @@ let expand ~guided hints ctx (t : Partial.t) =
 
 exception Budget_exhausted
 
-(* One verdict pass over an expansion's children.  Both the sequential
-   loop and the Duopar speculative tasks go through this single function,
-   so verdicts and per-stage prune counts are independent of [domains].
-   With partial-query pruning the whole sibling set runs through
+(* One verdict pass over an expansion's children.  With partial-query
+   pruning the whole sibling set runs through
    {!Verify.verify_batch}, which shares one base scan across the
    children's uncached row probes; under NoPQ only complete children pay
    the cascade (partials get at most the free static stage). *)
@@ -429,103 +419,6 @@ type timers = {
 
 let new_timers () = { expand_s = 0.0; verify_s = 0.0; admit_s = 0.0 }
 
-(* The result of speculatively processing one frontier state on some
-   domain: the expanded children with their cascade verdicts, plus the
-   private stats and profile times the task accumulated.  Expansion and
-   verification are pure functions of the state (the database, model
-   context and TSQ are immutable during a run; every cache only memoizes
-   deterministic results), so a task's verdicts are independent of which
-   domain ran it or when.  Stats are merged into the run's totals only
-   when the state is actually popped by the sequential committing loop —
-   speculation on states that are never popped leaves no trace, keeping
-   prune counts identical to a [domains = 1] run.  The fields are mutable
-   so one record per round slot is recycled across rounds ([tr_stats] is
-   zeroed with [Verify.reset_stats]). *)
-type task_result = {
-  mutable tr_worker : int;
-  mutable tr_children : (Partial.t * bool) list;
-  tr_stats : Verify.stats;
-  tr_times : timers;  (* expansion and verification of the task *)
-}
-
-let fresh_result () =
-  {
-    tr_worker = 0;
-    tr_children = [];
-    tr_stats = Verify.new_stats ();
-    tr_times = new_timers ();
-  }
-
-(* Speculative results are memoized by the *physical* state:
-   the committing loop pops the very same [Partial.t] object the round
-   staged (the frontier stores states, never copies them), so identity
-   is an exact key and no [Partial.key] string is ever rendered on the
-   speculation hot path.  States are immutable, so the bounded
-   structural [Hashtbl.hash] of an object can never drift between the
-   staging [replace] and the commit [find]. *)
-module Phys_tbl = Hashtbl.Make (struct
-  type t = Partial.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-(* Duopar speculation state, present exactly when the run has more than
-   one domain.  The round scratch (task arena) is sized once to the
-   controller's ceiling, so a steady-state round does no array
-   allocation; [task_result] records circulate through round slot ->
-   speculation memo -> (commit) -> free stack.  The aliasing contract: a
-   record belongs to exactly one owner at a time — a round slot while
-   its task runs, the memo entry afterwards, and the free stack once the
-   committing loop has merged (or a rebase dropped) it — so recycling
-   can never let two tasks write one stats record. *)
-type spec = {
-  sp_pool : Duopar.Pool.t;
-  sp_owns_pool : bool;
-  sp_controller : Duopar.Controller.t;  (* adaptive round size *)
-  sp_domain_stats : Verify.stats array;  (* committed work per domain *)
-  sp_memo : task_result Phys_tbl.t;  (* keyed by physical state *)
-  sp_entries : Frontier.buffer;  (* [Frontier.pop_entries_into] buffer *)
-  sp_tasks : Partial.t array;  (* states picked for this round *)
-  sp_results : task_result array;  (* slot -> recycled result record *)
-  sp_free : task_result array;  (* stack of recycled records *)
-  mutable sp_n_free : int;
-  mutable sp_fn : (worker:int -> int -> unit) option;
-      (* the round body closure, built once on first use *)
-}
-
-let make_spec ~pool ~owns_pool ~controller ~domains =
-  let capacity = 8 * domains (* the controller ceiling *) in
-  {
-    sp_pool = pool;
-    sp_owns_pool = owns_pool;
-    sp_controller = controller;
-    sp_domain_stats = Array.init domains (fun _ -> Verify.new_stats ());
-    sp_memo = Phys_tbl.create 256;
-    sp_entries = Frontier.buffer capacity;
-    sp_tasks = Array.make capacity Partial.root;
-    sp_results = Array.make capacity (fresh_result ());
-    sp_free = Array.make (4 * capacity) (fresh_result ());
-    sp_n_free = 0;
-    sp_fn = None;
-  }
-
-(* Recycle a result record whose owner (memo entry) is done with it; a
-   full stack simply drops the record to the GC — rare, harmless. *)
-let recycle sp r =
-  if sp.sp_n_free < Array.length sp.sp_free then begin
-    r.tr_children <- [];  (* do not pin children past commit *)
-    sp.sp_free.(sp.sp_n_free) <- r;
-    sp.sp_n_free <- sp.sp_n_free + 1
-  end
-
-let take sp =
-  if sp.sp_n_free > 0 then begin
-    sp.sp_n_free <- sp.sp_n_free - 1;
-    sp.sp_free.(sp.sp_n_free)
-  end
-  else fresh_result ()
-
 (* --- resumable enumeration state ---------------------------------------
    Everything [run] used to keep in closure-captured refs now lives in an
    explicit record, so a run can be paused after any pop and resumed later
@@ -542,8 +435,7 @@ type state = {
   st_config : config;
   st_ctx : Model.ctx;
   mutable st_hints : hints;  (* retargeted by [rebase] *)
-  st_domains : int;
-  st_envs : Verify.env array;  (* index 0 is the committing loop's env *)
+  mutable st_env : Verify.env;  (* retargeted by [rebase] *)
   st_stats : Verify.stats;
   st_frontier : Frontier.t;
   st_visited : Partial.Tbl.t;
@@ -556,7 +448,6 @@ type state = {
          equivalent predicate spellings, probed without printing keys *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
-  st_spec : spec option;  (* [Some] exactly when [st_domains > 1] *)
   st_on_candidate : candidate -> unit;
   st_on_offer : Partial.t -> bool -> unit;
   mutable st_candidates : candidate list;  (* newest first *)
@@ -570,66 +461,30 @@ type state = {
   mutable st_rebase_dropped : int;
   mutable st_exhausted : bool;
   mutable st_finished : bool;
-  mutable st_released : bool;
   mutable st_elapsed_s : float;  (* active wall time across steps *)
   st_times : timers;
-  mutable st_spec_rounds : int;
-  mutable st_spec_tasks : int;
-  mutable st_spec_hits : int;
 }
 
-let init config ctx db ?index ?relcache ?pool ~tsq ~literals
+let init config ctx db ?index ?relcache ~tsq ~literals
     ?(on_candidate = fun _ -> ()) ?(on_offer = fun _ _ -> ()) () =
-  (* A caller-supplied pool fixes the domain count: the caller already
-     decided how much parallelism this process runs with (one pool per
-     server or bench process, shared across runs). *)
-  let domains =
-    match pool with
-    | Some p -> Duopar.Pool.domains p
-    | None -> effective_domains config
-  in
   let stats = Verify.new_stats () in
-  let index =
-    (* Force the index on the caller's domain before any worker can race
-       to build it: environments share one immutable index. *)
-    if domains = 1 then index
-    else Some (match index with Some i -> i | None -> Duodb.Index.build db)
-  in
   let env =
     Verify.make_env ~stats ~semantics:config.semantic_rules
       ~static:config.static_rules ?index ?relcache ~db ~tsq ~literals ()
   in
-  let envs =
-    Array.init domains (fun d -> if d = 0 then env else Verify.fork_env env)
-  in
   let hints = match tsq with Some s -> hints_of_tsq s | None -> no_hints in
   let frontier = Frontier.create ~cap:config.max_frontier () in
   Frontier.push frontier Partial.root;
-  let spec =
-    if domains = 1 then None
-    else
-      let pool, owns_pool =
-        match pool with
-        | Some p -> (p, false)
-        | None -> (Duopar.Pool.create ~domains, true)
-      in
-      let controller =
-        Duopar.Controller.create ?schedule:config.spec_schedule ~domains ()
-      in
-      Some (make_spec ~pool ~owns_pool ~controller ~domains)
-  in
   {
     st_config = config;
     st_ctx = ctx;
     st_hints = hints;
-    st_domains = domains;
-    st_envs = envs;
+    st_env = env;
     st_stats = stats;
     st_frontier = frontier;
     st_visited = Partial.Tbl.create 2048;
     st_canon = Partial.Canon.create 512;
     st_emitted = Hashtbl.create 64;
-    st_spec = spec;
     st_on_candidate = on_candidate;
     st_on_offer = on_offer;
     st_candidates = [];
@@ -641,23 +496,11 @@ let init config ctx db ?index ?relcache ?pool ~tsq ~literals
     st_rebase_dropped = 0;
     st_exhausted = false;
     st_finished = false;
-    st_released = false;
     st_elapsed_s = 0.0;
     st_times = new_timers ();
-    st_spec_rounds = 0;
-    st_spec_tasks = 0;
-    st_spec_hits = 0;
   }
 
 let finished s = s.st_finished
-
-let release s =
-  if not s.st_released then begin
-    s.st_released <- true;
-    match s.st_spec with
-    | Some sp when sp.sp_owns_pool -> Duopar.Pool.shutdown sp.sp_pool
-    | Some _ | None -> ()
-  end
 
 (* Duolint warnings deprioritize at push time, never inside [expand]:
    expansion keeps children confidences summing to the parent's
@@ -665,7 +508,7 @@ let release s =
 let deprioritize s (child : Partial.t) =
   if not s.st_config.static_rules then child
   else
-    match Verify.static_warnings s.st_envs.(0) child with
+    match Verify.static_warnings s.st_env child with
     | 0 -> child
     | n ->
         {
@@ -686,14 +529,12 @@ let push_fresh s (child : Partial.t) =
   end
   else
     (* Second layer: collapse states whose decided content is Duosem-
-       canonically equal (predicate order, equivalent spellings).  Runs
-       only on the committing loop, so the collapse — like all dedup —
-       is deterministic across domain counts.  A state without WHERE or
-       HAVING predicates skips it: its canonical key is its key with an
-       empty literal segment spliced in, so it can collide only with a
-       predicate-free state of the same key (a predicated state's
-       literal segment is never empty), which the visited layer has
-       already caught. *)
+       canonically equal (predicate order, equivalent spellings).  A
+       state without WHERE or HAVING predicates skips it: its canonical
+       key is its key with an empty literal segment spliced in, so it can
+       collide only with a predicate-free state of the same key (a
+       predicated state's literal segment is never empty), which the
+       visited layer has already caught. *)
     let fresh =
       (not (Partial.has_predicates child))
       || begin
@@ -708,92 +549,6 @@ let push_fresh s (child : Partial.t) =
     in
     s.st_on_offer child fresh;
     if fresh then Frontier.push s.st_frontier (deprioritize s child)
-
-(* Expand and judge [p] on [worker]'s domain into the recycled record
-   [r].  The worker's env has its stats sink retargeted at [r] in place —
-   safe because each worker owns its forked env, and worker 0's sink is
-   restored by [fill] before the committing loop runs again. *)
-let process s worker (p : Partial.t) (r : task_result) =
-  Verify.reset_stats r.tr_stats;
-  let env_t = s.st_envs.(worker) in
-  Verify.set_stats env_t r.tr_stats;
-  let t0 = Clock.mono () in
-  let children = expand ~guided:s.st_config.guided s.st_hints s.st_ctx p in
-  let t1 = Clock.mono () in
-  let verdicts = judge env_t s.st_config children in
-  let t2 = Clock.mono () in
-  (* [Verify.relcache_delta] copies the worker cache's counters for the
-     whole run into the current record; merging those per task would
-     multiply them.  Per-domain cache numbers are re-derived from the
-     caches at outcome time. *)
-  r.tr_stats.Verify.relcache_hits <- 0;
-  r.tr_stats.Verify.pushdown_builds <- 0;
-  r.tr_stats.Verify.join_index_builds <- 0;
-  r.tr_stats.Verify.join_index_hits <- 0;
-  r.tr_worker <- worker;
-  r.tr_children <- verdicts;
-  r.tr_times.expand_s <- t1 -. t0;
-  r.tr_times.verify_s <- t2 -. t1
-
-let round_fn s sp =
-  match sp.sp_fn with
-  | Some f -> f
-  | None ->
-      let f ~worker i = process s worker sp.sp_tasks.(i) sp.sp_results.(i) in
-      sp.sp_fn <- Some f;
-      f
-
-(* One speculative pool round ahead of the committing loop: batch-pop the
-   top of the frontier into the arena buffer, process [p] and every
-   un-memoized incomplete state on some domain, memoize the others'
-   results by physical state ([push_fresh] admits each key once, so a memo
-   entry belongs to exactly one live state), restore, and return [p]'s
-   result. *)
-let fill s sp (p : Partial.t) =
-  (* The controller closes the books on the last round (cumulative
-     [st_spec_hits] gives it the commit delta) and picks the next size.
-     [p] already consumed a pop, so at most [remaining] further states can
-     be popped this refinement — staging past that is guaranteed waste.
-     A floor-sized round carries only [p], and [Pool.run _ 1] runs inline
-     — the sequential degeneration really is sequential.  The size never
-     exceeds the arrays' capacity (controller ceiling). *)
-  let spec_batch =
-    let b = Duopar.Controller.begin_round sp.sp_controller ~hits:s.st_spec_hits in
-    let remaining = s.st_config.max_pops - (s.st_pops - s.st_pop_base) in
-    max 1 (min b (remaining + 1))
-  in
-  s.st_spec_rounds <- s.st_spec_rounds + 1;
-  let n_extra =
-    Frontier.pop_entries_into s.st_frontier sp.sp_entries (spec_batch - 1)
-  in
-  sp.sp_tasks.(0) <- p;
-  let n_tasks = ref 1 in
-  for i = 0 to n_extra - 1 do
-    let st = Frontier.buffer_state sp.sp_entries i in
-    if (not (Partial.is_complete st)) && not (Phys_tbl.mem sp.sp_memo st)
-    then begin
-      sp.sp_tasks.(!n_tasks) <- st;
-      incr n_tasks
-    end
-  done;
-  let n = !n_tasks in
-  for i = 0 to n - 1 do
-    sp.sp_results.(i) <- take sp
-  done;
-  s.st_spec_tasks <- s.st_spec_tasks + n;
-  Duopar.Controller.launched sp.sp_controller ~tasks:n;
-  Duopar.Pool.run sp.sp_pool n (round_fn s sp);
-  (* [process] retargeted worker 0's (the caller's) stats sink; point it
-     back at the run record before the committing loop's own
-     verifications ([deprioritize]) resume. *)
-  Verify.set_stats s.st_envs.(0) s.st_stats;
-  sp.sp_tasks.(0) <- Partial.root;
-  for i = 1 to n - 1 do
-    Phys_tbl.replace sp.sp_memo sp.sp_tasks.(i) sp.sp_results.(i);
-    sp.sp_tasks.(i) <- Partial.root
-  done;
-  Frontier.restore_array s.st_frontier sp.sp_entries n_extra;
-  sp.sp_results.(0)
 
 exception Slice_exhausted
 
@@ -841,11 +596,6 @@ let step ?max_pops s =
           raise Budget_exhausted
       end
     in
-    (* The sequential best-first loop stays the single committing loop: it
-       alone pops, emits, merges stats and pushes children, so candidate
-       order, dedup and prune accounting are decided exactly as with
-       [domains = 1]; worker domains merely precompute results for states
-       it is about to pop (see [fill]). *)
     (try
        while true do
          if s.st_pops >= pop_limit then raise Slice_exhausted;
@@ -868,49 +618,22 @@ let step ?max_pops s =
              match Partial.to_query p with
              | Some q -> emit p q
              | None -> ())
-         | Some p -> (
+         | Some p ->
              s.st_pops <- s.st_pops + 1;
-             match s.st_spec with
-             | None ->
-                 (* expand, verify and admit share their clock stamps *)
-                 let m0 = Clock.mono () in
-                 let children =
-                   expand ~guided:config.guided s.st_hints s.st_ctx p
-                 in
-                 let m1 = Clock.mono () in
-                 s.st_times.expand_s <- s.st_times.expand_s +. (m1 -. m0);
-                 (* verification can dominate a pop; respect the budget *)
-                 if over_time () then raise Budget_exhausted;
-                 let verdicts = judge s.st_envs.(0) config children in
-                 let m2 = Clock.mono () in
-                 s.st_times.verify_s <- s.st_times.verify_s +. (m2 -. m1);
-                 List.iter
-                   (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
-                   verdicts;
-                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
-             | Some sp ->
-                 (* Identity lookup: [p] is the object the round staged,
-                    so no key string is rendered here. *)
-                 let r =
-                   match Phys_tbl.find sp.sp_memo p with
-                   | r ->
-                       Phys_tbl.remove sp.sp_memo p;
-                       r
-                   | exception Not_found -> fill s sp p
-                 in
-                 s.st_spec_hits <- s.st_spec_hits + 1;
-                 Verify.merge_stats
-                   ~into:sp.sp_domain_stats.(r.tr_worker)
-                   r.tr_stats;
-                 s.st_times.expand_s <- s.st_times.expand_s +. r.tr_times.expand_s;
-                 s.st_times.verify_s <- s.st_times.verify_s +. r.tr_times.verify_s;
-                 let m0 = Clock.mono () in
-                 List.iter
-                   (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
-                   r.tr_children;
-                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m0);
-                 (* committed: the record's memo ownership ends here *)
-                 recycle sp r)
+             (* expand, verify and admit share their clock stamps *)
+             let m0 = Clock.mono () in
+             let children = expand ~guided:config.guided s.st_hints s.st_ctx p in
+             let m1 = Clock.mono () in
+             s.st_times.expand_s <- s.st_times.expand_s +. (m1 -. m0);
+             (* verification can dominate a pop; respect the budget *)
+             if over_time () then raise Budget_exhausted;
+             let verdicts = judge s.st_env config children in
+             let m2 = Clock.mono () in
+             s.st_times.verify_s <- s.st_times.verify_s +. (m2 -. m1);
+             List.iter
+               (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
+               verdicts;
+             s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
        done
      with
     | Budget_exhausted -> s.st_finished <- true
@@ -950,20 +673,13 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
 let rebase s ~tsq =
   let t0 = Clock.now () in
   let m0 = Clock.mono () in
-  (* Retarget every domain's environment and the guidance hints; the
-     speculation memo holds verdicts computed under the old sketch and
-     must be dropped (visited-key dedup is unaffected: any state whose
-     key is already recorded was either kept, or pruned — and a pruned
-     state stays pruned under a tightening). *)
-  Array.iteri (fun d env -> s.st_envs.(d) <- Verify.retarget env ~tsq) s.st_envs;
+  (* Retarget the environment and the guidance hints (visited-key dedup
+     is unaffected: any state whose key is already recorded was either
+     kept, or pruned — and a pruned state stays pruned under a
+     tightening). *)
+  let env = Verify.retarget s.st_env ~tsq in
+  s.st_env <- env;
   s.st_hints <- hints_of_tsq tsq;
-  (* the dropped memo records go back to the free stack, not the GC *)
-  Option.iter
-    (fun sp ->
-      Phys_tbl.iter (fun _ r -> recycle sp r) sp.sp_memo;
-      Phys_tbl.reset sp.sp_memo)
-    s.st_spec;
-  let env = s.st_envs.(0) in
   (* Re-verify the frontier survivors.  Under NoPQ partial states were
      never verified against the sketch, so only complete states are
      re-checked there. *)
@@ -1004,39 +720,13 @@ let rebase s ~tsq =
   s.st_times.verify_s <- s.st_times.verify_s +. (Clock.mono () -. m0);
   s.st_elapsed_s <- s.st_elapsed_s +. (Clock.now () -. t0)
 
-(* Snapshot the run's observable outcome.  Pure with respect to results:
-   recomputing the per-domain relation-cache counters just overwrites them
-   with the caches' activity since the run began, so calling this mid-run
-   (Duoserve's [get_candidates]) and again at the end is safe.  The stats
-   are copies, so a later [step] never rewrites a snapshot already handed
-   out. *)
+(* Snapshot the run's observable outcome.  The stats are a copy, so a
+   later [step] never rewrites a snapshot already handed out.  The
+   Duopar fields keep their sequential values: one domain, no
+   speculation. *)
 let outcome s =
-  let copy st =
-    let c = Verify.new_stats () in
-    Verify.merge_stats ~into:c st;
-    c
-  in
-  let out_stats, out_domain_stats =
-    match s.st_spec with
-    | None ->
-        let st = copy s.st_stats in
-        (st, [| st |])
-    | Some sp ->
-        (* Per-domain relation-cache numbers come from the caches
-           themselves, as deltas since the envs were made; task records
-           were zeroed (see [process]). *)
-        Array.iteri
-          (fun d ds -> Verify.relcache_delta s.st_envs.(d) ds)
-          sp.sp_domain_stats;
-        (* [st_stats] holds only push-time deprioritization warnings in
-           parallel mode (verification runs through task records). *)
-        let total = copy s.st_stats in
-        Array.iter (fun ds -> Verify.merge_stats ~into:total ds) sp.sp_domain_stats;
-        (total, Array.map copy sp.sp_domain_stats)
-  in
-  let controller f ~seq =
-    match s.st_spec with Some sp -> f sp.sp_controller | None -> seq
-  in
+  let out_stats = Verify.new_stats () in
+  Verify.merge_stats ~into:out_stats s.st_stats;
   {
     out_candidates = List.rev s.st_candidates;
     out_pops = s.st_pops;
@@ -1048,24 +738,19 @@ let outcome s =
     out_admit_s = s.st_times.admit_s;
     out_exhausted = s.st_exhausted;
     out_dropped = Frontier.dropped s.st_frontier;
-    out_domains = s.st_domains;
-    out_domain_stats;
-    out_spec_rounds = s.st_spec_rounds;
-    out_spec_tasks = s.st_spec_tasks;
-    out_spec_hits = s.st_spec_hits;
-    out_spec_round_size = controller Duopar.Controller.size ~seq:0;
-    out_spec_ewma = controller Duopar.Controller.ewma ~seq:1.0;
-    out_spec_grows = controller Duopar.Controller.grows ~seq:0;
-    out_spec_shrinks = controller Duopar.Controller.shrinks ~seq:0;
+    out_domains = 1;
+    out_spec_rounds = 0;
+    out_spec_tasks = 0;
+    out_spec_hits = 0;
+    out_spec_round_size = 0;
+    out_spec_grows = 0;
+    out_spec_shrinks = 0;
     out_rebases = s.st_rebases;
     out_rebase_kept = s.st_rebase_kept;
     out_rebase_dropped = s.st_rebase_dropped;
   }
 
-let run config ctx db ?index ?pool ~tsq ~literals ?on_candidate () =
-  let s = init config ctx db ?index ?pool ~tsq ~literals ?on_candidate () in
-  Fun.protect
-    ~finally:(fun () -> release s)
-    (fun () ->
-      ignore (step s);
-      outcome s)
+let run config ctx db ?index ~tsq ~literals ?on_candidate () =
+  let s = init config ctx db ?index ~tsq ~literals ?on_candidate () in
+  ignore (step s);
+  outcome s

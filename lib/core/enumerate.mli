@@ -31,42 +31,29 @@ type config = {
       (** frontier memory guard: compact to the best half beyond this many
           queued states *)
   domains : int;
-      (** Duopar: worker domains for speculative parallel
-          expand-and-verify (clamped to [1, 64]).  Any value produces the
-          {e same} candidate list, emission order and per-stage prune
-          counts as [domains = 1]: the sequential best-first loop remains
-          the only committing loop; extra domains merely precompute
-          results for states it is about to pop (see DESIGN.md,
-          "Duopar"). *)
+      (** sharding width for callers that run whole syntheses side by
+          side (the bench and simulation harnesses, via
+          {!effective_domains}); clamped to [1, 64].  A run itself is
+          always the one sequential committing loop, so this field never
+          changes a run's candidates, counters or speed. *)
   overcommit : bool;
-      (** When [false] (the default), the worker-domain count is further
-          clamped to [Domain.recommended_domain_count ()]: on a
-          single-core host speculation is pure overhead, so the run takes
-          the sequential path outright.  [true] keeps [domains] as
-          requested regardless of the hardware (determinism tests
-          exercise the speculative machinery this way). *)
-  spec_schedule : (int -> int) option;
-      (** test hook: force round [i]'s size (clamped to the controller
-          bounds), overriding the AIMD law by which
-          {!Duopar.Controller} sizes each speculative round from the
-          measured commit rate.  The round size never affects results,
-          only how far ahead workers precompute: candidates must be — and
-          are property-tested to be — bit-identical under any schedule. *)
+      (** When [false] (the default), {!effective_domains} further clamps
+          [domains] to [Domain.recommended_domain_count ()]; [true] keeps
+          it as requested regardless of the hardware. *)
 }
 
 (** Duoquest defaults: guided, pruning, 200k pops, 100 candidates, 60 s,
     1 domain, no overcommit. *)
 val default_config : config
 
-(** The worker-domain count a run with this config will actually use on
-    this machine ([domains] clamped to [1, 64] and, without [overcommit],
-    to the available cores).  Callers that share one {!Duopar.Pool.t}
-    across runs size it with this. *)
+(** The sharding width this config asks for on this machine ([domains]
+    clamped to [1, 64] and, without [overcommit], to the available
+    cores).  Callers that shard runs over one {!Duopar.Pool.t} size it
+    with this. *)
 val effective_domains : config -> int
 
 (** Reads [DUOQUEST_DOMAINS]; 1 when unset, unparsable, or < 1; capped
-    at 64.  The CLI, bench and simulation paths use this so parallelism
-    stays an opt-in deployment knob. *)
+    at 64.  The bench harnesses use this so sharding stays opt-in. *)
 val domains_from_env : unit -> int
 
 type candidate = {
@@ -95,25 +82,13 @@ type outcome = {
   out_dropped : int;
       (** states discarded by frontier compaction; when positive, an empty
           frontier does not mean exhaustion *)
-  out_domains : int;  (** worker domains actually used (clamped) *)
-  out_domain_stats : Verify.stats array;
-      (** committed verification work per domain, indexed by worker id;
-          [out_stats] is their merge (plus push-time lint warnings).
-          With [domains = 1] this is [[| out_stats |]]. *)
-  out_spec_rounds : int;
-      (** Duopar pool rounds run (0 when [domains = 1]) *)
-  out_spec_tasks : int;
-      (** speculative expand-and-verify tasks launched across all rounds *)
-  out_spec_hits : int;
-      (** speculative results committed by a pop; [out_spec_hits /
-          out_spec_tasks] is the speculation commit rate *)
-  out_spec_round_size : int;
-      (** the controller's current round size (0 when sequential) *)
-  out_spec_ewma : float;
-      (** the controller's commit-rate EWMA ([1.0] before any sample or
-          when sequential) *)
-  out_spec_grows : int;  (** controller additive-increase decisions *)
-  out_spec_shrinks : int;  (** controller multiplicative-decrease decisions *)
+  out_domains : int;  (** always 1: a run uses one domain *)
+  out_spec_rounds : int;  (** always 0 (no intra-run speculation) *)
+  out_spec_tasks : int;  (** always 0 *)
+  out_spec_hits : int;  (** always 0 *)
+  out_spec_round_size : int;  (** always 0 *)
+  out_spec_grows : int;  (** always 0 *)
+  out_spec_shrinks : int;  (** always 0 *)
   out_rebases : int;  (** warm restarts taken via {!rebase} *)
   out_rebase_kept : int;
       (** frontier states and candidates that survived re-verification
@@ -147,11 +122,10 @@ val expand :
 (** {2 Resumable enumeration}
 
     A {!state} is a paused run: the frontier, dedup table, join-path
-    memos, per-domain verification environments and all accounting.
-    {!init} builds it, {!step} advances it by a bounded number of
-    frontier pops, {!outcome} snapshots the observable results at any
-    point, and {!release} frees the worker pool.  {!run} is exactly
-    [init] + one unbounded [step] + [outcome] + [release], so a run
+    memos, the verification environment and all accounting.  {!init}
+    builds it, {!step} advances it by a bounded number of frontier pops,
+    and {!outcome} snapshots the observable results at any point.
+    {!run} is exactly [init] + one unbounded [step] + [outcome], so a run
     paused after any pop and resumed later commits the same pops in the
     same order — candidates, prune counts and accounting are
     bit-identical to the uninterrupted run (property-tested under
@@ -174,18 +148,13 @@ type status =
     [index] and [relcache] thread a session's inverted index and its
     relation cache for the calling domain into the verification
     environment (see {!Verify.make_env}); without [relcache] the run
-    gets a fresh cache.  [pool] supplies a caller-owned worker pool
-    shared across runs (one per server or bench process); it fixes the
-    domain count and is {e not} shut down by {!release}.  Without it a
-    pool is created when {!effective_domains} exceeds 1 and owned by the
-    state. *)
+    gets a fresh cache. *)
 val init :
   config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
   ?index:Duodb.Index.t ->
   ?relcache:Duoengine.Executor.relation_cache ->
-  ?pool:Duopar.Pool.t ->
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->
   ?on_candidate:(candidate -> unit) ->
@@ -205,14 +174,9 @@ val finished : state -> bool
 (** Snapshot the run's observable outcome; callable mid-run (a streaming
     UI polling candidates) and after the final step — final results are
     whatever the last call returns once {!finished} holds.  The stats
-    records are copies, so a later {!step} never changes a snapshot
+    record is a copy, so a later {!step} never changes a snapshot
     already taken. *)
 val outcome : state -> outcome
-
-(** Shut down the state's worker pool if it owns one (no-op for a pool
-    passed into {!init}, and with [domains = 1]).  Idempotent.  A
-    released state must not be stepped again. *)
-val release : state -> unit
 
 (** {2 Incremental re-synthesis}
 
@@ -242,14 +206,13 @@ val rebase : state -> tsq:Tsq.t -> unit
 val charge : state -> float -> unit
 
 (** Run the enumeration to completion: [init] + one unbounded [step] +
-    [outcome] + [release].  Arguments as {!init}; the run verifies
-    against a fresh relation cache. *)
+    [outcome].  Arguments as {!init}; the run verifies against a fresh
+    relation cache. *)
 val run :
   config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
   ?index:Duodb.Index.t ->
-  ?pool:Duopar.Pool.t ->
   tsq:Tsq.t option ->
   literals:Duodb.Value.t list ->
   ?on_candidate:(candidate -> unit) ->

@@ -42,15 +42,13 @@ val buffer_state : buffer -> int -> Partial.t
     buffer's size) in priority order — exactly the states [k] successive
     {!pop} calls would return — into slots [0 .. n-1] with each state's
     insertion sequence number, and returns [n].  A batch that was only
-    {e inspected} can be put back verbatim with {!restore_array}: the
-    Duopar speculative rounds batch-pop the top of the frontier, process
-    it on worker domains, and restore what they have not committed.
+    {e inspected} can be put back verbatim with {!restore_array}.
     Allocates nothing. *)
 val pop_entries_into : t -> buffer -> int -> int
 
 (** [restore_array t buf n] re-inserts slots [0 .. n-1] with their
     original sequence numbers, clearing each slot so the buffer does not
-    retain states between rounds.  Does not advance the {!pushed}
+    retain states.  Does not advance the {!pushed}
     counter, so a pop-and-restore round leaves priority order,
     tie-breaking and accounting exactly as if it never happened.
     (Restoring into a frontier past its cap still triggers compaction,

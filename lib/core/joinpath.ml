@@ -44,8 +44,9 @@ let extensions schema (from : from_clause) =
    entries (found by Duocheck — its fuzz schemas, all named "fuzzdb",
    were served each other's join paths).
 
-   The memo is domain-local ([Domain.DLS]): expansion runs on Duopar
-   worker domains, and an unsynchronized shared [Hashtbl] would race.
+   The memo is domain-local ([Domain.DLS]): sharded bench and simulation
+   runs expand on several pool domains at once, and an unsynchronized
+   shared [Hashtbl] would race.
    Per-domain memos need no locks, and since construction is a pure
    function of the key, duplicated entries across domains cannot change
    results — they only cost memory, bounded by [max_memo_entries] per

@@ -81,36 +81,6 @@ let new_stats () =
     batch_rounds = 0; batched_probes = 0; early_stops = 0;
     stage_seconds = Array.make (List.length all_stages) 0.0 }
 
-(* Zero a stats record in place so Duopar task arenas can recycle one
-   per task slot instead of allocating a fresh record every round. *)
-let reset_stats s =
-  s.column_probes <- 0;
-  s.index_probes <- 0;
-  s.row_probes <- 0;
-  s.full_executions <- 0;
-  s.relcache_hits <- 0;
-  s.pushdown_builds <- 0;
-  s.join_index_builds <- 0;
-  s.join_index_hits <- 0;
-  s.pruned <- 0;
-  s.pruned_by_static <- 0;
-  s.pruned_by_clauses <- 0;
-  s.pruned_by_cardinality <- 0;
-  s.pruned_by_semantics <- 0;
-  s.pruned_by_types <- 0;
-  s.pruned_by_column <- 0;
-  s.pruned_by_row <- 0;
-  s.pruned_by_complete <- 0;
-  s.dedup_semantic <- 0;
-  s.visited_hits <- 0;
-  s.canon_checked <- 0;
-  s.key_renders <- 0;
-  s.static_warnings <- 0;
-  s.batch_rounds <- 0;
-  s.batched_probes <- 0;
-  s.early_stops <- 0;
-  Array.fill s.stage_seconds 0 (Array.length s.stage_seconds) 0.0
-
 let pruned_by s = function
   | S_static -> s.pruned_by_static
   | S_clauses -> s.pruned_by_clauses
@@ -124,9 +94,9 @@ let pruned_by s = function
 (* All counters are plain adds; [stage_seconds] sums elementwise.  The
    relation-cache mirrors ([relcache_hits], [pushdown_builds],
    [join_index_builds], [join_index_hits]) are also summed, so a caller
-   merging several per-domain stats records must make sure each record
-   carries only its own cache's numbers (see [relcache_delta], which
-   {e sets} the values since the env was made). *)
+   merging several records must make sure each carries only its own
+   run's cache activity (see [relcache_delta], which {e sets} the values
+   since the env was made). *)
 let merge_stats ~into s =
   into.column_probes <- into.column_probes + s.column_probes;
   into.index_probes <- into.index_probes + s.index_probes;
@@ -222,20 +192,16 @@ let outline_memo () = { om_projs = []; om_select = []; om_having_key = None; om_
 type env = {
   e_db : Duodb.Database.t;
   e_tsq : Tsq.t option;
-  e_sketch : sketch;  (* [e_tsq] compiled; shared by forks *)
+  e_sketch : sketch;  (* [e_tsq] compiled *)
   e_literals : Value.t list;
   e_semantics : bool;
   e_static : bool;
   (* schema compiled to hash lookups for the stage-0 rules *)
   e_lint : Duolint.Analyze.prepared;
-  e_outline : outline_memo;  (* per domain, like [e_lint] *)
-  (* immutable schema key facts for the Duosem cardinality stage; safe
-     to share across forked domains *)
+  e_outline : outline_memo;
+  (* immutable schema key facts for the Duosem cardinality stage *)
   e_sem : Duolint.Duosem.prepared;
-  (* mutable so Duopar task arenas can retarget one environment at a
-     per-slot stats record ([set_stats]) instead of copying the whole
-     env per task *)
-  mutable e_stats : stats;
+  e_stats : stats;
   (* Master inverted index for text-literal column probes; forced on first
      use when no session index is supplied.  The database is append-only
      during synthesis, so the snapshot stays valid. *)
@@ -283,34 +249,6 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
   }
 
 let stats env = env.e_stats
-
-(* Per-domain environment for the Duopar speculative rounds: shares the
-   immutable inputs (database, TSQ, literals, the *forced* inverted
-   index) and gets private copies of everything mutable — probe caches,
-   relation cache, stats, and the Duolint prepared tables (whose
-   one-slot memos are written on every check) with their outline memo.
-   Forcing the index here runs on the caller's domain, so worker domains
-   never race the lazy thunk. *)
-let fork_env env =
-  {
-    env with
-    e_lint = Duolint.Analyze.prepare (Duodb.Database.schema env.e_db);
-    e_outline = outline_memo ();
-    e_stats = new_stats ();
-    e_index = Lazy.from_val (Lazy.force env.e_index);
-    e_cache = Hashtbl.create 256;
-    e_row_cache = Hashtbl.create 256;
-    e_relcache = Duoengine.Executor.create_cache ();
-    e_relcache_base = (0, 0, 0, 0);
-    e_range_cache = Hashtbl.create 64;
-  }
-
-(* Point the environment's stats sink at [stats] in place — gives each
-   speculative task a private stats record that is merged into the run's
-   totals only if the task's state is actually popped.  Only safe within
-   a single domain — Duopar workers each own a forked env, so
-   retargeting between tasks never races. *)
-let set_stats env stats = env.e_stats <- stats
 
 (* Set [into]'s relation-cache counters to the env's cache activity
    since the env was made.  Called after each executor call with the

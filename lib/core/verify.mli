@@ -101,24 +101,16 @@ type stats = {
 
 val new_stats : unit -> stats
 
-(** Zero every counter of [s] in place (including [stage_seconds]).
-    Lets the Duopar task arenas recycle one stats record per task slot
-    across rounds instead of allocating fresh records. *)
-val reset_stats : stats -> unit
-
 (** Per-stage prune counter, by the same enum that indexes
     [stage_seconds]. *)
 val pruned_by : stats -> stage -> int
 
 (** [merge_stats ~into s] adds every counter of [s] into [into]
-    (elementwise for [stage_seconds]).  The Duopar loop runs each
-    speculative verification task against a private stats record and
-    merges it into the run's totals only when the task's state is
-    committed, so parallel prune counts match the sequential run
-    exactly.  Note [relcache_hits]/[pushdown_builds] and the
-    [join_index_*] mirrors are summed too —
-    callers must ensure each merged record carries only its own
-    relation cache's numbers ({!relcache_delta}). *)
+    (elementwise for [stage_seconds]): snapshots copy a run's record
+    this way, and Duoserve sums its sessions' records.  Note
+    [relcache_hits]/[pushdown_builds] and the [join_index_*] mirrors are
+    summed too — each merged record should carry only its own run's
+    relation-cache activity, as an outcome's does. *)
 val merge_stats : into:stats -> stats -> unit
 
 (** Process-wide count of cascade invocations (one per child through
@@ -140,7 +132,8 @@ type env
     environments (a session's, for every run on its domain); entries are
     stamped with their tables' row counts, so appends are safe.  The env
     snapshots the cache's counters: the run's stats report only the
-    activity since then (see {!relcache_delta}). *)
+    activity since then — what a run on a shared cache did itself, never
+    an earlier run's totals. *)
 val make_env :
   ?stats:stats ->
   ?semantics:bool ->
@@ -154,29 +147,6 @@ val make_env :
   env
 
 val stats : env -> stats
-
-(** [relcache_delta env s] sets [s]'s relation-cache counters
-    ([relcache_hits], [pushdown_builds], [join_index_*]) to the activity
-    of [env]'s cache since [env] was made — what a run on a shared cache
-    did itself, never an earlier run's totals. *)
-val relcache_delta : env -> stats -> unit
-
-(** [fork_env env] builds a per-domain clone for Duopar workers: the
-    database, TSQ, literals and the (forced) inverted index are shared —
-    all immutable during synthesis, as is the compiled sketch — while
-    every mutable part (probe
-    caches, relation cache, stats, Duolint prepared tables with their
-    one-slot memos) is private to the clone.  Caches only memoize pure
-    probe results, so which domain answers a probe can never change a
-    verdict. *)
-val fork_env : env -> env
-
-(** [set_stats env s] retargets [env]'s stats sink at [s] in place,
-    keeping its caches.  Used to give each speculative task a private
-    record that is merged (or discarded) at commit time.  Only safe from
-    the domain that owns [env]; Duopar workers each own a {!fork_env}
-    clone, so retargeting between tasks never races. *)
-val set_stats : env -> stats -> unit
 
 (** [verify env pq] is Algorithm 3's [Verify]: true when the partial query
     survives every applicable stage. *)

@@ -2,9 +2,8 @@
    indices from [r_next] (fetch-and-add work stealing) and count
    completions in [r_done].
 
-   The pool owns ONE round record, reused for every round (Duopar v2's
-   zero-allocation contract: a steady-state round allocates nothing).
-   Reuse is safe because the record's plain fields ([r_n], [r_fn]) are
+   The pool owns ONE round record, reused for every round.  Reuse is
+   safe because the record's plain fields ([r_n], [r_fn]) are
    only written under the pool mutex while [active_workers] is zero —
    every worker brackets its time inside [run_tasks] with a
    mutex-protected increment/decrement of [active_workers], so a
@@ -28,7 +27,7 @@ type t = {
   mutable epoch : int;  (* bumped once per installed round *)
   mutable stop : bool;
   mutable failure : (exn * Printexc.raw_backtrace) option;
-  mutable handles : unit Domain.t list;
+  mutable handles : unit Domain.t list;  (* [] until the first multi-task round *)
 }
 
 let domains t = t.n_domains
@@ -97,22 +96,26 @@ let create ~domains =
       handles = [];
     }
   in
-  t.handles <-
-    List.init (n - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~worker:(i + 1) 0));
   t
+
+(* Spawn the workers for the first multi-task round.  Only the creating
+   domain calls [run], so no lock is needed; a shut-down pool never
+   starts (its workers would find [stop] set and never be joined). *)
+let start t =
+  if t.handles = [] && not t.stop then
+    t.handles <-
+      List.init (t.n_domains - 1) (fun i ->
+          Domain.spawn (fun () -> worker_loop t ~worker:(i + 1) 0))
 
 let run t n f =
   if n > 0 then begin
     if t.n_domains = 1 || n = 1 then
-      (* no pool traffic: the degenerate cases run inline — this is the
-         path a floor-1 speculative round takes, so the adaptive
-         controller's sequential degeneration really is the sequential
-         loop *)
+      (* no pool traffic: the degenerate cases run inline *)
       for i = 0 to n - 1 do
         f ~worker:0 i
       done
     else begin
+      start t;
       let r = t.round in
       Mutex.lock t.mu;
       (* Wait out stragglers from the previous round (workers that woke

@@ -21,8 +21,6 @@ let default_config =
 type t = {
   config : config;
   dbs : (string * Duoquest.session) list;
-  pool : Duopar.Pool.t option;
-  owns_pool : bool;
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
   mutable rr_last : int;  (** sid stepped most recently (round-robin cursor) *)
@@ -36,24 +34,15 @@ type t = {
   mutable rebased : int;  (** refinements served by the warm rebase path *)
   mutable slices : int;
   retired : Duocore.Verify.stats;  (** dedup counters of closed sessions *)
-  mutable retired_spec_tasks : int;  (** Duopar speculation of closed sessions *)
-  mutable retired_spec_hits : int;
+  mutable read_pauses : int;
+      (** times a client's reads were paused on its reply backlog *)
+  mutable long_lines : int;  (** request lines rejected for their length *)
 }
 
-let create ?pool config dbs =
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (Some p, false)
-    | None ->
-        let domains = Enumerate.effective_domains config.session_config in
-        if domains > 1 then (Some (Duopar.Pool.create ~domains), true)
-        else (None, false)
-  in
+let create config dbs =
   {
     config;
     dbs = List.map (fun (name, db) -> (name, Duoquest.create_session db)) dbs;
-    pool;
-    owns_pool;
     sessions = Hashtbl.create 64;
     next_sid = 1;
     rr_last = 0;
@@ -67,8 +56,8 @@ let create ?pool config dbs =
     rebased = 0;
     slices = 0;
     retired = Duocore.Verify.new_stats ();
-    retired_spec_tasks = 0;
-    retired_spec_hits = 0;
+    read_pauses = 0;
+    long_lines = 0;
   }
 
 let draining t = t.is_draining
@@ -181,7 +170,7 @@ let handle_open t (p : Protocol.open_params) =
         let config = clamp_config t p in
         let s =
           Session.create ~sid ~db_name:p.Protocol.op_db ~config
-            ?pool:t.pool ~nlq:p.Protocol.op_nlq ?tsq:p.Protocol.op_tsq
+            ~nlq:p.Protocol.op_nlq ?tsq:p.Protocol.op_tsq
             ?literals:p.Protocol.op_literals duo
         in
         Hashtbl.replace t.sessions sid s;
@@ -202,39 +191,6 @@ let handle_candidates s k =
       ("pops", Json.Num (float_of_int o.Enumerate.out_pops));
       ("exhausted", Json.Bool o.Enumerate.out_exhausted);
     ]
-
-(* Duopar visibility for operators: pool shape plus the adaptive
-   controller's state — [round_size] is the widest current round over the
-   open sessions (sessions inherit their controller across slices, so
-   this is the steady-state answer to "how far ahead is the server
-   speculating"), and [commit_rate] is the cumulative hits/tasks ratio
-   over open and closed sessions (1.0 when nothing was speculated: the
-   degenerate sequential path wastes nothing). *)
-let duopar_fields t =
-  let tasks = ref t.retired_spec_tasks and hits = ref t.retired_spec_hits in
-  let round_size = ref 0 in
-  Hashtbl.iter
-    (fun _ s ->
-      let o = Session.outcome s in
-      tasks := !tasks + o.Enumerate.out_spec_tasks;
-      hits := !hits + o.Enumerate.out_spec_hits;
-      round_size := max !round_size o.Enumerate.out_spec_round_size)
-    t.sessions;
-  let commit_rate =
-    if !tasks = 0 then 1.0 else float_of_int !hits /. float_of_int !tasks
-  in
-  [
-    ( "domains_requested",
-      Json.Num (float_of_int t.config.session_config.Enumerate.domains) );
-    ( "domains",
-      Json.Num
-        (float_of_int
-           (match t.pool with Some p -> Duopar.Pool.domains p | None -> 1)) );
-    ("round_size", Json.Num (float_of_int !round_size));
-    ("commit_rate", Json.Num commit_rate);
-    ("spec_tasks", Json.Num (float_of_int !tasks));
-    ("spec_hits", Json.Num (float_of_int !hits));
-  ]
 
 (* Visited-set dedup over the open sessions' runs and the closed
    sessions' last runs. *)
@@ -284,10 +240,11 @@ let stats_fields t =
     ("refined", Json.Num (float_of_int t.refined));
     ("rebased", Json.Num (float_of_int t.rebased));
     ("slices", Json.Num (float_of_int t.slices));
+    ("read_pauses", Json.Num (float_of_int t.read_pauses));
+    ("long_lines", Json.Num (float_of_int t.long_lines));
     ("draining", Json.Bool t.is_draining);
     ("dedup", Json.Obj (dedup_fields t));
     ("relcache", Json.Obj (relcache_fields t));
-    ("duopar", Json.Obj (duopar_fields t));
   ]
 
 let handle_request t req =
@@ -334,8 +291,6 @@ let handle_request t req =
           let running = Session.status s = Session.Running in
           let o = Session.outcome s in
           Duocore.Verify.merge_stats ~into:t.retired o.Enumerate.out_stats;
-          t.retired_spec_tasks <- t.retired_spec_tasks + o.Enumerate.out_spec_tasks;
-          t.retired_spec_hits <- t.retired_spec_hits + o.Enumerate.out_spec_hits;
           Session.close s;
           if running then book t s 1;
           Hashtbl.remove t.sessions sid;
@@ -361,26 +316,34 @@ let handle_line t line =
 
 let destroy t =
   Hashtbl.iter (fun _ s -> Session.close s) t.sessions;
-  Hashtbl.reset t.sessions;
-  if t.owns_pool then
-    match t.pool with
-    | Some p -> Duopar.Pool.shutdown p
-    | None -> ()
+  Hashtbl.reset t.sessions
 
 (* --- the event loop --------------------------------------------------- *)
+
+(* Bounds on one client's buffers.  A request line longer than
+   [max_line] bytes is answered with one error and dropped up to its
+   newline, unbuffered; a client with more than [high_water] bytes of
+   unsent replies is not read until [flush] drains it below the mark, so
+   a client that pipelines requests and stops reading holds at most
+   about [high_water] plus one read's worth of replies. *)
+let max_line = 1 lsl 20
+let high_water = 1 lsl 20
 
 (* A client's partial input line, and its pending replies: the bytes
    [out.(out_pos .. out_len-1)] are not yet written. *)
 type client = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
+  mutable discarding : bool;  (* inside an over-long line *)
+  mutable paused : bool;  (* left out of the read set *)
   mutable out : Bytes.t;
   mutable out_len : int;
   mutable out_pos : int;
 }
 
 let new_client fd =
-  { fd; inbuf = Buffer.create 256; out = Bytes.create 256; out_len = 0; out_pos = 0 }
+  { fd; inbuf = Buffer.create 256; discarding = false; paused = false;
+    out = Bytes.create 256; out_len = 0; out_pos = 0 }
 
 let pending c = c.out_len > c.out_pos
 
@@ -396,17 +359,34 @@ let reply c line =
   c.out_len <- need
 
 (* Answer every line completed by [data.(0 .. n-1)]: only the new bytes
-   are searched for newlines, and each line is copied out once. *)
+   are searched for newlines, and each line is copied out once.  A line
+   that grows past [max_line] gets one error reply; its remaining bytes
+   are skipped up to the newline that ends it. *)
 let feed t client data n =
   let rec lines from =
-    match Bytes.index_from_opt data from '\n' with
-    | Some nl when nl < n ->
-        Buffer.add_subbytes client.inbuf data from (nl - from);
+    let nl =
+      match Bytes.index_from_opt data from '\n' with
+      | Some nl when nl < n -> nl
+      | Some _ | None -> n
+    in
+    if client.discarding then ()
+    else if Buffer.length client.inbuf + (nl - from) > max_line then begin
+      Buffer.clear client.inbuf;
+      client.discarding <- true;
+      t.long_lines <- t.long_lines + 1;
+      reply client
+        (Protocol.error_line (Printf.sprintf "request line exceeds %d bytes" max_line))
+    end
+    else Buffer.add_subbytes client.inbuf data from (nl - from);
+    if nl < n then begin
+      if client.discarding then client.discarding <- false
+      else begin
         let line = String.trim (Buffer.contents client.inbuf) in
         Buffer.clear client.inbuf;
-        if line <> "" then reply client (handle_line t line);
-        lines (nl + 1)
-    | Some _ | None -> Buffer.add_subbytes client.inbuf data from (n - from)
+        if line <> "" then reply client (handle_line t line)
+      end;
+      lines (nl + 1)
+    end
   in
   lines 0
 
@@ -439,9 +419,15 @@ let serve t ~listen =
       finished := true
     end
     else begin
+      List.iter
+        (fun c ->
+          let paused = c.out_len - c.out_pos > high_water in
+          if paused && not c.paused then t.read_pauses <- t.read_pauses + 1;
+          c.paused <- paused)
+        !clients;
       let read_fds =
         (if t.is_draining then [] else [ listen ])
-        @ List.map (fun c -> c.fd) !clients
+        @ List.filter_map (fun c -> if c.paused then None else Some c.fd) !clients
       in
       let write_fds =
         List.filter_map

@@ -3,13 +3,11 @@
 
     Architecture: a single-threaded event loop owns every session and
     time-slices the [Running] ones round-robin, advancing one
-    {!Session.step} of [slice_pops] frontier pops between socket polls.
-    Parallelism lives {e inside} a slice — the shared {!Duopar.Pool.t}
-    fans each step's speculative expand-and-verify out across worker
-    domains — so no two sessions ever mutate state concurrently and
-    cross-session interference is impossible by construction.  Resume
-    determinism (see {!Duocore.Enumerate.step}) then guarantees each
-    session computes exactly what a solo run would.
+    {!Session.step} of [slice_pops] frontier pops between socket polls,
+    so no two sessions ever mutate state concurrently and cross-session
+    interference is impossible by construction.  Resume determinism (see
+    {!Duocore.Enumerate.step}) then guarantees each session computes
+    exactly what a solo run would.
 
     Sessions share per-database read-only structure: the inverted column
     index and a relation cache (sound because databases are immutable).
@@ -35,10 +33,8 @@ val default_config : config
 type t
 
 (** [create config dbs] builds a server over named databases (indexes and
-    relation caches are built here).  [pool] supplies a caller-owned
-    worker pool; without it one is created when the session config wants
-    more than one effective domain, and {!destroy} shuts it down. *)
-val create : ?pool:Duopar.Pool.t -> config -> (string * Duodb.Database.t) list -> t
+    relation caches are built here). *)
+val create : config -> (string * Duodb.Database.t) list -> t
 
 (** Process one protocol request line; the response line (no newline). *)
 val handle_line : t -> string -> string
@@ -55,12 +51,17 @@ val running_count : t -> int
 (** [draining] and every session has wound down — the loop may exit. *)
 val drained : t -> bool
 
-(** Close all sessions and shut down an owned pool.  The server must not
-    be used afterwards. *)
+(** Close all sessions.  The server must not be used afterwards. *)
 val destroy : t -> unit
 
 (** Run the event loop on a listening socket until a [shutdown] request
     drains the server: poll clients, answer complete lines, interleave
     {!tick} slices; on drain, flush responses, close every socket
-    ([listen] included) and return.  Never accepts while draining. *)
+    ([listen] included) and return.  Never accepts while draining.
+
+    Each client's buffers are bounded: a request line longer than 1 MiB
+    is answered with one error and discarded up to its newline
+    ([stats] counts these as [long_lines]), and a client with more than
+    1 MiB of unsent replies is not read from until the backlog drains
+    below that mark ([stats] counts each pause in [read_pauses]). *)
 val serve : t -> listen:Unix.file_descr -> unit

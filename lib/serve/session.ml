@@ -18,12 +18,11 @@ type t = {
   nlq : string;
   config : Enumerate.config;
   duo : Duoquest.session;
-  pool : Duopar.Pool.t option;
   literals : Duodb.Value.t list option;
   mutable tsq : Duocore.Tsq.t option;
   mutable state : Enumerate.state option;
   mutable last : Enumerate.outcome option;
-      (** snapshot kept after the state is released *)
+      (** snapshot kept after the state is dropped *)
   mutable status : status;
   mutable slices : int;
   mutable refinements : int;
@@ -40,9 +39,9 @@ let rebased s = s.rebased
 
 let prepare s =
   Duoquest.prepare ~config:s.config ?tsq:s.tsq ?literals:s.literals
-    ?pool:s.pool s.duo ~nlq:s.nlq ()
+    s.duo ~nlq:s.nlq ()
 
-let create ~sid ~db_name ~config ?pool ~nlq ?tsq ?literals duo =
+let create ~sid ~db_name ~config ~nlq ?tsq ?literals duo =
   let s =
     {
       sid;
@@ -50,7 +49,6 @@ let create ~sid ~db_name ~config ?pool ~nlq ?tsq ?literals duo =
       nlq;
       config;
       duo;
-      pool;
       literals;
       tsq;
       state = None;
@@ -69,7 +67,6 @@ let release_state s =
   | None -> ()
   | Some st ->
       s.last <- Some (Enumerate.outcome st);
-      Enumerate.release st;
       s.state <- None
 
 let step ~max_pops s =
@@ -97,12 +94,10 @@ let empty_outcome () =
     out_exhausted = false;
     out_dropped = 0;
     out_domains = 1;
-    out_domain_stats = [||];
     out_spec_rounds = 0;
     out_spec_tasks = 0;
     out_spec_hits = 0;
     out_spec_round_size = 0;
-    out_spec_ewma = 1.0;
     out_spec_grows = 0;
     out_spec_shrinks = 0;
     out_rebases = 0;

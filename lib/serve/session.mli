@@ -44,14 +44,12 @@ val rebased : t -> int
 
 (** [create ~sid ~db_name ~config duo params] admits the session and
     prepares its enumeration (paused before the first pop).  [config] is
-    the already-clamped per-session budget; [pool] the server's shared
-    worker pool.  Runs share [duo]'s relation cache for the server's
+    the already-clamped per-session budget.  Runs share [duo]'s relation cache for the server's
     domain with every other session on that database. *)
 val create :
   sid:int ->
   db_name:string ->
   config:Duocore.Enumerate.config ->
-  ?pool:Duopar.Pool.t ->
   nlq:string ->
   ?tsq:Duocore.Tsq.t ->
   ?literals:Duodb.Value.t list ->

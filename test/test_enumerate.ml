@@ -317,11 +317,10 @@ let test_stats_attribution () =
   Alcotest.(check int) "every prune attributed to a stage" s.Duocore.Verify.pruned
     attributed
 
-(* --- Duopar: parallel enumeration is observably identical --- *)
+(* --- [domains] is a sharding width: a run ignores it --- *)
 
-(* [overcommit] forces the speculative path even on a single-core test
-   machine — these tests are about determinism of the machinery, not
-   about whether parallelism pays off here. *)
+(* [overcommit] keeps the requested domain count even on a single-core
+   test machine. *)
 let run_at ~domains ?tsq nlq =
   let config =
     { Enumerate.default_config with
@@ -372,52 +371,11 @@ let test_parallel_identical_dual () =
   check_identical seq par;
   Alcotest.(check bool) "found something" true
     (seq.Enumerate.out_candidates <> []);
-  Alcotest.(check int) "domains recorded" 4 par.Enumerate.out_domains;
-  (* per-domain records add up to the merged totals *)
-  let committed =
-    Array.fold_left
-      (fun acc (ds : Duocore.Verify.stats) -> acc + ds.Duocore.Verify.pruned)
-      0 par.Enumerate.out_domain_stats
-  in
-  Alcotest.(check int) "domain prunes sum to total"
-    par.Enumerate.out_stats.Duocore.Verify.pruned committed
-
-(* Duopar v2: the adaptive controller and a pinned adversarial schedule
-   are pure performance knobs — every configuration is observably
-   identical to the sequential run, and the outcome's controller counters
-   reflect the regime that ran. *)
-let test_adaptive_regimes_identical () =
-  let run ?schedule domains =
-    let config =
-      { Enumerate.default_config with
-        Enumerate.max_pops = 4_000;
-        max_candidates = 30;
-        time_budget_s = 20.0;
-        domains;
-        overcommit = true;
-        spec_schedule = schedule }
-    in
-    Enumerate.run config (ctx "movie names and years") db ~tsq:None
-      ~literals:[] ()
-  in
-  let seq = run 1 in
-  let adaptive = run 4 in
-  check_identical seq adaptive;
-  Alcotest.(check bool) "controller sized some round" true
-    (adaptive.Enumerate.out_spec_round_size >= 1);
-  (* thrash the size between the floor and far past the ceiling *)
-  let adversarial = run ~schedule:(fun i -> (i * 13 mod 37) - 1) 4 in
-  check_identical seq adversarial;
-  (* floor-1 rounds degenerate to the sequential loop: every speculated
-     state is the one the committing loop pops next *)
-  let floor1 = run ~schedule:(fun _ -> 1) 4 in
-  check_identical seq floor1;
-  Alcotest.(check int) "floor-1 speculation all commits"
-    floor1.Enumerate.out_spec_tasks floor1.Enumerate.out_spec_hits
+  Alcotest.(check int) "one domain ran" 1 par.Enumerate.out_domains
 
 let test_parallel_exhaustion_identical () =
-  (* the exhaustive-enumeration flag and drop accounting survive
-     speculation: restored states keep their identity *)
+  (* the exhaustive-enumeration flag and drop accounting do not depend
+     on [domains] *)
   let tsq =
     Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "No Such Value Anywhere") ] ]
@@ -454,23 +412,20 @@ let config_for ~domains =
 let stepped ~slice ~domains ?tsq ?config nlq =
   let config = match config with Some c -> c | None -> config_for ~domains in
   let s = Enumerate.init config (ctx nlq) db ~tsq ~literals:[] () in
-  Fun.protect
-    ~finally:(fun () -> Enumerate.release s)
-    (fun () ->
-      let steps = ref 0 in
-      let rec go () =
-        incr steps;
-        match Enumerate.step ~max_pops:slice s with
-        | Enumerate.Running -> go ()
-        | Enumerate.Finished -> ()
-      in
-      go ();
-      Alcotest.(check bool) "finished reported" true (Enumerate.finished s);
-      (* stepping a finished state is a no-op *)
-      (match Enumerate.step ~max_pops:slice s with
-      | Enumerate.Finished -> ()
-      | Enumerate.Running -> Alcotest.fail "step after Finished ran");
-      (Enumerate.outcome s, !steps))
+  let steps = ref 0 in
+  let rec go () =
+    incr steps;
+    match Enumerate.step ~max_pops:slice s with
+    | Enumerate.Running -> go ()
+    | Enumerate.Finished -> ()
+  in
+  go ();
+  Alcotest.(check bool) "finished reported" true (Enumerate.finished s);
+  (* stepping a finished state is a no-op *)
+  (match Enumerate.step ~max_pops:slice s with
+  | Enumerate.Finished -> ()
+  | Enumerate.Running -> Alcotest.fail "step after Finished ran");
+  (Enumerate.outcome s, !steps)
 
 let check_flags (seq : Enumerate.outcome) (st : Enumerate.outcome) =
   Alcotest.(check bool) "same exhausted flag" seq.Enumerate.out_exhausted
@@ -505,8 +460,7 @@ let test_resume_identical_dual () =
   check_flags full st
 
 let test_resume_identical_duopar () =
-  (* pausing between speculative rounds must not change what the
-     committing loop commits *)
+  (* a multi-domain config pauses and resumes like the sequential run *)
   let full = run_at ~domains:1 "movie names and years" in
   let st, _ = stepped ~slice:3 ~domains:4 "movie names and years" in
   check_identical full st;
@@ -536,64 +490,48 @@ let test_resume_snapshot_prefix () =
     Enumerate.init config (ctx "movie names and years") db ~tsq:None
       ~literals:[] ()
   in
-  Fun.protect
-    ~finally:(fun () -> Enumerate.release s)
-    (fun () ->
-      let rec drive snapshots =
-        let snap = Enumerate.outcome s in
-        match Enumerate.step ~max_pops:40 s with
-        | Enumerate.Running -> drive (snap :: snapshots)
-        | Enumerate.Finished -> (Enumerate.outcome s, snapshots)
-      in
-      let final, snapshots = drive [] in
-      let final_sigs = candidate_sigs final in
-      List.iter
-        (fun snap ->
-          let sigs = candidate_sigs snap in
-          let n = List.length sigs in
-          Alcotest.(check (list (triple string int int)))
-            "snapshot is a prefix of the final candidates" sigs
-            (List.filteri (fun i _ -> i < n) final_sigs))
-        snapshots)
+  let rec drive snapshots =
+    let snap = Enumerate.outcome s in
+    match Enumerate.step ~max_pops:40 s with
+    | Enumerate.Running -> drive (snap :: snapshots)
+    | Enumerate.Finished -> (Enumerate.outcome s, snapshots)
+  in
+  let final, snapshots = drive [] in
+  let final_sigs = candidate_sigs final in
+  List.iter
+    (fun snap ->
+      let sigs = candidate_sigs snap in
+      let n = List.length sigs in
+      Alcotest.(check (list (triple string int int)))
+        "snapshot is a prefix of the final candidates" sigs
+        (List.filteri (fun i _ -> i < n) final_sigs))
+    snapshots
 
 (* An outcome taken mid-run is a snapshot: stepping the run on to the
-   end must not move its counters, sequential or speculative. *)
+   end must not move its counters. *)
 let test_resume_snapshot_fixed () =
-  let counters (st : Duocore.Verify.stats) =
+  let counters (o : Enumerate.outcome) =
+    let st = o.Enumerate.out_stats in
     st.Duocore.Verify.pruned :: st.Duocore.Verify.visited_hits
     :: st.Duocore.Verify.canon_checked :: st.Duocore.Verify.column_probes
     :: List.map (Duocore.Verify.pruned_by st) Duocore.Verify.all_stages
-  in
-  let all (o : Enumerate.outcome) =
-    counters o.Enumerate.out_stats
-    :: Array.to_list (Array.map counters o.Enumerate.out_domain_stats)
   in
   let tsq =
     Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ]
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
       ()
   in
-  List.iter
-    (fun domains ->
-      let s =
-        Enumerate.init (config_for ~domains) (ctx "movie names") db
-          ~tsq:(Some tsq) ~literals:[] ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Enumerate.release s)
-        (fun () ->
-          ignore (Enumerate.step ~max_pops:40 s);
-          let snap = Enumerate.outcome s in
-          let before = all snap in
-          ignore (Enumerate.step s);
-          Alcotest.(check bool)
-            (Printf.sprintf "domains=%d: the run moved on" domains)
-            true
-            (all (Enumerate.outcome s) <> before);
-          Alcotest.(check (list (list int)))
-            (Printf.sprintf "domains=%d: snapshot unchanged" domains)
-            before (all snap)))
-    [ 1; 2 ]
+  let s =
+    Enumerate.init (config_for ~domains:1) (ctx "movie names") db
+      ~tsq:(Some tsq) ~literals:[] ()
+  in
+  ignore (Enumerate.step ~max_pops:40 s);
+  let snap = Enumerate.outcome s in
+  let before = counters snap in
+  ignore (Enumerate.step s);
+  Alcotest.(check bool) "the run moved on" true
+    (counters (Enumerate.outcome s) <> before);
+  Alcotest.(check (list int)) "snapshot unchanged" before (counters snap)
 
 let suite =
   [
@@ -614,8 +552,6 @@ let suite =
       test_parallel_identical_nli;
     Alcotest.test_case "duopar: dual-spec run identical" `Quick
       test_parallel_identical_dual;
-    Alcotest.test_case "duopar: adaptive regimes identical" `Quick
-      test_adaptive_regimes_identical;
     Alcotest.test_case "duopar: exhaustion identical" `Quick
       test_parallel_exhaustion_identical;
     Alcotest.test_case "confidence partition" `Quick test_confidence_partition;

@@ -1,6 +1,6 @@
 (* Duopar pool unit tests: coverage, worker-id validity, barrier
    semantics across many rounds, exception propagation, reuse after
-   failure, and the degenerate domains=1 pool. *)
+   failure, the degenerate domains=1 pool, and lazy worker start. *)
 
 module Pool = Duopar.Pool
 
@@ -73,122 +73,38 @@ let test_caller_participates () =
       Pool.run p 3 (fun ~worker i -> if i = 0 then Atomic.set seen worker);
       Alcotest.(check int) "domains=1 runs on caller" 0 (Atomic.get seen))
 
-(* --- adaptive speculation controller (Duopar v2) -------------------- *)
+(* The process's OS thread count, from /proc/self/status; every worker
+   domain is one more thread. *)
+let threads () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec find () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "no Threads: line in /proc/self/status"
+        | Some line -> (
+            match String.split_on_char ':' line with
+            | [ "Threads"; n ] -> int_of_string (String.trim n)
+            | _ -> find ())
+      in
+      find ())
 
-module Controller = Duopar.Controller
-
-(* Feed a synthetic per-round (tasks, hits) trace through the raw AIMD
-   step and return the size after each observation. *)
-let trace domains samples =
-  let c = Controller.create ~domains () in
-  List.map
-    (fun (tasks, hits) ->
-      Controller.observe c ~tasks ~hits;
-      Controller.size c)
-    samples
-
-let test_controller_initial () =
-  let c = Controller.create ~domains:4 () in
-  Alcotest.(check int) "starts at 4*domains" 16 (Controller.size c);
-  Alcotest.(check (float 1e-9)) "ewma starts at 1" 1.0 (Controller.ewma c);
-  let tiny = Controller.create ~domains:1 ~ceiling:2 () in
-  Alcotest.(check int) "ceiling bounds the initial size" 2
-    (Controller.size tiny)
-
-let test_controller_grows_on_high_rate () =
-  (* perfect commit rate: additive +domains per round up to the ceiling,
-     then hold *)
-  Alcotest.(check (list int))
-    "16 -> 20 -> ... -> 32, then capped"
-    [ 20; 24; 28; 32; 32 ]
-    (trace 4 [ (16, 16); (20, 20); (24, 24); (28, 28); (32, 32) ]);
-  let c = Controller.create ~domains:4 () in
-  List.iter (fun _ -> Controller.observe c ~tasks:16 ~hits:16) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "grow decisions counted" 4 (Controller.grows c)
-
-let test_controller_shrinks_on_collapse () =
-  (* rate 0: the first sample replaces the EWMA (no stale optimism), so
-     the size halves every round down to the floor of 1 *)
-  Alcotest.(check (list int))
-    "16 -> 8 -> 4 -> 2 -> 1 -> 1"
-    [ 8; 4; 2; 1; 1 ]
-    (trace 4 [ (16, 0); (8, 0); (4, 0); (2, 0); (1, 0) ]);
-  let c = Controller.create ~domains:4 () in
-  Controller.observe c ~tasks:16 ~hits:0;
-  Alcotest.(check int) "shrink decisions counted" 1 (Controller.shrinks c)
-
-let test_controller_holds_between_thresholds () =
-  (* EWMA in [0.5, 0.8): neither law fires *)
-  let c = Controller.create ~domains:4 () in
-  Controller.observe c ~tasks:100 ~hits:60;
-  Alcotest.(check int) "size held at 0.6" 16 (Controller.size c);
-  Alcotest.(check int) "no grow" 0 (Controller.grows c);
-  Alcotest.(check int) "no shrink" 0 (Controller.shrinks c)
-
-let test_controller_ewma_damps_noise () =
-  (* one bad round after a long good run must not halve the size:
-     EWMA = 0.7*1.0 + 0.3*0.0 = 0.7, above the shrink threshold *)
-  let c = Controller.create ~domains:4 () in
-  Controller.observe c ~tasks:16 ~hits:16;
-  Controller.observe c ~tasks:20 ~hits:0;
-  Alcotest.(check (float 1e-9)) "ewma damped" 0.7 (Controller.ewma c);
-  Alcotest.(check int) "size held after one bad round" 20 (Controller.size c);
-  (* a second zero round pushes the EWMA to 0.49 < 0.5: now it halves *)
-  Controller.observe c ~tasks:20 ~hits:0;
-  Alcotest.(check int) "second bad round halves" 10 (Controller.size c)
-
-let test_controller_empty_rounds_ignored () =
-  let c = Controller.create ~domains:4 () in
-  Controller.observe c ~tasks:0 ~hits:0;
-  Alcotest.(check (float 1e-9)) "no sample from an empty round" 1.0
-    (Controller.ewma c);
-  Alcotest.(check int) "size untouched" 16 (Controller.size c)
-
-let test_controller_begin_round_cumulative () =
-  (* begin_round differentiates the cumulative hit counter itself *)
-  let c = Controller.create ~domains:2 () in
-  Alcotest.(check int) "round 0 at the initial size" 8
-    (Controller.begin_round c ~hits:0);
-  Controller.launched c ~tasks:8;
-  (* all 8 committed: cumulative hits 8, delta 8/8 = 1.0 -> grow *)
-  Alcotest.(check int) "round 1 grew" 10 (Controller.begin_round c ~hits:8);
-  Controller.launched c ~tasks:10;
-  (* nothing new committed: delta 0 damps the EWMA to 0.7 — held *)
-  Alcotest.(check int) "round 2 held" 10 (Controller.begin_round c ~hits:8);
-  Controller.launched c ~tasks:10;
-  (* still nothing: EWMA 0.49 crosses the shrink threshold — halved *)
-  Alcotest.(check int) "round 3 halved" 5 (Controller.begin_round c ~hits:8);
-  Alcotest.(check int) "rounds counted" 4 (Controller.rounds c)
-
-let test_controller_schedule_overrides () =
-  let c = Controller.create ~schedule:(fun i -> 1000 * (i + 1)) ~domains:2 () in
-  (* clamped to the ceiling (16), but accounting still runs *)
-  Alcotest.(check int) "round 0 clamped" 16 (Controller.begin_round c ~hits:0);
-  Controller.launched c ~tasks:16;
-  Alcotest.(check int) "round 1 clamped" 16 (Controller.begin_round c ~hits:16);
-  Alcotest.(check int) "rounds counted under schedule" 2 (Controller.rounds c);
-  let floor1 = Controller.create ~schedule:(fun _ -> -5) ~domains:2 () in
-  Alcotest.(check int) "clamped to the floor" 1
-    (Controller.begin_round floor1 ~hits:0)
+(* Creating a pool, and running rounds of one task on it, starts no
+   domain; the first round of several tasks starts the workers. *)
+let test_lazy_start () =
+  let before = threads () in
+  let p = Pool.create ~domains:3 in
+  Pool.run p 1 (fun ~worker:_ _ -> ());
+  Alcotest.(check bool) "no thread before a multi-task round" true
+    (threads () <= before);
+  let ran = Atomic.make 0 in
+  Pool.run p 6 (fun ~worker:_ _ -> Atomic.incr ran);
+  Alcotest.(check int) "round ran" 6 (Atomic.get ran);
+  Alcotest.(check bool) "the first multi-task round started workers" true
+    (threads () > before);
+  Pool.shutdown p
 
 let suite =
   [
     Alcotest.test_case "domains clamped" `Quick test_domains_clamped;
-    Alcotest.test_case "controller initial size" `Quick test_controller_initial;
-    Alcotest.test_case "controller grows on high rate" `Quick
-      test_controller_grows_on_high_rate;
-    Alcotest.test_case "controller shrinks on collapse" `Quick
-      test_controller_shrinks_on_collapse;
-    Alcotest.test_case "controller holds between thresholds" `Quick
-      test_controller_holds_between_thresholds;
-    Alcotest.test_case "controller ewma damps noise" `Quick
-      test_controller_ewma_damps_noise;
-    Alcotest.test_case "controller ignores empty rounds" `Quick
-      test_controller_empty_rounds_ignored;
-    Alcotest.test_case "controller begin_round cumulative" `Quick
-      test_controller_begin_round_cumulative;
-    Alcotest.test_case "controller schedule override" `Quick
-      test_controller_schedule_overrides;
     Alcotest.test_case "coverage domains=1" `Quick test_coverage_seq;
     Alcotest.test_case "coverage domains=4" `Quick test_coverage_par;
     Alcotest.test_case "empty round" `Quick test_empty_round;
@@ -196,4 +112,6 @@ let suite =
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "caller participates" `Quick test_caller_participates;
+    Alcotest.test_case "workers start on first multi-task round" `Quick
+      test_lazy_start;
   ]

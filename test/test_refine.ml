@@ -113,16 +113,11 @@ let check_warm_vs_cold ~name session ~nlq ~literals ~tight =
   check_refines (name ^ ": edit classifies as tightening") Tsq.Tightening
     ~old:loose ~new_:tight;
   let st = Duoquest.prepare ~config ~tsq:loose ~literals session ~nlq () in
-  let warm, warm_verifies =
-    Fun.protect
-      ~finally:(fun () -> Enumerate.release st)
-      (fun () ->
-        run_to_completion st;
-        let v0 = Verify.total_verifies () in
-        Enumerate.rebase st ~tsq:tight;
-        run_to_completion st;
-        (Enumerate.outcome st, Verify.total_verifies () - v0))
-  in
+  run_to_completion st;
+  let v0 = Verify.total_verifies () in
+  Enumerate.rebase st ~tsq:tight;
+  run_to_completion st;
+  let warm = Enumerate.outcome st and warm_verifies = Verify.total_verifies () - v0 in
   let v0 = Verify.total_verifies () in
   let cold = Duoquest.synthesize ~config ~tsq:tight ~literals session ~nlq () in
   let cold_verifies = Verify.total_verifies () - v0 in

@@ -228,7 +228,7 @@ let test_mas_counters () =
 (* A run whose canonical layer fires (two-predicate WHERE clauses in
    both orders): the hashed visited set and the predicate-only canonical
    layer admit exactly the states the string-keyed two-layer dedup
-   admitted, offer by offer, sequentially and with two domains. *)
+   admitted, offer by offer. *)
 let test_dedup_replay () =
   let db = Duobench.Movies.database () in
   let session = Duocore.Duoquest.create_session db in
@@ -239,35 +239,28 @@ let test_dedup_replay () =
   in
   let ctx = Duoguide.Model.make ~index (Duodb.Database.schema db) analyzed in
   let literals = List.map (fun l -> l.Duonl.Nlq.lit_value) analyzed.Duonl.Nlq.literals in
-  List.iter
-    (fun domains ->
-      let config =
-        { Duocore.Enumerate.default_config with
-          Duocore.Enumerate.max_pops = 2_000;
-          max_candidates = 40;
-          time_budget_s = 30.0;
-          domains;
-          overcommit = true }
-      in
-      let r = Duocheck.Props.new_replay () in
-      let st =
-        Duocore.Enumerate.init config ctx db ~index ~tsq:None ~literals
-          ~on_offer:(Duocheck.Props.replay_offer r) ()
-      in
-      ignore (Duocore.Enumerate.step st);
-      let o = Duocore.Enumerate.outcome st in
-      Duocore.Enumerate.release st;
-      let name what = Printf.sprintf "domains=%d: %s" domains what in
-      (match r.Duocheck.Props.rp_mismatch with
-      | Some (k, expected) ->
-          Alcotest.failf "%s" (name ((if expected then "hashed dedup rejected " else "hashed dedup admitted ") ^ k))
-      | None -> ());
-      Alcotest.(check bool) (name "the canonical layer fired") true (r.Duocheck.Props.rp_canon_hits > 0);
-      Alcotest.(check int) (name "visited hits match the replay") r.Duocheck.Props.rp_hits
-        o.Duocore.Enumerate.out_stats.Duocore.Verify.visited_hits;
-      Alcotest.(check int) (name "admitted offers are the pushes") (r.Duocheck.Props.rp_admitted + 1)
-        o.Duocore.Enumerate.out_pushed)
-    [ 1; 2 ]
+  let config =
+    { Duocore.Enumerate.default_config with
+      Duocore.Enumerate.max_pops = 2_000;
+      max_candidates = 40;
+      time_budget_s = 30.0 }
+  in
+  let r = Duocheck.Props.new_replay () in
+  let st =
+    Duocore.Enumerate.init config ctx db ~index ~tsq:None ~literals
+      ~on_offer:(Duocheck.Props.replay_offer r) ()
+  in
+  ignore (Duocore.Enumerate.step st);
+  let o = Duocore.Enumerate.outcome st in
+  (match r.Duocheck.Props.rp_mismatch with
+  | Some (k, expected) ->
+      Alcotest.failf "%s" ((if expected then "hashed dedup rejected " else "hashed dedup admitted ") ^ k)
+  | None -> ());
+  Alcotest.(check bool) "the canonical layer fired" true (r.Duocheck.Props.rp_canon_hits > 0);
+  Alcotest.(check int) "visited hits match the replay" r.Duocheck.Props.rp_hits
+    o.Duocore.Enumerate.out_stats.Duocore.Verify.visited_hits;
+  Alcotest.(check int) "admitted offers are the pushes" (r.Duocheck.Props.rp_admitted + 1)
+    o.Duocore.Enumerate.out_pushed
 
 let suite =
   [

@@ -142,7 +142,7 @@ let test_tsq_wire_cells () =
 
 (* --- golden request/response transcripts over handle_line ------------- *)
 
-let make_server ?(max_sessions = 8) ?(slice = 50) ?(domains = 1) () =
+let make_server ?(max_sessions = 8) ?(slice = 50) () =
   let config =
     {
       Server.max_sessions;
@@ -151,9 +151,7 @@ let make_server ?(max_sessions = 8) ?(slice = 50) ?(domains = 1) () =
         { Enumerate.default_config with
           Enumerate.max_pops = 2_000;
           max_candidates = 8;
-          time_budget_s = 20.0;
-          domains;
-          overcommit = domains > 1 };
+          time_budget_s = 20.0 };
     }
   in
   Server.create config [ ("movies", Fixtures.movie_db ()) ]
@@ -203,7 +201,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0},\"duopar\":{\"domains_requested\":1,\"domains\":1,\"round_size\":0,\"commit_rate\":1,\"spec_tasks\":0,\"spec_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"read_pauses\":0,\"long_lines\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0}}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
@@ -439,19 +437,19 @@ let test_session_books () =
   Alcotest.(check int) "runs: three first runs and session 1's refine" 4 (stat "runs_completed");
   Server.destroy server
 
-(* Closing a session keeps its Duopar speculation and its relation-cache
-   work on the books: [spec_tasks] / [spec_hits] are folded into a retired
-   total on close, and the per-database relation cache (with its join
-   indexes) outlives the sessions that filled it. *)
+(* Closing a session keeps its dedup and relation-cache work on the
+   books: its [dedup] counters are folded into a retired total on close,
+   and the per-database relation cache (with its join indexes) outlives
+   the sessions that filled it. *)
 let test_stats_survive_close () =
-  let server = make_server ~slice:40 ~domains:2 () in
+  let server = make_server ~slice:40 () in
   let totals () =
     let stats = Result.get_ok (Json.parse (Server.handle_line server "{\"op\":\"stats\"}")) in
     List.map
       (fun (block, name) ->
         let b = Option.get (Json.member block stats) in
         Option.get (Json.get_int (Option.get (Json.member name b))))
-      [ ("duopar", "spec_tasks"); ("duopar", "spec_hits"); ("relcache", "misses");
+      [ ("dedup", "visited_hits"); ("relcache", "misses");
         ("relcache", "join_index_builds") ]
   in
   let send line = ignore (Server.handle_line server line) in
@@ -461,7 +459,7 @@ let test_stats_survive_close () =
   send "{\"op\":\"open_session\",\"db\":\"movies\",\"nlq\":\"actor names\",\"max_pops\":300}";
   while Server.tick server do () done;
   let before = totals () in
-  Alcotest.(check bool) "speculation ran; relations and join indexes built" true
+  Alcotest.(check bool) "dedup ran; relations and join indexes built" true
     (List.for_all (fun n -> n > 0) before);
   send "{\"op\":\"close\",\"session\":1}";
   Alcotest.(check (list int)) "one close keeps every total" before (totals ());
