@@ -90,8 +90,8 @@ let executor_bench_tests () =
         (Staged.stage (fun () -> ignore (Duoengine.Executor.run_exn db q))))
     [ "A1"; "B1"; "B4" ]
 
-(* --- Duodb columnar kernels: scan/probe microbenchmarks and a
-   batched-vs-unbatched probe comparison, all on the largest MAS table --- *)
+(* --- Duodb columnar kernels: scan/probe microbenchmarks on the largest
+   MAS table --- *)
 
 (* The largest MAS table with a numeric column carrying data, and —
    independently, since the biggest tables are all-numeric link tables —
@@ -207,57 +207,6 @@ let duodb_bench_tests () =
                ignore (Duoengine.Kernel.probe_exists ttbl ~col:k probe_vals)));
       ]
 
-(* Batched multi-candidate probe execution: twelve single-table candidates
-   over the largest MAS table, run once through [Executor.run_batch] (one
-   shared base scan) and once as twelve independent [Executor.stream]
-   calls — both without a relation cache, so every repetition pays its
-   scans, the shape of one cold verify_batch round.  Each query's visitor
-   reads its one column of every output row. *)
-let duodb_batch_profile () =
-  let (tdef, tbl, nc), _ = Lazy.force duodb_targets in
-  let db = Lazy.force mas_db in
-  let open Duosql.Ast in
-  let ncr = col nc.Duodb.Schema.col_table nc.Duodb.Schema.col_name in
-  let vals = Array.of_list (distinct_non_null tbl nc) in
-  let candidates = 12 in
-  let qs =
-    Array.init candidates (fun k ->
-        let v = vals.(k * (Array.length vals - 1) / (candidates - 1)) in
-        let rhs =
-          if k mod 3 = 0 then Cmp (Ge, v)
-          else if k mod 3 = 1 then Cmp (Le, v)
-          else Cmp (Eq, v)
-        in
-        {
-          (simple [ proj_col ncr ] (from_table tdef.Duodb.Schema.tbl_name)) with
-          q_where =
-            Some
-              {
-                c_preds = [ { pr_agg = None; pr_col = Some ncr; pr_rhs = rhs } ];
-                c_conn = And;
-              };
-        })
-  in
-  let reps = match scale () with `Quick -> 40 | `Full -> 200 in
-  let time f =
-    let t0 = Duocore.Clock.now () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    Duocore.Clock.now () -. t0
-  in
-  let visit _ read = ignore (read 0 : Duodb.Value.t); true in
-  let batched_s =
-    time (fun () ->
-        ignore (Duoengine.Executor.run_batch db (Array.map (fun q -> (q, visit)) qs)))
-  in
-  let unbatched_s =
-    time (fun () ->
-        Array.iter (fun q -> ignore (Duoengine.Executor.stream db q visit)) qs)
-  in
-  (tdef.Duodb.Schema.tbl_name, Duodb.Table.row_count tbl, candidates, reps,
-   batched_s, unbatched_s)
-
 let bench_tests () =
   [
     (* table1: capability matrix rendering *)
@@ -363,7 +312,6 @@ let stage_profile () =
   let pruned = Array.make n_stages 0 in
   let static_warnings = ref 0 in
   let dedup_semantic = ref 0 in
-  let batch_rounds = ref 0 and batched_probes = ref 0 and row_probes = ref 0 in
   List.iter
     (fun task ->
       let rng = Duobench.Rng.create 29 in
@@ -379,9 +327,6 @@ let stage_profile () =
       let st = outcome.Duocore.Enumerate.out_stats in
       static_warnings := !static_warnings + st.Duocore.Verify.static_warnings;
       dedup_semantic := !dedup_semantic + st.Duocore.Verify.dedup_semantic;
-      batch_rounds := !batch_rounds + st.Duocore.Verify.batch_rounds;
-      batched_probes := !batched_probes + st.Duocore.Verify.batched_probes;
-      row_probes := !row_probes + st.Duocore.Verify.row_probes;
       List.iter
         (fun stage ->
           let i = Duocore.Verify.stage_index stage in
@@ -389,13 +334,7 @@ let stage_profile () =
           pruned.(i) <- pruned.(i) + Duocore.Verify.pruned_by st stage)
         Duocore.Verify.all_stages)
     Duobench.Mas.nli_study_tasks;
-  ( seconds,
-    pruned,
-    !static_warnings,
-    !dedup_semantic,
-    !batch_rounds,
-    !batched_probes,
-    !row_probes )
+  (seconds, pruned, !static_warnings, !dedup_semantic)
 
 let json_escape s =
   let buf = Buffer.create (String.length s) in
@@ -423,38 +362,22 @@ let write_json path estimates =
         (if i = List.length estimates - 1 then "" else ","))
     estimates;
   out "  ],\n";
-  let tname, trows, n_cand, reps, batched_s, unbatched_s =
-    duodb_batch_profile ()
-  in
+  let (tdef, tbl, _), _ = Lazy.force duodb_targets in
   out "  \"duodb\": {\n";
-  out "    \"table\": \"%s\",\n" (json_escape tname);
-  out "    \"rows\": %d,\n" trows;
+  out "    \"table\": \"%s\",\n" (json_escape tdef.Duodb.Schema.tbl_name);
+  out "    \"rows\": %d" (Duodb.Table.row_count tbl);
   (match
      ( List.assoc_opt "duodb/scan-range/kernel" estimates,
        List.assoc_opt "duodb/scan-range/scalar" estimates )
    with
   | Some kernel_ns, Some scalar_ns when kernel_ns > 0. ->
       out
-        "    \"scan_range\": {\"kernel_ns\": %.1f, \"scalar_ns\": %.1f, \
-         \"speedup\": %.2f},\n"
+        ",\n    \"scan_range\": {\"kernel_ns\": %.1f, \"scalar_ns\": %.1f, \
+         \"speedup\": %.2f}"
         kernel_ns scalar_ns (scalar_ns /. kernel_ns)
   | Some _, Some _ | Some _, None | None, Some _ | None, None -> ());
-  out
-    "    \"batched_probe\": {\"candidates\": %d, \"reps\": %d, \
-     \"batched_wall_s\": %.6f, \"unbatched_wall_s\": %.6f, \"speedup\": \
-     %.3f}\n"
-    n_cand reps batched_s unbatched_s
-    (if batched_s > 0. then unbatched_s /. batched_s else 0.);
-  out "  },\n";
-  let ( seconds,
-        pruned,
-        static_warnings,
-        dedup_semantic,
-        batch_rounds,
-        batched_probes,
-        row_probes ) =
-    stage_profile ()
-  in
+  out "\n  },\n";
+  let seconds, pruned, static_warnings, dedup_semantic = stage_profile () in
   out "  \"verify_stages\": [\n";
   let n_stages = List.length Duocore.Verify.all_stages in
   List.iteri
@@ -470,10 +393,6 @@ let write_json path estimates =
         (if i = n_stages - 1 then "" else ","))
     Duocore.Verify.all_stages;
   out "  ],\n";
-  out
-    "  \"verify_batching\": {\"batch_rounds\": %d, \"shared_scan_probes\": \
-     %d, \"row_probes\": %d},\n"
-    batch_rounds batched_probes row_probes;
   (* Duosem activity across the stage-profile runs: states and
      candidates collapsed by canonical-key dedup, and states pruned by
      the abstract cardinality bound. *)

@@ -16,31 +16,6 @@ let resultsets_agree (a : Executor.resultset) (b : Executor.resultset) =
   a.Executor.res_cols = b.Executor.res_cols
   && rows_agree a.Executor.res_rows b.Executor.res_rows
 
-let collector (q : Duosql.Ast.query) =
-  let ncols = List.length q.Duosql.Ast.q_select in
-  let rows = ref [] in
-  ( (fun _ read ->
-      rows := Array.init ncols read :: !rows;
-      true),
-    fun () -> List.rev !rows )
-
-(* [run_batch] with a collecting visitor per query: each entry is the rows
-   the visitor saw, or the error. *)
-let batch_rows ?cache db qs =
-  let cs = Array.map collector qs in
-  let res, report =
-    Executor.run_batch ?cache db (Array.map2 (fun q (visit, _) -> (q, visit)) qs cs)
-  in
-  (Array.map2 (fun r (_, rows) -> Result.map (fun _ -> rows ()) r) res cs, report)
-
-(* A materialized run and a streamed one agree: the same rows, or the
-   same error. *)
-let same_rows (run : (Executor.resultset, string) result) streamed =
-  match (run, streamed) with
-  | Ok a, Ok rows -> rows_agree a.Executor.res_rows rows
-  | Error a, Error b -> String.equal a b
-  | (Ok _ | Error _), (Ok _ | Error _) -> false
-
 (* planned engine = naive reference interpreter *)
 let differential_prop (sc : Gen.scenario) =
   match
@@ -55,9 +30,8 @@ let differential_prop (sc : Gen.scenario) =
    by the scenario query and a two-table join over every FK edge in both
    FROM orders, so one table gets attached on different columns and join
    indexes are reused across queries.  Each query, run twice through that
-   cache (a build, then a hit) and as a two-query batch through
-   [run_batch] on it, returns exactly what its uncached run returns, and
-   that agrees with the reference.  A tight [max_rows] bound fails (or
+   cache (a build, then a hit), returns exactly what its uncached run
+   returns, and that agrees with the reference.  A tight [max_rows] bound fails (or
    not) identically with and without a cache. *)
 let cached_prop (sc : Gen.scenario) =
   let open Duosql.Ast in
@@ -83,14 +57,12 @@ let cached_prop (sc : Gen.scenario) =
   List.for_all
     (fun q ->
       let uncached = Executor.run db q in
-      let batched, _ = batch_rows ~cache db [| q; q |] in
       let tight () = Executor.run ~cache:bounded ~max_rows:4 db q in
       (match (uncached, Reference.run db q) with
       | Ok a, Ok b -> resultsets_agree a b
       | Error _, Error _ -> true
       | (Ok _ | Error _), (Ok _ | Error _) -> false)
       && List.for_all (same uncached) [ Executor.run ~cache db q; Executor.run ~cache db q ]
-      && Array.for_all (same_rows uncached) batched
       && List.for_all (same (Executor.run ~max_rows:4 db q)) [ tight (); tight () ])
     (sc.Gen.sc_query :: edge_joins)
 
@@ -202,8 +174,8 @@ let columnar_prop (sc : Gen.scenario) =
 
 (* Simple single-table probes over every column of [db]: an unfiltered
    scan plus, where the column has a value, an equality and a range
-   predicate on it — several per table, so [run_batch]'s shared-scan
-   grouping (kernel selections over one base relation) is actually taken. *)
+   predicate on it — several per table, so the vectorized kernel
+   selections are actually taken. *)
 let single_table_probes db =
   let open Duosql.Ast in
   List.concat_map
@@ -242,16 +214,6 @@ let single_table_probes db =
         t.Duodb.Schema.tbl_columns)
     (Duodb.Database.schema db).Duodb.Schema.tables
 
-(* run_batch = run, query by query: batching shared base scans is purely
-   executional.  The batch mixes the scenario's own (possibly joining)
-   query with {!single_table_probes}; each visitor sees exactly the rows
-   [run] returns, and errors match. *)
-let batch_prop (sc : Gen.scenario) =
-  let db = sc.Gen.sc_db in
-  let qs = Array.of_list (sc.Gen.sc_query :: single_table_probes db) in
-  let batched, _report = batch_rows db qs in
-  Array.for_all2 (fun q b -> same_rows (Executor.run db q) b) qs batched
-
 (* Streamed example matching = materialized matching.  Queries: the
    scenario's own, a plain projection of it (aggregates, grouping,
    DISTINCT, ORDER BY and LIMIT stripped, so it streams without
@@ -260,8 +222,8 @@ let batch_prop (sc : Gen.scenario) =
    tuple, and rows sampled from the plain query's own result.  For
    random decided positions (some cell indices past the tuple width) and
    a random support threshold per query, the {!Duocore.Tsq.matcher} fed by
-   [Executor.stream] through one shared relation cache, and by
-   [run_batch], gives [Tsq.distinct_match_on]'s verdict on [run]'s rows.
+   [Executor.stream] through one shared relation cache gives
+   [Tsq.distinct_match_on]'s verdict on [run]'s rows.
    The streamed [Tsq.satisfies] equals [Tsq.satisfies_result] on the
    engine's result and on the reference interpreter's. *)
 let streamed_match_prop ((sc : Gen.scenario), seed) =
@@ -344,13 +306,6 @@ let streamed_match_prop ((sc : Gen.scenario), seed) =
         verdict m (Executor.stream ~cache db q (Tsq.feed m)))
       qs cases
   in
-  let batched =
-    let ms = Array.map (fun (pos, support) -> Tsq.matcher ~support pos tuples) cases in
-    let res, _ =
-      Executor.run_batch ~cache db (Array.map2 (fun q m -> (q, Tsq.feed m)) qs ms)
-    in
-    Array.map2 verdict ms res
-  in
   let agree a b =
     match (a, b) with
     | Ok x, Ok y -> x = y
@@ -375,8 +330,7 @@ let streamed_match_prop ((sc : Gen.scenario), seed) =
       if
         !bad = None
         && not
-             (agree expected.(i) streamed.(i) && agree expected.(i) batched.(i)
-             && List.for_all (sat_ok q) sketches)
+             (agree expected.(i) streamed.(i) && List.for_all (sat_ok q) sketches)
       then bad := Some q)
     qs;
   match !bad with
@@ -852,6 +806,104 @@ let key_hash_prop ((sc : Gen.scenario), seed) =
           else true)
     sample
 
+(* Spellings of a state's WHERE clause for the canonical layer: every
+   rotation of the predicate list, and the literals of two numeric
+   predicates swapped between them (a BETWEEN bound included), which
+   keeps the used-literal multiset and sometimes the folded interval:
+   [x BETWEEN 3 AND 7 AND x <= 5] and [x BETWEEN 3 AND 5 AND x <= 7]
+   collapse. *)
+let spellings (t : Partial.t) =
+  let open Duosql.Ast in
+  let preds = Array.of_list t.Partial.where_preds in
+  let n = Array.length preds in
+  let with_preds a = { t with Partial.where_preds = Array.to_list a } in
+  let rotations =
+    List.init (max 0 (n - 1)) (fun k -> with_preds (Array.init n (fun i -> preds.((i + k + 1) mod n))))
+  in
+  (* the numeric literal slots of a predicate, each with a rebuild *)
+  let slots p =
+    match p.pr_rhs with
+    | Cmp (op, v) when Value.is_numeric v -> [ (v, fun v' -> { p with pr_rhs = Cmp (op, v') }) ]
+    | Between (lo, hi) ->
+        [ (lo, fun v' -> { p with pr_rhs = Between (v', hi) });
+          (hi, fun v' -> { p with pr_rhs = Between (lo, v') }) ]
+    | Cmp _ -> []
+  in
+  let idx = List.init n Fun.id in
+  let swaps =
+    List.concat_map
+      (fun i ->
+        List.concat_map
+          (fun j ->
+            if j <= i then []
+            else
+              List.concat_map
+                (fun (vi, set_i) ->
+                  List.map
+                    (fun (vj, set_j) ->
+                      let a = Array.copy preds in
+                      a.(i) <- set_i vj;
+                      a.(j) <- set_j vi;
+                      with_preds a)
+                    (slots preds.(j)))
+                (slots preds.(i)))
+          idx)
+      idx
+  in
+  rotations @ swaps
+
+(* Verify on pop keeps the visited and canonical slot of a state that
+   fails a stage after [static], and that is sound only if the verdict
+   of the stages after [static] is the same for every state of a
+   [Partial.key] partition and of a [Partial.canonical_key] partition:
+   otherwise the slot could turn away a later state that passes.  Over
+   a derivation sample, each state's key twins ({!twins}), canonical
+   twins ({!canonical_twins}) and WHERE spellings ({!spellings}), every
+   state that passes [static] gets its deferred verdict, and states of
+   one partition must agree. *)
+let partition_verdict_prop ((sc : Gen.scenario), seed) =
+  let env =
+    Duocore.Verify.make_env ~db:sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
+      ~literals:(List.filteri (fun i _ -> i < seed mod 3) (Duosql.Ast.literals sc.Gen.sc_query))
+      ()
+  in
+  let by_key = Hashtbl.create 256 and by_canon = Hashtbl.create 256 in
+  let agree tbl k (t : Partial.t) v what =
+    match Hashtbl.find_opt tbl k with
+    | None ->
+        Hashtbl.replace tbl k (t, v);
+        true
+    | Some (t', v') ->
+        v = v'
+        ||
+        let module V = Duocore.Verify in
+        (* the stages after [static], so a failure names the one that splits *)
+        let stages (t : Partial.t) =
+          String.concat " "
+            (List.map
+               (fun (name, stage) -> Printf.sprintf "%s=%b" name (stage env t))
+               [ ("clauses", V.verify_clauses); ("cardinality", V.verify_cardinality);
+                 ("semantics", V.verify_semantics); ("types", V.verify_column_types);
+                 ("column", V.verify_by_column); ("row", V.verify_by_row);
+                 ( "complete",
+                   fun env t ->
+                     (not (Partial.is_complete t))
+                     || Option.fold ~none:true ~some:(V.verify_complete env) (Partial.to_query t) ) ])
+        in
+        QCheck.Test.fail_reportf "one %s partition, two verdicts:\n%b %s\n  %s\n%b %s\n  %s"
+          what v (Partial.to_string t) (stages t) v' (Partial.to_string t') (stages t')
+  in
+  let check (t : Partial.t) =
+    (not (Duocore.Verify.verify_static env t))
+    ||
+    let v = Duocore.Verify.check_deferred env t in
+    agree by_key (Partial.key t) t v "key"
+    && agree by_canon (Partial.canonical_key t) t v "canonical"
+  in
+  List.for_all
+    (fun t -> List.for_all check ((t :: twins t) @ canonical_twins t @ spellings t))
+    (derivation_sample sc seed ~max_states:(60 + (seed mod 60)))
+
 (* The string-keyed two-layer dedup the enumerator used to run
    ([Partial.key], then [Partial.canonical_key] for every state), replayed
    over a run's offers through [Enumerate.init ~on_offer]. *)
@@ -898,7 +950,7 @@ let replay_offer r child admitted =
   if expected <> admitted && r.rp_mismatch = None then r.rp_mismatch <- Some (k, expected)
 
 (* The hashed run pushes exactly what the string-keyed run pushes.  Every
-   verified child the committing loop offers is replayed through the
+   child the committing loop offers is replayed through the
    string-keyed two-layer dedup it replaced ([Partial.key], then
    [Partial.canonical_key] for every state); the verdicts must agree at
    every offer.  Agreement at every offer makes the two runs' frontiers,
@@ -1277,9 +1329,6 @@ let tests ?(mult = 1) () =
       ~name:"round-trip: parse (pretty q) = q" Gen.arb_scenario roundtrip_prop;
     QCheck.Test.make ~count:(40 * mult)
       ~name:"columnar storage = row reference" Gen.arb_scenario columnar_prop;
-    QCheck.Test.make ~count:(20 * mult)
-      ~name:"batched probe execution = per-query run" Gen.arb_scenario
-      batch_prop;
     QCheck.Test.make ~count:(40 * mult)
       ~name:"streamed example matching = materialized matching" arb_seeded
       streamed_match_prop;
@@ -1304,6 +1353,9 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(20 * mult)
       ~name:"render-free dedup: key_hash is consistent with key" arb_seeded
       key_hash_prop;
+    QCheck.Test.make ~count:(12 * mult)
+      ~name:"verify on pop: the deferred verdict is constant on key and canonical partitions"
+      arb_seeded partition_verdict_prop;
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;
@@ -1314,7 +1366,7 @@ let tests ?(mult = 1) () =
       ~name:"Duosem cardinality bound contains the true row count"
       Gen.arb_scenario duosem_card_prop;
     QCheck.Test.make ~count:(40 * mult)
-      ~name:"cached joins: shared relation cache and batch = uncached = reference"
+      ~name:"cached joins: shared relation cache = uncached = reference"
       Gen.arb_scenario cached_prop;
     QCheck.Test.make ~count:(200 * mult)
       ~name:"Domain lattice laws: meet/join/leq/widen vs membership"

@@ -7,12 +7,9 @@
     - {b columnar}: Duodb's columnar views (cells, column vectors, zone
       maps) and the engine's probe kernels agree with the materialized
       row view and a scalar reference scan;
-    - {b batched execution}: {!Duoengine.Executor.run_batch} feeds each
-      query's visitor exactly the rows per-query
-      {!Duoengine.Executor.run} returns, and errors match;
     - {b streamed matching}: the early-stopping {!Duocore.Tsq.matcher},
-      fed by {!Duoengine.Executor.stream} through a shared relation cache
-      and by [run_batch]'s shared single-table scans, gives
+      fed by {!Duoengine.Executor.stream} through a shared relation
+      cache, gives
       {!Duocore.Tsq.distinct_match_on}'s verdict on the materialized rows
       for random positions, support thresholds and tuples (duplicates,
       [Any]/[Range]/NULL cells, cell indices past the width); the
@@ -20,8 +17,8 @@
       {!Duocore.Tsq.satisfies_result} on the engine's and the
       {!Reference} interpreter's results;
     - {b cached joins}: a query run twice through one shared relation
-      cache (so over its cached join-key indexes) and as a batch on that
-      cache returns exactly the uncached result — errors, a tight
+      cache (so over its cached join-key indexes) returns exactly the
+      uncached result — errors, a tight
       [max_rows] overflow included — which agrees with the reference;
     - {b cascade soundness}: no Verify stage prunes a partial query that
       has a completion satisfying the TSQ ({!Soundness.check});
@@ -44,6 +41,11 @@
       collides canonically with one that has them; and the hashed
       enumerator admits exactly the states the string-keyed two-layer
       dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
+    - {b verify on pop}: the cascade stages after [static] give one
+      verdict on each {!Duocore.Partial.key} partition and each
+      {!Duocore.Partial.canonical_key} partition (permuted WHERE
+      predicates, literals swapped between bounds), so a state that
+      fails them at pop may keep its visited and canonical slot;
     - {b Duosem equivalence}: {!Duolint.Duosem.canonical_query} keeps the
       error status and the result multiset of every generated query on
       its database, and canonicalization is idempotent;
@@ -57,13 +59,6 @@
 
 (** Individual properties, exposed for ad-hoc harnesses. *)
 
-(** [collector q] is a visitor copying every row it is fed (as wide as
-    [q]'s projection) and a thunk returning the rows seen, in order — for
-    comparing streamed output ({!Duoengine.Executor.stream},
-    {!Duoengine.Executor.run_batch}) with materialized output. *)
-val collector :
-  Duosql.Ast.query -> Duoengine.Executor.visitor * (unit -> Duodb.Value.t array list)
-
 (** Exact resultset equality: columns, row count, row order and cells
     (by [Value.equal]). *)
 val resultsets_agree :
@@ -72,7 +67,6 @@ val resultsets_agree :
 val differential_prop : Gen.scenario -> bool
 val roundtrip_prop : Gen.scenario -> bool
 val columnar_prop : Gen.scenario -> bool
-val batch_prop : Gen.scenario -> bool
 val streamed_match_prop : Gen.scenario * int -> bool
 val cached_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
@@ -98,6 +92,14 @@ val new_replay : unit -> replay
 val replay_offer : replay -> Duocore.Partial.t -> bool -> unit
 
 val dedup_exact_prop : Gen.scenario * int -> bool
+
+(** The deferred cascade verdict ({!Duocore.Verify.check_deferred}) is
+    the same for every state, passing [static], of one
+    {!Duocore.Partial.key} partition and of one
+    {!Duocore.Partial.canonical_key} partition, over derivation samples,
+    their twins and their WHERE spellings (permuted predicates, literals
+    swapped between bounds). *)
+val partition_verdict_prop : Gen.scenario * int -> bool
 val duosem_equiv_prop : Gen.scenario -> bool
 val duosem_card_prop : Gen.scenario -> bool
 val domain_lattice_prop : int -> bool

@@ -392,23 +392,6 @@ let expand ~guided hints ctx (t : Partial.t) =
 
 exception Budget_exhausted
 
-(* One verdict pass over an expansion's children.  With partial-query
-   pruning the whole sibling set runs through
-   {!Verify.verify_batch}, which shares one base scan across the
-   children's uncached row probes; under NoPQ only complete children pay
-   the cascade (partials get at most the free static stage). *)
-let judge env config children =
-  if config.prune_partial then Verify.verify_batch env children
-  else
-    List.map
-      (fun (child : Partial.t) ->
-        let ok =
-          if Partial.is_complete child then Verify.verify env child
-          else (not config.static_rules) || Verify.check_static env child
-        in
-        (child, ok))
-      children
-
 (* Loop timers, in an all-float record so that an update stores an
    unboxed float instead of allocating one. *)
 type timers = {
@@ -553,7 +536,7 @@ let push_fresh s (child : Partial.t) =
 exception Slice_exhausted
 
 (* [step ?max_pops s] advances the run by at most [max_pops] further
-   frontier pops (unbounded when omitted), stopping early when any budget
+   counted pops (unbounded when omitted), stopping early when any budget
    of [s.st_config] finishes the run.  The time budget counts only active
    stepping time, so a paused session is not charged for the pause. *)
 let step ?max_pops s =
@@ -611,29 +594,38 @@ let step ?max_pops s =
          if over_time () then raise Budget_exhausted;
          match Frontier.pop s.st_frontier with
          | None -> raise Budget_exhausted
-         | Some p when Partial.is_complete p -> (
-             (* Complete states are emitted when popped, so candidates
-                stream out in nonincreasing confidence order. *)
-             s.st_pops <- s.st_pops + 1;
-             match Partial.to_query p with
-             | Some q -> emit p q
-             | None -> ())
          | Some p ->
-             s.st_pops <- s.st_pops + 1;
-             (* expand, verify and admit share their clock stamps *)
+             (* Verify on pop: a pushed state has met only the static
+                stage, and the rest of the cascade runs now, on a state
+                the search reached.  Under NoPQ only complete states are
+                verified.  A state that fails is discarded and costs no
+                pop.  Verify, expand and admit share their clock stamps. *)
              let m0 = Clock.mono () in
-             let children = expand ~guided:config.guided s.st_hints s.st_ctx p in
+             let ok =
+               (not (config.prune_partial || Partial.is_complete p))
+               || Verify.check_deferred s.st_env p
+             in
              let m1 = Clock.mono () in
-             s.st_times.expand_s <- s.st_times.expand_s +. (m1 -. m0);
-             (* verification can dominate a pop; respect the budget *)
-             if over_time () then raise Budget_exhausted;
-             let verdicts = judge s.st_env config children in
-             let m2 = Clock.mono () in
-             s.st_times.verify_s <- s.st_times.verify_s +. (m2 -. m1);
-             List.iter
-               (fun ((child : Partial.t), ok) -> if ok then push_fresh s child)
-               verdicts;
-             s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
+             s.st_times.verify_s <- s.st_times.verify_s +. (m1 -. m0);
+             if ok then begin
+               s.st_pops <- s.st_pops + 1;
+               if Partial.is_complete p then
+                 (* Complete states are emitted when popped, so candidates
+                    stream out in nonincreasing confidence order. *)
+                 Option.iter (emit p) (Partial.to_query p)
+               else begin
+                 let children =
+                   Array.of_list (expand ~guided:config.guided s.st_hints s.st_ctx p)
+                 in
+                 let m2 = Clock.mono () in
+                 s.st_times.expand_s <- s.st_times.expand_s +. (m2 -. m1);
+                 let alive = Verify.check_static s.st_env children in
+                 let m3 = Clock.mono () in
+                 s.st_times.verify_s <- s.st_times.verify_s +. (m3 -. m2);
+                 Array.iteri (fun i child -> if alive.(i) then push_fresh s child) children;
+                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m3)
+               end
+             end
        done
      with
     | Budget_exhausted -> s.st_finished <- true
@@ -655,21 +647,19 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
    Soundness rests on per-stage monotonicity: under a tightening, every
    cascade stage that failed a state under the old sketch also fails it
    under the new one, so states pruned before the refinement need no
-   second look — only the *survivors* (the frontier, and the emitted
-   candidates) can change verdict, and only from pass to fail.  Each
-   survivor is re-checked with {!Verify.reverify}, which re-runs just the
-   sketch-reading stages (clauses / column / row / complete) and carries
-   the TSQ-independent verdicts (static, semantics) and the
-   type-annotation stage (a tightening keeps [types] equal).
+   second look — only the survivors can change verdict, and only from
+   pass to fail.  Frontier states have met only the static stage, which
+   never reads the sketch: every sketch-reading stage runs when they are
+   popped, against the retargeted environment, so the frontier needs no
+   re-check.  The emitted candidates are re-checked through the
+   complete-query stage ({!Verify.reverify_query}).
 
    Equivalence with a from-root run under the new sketch: a tightening
    also keeps the guidance header ([hints_of_tsq]) identical, so
-   expansion proposes the same children with the same confidences;
-   [Frontier.filter] preserves insertion sequence numbers, so the
-   surviving frontier keeps the exact relative order the cold
-   run's frontier would impose on those states.  The re-filtered
-   candidate list is therefore candidate-for-candidate the cold run's
-   prefix (unit- and property-tested). *)
+   expansion proposes the same children with the same confidences, and
+   the frontier keeps its order.  The re-filtered candidate list is
+   therefore candidate-for-candidate the cold run's prefix (unit- and
+   property-tested). *)
 let rebase s ~tsq =
   let t0 = Clock.now () in
   let m0 = Clock.mono () in
@@ -680,15 +670,6 @@ let rebase s ~tsq =
   let env = Verify.retarget s.st_env ~tsq in
   s.st_env <- env;
   s.st_hints <- hints_of_tsq tsq;
-  (* Re-verify the frontier survivors.  Under NoPQ partial states were
-     never verified against the sketch, so only complete states are
-     re-checked there. *)
-  let dropped =
-    Frontier.filter s.st_frontier (fun p ->
-        (not (s.st_config.prune_partial || Partial.is_complete p))
-        || Verify.reverify env p)
-  in
-  let kept = Frontier.size s.st_frontier in
   (* Re-filter the emitted candidates ([st_candidates] is newest-first)
      and renumber the survivors in emission order. *)
   let kept_cands =
@@ -705,11 +686,10 @@ let rebase s ~tsq =
     (fun c ->
       Hashtbl.replace s.st_emitted (Duolint.Duosem.dedup_key c.cand_query) ())
     s.st_candidates;
-  let dropped_cands = s.st_n_candidates - n in
-  s.st_n_candidates <- n;
   s.st_rebases <- s.st_rebases + 1;
-  s.st_rebase_kept <- s.st_rebase_kept + kept + n;
-  s.st_rebase_dropped <- s.st_rebase_dropped + dropped + dropped_cands;
+  s.st_rebase_kept <- s.st_rebase_kept + n;
+  s.st_rebase_dropped <- s.st_rebase_dropped + (s.st_n_candidates - n);
+  s.st_n_candidates <- n;
   (* The pop budget is per refinement; the time budget stays cumulative
      (rebase work itself is on the meter).  If the carried candidates
      already fill the candidate budget, a cold run under the new sketch

@@ -1,10 +1,14 @@
 (** Guided partial query enumeration (Algorithm 1).
 
     Maintains a best-first frontier of partial-query states, repeatedly pops
-    the highest-confidence state, expands it by one inference decision
-    ([EnumNextStep], Section 3.3.2), verifies each child against the TSQ
-    (Algorithm 3), and emits surviving complete queries as ranked
-    candidates.
+    the highest-confidence state, verifies it against the TSQ
+    (Algorithm 3), expands a survivor by one inference decision
+    ([EnumNextStep], Section 3.3.2) or emits it when it is complete.
+    Verification is split at the frontier: a child meets only the cheap
+    static stage when it is pushed ({!Verify.check_static}), and the
+    rest of the cascade when it is popped ({!Verify.check_deferred}), so
+    the probe stages run only on states the search reaches.  A state that
+    fails at pop is discarded and costs no pop.
 
     The two GPQE ingredients can be disabled independently for the paper's
     ablations (Section 5.4.3): [guided = false] replaces every module
@@ -66,14 +70,15 @@ type candidate = {
 
 type outcome = {
   out_candidates : candidate list;  (** in emission order *)
-  out_pops : int;
-  out_pushed : int;
+  out_pops : int;  (** pops that passed verification *)
+  out_pushed : int;  (** states pushed: children that passed [static] and dedup *)
   out_stats : Verify.stats;
   out_elapsed_s : float;  (** wall-clock seconds for the whole run *)
   out_expand_s : float;  (** processor time spent in EnumNextStep *)
-  out_verify_s : float;  (** processor time spent in the verification cascade *)
+  out_verify_s : float;
+      (** time spent in the verification cascade, at push and at pop *)
   out_admit_s : float;
-      (** time spent admitting verified children (visited and canonical
+      (** time spent admitting children (visited and canonical
           dedup, warning count, frontier push); with [out_expand_s] and
           [out_verify_s] it accounts for the enumeration loop *)
   out_exhausted : bool;
@@ -91,11 +96,11 @@ type outcome = {
   out_spec_shrinks : int;  (** always 0 *)
   out_rebases : int;  (** warm restarts taken via {!rebase} *)
   out_rebase_kept : int;
-      (** frontier states and candidates that survived re-verification
-          across all rebases *)
+      (** emitted candidates that survived re-verification across all
+          rebases *)
   out_rebase_dropped : int;
-      (** frontier states and candidates pruned by re-verification
-          across all rebases *)
+      (** emitted candidates pruned by re-verification across all
+          rebases *)
 }
 
 (** TSQ-derived enumeration hints.  The limit hint only re-ranks module
@@ -141,10 +146,9 @@ type status =
 (** [init config ctx db ~tsq ~literals ()] builds a paused run with the
     root state on the frontier.  [tsq = None] is the pure-NLI setting.
     [on_candidate] fires at each emission (the paper's streaming UI).
-    [on_offer child admitted] fires for each verified child the
-    committing loop offers to the frontier, after dedup decided whether
-    to admit it (observability: which states were enumerated, and in
-    what order).
+    [on_offer child admitted] fires for each child that passed the
+    static stage, after dedup decided whether to admit it to the frontier
+    (observability: which states were enumerated, and in what order).
     [index] and [relcache] thread a session's inverted index and its
     relation cache for the calling domain into the verification
     environment (see {!Verify.make_env}); without [relcache] the run
@@ -163,7 +167,8 @@ val init :
   state
 
 (** [step ?max_pops s] advances the run by at most [max_pops] further
-    frontier pops (unbounded when omitted).  Budgets come from the
+    pops (unbounded when omitted); a state discarded at pop does not
+    count, here or against [max_pops] in the config.  Budgets come from the
     config given to {!init}; the wall-clock budget counts only active
     stepping time, so a paused session is not charged for its pause.
     Stepping a [Finished] state is a no-op. *)
@@ -185,13 +190,14 @@ val outcome : state -> outcome
     caller must have classified the edit as [Tsq.Tightening] (rebasing
     on an [Incomparable] edit is unsound — restart from the root
     instead).  Every cascade stage is monotone under a tightening, so
-    states pruned before the refinement stay pruned; only the survivors
-    — the frontier and the emitted candidates — are re-checked, and only
-    through the sketch-reading stages ({!Verify.reverify}).  The
-    frontier keeps its insertion order and the guidance hints are
-    unchanged by construction of [Tsq.refines], so subsequent {!step}s
-    emit exactly what a from-root run under [tsq] would emit
-    (candidate-for-candidate; property-tested).
+    states pruned before the refinement stay pruned.  Frontier states
+    have met only the static stage, which never reads the sketch, and
+    meet the others under [tsq] when popped; only the emitted candidates
+    are re-checked ({!Verify.reverify_query}).  The frontier keeps its
+    order and the guidance hints are unchanged by construction of
+    [Tsq.refines], so subsequent {!step}s emit exactly what a from-root
+    run under [tsq] would emit (candidate-for-candidate;
+    property-tested).
 
     Budgets after a rebase: the pop budget starts fresh (per
     refinement), the wall-clock budget stays cumulative — rebase work

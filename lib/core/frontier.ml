@@ -32,7 +32,6 @@ let pushed t = t.seq
 
 let seq_bits = 40
 let rank jlen seq = (jlen lsl seq_bits) lor seq
-let seq_of rank = rank land ((1 lsl seq_bits) - 1)
 
 (* Whether keys [(conf, rank)] have higher priority than slot [j]: the
    order of {!Partial.compare_priority} on the stored keys. *)
@@ -48,27 +47,19 @@ let move t ~src ~dst =
   t.conf.(dst) <- t.conf.(src);
   t.ranks.(dst) <- t.ranks.(src)
 
-(* The live slots in priority order. *)
-let sorted_slots t =
+(* Compact to the best cap/2 entries when the cap is exceeded: a sorted
+   prefix is a valid heap.  Vacated state slots are cleared so they pin
+   nothing. *)
+let compact t =
   let order = Array.init t.len Fun.id in
   Array.sort (fun i j -> if i = j then 0 else if higher t i j then -1 else 1) order;
-  order
-
-(* Keep the slots [order.(0 .. len-1)], in that order: a sorted prefix is
-   a valid heap.  Vacated state slots are cleared so they pin nothing. *)
-let permute t order len =
-  let pick a fill = Array.init (Array.length a) (fun i -> if i < len then a.(order.(i)) else fill) in
+  let keep = min (max 1 (t.cap / 2)) t.len in
+  t.dropped <- t.dropped + (t.len - keep);
+  let pick a fill = Array.init (Array.length a) (fun i -> if i < keep then a.(order.(i)) else fill) in
   t.states <- pick t.states Partial.root;
   t.conf <- pick t.conf 0.0;
   t.ranks <- pick t.ranks 0;
-  t.len <- len
-
-(* Compact to the best cap/2 entries when the cap is exceeded. *)
-let compact t =
-  let order = sorted_slots t in
-  let keep = min (max 1 (t.cap / 2)) t.len in
-  t.dropped <- t.dropped + (t.len - keep);
-  permute t order keep
+  t.len <- keep
 
 let grow t =
   let n = 2 * Array.length t.states in
@@ -87,14 +78,14 @@ let store t i (p : Partial.t) conf rank =
   t.conf.(i) <- conf;
   t.ranks.(i) <- rank
 
-(* Insert a state under a given sequence number: shared by [push] (fresh
-   sequence number) and the restores (original sequence number, no
-   counter bump).  Sifts a hole up from the end, moving each parent down
-   once, and writes the state where the hole stops. *)
-let push_seq t (p : Partial.t) seq =
+(* Insert a state under the next sequence number: sift a hole up from
+   the end, moving each parent down once, and write the state where the
+   hole stops. *)
+let push t (p : Partial.t) =
   if t.len >= t.cap then compact t;
   if t.len = Array.length t.states then grow t;
-  let conf = p.Partial.confidence and rank = rank (Partial.join_length p) seq in
+  let conf = p.Partial.confidence and rank = rank (Partial.join_length p) t.seq in
+  t.seq <- t.seq + 1;
   let hole = ref t.len in
   t.len <- t.len + 1;
   while !hole > 0 && key_higher t conf rank ((!hole - 1) / 2) do
@@ -104,76 +95,28 @@ let push_seq t (p : Partial.t) seq =
   done;
   store t !hole p conf rank
 
-let push t p =
-  push_seq t p t.seq;
-  t.seq <- t.seq + 1
-
-(* Remove the top slot (the caller has read it): the last slot's entry
-   sifts down from a hole at the root. *)
-let drop_top t =
-  let last = t.len - 1 in
-  t.len <- last;
-  if last > 0 then begin
-    let p = t.states.(last) and conf = t.conf.(last) and rank = t.ranks.(last) in
-    let hole = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !hole) + 1 in
-      let child = if l + 1 < last && higher t (l + 1) l then l + 1 else l in
-      if child < last && not (key_higher t conf rank child) then begin
-        move t ~src:child ~dst:!hole;
-        hole := child
-      end
-      else sifting := false
-    done;
-    store t !hole p conf rank
-  end;
-  t.states.(last) <- Partial.root
-
+(* Remove and return the top slot: the last slot's entry sifts down
+   from a hole at the root. *)
 let pop t =
   if t.len = 0 then None
   else begin
-    let p = t.states.(0) in
-    drop_top t;
-    Some p
+    let top = t.states.(0) in
+    let last = t.len - 1 in
+    t.len <- last;
+    if last > 0 then begin
+      let p = t.states.(last) and conf = t.conf.(last) and rank = t.ranks.(last) in
+      let hole = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !hole) + 1 in
+        let child = if l + 1 < last && higher t (l + 1) l then l + 1 else l in
+        if child < last && not (key_higher t conf rank child) then begin
+          move t ~src:child ~dst:!hole;
+          hole := child
+        end
+        else sifting := false
+      done;
+      store t !hole p conf rank
+    end;
+    t.states.(last) <- Partial.root;
+    Some top
   end
-
-type buffer = {
-  b_states : Partial.t array;
-  b_seqs : int array;
-}
-
-let buffer n = { b_states = Array.make n Partial.root; b_seqs = Array.make n 0 }
-let buffer_state b i = b.b_states.(i)
-
-let pop_entries_into t b k =
-  let k = min k (Array.length b.b_states) in
-  let n = ref 0 in
-  while !n < k && t.len > 0 do
-    b.b_states.(!n) <- t.states.(0);
-    b.b_seqs.(!n) <- seq_of t.ranks.(0);
-    drop_top t;
-    incr n
-  done;
-  !n
-
-let restore_array t b n =
-  for i = 0 to n - 1 do
-    push_seq t b.b_states.(i) b.b_seqs.(i);
-    (* drop the buffer's alias so it does not pin the state between rounds *)
-    b.b_states.(i) <- Partial.root
-  done
-
-let filter t keep =
-  (* decide in priority order, as successive pops would present the states *)
-  let order = sorted_slots t in
-  let n = ref 0 in
-  Array.iter
-    (fun i ->
-      if keep t.states.(i) then begin
-        order.(!n) <- i;
-        incr n
-      end)
-    order;
-  let dropped = t.len - !n in
-  permute t order !n;
-  dropped

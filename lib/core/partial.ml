@@ -239,8 +239,20 @@ let fold_ok t =
   | [] | [ _ ] -> true
   | _ :: _ :: _ -> progress t.phase > 2 && t.conn = And
 
+(* A list with an exact duplicate conjunct is only sorted, duplicates
+   kept: the semantics stage rejects it and accepts its deduplicated
+   twins ([x < 3 AND y < 2 AND x < 3] against [x < 3 AND y < 2 AND
+   y < 3], which folds alike and uses the same literals), and a state's
+   deferred verdict must be constant on its canonical partition. *)
 let canonical_where t =
-  if fold_ok t then Duolint.Duosem.canonical_conjuncts t.where_preds
+  let rec distinct = function
+    | [] -> true
+    | p :: rest ->
+        (not (List.exists (Duosql.Ast.equal_pred p) rest)) && distinct rest
+  in
+  if not (distinct t.where_preds) then
+    List.sort (fun a b -> String.compare (Duosql.Pretty.pred a) (Duosql.Pretty.pred b)) t.where_preds
+  else if fold_ok t then Duolint.Duosem.canonical_conjuncts t.where_preds
   else Duolint.Duosem.sorted_preds t.where_preds
 
 let canonical_having = function

@@ -603,9 +603,7 @@ let can_check_rows (t : Partial.t) =
 
 (* A row probe the stage has decided to run: the probe query, the
    (output position, example cell index) pairs to match on, and the
-   memoization key.  Splitting planning from execution lets
-   [verify_batch] collect the plans of a whole sibling set and run the
-   uncached ones through one {!Duoengine.Executor.run_batch} call. *)
+   memoization key. *)
 type row_plan = {
   rp_probe : query;
   rp_positions : (int * int) list;
@@ -689,42 +687,38 @@ let row_probe_plan env (t : Partial.t) : row_plan option =
           end
         end
 
-(* The early-stopping matcher a probe's output rows stream into: the
-   example tuples at the plan's decided positions, under the
-   noisy-example support threshold — the same matcher [Tsq.satisfies]
-   uses, so partial-query and complete-query semantics cannot drift. *)
-let row_matcher env plan =
-  let tsq = Option.value env.e_tsq ~default:Tsq.empty in
-  Tsq.matcher ~support:env.e_sketch.sk_support plan.rp_positions tsq.Tsq.tuples
-
 let count_early_stop env =
   env.e_stats.early_stops <- env.e_stats.early_stops + 1
 
-let row_verdict env m = function
-  | Error _ -> false
-  | Ok stopped ->
-      if stopped then count_early_stop env;
-      Tsq.matched m
-
-let run_row_probe env plan =
-  match Hashtbl.find_opt env.e_row_cache plan.rp_key with
-  | Some r -> r
-  | None ->
-      env.e_stats.row_probes <- env.e_stats.row_probes + 1;
-      let m = row_matcher env plan in
-      let r =
-        row_verdict env m
-          (Duoengine.Executor.stream ~cache:env.e_relcache
-             ~max_rows:verification_max_rows env.e_db plan.rp_probe (Tsq.feed m))
-      in
-      relcache_delta env env.e_stats;
-      Hashtbl.replace env.e_row_cache plan.rp_key r;
-      r
-
+(* The probe's output rows stream into the early-stopping matcher over
+   the example tuples at the plan's decided positions, under the
+   noisy-example support threshold: the same matcher [Tsq.satisfies]
+   uses, so partial-query and complete-query semantics cannot drift. *)
 let verify_by_row env (t : Partial.t) =
   match row_probe_plan env t with
   | None -> true
-  | Some plan -> run_row_probe env plan
+  | Some plan -> (
+      match Hashtbl.find_opt env.e_row_cache plan.rp_key with
+      | Some r -> r
+      | None ->
+          env.e_stats.row_probes <- env.e_stats.row_probes + 1;
+          let tsq = Option.value env.e_tsq ~default:Tsq.empty in
+          let m =
+            Tsq.matcher ~support:env.e_sketch.sk_support plan.rp_positions tsq.Tsq.tuples
+          in
+          let r =
+            match
+              Duoengine.Executor.stream ~cache:env.e_relcache
+                ~max_rows:verification_max_rows env.e_db plan.rp_probe (Tsq.feed m)
+            with
+            | Error _ -> false
+            | Ok stopped ->
+                if stopped then count_early_stop env;
+                Tsq.matched m
+          in
+          relcache_delta env env.e_stats;
+          Hashtbl.replace env.e_row_cache plan.rp_key r;
+          r)
 
 (* --- complete-query stage --- *)
 
@@ -764,82 +758,17 @@ let bump_pruned s = function
 
 (* --- the stage-major cascade --- *)
 
-(* One stage over a sibling set: [pass env children alive fail] calls
-   [fail i] for each live child [i] the stage rejects, and never looks
-   at a dead one. *)
-type pass = env -> Partial.t array -> bool array -> (int -> unit) -> unit
-
-let per_child check : pass =
- fun env children alive fail ->
-  for i = 0 to Array.length children - 1 do
-    if alive.(i) && not (check env children.(i)) then fail i
-  done
-
 let verify_complete_state env (t : Partial.t) =
   (not (Partial.is_complete t))
   || match Partial.to_query t with Some q -> verify_complete env q | None -> true
-
-(* Batched row stage: plan every survivor's probe, then run the uncached
-   plans (deduplicated by key) through one {!Duoengine.Executor.run_batch}
-   call, so candidates scanning the same base table share one scan.  The
-   plan array and the pending table exist only when some survivor has a
-   plan. *)
-let row_batch : pass =
- fun env children alive fail ->
-  let s = env.e_stats in
-  let n = Array.length children in
-  let plans = ref [||] in
-  for i = 0 to n - 1 do
-    if alive.(i) then
-      match row_probe_plan env children.(i) with
-      | None -> ()
-      | Some _ as p ->
-          if Array.length !plans = 0 then plans := Array.make n None;
-          !plans.(i) <- p
-  done;
-  let plans = !plans in
-  if Array.length plans > 0 then begin
-    let pending : (string, row_plan) Hashtbl.t = Hashtbl.create 8 in
-    Array.iter
-      (function
-        | Some p
-          when (not (Hashtbl.mem env.e_row_cache p.rp_key))
-               && not (Hashtbl.mem pending p.rp_key) ->
-            Hashtbl.add pending p.rp_key p
-        | Some _ | None -> ())
-      plans;
-    let todo = Array.of_list (Hashtbl.fold (fun _ p acc -> p :: acc) pending []) in
-    if Array.length todo > 0 then begin
-      s.batch_rounds <- s.batch_rounds + 1;
-      let matchers = Array.map (row_matcher env) todo in
-      let results, report =
-        Duoengine.Executor.run_batch ~cache:env.e_relcache
-          ~max_rows:verification_max_rows env.e_db
-          (Array.mapi (fun k p -> (p.rp_probe, Tsq.feed matchers.(k))) todo)
-      in
-      s.batched_probes <- s.batched_probes + report.Duoengine.Executor.br_shared;
-      Array.iteri
-        (fun k p ->
-          s.row_probes <- s.row_probes + 1;
-          Hashtbl.replace env.e_row_cache p.rp_key
-            (row_verdict env matchers.(k) results.(k)))
-        todo;
-      relcache_delta env s
-    end;
-    (* every plan is a cache hit after the batch *)
-    Array.iteri
-      (fun i -> function
-        | Some p -> if not (run_row_probe env p) then fail i
-        | None -> ())
-      plans
-  end
 
 (* Run [stages] in order over a sibling set, each stage over all live
    children before the next starts, and return the verdicts.  Every stage
    is a pure function of the child plus deterministic caches, so the
    verdicts, prune attribution and probe counts are those of running the
    stages child by child; only [stage_seconds] changes grain, to one
-   clock pair per stage pass.  A pass with no live child is skipped. *)
+   clock pair per stage pass.  A pass with no live child is skipped, and
+   a pass never looks at a dead child. *)
 let cascade stages env children =
   let n = Array.length children in
   ignore (Atomic.fetch_and_add verify_calls n);
@@ -847,49 +776,45 @@ let cascade stages env children =
   let alive = Array.make n true in
   let live = ref n in
   List.iter
-    (fun (st, (pass : pass)) ->
+    (fun (st, check) ->
       if !live > 0 then begin
-        let fail i =
-          bump_pruned s st;
-          s.pruned <- s.pruned + 1;
-          alive.(i) <- false;
-          decr live
-        in
         let k = stage_index st in
         let t0 = Clock.mono () in
-        pass env children alive fail;
+        for i = 0 to n - 1 do
+          if alive.(i) && not (check env children.(i)) then begin
+            bump_pruned s st;
+            s.pruned <- s.pruned + 1;
+            alive.(i) <- false;
+            decr live
+          end
+        done;
         s.stage_seconds.(k) <- s.stage_seconds.(k) +. (Clock.mono () -. t0)
       end)
     stages;
   alive
 
-let static_stage = (S_static, per_child verify_static)
-let clauses_stage = (S_clauses, per_child verify_clauses)
-let cardinality_stage = (S_cardinality, per_child verify_cardinality)
-let column_stage = (S_column, per_child verify_by_column)
-let row_stage = (S_row, per_child verify_by_row)
-let complete_stage = (S_complete, per_child verify_complete_state)
+let verify_stages =
+  [ (S_static, verify_static); (S_clauses, verify_clauses);
+    (S_cardinality, verify_cardinality); (S_semantics, verify_semantics);
+    (S_types, verify_column_types); (S_column, verify_by_column);
+    (S_row, verify_by_row); (S_complete, verify_complete_state) ]
 
-let early_stages =
-  [ static_stage; clauses_stage; cardinality_stage;
-    (S_semantics, per_child verify_semantics);
-    (S_types, per_child verify_column_types); column_stage ]
-
-let verify_stages = early_stages @ [ row_stage; complete_stage ]
-let batch_stages = early_stages @ [ (S_row, row_batch); complete_stage ]
+let static_stages = [ List.hd verify_stages ]
+let deferred_stages = List.tl verify_stages
 
 let verify env (t : Partial.t) = (cascade verify_stages env [| t |]).(0)
 
-(* Frontier-side entry point: lets the enumerator reject statically dead
-   children before they are ever pushed, with time and prunes attributed
-   to stage 0. *)
-let check_static env (t : Partial.t) = (cascade [ static_stage ] env [| t |]).(0)
+(* Push-side entry point: the enumerator rejects statically dead
+   children before they are ever pushed, one stage pass per sibling
+   set. *)
+let check_static env children = cascade static_stages env children
 
-(* Batched cascade over a sibling set (the children of one expansion):
-   the verdicts and counters of {!verify} on each child in order, except
-   that the uncached row probes run as one batch. *)
+(* Pop-side entry point: the rest of the cascade, on a state the search
+   has reached. *)
+let check_deferred env (t : Partial.t) = (cascade deferred_stages env [| t |]).(0)
+
 let verify_batch env (children : Partial.t list) =
-  let alive = cascade batch_stages env (Array.of_list children) in
+  let alive = cascade verify_stages env (Array.of_list children) in
   List.mapi (fun i t -> (t, alive.(i))) children
 
 (* --- incremental refinement (Enumerate.rebase) --- *)
@@ -905,20 +830,6 @@ let retarget env ~tsq =
     e_tsq = Some tsq;
     e_sketch = compile_sketch (Some tsq);
     e_row_cache = Hashtbl.create 256 }
-
-(* Re-verification of a state that already survived the full cascade
-   under the pre-refinement sketch.  Under a [Tsq.Tightening] edit the
-   carried verdicts stay valid without re-running:
-   - [S_static] and [S_semantics] never read the sketch;
-   - [S_types] reads only [tsq.types], which a tightening keeps equal.
-   What can flip is anything reading [sorted], [tuples], [negatives] or
-   the support threshold: [S_clauses], [S_cardinality] (the required
-   tuple count only grows under a tightening), [S_column], [S_row], and
-   the full Definition 2.4 check on complete states. *)
-let reverify_stages =
-  [ clauses_stage; cardinality_stage; column_stage; row_stage; complete_stage ]
-
-let reverify env (t : Partial.t) = (cascade reverify_stages env [| t |]).(0)
 
 (* Re-check an already-emitted candidate (a complete query) under the
    retargeted sketch; counted and timed like a complete-stage prune. *)

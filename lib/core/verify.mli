@@ -85,9 +85,9 @@ type stats = {
   mutable static_warnings : int;
       (** Duolint warnings used to deprioritize frontier pushes *)
   mutable batch_rounds : int;
-      (** {!verify_batch} rounds that executed at least one row probe *)
-  mutable batched_probes : int;
-      (** row probes served by a shared base scan inside a batch round *)
+      (** always 0: row probes run one at a time (kept for the stats
+          record's readers) *)
+  mutable batched_probes : int;  (** always 0, like [batch_rounds] *)
   mutable early_stops : int;
       (** streamed example-matching scans (row probes and plain
           complete-query checks) that stopped before the end of their
@@ -96,7 +96,7 @@ type stats = {
   mutable stage_seconds : float array;
       (** monotonic wall time per cascade stage, indexed by
           {!stage_index}: the sum of the stage's passes, one clock pair
-          per stage per sibling set ({!verify_batch}) or per call *)
+          per stage per call (a call may cover a sibling set) *)
 }
 
 val new_stats : unit -> stats
@@ -114,7 +114,7 @@ val pruned_by : stats -> stage -> int
 val merge_stats : into:stats -> stats -> unit
 
 (** Process-wide count of cascade invocations (one per child through
-    {!verify}, {!verify_batch}, {!check_static}, {!reverify} and
+    {!verify}, {!verify_batch}, {!check_static}, {!check_deferred} and
     {!reverify_query}) across all domains and runs — the one globally
     shared counter, backed by an [Atomic].  Monotone; callers interested
     in a single run take a delta. *)
@@ -152,19 +152,24 @@ val stats : env -> stats
     survives every applicable stage. *)
 val verify : env -> Partial.t -> bool
 
-(** [verify_batch env children] runs the cascade over a sibling set (the
-    children of one expansion) and returns each child with its verdict,
-    in order.  It runs stage-major: each stage passes over every child
-    still alive before the next stage starts.  Every stage is a pure
-    function of the child plus deterministic caches, so verdicts, prune
-    counters and probe counts are exactly those of calling {!verify} on
-    each child in sequence; what differs is executional — one clock pair
-    per stage pass, and the uncached row probes of the surviving
-    children deduplicated and executed through one
-    {!Duoengine.Executor.run_batch} call, so candidates probing the same
-    base table share a single scan ([stats.batch_rounds] /
-    [stats.batched_probes] report the activity). *)
+(** [verify_batch env children] runs the cascade over a sibling set and
+    returns each child with its verdict, in order.  It runs stage-major:
+    each stage passes over every child still alive before the next stage
+    starts.  Every stage is a pure function of the child plus
+    deterministic caches, so verdicts, prune counters and probe counts
+    are exactly those of calling {!verify} on each child in sequence;
+    only [stage_seconds] is read once per stage pass. *)
 val verify_batch : env -> Partial.t list -> (Partial.t * bool) list
+
+(** The enumerator's split of the cascade.  {!check_static} runs stage 0
+    over a sibling set (one clock pair per call) when the children are
+    pushed: it is cheap, and the warning penalty is set at the same
+    time.  {!check_deferred} runs every later stage on one state when it
+    is popped, so the probe stages run only on states the search
+    reaches.  For any state, [verify] holds iff both do. *)
+val check_static : env -> Partial.t array -> bool array
+
+val check_deferred : env -> Partial.t -> bool
 
 (** Project an enumerator state into Duolint's open-world clause view.
     Finality flags are conservative: set only when no later decision can
@@ -174,11 +179,6 @@ val outline_of_partial : Partial.t -> Duolint.Outline.t
 
 (** Individual stages, exposed for tests and the cascade-order ablation. *)
 val verify_static : env -> Partial.t -> bool
-
-(** [verify_static] with time and prunes attributed to stage 0 — the
-    frontier-side entry point for the enumerator, so statically dead
-    children are rejected before they are pushed. *)
-val check_static : env -> Partial.t -> bool
 
 (** Duolint warning count on the state's decided clauses, accumulated
     into [stats.static_warnings]; the enumerator uses it to deprioritize
@@ -216,16 +216,6 @@ val verify_complete : env -> Duosql.Ast.query -> bool
     and support are rebuilt, and the row-probe cache memoizes match
     verdicts against the sketch's tuples and is reset. *)
 val retarget : env -> tsq:Tsq.t -> env
-
-(** [reverify env t] re-runs only the cascade stages whose verdict can
-    change under a [Tsq.Tightening] edit — [S_clauses], [S_cardinality]
-    (the required tuple count only grows), [S_column], [S_row], and the
-    full complete-query check — on a state that already survived the
-    full cascade under the pre-refinement sketch.
-    [S_static]/[S_semantics] never read the sketch and [S_types] reads
-    only the (unchanged) type annotations, so their verdicts carry.
-    Counts as a cascade invocation in {!total_verifies}. *)
-val reverify : env -> Partial.t -> bool
 
 (** [reverify_query env q] re-checks an already-emitted candidate under
     the retargeted sketch, with time and prunes attributed to the

@@ -525,20 +525,17 @@ let is_plain q =
   && List.for_all (fun p -> p.p_agg = None && Option.is_some p.p_col) q.q_select
 
 (* Execute the post-relation pipeline (filter, group, HAVING, project,
-   DISTINCT, sort, limit) of [q] against an already-built relation.
-   [sel] short-circuits the residual filter with a precomputed selection
-   vector (joined-row indices into [rel]) — the batched probe path feeds
-   kernel-computed selections for shared single-table scans.  The
+   DISTINCT, sort, limit) of [q] against an already-built relation.  The
    residual filter always runs to completion, so a row that raises (LIKE
    on a non-text value, an aggregate predicate) raises whatever the
    consumer of the output does later. *)
-let exec_on_relation ?sel ~residual rel q =
+let exec_on_relation ~residual rel q =
   (* Validate every referenced column against the FROM clause up front. *)
   List.iter (fun c -> ignore (lookup rel c)) (referenced_columns q);
   let sel =
-    match sel, residual with
-    | Some _, _ | None, None -> sel
-    | None, Some cond ->
+    match residual with
+    | None -> None
+    | Some cond ->
         let keep = compile_where rel cond in
         let out = Dyn.create () in
         for r = 0 to rel.rel_len - 1 do
@@ -663,89 +660,6 @@ let stream ?cache ?max_rows db q visit =
     Ok (feed rel out visit)
   with
   | Exec_error e -> Error e
-
-(* --- batched multi-candidate probes --- *)
-
-type batch_report = {
-  br_queries : int;
-  br_groups : int;
-  br_shared : int;
-}
-
-(* Execute a batch of candidate probe queries together, streaming each
-   one's output to its visitor.  Single-table probes are grouped per base
-   table: the unfiltered base scan is built (or fetched from the cache)
-   once, and each candidate's WHERE clause becomes a selection over that
-   shared in-order relation — computed by the vectorized kernel when it
-   compiles, by the scalar residual evaluator otherwise.  This replaces N
-   near-identical filtered scans with one scan plus N cheap selections.
-
-   Soundness of sharing: a single-table relation is never bounded by
-   [max_rows] (only join growth is checked), so the shared unfiltered
-   relation cannot raise an error that per-query pushed execution would
-   have avoided; and because the relation is in table order, kernel
-   selection indices address its joined rows directly.  Multi-table probes
-   keep per-query execution (an unfiltered join could overflow
-   [max_rows] where the pushed join would not) and still share work
-   through the relation cache.  Each result is exactly what {!stream}
-   would return for that query and visitor. *)
-let run_batch ?cache ?max_rows db (qs : (query * visitor) array) =
-  let nq = Array.length qs in
-  let results = Array.make nq (Error "batch: not executed") in
-  let done_ = Array.make nq false in
-  let groups : (string, int Dyn.t) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i (q, _) ->
-      match q.q_from.f_tables with
-      | [ t ] when q.q_from.f_joins = [] ->
-          Dyn.add_to Hashtbl.find_opt Hashtbl.replace groups t i
-      | [] | _ :: _ -> ())
-    qs;
-  let br_groups = ref 0 and br_shared = ref 0 in
-  Hashtbl.iter
-    (fun t d ->
-      if d.Dyn.len >= 2 then begin
-        let members = Dyn.to_array d in
-        match Planner.plan db { (fst qs.(members.(0))) with q_where = None } with
-        | Error _ -> () (* members fall through to per-query execution *)
-        | Ok plan -> (
-            incr br_groups;
-            match build_relation_cached ?cache ?max_rows db plan with
-            | exception Exec_error e ->
-                (* e.g. unknown table: every member fails identically *)
-                Array.iter
-                  (fun i ->
-                    results.(i) <- Error e;
-                    done_.(i) <- true;
-                    incr br_shared)
-                  members
-            | rel ->
-                let tbl = Duodb.Database.table_exn db t in
-                Array.iter
-                  (fun i ->
-                    let q, visit = qs.(i) in
-                    results.(i) <-
-                      (try
-                         let out =
-                           match q.q_where with
-                           | None -> exec_on_relation ~residual:None rel q
-                           | Some cond -> (
-                               match Kernel.select tbl cond with
-                               | Some sel -> exec_on_relation ~sel ~residual:None rel q
-                               | None -> exec_on_relation ~residual:(Some cond) rel q)
-                         in
-                         Ok (feed rel out visit)
-                       with Exec_error e -> Error e);
-                    done_.(i) <- true;
-                    incr br_shared)
-                  members)
-      end)
-    groups;
-  Array.iteri
-    (fun i (q, visit) ->
-      if not done_.(i) then results.(i) <- stream ?cache ?max_rows db q visit)
-    qs;
-  (results, { br_queries = nq; br_groups = !br_groups; br_shared = !br_shared })
 
 let run_exn ?cache ?max_rows db q =
   match run ?cache ?max_rows db q with

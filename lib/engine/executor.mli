@@ -17,7 +17,7 @@
     back to it by a permutation over the ids.
 
     Output is either materialized ({!run}) or streamed to a caller's
-    {!visitor} ({!stream}, {!run_batch}) — one projection loop serves
+    {!visitor} ({!stream}) — one projection loop serves
     both.  A plain query (no GROUP BY, aggregate, HAVING, DISTINCT,
     ORDER BY or LIMIT) streams straight off its selection vector: the
     visitor reads cells through the projected columns' [(slot, column)]
@@ -99,32 +99,6 @@ val stream :
   Duosql.Ast.query ->
   visitor ->
   (bool, string) result
-
-(** What {!run_batch} shared: [br_groups] shared base scans served
-    [br_shared] of the [br_queries] probe queries; the rest executed
-    individually (still sharing relations through the cache). *)
-type batch_report = {
-  br_queries : int;
-  br_groups : int;
-  br_shared : int;
-}
-
-(** [run_batch db qs] executes candidate probe queries together, each
-    streaming its output to its own visitor.  Single-table probes that
-    scan the same base table share one unfiltered scan: each candidate's
-    WHERE becomes a vectorized selection over the shared in-order
-    relation instead of its own filtered table scan.  Multi-table probes
-    run individually (an unfiltered join could exceed [max_rows] where
-    the pushed join would not), sharing relations through [cache] as
-    usual.  The result array is positionally aligned with [qs]; each
-    entry, and the rows its visitor saw, are exactly what {!stream}
-    returns and feeds for that query and visitor. *)
-val run_batch :
-  ?cache:relation_cache ->
-  ?max_rows:int ->
-  Duodb.Database.t ->
-  (Duosql.Ast.query * visitor) array ->
-  (bool, string) result array * batch_report
 
 (** Like {!run} but raises [Failure]. *)
 val run_exn :

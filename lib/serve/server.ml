@@ -20,6 +20,7 @@ let default_config =
 
 type t = {
   config : config;
+  step : max_pops:int -> Session.t -> unit;
   dbs : (string * Duoquest.session) list;
   sessions : (int, Session.t) Hashtbl.t;
   mutable next_sid : int;
@@ -29,6 +30,7 @@ type t = {
   mutable rejected : int;
   mutable completed : int;  (** sessions whose outcome is [Finished] *)
   mutable cancelled : int;  (** sessions whose outcome is [Cancelled] *)
+  mutable failed : int;  (** sessions whose outcome is [Failed] *)
   mutable runs_completed : int;  (** enumeration runs that finished *)
   mutable refined : int;
   mutable rebased : int;  (** refinements served by the warm rebase path *)
@@ -39,9 +41,10 @@ type t = {
   mutable long_lines : int;  (** request lines rejected for their length *)
 }
 
-let create config dbs =
+let create ?(step = Session.step) config dbs =
   {
     config;
+    step;
     dbs = List.map (fun (name, db) -> (name, Duoquest.create_session db)) dbs;
     sessions = Hashtbl.create 64;
     next_sid = 1;
@@ -51,6 +54,7 @@ let create config dbs =
     rejected = 0;
     completed = 0;
     cancelled = 0;
+    failed = 0;
     runs_completed = 0;
     refined = 0;
     rebased = 0;
@@ -67,7 +71,7 @@ let running_count t =
     (fun _ s acc ->
       match Session.status s with
       | Session.Running -> acc + 1
-      | Session.Finished | Session.Cancelled -> acc)
+      | Session.Finished | Session.Cancelled | Session.Failed _ -> acc)
     t.sessions 0
 
 let drained t = t.is_draining && running_count t = 0
@@ -80,7 +84,7 @@ let next_runnable t =
   Hashtbl.fold
     (fun sid s acc ->
       match Session.status s with
-      | Session.Finished | Session.Cancelled -> acc
+      | Session.Finished | Session.Cancelled | Session.Failed _ -> acc
       | Session.Running -> (
           let better cur =
             match cur with None -> true | Some best -> sid < best
@@ -94,22 +98,30 @@ let next_runnable t =
   |> fun (after, any) -> (match after with Some _ -> after | None -> any)
 
 (* The session books count each session once, by its current outcome,
-   so [opened = completed + cancelled + running] at all times: a refine
-   takes its session's outcome off the books while it runs again, and a
-   run that finishes books its session (back) as completed.  Run
+   so [opened = completed + cancelled + failed + running] at all times: a
+   refine takes its session's outcome off the books while it runs again,
+   and a run that finishes books its session (back) as completed.  Run
    completions, a refined session's included, are [runs_completed]. *)
 let book t s delta =
   match Session.status s with
   | Session.Finished -> t.completed <- t.completed + delta
   | Session.Cancelled -> t.cancelled <- t.cancelled + delta
+  | Session.Failed _ -> t.failed <- t.failed + delta
   | Session.Running -> ()
 
-let book_run t s =
+(* Apply [f] to [s] and move the session in the books from its old
+   status to its new one.  This is the per-session exception barrier:
+   when [f] raises, the session is marked failed, and every other
+   session carries on. *)
+let update t s f =
+  book t s (-1);
+  (try f () with e -> Session.fail s (Printexc.to_string e));
+  book t s 1
+
+let count_run t s =
   match Session.status s with
-  | Session.Finished ->
-      book t s 1;
-      t.runs_completed <- t.runs_completed + 1
-  | Session.Running | Session.Cancelled -> ()
+  | Session.Finished -> t.runs_completed <- t.runs_completed + 1
+  | Session.Running | Session.Cancelled | Session.Failed _ -> ()
 
 let tick t =
   match next_runnable t with
@@ -118,8 +130,8 @@ let tick t =
       let s = Hashtbl.find t.sessions sid in
       t.rr_last <- sid;
       t.slices <- t.slices + 1;
-      Session.step ~max_pops:t.config.slice_pops s;
-      book_run t s;
+      update t s (fun () -> t.step ~max_pops:t.config.slice_pops s);
+      count_run t s;
       true
 
 (* --- protocol dispatch ----------------------------------------------- *)
@@ -148,6 +160,18 @@ let find_session t sid =
   match Hashtbl.find_opt t.sessions sid with
   | Some s -> Ok s
   | None -> Error (Printf.sprintf "unknown session %d" sid)
+
+let failure s reason = Printf.sprintf "session %d failed: %s" (Session.sid s) reason
+
+(* A session that can still be refined or polled: a failed one answers
+   with its reason. *)
+let live_session t sid =
+  match find_session t sid with
+  | Ok s -> (
+      match Session.status s with
+      | Session.Failed reason -> Error (failure s reason)
+      | Session.Running | Session.Finished | Session.Cancelled -> Ok s)
+  | Error _ as e -> e
 
 let session_fields s =
   [
@@ -237,6 +261,7 @@ let stats_fields t =
     ("completed", Json.Num (float_of_int t.completed));
     ("runs_completed", Json.Num (float_of_int t.runs_completed));
     ("cancelled", Json.Num (float_of_int t.cancelled));
+    ("failed", Json.Num (float_of_int t.failed));
     ("refined", Json.Num (float_of_int t.refined));
     ("rebased", Json.Num (float_of_int t.rebased));
     ("slices", Json.Num (float_of_int t.slices));
@@ -254,45 +279,49 @@ let handle_request t req =
       | Ok fields -> Protocol.ok_line fields
       | Error e -> Protocol.error_line e)
   | Protocol.Refine_tsq (sid, tsq) -> (
-      match find_session t sid with
+      match live_session t sid with
       | Error e -> Protocol.error_line e
-      | Ok s ->
+      | Ok s -> (
           let before = Session.rebased s in
-          book t s (-1);
-          Session.refine s tsq;
+          update t s (fun () -> Session.refine s tsq);
           let warm = Session.rebased s > before in
           t.refined <- t.refined + 1;
           if warm then t.rebased <- t.rebased + 1;
           (* A warm rebase can finish on the spot when the carried
              candidates already fill the budget. *)
-          book_run t s;
-          Protocol.ok_line
-            (session_fields s
-            @ [
-                ("refinements", Json.Num (float_of_int (Session.refinements s)));
-                ("rebased", Json.Bool warm);
-              ]))
+          count_run t s;
+          match Session.status s with
+          | Session.Failed reason -> Protocol.error_line (failure s reason)
+          | Session.Running | Session.Finished | Session.Cancelled ->
+              Protocol.ok_line
+                (session_fields s
+                @ [
+                    ("refinements", Json.Num (float_of_int (Session.refinements s)));
+                    ("rebased", Json.Bool warm);
+                  ])))
   | Protocol.Get_candidates (sid, k) -> (
-      match find_session t sid with
+      match live_session t sid with
       | Error e -> Protocol.error_line e
-      | Ok s -> Protocol.ok_line (handle_candidates s k))
+      | Ok s -> (
+          match handle_candidates s k with
+          | fields -> Protocol.ok_line fields
+          | exception e ->
+              let reason = Printexc.to_string e in
+              update t s (fun () -> Session.fail s reason);
+              Protocol.error_line (failure s reason)))
   | Protocol.Cancel sid -> (
       match find_session t sid with
       | Error e -> Protocol.error_line e
       | Ok s ->
-          let running = Session.status s = Session.Running in
-          Session.cancel s;
-          if running then book t s 1;
+          update t s (fun () -> Session.cancel s);
           Protocol.ok_line (session_fields s))
   | Protocol.Close sid -> (
       match find_session t sid with
       | Error e -> Protocol.error_line e
       | Ok s ->
-          let running = Session.status s = Session.Running in
           let o = Session.outcome s in
           Duocore.Verify.merge_stats ~into:t.retired o.Enumerate.out_stats;
-          Session.close s;
-          if running then book t s 1;
+          update t s (fun () -> Session.close s);
           Hashtbl.remove t.sessions sid;
           Protocol.ok_line
             [
@@ -309,10 +338,14 @@ let handle_request t req =
       t.is_draining <- true;
       Protocol.ok_line [ ("draining", Json.Bool true) ]
 
+(* The request-level exception barrier: what a request raises outside a
+   session's own barrier ([update]) becomes its error reply. *)
 let handle_line t line =
   match Protocol.request_of_line line with
   | Error e -> Protocol.error_line e
-  | Ok req -> handle_request t req
+  | Ok req -> (
+      try handle_request t req
+      with e -> Protocol.error_line ("internal error: " ^ Printexc.to_string e))
 
 let destroy t =
   Hashtbl.iter (fun _ s -> Session.close s) t.sessions;

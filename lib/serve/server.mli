@@ -33,14 +33,27 @@ val default_config : config
 type t
 
 (** [create config dbs] builds a server over named databases (indexes and
-    relation caches are built here). *)
-val create : config -> (string * Duodb.Database.t) list -> t
+    relation caches are built here).  [step] advances one session by one
+    slice ({!Session.step} by default); a test substitutes a raising one
+    to exercise the exception barrier. *)
+val create :
+  ?step:(max_pops:int -> Session.t -> unit) ->
+  config ->
+  (string * Duodb.Database.t) list ->
+  t
 
-(** Process one protocol request line; the response line (no newline). *)
+(** Process one protocol request line; the response line (no newline).
+    A request that raises gets an error reply; when it raised inside a
+    session's refine or poll, that session is marked [Failed] (see
+    {!tick}). *)
 val handle_line : t -> string -> string
 
 (** Advance the next [Running] session by one slice; [false] when there
-    is nothing to run. *)
+    is nothing to run.  A slice that raises marks its session [Failed]
+    and books it so ([opened = completed + cancelled + failed + running]
+    in [stats]); the other sessions carry on, and the failed session's
+    polls and refines get an error reply naming the reason until it is
+    closed. *)
 val tick : t -> bool
 
 val draining : t -> bool

@@ -6,11 +6,13 @@ type status =
   | Running
   | Finished
   | Cancelled
+  | Failed of string
 
 let status_name = function
   | Running -> "running"
   | Finished -> "finished"
   | Cancelled -> "cancelled"
+  | Failed _ -> "failed"
 
 type t = {
   sid : int;
@@ -76,7 +78,7 @@ let step ~max_pops s =
       match Enumerate.step ~max_pops st with
       | Enumerate.Running -> ()
       | Enumerate.Finished -> s.status <- Finished)
-  | Running, None | (Finished | Cancelled), (Some _ | None) -> ()
+  | Running, None | (Finished | Cancelled | Failed _), (Some _ | None) -> ()
 
 (* A fresh record every call: outcomes carry a mutable [Verify.stats], so
    a shared module-level value would let one caller's mutation corrupt
@@ -147,7 +149,14 @@ let cancel s =
   release_state s;
   match s.status with
   | Running -> s.status <- Cancelled
-  | Finished | Cancelled -> ()
+  | Finished | Cancelled | Failed _ -> ()
+
+(* The state is dropped unread: whatever raised may have left it
+   inconsistent. *)
+let fail s reason =
+  s.state <- None;
+  s.last <- None;
+  s.status <- Failed reason
 
 let close s =
   release_state s;
@@ -156,4 +165,4 @@ let close s =
      only an interrupted run is reported as cancelled. *)
   match s.status with
   | Running -> s.status <- Cancelled
-  | Finished | Cancelled -> ()
+  | Finished | Cancelled | Failed _ -> ()

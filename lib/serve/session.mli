@@ -11,9 +11,9 @@
     {!refine} implements the paper's interaction loop (Figure 1)
     incrementally: when the new sketch is a {!Duocore.Tsq.Tightening} of
     the previous one, the running enumeration is warm-restarted in place
-    via {!Duocore.Enumerate.rebase} — the frontier and emitted
-    candidates are re-checked through only the sketch-reading cascade
-    stages, everything already pruned stays pruned (stage monotonicity),
+    via {!Duocore.Enumerate.rebase} — the emitted candidates are
+    re-checked, frontier states meet the new sketch when they are
+    popped, everything already pruned stays pruned (stage monotonicity),
     and subsequent steps emit exactly what a from-root run under the new
     sketch would.  [Incomparable] edits (or a refine after cancel) fall
     back to a from-root restart.  Either way the wall-clock budget is
@@ -23,6 +23,7 @@ type status =
   | Running
   | Finished
   | Cancelled
+  | Failed of string  (** a step or a request raised; the reason *)
 
 val status_name : status -> string
 
@@ -74,6 +75,11 @@ val cancel : t -> unit
     and no snapshot reports a fresh all-zero outcome (a new record per
     call — outcomes carry mutable stats). *)
 val outcome : t -> Duocore.Enumerate.outcome
+
+(** [fail s reason] marks the session [Failed] and drops its enumeration
+    state and snapshot unread.  The server calls it when stepping or
+    serving the session raised. *)
+val fail : t -> string -> unit
 
 (** Release everything.  A [Finished] session keeps that status for the
     books; a [Running] one is marked [Cancelled].  The session must not

@@ -50,6 +50,18 @@ let test_hints_of_tsq () =
   Alcotest.(check (option int)) "width hint" (Some 2) h.Enumerate.h_nproj;
   Alcotest.(check (option int)) "limit hint" (Some 5) h.Enumerate.h_limit
 
+(* A sorted sketch: every state whose keywords leave out ORDER BY fails
+   the clauses stage, the most likely keyword children among them. *)
+let sorted_tsq =
+  Duocore.Tsq.make ~types:[ Duodb.Datatype.Text ] ~sorted:true
+    ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
+    ()
+
+(* States discarded at pop by a stage after [static] *)
+let discards (o : Enumerate.outcome) =
+  let st = o.Enumerate.out_stats in
+  st.Duocore.Verify.pruned - st.Duocore.Verify.pruned_by_static
+
 let test_run_respects_budget () =
   let config =
     { Enumerate.default_config with Enumerate.max_pops = 50; max_candidates = 1000 }
@@ -57,7 +69,12 @@ let test_run_respects_budget () =
   let outcome =
     Enumerate.run config (ctx "movie names") db ~tsq:None ~literals:[] ()
   in
-  Alcotest.(check bool) "pops bounded" true (outcome.Enumerate.out_pops <= 50)
+  Alcotest.(check bool) "pops bounded" true (outcome.Enumerate.out_pops <= 50);
+  (* a state that fails at pop is discarded without counting: the run
+     still makes all 50 counted pops *)
+  let dual = Enumerate.run config (ctx "movie names") db ~tsq:(Some sorted_tsq) ~literals:[] () in
+  Alcotest.(check int) "every counted pop passed" 50 dual.Enumerate.out_pops;
+  Alcotest.(check bool) "and discards came on top" true (discards dual > 0)
 
 let test_run_exhausts_tiny_space () =
   (* An impossible TSQ: a text type annotation whose value exists nowhere.
@@ -273,6 +290,28 @@ let test_canonical_no_pred_vs_pred () =
   Alcotest.(check bool) "predicate-free: canonical key follows the key" true
     (String.equal ck (Partial.canonical_key { bare with Partial.confidence = 0.1 }))
 
+(* Regression (Duocheck's partition property): an exact duplicate
+   conjunct put [year < 2000 AND revenue < 500 AND year < 2000] in the
+   canonical partition of [year < 2000 AND revenue < 500 AND
+   revenue < 2000] (both fold to the same two conjuncts over the same
+   literals), although the semantics stage rejects only the first.  With
+   verify on pop, the rejected state could have held the partition's
+   slot and turned the other away. *)
+let test_canonical_exact_duplicate () =
+  let open Duosql.Ast in
+  let pred c v = { pr_agg = None; pr_col = Some (col "movies" c); pr_rhs = Cmp (Lt, Duodb.Value.Int v) } in
+  let with_preds l = { (decided_state ()) with Partial.where_preds = l; where_n = 3 } in
+  let subsumed = with_preds [ pred "year" 2000; pred "revenue" 500; pred "revenue" 2000 ] in
+  let duplicated = with_preds [ pred "year" 2000; pred "revenue" 500; pred "year" 2000 ] in
+  let env = Duocore.Verify.make_env ~db ~tsq:None ~literals:[] () in
+  Alcotest.(check (pair bool bool)) "the semantics stage tells them apart" (true, false)
+    (Duocore.Verify.verify_semantics env subsumed, Duocore.Verify.verify_semantics env duplicated);
+  Alcotest.(check bool) "so their canonical keys differ" false
+    (String.equal (Partial.canonical_key subsumed) (Partial.canonical_key duplicated));
+  let canon = Partial.Canon.create 4 in
+  Alcotest.(check (pair bool bool)) "and the canonical set admits both" (true, true)
+    (Partial.Canon.add canon duplicated, Partial.Canon.add canon subsumed)
+
 (* The dedup counters: a dual-spec run hits the visited set, checks the
    canonical layer only for predicated states, and prints (almost) no
    keys. *)
@@ -415,8 +454,13 @@ let stepped ~slice ~domains ?tsq ?config nlq =
   let steps = ref 0 in
   let rec go () =
     incr steps;
+    let before = (Enumerate.outcome s).Enumerate.out_pops in
     match Enumerate.step ~max_pops:slice s with
-    | Enumerate.Running -> go ()
+    | Enumerate.Running ->
+        (* a slice counts only the pops that passed, discards aside *)
+        Alcotest.(check int) "a running slice makes exactly its pops" (before + slice)
+          (Enumerate.outcome s).Enumerate.out_pops;
+        go ()
     | Enumerate.Finished -> ()
   in
   go ();
@@ -452,12 +496,90 @@ let test_resume_identical_dual () =
       ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
       ()
   in
-  let full = run_at ~domains:1 ~tsq "movie names" in
-  Alcotest.(check bool) "found something" true
-    (full.Enumerate.out_candidates <> []);
-  let st, _ = stepped ~slice:5 ~domains:1 ~tsq "movie names" in
-  check_identical full st;
-  check_flags full st
+  List.iter
+    (fun (tsq, slice) ->
+      let full = run_at ~domains:1 ~tsq "movie names" in
+      Alcotest.(check bool) "found something" true
+        (full.Enumerate.out_candidates <> []);
+      let st, _ = stepped ~slice ~domains:1 ~tsq "movie names" in
+      check_identical full st;
+      check_flags full st)
+    [ (tsq, 5); (sorted_tsq, 1) ];
+  (* under one-pop slices, the slice whose best state fails at pop goes
+     on to the next state: the second slice pops the root's most likely
+     child, which leaves out ORDER BY, and still counts one pop *)
+  let s = Enumerate.init (config_for ~domains:1) (ctx "movie names") db ~tsq:(Some sorted_tsq) ~literals:[] () in
+  ignore (Enumerate.step ~max_pops:1 s);
+  Alcotest.(check int) "the root pops alone" 0 (discards (Enumerate.outcome s));
+  ignore (Enumerate.step ~max_pops:1 s);
+  let o = Enumerate.outcome s in
+  Alcotest.(check int) "two pops counted" 2 o.Enumerate.out_pops;
+  Alcotest.(check bool) "after a discard at the clauses stage" true
+    (o.Enumerate.out_stats.Duocore.Verify.pruned_by_clauses > 0)
+
+(* NoPQ verifies complete states, at pop, and never a partial one: the
+   root's most likely child, which leaves out ORDER BY and so fails the
+   sorted sketch's clauses stage, is expanded, and only complete queries
+   with ORDER BY are emitted. *)
+let test_nopq_verifies_complete_on_pop () =
+  let config = { (config_for ~domains:1) with Enumerate.prune_partial = false } in
+  let unordered_complete = ref 0 in
+  let on_offer (t : Partial.t) admitted =
+    if admitted && Partial.is_complete t && not t.Partial.kw.Model.kw_order then
+      incr unordered_complete
+  in
+  let s =
+    Enumerate.init config (ctx "movie names") db ~tsq:(Some sorted_tsq) ~literals:[] ~on_offer ()
+  in
+  ignore (Enumerate.step ~max_pops:1 s);
+  let pushed = (Enumerate.outcome s).Enumerate.out_pushed in
+  ignore (Enumerate.step ~max_pops:1 s);
+  let o = Enumerate.outcome s in
+  Alcotest.(check int) "nothing discarded" 0 (discards o);
+  Alcotest.(check bool) "the unordered child was expanded" true (o.Enumerate.out_pushed > pushed);
+  ignore (Enumerate.step s);
+  let o = Enumerate.outcome s in
+  Alcotest.(check bool) "complete states that fail the sketch were queued" true
+    (!unordered_complete > 0);
+  Alcotest.(check bool) "and discarded at pop" true (discards o > 0);
+  Alcotest.(check bool) "found something" true (o.Enumerate.out_candidates <> []);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "every candidate is ordered" true
+        (c.Enumerate.cand_query.Duosql.Ast.q_order_by <> []))
+    o.Enumerate.out_candidates
+
+(* States that fail at pop now queue until they are popped, so the
+   frontier holds more than the survivors; at the default cap it must
+   still never compact on the MAS study cases (A1-D3 at every sketch
+   detail, at the benchmark's 2,000-pop budget). *)
+let test_mas_no_frontier_drops () =
+  let mas = Duobench.Mas.database () in
+  let session = Duocore.Duoquest.create_session mas in
+  let config =
+    { Enumerate.default_config with
+      Enumerate.max_pops = 2_000;
+      max_candidates = 10;
+      time_budget_s = 60.0 }
+  in
+  List.iter
+    (fun (task : Duobench.Mas.task) ->
+      List.iter
+        (fun detail ->
+          let tsq =
+            Duobench.Tsq_synth.synthesize (Duobench.Rng.create 29) mas (Duobench.Mas.gold task)
+              ~detail
+          in
+          let o =
+            Duocore.Duoquest.synthesize ~config ?tsq ~literals:task.Duobench.Mas.task_literals
+              session ~nlq:task.Duobench.Mas.task_nlq ()
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: nothing dropped" task.Duobench.Mas.task_id
+               (Duobench.Tsq_synth.detail_to_string detail))
+            0 o.Enumerate.out_dropped)
+        [ Duobench.Tsq_synth.Full; Duobench.Tsq_synth.Partial; Duobench.Tsq_synth.Minimal ])
+    (Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks)
 
 let test_resume_identical_duopar () =
   (* a multi-domain config pauses and resumes like the sequential run *)
@@ -542,6 +664,10 @@ let suite =
       test_resume_identical_dual;
     Alcotest.test_case "resume: stepped duopar run identical" `Quick
       test_resume_identical_duopar;
+    Alcotest.test_case "NoPQ: complete states verified at pop" `Quick
+      test_nopq_verifies_complete_on_pop;
+    Alcotest.test_case "MAS A1-D3: no frontier drops at the default cap" `Quick
+      test_mas_no_frontier_drops;
     Alcotest.test_case "resume: exhaustion flags survive pausing" `Quick
       test_resume_exhaustion_flags;
     Alcotest.test_case "resume: snapshots are prefixes" `Quick
@@ -573,6 +699,8 @@ let suite =
     Alcotest.test_case "key hash: reordered FROM tables" `Quick test_key_hash_from_order;
     Alcotest.test_case "canonical: no-predicate vs predicate" `Quick
       test_canonical_no_pred_vs_pred;
+    Alcotest.test_case "canonical: exact duplicate conjunct stays apart" `Quick
+      test_canonical_exact_duplicate;
     Alcotest.test_case "dedup counters" `Quick test_dedup_counters;
     Alcotest.test_case "prune attribution" `Quick test_stats_attribution;
   ]

@@ -204,62 +204,6 @@ let prop_distinct_subset =
       List.for_all (fun r -> mem r all) d
       && List.length (List.sort_uniq compare d) = List.length d)
 
-(* --- batched multi-candidate execution --- *)
-
-let test_run_batch_agrees () =
-  let sqls =
-    [
-      "SELECT movies.name FROM movies WHERE movies.year > 2000";
-      "SELECT movies.name FROM movies WHERE movies.year < 1995";
-      "SELECT movies.revenue FROM movies WHERE movies.name = 'Gravity'";
-      "SELECT movies.name FROM movies WHERE movies.year BETWEEN 1994 AND 1997";
-      "SELECT movies.name FROM movies";
-      "SELECT COUNT(*) FROM movies WHERE movies.revenue > 500";
-      "SELECT movies.name FROM movies WHERE movies.name LIKE 'G%'";
-      "SELECT movies.name, COUNT(*) FROM movies";
-      (* executor error: non-grouped projection mixed with an aggregate *)
-      "SELECT actor.name FROM actor WHERE actor.gender = 'female'";
-      "SELECT actor.name FROM actor WHERE actor.birth_yr > 1960";
-      "SELECT a.name FROM actor a JOIN starring s ON a.aid = s.aid JOIN \
-       movies m ON s.mid = m.mid WHERE m.name = 'Gravity'";
-    ]
-  in
-  let qs = Array.of_list (List.map Fixtures.parse sqls) in
-  let cs = Array.map Duocheck.Props.collector qs in
-  let batched, report =
-    Executor.run_batch db (Array.map2 (fun q (visit, _) -> (q, visit)) qs cs)
-  in
-  Array.iteri
-    (fun k q ->
-      match (batched.(k), Executor.run db q) with
-      | Ok _, Ok b ->
-          Alcotest.check Fixtures.rows_testable
-            (Printf.sprintf "batch query %d rows" k)
-            b.Executor.res_rows (snd cs.(k) ())
-      | Error a, Error b ->
-          Alcotest.(check string) (Printf.sprintf "batch query %d error" k) b a
-      | Ok _, Error _ | Error _, Ok _ ->
-          Alcotest.fail (Printf.sprintf "batch query %d verdict diverges" k))
-    qs;
-  Alcotest.(check int) "queries" 11 report.Executor.br_queries;
-  Alcotest.(check int) "groups" 2 report.Executor.br_groups;
-  Alcotest.(check int) "shared" 10 report.Executor.br_shared
-
-let test_run_batch_singleton () =
-  (* a lone query and a group of one never share — they run individually *)
-  let q = Fixtures.parse "SELECT movies.name FROM movies WHERE movies.year > 2000" in
-  let visit, rows = Duocheck.Props.collector q in
-  let batched, report = Executor.run_batch db [| (q, visit) |] in
-  (match batched.(0) with
-  | Ok stopped ->
-      Alcotest.(check bool) "visitor saw every row" false stopped;
-      Alcotest.check Fixtures.rows_testable "same rows"
-        [ [| t "Gravity" |]; [| t "The Post" |]; [| t "Inception" |] ]
-        (rows ())
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "no groups" 0 report.Executor.br_groups;
-  Alcotest.(check int) "nothing shared" 0 report.Executor.br_shared
-
 let suite =
   [
     Alcotest.test_case "projection" `Quick test_project;
@@ -287,8 +231,6 @@ let suite =
     Alcotest.test_case "error: unknown column" `Quick test_error_unknown_column;
     Alcotest.test_case "error: disconnected FROM" `Quick test_error_disconnected_from;
     Alcotest.test_case "output types" `Quick test_output_types;
-    Alcotest.test_case "run_batch = run" `Quick test_run_batch_agrees;
-    Alcotest.test_case "run_batch singleton" `Quick test_run_batch_singleton;
     QCheck_alcotest.to_alcotest prop_where_monotone;
     QCheck_alcotest.to_alcotest prop_limit_bounds;
     QCheck_alcotest.to_alcotest prop_group_partition;

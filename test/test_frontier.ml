@@ -3,15 +3,13 @@ module Partial = Duocore.Partial
 
 let state conf = { Partial.root with Partial.confidence = conf }
 
-(* [k] successive pops as one batch *)
+(* up to [k] successive pops *)
 let pop_k f k =
-  let b = Frontier.buffer k in
-  List.init (Frontier.pop_entries_into f b k) (Frontier.buffer_state b)
-
-(* pop a batch of [k] and put it back *)
-let pop_restore f k =
-  let b = Frontier.buffer k in
-  Frontier.restore_array f b (Frontier.pop_entries_into f b k)
+  let rec go k acc =
+    if k = 0 then List.rev acc
+    else match Frontier.pop f with Some p -> go (k - 1) (p :: acc) | None -> List.rev acc
+  in
+  go k []
 
 let test_pop_order () =
   let f = Frontier.create () in
@@ -96,42 +94,6 @@ let test_pop_k_order () =
     (confs (pop_k f 10));
   Alcotest.(check (list (float 1e-9))) "empty" [] (confs (pop_k f 4))
 
-let test_pop_k_matches_pops =
-  QCheck.Test.make ~name:"pop_k equals k single pops" ~count:100
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 0 30) (float_bound_inclusive 1.0))
-        (int_range 0 12))
-    (fun (confs, k) ->
-      let f1 = Frontier.create () and f2 = Frontier.create () in
-      List.iter
-        (fun c ->
-          Frontier.push f1 (state c);
-          Frontier.push f2 (state c))
-        confs;
-      let batch =
-        List.map (fun (s : Partial.t) -> s.Partial.confidence) (pop_k f1 k)
-      in
-      let rec singles n acc =
-        if n = 0 then List.rev acc
-        else
-          match Frontier.pop f2 with
-          | Some s -> singles (n - 1) (s.Partial.confidence :: acc)
-          | None -> List.rev acc
-      in
-      batch = singles k [] && Frontier.size f1 = Frontier.size f2)
-
-let test_restore_preserves_order () =
-  let f = Frontier.create () in
-  (* ties everywhere: FIFO order is carried by the entry seq numbers *)
-  List.iteri
-    (fun i _ -> Frontier.push f { (state 0.5) with Partial.nproj = i })
-    [ (); (); (); () ];
-  pop_restore f 3;
-  let order = List.init 4 (fun _ -> (Option.get (Frontier.pop f)).Partial.nproj) in
-  Alcotest.(check (list int)) "original FIFO order back" [ 0; 1; 2; 3 ] order;
-  Alcotest.(check int) "restore does not count as pushes" 4 (Frontier.pushed f)
-
 let test_pop_k_compaction_interaction () =
   let f = Frontier.create ~cap:10 () in
   for i = 1 to 50 do
@@ -139,10 +101,10 @@ let test_pop_k_compaction_interaction () =
   done;
   let dropped0 = Frontier.dropped f in
   Alcotest.(check bool) "compaction dropped some" true (dropped0 > 0);
-  (* batch pop + restore must not disturb the dropped accounting, and
-     restoring past the cap still triggers compaction rather than
+  (* draining and pushing back must not disturb the dropped accounting,
+     and pushing past the cap still triggers compaction rather than
      unbounded growth *)
-  pop_restore f (Frontier.size f);
+  List.iter (Frontier.push f) (pop_k f (Frontier.size f));
   Alcotest.(check bool) "size still bounded" true (Frontier.size f <= 11);
   Alcotest.(check (float 1e-9)) "best survivor unchanged" 0.5
     (Option.get (Frontier.pop f)).Partial.confidence;
@@ -155,24 +117,18 @@ let test_pop_k_compaction_interaction () =
 type op =
   | Push of float * int
   | Pop
-  | Pop_into_restore of int
-  | Filter of int
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
-        (6, map2 (fun c j -> Push (c, j)) (oneofl [ 0.2; 0.5; 0.9 ]) (int_range 0 2));
-        (2, return Pop);
-        (1, map (fun k -> Pop_into_restore k) (int_range 0 6));
-        (1, map (fun m -> Filter m) (int_range 2 4));
+        (3, map2 (fun c j -> Push (c, j)) (oneofl [ 0.2; 0.5; 0.9 ]) (int_range 0 2));
+        (1, return Pop);
       ])
 
 let show_op = function
   | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
   | Pop -> "pop"
-  | Pop_into_restore k -> Printf.sprintf "pop_entries_into %d + restore_array" k
-  | Filter m -> Printf.sprintf "filter mod %d" m
 
 let edge =
   { Duosql.Ast.j_from = Duosql.Ast.col "starring" "aid"; j_to = Duosql.Ast.col "actor" "aid" }
@@ -191,15 +147,12 @@ let model_insert m cap e =
   end;
   m.entries <- List.merge Partial.compare_priority m.entries [ e ]
 
-let model_pop m k =
-  let rec go k acc =
-    match m.entries with
-    | e :: rest when k > 0 ->
-        m.entries <- rest;
-        go (k - 1) (e :: acc)
-    | _ -> List.rev acc
-  in
-  go k []
+let model_pop m =
+  match m.entries with
+  | e :: rest ->
+      m.entries <- rest;
+      [ e ]
+  | [] -> []
 
 let prop_model =
   QCheck.Test.make ~name:"frontier = sorted-list model" ~count:300
@@ -209,7 +162,6 @@ let prop_model =
     (fun (cap, ops) ->
       let f = Frontier.create ~cap () in
       let m = { entries = []; m_pushed = 0; m_dropped = 0 } in
-      let buf = Frontier.buffer 4 in
       let next_id = ref 0 in
       let ids l = List.map (fun (p : Partial.t) -> p.Partial.depth) l in
       let step = function
@@ -225,21 +177,7 @@ let prop_model =
             model_insert m cap (p, m.m_pushed);
             m.m_pushed <- m.m_pushed + 1;
             true
-        | Pop ->
-            ids (Option.to_list (Frontier.pop f)) = ids (List.map fst (model_pop m 1))
-        | Pop_into_restore k ->
-            let n = Frontier.pop_entries_into f buf k in
-            let got = List.init n (Frontier.buffer_state buf) in
-            let want = model_pop m (min k 4) in
-            Frontier.restore_array f buf n;
-            List.iter (model_insert m cap) want;
-            ids got = ids (List.map fst want)
-        | Filter md ->
-            let keep (p : Partial.t) = p.Partial.depth mod md <> 0 in
-            let dropped = Frontier.filter f keep in
-            let before = List.length m.entries in
-            m.entries <- List.filter (fun (p, _) -> keep p) m.entries;
-            dropped = before - List.length m.entries
+        | Pop -> ids (Option.to_list (Frontier.pop f)) = ids (List.map fst (model_pop m))
       in
       List.for_all
         (fun op ->
@@ -256,9 +194,7 @@ let suite =
   [
     Alcotest.test_case "pop order" `Quick test_pop_order;
     Alcotest.test_case "pop_k order" `Quick test_pop_k_order;
-    Alcotest.test_case "restore preserves order" `Quick test_restore_preserves_order;
     Alcotest.test_case "pop_k + compaction" `Quick test_pop_k_compaction_interaction;
-    QCheck_alcotest.to_alcotest test_pop_k_matches_pops;
     Alcotest.test_case "FIFO on ties" `Quick test_fifo_on_ties;
     Alcotest.test_case "join-length tiebreak" `Quick test_join_length_tiebreak;
     Alcotest.test_case "empty pop" `Quick test_empty_pop;

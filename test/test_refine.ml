@@ -313,7 +313,7 @@ let test_retarget_recompiles_sketch () =
     (Verify.verify_by_column env state);
   Alcotest.(check bool) "pruned under the tightened sketch" false
     (Verify.verify_by_column env' state);
-  Alcotest.(check bool) "reverify prunes it" false (Verify.reverify env' state);
+  Alcotest.(check bool) "the cascade prunes it" false (Verify.verify env' state);
   Alcotest.(check int) "at the column stage" 1
     (Verify.pruned_by (Verify.stats env') Verify.S_column)
 

@@ -142,7 +142,7 @@ let test_tsq_wire_cells () =
 
 (* --- golden request/response transcripts over handle_line ------------- *)
 
-let make_server ?(max_sessions = 8) ?(slice = 50) () =
+let make_server ?step ?(max_sessions = 8) ?(slice = 50) () =
   let config =
     {
       Server.max_sessions;
@@ -154,7 +154,7 @@ let make_server ?(max_sessions = 8) ?(slice = 50) () =
           time_budget_s = 20.0 };
     }
   in
-  Server.create config [ ("movies", Fixtures.movie_db ()) ]
+  Server.create ?step config [ ("movies", Fixtures.movie_db ()) ]
 
 let transcript server lines =
   List.map (fun line -> Server.handle_line server line) lines
@@ -201,7 +201,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"read_pauses\":0,\"long_lines\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"failed\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"read_pauses\":0,\"long_lines\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0}}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
@@ -437,6 +437,59 @@ let test_session_books () =
   Alcotest.(check int) "runs: three first runs and session 1's refine" 4 (stat "runs_completed");
   Server.destroy server
 
+(* The exception barrier: a session whose slice raises is marked failed
+   and booked so, its polls and refines answer with the reason, and the
+   other sessions finish with what they find alone. *)
+let test_raising_session_isolated () =
+  let step ~max_pops s =
+    if Duoserve.Session.sid s = 2 then failwith "injected fault"
+    else Duoserve.Session.step ~max_pops s
+  in
+  let server = make_server ~step ~slice:20 () in
+  let reply line = Result.get_ok (Json.parse (Server.handle_line server line)) in
+  let field name j = Option.get (Json.member name j) in
+  let stat name = Option.get (Json.get_int (field name (reply "{\"op\":\"stats\"}"))) in
+  let balanced step =
+    Alcotest.(check int)
+      (step ^ ": opened = completed + cancelled + failed + running")
+      (stat "opened")
+      (stat "completed" + stat "cancelled" + stat "failed" + stat "running")
+  in
+  let open_line = "{\"op\":\"open_session\",\"db\":\"movies\",\"nlq\":\"movie names\",\"max_pops\":300}" in
+  List.iter (fun _ -> ignore (reply open_line)) [ 1; 2; 3 ];
+  while Server.tick server do () done;
+  balanced "after the run";
+  Alcotest.(check (list int)) "completed, failed, running" [ 2; 1; 0 ]
+    [ stat "completed"; stat "failed"; stat "running" ];
+  let poll sid = reply (Printf.sprintf "{\"op\":\"get_candidates\",\"session\":%d}" sid) in
+  let error j = Json.to_string (field "error" j) in
+  Alcotest.(check string) "the failed session's poll names the reason"
+    "\"session 2 failed: Failure(\\\"injected fault\\\")\"" (error (poll 2));
+  Alcotest.(check bool) "a refine of it is refused" false
+    (Json.get_bool
+       (field "ok" (reply "{\"op\":\"refine_tsq\",\"session\":2,\"tsq\":{\"types\":[\"text\"]}}"))
+    = Some true);
+  let solo =
+    Duocore.Duoquest.synthesize
+      ~config:
+        { Enumerate.default_config with
+          Enumerate.max_pops = 300;
+          max_candidates = 8;
+          time_budget_s = 20.0 }
+      (Duocore.Duoquest.create_session (Fixtures.movie_db ())) ~nlq:"movie names" ()
+  in
+  List.iter
+    (fun sid ->
+      Alcotest.(check int)
+        (Printf.sprintf "session %d found what a solo run finds" sid)
+        (List.length solo.Enumerate.out_candidates)
+        (Option.get (Json.get_int (field "total" (poll sid)))))
+    [ 1; 3 ];
+  ignore (reply "{\"op\":\"close\",\"session\":2}");
+  balanced "after closing the failed session";
+  Alcotest.(check int) "a closed failed session stays on the books" 1 (stat "failed");
+  Server.destroy server
+
 (* Closing a session keeps its dedup and relation-cache work on the
    books: its [dedup] counters are folded into a retired total on close,
    and the per-database relation cache (with its join indexes) outlives
@@ -545,6 +598,8 @@ let suite =
     Alcotest.test_case "refine_tsq restarts enumeration" `Quick
       test_refine_restarts;
     Alcotest.test_case "session books balance" `Quick test_session_books;
+    Alcotest.test_case "a raising session fails alone" `Quick
+      test_raising_session_isolated;
     Alcotest.test_case "stats survive session close" `Quick test_stats_survive_close;
     Alcotest.test_case "json floats exact" `Quick test_json_float_exact;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x150A7 |])

@@ -278,9 +278,8 @@ let prop_no_prefix_of_gold_pruned =
 
 (* --- sibling-set cascade = child-by-child cascade -------------------- *)
 
-(* Every counter a sibling-set pass must reproduce exactly; the batch
-   only changes how row probes execute ([batch_rounds],
-   [batched_probes]) and the grain of [stage_seconds]. *)
+(* Every counter a sibling-set pass must reproduce exactly; it only
+   changes the grain of [stage_seconds]. *)
 let counters (s : Verify.stats) =
   [ ("column_probes", s.Verify.column_probes); ("index_probes", s.Verify.index_probes);
     ("row_probes", s.Verify.row_probes); ("full_executions", s.Verify.full_executions);
