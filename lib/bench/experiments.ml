@@ -347,29 +347,7 @@ let ablation_cascade t ppf =
         Duocore.Duoquest.synthesize ~config:Simulation.sim_config ?tsq
           ~literals:task.Spider_gen.sp_literals session ~nlq:task.Spider_gen.sp_nlq ()
       in
-      let s = outcome.Enumerate.out_stats in
-      totals.Duocore.Verify.pruned_by_static <-
-        totals.Duocore.Verify.pruned_by_static + s.Duocore.Verify.pruned_by_static;
-      totals.Duocore.Verify.static_warnings <-
-        totals.Duocore.Verify.static_warnings + s.Duocore.Verify.static_warnings;
-      totals.Duocore.Verify.pruned_by_clauses <-
-        totals.Duocore.Verify.pruned_by_clauses + s.Duocore.Verify.pruned_by_clauses;
-      totals.Duocore.Verify.pruned_by_semantics <-
-        totals.Duocore.Verify.pruned_by_semantics + s.Duocore.Verify.pruned_by_semantics;
-      totals.Duocore.Verify.pruned_by_types <-
-        totals.Duocore.Verify.pruned_by_types + s.Duocore.Verify.pruned_by_types;
-      totals.Duocore.Verify.pruned_by_column <-
-        totals.Duocore.Verify.pruned_by_column + s.Duocore.Verify.pruned_by_column;
-      totals.Duocore.Verify.pruned_by_row <-
-        totals.Duocore.Verify.pruned_by_row + s.Duocore.Verify.pruned_by_row;
-      totals.Duocore.Verify.pruned_by_complete <-
-        totals.Duocore.Verify.pruned_by_complete + s.Duocore.Verify.pruned_by_complete;
-      totals.Duocore.Verify.column_probes <-
-        totals.Duocore.Verify.column_probes + s.Duocore.Verify.column_probes;
-      totals.Duocore.Verify.row_probes <-
-        totals.Duocore.Verify.row_probes + s.Duocore.Verify.row_probes;
-      totals.Duocore.Verify.full_executions <-
-        totals.Duocore.Verify.full_executions + s.Duocore.Verify.full_executions)
+      Duocore.Verify.merge_stats ~into:totals outcome.Enumerate.out_stats)
     sample;
   Format.fprintf ppf "tasks sampled: %d@." (List.length sample);
   Format.fprintf ppf "pruned by static      (lint): %8d@." totals.Duocore.Verify.pruned_by_static;

@@ -853,14 +853,13 @@ let spellings (t : Partial.t) =
   rotations @ swaps
 
 (* Verify on pop keeps the visited and canonical slot of a state that
-   fails a stage after [static], and that is sound only if the verdict
-   of the stages after [static] is the same for every state of a
-   [Partial.key] partition and of a [Partial.canonical_key] partition:
-   otherwise the slot could turn away a later state that passes.  Over
-   a derivation sample, each state's key twins ({!twins}), canonical
-   twins ({!canonical_twins}) and WHERE spellings ({!spellings}), every
-   state that passes [static] gets its deferred verdict, and states of
-   one partition must agree. *)
+   fails a stage at pop, [static] included, and that is sound only if
+   the cascade's verdict is the same for every state of a [Partial.key]
+   partition and of a [Partial.canonical_key] partition: otherwise the
+   slot could turn away a later state that passes.  Over a derivation
+   sample, each state's key twins ({!twins}), canonical twins
+   ({!canonical_twins}) and WHERE spellings ({!spellings}), every state
+   gets its full verdict, and states of one partition must agree. *)
 let partition_verdict_prop ((sc : Gen.scenario), seed) =
   let env =
     Duocore.Verify.make_env ~db:sc.Gen.sc_db ~tsq:(Some sc.Gen.sc_tsq)
@@ -876,27 +875,14 @@ let partition_verdict_prop ((sc : Gen.scenario), seed) =
     | Some (t', v') ->
         v = v'
         ||
-        let module V = Duocore.Verify in
-        (* the stages after [static], so a failure names the one that splits *)
-        let stages (t : Partial.t) =
-          String.concat " "
-            (List.map
-               (fun (name, stage) -> Printf.sprintf "%s=%b" name (stage env t))
-               [ ("clauses", V.verify_clauses); ("cardinality", V.verify_cardinality);
-                 ("semantics", V.verify_semantics); ("types", V.verify_column_types);
-                 ("column", V.verify_by_column); ("row", V.verify_by_row);
-                 ( "complete",
-                   fun env t ->
-                     (not (Partial.is_complete t))
-                     || Option.fold ~none:true ~some:(V.verify_complete env) (Partial.to_query t) ) ])
-        in
-        QCheck.Test.fail_reportf "one %s partition, two verdicts:\n%b %s\n  %s\n%b %s\n  %s"
-          what v (Partial.to_string t) (stages t) v' (Partial.to_string t') (stages t')
+        (* the first failing stage names the one that splits *)
+        let stage t = Option.value ~default:"none" (Soundness.first_failing_stage env t) in
+        QCheck.Test.fail_reportf
+          "one %s partition, two verdicts:\n%b %s\n  first failing: %s\n%b %s\n  first failing: %s"
+          what v (Partial.to_string t) (stage t) v' (Partial.to_string t') (stage t')
   in
   let check (t : Partial.t) =
-    (not (Duocore.Verify.verify_static env t))
-    ||
-    let v = Duocore.Verify.check_deferred env t in
+    let v = Duocore.Verify.verify env t in
     agree by_key (Partial.key t) t v "key"
     && agree by_canon (Partial.canonical_key t) t v "canonical"
   in

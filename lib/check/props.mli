@@ -41,11 +41,11 @@
       collides canonically with one that has them; and the hashed
       enumerator admits exactly the states the string-keyed two-layer
       dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
-    - {b verify on pop}: the cascade stages after [static] give one
+    - {b verify on pop}: the cascade, [static] included, gives one
       verdict on each {!Duocore.Partial.key} partition and each
       {!Duocore.Partial.canonical_key} partition (permuted WHERE
       predicates, literals swapped between bounds), so a state that
-      fails them at pop may keep its visited and canonical slot;
+      fails it at pop may keep its visited and canonical slot;
     - {b Duosem equivalence}: {!Duolint.Duosem.canonical_query} keeps the
       error status and the result multiset of every generated query on
       its database, and canonicalization is idempotent;
@@ -93,8 +93,8 @@ val replay_offer : replay -> Duocore.Partial.t -> bool -> unit
 
 val dedup_exact_prop : Gen.scenario * int -> bool
 
-(** The deferred cascade verdict ({!Duocore.Verify.check_deferred}) is
-    the same for every state, passing [static], of one
+(** The cascade verdict ({!Duocore.Verify.verify}, [static] included)
+    is the same for every state of one
     {!Duocore.Partial.key} partition and of one
     {!Duocore.Partial.canonical_key} partition, over derivation samples,
     their twins and their WHERE spellings (permuted predicates, literals

@@ -144,19 +144,25 @@ let is_counting (t : Partial.t) =
    rather than multiplicative.  Counting states revisit the join decision
    after every step because COUNT of all rows depends on every joined
    table (extensions up to two FK hops); revisits are deduped by the run
-   loop. *)
-let advance (t : Partial.t) phase prob =
+   loop.  [tables] are the parent's {!Partial.referenced_tables}, forced
+   once per expansion, and [c] the one column the child adds to them. *)
+let advance ~tables (c : Duodb.Schema.column option) (t : Partial.t) phase prob =
   let t' = step t phase prob in
-  let tables = Partial.referenced_tables t' in
-  if tables = [] then t'
-  else
-    match t'.Partial.from with
-    | Some f
-      when Joinpath.covers f tables
-           && ((not (is_counting t'))
-              || List.length f.Duosql.Ast.f_tables > List.length tables) ->
-        t'
-    | Some _ | None -> { t' with Partial.phase = Partial.P_joinpath phase }
+  let tables = Lazy.force tables in
+  let tables =
+    match c with
+    | Some c when not (List.mem c.Duodb.Schema.col_table tables) ->
+        List.merge String.compare [ c.Duodb.Schema.col_table ] tables
+    | Some _ | None -> tables
+  in
+  match tables, t'.Partial.from with
+  | [], _ -> t'
+  | _, Some f
+    when Joinpath.covers f tables
+         && ((not (is_counting t'))
+            || List.length f.Duosql.Ast.f_tables > List.length tables) ->
+      t'
+  | _, (Some _ | None) -> { t' with Partial.phase = Partial.P_joinpath phase }
 
 let uniform cands =
   match cands with
@@ -181,10 +187,11 @@ let replace_last lst x =
 
 let expand ~guided hints ctx (t : Partial.t) =
   let maybe_uniform cands = if guided then cands else uniform cands in
+  let tables = lazy (Partial.referenced_tables t) in
   match t.Partial.phase with
   | Partial.P_done -> []
   | Partial.P_joinpath next ->
-      let tables = Partial.referenced_tables t in
+      let tables = Lazy.force tables in
       if tables = [] then [ { t with Partial.phase = next } ]
       else
         let depth = if is_counting t then 2 else 1 in
@@ -221,7 +228,7 @@ let expand ~guided hints ctx (t : Partial.t) =
             | Model.Target_count_star -> next_after_slot t' i
             | Model.Target_column _ -> Partial.P_proj_agg i
           in
-          [ advance t' phase p ])
+          [ advance ~tables (Partial.target_col target) t' phase p ])
         (maybe_uniform
            (Model.projection_targets ?out:(List.nth_opt hints.h_types i) ctx
               ~used))
@@ -252,7 +259,8 @@ let expand ~guided hints ctx (t : Partial.t) =
       in
       List.map
         (fun (c, p) ->
-          advance { t with Partial.where_pending = Some c } (Partial.P_where_op i) p)
+          advance ~tables (Some c) { t with Partial.where_pending = Some c }
+            (Partial.P_where_op i) p)
         (maybe_uniform (Model.where_columns ctx ~used))
   | Partial.P_where_op i -> (
       match t.Partial.where_pending with
@@ -303,7 +311,7 @@ let expand ~guided hints ctx (t : Partial.t) =
       in
       List.map
         (fun (c, p) ->
-          advance
+          advance ~tables (Some c)
             { t with Partial.group_col = Some (col_ref_of c) }
             Partial.P_having_presence p)
         (maybe_uniform (Model.group_columns ctx ~projected))
@@ -379,7 +387,8 @@ let expand ~guided hints ctx (t : Partial.t) =
       List.map
         (fun ((agg, colopt), p) ->
           let item = (agg, Option.map col_ref_of colopt) in
-          advance { t with Partial.order_item = Some item } Partial.P_order_dir p)
+          advance ~tables colopt { t with Partial.order_item = Some item }
+            Partial.P_order_dir p)
         (maybe_uniform (Model.order_targets ctx ~projected))
   | Partial.P_order_dir ->
       List.map
@@ -450,6 +459,9 @@ type state = {
 
 let init config ctx db ?index ?relcache ~tsq ~literals
     ?(on_candidate = fun _ -> ()) ?(on_offer = fun _ _ -> ()) () =
+  (* The lazy warning penalty is exact only for a factor of at most 1. *)
+  if not (config.static_penalty >= 0.0 && config.static_penalty <= 1.0) then
+    invalid_arg "Enumerate.init: static_penalty outside [0, 1]";
   let stats = Verify.new_stats () in
   let env =
     Verify.make_env ~stats ~semantics:config.semantic_rules
@@ -485,22 +497,6 @@ let init config ctx db ?index ?relcache ~tsq ~literals
 
 let finished s = s.st_finished
 
-(* Duolint warnings deprioritize at push time, never inside [expand]:
-   expansion keeps children confidences summing to the parent's
-   (Property 1); the frontier order is where suspicion belongs. *)
-let deprioritize s (child : Partial.t) =
-  if not s.st_config.static_rules then child
-  else
-    match Verify.static_warnings s.st_env child with
-    | 0 -> child
-    | n ->
-        {
-          child with
-          Partial.confidence =
-            child.Partial.confidence
-            *. (s.st_config.static_penalty ** float_of_int n);
-        }
-
 let push_fresh s (child : Partial.t) =
   let stats = s.st_stats in
   let unseen = Partial.Tbl.add s.st_visited child in
@@ -531,7 +527,37 @@ let push_fresh s (child : Partial.t) =
          end
     in
     s.st_on_offer child fresh;
-    if fresh then Frontier.push s.st_frontier (deprioritize s child)
+    if fresh then Frontier.push s.st_frontier child
+
+(* A popped state's verdict: whether to expand or emit it now.  On its
+   first pop a state meets the [static] stage, and a survivor that
+   Duolint warns about [n > 0] times goes back once, settled, under
+   confidence x [static_penalty]^n and its own rank: warnings lower the
+   priority, never inside [expand], so children's confidences still sum
+   to the parent's (Property 1).  A queued key is never below the
+   penalised one, so a state popped under its final key beats every
+   queued state's final key: the pops are those of penalising at push.
+   The other stages run once the penalty is settled, when [prune_partial]
+   holds or the state is complete. *)
+let judge_settled s (p : Partial.t) =
+  (not (s.st_config.prune_partial || Partial.is_complete p))
+  || Verify.check_deferred s.st_env ~first:Verify.S_clauses ~last:Verify.S_complete p
+
+let judge s (p : Partial.t) =
+  if Frontier.settled s.st_frontier then judge_settled s p
+  else
+    Verify.check_deferred s.st_env ~first:Verify.S_static ~last:Verify.S_static p
+    &&
+    match Verify.static_warnings s.st_env p with
+    | 0 -> judge_settled s p
+    | n ->
+        Frontier.settle s.st_frontier
+          {
+            p with
+            Partial.confidence =
+              p.Partial.confidence *. (s.st_config.static_penalty ** float_of_int n);
+          };
+        false
 
 exception Slice_exhausted
 
@@ -595,16 +621,13 @@ let step ?max_pops s =
          match Frontier.pop s.st_frontier with
          | None -> raise Budget_exhausted
          | Some p ->
-             (* Verify on pop: a pushed state has met only the static
-                stage, and the rest of the cascade runs now, on a state
-                the search reached.  Under NoPQ only complete states are
-                verified.  A state that fails is discarded and costs no
-                pop.  Verify, expand and admit share their clock stamps. *)
+             (* Verify on pop: a pushed state has met no stage, and the
+                cascade runs now, on a state the search reached.  A state
+                that fails, or goes back under its warning penalty, costs
+                no pop.  Verify, expand and admit share their clock
+                stamps. *)
              let m0 = Clock.mono () in
-             let ok =
-               (not (config.prune_partial || Partial.is_complete p))
-               || Verify.check_deferred s.st_env p
-             in
+             let ok = judge s p in
              let m1 = Clock.mono () in
              s.st_times.verify_s <- s.st_times.verify_s +. (m1 -. m0);
              if ok then begin
@@ -614,16 +637,11 @@ let step ?max_pops s =
                     stream out in nonincreasing confidence order. *)
                  Option.iter (emit p) (Partial.to_query p)
                else begin
-                 let children =
-                   Array.of_list (expand ~guided:config.guided s.st_hints s.st_ctx p)
-                 in
+                 let children = expand ~guided:config.guided s.st_hints s.st_ctx p in
                  let m2 = Clock.mono () in
                  s.st_times.expand_s <- s.st_times.expand_s +. (m2 -. m1);
-                 let alive = Verify.check_static s.st_env children in
-                 let m3 = Clock.mono () in
-                 s.st_times.verify_s <- s.st_times.verify_s +. (m3 -. m2);
-                 Array.iteri (fun i child -> if alive.(i) then push_fresh s child) children;
-                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m3)
+                 List.iter (push_fresh s) children;
+                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
                end
              end
        done
@@ -648,11 +666,10 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
    cascade stage that failed a state under the old sketch also fails it
    under the new one, so states pruned before the refinement need no
    second look — only the survivors can change verdict, and only from
-   pass to fail.  Frontier states have met only the static stage, which
-   never reads the sketch: every sketch-reading stage runs when they are
-   popped, against the retargeted environment, so the frontier needs no
-   re-check.  The emitted candidates are re-checked through the
-   complete-query stage ({!Verify.reverify_query}).
+   pass to fail.  Frontier states have met no stage: they meet every
+   stage when they are popped, against the retargeted environment, so
+   the frontier needs no re-check.  The emitted candidates are
+   re-checked through the complete-query stage ({!Verify.reverify_query}).
 
    Equivalence with a from-root run under the new sketch: a tightening
    also keeps the guidance header ([hints_of_tsq]) identical, so

@@ -4,11 +4,12 @@
     the highest-confidence state, verifies it against the TSQ
     (Algorithm 3), expands a survivor by one inference decision
     ([EnumNextStep], Section 3.3.2) or emits it when it is complete.
-    Verification is split at the frontier: a child meets only the cheap
-    static stage when it is pushed ({!Verify.check_static}), and the
-    rest of the cascade when it is popped ({!Verify.check_deferred}), so
-    the probe stages run only on states the search reaches.  A state that
-    fails at pop is discarded and costs no pop.
+    A child is pushed unchecked; the cascade, [static] included, runs
+    when it is popped ({!Verify.check_deferred}), so no check is paid
+    for a state the search never reaches.  A state warned about by
+    Duolint goes back once, at its first pop, under its penalised
+    confidence, which pops what penalising at push would.  A state that
+    fails at pop, or goes back, costs no pop.
 
     The two GPQE ingredients can be disabled independently for the paper's
     ablations (Section 5.4.3): [guided = false] replaces every module
@@ -26,11 +27,12 @@ type config = {
   temperature : float;  (** guidance temperature (Section: Duoguide) *)
   semantic_rules : bool;  (** apply the Table 4 rules (ablation switch) *)
   static_rules : bool;
-      (** Duolint stage 0: prune statically dead children before they are
-          pushed and deprioritize warned ones (ablation switch) *)
+      (** Duolint stage 0: prune statically dead states and deprioritize
+          warned ones (ablation switch) *)
   static_penalty : float;
-      (** confidence multiplier per Duolint warning at push time (never
-          applied inside [expand]: Property 1 is about expansion) *)
+      (** confidence multiplier per Duolint warning, in \[0, 1\] ({!init}
+          rejects others); never applied inside [expand]: Property 1 is
+          about expansion *)
   max_frontier : int;
       (** frontier memory guard: compact to the best half beyond this many
           queued states *)
@@ -71,15 +73,16 @@ type candidate = {
 type outcome = {
   out_candidates : candidate list;  (** in emission order *)
   out_pops : int;  (** pops that passed verification *)
-  out_pushed : int;  (** states pushed: children that passed [static] and dedup *)
+  out_pushed : int;  (** states pushed: children that passed dedup *)
   out_stats : Verify.stats;
   out_elapsed_s : float;  (** wall-clock seconds for the whole run *)
   out_expand_s : float;  (** processor time spent in EnumNextStep *)
   out_verify_s : float;
-      (** time spent in the verification cascade, at push and at pop *)
+      (** time spent in the verification cascade and the warning count,
+          all at pop *)
   out_admit_s : float;
       (** time spent admitting children (visited and canonical
-          dedup, warning count, frontier push); with [out_expand_s] and
+          dedup, frontier push); with [out_expand_s] and
           [out_verify_s] it accounts for the enumeration loop *)
   out_exhausted : bool;
       (** the frontier emptied within budget {e and} compaction never
@@ -146,9 +149,10 @@ type status =
 (** [init config ctx db ~tsq ~literals ()] builds a paused run with the
     root state on the frontier.  [tsq = None] is the pure-NLI setting.
     [on_candidate] fires at each emission (the paper's streaming UI).
-    [on_offer child admitted] fires for each child that passed the
-    static stage, after dedup decided whether to admit it to the frontier
-    (observability: which states were enumerated, and in what order).
+    [on_offer child admitted] fires for each child, after dedup decided
+    whether to admit it to the frontier (observability: which states
+    were enumerated, and in what order).  [init] raises
+    [Invalid_argument] when [static_penalty] lies outside \[0, 1\].
     [index] and [relcache] thread a session's inverted index and its
     relation cache for the calling domain into the verification
     environment (see {!Verify.make_env}); without [relcache] the run
@@ -167,8 +171,8 @@ val init :
   state
 
 (** [step ?max_pops s] advances the run by at most [max_pops] further
-    pops (unbounded when omitted); a state discarded at pop does not
-    count, here or against [max_pops] in the config.  Budgets come from the
+    pops (unbounded when omitted); a state discarded or put back at pop
+    does not count, here or against [max_pops] in the config.  Budgets come from the
     config given to {!init}; the wall-clock budget counts only active
     stepping time, so a paused session is not charged for its pause.
     Stepping a [Finished] state is a no-op. *)
@@ -191,9 +195,8 @@ val outcome : state -> outcome
     on an [Incomparable] edit is unsound — restart from the root
     instead).  Every cascade stage is monotone under a tightening, so
     states pruned before the refinement stay pruned.  Frontier states
-    have met only the static stage, which never reads the sketch, and
-    meet the others under [tsq] when popped; only the emitted candidates
-    are re-checked ({!Verify.reverify_query}).  The frontier keeps its
+    have met no stage and meet every one under [tsq] when popped; only
+    the emitted candidates are re-checked ({!Verify.reverify_query}).  The frontier keeps its
     order and the guidance hints are unchanged by construction of
     [Tsq.refines], so subsequent {!step}s emit exactly what a from-root
     run under [tsq] would emit (candidate-for-candidate;

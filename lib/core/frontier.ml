@@ -1,8 +1,10 @@
 (* A binary min-heap stored as parallel arrays: the states, and beside
    them the priority keys unboxed — confidence in a float array, and join
-   length and insertion sequence number packed into one int
-   ([jlen * 2^40 + seq], which orders like the pair).  A push stores
-   three words and allocates nothing; a comparison reads no state. *)
+   length, insertion sequence number and the settled bit packed into one
+   int ([jlen * 2^41 + seq * 2 + settled], which orders like the pair
+   (jlen, seq): no two queued entries share a sequence number, so the
+   settled bit never decides a comparison).  A push stores three words
+   and allocates nothing; a comparison reads no state. *)
 
 type t = {
   mutable states : Partial.t array;
@@ -10,6 +12,7 @@ type t = {
   mutable ranks : int array;
   mutable len : int;
   mutable seq : int;
+  mutable last_rank : int;  (* of the last popped entry *)
   mutable dropped : int;
   cap : int;
 }
@@ -21,6 +24,7 @@ let create ?(cap = max_int) () =
     ranks = Array.make 64 0;
     len = 0;
     seq = 0;
+    last_rank = 0;
     dropped = 0;
     cap;
   }
@@ -31,7 +35,7 @@ let is_empty t = t.len = 0
 let pushed t = t.seq
 
 let seq_bits = 40
-let rank jlen seq = (jlen lsl seq_bits) lor seq
+let rank jlen seq = (jlen lsl (seq_bits + 1)) lor (seq lsl 1)
 
 (* Whether keys [(conf, rank)] have higher priority than slot [j]: the
    order of {!Partial.compare_priority} on the stored keys. *)
@@ -78,14 +82,12 @@ let store t i (p : Partial.t) conf rank =
   t.conf.(i) <- conf;
   t.ranks.(i) <- rank
 
-(* Insert a state under the next sequence number: sift a hole up from
-   the end, moving each parent down once, and write the state where the
-   hole stops. *)
-let push t (p : Partial.t) =
+(* Insert [p] under [rank]: sift a hole up from the end, moving each
+   parent down once, and write the state where the hole stops. *)
+let insert t (p : Partial.t) rank =
   if t.len >= t.cap then compact t;
   if t.len = Array.length t.states then grow t;
-  let conf = p.Partial.confidence and rank = rank (Partial.join_length p) t.seq in
-  t.seq <- t.seq + 1;
+  let conf = p.Partial.confidence in
   let hole = ref t.len in
   t.len <- t.len + 1;
   while !hole > 0 && key_higher t conf rank ((!hole - 1) / 2) do
@@ -95,12 +97,21 @@ let push t (p : Partial.t) =
   done;
   store t !hole p conf rank
 
+let push t (p : Partial.t) =
+  let r = rank (Partial.join_length p) t.seq in
+  t.seq <- t.seq + 1;
+  insert t p r
+
+let settle t (p : Partial.t) = insert t p (t.last_rank lor 1)
+let settled t = t.last_rank land 1 = 1
+
 (* Remove and return the top slot: the last slot's entry sifts down
    from a hole at the root. *)
 let pop t =
   if t.len = 0 then None
   else begin
     let top = t.states.(0) in
+    t.last_rank <- t.ranks.(0);
     let last = t.len - 1 in
     t.len <- last;
     if last > 0 then begin

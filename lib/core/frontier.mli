@@ -26,5 +26,15 @@ val push : t -> Partial.t -> unit
 (** Remove and return the highest-priority state. *)
 val pop : t -> Partial.t option
 
+(** [settle t pq] re-inserts the state the last {!pop} returned as [pq]
+    (the enumerator's lazy warning penalty lowers its confidence) under
+    that pop's join length and sequence number, so it keeps its place
+    among ties, marked settled.  Only after a pop that returned a state. *)
+val settle : t -> Partial.t -> unit
+
+(** Whether the state the last {!pop} returned went in through
+    {!settle}. *)
+val settled : t -> bool
+
 (** Total states ever pushed (the sequence counter). *)
 val pushed : t -> int

@@ -590,23 +590,24 @@ let grow m =
       end)
     hashes
 
+(* Probe from slot [i] for [st] (hash [h]): a top-level function, so an
+   add allocates no closure. *)
+let rec probe m same st h i =
+  let hi = m.hashes.(i) in
+  if hi = 0 then begin
+    m.hashes.(i) <- h;
+    m.states.(i) <- st;
+    m.count <- m.count + 1;
+    if 2 * m.count > Array.length m.hashes then grow m;
+    true
+  end
+  else if hi = h && same m st m.states.(i) then false
+  else probe m same st h ((i + 1) land (Array.length m.hashes - 1))
+
 (* Add [st] unless a member is [same] as it; [true] when it was added. *)
 let add m same st h =
   let h = if h = 0 then 1 else h in
-  let mask = Array.length m.hashes - 1 in
-  let rec probe i =
-    let hi = m.hashes.(i) in
-    if hi = 0 then begin
-      m.hashes.(i) <- h;
-      m.states.(i) <- st;
-      m.count <- m.count + 1;
-      if 2 * m.count > Array.length m.hashes then grow m;
-      true
-    end
-    else if hi = h && same m st m.states.(i) then false
-    else probe ((i + 1) land mask)
-  in
-  probe (h land mask)
+  probe m same st h (h land (Array.length m.hashes - 1))
 
 let take_renders m =
   let n = m.renders in

@@ -176,18 +176,33 @@ let compile_sketch = function
         sk_support = Tsq.required_support tsq;
       }
 
-(* One-slot memos turning a state's SELECT slots and HAVING predicate
-   into the outline's clause lists, keyed on physical identity: siblings
-   then present physically equal outline clauses, which is what the
-   Duolint memos ([has_errors_p], [count_warnings_p]) key on. *)
+(* One-slot memos turning a state's SELECT slots, GROUP BY column,
+   HAVING predicate and ORDER BY item (a slot per direction) into the
+   outline's clause lists, keyed on physical identity: states that share
+   a clause then present physically equal outline clauses, which is what
+   the Duolint memos ([has_errors_p], [count_warnings_p]) key on. *)
+type ('k, 'v) slot = { mutable s_key : 'k; mutable s_value : 'v }
+
+let slot s_key s_value = { s_key; s_value }
+
+let memo s key f =
+  if s.s_key != key then begin
+    s.s_key <- key;
+    s.s_value <- f key
+  end;
+  s.s_value
+
 type outline_memo = {
-  mutable om_projs : Partial.proj_slot list;
-  mutable om_select : proj list;
-  mutable om_having_key : pred option;
-  mutable om_having : pred list;
+  om_select : (Partial.proj_slot list, proj list) slot;
+  om_group : (col_ref option, col_ref list) slot;
+  om_having : (pred option, pred list) slot;
+  om_asc : ((agg option * col_ref option) option, order_item list) slot;
+  om_desc : ((agg option * col_ref option) option, order_item list) slot;
 }
 
-let outline_memo () = { om_projs = []; om_select = []; om_having_key = None; om_having = [] }
+let outline_memo () =
+  { om_select = slot [] []; om_group = slot None []; om_having = slot None [];
+    om_asc = slot None []; om_desc = slot None [] }
 
 type env = {
   e_db : Duodb.Database.t;
@@ -308,51 +323,49 @@ let decided_slot_proj (s : Partial.proj_slot) =
 
 (* --- stage 0: Duolint static analysis (no database access) --- *)
 
+let select_of projs = List.filter_map decided_slot_proj projs
+
+let order_by dir = function
+  | None -> []
+  | Some (agg, col) -> [ { o_agg = agg; o_col = col; o_dir = dir } ]
+
+let order_asc = order_by Asc
+let order_desc = order_by Desc
+
 (* Project the enumerator's state into Duolint's open-world clause view.
    Finality flags are conservative: a flag is set only when no later
    decision can change that clause.  FROM is the delicate one — join-path
    construction replaces the clause wholesale, so it is final only on
    complete states. *)
-let outline_with m (t : Partial.t) : Duolint.Outline.t =
-  if m.om_projs != t.Partial.projs then begin
-    m.om_projs <- t.Partial.projs;
-    m.om_select <- List.filter_map decided_slot_proj t.Partial.projs
-  end;
-  if m.om_having_key != t.Partial.having_pred then begin
-    m.om_having_key <- t.Partial.having_pred;
-    m.om_having <- Option.to_list t.Partial.having_pred
-  end;
+let outline env (t : Partial.t) : Duolint.Outline.t =
+  let m = env.e_outline in
   let kw = t.Partial.kw in
   let kwd = kw_decided t in
   let complete = Partial.is_complete t in
   let no_group = kwd && not kw.Duoguide.Model.kw_group in
   let no_order = kwd && not kw.Duoguide.Model.kw_order in
   {
-    Duolint.Outline.o_select = m.om_select;
+    Duolint.Outline.o_select = memo m.om_select t.Partial.projs select_of;
     o_select_final = select_done t;
     o_from = t.Partial.from;
     o_from_final = complete;
     o_where = t.Partial.where_preds;
     o_where_conn = (if where_done t then Some t.Partial.conn else None);
     o_where_final = where_done t;
-    o_group_by = Option.to_list t.Partial.group_col;
+    o_group_by = memo m.om_group t.Partial.group_col Option.to_list;
     o_group_final = no_group || group_decided t;
-    o_having = m.om_having;
+    o_having = memo m.om_having t.Partial.having_pred Option.to_list;
     o_having_conn =
       (if no_group || having_done t then Some And else None);
     o_having_final = no_group || having_done t;
     o_order_by =
-      (match t.Partial.order_item with
-      | None -> []
-      | Some (agg, col) ->
-          [ { o_agg = agg; o_col = col; o_dir = t.Partial.order_dir } ]);
+      (match t.Partial.order_dir with
+      | Asc -> memo m.om_asc t.Partial.order_item order_asc
+      | Desc -> memo m.om_desc t.Partial.order_item order_desc);
     o_order_final = no_order || order_done t;
     o_limit = t.Partial.limit;
     o_limit_final = complete || no_order;
   }
-
-let outline_of_partial t = outline_with (outline_memo ()) t
-let outline env t = outline_with env.e_outline t
 
 let verify_static env (t : Partial.t) =
   (not env.e_static)
@@ -756,66 +769,43 @@ let bump_pruned s = function
   | S_row -> s.pruned_by_row <- s.pruned_by_row + 1
   | S_complete -> s.pruned_by_complete <- s.pruned_by_complete + 1
 
-(* --- the stage-major cascade --- *)
+(* --- the cascade --- *)
 
 let verify_complete_state env (t : Partial.t) =
   (not (Partial.is_complete t))
   || match Partial.to_query t with Some q -> verify_complete env q | None -> true
 
-(* Run [stages] in order over a sibling set, each stage over all live
-   children before the next starts, and return the verdicts.  Every stage
-   is a pure function of the child plus deterministic caches, so the
-   verdicts, prune attribution and probe counts are those of running the
-   stages child by child; only [stage_seconds] changes grain, to one
-   clock pair per stage pass.  A pass with no live child is skipped, and
-   a pass never looks at a dead child. *)
-let cascade stages env children =
-  let n = Array.length children in
-  ignore (Atomic.fetch_and_add verify_calls n);
-  let s = env.e_stats in
-  let alive = Array.make n true in
-  let live = ref n in
-  List.iter
-    (fun (st, check) ->
-      if !live > 0 then begin
-        let k = stage_index st in
-        let t0 = Clock.mono () in
-        for i = 0 to n - 1 do
-          if alive.(i) && not (check env children.(i)) then begin
-            bump_pruned s st;
-            s.pruned <- s.pruned + 1;
-            alive.(i) <- false;
-            decr live
-          end
-        done;
-        s.stage_seconds.(k) <- s.stage_seconds.(k) +. (Clock.mono () -. t0)
-      end)
-    stages;
-  alive
+(* The stages with their checks, indexed by [stage_index]. *)
+let stages =
+  [| (S_static, verify_static); (S_clauses, verify_clauses);
+     (S_cardinality, verify_cardinality); (S_semantics, verify_semantics);
+     (S_types, verify_column_types); (S_column, verify_by_column);
+     (S_row, verify_by_row); (S_complete, verify_complete_state) |]
 
-let verify_stages =
-  [ (S_static, verify_static); (S_clauses, verify_clauses);
-    (S_cardinality, verify_cardinality); (S_semantics, verify_semantics);
-    (S_types, verify_column_types); (S_column, verify_by_column);
-    (S_row, verify_by_row); (S_complete, verify_complete_state) ]
+(* Stages [first] .. [last] on one state, in order, up to the first
+   that fails: the clock stamp that closes a stage opens the next. *)
+let check_deferred env ~first ~last (t : Partial.t) =
+  Atomic.incr verify_calls;
+  let s = env.e_stats and last = stage_index last in
+  let k = ref (stage_index first) and ok = ref true in
+  let t0 = ref (Clock.mono ()) in
+  while !ok && !k <= last do
+    ok := (snd stages.(!k)) env t;
+    let t1 = Clock.mono () in
+    s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. !t0);
+    t0 := t1;
+    if !ok then incr k
+  done;
+  if not !ok then begin
+    bump_pruned s (fst stages.(!k));
+    s.pruned <- s.pruned + 1
+  end;
+  !ok
 
-let static_stages = [ List.hd verify_stages ]
-let deferred_stages = List.tl verify_stages
-
-let verify env (t : Partial.t) = (cascade verify_stages env [| t |]).(0)
-
-(* Push-side entry point: the enumerator rejects statically dead
-   children before they are ever pushed, one stage pass per sibling
-   set. *)
-let check_static env children = cascade static_stages env children
-
-(* Pop-side entry point: the rest of the cascade, on a state the search
-   has reached. *)
-let check_deferred env (t : Partial.t) = (cascade deferred_stages env [| t |]).(0)
+let verify env t = check_deferred env ~first:S_static ~last:S_complete t
 
 let verify_batch env (children : Partial.t list) =
-  let alive = cascade verify_stages env (Array.of_list children) in
-  List.mapi (fun i t -> (t, alive.(i))) children
+  List.map (fun t -> (t, verify env t)) children
 
 (* --- incremental refinement (Enumerate.rebase) --- *)
 

@@ -25,7 +25,11 @@
 
     All stages are {e monotone}: a stage that fails on a partial query also
     fails on every completion of it, so pruning never discards a prefix of
-    a satisfying query (property-tested in the suite). *)
+    a satisfying query (property-tested in the suite).
+
+    The enumerator runs every stage, [static] included, on popped
+    states only ({!check_deferred}), so no check is paid for a state
+    the search never reaches. *)
 
 (** The cascade's stages, cheapest first.  [stats.stage_seconds] is
     indexed by {!stage_index}; {!all_stages} fixes the report order. *)
@@ -83,7 +87,8 @@ type stats = {
           the visited and canonical sets' equality fallbacks (hash-equal
           states that are not structurally equal) *)
   mutable static_warnings : int;
-      (** Duolint warnings used to deprioritize frontier pushes *)
+      (** Duolint warnings on states at their first pop, each state's
+          used to lower its frontier priority *)
   mutable batch_rounds : int;
       (** always 0: row probes run one at a time (kept for the stats
           record's readers) *)
@@ -95,8 +100,8 @@ type stats = {
           matching rows *)
   mutable stage_seconds : float array;
       (** monotonic wall time per cascade stage, indexed by
-          {!stage_index}: the sum of the stage's passes, one clock pair
-          per stage per call (a call may cover a sibling set) *)
+          {!stage_index}: the sum over the stage's runs, one clock stamp
+          per stage boundary *)
 }
 
 val new_stats : unit -> stats
@@ -113,11 +118,11 @@ val pruned_by : stats -> stage -> int
     relation-cache activity, as an outcome's does. *)
 val merge_stats : into:stats -> stats -> unit
 
-(** Process-wide count of cascade invocations (one per child through
-    {!verify}, {!verify_batch}, {!check_static}, {!check_deferred} and
-    {!reverify_query}) across all domains and runs — the one globally
-    shared counter, backed by an [Atomic].  Monotone; callers interested
-    in a single run take a delta. *)
+(** Process-wide count of cascade invocations (one per call of
+    {!check_deferred}, {!verify} and {!reverify_query}, one per child
+    through {!verify_batch}) across all domains and runs — the one
+    globally shared counter, backed by an [Atomic].  Monotone; callers
+    interested in a single run take a delta. *)
 val total_verifies : unit -> int
 
 (** A verification environment: database, sketch, tagged literals, probe
@@ -149,40 +154,35 @@ val make_env :
 val stats : env -> stats
 
 (** [verify env pq] is Algorithm 3's [Verify]: true when the partial query
-    survives every applicable stage. *)
+    survives every applicable stage ([check_deferred] from [S_static] to
+    [S_complete]). *)
 val verify : env -> Partial.t -> bool
 
-(** [verify_batch env children] runs the cascade over a sibling set and
-    returns each child with its verdict, in order.  It runs stage-major:
-    each stage passes over every child still alive before the next stage
-    starts.  Every stage is a pure function of the child plus
-    deterministic caches, so verdicts, prune counters and probe counts
-    are exactly those of calling {!verify} on each child in sequence;
-    only [stage_seconds] is read once per stage pass. *)
+(** [verify_batch env children] pairs each child with its {!verify}
+    verdict, in order. *)
 val verify_batch : env -> Partial.t list -> (Partial.t * bool) list
 
-(** The enumerator's split of the cascade.  {!check_static} runs stage 0
-    over a sibling set (one clock pair per call) when the children are
-    pushed: it is cheap, and the warning penalty is set at the same
-    time.  {!check_deferred} runs every later stage on one state when it
-    is popped, so the probe stages run only on states the search
-    reaches.  For any state, [verify] holds iff both do. *)
-val check_static : env -> Partial.t array -> bool array
-
-val check_deferred : env -> Partial.t -> bool
+(** [check_deferred env ~first ~last pq] runs the stages [first] ..
+    [last] on one state, in cascade order, up to the first that fails,
+    with one clock stamp per stage boundary.  The enumerator runs
+    [S_static] on a state's first pop and the later stages once its
+    warning penalty is settled. *)
+val check_deferred : env -> first:stage -> last:stage -> Partial.t -> bool
 
 (** Project an enumerator state into Duolint's open-world clause view.
     Finality flags are conservative: set only when no later decision can
     change the clause (FROM only on complete states — join-path
-    construction replaces it wholesale). *)
-val outline_of_partial : Partial.t -> Duolint.Outline.t
+    construction replaces it wholesale).  Outlines of states that share a
+    clause share its outline list physically (one-slot memos on the
+    env), so Duolint's clause memos hit. *)
+val outline : env -> Partial.t -> Duolint.Outline.t
 
 (** Individual stages, exposed for tests and the cascade-order ablation. *)
 val verify_static : env -> Partial.t -> bool
 
 (** Duolint warning count on the state's decided clauses, accumulated
     into [stats.static_warnings]; the enumerator uses it to deprioritize
-    (never prune) suspicious states. *)
+    (never prune) suspicious states when they are first popped. *)
 val static_warnings : env -> Partial.t -> int
 
 (** Stage-0 errors on a complete query (also enforced inside
@@ -192,7 +192,7 @@ val verify_static_query : env -> Duosql.Ast.query -> bool
 val verify_clauses : env -> Partial.t -> bool
 
 (** Duosem stage: prunes when the state's abstract row-count upper bound
-    ({!Duolint.Duosem.bound} over {!outline_of_partial}) is strictly
+    ({!Duolint.Duosem.bound} over {!outline}) is strictly
     below the sketch's required tuple count.  Monotone because the bound
     only tightens as more clauses are decided. *)
 val verify_cardinality : env -> Partial.t -> bool

@@ -10,16 +10,16 @@ module D = Diagnostic
 
 let pp_col c = c.cr_table ^ "." ^ c.cr_col
 
-(* The cascade evaluates the rules once per enumerator push, so schema
+(* The cascade evaluates the rules once per enumerator pop, so schema
    lookups go through hash tables prepared once per session instead of
    walking the schema's table lists on every column reference.
 
-   The memo slots exploit how partial states evolve: a push copies the
+   The memo slots exploit how partial states evolve: a child copies the
    state record and physically shares every clause it did not decide, and
-   the enumerator verifies the children of one expansion back-to-back.
-   Consecutive cascade calls therefore re-present the same clause lists,
-   and a one-slot cache keyed on physical identity hits on all but the
-   clause the child just changed. *)
+   best-first search pops runs of states from one subtree.  Consecutive
+   cascade calls therefore often re-present the same clause lists, and a
+   one-slot cache keyed on physical identity hits on every clause the
+   states share. *)
 type 'k memo = { mutable m_key : 'k; mutable m_ok : bool }
 
 (* The warning-count twins: a clause's count of warnings, and for WHERE

@@ -581,6 +581,218 @@ let test_mas_no_frontier_drops () =
         [ Duobench.Tsq_synth.Full; Duobench.Tsq_synth.Partial; Duobench.Tsq_synth.Minimal ])
     (Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks)
 
+(* --- the lazy warning penalty and static at pop ----------------------- *)
+
+let mas = lazy (Duobench.Mas.database ())
+
+let mas_task id =
+  List.find
+    (fun (t : Duobench.Mas.task) -> t.Duobench.Mas.task_id = id)
+    (Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks)
+
+let mas_ctx (task : Duobench.Mas.task) =
+  Model.make Duobench.Mas.schema (Duonl.Nlq.analyze task.Duobench.Mas.task_nlq)
+
+let mas_config =
+  { Enumerate.default_config with
+    Enumerate.max_pops = 1_500;
+    max_candidates = 40;
+    time_budget_s = 60.0 }
+
+(* The push-time design, as a reference: a child meets [static] and its
+   warning penalty when it is pushed, the other stages when it is popped.
+   Returns the candidates, the key of every child expanded (in order) and
+   the counted pops. *)
+let eager_run (config : Enumerate.config) ctx db ~tsq =
+  let module V = Duocore.Verify in
+  let env =
+    V.make_env ~semantics:config.Enumerate.semantic_rules ~static:config.Enumerate.static_rules
+      ~db ~tsq ~literals:[] ()
+  in
+  let hints = match tsq with Some t -> Enumerate.hints_of_tsq t | None -> Enumerate.no_hints in
+  let f = Duocore.Frontier.create () in
+  let fresh tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.replace tbl k (); true) in
+  let visited = Hashtbl.create 64 and canon = Hashtbl.create 64 and emitted = Hashtbl.create 64 in
+  let cands = ref [] and offers = ref [] and pops = ref [] and n = ref 0 in
+  Duocore.Frontier.push f Partial.root;
+  let rec loop () =
+    if !n < config.Enumerate.max_pops && List.length !cands < config.Enumerate.max_candidates then
+      match Duocore.Frontier.pop f with
+      | None -> ()
+      | Some p ->
+          if
+            (not (config.Enumerate.prune_partial || Partial.is_complete p))
+            || V.check_deferred env ~first:V.S_clauses ~last:V.S_complete p
+          then begin
+            incr n;
+            pops := p :: !pops;
+            if Partial.is_complete p then
+              Option.iter
+                (fun q ->
+                  if fresh emitted (Duolint.Duosem.dedup_key q) then
+                    cands := (Duosql.Pretty.query q, p.Partial.confidence, !n) :: !cands)
+                (Partial.to_query p)
+            else
+              List.iter
+                (fun (c : Partial.t) ->
+                  offers := Partial.key c :: !offers;
+                  if
+                    V.verify_static env c
+                    && fresh visited (Partial.key c)
+                    && ((not (Partial.has_predicates c)) || fresh canon (Partial.canonical_key c))
+                  then
+                    let w = float_of_int (V.static_warnings env c) in
+                    Duocore.Frontier.push f
+                      { c with
+                        Partial.confidence =
+                          c.Partial.confidence *. (config.Enumerate.static_penalty ** w) })
+                (Enumerate.expand ~guided:config.Enumerate.guided hints ctx p)
+          end;
+          loop ()
+  in
+  loop ();
+  (List.rev !cands, List.rev !offers, List.rev !pops)
+
+(* The run against [eager_run]: the same children offered in the same
+   order, and the same candidates with the same confidences and pop
+   counts.  Returns the reference's pops. *)
+let check_eager name config ctx db ~tsq =
+  let offers = ref [] in
+  let o =
+    let s =
+      Enumerate.init config ctx db ~tsq ~literals:[]
+        ~on_offer:(fun c _ -> offers := Partial.key c :: !offers) ()
+    in
+    ignore (Enumerate.step s);
+    Enumerate.outcome s
+  in
+  let cands, eager_offers, eager_pops = eager_run config ctx db ~tsq in
+  Alcotest.(check int) (name ^ ": same pops") (List.length eager_pops) o.Enumerate.out_pops;
+  Alcotest.(check bool) (name ^ ": same children, same order") true
+    (List.rev !offers = eager_offers);
+  Alcotest.(check (list (triple string (float 0.0) int)))
+    (name ^ ": same candidates") cands
+    (List.map
+       (fun c ->
+         (Duosql.Pretty.query c.Enumerate.cand_query, c.Enumerate.cand_confidence,
+          c.Enumerate.cand_pops))
+       o.Enumerate.out_candidates);
+  Alcotest.(check bool) (name ^ ": warnings met") true
+    (o.Enumerate.out_stats.Duocore.Verify.static_warnings > 0);
+  eager_pops
+
+(* A warned child whose penalised confidence falls below a sibling's
+   pops after that sibling: the run pops what penalising at push pops,
+   and at a penalty of 0.1 the C1 constant-output warning on
+   [title = 'VLDB'] drops that child below its LIKE sibling. *)
+let test_lazy_penalty_order () =
+  let db = Lazy.force mas in
+  let task = mas_task "C1" in
+  let ctx = mas_ctx task in
+  ignore (check_eager "C1 at 0.85" mas_config ctx db ~tsq:None);
+  let penalty = 0.1 in
+  let pops =
+    check_eager "C1 at 0.1" { mas_config with Enumerate.static_penalty = penalty } ctx db
+      ~tsq:None
+  in
+  let env = Duocore.Verify.make_env ~db ~tsq:None ~literals:[] () in
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun i p -> Hashtbl.replace rank (Partial.key p) i) pops;
+  let overtaken p =
+    (* a child that never popped within the budget ranks last *)
+    let kids =
+      List.map
+        (fun (c : Partial.t) ->
+          ( c,
+            Option.value ~default:max_int (Hashtbl.find_opt rank (Partial.key c)),
+            Duocore.Verify.static_warnings env c ))
+        (Enumerate.expand ~guided:true Enumerate.no_hints ctx p)
+    in
+    List.exists
+      (fun ((w : Partial.t), iw, n) ->
+        let penalised = w.Partial.confidence *. (penalty ** float_of_int n) in
+        n > 0
+        && List.exists
+             (fun ((s : Partial.t), is, m) ->
+               m = 0
+               && s.Partial.confidence < w.Partial.confidence
+               && s.Partial.confidence > penalised
+               && is < iw)
+             kids)
+      kids
+  in
+  Alcotest.(check bool) "a sibling overtakes a warned child" true (List.exists overtaken pops);
+  (* and in dual mode, where the other stages discard states at pop *)
+  let tsq =
+    Duobench.Tsq_synth.synthesize (Duobench.Rng.create 29) db (Duobench.Mas.gold task)
+      ~detail:Duobench.Tsq_synth.Full
+  in
+  ignore (check_eager "C1 dual" mas_config ctx db ~tsq)
+
+(* A settled state goes back under its own sequence number, so it keeps
+   its place among states of equal confidence and join length.  With a
+   penalty of 1 a warned state goes back under its old key; with the
+   Table 4 rules off, D2's warned constant-output states survive their
+   settled pop and tie with unwarned cousins queued after them, so a
+   settle that queued them behind their ties would change the pops. *)
+let test_settled_fifo_on_ties () =
+  let db = Lazy.force mas in
+  let config = { mas_config with Enumerate.static_penalty = 1.0; semantic_rules = false } in
+  List.iter
+    (fun id ->
+      let task = mas_task id in
+      ignore (check_eager (id ^ " at penalty 1") config (mas_ctx task) db ~tsq:None))
+    [ "C1"; "D2" ]
+
+(* A child that fails [static] is queued like any other: it is offered
+   and admitted, so it takes its visited (and canonical) slot, and when
+   it is popped it is discarded without costing a pop.  (A key twin of
+   a dead state is never generated here: the decision that kills a
+   state never coincides with a key collision.  The slot rule's
+   soundness is Duocheck's partition property, [static] included.) *)
+let test_static_dead_costs_no_pop () =
+  let db = Lazy.force mas in
+  let task = mas_task "C1" in
+  let env = Duocore.Verify.make_env ~db ~tsq:None ~literals:[] () in
+  let dead_admitted = ref 0 in
+  let on_offer c admitted =
+    if admitted && not (Duocore.Verify.verify_static env c) then incr dead_admitted
+  in
+  let s = Enumerate.init mas_config (mas_ctx task) db ~tsq:None ~literals:[] ~on_offer () in
+  let static_pruned () = (Enumerate.outcome s).Enumerate.out_stats.Duocore.Verify.pruned_by_static in
+  let slices_with_discard = ref 0 in
+  let rec go () =
+    let before = Enumerate.outcome s in
+    match Enumerate.step ~max_pops:1 s with
+    | Enumerate.Finished -> ()
+    | Enumerate.Running ->
+        let after = Enumerate.outcome s in
+        Alcotest.(check int) "one pop per slice" (before.Enumerate.out_pops + 1)
+          after.Enumerate.out_pops;
+        if static_pruned () > before.Enumerate.out_stats.Duocore.Verify.pruned_by_static then
+          incr slices_with_discard;
+        go ()
+  in
+  go ();
+  Alcotest.(check bool) "static-dead children were admitted" true (!dead_admitted > 0);
+  Alcotest.(check bool) "and discarded at pop inside one-pop slices" true
+    (!slices_with_discard > 0);
+  Alcotest.(check bool) "no more discards than admissions" true
+    (static_pruned () <= !dead_admitted)
+
+let test_penalty_range () =
+  let init penalty =
+    ignore
+      (Enumerate.init { Enumerate.default_config with Enumerate.static_penalty = penalty }
+         (ctx "movie names") db ~tsq:None ~literals:[] ())
+  in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "penalty %g rejected" p)
+        (Invalid_argument "Enumerate.init: static_penalty outside [0, 1]") (fun () -> init p))
+    [ 1.01; -0.1; Float.nan; Float.infinity ];
+  List.iter init [ 0.0; 0.5; 1.0 ]
+
 let test_resume_identical_duopar () =
   (* a multi-domain config pauses and resumes like the sequential run *)
   let full = run_at ~domains:1 "movie names and years" in
@@ -666,6 +878,13 @@ let suite =
       test_resume_identical_duopar;
     Alcotest.test_case "NoPQ: complete states verified at pop" `Quick
       test_nopq_verifies_complete_on_pop;
+    Alcotest.test_case "lazy penalty: a sibling overtakes a warned child" `Quick
+      test_lazy_penalty_order;
+    Alcotest.test_case "lazy penalty: a settled state keeps FIFO on ties" `Quick
+      test_settled_fifo_on_ties;
+    Alcotest.test_case "static at pop: a dead child is queued, costs no pop" `Quick
+      test_static_dead_costs_no_pop;
+    Alcotest.test_case "static_penalty outside [0, 1] rejected" `Quick test_penalty_range;
     Alcotest.test_case "MAS A1-D3: no frontier drops at the default cap" `Quick
       test_mas_no_frontier_drops;
     Alcotest.test_case "resume: exhaustion flags survive pausing" `Quick

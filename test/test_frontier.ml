@@ -111,12 +111,15 @@ let test_pop_k_compaction_interaction () =
   Alcotest.(check bool) "dropped monotone" true (Frontier.dropped f >= dropped0)
 
 (* The frontier against a sorted-list model.  Each operation runs on
-   both; pops, sizes and the pushed/dropped counters must agree after
-   every step.  Confidences and join lengths come from small sets so
-   ties on both are common; states carry a unique id in [depth]. *)
+   both; pops, settled marks, sizes and the pushed/dropped counters must
+   agree after every step.  Confidences and join lengths come from small
+   sets so ties on both are common; states carry a unique id in [depth].
+   A settle re-inserts the state the last pop returned, under its
+   sequence number, and only right after a pop that returned one. *)
 type op =
   | Push of float * int
   | Pop
+  | Settle of float
 
 let gen_op =
   QCheck.Gen.(
@@ -124,11 +127,13 @@ let gen_op =
       [
         (3, map2 (fun c j -> Push (c, j)) (oneofl [ 0.2; 0.5; 0.9 ]) (int_range 0 2));
         (1, return Pop);
+        (1, map (fun c -> Settle c) (oneofl [ 0.2; 0.5; 0.9 ]));
       ])
 
 let show_op = function
   | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
   | Pop -> "pop"
+  | Settle c -> Printf.sprintf "settle %.1f" c
 
 let edge =
   { Duosql.Ast.j_from = Duosql.Ast.col "starring" "aid"; j_to = Duosql.Ast.col "actor" "aid" }
@@ -137,6 +142,8 @@ type model = {
   mutable entries : (Partial.t * int) list;  (* sorted by priority *)
   mutable m_pushed : int;
   mutable m_dropped : int;
+  m_settled : (int, unit) Hashtbl.t;  (* ids queued by a settle *)
+  mutable m_last : (Partial.t * int) option;  (* the pop a settle may follow *)
 }
 
 let model_insert m cap e =
@@ -161,10 +168,15 @@ let prop_model =
         (make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_range 0 80) gen_op)))
     (fun (cap, ops) ->
       let f = Frontier.create ~cap () in
-      let m = { entries = []; m_pushed = 0; m_dropped = 0 } in
+      let m =
+        { entries = []; m_pushed = 0; m_dropped = 0; m_settled = Hashtbl.create 8; m_last = None }
+      in
       let next_id = ref 0 in
       let ids l = List.map (fun (p : Partial.t) -> p.Partial.depth) l in
-      let step = function
+      let step op =
+        let last = m.m_last in
+        m.m_last <- None;
+        match op with
         | Push (c, j) ->
             let p =
               { (state c) with
@@ -177,7 +189,23 @@ let prop_model =
             model_insert m cap (p, m.m_pushed);
             m.m_pushed <- m.m_pushed + 1;
             true
-        | Pop -> ids (Option.to_list (Frontier.pop f)) = ids (List.map fst (model_pop m))
+        | Pop -> (
+            let got = Frontier.pop f in
+            match model_pop m with
+            | [ ((p, _) as e) ] ->
+                m.m_last <- Some e;
+                ids (Option.to_list got) = ids [ p ]
+                && Frontier.settled f = Hashtbl.mem m.m_settled p.Partial.depth
+            | _ -> got = None)
+        | Settle c -> (
+            match last with
+            | None -> true
+            | Some (p, seq) ->
+                let p = { p with Partial.confidence = c } in
+                Frontier.settle f p;
+                model_insert m cap (p, seq);
+                Hashtbl.replace m.m_settled p.Partial.depth ();
+                true)
       in
       List.for_all
         (fun op ->

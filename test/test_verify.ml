@@ -278,8 +278,7 @@ let prop_no_prefix_of_gold_pruned =
 
 (* --- sibling-set cascade = child-by-child cascade -------------------- *)
 
-(* Every counter a sibling-set pass must reproduce exactly; it only
-   changes the grain of [stage_seconds]. *)
+(* Every counter [verify_batch] must reproduce exactly. *)
 let counters (s : Verify.stats) =
   [ ("column_probes", s.Verify.column_probes); ("index_probes", s.Verify.index_probes);
     ("row_probes", s.Verify.row_probes); ("full_executions", s.Verify.full_executions);
@@ -428,7 +427,7 @@ let check_warning_memo name ~db ~tsq ~literals states =
         let got = Verify.static_warnings env t in
         let want =
           Duolint.Analyze.count_warnings_p (Duolint.Analyze.prepare schema)
-            (Verify.outline_of_partial t)
+            (Verify.outline (Verify.make_env ~db ~tsq ~literals ()) t)
         in
         if got <> want then
           Alcotest.failf "%s (%s order): %s has %d warnings memoized, %d recomputed" name order
@@ -513,6 +512,34 @@ let test_warning_memo () =
   if check_warning_memo "connective siblings" ~db:mdb ~tsq:None ~literals:[] siblings = 0 then
     Alcotest.fail "the AND siblings raised no subsumption warning"
 
+(* The env's outline memos hand out one GROUP BY and one ORDER BY list
+   per clause: two outlines of one state, or of states sharing the
+   clause, share them physically, which is what Duolint's clause memos
+   key on.  A changed clause gets a fresh list. *)
+let test_outline_shares_clauses () =
+  let e = env () in
+  let ordered =
+    { (with_kw ~group:true ~order:true Partial.P_limit) with
+      Partial.group_col = Some (Duosql.Ast.col "movies" "year");
+      order_item = Some (None, Some (Duosql.Ast.col "movies" "year"));
+      order_dir = Duosql.Ast.Desc }
+  in
+  let a = Verify.outline e ordered and b = Verify.outline e ordered in
+  let limited = Verify.outline e { ordered with Partial.limit = Some 3 } in
+  Alcotest.(check bool) "clauses decided" true
+    (a.Duolint.Outline.o_group_by <> [] && a.Duolint.Outline.o_order_by <> []);
+  Alcotest.(check bool) "one state: GROUP BY shared" true
+    (a.Duolint.Outline.o_group_by == b.Duolint.Outline.o_group_by);
+  Alcotest.(check bool) "one state: ORDER BY shared" true
+    (a.Duolint.Outline.o_order_by == b.Duolint.Outline.o_order_by);
+  Alcotest.(check bool) "a sibling shares both" true
+    (a.Duolint.Outline.o_group_by == limited.Duolint.Outline.o_group_by
+    && a.Duolint.Outline.o_order_by == limited.Duolint.Outline.o_order_by);
+  let asc = Verify.outline e { ordered with Partial.order_dir = Duosql.Ast.Asc } in
+  Alcotest.(check bool) "a new direction, a new ORDER BY" true
+    (asc.Duolint.Outline.o_order_by != a.Duolint.Outline.o_order_by
+    && List.map (fun i -> i.Duosql.Ast.o_dir) asc.Duolint.Outline.o_order_by = [ Duosql.Ast.Asc ])
+
 let suite =
   [
     Alcotest.test_case "clauses: sorted flag" `Quick test_clauses_sorted_mismatch;
@@ -532,4 +559,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_no_prefix_of_gold_pruned;
     Alcotest.test_case "sibling set = child by child" `Quick test_sibling_set_cascade;
     Alcotest.test_case "memoized warnings = recomputed" `Quick test_warning_memo;
+    Alcotest.test_case "outline memos share GROUP BY and ORDER BY" `Quick
+      test_outline_shares_clauses;
   ]
