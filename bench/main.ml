@@ -1,45 +1,14 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (part 1), then times the core operations behind each
-   experiment with Bechamel microbenchmarks (part 2).
+(* Bechamel microbenchmarks of the operations no perfbench workload
+   times: Duodb's scan kernels against a scalar scan, executor runs of
+   MAS gold queries, a SQuID discovery round, TSQ synthesis and the two
+   Fig. 12 ablations' synthesis unit.  The paper's tables and figures
+   come from bin/duoquest_bench; regressions are told from noise by
+   perfbench/.
 
-   Scale control: DUOQUEST_BENCH_SCALE=quick runs small generated splits for
-   smoke testing; the default regenerates the full paper-sized splits.
-
-   Flags: --micro-only skips part 1; --json PATH additionally writes the
-   microbenchmark estimates and the profiles below as JSON. *)
+   Flags: --json PATH additionally writes the estimates and the cascade
+   stage profile below as JSON. *)
 
 open Bechamel
-
-let scale () =
-  match Sys.getenv_opt "DUOQUEST_BENCH_SCALE" with
-  | Some ("quick" | "QUICK") -> `Quick
-  | Some _ | None -> `Full
-
-(* --- part 1: paper tables and figures --- *)
-
-let run_experiments () =
-  (* DUOQUEST_DOMAINS > 1 shards workload generation and the simulation
-     runs over one shared pool; artifacts are identical to the sequential
-     run. *)
-  let domains =
-    Duocore.Enumerate.effective_domains
-      { Duocore.Enumerate.default_config with
-        Duocore.Enumerate.domains = Duocore.Enumerate.domains_from_env () }
-  in
-  let pool = if domains > 1 then Some (Duopar.Pool.create ~domains) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Duopar.Pool.shutdown pool)
-    (fun () ->
-      let t = Duobench.Experiments.create ~scale:(scale ()) ?pool () in
-      let ppf = Format.std_formatter in
-      Format.fprintf ppf
-        "Duoquest reproduction: regenerating all paper artifacts (scale=%s, domains=%d)@."
-        (match scale () with `Quick -> "quick" | `Full -> "full")
-        domains;
-      Duobench.Experiments.run_all t ppf;
-      Format.pp_print_flush ppf ())
-
-(* --- part 2: Bechamel microbenchmarks, one per table/figure --- *)
 
 let movie_session = lazy (Duocore.Duoquest.create_session (Duobench.Movies.database ()))
 let mas_db = lazy (Duobench.Mas.database ())
@@ -66,9 +35,9 @@ let fig2_tsq =
     ~tuples:[ [ Duocore.Tsq.Exact (Duodb.Value.Text "Forrest Gump") ] ]
     ()
 
-let synth_movie mode tsq () =
+let synth_movie mode () =
   ignore
-    (Duocore.Duoquest.synthesize ~config:micro_config ~mode ?tsq
+    (Duocore.Duoquest.synthesize ~config:micro_config ~mode ~tsq:fig2_tsq
        ~literals:[ Duodb.Value.Int 1995 ]
        (Lazy.force movie_session)
        ~nlq:"Find all movies from before 1995" ())
@@ -209,30 +178,6 @@ let duodb_bench_tests () =
 
 let bench_tests () =
   [
-    (* table1: capability matrix rendering *)
-    Test.make ~name:"table1/capability-matrix"
-      (Staged.stage (fun () -> ignore (Duocore.Capability.to_string ())));
-    (* table4: semantic rule checking over the catalogue *)
-    Test.make ~name:"table4/semantic-rules"
-      (Staged.stage (fun () ->
-           let schema = Duobench.Movies.schema in
-           List.iter
-             (fun (_, example, _) ->
-               match Duosql.Parser.query ~schema example with
-               | Ok q -> ignore (Duocore.Semantics.check_query schema q)
-               | Error _ -> ())
-             Duocore.Semantics.catalogue));
-    (* table5: dataset construction *)
-    Test.make ~name:"table5/mas-database-build"
-      (Staged.stage (fun () -> ignore (Duobench.Mas.database ())));
-    (* fig5/fig6: one Duoquest study synthesis on MAS task A1 *)
-    Test.make ~name:"fig5-6/duoquest-on-mas-A1"
-      (Staged.stage (fun () ->
-           ignore
-             (Duocore.Duoquest.synthesize ~config:micro_config
-                ~literals:mas_task_a1.Duobench.Mas.task_literals
-                (Lazy.force mas_session)
-                ~nlq:mas_task_a1.Duobench.Mas.task_nlq ())));
     (* fig7-9: one SQuID-style discovery round *)
     Test.make ~name:"fig7-9/pbe-discovery"
       (Staged.stage (fun () ->
@@ -242,14 +187,11 @@ let bench_tests () =
            match Duobench.Tsq_synth.user_tuples rng db gold ~n:2 with
            | Some tuples -> ignore (Duopbe.Squid.discover db tuples)
            | None -> ()));
-    (* fig10/fig11: dual-specification synthesis (the simulation's unit) *)
-    Test.make ~name:"fig10-11/duoquest-dual-spec"
-      (Staged.stage (synth_movie `Duoquest (Some fig2_tsq)));
     (* fig12: the two ablations' unit operations *)
     Test.make ~name:"fig12/nopq-chaining"
-      (Staged.stage (synth_movie `No_pq (Some fig2_tsq)));
+      (Staged.stage (synth_movie `No_pq));
     Test.make ~name:"fig12/noguide-bfs"
-      (Staged.stage (synth_movie `No_guide (Some fig2_tsq)));
+      (Staged.stage (synth_movie `No_guide));
     (* table6: TSQ synthesis itself *)
     Test.make ~name:"table6/tsq-synthesis"
       (Staged.stage (fun () ->
@@ -259,21 +201,12 @@ let bench_tests () =
              (Duobench.Tsq_synth.synthesize rng db
                 (Duobench.Mas.gold mas_task_a1)
                 ~detail:Duobench.Tsq_synth.Full)));
-    (* table7/table8: gold task execution on MAS *)
-    Test.make ~name:"table7-8/gold-task-execution"
-      (Staged.stage (fun () ->
-           let db = Lazy.force mas_db in
-           List.iter
-             (fun task ->
-               ignore (Duoengine.Executor.run db (Duobench.Mas.gold task)))
-             (Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks)));
   ]
   @ executor_bench_tests ()
   @ duodb_bench_tests ()
 
 let run_microbench () =
-  print_newline ();
-  print_endline "=== Bechamel microbenchmarks (one per paper artifact) ===";
+  print_endline "=== Bechamel microbenchmarks ===";
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
   in
@@ -301,17 +234,13 @@ let run_microbench () =
   List.rev !estimates
 
 (* Cascade stage profile: guided MAS synthesis over the NLI study tasks
-   (each with a synthesized full-detail TSQ), accumulated into per-stage
-   totals so the JSON records where cascade time goes and what each stage
-   prunes — including Duolint's stage 0. *)
+   (each with a synthesized full-detail TSQ), the runs' stats summed so
+   the JSON records where cascade time goes and what each stage prunes —
+   including Duolint's stage 0. *)
 let stage_profile () =
   let db = Lazy.force mas_db in
   let session = Lazy.force mas_session in
-  let n_stages = List.length Duocore.Verify.all_stages in
-  let seconds = Array.make n_stages 0.0 in
-  let pruned = Array.make n_stages 0 in
-  let static_warnings = ref 0 in
-  let dedup_semantic = ref 0 in
+  let totals = Duocore.Verify.new_stats () in
   List.iter
     (fun task ->
       let rng = Duobench.Rng.create 29 in
@@ -324,100 +253,67 @@ let stage_profile () =
           ~literals:task.Duobench.Mas.task_literals session
           ~nlq:task.Duobench.Mas.task_nlq ()
       in
-      let st = outcome.Duocore.Enumerate.out_stats in
-      static_warnings := !static_warnings + st.Duocore.Verify.static_warnings;
-      dedup_semantic := !dedup_semantic + st.Duocore.Verify.dedup_semantic;
-      List.iter
-        (fun stage ->
-          let i = Duocore.Verify.stage_index stage in
-          seconds.(i) <- seconds.(i) +. st.Duocore.Verify.stage_seconds.(i);
-          pruned.(i) <- pruned.(i) + Duocore.Verify.pruned_by st stage)
-        Duocore.Verify.all_stages)
+      Duocore.Verify.merge_stats ~into:totals outcome.Duocore.Enumerate.out_stats)
     Duobench.Mas.nli_study_tasks;
-  (seconds, pruned, !static_warnings, !dedup_semantic)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  totals
 
 let write_json path estimates =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"unit\": \"ns/run (Bechamel OLS estimate)\",\n";
-  out "  \"scale\": \"%s\",\n"
-    (match scale () with `Quick -> "quick" | `Full -> "full");
-  out "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %.1f}%s\n" (json_escape name)
-        ns
-        (if i = List.length estimates - 1 then "" else ","))
-    estimates;
-  out "  ],\n";
+  let open Duoserve.Json in
+  let int n = Num (float_of_int n) in
   let (tdef, tbl, _), _ = Lazy.force duodb_targets in
-  out "  \"duodb\": {\n";
-  out "    \"table\": \"%s\",\n" (json_escape tdef.Duodb.Schema.tbl_name);
-  out "    \"rows\": %d" (Duodb.Table.row_count tbl);
-  (match
-     ( List.assoc_opt "duodb/scan-range/kernel" estimates,
-       List.assoc_opt "duodb/scan-range/scalar" estimates )
-   with
-  | Some kernel_ns, Some scalar_ns when kernel_ns > 0. ->
-      out
-        ",\n    \"scan_range\": {\"kernel_ns\": %.1f, \"scalar_ns\": %.1f, \
-         \"speedup\": %.2f}"
-        kernel_ns scalar_ns (scalar_ns /. kernel_ns)
-  | Some _, Some _ | Some _, None | None, Some _ | None, None -> ());
-  out "\n  },\n";
-  let seconds, pruned, static_warnings, dedup_semantic = stage_profile () in
-  out "  \"verify_stages\": [\n";
-  let n_stages = List.length Duocore.Verify.all_stages in
-  List.iteri
-    (fun i stage ->
-      let idx = Duocore.Verify.stage_index stage in
-      let s = seconds.(idx) and p = pruned.(idx) in
-      out
-        "    {\"stage\": \"%s\", \"seconds\": %.6f, \"pruned\": %d, \
-         \"seconds_per_prune\": %s}%s\n"
-        (Duocore.Verify.stage_name stage)
-        s p
-        (if p = 0 then "null" else Printf.sprintf "%.9f" (s /. float_of_int p))
-        (if i = n_stages - 1 then "" else ","))
-    Duocore.Verify.all_stages;
-  out "  ],\n";
-  (* Duosem activity across the stage-profile runs: states and
-     candidates collapsed by canonical-key dedup, and states pruned by
-     the abstract cardinality bound. *)
-  out
-    "  \"duosem\": {\"dedup_semantic\": %d, \"pruned_by_cardinality\": %d},\n"
-    dedup_semantic
-    (pruned.(Duocore.Verify.stage_index Duocore.Verify.S_cardinality));
-  out "  \"pruned_by_static\": %d,\n"
-    (pruned.(Duocore.Verify.stage_index Duocore.Verify.S_static));
-  out "  \"static_warnings\": %d\n" static_warnings;
-  out "}\n";
+  let scan_range =
+    match
+      ( List.assoc_opt "duodb/scan-range/kernel" estimates,
+        List.assoc_opt "duodb/scan-range/scalar" estimates )
+    with
+    | Some kernel_ns, Some scalar_ns when kernel_ns > 0. ->
+        [ ( "scan_range",
+            Obj
+              [ ("kernel_ns", Num kernel_ns); ("scalar_ns", Num scalar_ns);
+                ("speedup", Num (scalar_ns /. kernel_ns)) ] ) ]
+    | Some _, Some _ | Some _, None | None, Some _ | None, None -> []
+  in
+  let totals = stage_profile () in
+  let stage st =
+    let s = totals.Duocore.Verify.stage_seconds.(Duocore.Verify.stage_index st)
+    and p = Duocore.Verify.pruned_by totals st in
+    Obj
+      [ ("stage", Str (Duocore.Verify.stage_name st)); ("seconds", Num s);
+        ("pruned", int p);
+        ("seconds_per_prune", if p = 0 then Null else Num (s /. float_of_int p)) ]
+  in
+  let doc =
+    Obj
+      [ ("unit", Str "ns/run (Bechamel OLS estimate)");
+        ( "benchmarks",
+          List
+            (List.map
+               (fun (name, ns) -> Obj [ ("name", Str name); ("ns_per_run", Num ns) ])
+               estimates) );
+        ( "duodb",
+          Obj
+            ([ ("table", Str tdef.Duodb.Schema.tbl_name);
+               ("rows", int (Duodb.Table.row_count tbl)) ]
+            @ scan_range) );
+        ("verify_stages", List (List.map stage Duocore.Verify.all_stages));
+        (* Duosem's canonical-key dedup and Duolint's warnings across the
+           stage-profile runs; the stages' prunes are in the rows above. *)
+        ("dedup_semantic", int totals.Duocore.Verify.dedup_semantic);
+        ("static_warnings", int totals.Duocore.Verify.static_warnings) ]
+  in
+  let oc = open_out path in
+  output_string oc (to_string doc ^ "\n");
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
 let () =
-  let micro_only = ref false and json_path = ref None in
-  let rec parse_args = function
-    | [] -> ()
-    | "--micro-only" :: rest -> micro_only := true; parse_args rest
-    | "--json" :: path :: rest -> json_path := Some path; parse_args rest
-    | arg :: _ ->
-        Printf.eprintf "unknown argument %s (expected --micro-only, --json PATH)\n" arg;
+  let json_path =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> None
+    | [ "--json"; path ] -> Some path
+    | _ ->
+        prerr_endline "usage: main.exe [--json PATH]";
         exit 2
   in
-  parse_args (List.tl (Array.to_list Sys.argv));
-  if not !micro_only then run_experiments ();
   let estimates = run_microbench () in
-  Option.iter (fun path -> write_json path estimates) !json_path
+  Option.iter (fun path -> write_json path estimates) json_path

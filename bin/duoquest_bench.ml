@@ -12,6 +12,13 @@ let quick_arg =
 let ids_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids to run (default: all).")
 
+(* DUOQUEST_DOMAINS=<n> is the sharding knob; unset or unparsable reads
+   as sequential, and [effective_domains] clamps the rest to [1, 64]. *)
+let domains_from_env () =
+  Option.value ~default:1
+    (Option.bind (Sys.getenv_opt "DUOQUEST_DOMAINS") (fun s ->
+         int_of_string_opt (String.trim s)))
+
 let run list quick ids =
   if list then begin
     List.iter
@@ -28,7 +35,7 @@ let run list quick ids =
     let domains =
       Duocore.Enumerate.effective_domains
         { Duocore.Enumerate.default_config with
-          Duocore.Enumerate.domains = Duocore.Enumerate.domains_from_env () }
+          Duocore.Enumerate.domains = domains_from_env () }
     in
     let pool =
       if domains > 1 then Some (Duopar.Pool.create ~domains) else None

@@ -324,6 +324,17 @@ let table8 _t ppf = tasks_table ppf "Table 8: user study tasks vs PBE" Mas.pbe_s
 
 (* --- ablations beyond the paper's (design choices in DESIGN.md) --- *)
 
+(* One row per cascade stage, named with what the stage costs. *)
+let cascade_row = function
+  | Duocore.Verify.S_static -> "pruned by static      (lint)"
+  | S_clauses -> "pruned by clauses     (free)"
+  | S_cardinality -> "pruned by cardinality (bound)"
+  | S_semantics -> "pruned by semantics   (free)"
+  | S_types -> "pruned by types     (schema)"
+  | S_column -> "pruned by column     (probe)"
+  | S_row -> "pruned by row        (query)"
+  | S_complete -> "pruned at completion  (full)"
+
 let ablation_cascade t ppf =
   header ppf "Ablation: verification-cascade stage attribution";
   Format.fprintf ppf
@@ -350,13 +361,13 @@ let ablation_cascade t ppf =
       Duocore.Verify.merge_stats ~into:totals outcome.Enumerate.out_stats)
     sample;
   Format.fprintf ppf "tasks sampled: %d@." (List.length sample);
-  Format.fprintf ppf "pruned by static      (lint): %8d@." totals.Duocore.Verify.pruned_by_static;
-  Format.fprintf ppf "pruned by clauses     (free): %8d@." totals.Duocore.Verify.pruned_by_clauses;
-  Format.fprintf ppf "pruned by semantics   (free): %8d@." totals.Duocore.Verify.pruned_by_semantics;
-  Format.fprintf ppf "pruned by types     (schema): %8d@." totals.Duocore.Verify.pruned_by_types;
-  Format.fprintf ppf "pruned by column     (probe): %8d@." totals.Duocore.Verify.pruned_by_column;
-  Format.fprintf ppf "pruned by row        (query): %8d@." totals.Duocore.Verify.pruned_by_row;
-  Format.fprintf ppf "pruned at completion  (full): %8d@." totals.Duocore.Verify.pruned_by_complete;
+  List.iter
+    (fun stage ->
+      let label = cascade_row stage in
+      (* Numbers right-aligned at one column, whatever the label width. *)
+      Format.fprintf ppf "%s: %*d@." label (36 - String.length label)
+        (Duocore.Verify.pruned_by totals stage))
+    Duocore.Verify.all_stages;
   Format.fprintf ppf "column probes: %d, row probes: %d, full executions: %d@."
     totals.Duocore.Verify.column_probes totals.Duocore.Verify.row_probes
     totals.Duocore.Verify.full_executions;
@@ -468,10 +479,3 @@ let run t ppf id =
   | Some (_, _, f) ->
       f t ppf;
       Ok ()
-
-let run_all t ppf =
-  List.iter
-    (fun (_, _, f) ->
-      f t ppf;
-      Format.pp_print_flush ppf ())
-    experiments

@@ -4,7 +4,7 @@
 
     Heavy inputs (the generated splits and the per-system simulation runs)
     are computed lazily and shared across experiments within a process, so
-    [run_all] performs each synthesis sweep exactly once.
+    running every id performs each synthesis sweep exactly once.
 
     [scale] trades fidelity for speed: [`Full] uses the paper-sized splits
     (589 dev / 1247 test tasks); [`Quick] uses small splits for smoke
@@ -28,8 +28,6 @@ val all_ids : string list
 
 (** [run t ppf id] executes one experiment; [Error msg] for unknown ids. *)
 val run : t -> Format.formatter -> string -> (unit, string) result
-
-val run_all : t -> Format.formatter -> unit
 
 (** One-line description per experiment id. *)
 val describe : string -> string option

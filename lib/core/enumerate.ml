@@ -41,17 +41,6 @@ let effective_domains config =
   if config.overcommit then requested
   else min requested (max 1 (Domain.recommended_domain_count ()))
 
-(* DUOQUEST_DOMAINS=<n> is the sharding knob of the bench harnesses;
-   unset, unparsable or out-of-range values fall back to
-   sequential. *)
-let domains_from_env () =
-  match Sys.getenv_opt "DUOQUEST_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n 64
-      | Some _ | None -> 1)
-
 type candidate = {
   cand_query : query;
   cand_confidence : float;
@@ -717,24 +706,21 @@ let rebase s ~tsq =
   s.st_times.verify_s <- s.st_times.verify_s +. (Clock.mono () -. m0);
   s.st_elapsed_s <- s.st_elapsed_s +. (Clock.now () -. t0)
 
-(* Snapshot the run's observable outcome.  The stats are a copy, so a
-   later [step] never rewrites a snapshot already handed out.  The
-   Duopar fields keep their sequential values: one domain, no
-   speculation. *)
-let outcome s =
-  let out_stats = Verify.new_stats () in
-  Verify.merge_stats ~into:out_stats s.st_stats;
+(* The one place the outcome record is written.  The Duopar fields keep
+   their sequential values: one domain, no speculation.  A fresh record
+   and stats every call: outcomes carry a mutable [Verify.stats]. *)
+let empty_outcome () =
   {
-    out_candidates = List.rev s.st_candidates;
-    out_pops = s.st_pops;
-    out_pushed = Frontier.pushed s.st_frontier;
-    out_stats;
-    out_elapsed_s = s.st_elapsed_s;
-    out_expand_s = s.st_times.expand_s;
-    out_verify_s = s.st_times.verify_s;
-    out_admit_s = s.st_times.admit_s;
-    out_exhausted = s.st_exhausted;
-    out_dropped = Frontier.dropped s.st_frontier;
+    out_candidates = [];
+    out_pops = 0;
+    out_pushed = 0;
+    out_stats = Verify.new_stats ();
+    out_elapsed_s = 0.0;
+    out_expand_s = 0.0;
+    out_verify_s = 0.0;
+    out_admit_s = 0.0;
+    out_exhausted = false;
+    out_dropped = 0;
     out_domains = 1;
     out_spec_rounds = 0;
     out_spec_tasks = 0;
@@ -742,6 +728,27 @@ let outcome s =
     out_spec_round_size = 0;
     out_spec_grows = 0;
     out_spec_shrinks = 0;
+    out_rebases = 0;
+    out_rebase_kept = 0;
+    out_rebase_dropped = 0;
+  }
+
+(* Snapshot the run's observable outcome.  The stats are a copy, so a
+   later [step] never rewrites a snapshot already handed out. *)
+let outcome s =
+  let o = empty_outcome () in
+  Verify.merge_stats ~into:o.out_stats s.st_stats;
+  {
+    o with
+    out_candidates = List.rev s.st_candidates;
+    out_pops = s.st_pops;
+    out_pushed = Frontier.pushed s.st_frontier;
+    out_elapsed_s = s.st_elapsed_s;
+    out_expand_s = s.st_times.expand_s;
+    out_verify_s = s.st_times.verify_s;
+    out_admit_s = s.st_times.admit_s;
+    out_exhausted = s.st_exhausted;
+    out_dropped = Frontier.dropped s.st_frontier;
     out_rebases = s.st_rebases;
     out_rebase_kept = s.st_rebase_kept;
     out_rebase_dropped = s.st_rebase_dropped;

@@ -58,10 +58,6 @@ val default_config : config
     with this. *)
 val effective_domains : config -> int
 
-(** Reads [DUOQUEST_DOMAINS]; 1 when unset, unparsable, or < 1; capped
-    at 64.  The bench harnesses use this so sharding stays opt-in. *)
-val domains_from_env : unit -> int
-
 type candidate = {
   cand_query : Duosql.Ast.query;
   cand_confidence : float;
@@ -186,6 +182,11 @@ val finished : state -> bool
     record is a copy, so a later {!step} never changes a snapshot
     already taken. *)
 val outcome : state -> outcome
+
+(** The outcome of a run that never stepped: no candidates, every
+    counter zero.  A fresh record and stats every call, so one caller's
+    mutation never reaches another's. *)
+val empty_outcome : unit -> outcome
 
 (** {2 Incremental re-synthesis}
 

@@ -2,10 +2,10 @@ open Duosql.Ast
 module Value = Duodb.Value
 module Datatype = Duodb.Datatype
 
-(* The cascade's stages, cheapest first.  [stage_seconds] is indexed by
-   [stage_index], so reordering or extending the cascade cannot silently
-   misattribute time: both the cascade and the stats report go through the
-   same enum. *)
+(* The cascade's stages, cheapest first.  [stage_seconds] and
+   [stage_pruned] are indexed by [stage_index], so reordering or
+   extending the cascade cannot silently misattribute time or prunes:
+   both the cascade and the stats report go through the same enum. *)
 type stage =
   | S_static
   | S_clauses
@@ -50,14 +50,6 @@ type stats = {
   mutable join_index_builds : int;
   mutable join_index_hits : int;
   mutable pruned : int;
-  mutable pruned_by_static : int;
-  mutable pruned_by_clauses : int;
-  mutable pruned_by_cardinality : int;
-  mutable pruned_by_semantics : int;
-  mutable pruned_by_types : int;
-  mutable pruned_by_column : int;
-  mutable pruned_by_row : int;
-  mutable pruned_by_complete : int;
   mutable dedup_semantic : int;
   mutable visited_hits : int;
   mutable canon_checked : int;
@@ -66,32 +58,23 @@ type stats = {
   mutable batch_rounds : int;
   mutable batched_probes : int;
   mutable early_stops : int;
+  mutable verify_calls : int;
   mutable stage_seconds : float array;
+  stage_pruned : int array;
 }
 
 let new_stats () =
   { column_probes = 0; index_probes = 0; row_probes = 0; full_executions = 0;
     relcache_hits = 0; pushdown_builds = 0; join_index_builds = 0;
-    join_index_hits = 0; pruned = 0;
-    pruned_by_static = 0; pruned_by_clauses = 0; pruned_by_cardinality = 0;
-    pruned_by_semantics = 0;
-    pruned_by_types = 0; pruned_by_column = 0; pruned_by_row = 0;
-    pruned_by_complete = 0; dedup_semantic = 0; visited_hits = 0;
+    join_index_hits = 0; pruned = 0; dedup_semantic = 0; visited_hits = 0;
     canon_checked = 0; key_renders = 0; static_warnings = 0;
-    batch_rounds = 0; batched_probes = 0; early_stops = 0;
-    stage_seconds = Array.make (List.length all_stages) 0.0 }
+    batch_rounds = 0; batched_probes = 0; early_stops = 0; verify_calls = 0;
+    stage_seconds = Array.make (List.length all_stages) 0.0;
+    stage_pruned = Array.make (List.length all_stages) 0 }
 
-let pruned_by s = function
-  | S_static -> s.pruned_by_static
-  | S_clauses -> s.pruned_by_clauses
-  | S_cardinality -> s.pruned_by_cardinality
-  | S_semantics -> s.pruned_by_semantics
-  | S_types -> s.pruned_by_types
-  | S_column -> s.pruned_by_column
-  | S_row -> s.pruned_by_row
-  | S_complete -> s.pruned_by_complete
+let pruned_by s stage = s.stage_pruned.(stage_index stage)
 
-(* All counters are plain adds; [stage_seconds] sums elementwise.  The
+(* All counters are plain adds; the per-stage arrays sum elementwise.  The
    relation-cache mirrors ([relcache_hits], [pushdown_builds],
    [join_index_builds], [join_index_hits]) are also summed, so a caller
    merging several records must make sure each carries only its own
@@ -107,15 +90,6 @@ let merge_stats ~into s =
   into.join_index_builds <- into.join_index_builds + s.join_index_builds;
   into.join_index_hits <- into.join_index_hits + s.join_index_hits;
   into.pruned <- into.pruned + s.pruned;
-  into.pruned_by_static <- into.pruned_by_static + s.pruned_by_static;
-  into.pruned_by_clauses <- into.pruned_by_clauses + s.pruned_by_clauses;
-  into.pruned_by_cardinality <-
-    into.pruned_by_cardinality + s.pruned_by_cardinality;
-  into.pruned_by_semantics <- into.pruned_by_semantics + s.pruned_by_semantics;
-  into.pruned_by_types <- into.pruned_by_types + s.pruned_by_types;
-  into.pruned_by_column <- into.pruned_by_column + s.pruned_by_column;
-  into.pruned_by_row <- into.pruned_by_row + s.pruned_by_row;
-  into.pruned_by_complete <- into.pruned_by_complete + s.pruned_by_complete;
   into.dedup_semantic <- into.dedup_semantic + s.dedup_semantic;
   into.visited_hits <- into.visited_hits + s.visited_hits;
   into.canon_checked <- into.canon_checked + s.canon_checked;
@@ -124,17 +98,11 @@ let merge_stats ~into s =
   into.batch_rounds <- into.batch_rounds + s.batch_rounds;
   into.batched_probes <- into.batched_probes + s.batched_probes;
   into.early_stops <- into.early_stops + s.early_stops;
+  into.verify_calls <- into.verify_calls + s.verify_calls;
   for i = 0 to Array.length s.stage_seconds - 1 do
-    into.stage_seconds.(i) <- into.stage_seconds.(i) +. s.stage_seconds.(i)
+    into.stage_seconds.(i) <- into.stage_seconds.(i) +. s.stage_seconds.(i);
+    into.stage_pruned.(i) <- into.stage_pruned.(i) + s.stage_pruned.(i)
   done
-
-(* Process-wide cascade invocation counter.  The per-run stats records
-   above are all domain-confined; this is the one counter that must be
-   global (it spans every domain and every concurrent run), so it is an
-   [Atomic] rather than a mutable field. *)
-let verify_calls : int Atomic.t = Atomic.make 0
-
-let total_verifies () = Atomic.get verify_calls
 
 (* Verification queries abort past this relation size — the stand-in for
    the real system's per-query timeout (Section 3.4's "costly depending on
@@ -759,16 +727,6 @@ let verify_complete env q =
       relcache_delta env env.e_stats;
       r
 
-let bump_pruned s = function
-  | S_static -> s.pruned_by_static <- s.pruned_by_static + 1
-  | S_clauses -> s.pruned_by_clauses <- s.pruned_by_clauses + 1
-  | S_cardinality -> s.pruned_by_cardinality <- s.pruned_by_cardinality + 1
-  | S_semantics -> s.pruned_by_semantics <- s.pruned_by_semantics + 1
-  | S_types -> s.pruned_by_types <- s.pruned_by_types + 1
-  | S_column -> s.pruned_by_column <- s.pruned_by_column + 1
-  | S_row -> s.pruned_by_row <- s.pruned_by_row + 1
-  | S_complete -> s.pruned_by_complete <- s.pruned_by_complete + 1
-
 (* --- the cascade --- *)
 
 let verify_complete_state env (t : Partial.t) =
@@ -785,8 +743,8 @@ let stages =
 (* Stages [first] .. [last] on one state, in order, up to the first
    that fails: the clock stamp that closes a stage opens the next. *)
 let check_deferred env ~first ~last (t : Partial.t) =
-  Atomic.incr verify_calls;
   let s = env.e_stats and last = stage_index last in
+  s.verify_calls <- s.verify_calls + 1;
   let k = ref (stage_index first) and ok = ref true in
   let t0 = ref (Clock.mono ()) in
   while !ok && !k <= last do
@@ -797,7 +755,7 @@ let check_deferred env ~first ~last (t : Partial.t) =
     if !ok then incr k
   done;
   if not !ok then begin
-    bump_pruned s (fst stages.(!k));
+    s.stage_pruned.(!k) <- s.stage_pruned.(!k) + 1;
     s.pruned <- s.pruned + 1
   end;
   !ok
@@ -824,14 +782,14 @@ let retarget env ~tsq =
 (* Re-check an already-emitted candidate (a complete query) under the
    retargeted sketch; counted and timed like a complete-stage prune. *)
 let reverify_query env q =
-  Atomic.incr verify_calls;
   let s = env.e_stats in
+  s.verify_calls <- s.verify_calls + 1;
   let i = stage_index S_complete in
   let t0 = Clock.mono () in
   let ok = verify_complete env q in
   s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
   if not ok then begin
-    bump_pruned s S_complete;
+    s.stage_pruned.(i) <- s.stage_pruned.(i) + 1;
     s.pruned <- s.pruned + 1
   end;
   ok

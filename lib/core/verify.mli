@@ -31,8 +31,9 @@
     states only ({!check_deferred}), so no check is paid for a state
     the search never reaches. *)
 
-(** The cascade's stages, cheapest first.  [stats.stage_seconds] is
-    indexed by {!stage_index}; {!all_stages} fixes the report order. *)
+(** The cascade's stages, cheapest first.  [stats.stage_seconds] and
+    [stats.stage_pruned] are indexed by {!stage_index}; {!all_stages}
+    fixes the report order. *)
 type stage =
   | S_static
   | S_clauses
@@ -62,16 +63,6 @@ type stats = {
   mutable join_index_hits : int;
       (** join steps served by an already-built join-key index *)
   mutable pruned : int;  (** states rejected by any stage *)
-  mutable pruned_by_static : int;
-  mutable pruned_by_clauses : int;
-  mutable pruned_by_cardinality : int;
-      (** states whose Duosem row-count upper bound is below the
-          sketch's required tuple count *)
-  mutable pruned_by_semantics : int;
-  mutable pruned_by_types : int;
-  mutable pruned_by_column : int;
-  mutable pruned_by_row : int;
-  mutable pruned_by_complete : int;
   mutable dedup_semantic : int;
       (** enumerator pushes/emissions suppressed because a
           Duosem-canonically-equal state or candidate was already seen *)
@@ -98,32 +89,33 @@ type stats = {
           complete-query checks) that stopped before the end of their
           output because every example tuple already held enough
           matching rows *)
+  mutable verify_calls : int;
+      (** cascade invocations: one per call of {!check_deferred},
+          {!verify} and {!reverify_query}, one per child through
+          {!verify_batch} *)
   mutable stage_seconds : float array;
       (** monotonic wall time per cascade stage, indexed by
           {!stage_index}: the sum over the stage's runs, one clock stamp
           per stage boundary *)
+  stage_pruned : int array;
+      (** states rejected per cascade stage, indexed like
+          [stage_seconds]; they sum to [pruned].  Read through
+          {!pruned_by}. *)
 }
 
 val new_stats : unit -> stats
 
-(** Per-stage prune counter, by the same enum that indexes
-    [stage_seconds]. *)
+(** Per-stage prune counter: [stage_pruned] at the stage's
+    {!stage_index}. *)
 val pruned_by : stats -> stage -> int
 
 (** [merge_stats ~into s] adds every counter of [s] into [into]
-    (elementwise for [stage_seconds]): snapshots copy a run's record
-    this way, and Duoserve sums its sessions' records.  Note
+    (elementwise for [stage_seconds] and [stage_pruned]): snapshots copy
+    a run's record this way, and Duoserve sums its sessions' records.  Note
     [relcache_hits]/[pushdown_builds] and the [join_index_*] mirrors are
     summed too — each merged record should carry only its own run's
     relation-cache activity, as an outcome's does. *)
 val merge_stats : into:stats -> stats -> unit
-
-(** Process-wide count of cascade invocations (one per call of
-    {!check_deferred}, {!verify} and {!reverify_query}, one per child
-    through {!verify_batch}) across all domains and runs — the one
-    globally shared counter, backed by an [Atomic].  Monotone; callers
-    interested in a single run take a delta. *)
-val total_verifies : unit -> int
 
 (** A verification environment: database, sketch, tagged literals, probe
     cache and counters. *)

@@ -80,38 +80,11 @@ let step ~max_pops s =
       | Enumerate.Finished -> s.status <- Finished)
   | Running, None | (Finished | Cancelled | Failed _), (Some _ | None) -> ()
 
-(* A fresh record every call: outcomes carry a mutable [Verify.stats], so
-   a shared module-level value would let one caller's mutation corrupt
-   every session's empty outcome (regression-tested). *)
-let empty_outcome () =
-  {
-    Enumerate.out_candidates = [];
-    out_pops = 0;
-    out_pushed = 0;
-    out_stats = Duocore.Verify.new_stats ();
-    out_elapsed_s = 0.0;
-    out_expand_s = 0.0;
-    out_verify_s = 0.0;
-    out_admit_s = 0.0;
-    out_exhausted = false;
-    out_dropped = 0;
-    out_domains = 1;
-    out_spec_rounds = 0;
-    out_spec_tasks = 0;
-    out_spec_hits = 0;
-    out_spec_round_size = 0;
-    out_spec_grows = 0;
-    out_spec_shrinks = 0;
-    out_rebases = 0;
-    out_rebase_kept = 0;
-    out_rebase_dropped = 0;
-  }
-
 let outcome s =
   match s.state with
   | Some st -> Enumerate.outcome st
   | None -> (
-      match s.last with Some o -> o | None -> empty_outcome ())
+      match s.last with Some o -> o | None -> Enumerate.empty_outcome ())
 
 let refine s tsq =
   s.refinements <- s.refinements + 1;

@@ -60,7 +60,7 @@ let sorted_tsq =
 (* States discarded at pop by a stage after [static] *)
 let discards (o : Enumerate.outcome) =
   let st = o.Enumerate.out_stats in
-  st.Duocore.Verify.pruned - st.Duocore.Verify.pruned_by_static
+  st.Duocore.Verify.pruned - Duocore.Verify.pruned_by st Duocore.Verify.S_static
 
 let test_run_respects_budget () =
   let config =
@@ -515,7 +515,7 @@ let test_resume_identical_dual () =
   let o = Enumerate.outcome s in
   Alcotest.(check int) "two pops counted" 2 o.Enumerate.out_pops;
   Alcotest.(check bool) "after a discard at the clauses stage" true
-    (o.Enumerate.out_stats.Duocore.Verify.pruned_by_clauses > 0)
+    (Duocore.Verify.pruned_by o.Enumerate.out_stats Duocore.Verify.S_clauses > 0)
 
 (* NoPQ verifies complete states, at pop, and never a partial one: the
    root's most likely child, which leaves out ORDER BY and so fails the
@@ -759,7 +759,9 @@ let test_static_dead_costs_no_pop () =
     if admitted && not (Duocore.Verify.verify_static env c) then incr dead_admitted
   in
   let s = Enumerate.init mas_config (mas_ctx task) db ~tsq:None ~literals:[] ~on_offer () in
-  let static_pruned () = (Enumerate.outcome s).Enumerate.out_stats.Duocore.Verify.pruned_by_static in
+  let static_pruned (o : Enumerate.outcome) =
+    Duocore.Verify.pruned_by o.Enumerate.out_stats Duocore.Verify.S_static
+  in
   let slices_with_discard = ref 0 in
   let rec go () =
     let before = Enumerate.outcome s in
@@ -769,7 +771,7 @@ let test_static_dead_costs_no_pop () =
         let after = Enumerate.outcome s in
         Alcotest.(check int) "one pop per slice" (before.Enumerate.out_pops + 1)
           after.Enumerate.out_pops;
-        if static_pruned () > before.Enumerate.out_stats.Duocore.Verify.pruned_by_static then
+        if static_pruned after > static_pruned before then
           incr slices_with_discard;
         go ()
   in
@@ -778,7 +780,7 @@ let test_static_dead_costs_no_pop () =
   Alcotest.(check bool) "and discarded at pop inside one-pop slices" true
     (!slices_with_discard > 0);
   Alcotest.(check bool) "no more discards than admissions" true
-    (static_pruned () <= !dead_admitted)
+    (static_pruned (Enumerate.outcome s) <= !dead_admitted)
 
 let test_penalty_range () =
   let init penalty =

@@ -53,12 +53,15 @@ let test_prolific_author_exists () =
       | _ -> Alcotest.fail "unexpected result shape")
     [ "Wei Zhang"; "Maria Garcia" ]
 
-(* The row and complete stages stream a probe's output into the example
-   matcher and stop once every tuple has enough matching rows: a dual run
-   on a study task stops some scans early; an NLI run has no example
-   tuples and never reaches the matcher. *)
-let test_early_stops () =
-  let task = List.hd Mas.nli_study_tasks in
+let study_config =
+  { Duocore.Enumerate.default_config with
+    Duocore.Enumerate.max_pops = 2000;
+    max_candidates = 10;
+    time_budget_s = 60.0 }
+
+(* One pop-bounded run of a study task on a fresh session, dual mode
+   with a full-detail sketch unless [mode] says otherwise. *)
+let run_task ?(mode = `Duoquest) (task : Mas.task) =
   let tsq =
     match
       Duobench.Tsq_synth.synthesize (Duobench.Rng.create 7) db (Mas.gold task)
@@ -67,20 +70,46 @@ let test_early_stops () =
     | Some tsq -> tsq
     | None -> Alcotest.fail "no sketch for the task"
   in
-  let config =
-    { Duocore.Enumerate.default_config with
-      Duocore.Enumerate.max_pops = 2000;
-      max_candidates = 10;
-      time_budget_s = 60.0 }
+  Duocore.Duoquest.synthesize ~config:study_config ~mode ~tsq
+    ~literals:task.Mas.task_literals (Duocore.Duoquest.create_session db)
+    ~nlq:task.Mas.task_nlq ()
+
+(* The row and complete stages stream a probe's output into the example
+   matcher and stop once every tuple has enough matching rows: a dual run
+   on a study task stops some scans early; an NLI run has no example
+   tuples and never reaches the matcher. *)
+let test_early_stops () =
+  let task = List.hd Mas.nli_study_tasks in
+  let early_stops mode =
+    (run_task ~mode task).Duocore.Enumerate.out_stats.Duocore.Verify.early_stops
   in
-  let run mode =
-    (Duocore.Duoquest.synthesize ~config ~mode ~tsq
-       ~literals:task.Mas.task_literals (Duocore.Duoquest.create_session db)
-       ~nlq:task.Mas.task_nlq ())
-      .Duocore.Enumerate.out_stats.Duocore.Verify.early_stops
-  in
-  Alcotest.(check bool) "dual run stops scans early" true (run `Duoquest > 0);
-  Alcotest.(check int) "NLI run never streams a match" 0 (run `Nli)
+  Alcotest.(check bool) "dual run stops scans early" true (early_stops `Duoquest > 0);
+  Alcotest.(check int) "NLI run never streams a match" 0 (early_stops `Nli)
+
+(* Merging two runs' stats sums the prune counters, stage by stage, and
+   the per-run cascade invocation count.  Outcome snapshots are merges
+   themselves, so a merge that dropped a counter would zero both sides
+   of a sum; the nonzero and add-up checks catch that. *)
+let test_merge_stats () =
+  let module V = Duocore.Verify in
+  let a = (run_task (List.hd Mas.nli_study_tasks)).Duocore.Enumerate.out_stats in
+  let b = (run_task (List.hd Mas.pbe_study_tasks)).Duocore.Enumerate.out_stats in
+  let merged = V.new_stats () in
+  V.merge_stats ~into:merged a;
+  V.merge_stats ~into:merged b;
+  let sum f = f a + f b in
+  Alcotest.(check bool) "both runs verified and pruned" true
+    (a.V.verify_calls > 0 && b.V.verify_calls > 0 && a.V.pruned > 0 && b.V.pruned > 0);
+  Alcotest.(check int) "pruned" (sum (fun s -> s.V.pruned)) merged.V.pruned;
+  Alcotest.(check int) "verify_calls" (sum (fun s -> s.V.verify_calls)) merged.V.verify_calls;
+  List.iter
+    (fun st ->
+      Alcotest.(check int) ("pruned_by " ^ V.stage_name st)
+        (sum (fun s -> V.pruned_by s st))
+        (V.pruned_by merged st))
+    V.all_stages;
+  Alcotest.(check int) "stage prunes add up to pruned" merged.V.pruned
+    (List.fold_left (fun acc st -> acc + V.pruned_by merged st) 0 V.all_stages)
 
 let suite =
   [
@@ -89,5 +118,7 @@ let suite =
     Alcotest.test_case "deterministic generation" `Quick test_deterministic;
     Alcotest.test_case "prolific authors exist" `Quick test_prolific_author_exists;
     Alcotest.test_case "early stops: dual > 0, NLI = 0" `Quick test_early_stops;
+    Alcotest.test_case "merge_stats sums two runs' prunes and verifies" `Quick
+      test_merge_stats;
   ]
   @ task_cases

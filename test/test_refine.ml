@@ -114,13 +114,14 @@ let check_warm_vs_cold ~name session ~nlq ~literals ~tight =
     ~old:loose ~new_:tight;
   let st = Duoquest.prepare ~config ~tsq:loose ~literals session ~nlq () in
   run_to_completion st;
-  let v0 = Verify.total_verifies () in
+  let verifies (o : Enumerate.outcome) = o.Enumerate.out_stats.Verify.verify_calls in
+  let v0 = verifies (Enumerate.outcome st) in
   Enumerate.rebase st ~tsq:tight;
   run_to_completion st;
-  let warm = Enumerate.outcome st and warm_verifies = Verify.total_verifies () - v0 in
-  let v0 = Verify.total_verifies () in
+  let warm = Enumerate.outcome st in
+  let warm_verifies = verifies warm - v0 in
   let cold = Duoquest.synthesize ~config ~tsq:tight ~literals session ~nlq () in
-  let cold_verifies = Verify.total_verifies () - v0 in
+  let cold_verifies = verifies cold in
   Alcotest.(check (list string))
     (name ^ ": identical candidates") (sqls cold) (sqls warm);
   Alcotest.(check (list (float 1e-9)))

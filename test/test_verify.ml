@@ -288,7 +288,8 @@ let counters (s : Verify.stats) =
     ("join_index_hits", s.Verify.join_index_hits); ("pruned", s.Verify.pruned);
     ("dedup_semantic", s.Verify.dedup_semantic); ("visited_hits", s.Verify.visited_hits);
     ("canon_checked", s.Verify.canon_checked); ("key_renders", s.Verify.key_renders);
-    ("static_warnings", s.Verify.static_warnings); ("early_stops", s.Verify.early_stops) ]
+    ("static_warnings", s.Verify.static_warnings); ("early_stops", s.Verify.early_stops);
+    ("verify_calls", s.Verify.verify_calls) ]
   @ List.map (fun st -> ("pruned." ^ Verify.stage_name st, Verify.pruned_by s st)) Verify.all_stages
 
 (* The children and grandchildren of every state along the gold's
