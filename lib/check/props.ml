@@ -1158,6 +1158,40 @@ let lint_soundness_prop ((sc : Gen.scenario), seed) =
            (Duosql.Pretty.query q))
     errs
 
+(* --- One judge per Table 4 rule ------------------------------------- *)
+
+(* The complete stage checks only the literals and Definition 2.4.  That
+   is enough because every complete state [static] and [semantics]
+   accept also passes the Table 4 reference ({!Duocore.Semantics}) and
+   carries no Duolint error on [Outline.of_query] of its query.  Checked
+   over a derivation sample, each state's twins and its canonical twins
+   (duplicate and weaker predicates, a WHERE predicate as HAVING). *)
+let complete_rules_prop ((sc : Gen.scenario), seed) =
+  let module Verify = Duocore.Verify in
+  let schema = Duodb.Database.schema sc.Gen.sc_db in
+  let env = Verify.make_env ~db:sc.Gen.sc_db ~tsq:None ~literals:[] () in
+  let check (t : Partial.t) =
+    (not (Partial.is_complete t && Verify.verify_static env t && Verify.verify_semantics env t))
+    ||
+    match Partial.to_query t with
+    | None -> true
+    | Some q -> (
+        match Duocore.Semantics.check_query schema q with
+        | Error v ->
+            QCheck.Test.fail_reportf "static and semantics accept %s; Table 4 rejects it (%s)"
+              (Duosql.Pretty.query q) (Duocore.Semantics.violation_to_string v)
+        | Ok () -> (
+            match Lint.errors (Lint.check_query schema q) with
+            | [] -> true
+            | d :: _ ->
+                QCheck.Test.fail_reportf
+                  "static accepts the complete state of %s; its query has %a"
+                  (Duosql.Pretty.query q) Diag.pp d))
+  in
+  List.for_all
+    (fun t -> List.for_all check ((t :: twins t) @ canonical_twins t))
+    (derivation_sample sc seed ~max_states:(60 + (seed mod 60)))
+
 (* --- Duosem equivalence and cardinality ------------------------------ *)
 
 module Duosem = Duolint.Duosem
@@ -1342,6 +1376,9 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(12 * mult)
       ~name:"verify on pop: the deferred verdict is constant on key and canonical partitions"
       arb_seeded partition_verdict_prop;
+    QCheck.Test.make ~count:(12 * mult)
+      ~name:"one judge per rule: complete states static and semantics accept pass Table 4"
+      arb_seeded complete_rules_prop;
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;

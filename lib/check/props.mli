@@ -46,6 +46,10 @@
       {!Duocore.Partial.canonical_key} partition (permuted WHERE
       predicates, literals swapped between bounds), so a state that
       fails it at pop may keep its visited and canonical slot;
+    - {b one judge per rule}: every complete state that the [static]
+      and [semantics] stages accept passes {!Duocore.Semantics.check_query}
+      and has no Duolint error on [Outline.of_query] of its query, so the
+      complete stage need not re-check either;
     - {b Duosem equivalence}: {!Duolint.Duosem.canonical_query} keeps the
       error status and the result multiset of every generated query on
       its database, and canonicalization is idempotent;
@@ -100,6 +104,7 @@ val dedup_exact_prop : Gen.scenario * int -> bool
     their twins and their WHERE spellings (permuted predicates, literals
     swapped between bounds). *)
 val partition_verdict_prop : Gen.scenario * int -> bool
+val complete_rules_prop : Gen.scenario * int -> bool
 val duosem_equiv_prop : Gen.scenario -> bool
 val duosem_card_prop : Gen.scenario -> bool
 val domain_lattice_prop : int -> bool

@@ -8,8 +8,8 @@ open Duosql.Ast
    prunes a partial query must also fail on every completion of it.  We
    check the contrapositive mechanically: explore the enumeration space,
    and whenever a stage prunes a child, brute-force a bounded set of its
-   completions; if any completion passes the full Definition 2.4 check
-   ([Verify.verify_complete]), pruning threw away a satisfying query. *)
+   completions; if any completion is accepted ([accepts]), pruning threw
+   away a satisfying query. *)
 
 type violation = {
   vi_state : Partial.t;
@@ -17,23 +17,19 @@ type violation = {
   vi_witness : query;
 }
 
-(* Derived from the cascade's own stage enum, so a stage added to Verify
-   cannot silently escape the soundness check. *)
+(* Both derived from the cascade's own stage table, so a stage added to
+   Verify cannot silently escape the soundness check. *)
 let stage_names = List.map Verify.stage_name Verify.all_stages
 
 let first_failing_stage env (t : Partial.t) =
-  if not (Verify.verify_static env t) then Some "static"
-  else if not (Verify.verify_clauses env t) then Some "clauses"
-  else if not (Verify.verify_cardinality env t) then Some "cardinality"
-  else if not (Verify.verify_semantics env t) then Some "semantics"
-  else if not (Verify.verify_column_types env t) then Some "types"
-  else if not (Verify.verify_by_column env t) then Some "column"
-  else if Verify.can_check_rows t && not (Verify.verify_by_row env t) then
-    Some "row"
-  else
-    match Partial.to_query t with
-    | Some q when not (Verify.verify_complete env q) -> Some "complete"
-    | _ -> None
+  Option.map Verify.stage_name
+    (List.find_opt (fun st -> not (Verify.check_stage env st t)) Verify.all_stages)
+
+(* Judging the complete state, not its query, keeps static's open-world
+   outline under test. *)
+let accepts env (s : Partial.t) =
+  Partial.is_complete s
+  && List.for_all (fun st -> Verify.check_stage env st s) [ Verify.S_static; S_semantics; S_complete ]
 
 let completions ~guided ~hints ctx ~max_nodes ~max_complete state =
   let acc = ref [] in
@@ -47,10 +43,7 @@ let completions ~guided ~hints ctx ~max_nodes ~max_complete state =
   do
     let s = Queue.pop q in
     incr n;
-    if Partial.is_complete s then (
-      match Partial.to_query s with
-      | Some qq -> acc := qq :: !acc
-      | None -> ())
+    if Partial.is_complete s then acc := s :: !acc
     else List.iter (fun c -> Queue.add c q) (Enumerate.expand ~guided hints ctx s)
   done;
   List.rev !acc
@@ -89,7 +82,9 @@ let check ?(guided = true) ?(max_states = 200) ?(max_pruned = 40)
                     ~max_complete:max_completions child
                 in
                 (match
-                   List.find_opt (fun qq -> Verify.verify_complete env qq) comps
+                   List.find_map
+                     (fun c -> if accepts env c then Partial.to_query c else None)
+                     comps
                  with
                 | Some w ->
                     violations :=

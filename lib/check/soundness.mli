@@ -5,28 +5,28 @@
     gold-survival regression tests. *)
 
 (** A soundness violation: [vi_stage] pruned [vi_state], yet [vi_witness]
-    — a completion of it — passes the full Definition 2.4 check. *)
+    — a completion of it — passes the [static], [semantics] and
+    [complete] stages. *)
 type violation = {
   vi_state : Duocore.Partial.t;
   vi_stage : string;
   vi_witness : Duosql.Ast.query;
 }
 
-(** Cascade stage names, cheapest first: ["clauses"; "semantics"; "types";
-    "column"; "row"; "complete"]. *)
+(** Cascade stage names, cheapest first: ["static"; "clauses";
+    "cardinality"; "semantics"; "types"; "column"; "row"; "complete"]. *)
 val stage_names : string list
 
 (** The first cascade stage that rejects the state, in ascending-cost
-    order ([None] = survives; the row stage only runs when
-    {!Duocore.Verify.can_check_rows} allows it, the complete stage only on
-    complete states). *)
+    order ([None] = survives; the row stage passes states it has no probe
+    for, the complete stage runs only on complete states). *)
 val first_failing_stage :
   Duocore.Verify.env -> Duocore.Partial.t -> string option
 
 (** [completions ~guided ~hints ctx ~max_nodes ~max_complete state]
-    brute-forces complete queries reachable from [state] by repeated
+    brute-forces complete states reachable from [state] by repeated
     {!Duocore.Enumerate.expand}, visiting at most [max_nodes] states and
-    returning at most [max_complete] queries.  No verification is applied
+    returning at most [max_complete] of them.  No verification is applied
     — this is the raw reachable set. *)
 val completions :
   guided:bool ->
@@ -35,7 +35,7 @@ val completions :
   max_nodes:int ->
   max_complete:int ->
   Duocore.Partial.t ->
-  Duosql.Ast.query list
+  Duocore.Partial.t list
 
 (** [check env ctx ~hints ()] explores the enumeration space best-first
     (up to [max_states] pops), and for up to [max_pruned] pruned children

@@ -25,10 +25,16 @@ type config = {
   max_candidates : int;  (** stop after emitting this many candidates *)
   time_budget_s : float;  (** wall-clock budget (see {!Clock}) *)
   temperature : float;  (** guidance temperature (Section: Duoguide) *)
-  semantic_rules : bool;  (** apply the Table 4 rules (ablation switch) *)
+  semantic_rules : bool;
+      (** the [semantics] stage: Table 4's duplicate-predicate and
+          constant-output rules, which Duolint only warns about (ablation
+          switch) *)
   static_rules : bool;
       (** Duolint stage 0: prune statically dead states and deprioritize
-          warned ones (ablation switch) *)
+          warned ones.  Its errors carry the rest of Table 4 (aggregate
+          and comparison types, the grouping rules, contradictory
+          predicates), so [false] switches those off too (ablation
+          switch) *)
   static_penalty : float;
       (** confidence multiplier per Duolint warning, in \[0, 1\] ({!init}
           rejects others); never applied inside [expand]: Property 1 is

@@ -172,33 +172,6 @@ let no_constant_projection projs where =
              | _ -> true)
            projs
 
-let grouping_ok schema ~projs ~group_by ~having ~order_by =
-  let has_agg_proj = List.exists (fun p -> Option.is_some p.p_agg) projs in
-  let has_plain_proj = List.exists (fun p -> p.p_agg = None) projs in
-  let agg_elsewhere =
-    Option.is_some having
-    || List.exists (fun o -> Option.is_some o.o_agg) order_by
-  in
-  if group_by = [] then
-    (* Ungrouped aggregation: cannot mix plain and aggregated projections. *)
-    not (has_agg_proj && has_plain_proj)
-  else
-    (* Unnecessary GROUP BY: grouping without any aggregate anywhere. *)
-    (has_agg_proj || agg_elsewhere)
-    && (* Singleton groups: grouping by a primary key makes every group a
-          single row, so aggregation is pointless. *)
-    (not
-       (List.exists
-          (fun c -> Duodb.Schema.is_pk_column schema ~table:c.cr_table c.cr_col)
-          group_by))
-    && (* Plain projections must be grouping columns. *)
-    List.for_all
-      (fun p ->
-        match p.p_agg, p.p_col with
-        | None, Some c -> List.exists (equal_col_ref c) group_by
-        | _ -> true)
-      projs
-
 let check_query schema q =
   let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let check cond v = if cond then Ok () else Error v in

@@ -2,9 +2,13 @@
     syntactically valid SQL, constraining the search to queries even
     non-technical users can read.
 
-    Rules are exposed individually so the verification cascade can apply
-    each as soon as the relevant part of a partial query is decided, and
-    collectively via {!check_query} for complete queries. *)
+    This module is the Table 4 reference on complete queries
+    ({!check_query}): the Table 4 experiment, the Spider generator's gold
+    filter, the tests and Duocheck's lint-soundness property read it.
+    The verification cascade does not: Duolint's error rules judge the
+    type, grouping and contradiction rules in its [static] stage, and
+    {!Duolint.Analyze.redundant_where} judges the duplicate-predicate and
+    constant-output rules in its [semantics] stage. *)
 
 (** Name of the first rule a query violates. *)
 type violation =
@@ -18,33 +22,10 @@ type violation =
 
 val violation_to_string : violation -> string
 
-(** Rule "Aggregate type usage" + "Faulty type comparison" for a single
-    predicate or projection: MIN/MAX/AVG/SUM require numeric columns;
-    ordering comparisons and BETWEEN require numeric columns; LIKE requires
-    text. *)
-val predicate_types_ok : Duodb.Schema.t -> Duosql.Ast.pred -> bool
-
-val projection_types_ok : Duodb.Schema.t -> Duosql.Ast.proj -> bool
-
 (** Rule "Inconsistent predicates": under AND, predicates on the same column
     must be simultaneously satisfiable; exact duplicates are redundant under
     either connective. *)
 val condition_consistent : Duosql.Ast.condition -> bool
-
-(** Rule "Constant output column": under AND semantics, a projected plain
-    column must not carry an equality predicate. *)
-val no_constant_projection :
-  Duosql.Ast.proj list -> Duosql.Ast.condition option -> bool
-
-(** Rules "Ungrouped aggregation", "GROUP BY with singleton groups" and
-    "Unnecessary GROUP BY". *)
-val grouping_ok :
-  Duodb.Schema.t ->
-  projs:Duosql.Ast.proj list ->
-  group_by:Duosql.Ast.col_ref list ->
-  having:Duosql.Ast.condition option ->
-  order_by:Duosql.Ast.order_item list ->
-  bool
 
 (** All rules on a complete query. *)
 val check_query : Duodb.Schema.t -> Duosql.Ast.query -> (unit, violation) result

@@ -254,31 +254,8 @@ let group_decided = past 3
 let having_done = past 4
 let order_done = past 5
 
-(* --- stage 1: clause presence (Example 3.3) --- *)
-
-let verify_clauses env (t : Partial.t) =
-  match env.e_tsq with
-  | None -> true
-  | Some tsq ->
-      (not (kw_decided t))
-      || begin
-           let kw = t.Partial.kw in
-           (* tau => ORDER BY; the reverse is not required — an unchecked
-              sorted box leaves the order unconstrained (Definition 2.4),
-              so pruning ORDER BY queries here would over-prune.  A limit
-              k > 0 still requires ORDER BY: LIMIT is only enumerated
-              after an ORDER BY decision, so no completion without one can
-              carry the LIMIT clause the sketch demands. *)
-           ((not tsq.Tsq.sorted) || kw.Duoguide.Model.kw_order)
-           && ((tsq.Tsq.limit = 0) || kw.Duoguide.Model.kw_order)
-           &&
-           match t.Partial.limit with
-           | None -> true
-           | Some n -> tsq.Tsq.limit > 0 && n <= tsq.Tsq.limit
-         end
-
-(* --- stage 3: semantic rules on decided parts (Table 4) --- *)
-
+(* A projection slot as a SELECT item, once its target and aggregate are
+   both decided. *)
 let decided_slot_proj (s : Partial.proj_slot) =
   match s.Partial.pj_target, s.Partial.pj_agg with
   | Duoguide.Model.Target_count_star, _ -> Some count_star
@@ -349,9 +326,28 @@ let static_warnings env (t : Partial.t) =
     n
   end
 
-let verify_static_query env q =
-  (not env.e_static)
-  || not (Duolint.Analyze.has_errors_p env.e_lint (Duolint.Outline.of_query q))
+(* --- stage 1: clause presence (Example 3.3) --- *)
+
+let verify_clauses env (t : Partial.t) =
+  match env.e_tsq with
+  | None -> true
+  | Some tsq ->
+      (not (kw_decided t))
+      || begin
+           let kw = t.Partial.kw in
+           (* tau => ORDER BY; the reverse is not required — an unchecked
+              sorted box leaves the order unconstrained (Definition 2.4),
+              so pruning ORDER BY queries here would over-prune.  A limit
+              k > 0 still requires ORDER BY: LIMIT is only enumerated
+              after an ORDER BY decision, so no completion without one can
+              carry the LIMIT clause the sketch demands. *)
+           ((not tsq.Tsq.sorted) || kw.Duoguide.Model.kw_order)
+           && ((tsq.Tsq.limit = 0) || kw.Duoguide.Model.kw_order)
+           &&
+           match t.Partial.limit with
+           | None -> true
+           | Some n -> tsq.Tsq.limit > 0 && n <= tsq.Tsq.limit
+         end
 
 (* --- stage 2: Duosem cardinality bound vs the required tuple count --- *)
 
@@ -402,45 +398,17 @@ let verify_cardinality env (t : Partial.t) =
   | None -> true
   | Some hi -> hi >= support
 
-let verify_semantics env (t : Partial.t) =
-  env.e_semantics = false
-  ||
-  let schema = Duodb.Database.schema env.e_db in
-  let decided_projs = List.filter_map decided_slot_proj t.Partial.projs in
-  List.for_all (Semantics.projection_types_ok schema) decided_projs
-  && List.for_all (Semantics.predicate_types_ok schema) t.Partial.where_preds
-  && Option.fold ~none:true
-       ~some:(Semantics.predicate_types_ok schema)
-       t.Partial.having_pred
-  && (* Ungrouped aggregation is decidable as soon as SELECT is complete. *)
-  (not (select_done t)
-  || t.Partial.kw.Duoguide.Model.kw_group
-  || not
-       (List.exists (fun p -> Option.is_some p.p_agg) decided_projs
-       && List.exists (fun p -> p.p_agg = None) decided_projs))
-  && (* Predicate consistency and constant-output once WHERE is final. *)
-  ((not (where_done t))
-  || t.Partial.where_preds = []
-  ||
-  let cond = { c_preds = t.Partial.where_preds; c_conn = t.Partial.conn } in
-  Semantics.condition_consistent cond
-  && Semantics.no_constant_projection decided_projs (Some cond))
-  && (* Grouping rules once the GROUP BY column is decided. *)
-  ((not (group_decided t))
-  || (not t.Partial.kw.Duoguide.Model.kw_group)
-  ||
-  match t.Partial.group_col with
-  | None -> true
-  | Some g ->
-      (not (Duodb.Schema.is_pk_column schema ~table:g.cr_table g.cr_col))
-      && List.for_all
-           (fun p ->
-             match p.p_agg, p.p_col with
-             | None, Some c -> equal_col_ref c g
-             | _ -> true)
-           decided_projs)
+(* --- stage 3: the Table 4 rules Duolint only warns about --- *)
 
-(* --- stage 3: projection types vs annotations (Example 3.4) --- *)
+(* Every other Table 4 rule is a Duolint error that [static] judged on
+   the same state: types, the grouping rules, contradictory AND
+   predicates ([Domain.meet] is exact, so a contradictory pair meets to
+   bottom). *)
+let verify_semantics env (t : Partial.t) =
+  (not env.e_semantics)
+  || not (Duolint.Analyze.redundant_where (outline env t))
+
+(* --- stage 4: projection types vs annotations (Example 3.4) --- *)
 
 let proj_output_type schema (s : Partial.proj_slot) =
   match s.Partial.pj_target, s.Partial.pj_agg with
@@ -469,7 +437,7 @@ let verify_column_types env (t : Partial.t) =
            t.Partial.projs
            (List.filteri (fun i _ -> i < List.length t.Partial.projs) tys)
 
-(* --- stage 4: column-wise probes (Example 3.5) --- *)
+(* --- stage 5: column-wise probes (Example 3.5) --- *)
 
 (* Existence probe: SELECT 1 FROM table WHERE col <cell> LIMIT 1.  Exact
    text cells on text columns are answered from the inverted index when it
@@ -570,7 +538,7 @@ let verify_by_column env (t : Partial.t) =
   done;
   sk.sk_support <= !held
 
-(* --- stage 5: row-wise probes (Example 3.6) --- *)
+(* --- stage 6: row-wise probes (Example 3.6) --- *)
 
 let slot_has_agg (s : Partial.proj_slot) =
   match s.Partial.pj_target, s.Partial.pj_agg with
@@ -701,19 +669,16 @@ let verify_by_row env (t : Partial.t) =
           Hashtbl.replace env.e_row_cache plan.rp_key r;
           r)
 
-(* --- complete-query stage --- *)
+(* --- stage 7: complete queries --- *)
 
 let verify_literals env q =
   let used = literals q in
   List.for_all (fun l -> List.exists (Value.equal l) used) env.e_literals
 
+(* A complete state's outline has every finality flag set, so [static]
+   and [semantics] have judged the whole query already. *)
 let verify_complete env q =
   verify_literals env q
-  && ((not env.e_semantics)
-     || Result.is_ok (Semantics.check_query (Duodb.Database.schema env.e_db) q))
-  && (* Stage-0 errors are enforced here too, so pruning a partial query
-        on a static error stays monotone w.r.t. complete verification. *)
-  verify_static_query env q
   &&
   match env.e_tsq with
   | None -> true
@@ -740,15 +705,18 @@ let stages =
      (S_types, verify_column_types); (S_column, verify_by_column);
      (S_row, verify_by_row); (S_complete, verify_complete_state) |]
 
-(* Stages [first] .. [last] on one state, in order, up to the first
-   that fails: the clock stamp that closes a stage opens the next. *)
-let check_deferred env ~first ~last (t : Partial.t) =
+let check_stage env stage t = (snd stages.(stage_index stage)) env t
+
+(* Stages [first] .. [last] in order, [check k] judging stage [k], up to
+   the first that fails: the clock stamp that closes a stage opens the
+   next, and a failure is booked against its stage. *)
+let run_stages env ~first ~last check =
   let s = env.e_stats and last = stage_index last in
   s.verify_calls <- s.verify_calls + 1;
   let k = ref (stage_index first) and ok = ref true in
   let t0 = ref (Clock.mono ()) in
   while !ok && !k <= last do
-    ok := (snd stages.(!k)) env t;
+    ok := check !k;
     let t1 = Clock.mono () in
     s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. !t0);
     t0 := t1;
@@ -759,6 +727,9 @@ let check_deferred env ~first ~last (t : Partial.t) =
     s.pruned <- s.pruned + 1
   end;
   !ok
+
+let check_deferred env ~first ~last (t : Partial.t) =
+  run_stages env ~first ~last (fun k -> (snd stages.(k)) env t)
 
 let verify env t = check_deferred env ~first:S_static ~last:S_complete t
 
@@ -779,17 +750,8 @@ let retarget env ~tsq =
     e_sketch = compile_sketch (Some tsq);
     e_row_cache = Hashtbl.create 256 }
 
-(* Re-check an already-emitted candidate (a complete query) under the
-   retargeted sketch; counted and timed like a complete-stage prune. *)
+(* Re-check an already-emitted candidate under the retargeted sketch, as
+   the complete stage: it passed [static] and [semantics] when it was
+   emitted, and neither reads the sketch. *)
 let reverify_query env q =
-  let s = env.e_stats in
-  s.verify_calls <- s.verify_calls + 1;
-  let i = stage_index S_complete in
-  let t0 = Clock.mono () in
-  let ok = verify_complete env q in
-  s.stage_seconds.(i) <- s.stage_seconds.(i) +. (Clock.mono () -. t0);
-  if not ok then begin
-    s.stage_pruned.(i) <- s.stage_pruned.(i) + 1;
-    s.pruned <- s.pruned + 1
-  end;
-  ok
+  run_stages env ~first:S_complete ~last:S_complete (fun _ -> verify_complete env q)

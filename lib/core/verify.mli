@@ -4,14 +4,15 @@
     decided parts contradict the TSQ:
 
     + [VerifyStatic] — Duolint stage 0: schema/type errors, unsatisfiable
-      predicates and broken structure on decided clauses (no database
-      access, no TSQ needed);
+      predicates, grouping errors and broken structure on decided clauses
+      (no database access, no TSQ needed);
     + [VerifyClauses] — clause presence vs the sketch's sorted flag and
       limit (no database access);
     + [VerifyCardinality] — Duosem's abstract row-count upper bound vs
       the sketch's required tuple count (schema only);
-    + [VerifySemantics] — the Table 4 rules on decided parts (no database
-      access);
+    + [VerifySemantics] — the two Table 4 rules Duolint only warns about
+      (an exact duplicate predicate, a constant output column) on a final
+      WHERE (no database access);
     + [VerifyColumnTypes] — projection types vs the sketch's type
       annotations (schema only);
     + [VerifyByColumn] — column-wise existence probes, one per decided
@@ -21,7 +22,12 @@
       GROUP BY are complete ([CanCheckRows]);
     + for complete queries — [VerifyLiterals] (all tagged NLQ literals
       appear in the query) and the full Definition 2.4 satisfaction check
-      (which subsumes [VerifyByOrder]).
+      (which subsumes [VerifyByOrder]).  [static] and [semantics] have
+      judged the whole query by then: a complete state's outline has
+      every finality flag set.
+
+    Each Table 4 rule is judged once: the rest of Table 4 are Duolint
+    errors, judged by [static].
 
     All stages are {e monotone}: a stage that fails on a partial query also
     fails on every completion of it, so pruning never discards a prefix of
@@ -121,9 +127,10 @@ val merge_stats : into:stats -> stats -> unit
     cache and counters. *)
 type env
 
-(** [semantics = false] disables the Table 4 rules and [static = false]
-    disables Duolint stage 0 (both for the ablation bench); default
-    [true].  [index] supplies a prebuilt inverted index for column probes
+(** [semantics = false] disables the [semantics] stage and [static =
+    false] disables Duolint stage 0, and with it the rest of Table 4
+    (both for the ablation bench); default [true].  [index] supplies a
+    prebuilt inverted index for column probes
     (sessions already hold one); without it the index is built lazily on
     first text probe.  [relcache] shares a relation cache across
     environments (a session's, for every run on its domain); entries are
@@ -154,6 +161,10 @@ val verify : env -> Partial.t -> bool
     verdict, in order. *)
 val verify_batch : env -> Partial.t list -> (Partial.t * bool) list
 
+(** [check_stage env stage pq] is one stage's verdict on one state,
+    without the stats bookkeeping. *)
+val check_stage : env -> stage -> Partial.t -> bool
+
 (** [check_deferred env ~first ~last pq] runs the stages [first] ..
     [last] on one state, in cascade order, up to the first that fails,
     with one clock stamp per stage boundary.  The enumerator runs
@@ -177,10 +188,6 @@ val verify_static : env -> Partial.t -> bool
     (never prune) suspicious states when they are first popped. *)
 val static_warnings : env -> Partial.t -> int
 
-(** Stage-0 errors on a complete query (also enforced inside
-    {!verify_complete} so partial-query pruning stays monotone). *)
-val verify_static_query : env -> Duosql.Ast.query -> bool
-
 val verify_clauses : env -> Partial.t -> bool
 
 (** Duosem stage: prunes when the state's abstract row-count upper bound
@@ -189,17 +196,18 @@ val verify_clauses : env -> Partial.t -> bool
     only tightens as more clauses are decided. *)
 val verify_cardinality : env -> Partial.t -> bool
 
+(** {!Duolint.Analyze.redundant_where} on the state's outline. *)
 val verify_semantics : env -> Partial.t -> bool
 val verify_column_types : env -> Partial.t -> bool
 val verify_by_column : env -> Partial.t -> bool
 
-(** Returns true when row-wise checking is allowed on this state
-    ([CanCheckRows]). *)
-val can_check_rows : Partial.t -> bool
-
+(** Row-wise probes; passes when the state has no probe to run (complete
+    states, aggregated projections before WHERE and GROUP BY are decided:
+    [CanCheckRows], ...). *)
 val verify_by_row : env -> Partial.t -> bool
 
-(** Complete-query stage: literal usage plus full TSQ satisfaction. *)
+(** Complete-query stage: literal usage plus full TSQ satisfaction; the
+    Duolint and Table 4 rules are [static]'s and [semantics]'. *)
 val verify_complete : env -> Duosql.Ast.query -> bool
 
 (** [retarget env ~tsq] points the environment at a tightened sketch for
@@ -210,6 +218,6 @@ val verify_complete : env -> Duosql.Ast.query -> bool
 val retarget : env -> tsq:Tsq.t -> env
 
 (** [reverify_query env q] re-checks an already-emitted candidate under
-    the retargeted sketch, with time and prunes attributed to the
-    complete stage. *)
+    the retargeted sketch with {!verify_complete}, with time and prunes
+    attributed to the complete stage. *)
 val reverify_query : env -> Duosql.Ast.query -> bool

@@ -124,8 +124,10 @@ let check_agg pre emit clause agg col =
                    (agg_to_string a) (pp_col c))
           | Some Datatype.Number | None -> ()))
 
-(* Mirror of [Duocore.Semantics.predicate_types_ok], split so an unknown
-   column is reported once by [check_col] instead of as a type error. *)
+(* Table 4's "Faulty type comparison": ordering comparisons and BETWEEN
+   need numbers, LIKE needs text, and an equality literal must match the
+   compared type (the aggregate's output type, or the column's).  An
+   unknown column is left to [check_col], so it is reported once. *)
 let check_pred_types pre emit clause (p : pred) =
   let cmp_type =
     match p.pr_agg with
@@ -695,6 +697,17 @@ let has_errors_p pre (o : Outline.t) =
     && match o.Outline.o_limit with Some n -> n > 0 | None -> true
   in
   not ok
+
+(* [raising_emit] does not read the severity, so it aborts on the first
+   warning too. *)
+let redundant_where (o : Outline.t) =
+  o.Outline.o_where_final && o.Outline.o_where <> []
+  &&
+  try
+    check_duplicate_preds raising_emit D.Where o.Outline.o_where;
+    constant_output_rule raising_emit o;
+    false
+  with Found_error -> true
 
 (* The warning half of [run_rules], counted through [w_emit] with the
    per-clause rules memoized like [has_errors_p]'s: each clause's count

@@ -18,6 +18,11 @@ val has_errors_p : prepared -> Outline.t -> bool
 (** Fast path for the cascade: runs only the error rules and
     short-circuits on the first hit without building messages. *)
 
+val redundant_where : Outline.t -> bool
+(** True when a final WHERE breaks one of the two Table 4 rules Duolint
+    only warns about: an exact duplicate predicate, or a constant output
+    column.  The cascade's [semantics] stage prunes on it. *)
+
 val count_warnings_p : prepared -> Outline.t -> int
 (** Number of warnings (deprioritization weight for the enumerator);
     runs only the warning rules.  Like {!has_errors_p} it memoizes each

@@ -50,6 +50,51 @@ let test_condition_consistency () =
 let test_catalogue_completeness () =
   Alcotest.(check int) "eight catalogued rules" 8 (List.length Semantics.catalogue)
 
+(* Table 4 through the cascade: each catalogue example's complete
+   derivation state is pruned by [static] (the rule is a Duolint error)
+   or by [semantics] (Duolint only warns about it), and each
+   alternative passes both. *)
+let catalogue_stage =
+  [ ("Inconsistent predicates", "static");
+    ("Constant output column", "semantics");
+    ("Ungrouped aggregation", "static");
+    ("GROUP BY with singleton groups", "static");
+    ("Unnecessary GROUP BY", "static");
+    ("Aggregate type usage", "static");
+    ("Faulty type comparison", "static");
+    ("Faulty type comparison (LIKE)", "static") ]
+
+let test_catalogue_through_cascade () =
+  let module Verify = Duocore.Verify in
+  let db = Duobench.Movies.database () in
+  let schema = Duodb.Database.schema db in
+  let env = Verify.make_env ~db ~tsq:None ~literals:[] () in
+  let complete_state sql =
+    match
+      Duocheck.Soundness.derivation_states schema (Duosql.Parser.query_exn ~schema sql)
+    with
+    | Some states ->
+        let t = List.nth states (List.length states - 1) in
+        Alcotest.(check bool) (sql ^ " derives a complete state") true
+          (Duocore.Partial.is_complete t);
+        t
+    | None -> Alcotest.failf "%s is outside the enumeration space" sql
+  in
+  let pruned_by t =
+    if not (Verify.verify_static env t) then "static"
+    else if not (Verify.verify_semantics env t) then "semantics"
+    else "neither"
+  in
+  List.iter
+    (fun (name, example, alternative) ->
+      Alcotest.(check string) (name ^ ": example pruned by")
+        (List.assoc name catalogue_stage)
+        (pruned_by (complete_state example));
+      if alternative <> "N/A" then
+        Alcotest.(check string) (name ^ ": alternative pruned by") "neither"
+          (pruned_by (complete_state alternative)))
+    Semantics.catalogue
+
 let suite =
   [
     check_rejects "inconsistent predicates"
@@ -89,4 +134,5 @@ let suite =
       "SELECT a.gender FROM actor a GROUP BY a.gender ORDER BY COUNT(*) DESC";
     Alcotest.test_case "condition consistency" `Quick test_condition_consistency;
     Alcotest.test_case "catalogue" `Quick test_catalogue_completeness;
+    Alcotest.test_case "catalogue through the cascade" `Quick test_catalogue_through_cascade;
   ]
