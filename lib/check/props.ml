@@ -936,12 +936,16 @@ let replay_offer r child admitted =
   if expected <> admitted && r.rp_mismatch = None then r.rp_mismatch <- Some (k, expected)
 
 (* The hashed run pushes exactly what the string-keyed run pushes.  Every
-   child the committing loop offers is replayed through the
-   string-keyed two-layer dedup it replaced ([Partial.key], then
-   [Partial.canonical_key] for every state); the verdicts must agree at
-   every offer.  Agreement at every offer makes the two runs' frontiers,
-   pops and offers identical by induction, so one run checks both.
-   Modes: NLI (no sketch), dual, and a warm rebase. *)
+   child the committing loop offers (one with a predicate when its
+   parent is expanded, a predicate-free one when the search reaches it)
+   is replayed through the string-keyed two-layer dedup it replaced
+   ([Partial.key], then [Partial.canonical_key] for every state); the
+   verdicts must agree at every offer.  Agreement at every offer makes
+   the two runs' frontiers, pops and offers identical by induction, so
+   one run checks both.  Modes: NLI (no sketch), dual, and a warm
+   rebase; [lazy_runs_prop] checks the same modes' candidates and pops
+   against the loop that offered every child at its parent's
+   expansion. *)
 let dedup_exact_prop ((sc : Gen.scenario), seed) =
   let module Tsq = Duocore.Tsq in
   let module E = Duocore.Enumerate in
@@ -989,6 +993,190 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
   && check_mode "dual" ~tsq:(Some sc.Gen.sc_tsq) ~rebase:false
   && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
      || check_mode "warm-rebase" ~tsq:(Some old_t) ~rebase:true)
+
+(* --- lazy sibling runs = eager reference ------------------------------ *)
+
+(* The enumeration loop as it ran before sibling runs, as a reference:
+   every child is built when its parent is expanded and admitted then,
+   through the visited layer and, for a child with a predicate, the
+   canonical one (on printed keys), and pushed.  The rest follows
+   [Enumerate.step]: the cascade and the warning penalty at pop,
+   emission dedup on [Duosem.dedup_key], the pop and candidate budgets,
+   the frontier cap; [eager_rebase] is [Enumerate.rebase]'s warm
+   restart.  No time budget. *)
+type eager = {
+  eg_config : Duocore.Enumerate.config;
+  eg_ctx : Duoguide.Model.ctx;
+  eg_frontier : Duocore.Frontier.t;
+  eg_stats : Duocore.Verify.stats;
+  mutable eg_env : Duocore.Verify.env;
+  mutable eg_hints : Duocore.Enumerate.hints;
+  eg_visited : (string, unit) Hashtbl.t;
+  eg_canon : (string, unit) Hashtbl.t;
+  eg_emitted : (string, unit) Hashtbl.t;
+  mutable eg_cands : (Duosql.Ast.query * float * int) list;  (* newest first *)
+  mutable eg_pops : int;
+  mutable eg_pop_base : int;
+  mutable eg_finished : bool;
+}
+
+let eager_init (config : Duocore.Enumerate.config) ctx db ?index ~tsq ~literals () =
+  let module E = Duocore.Enumerate in
+  let stats = Duocore.Verify.new_stats () in
+  let frontier = Duocore.Frontier.create ~cap:config.E.max_frontier () in
+  Duocore.Frontier.push frontier Partial.root;
+  {
+    eg_config = config;
+    eg_ctx = ctx;
+    eg_frontier = frontier;
+    eg_stats = stats;
+    eg_env =
+      Duocore.Verify.make_env ~stats ~semantics:config.E.semantic_rules
+        ~static:config.E.static_rules ?index ~db ~tsq ~literals ();
+    eg_hints = (match tsq with Some t -> E.hints_of_tsq t | None -> E.no_hints);
+    eg_visited = Hashtbl.create 256;
+    eg_canon = Hashtbl.create 64;
+    eg_emitted = Hashtbl.create 64;
+    eg_cands = [];
+    eg_pops = 0;
+    eg_pop_base = 0;
+    eg_finished = false;
+  }
+
+let eager_step ?(max_pops = max_int) eg =
+  let module E = Duocore.Enumerate in
+  let module V = Duocore.Verify in
+  let config = eg.eg_config and f = eg.eg_frontier in
+  let fresh tbl k = (not (Hashtbl.mem tbl k)) && (Hashtbl.replace tbl k (); true) in
+  let admit (c : Partial.t) =
+    if
+      fresh eg.eg_visited (Partial.key c)
+      && ((not (Partial.has_predicates c)) || fresh eg.eg_canon (Partial.canonical_key c))
+    then Duocore.Frontier.push f c
+  in
+  let judge_settled (p : Partial.t) =
+    (not (config.E.prune_partial || Partial.is_complete p))
+    || V.check_deferred eg.eg_env ~first:V.S_clauses ~last:V.S_complete p
+  in
+  let judge (p : Partial.t) =
+    if Duocore.Frontier.settled f then judge_settled p
+    else
+      V.check_deferred eg.eg_env ~first:V.S_static ~last:V.S_static p
+      &&
+      match V.static_warnings eg.eg_env p with
+      | 0 -> judge_settled p
+      | n ->
+          Duocore.Frontier.settle f
+            { p with
+              Partial.confidence =
+                p.Partial.confidence *. (config.E.static_penalty ** float_of_int n) };
+          false
+  in
+  let emit (p : Partial.t) q =
+    let k = Duolint.Duosem.dedup_key q in
+    if Hashtbl.mem eg.eg_emitted k then
+      eg.eg_stats.V.dedup_semantic <- eg.eg_stats.V.dedup_semantic + 1
+    else begin
+      Hashtbl.replace eg.eg_emitted k ();
+      eg.eg_cands <- (q, p.Partial.confidence, eg.eg_pops) :: eg.eg_cands;
+      if List.length eg.eg_cands >= config.E.max_candidates then eg.eg_finished <- true
+    end
+  in
+  let limit = if max_pops >= max_int - eg.eg_pops then max_int else eg.eg_pops + max_pops in
+  while (not eg.eg_finished) && eg.eg_pops < limit do
+    if Duocore.Frontier.is_empty f || eg.eg_pops - eg.eg_pop_base >= config.E.max_pops then
+      eg.eg_finished <- true
+    else
+      match Duocore.Frontier.pop f with
+      | None -> eg.eg_finished <- true
+      | Some p ->
+          if judge p then begin
+            eg.eg_pops <- eg.eg_pops + 1;
+            if Partial.is_complete p then Option.iter (emit p) (Partial.to_query p)
+            else List.iter admit (E.expand ~guided:config.E.guided eg.eg_hints eg.eg_ctx p)
+          end
+  done
+
+let eager_rebase eg ~tsq =
+  let env = Duocore.Verify.retarget eg.eg_env ~tsq in
+  eg.eg_env <- env;
+  eg.eg_hints <- Duocore.Enumerate.hints_of_tsq tsq;
+  eg.eg_cands <- List.filter (fun (q, _, _) -> Duocore.Verify.reverify_query env q) eg.eg_cands;
+  Hashtbl.reset eg.eg_emitted;
+  List.iter
+    (fun (q, _, _) -> Hashtbl.replace eg.eg_emitted (Duolint.Duosem.dedup_key q) ())
+    eg.eg_cands;
+  eg.eg_pop_base <- eg.eg_pops;
+  eg.eg_finished <- List.length eg.eg_cands >= eg.eg_config.Duocore.Enumerate.max_candidates
+
+let lazy_eager_diff ?rebase config ctx db ?index ~tsq ~literals () =
+  let module E = Duocore.Enumerate in
+  let st = E.init config ctx db ?index ~tsq ~literals () in
+  let eg = eager_init config ctx db ?index ~tsq ~literals () in
+  Option.iter
+    (fun (k, tsq') ->
+      ignore (E.step ~max_pops:k st);
+      E.rebase st ~tsq:tsq';
+      eager_step ~max_pops:k eg;
+      eager_rebase eg ~tsq:tsq')
+    rebase;
+  ignore (E.step st);
+  eager_step eg;
+  let o = E.outcome st in
+  let cands =
+    List.map
+      (fun (c : E.candidate) ->
+        (Duosql.Pretty.query c.E.cand_query, c.E.cand_confidence, c.E.cand_pops))
+      o.E.out_candidates
+  in
+  let eager_cands = List.rev_map (fun (q, c, n) -> (Duosql.Pretty.query q, c, n)) eg.eg_cands in
+  let prunes stats = List.map (Duocore.Verify.pruned_by stats) Duocore.Verify.all_stages in
+  let show cs = String.concat "\n  " (List.map (fun (q, c, n) -> Printf.sprintf "%.17g %d %s" c n q) cs) in
+  if cands <> eager_cands then
+    Some (Printf.sprintf "candidates differ:\nlazy:\n  %s\neager:\n  %s" (show cands) (show eager_cands))
+  else if o.E.out_pops <> eg.eg_pops then
+    Some (Printf.sprintf "pops differ: lazy %d, eager %d" o.E.out_pops eg.eg_pops)
+  else if prunes o.E.out_stats <> prunes eg.eg_stats then
+    Some
+      (Printf.sprintf "prunes differ: lazy [%s], eager [%s]"
+         (String.concat "," (List.map string_of_int (prunes o.E.out_stats)))
+         (String.concat "," (List.map string_of_int (prunes eg.eg_stats))))
+  else if o.E.out_dropped <> Duocore.Frontier.dropped eg.eg_frontier then
+    Some
+      (Printf.sprintf "compaction drops differ: lazy %d, eager %d" o.E.out_dropped
+         (Duocore.Frontier.dropped eg.eg_frontier))
+  else None
+
+(* Lazy sibling runs change no observable: on NLI and dual runs, a warm
+   rebase and a frontier cap small enough to compact, the run and the
+   eager reference agree on candidates (SQL, confidence, [cand_pops]),
+   pops, every stage's prunes and compaction drops. *)
+let lazy_runs_prop ((sc : Gen.scenario), seed) =
+  let module E = Duocore.Enumerate in
+  let module Tsq = Duocore.Tsq in
+  let ctx = ctx_of sc in
+  let config =
+    { E.default_config with E.max_pops = 400; max_candidates = 10; time_budget_s = 20.0 }
+  in
+  let new_t = { sc.Gen.sc_tsq with Tsq.min_support = None } in
+  let old_t =
+    { new_t with
+      Tsq.tuples = (match new_t.Tsq.tuples with [] -> [] | t :: _ -> [ t ]);
+      sorted = false;
+      negatives = [] }
+  in
+  let check name ?rebase config ~tsq =
+    match lazy_eager_diff ?rebase config ctx sc.Gen.sc_db ~tsq ~literals:[] () with
+    | None -> true
+    | Some d -> QCheck.Test.fail_reportf "%s: %s" name d
+  in
+  check "nli" config ~tsq:None
+  && check "dual" config ~tsq:(Some sc.Gen.sc_tsq)
+  && check "capped"
+       { config with E.max_frontier = 8 + (seed mod 40) }
+       ~tsq:(if seed land 1 = 0 then None else Some sc.Gen.sc_tsq)
+  && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
+     || check "warm-rebase" ~rebase:(1 + (seed mod 40), new_t) config ~tsq:(Some old_t))
 
 (* --- Duolint error soundness ---------------------------------------- *)
 
@@ -1382,6 +1570,8 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;
+    QCheck.Test.make ~count:(6 * mult) ~name:"lazy runs = eager reference" arb_seeded
+      lazy_runs_prop;
     QCheck.Test.make ~count:(80 * mult)
       ~name:"Duosem equivalence: canonical query = original on its database"
       Gen.arb_scenario duosem_equiv_prop;

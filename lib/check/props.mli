@@ -41,6 +41,11 @@
       collides canonically with one that has them; and the hashed
       enumerator admits exactly the states the string-keyed two-layer
       dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
+    - {b lazy runs}: the enumerator, which builds and dedups a
+      predicate-free child only when the search reaches it, agrees with
+      a reference loop that builds and admits every child at its
+      parent's expansion ({!lazy_eager_diff}) in NLI, dual, warm-rebase
+      and frontier-capped runs;
     - {b verify on pop}: the cascade, [static] included, gives one
       verdict on each {!Duocore.Partial.key} partition and each
       {!Duocore.Partial.canonical_key} partition (permuted WHERE
@@ -96,6 +101,29 @@ val new_replay : unit -> replay
 val replay_offer : replay -> Duocore.Partial.t -> bool -> unit
 
 val dedup_exact_prop : Gen.scenario * int -> bool
+
+(** [lazy_eager_diff ?rebase config ctx db ~tsq ~literals ()] runs
+    {!Duocore.Enumerate} and an eager reference loop side by side.  The
+    reference builds every child when its parent is expanded and admits
+    it then, through the visited layer and, for a child with a
+    predicate, the canonical one, on printed keys; the rest of its loop
+    is [Enumerate.step]'s, with no time budget.  Returns how the two runs
+    differ in candidates (SQL, confidence, [cand_pops]), pops, any
+    stage's prunes or compaction drops, or [None].  With
+    [rebase = (k, tsq')], both runs take [k] pops and then rebase onto
+    [tsq']. *)
+val lazy_eager_diff :
+  ?rebase:int * Duocore.Tsq.t ->
+  Duocore.Enumerate.config ->
+  Duoguide.Model.ctx ->
+  Duodb.Database.t ->
+  ?index:Duodb.Index.t ->
+  tsq:Duocore.Tsq.t option ->
+  literals:Duodb.Value.t list ->
+  unit ->
+  string option
+
+val lazy_runs_prop : Gen.scenario * int -> bool
 
 (** The cascade verdict ({!Duocore.Verify.verify}, [static] included)
     is the same for every state of one

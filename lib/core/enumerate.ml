@@ -174,34 +174,62 @@ let replace_last lst x =
   | [] -> invalid_arg "replace_last: empty"
   | _ :: rest -> List.rev (x :: rest)
 
-let expand ~guided hints ctx (t : Partial.t) =
+(* One expansion's children, unbuilt: child [i] has confidence
+   [conf.(i)] and join length [jlen.(i)], and [build i] builds it.  The
+   confidences are computed with [step]'s expression, so a built child
+   carries exactly its [conf] entry. *)
+type children = {
+  conf : float array;
+  jlen : int array;
+  build : int -> Partial.t;
+}
+
+let no_children = { conf = [||]; jlen = [||]; build = (fun _ -> Partial.root) }
+
+(* Children from a weighted choice list: child [i] is [make x p] for the
+   [i]th choice [(x, p)], which keeps the parent's join path. *)
+let choices (t : Partial.t) pairs make =
+  let a = Array.of_list pairs in
+  let c = t.Partial.confidence in
+  {
+    conf = Array.map (fun (_, p) -> c *. p) a;
+    jlen = Array.make (Array.length a) (Partial.join_length t);
+    build =
+      (fun i ->
+        let x, p = a.(i) in
+        make x p);
+  }
+
+let generate ~guided hints ctx (t : Partial.t) =
   let maybe_uniform cands = if guided then cands else uniform cands in
   let tables = lazy (Partial.referenced_tables t) in
   match t.Partial.phase with
-  | Partial.P_done -> []
+  | Partial.P_done -> no_children
   | Partial.P_joinpath next ->
       let tables = Lazy.force tables in
-      if tables = [] then [ { t with Partial.phase = next } ]
+      if tables = [] then choices t [ ((), 1.0) ] (fun () _ -> { t with Partial.phase = next })
       else
         let depth = if is_counting t then 2 else 1 in
         (* Join-path siblings keep the parent's confidence (Section 3.3.4);
            the frontier breaks ties toward shorter paths. *)
-        List.map
-          (fun f -> { t with Partial.from = Some f; phase = next })
-          (Joinpath.construct ~depth (Model.schema ctx) ~tables)
+        let fs = Array.of_list (Joinpath.construct ~depth (Model.schema ctx) ~tables) in
+        {
+          conf = Array.make (Array.length fs) t.Partial.confidence;
+          jlen = Array.map (fun f -> List.length f.f_joins) fs;
+          build = (fun i -> { t with Partial.from = Some fs.(i); phase = next });
+        }
   | Partial.P_keywords ->
-      List.map
-        (fun (kw, p) -> step { t with Partial.kw } Partial.P_num_proj p)
-        (maybe_uniform (Model.keywords ctx))
+      choices t (maybe_uniform (Model.keywords ctx)) (fun kw p ->
+          step { t with Partial.kw } Partial.P_num_proj p)
   | Partial.P_num_proj ->
-      List.map
-        (fun (n, p) ->
+      choices t (maybe_uniform (Model.num_projections ctx ~hint:hints.h_nproj)) (fun n p ->
           step { t with Partial.nproj = n } (Partial.P_proj_target 0) p)
-        (maybe_uniform (Model.num_projections ctx ~hint:hints.h_nproj))
   | Partial.P_proj_target i ->
       let used = List.map (fun s -> s.Partial.pj_target) t.Partial.projs in
-      List.concat_map
-        (fun (target, p) ->
+      choices t
+        (maybe_uniform
+           (Model.projection_targets ?out:(List.nth_opt hints.h_types i) ctx ~used))
+        (fun target p ->
           let slot =
             {
               Partial.pj_target = target;
@@ -217,27 +245,22 @@ let expand ~guided hints ctx (t : Partial.t) =
             | Model.Target_count_star -> next_after_slot t' i
             | Model.Target_column _ -> Partial.P_proj_agg i
           in
-          [ advance ~tables (Partial.target_col target) t' phase p ])
-        (maybe_uniform
-           (Model.projection_targets ?out:(List.nth_opt hints.h_types i) ctx
-              ~used))
+          advance ~tables (Partial.target_col target) t' phase p)
   | Partial.P_proj_agg i -> (
       match List.rev t.Partial.projs with
       | { Partial.pj_target = Model.Target_column c; _ } :: _ ->
-          List.map
-            (fun (agg, p) ->
-              let slot = { Partial.pj_target = Model.Target_column c; pj_agg = Some agg } in
-              let t' = { t with Partial.projs = replace_last t.Partial.projs slot } in
-              step t' (next_after_slot t' i) p)
+          choices t
             (maybe_uniform
                (Model.aggregates ?out:(List.nth_opt hints.h_types i) ctx
                   c.Duodb.Schema.col_type))
-      | { Partial.pj_target = Model.Target_count_star; _ } :: _ | [] -> [])
+            (fun agg p ->
+              let slot = { Partial.pj_target = Model.Target_column c; pj_agg = Some agg } in
+              let t' = { t with Partial.projs = replace_last t.Partial.projs slot } in
+              step t' (next_after_slot t' i) p)
+      | { Partial.pj_target = Model.Target_count_star; _ } :: _ | [] -> no_children)
   | Partial.P_where_num ->
-      List.map
-        (fun (n, p) ->
+      choices t (maybe_uniform (Model.num_predicates ctx)) (fun n p ->
           step { t with Partial.where_n = n } (Partial.P_where_col 0) p)
-        (maybe_uniform (Model.num_predicates ctx))
   | Partial.P_where_col i ->
       let used =
         List.filter_map
@@ -246,14 +269,12 @@ let expand ~guided hints ctx (t : Partial.t) =
                 Duodb.Schema.find_column (Model.schema ctx) ~table:c.cr_table c.cr_col))
           t.Partial.where_preds
       in
-      List.map
-        (fun (c, p) ->
+      choices t (maybe_uniform (Model.where_columns ctx ~used)) (fun c p ->
           advance ~tables (Some c) { t with Partial.where_pending = Some c }
             (Partial.P_where_op i) p)
-        (maybe_uniform (Model.where_columns ctx ~used))
   | Partial.P_where_op i -> (
       match t.Partial.where_pending with
-      | None -> []
+      | None -> no_children
       | Some c ->
           let shapes = maybe_uniform (Model.operators ctx c.Duodb.Schema.col_type) in
           let rhss =
@@ -275,20 +296,17 @@ let expand ~guided hints ctx (t : Partial.t) =
                         ranges)
               shapes
           in
-          List.map
-            (fun (rhs, p) ->
+          choices t (renormalize rhss) (fun rhs p ->
               let pred = { pr_agg = None; pr_col = Some (col_ref_of c); pr_rhs = rhs } in
               let t' =
                 { t with
                   Partial.where_preds = t.Partial.where_preds @ [ pred ];
                   where_pending = None }
               in
-              step t' (next_after_pred t' i) p)
-            (renormalize rhss))
+              step t' (next_after_pred t' i) p))
   | Partial.P_where_conn ->
-      List.map
-        (fun (conn, p) -> step { t with Partial.conn } (after_where t) p)
-        (maybe_uniform (Model.connective ctx))
+      choices t (maybe_uniform (Model.connective ctx)) (fun conn p ->
+          step { t with Partial.conn } (after_where t) p)
   | Partial.P_group_col ->
       let projected =
         List.filter_map
@@ -298,18 +316,13 @@ let expand ~guided hints ctx (t : Partial.t) =
             | _ -> None)
           t.Partial.projs
       in
-      List.map
-        (fun (c, p) ->
+      choices t (maybe_uniform (Model.group_columns ctx ~projected)) (fun c p ->
           advance ~tables (Some c)
             { t with Partial.group_col = Some (col_ref_of c) }
             Partial.P_having_presence p)
-        (maybe_uniform (Model.group_columns ctx ~projected))
   | Partial.P_having_presence ->
-      List.map
-        (fun (present, p) ->
-          if present then step t Partial.P_having_pred p
-          else step t (after_group t) p)
-        (maybe_uniform (Model.having_presence ctx))
+      choices t (maybe_uniform (Model.having_presence ctx)) (fun present p ->
+          if present then step t Partial.P_having_pred p else step t (after_group t) p)
   | Partial.P_having_pred ->
       (* HAVING targets: COUNT of all rows, or an aggregate over a
          numeric projected column. *)
@@ -360,10 +373,8 @@ let expand ~guided hints ctx (t : Partial.t) =
               ops)
           targets
       in
-      List.map
-        (fun (pred, p) ->
+      choices t (renormalize preds) (fun pred p ->
           step { t with Partial.having_pred = Some pred } (after_group t) p)
-        (renormalize preds)
   | Partial.P_order_target ->
       let projected =
         List.filter_map
@@ -373,20 +384,33 @@ let expand ~guided hints ctx (t : Partial.t) =
             | None -> None)
           t.Partial.projs
       in
-      List.map
-        (fun ((agg, colopt), p) ->
+      choices t (maybe_uniform (Model.order_targets ctx ~projected)) (fun (agg, colopt) p ->
           let item = (agg, Option.map col_ref_of colopt) in
           advance ~tables colopt { t with Partial.order_item = Some item }
             Partial.P_order_dir p)
-        (maybe_uniform (Model.order_targets ctx ~projected))
   | Partial.P_order_dir ->
-      List.map
-        (fun (dir, p) -> step { t with Partial.order_dir = dir } Partial.P_limit p)
-        (maybe_uniform (Model.direction ctx))
+      choices t (maybe_uniform (Model.direction ctx)) (fun dir p ->
+          step { t with Partial.order_dir = dir } Partial.P_limit p)
   | Partial.P_limit ->
-      List.map
-        (fun (lim, p) -> step { t with Partial.limit = lim } Partial.P_done p)
-        (maybe_uniform (Model.limit ctx ~hint:hints.h_limit))
+      choices t (maybe_uniform (Model.limit ctx ~hint:hints.h_limit)) (fun lim p ->
+          step { t with Partial.limit = lim } Partial.P_done p)
+
+let expand ~guided hints ctx t =
+  let g = generate ~guided hints ctx t in
+  List.init (Array.length g.conf) g.build
+
+(* Whether an expansion's children carry a WHERE or HAVING predicate:
+   they do when the parent does, and they gain one exactly in these two
+   phases. *)
+let children_have_predicates (t : Partial.t) =
+  Partial.has_predicates t
+  ||
+  match t.Partial.phase with
+  | Partial.P_where_op _ | Partial.P_having_pred -> true
+  | Partial.P_keywords | P_num_proj | P_proj_target _ | P_proj_agg _ | P_where_num
+  | P_where_col _ | P_where_conn | P_group_col | P_having_presence | P_order_target
+  | P_order_dir | P_limit | P_done | P_joinpath _ ->
+      false
 
 exception Budget_exhausted
 
@@ -446,6 +470,13 @@ type state = {
   st_times : timers;
 }
 
+(* The visited layer: test-and-insert on [Partial.key]'s partition. *)
+let visit visited (stats : Verify.stats) child =
+  let unseen = Partial.Tbl.add visited child in
+  stats.Verify.key_renders <- stats.Verify.key_renders + Partial.Tbl.take_renders visited;
+  if not unseen then stats.Verify.visited_hits <- stats.Verify.visited_hits + 1;
+  unseen
+
 let init config ctx db ?index ?relcache ~tsq ~literals
     ?(on_candidate = fun _ -> ()) ?(on_offer = fun _ _ -> ()) () =
   (* The lazy warning penalty is exact only for a factor of at most 1. *)
@@ -457,7 +488,15 @@ let init config ctx db ?index ?relcache ~tsq ~literals
       ~static:config.static_rules ?index ?relcache ~db ~tsq ~literals ()
   in
   let hints = match tsq with Some s -> hints_of_tsq s | None -> no_hints in
-  let frontier = Frontier.create ~cap:config.max_frontier () in
+  let visited = Partial.Tbl.create 2048 in
+  let frontier =
+    Frontier.create ~cap:config.max_frontier
+      ~admit:(fun child ->
+        let fresh = visit visited stats child in
+        on_offer child fresh;
+        fresh)
+      ()
+  in
   Frontier.push frontier Partial.root;
   {
     st_config = config;
@@ -466,7 +505,7 @@ let init config ctx db ?index ?relcache ~tsq ~literals
     st_env = env;
     st_stats = stats;
     st_frontier = frontier;
-    st_visited = Partial.Tbl.create 2048;
+    st_visited = visited;
     st_canon = Partial.Canon.create 512;
     st_emitted = Hashtbl.create 64;
     st_on_candidate = on_candidate;
@@ -486,37 +525,31 @@ let init config ctx db ?index ?relcache ~tsq ~literals
 
 let finished s = s.st_finished
 
+(* Admit a child built at its parent's expansion, one that carries a
+   predicate: the visited layer, then a second one that collapses
+   states whose decided content is Duosem-canonically equal (predicate
+   order, equivalent spellings).  A predicate-free child skips the
+   second layer, so it waits unbuilt in its parent's run instead (see
+   [step]): its canonical key is its key with an empty literal segment
+   spliced in, so it can collide only with a predicate-free state of
+   the same key (a predicated state's literal segment is never empty),
+   which the visited layer catches. *)
 let push_fresh s (child : Partial.t) =
   let stats = s.st_stats in
-  let unseen = Partial.Tbl.add s.st_visited child in
-  stats.Verify.key_renders <-
-    stats.Verify.key_renders + Partial.Tbl.take_renders s.st_visited;
-  if not unseen then begin
-    stats.Verify.visited_hits <- stats.Verify.visited_hits + 1;
-    s.st_on_offer child false
-  end
-  else
-    (* Second layer: collapse states whose decided content is Duosem-
-       canonically equal (predicate order, equivalent spellings).  A
-       state without WHERE or HAVING predicates skips it: its canonical
-       key is its key with an empty literal segment spliced in, so it can
-       collide only with a predicate-free state of the same key (a
-       predicated state's literal segment is never empty), which the
-       visited layer has already caught. *)
-    let fresh =
-      (not (Partial.has_predicates child))
-      || begin
-           stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
-           let fresh = Partial.Canon.add s.st_canon child in
-           stats.Verify.key_renders <-
-             stats.Verify.key_renders + Partial.Canon.take_renders s.st_canon;
-           if not fresh then
-             stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
-           fresh
-         end
-    in
-    s.st_on_offer child fresh;
-    if fresh then Frontier.push s.st_frontier child
+  let fresh =
+    visit s.st_visited stats child
+    && begin
+         stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
+         let fresh = Partial.Canon.add s.st_canon child in
+         stats.Verify.key_renders <-
+           stats.Verify.key_renders + Partial.Canon.take_renders s.st_canon;
+         if not fresh then
+           stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
+         fresh
+       end
+  in
+  s.st_on_offer child fresh;
+  if fresh then Frontier.push s.st_frontier child
 
 (* A popped state's verdict: whether to expand or emit it now.  On its
    first pop a state meets the [static] stage, and a survivor that
@@ -597,6 +630,9 @@ let step ?max_pops s =
     (try
        while true do
          if s.st_pops >= pop_limit then raise Slice_exhausted;
+         (* Reaching run heads, building and deduping each child there,
+            is admission work: it is timed with the pop. *)
+         let m_reach = Clock.mono () in
          if Frontier.is_empty s.st_frontier then begin
            (* An empty frontier only proves exhaustion when compaction never
               discarded a state: dropped states stay in [st_visited] and can
@@ -616,6 +652,7 @@ let step ?max_pops s =
                 no pop.  Verify, expand and admit share their clock
                 stamps. *)
              let m0 = Clock.mono () in
+             s.st_times.admit_s <- s.st_times.admit_s +. (m0 -. m_reach);
              let ok = judge s p in
              let m1 = Clock.mono () in
              s.st_times.verify_s <- s.st_times.verify_s +. (m1 -. m0);
@@ -626,10 +663,18 @@ let step ?max_pops s =
                     stream out in nonincreasing confidence order. *)
                  Option.iter (emit p) (Partial.to_query p)
                else begin
-                 let children = expand ~guided:config.guided s.st_hints s.st_ctx p in
+                 (* Predicate-free children wait in one run and are built
+                    and deduped when the search reaches them; children
+                    with a predicate are built and admitted now, through
+                    both dedup layers (see DESIGN.md, "Lazy sibling
+                    runs"). *)
+                 let g = generate ~guided:config.guided s.st_hints s.st_ctx p in
+                 let eager = children_have_predicates p in
+                 let children = if eager then Array.init (Array.length g.conf) g.build else [||] in
                  let m2 = Clock.mono () in
                  s.st_times.expand_s <- s.st_times.expand_s +. (m2 -. m1);
-                 List.iter (push_fresh s) children;
+                 if eager then Array.iter (push_fresh s) children
+                 else Frontier.push_run s.st_frontier ~conf:g.conf ~jlen:g.jlen g.build;
                  s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
                end
              end

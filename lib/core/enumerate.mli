@@ -75,17 +75,25 @@ type candidate = {
 type outcome = {
   out_candidates : candidate list;  (** in emission order *)
   out_pops : int;  (** pops that passed verification *)
-  out_pushed : int;  (** states pushed: children that passed dedup *)
+  out_pushed : int;
+      (** states admitted to the frontier: the root, and the children
+          that passed dedup (a child with a predicate at its parent's
+          expansion, a predicate-free one when the search reaches it;
+          a child never reached is not counted) *)
   out_stats : Verify.stats;
   out_elapsed_s : float;  (** wall-clock seconds for the whole run *)
-  out_expand_s : float;  (** processor time spent in EnumNextStep *)
+  out_expand_s : float;
+      (** time spent in EnumNextStep: generating each expansion's
+          children, and building those with a predicate *)
   out_verify_s : float;
       (** time spent in the verification cascade and the warning count,
           all at pop *)
   out_admit_s : float;
-      (** time spent admitting children (visited and canonical
-          dedup, frontier push); with [out_expand_s] and
-          [out_verify_s] it accounts for the enumeration loop *)
+      (** time spent admitting children: visited and canonical dedup
+          and the frontier push at expansion, and the frontier pop with
+          the build and dedup of each predicate-free child the search
+          reaches; with [out_expand_s] and [out_verify_s] it accounts
+          for the enumeration loop *)
   out_exhausted : bool;
       (** the frontier emptied within budget {e and} compaction never
           dropped a state — i.e. the reachable space was fully enumerated *)
@@ -124,8 +132,10 @@ type hints = {
 val no_hints : hints
 val hints_of_tsq : Tsq.t -> hints
 
-(** One [EnumNextStep]: all children of a state, confidences updated.
-    Exposed for tests (completeness and Property-1 checks). *)
+(** One [EnumNextStep]: all children of a state, built, confidences
+    updated.  The run builds a predicate-free child only when the search
+    reaches it, from the same generator.  Exposed for tests
+    (completeness and Property-1 checks) and reference loops. *)
 val expand :
   guided:bool -> hints -> Duoguide.Model.ctx -> Partial.t -> Partial.t list
 
@@ -151,9 +161,12 @@ type status =
 (** [init config ctx db ~tsq ~literals ()] builds a paused run with the
     root state on the frontier.  [tsq = None] is the pure-NLI setting.
     [on_candidate] fires at each emission (the paper's streaming UI).
-    [on_offer child admitted] fires for each child, after dedup decided
-    whether to admit it to the frontier (observability: which states
-    were enumerated, and in what order).  [init] raises
+    [on_offer child admitted] fires when dedup decides whether to admit
+    a child to the frontier: for a child with a WHERE or HAVING
+    predicate when its parent is expanded, for a predicate-free child
+    when the search reaches it (observability: which states were
+    enumerated, and in what order).  A child the search never reaches
+    is never offered.  [init] raises
     [Invalid_argument] when [static_penalty] lies outside \[0, 1\].
     [index] and [relcache] thread a session's inverted index and its
     relation cache for the calling domain into the verification

@@ -37,16 +37,20 @@ let extensions schema (from : from_clause) =
         (Duodb.Schema.join_edges schema ~table:t))
     from.f_tables
 
-(* Construction is called once per enumerated child state; memoize per
-   (schema, tables, depth).  Schemas are immutable during synthesis, but
-   the key must capture the join-relevant structure, not just the schema
-   name: two same-named schemas with different FK graphs must not share
-   entries (found by Duocheck — its fuzz schemas, all named "fuzzdb",
-   were served each other's join paths).
+(* Construction is called once per expansion that decides a join path;
+   memoize per (schema, tables, depth).  Schemas are immutable during
+   synthesis, but the key must capture the join-relevant structure, not
+   just the schema name: two same-named schemas with different FK graphs
+   must not share entries (found by Duocheck — its fuzz schemas, all
+   named "fuzzdb", were served each other's join paths).  So the key
+   holds the schema's signature (name, FK edges, table names), computed
+   once per schema through a one-slot memo on the schema's physical
+   identity, with its hash.  Keys compare with [String.equal] and
+   integer equality, never with polymorphic compare.
 
-   The memo is domain-local ([Domain.DLS]): sharded bench and simulation
-   runs expand on several pool domains at once, and an unsynchronized
-   shared [Hashtbl] would race.
+   The memos are domain-local ([Domain.DLS]): sharded bench and
+   simulation runs expand on several pool domains at once, and an
+   unsynchronized shared [Hashtbl] would race.
    Per-domain memos need no locks, and since construction is a pure
    function of the key, duplicated entries across domains cannot change
    results — they only cost memory, bounded by [max_memo_entries] per
@@ -56,8 +60,29 @@ type slot = { mutable hit : bool; value : from_clause list }
 
 let max_memo_entries = 100_000
 
-let memo_key : (string * string * int, slot) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+module Key = struct
+  type t = { signature : string; signature_hash : int; tables : string; depth : int }
+
+  let equal a b =
+    a.depth = b.depth && String.equal a.tables b.tables && String.equal a.signature b.signature
+
+  let hash k = (((k.signature_hash * 65599) + String.hash k.tables) * 31) + k.depth
+end
+
+module Memo = Hashtbl.Make (Key)
+
+(* A domain's join memo, and the last schema it saw with that schema's
+   signature and the signature's hash. *)
+type memo = {
+  paths : slot Memo.t;
+  mutable schema : Duodb.Schema.t option;
+  mutable signature : string;
+  mutable signature_hash : int;
+}
+
+let memo_key : memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { paths = Memo.create 256; schema = None; signature = ""; signature_hash = 0 })
 
 (* Halving eviction (clock-style second chance): drop the entries not
    hit since the previous eviction, then arbitrary extras until at most
@@ -66,31 +91,32 @@ let memo_key : (string * string * int, slot) Hashtbl.t Domain.DLS.key =
    right on the hot path. *)
 let evict_half memo =
   let keep = max_memo_entries / 2 in
-  let stale = Hashtbl.fold (fun k s acc -> if s.hit then acc else k :: acc) memo [] in
-  List.iter (Hashtbl.remove memo) stale;
-  let excess = Hashtbl.length memo - keep in
+  let stale = Memo.fold (fun k s acc -> if s.hit then acc else k :: acc) memo [] in
+  List.iter (Memo.remove memo) stale;
+  let excess = Memo.length memo - keep in
   if excess > 0 then begin
     let doomed = ref [] in
     let n = ref 0 in
     (try
-       Hashtbl.iter
+       Memo.iter
          (fun k _ ->
            if !n >= excess then raise Exit;
            doomed := k :: !doomed;
            incr n)
          memo
      with Exit -> ());
-    List.iter (Hashtbl.remove memo) !doomed
+    List.iter (Memo.remove memo) !doomed
   end;
-  Hashtbl.iter (fun _ s -> s.hit <- false) memo
+  Memo.iter (fun _ s -> s.hit <- false) memo
 
 let schema_signature (schema : Duodb.Schema.t) =
-  String.concat "|"
-    (List.map
-       (fun (e : Duodb.Schema.foreign_key) ->
-         e.Duodb.Schema.fk_table ^ "." ^ e.Duodb.Schema.fk_column ^ ">"
-         ^ e.Duodb.Schema.pk_table ^ "." ^ e.Duodb.Schema.pk_column)
-       schema.Duodb.Schema.foreign_keys)
+  schema.Duodb.Schema.name ^ ":"
+  ^ String.concat "|"
+      (List.map
+         (fun (e : Duodb.Schema.foreign_key) ->
+           e.Duodb.Schema.fk_table ^ "." ^ e.Duodb.Schema.fk_column ^ ">"
+           ^ e.Duodb.Schema.pk_table ^ "." ^ e.Duodb.Schema.pk_column)
+         schema.Duodb.Schema.foreign_keys)
   ^ "#"
   ^ String.concat ","
       (List.map
@@ -126,18 +152,27 @@ let construct_uncached ?(depth = 1) schema ~tables =
           expand_level depth [ base ] [ base ])
 
 let construct ?(depth = 1) schema ~tables =
-  let memo = Domain.DLS.get memo_key in
+  let m = Domain.DLS.get memo_key in
+  (match m.schema with
+  | Some s when s == schema -> ()
+  | Some _ | None ->
+      m.schema <- Some schema;
+      m.signature <- schema_signature schema;
+      m.signature_hash <- String.hash m.signature);
   let key =
-    ( schema.Duodb.Schema.name ^ ":" ^ schema_signature schema,
-      String.concat ";" (List.sort String.compare tables),
-      depth )
+    {
+      Key.signature = m.signature;
+      signature_hash = m.signature_hash;
+      tables = String.concat ";" (List.sort String.compare tables);
+      depth;
+    }
   in
-  match Hashtbl.find_opt memo key with
+  match Memo.find_opt m.paths key with
   | Some s ->
       s.hit <- true;
       s.value
   | None ->
       let r = construct_uncached ~depth schema ~tables in
-      if Hashtbl.length memo >= max_memo_entries then evict_half memo;
-      Hashtbl.replace memo key { hit = false; value = r };
+      if Memo.length m.paths >= max_memo_entries then evict_half m.paths;
+      Memo.replace m.paths key { hit = false; value = r };
       r

@@ -73,8 +73,10 @@ type stats = {
       (** enumerator pushes/emissions suppressed because a
           Duosem-canonically-equal state or candidate was already seen *)
   mutable visited_hits : int;
-      (** enumerator pushes suppressed because a state with the same
-          {!Partial.key} was already admitted *)
+      (** enumerator children refused because a state with the same
+          {!Partial.key} was already admitted: a child with a predicate
+          at its parent's expansion, a predicate-free one when the search
+          reaches it (a child never reached is never looked up) *)
   mutable canon_checked : int;
       (** admitted states looked up in the canonical layer
           ({!Partial.Canon}); states without WHERE or HAVING predicates

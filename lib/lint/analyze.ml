@@ -580,11 +580,6 @@ let run_rules pre (o : Outline.t) emit =
     if o_group_final && o_group_by <> [] then order_unprojected_rule emit o
   end
 
-let check_p pre o =
-  let acc = ref [] in
-  run_rules pre o (fun d -> acc := d :: !acc);
-  List.rev !acc
-
 exception Found_error
 
 (* Every rule in the errors section carries [D.Error] severity, so the
@@ -759,9 +754,10 @@ let count_warnings_p pre (o : Outline.t) =
     order_unprojected_rule pre.w_emit o;
   from_n + select_n + where_n + having_n + !(pre.w_hits)
 
-let check schema o = check_p (prepare schema) o
 let has_errors schema o = has_errors_p (prepare schema) o
-let count_warnings schema o = count_warnings_p (prepare schema) o
 let errors ds = List.filter D.is_error ds
 let warnings ds = List.filter (fun d -> not (D.is_error d)) ds
-let check_query schema q = check schema (Outline.of_query q)
+let check_query schema q =
+  let acc = ref [] in
+  run_rules (prepare schema) (Outline.of_query q) (fun d -> acc := d :: !acc);
+  List.rev !acc

@@ -5,14 +5,11 @@
 
 type prepared
 (** A schema compiled to hash-table lookups.  The cascade runs the rules
-    once per enumerator push, so callers on that path {!prepare} once per
+    once per popped state, so callers on that path {!prepare} once per
     session; the plain [Duodb.Schema.t] entry points below prepare on
     every call and suit one-shot linting. *)
 
 val prepare : Duodb.Schema.t -> prepared
-
-val check_p : prepared -> Outline.t -> Diagnostic.t list
-(** All diagnostics, in rule order. *)
 
 val has_errors_p : prepared -> Outline.t -> bool
 (** Fast path for the cascade: runs only the error rules and
@@ -31,12 +28,11 @@ val count_warnings_p : prepared -> Outline.t -> int
     consecutive calls re-count only the clauses that changed; the
     cross-clause rules re-run whenever their finality flags hold. *)
 
-val check : Duodb.Schema.t -> Outline.t -> Diagnostic.t list
 val has_errors : Duodb.Schema.t -> Outline.t -> bool
-val count_warnings : Duodb.Schema.t -> Outline.t -> int
 
 val errors : Diagnostic.t list -> Diagnostic.t list
 val warnings : Diagnostic.t list -> Diagnostic.t list
 
 val check_query : Duodb.Schema.t -> Duosql.Ast.query -> Diagnostic.t list
-(** Lint a complete query (every clause final). *)
+(** All diagnostics of a complete query (every clause final), in rule
+    order. *)

@@ -153,6 +153,51 @@ let test_mas_golds_parallel_identical () =
        (fun (t : Duobench.Mas.task) -> List.mem t.Duobench.Mas.task_id [ "A1"; "B1"; "B4" ])
        Duobench.Mas.nli_study_tasks)
 
+(* Lazy sibling runs on Duoquest tasks.  The generated scenarios never
+   produce two predicate orders of one WHERE clause that the search
+   reaches in the opposite order from the one they were generated in;
+   these Minimal-sketch tasks of the mini Spider splits (seeds 11 and 17,
+   the simulation's sketch draws) do, and a run that deferred the
+   canonical layer to reach time would emit different candidates on
+   each of them.  The run must agree with the eager reference. *)
+let test_lazy_runs_on_tasks () =
+  List.iter
+    (fun (seed, ids) ->
+      let split = Duobench.Spider_gen.mini ~seed ~n_dbs:4 ~per_db:9 () in
+      let rng = Duobench.Rng.create 4242 in
+      let rngs = List.map (fun _ -> Duobench.Rng.split rng) split.Duobench.Spider_gen.tasks in
+      List.iteri
+        (fun i ((task : Duobench.Spider_gen.task), trng) ->
+          if List.mem i ids then begin
+            let db = List.assoc task.Duobench.Spider_gen.sp_db split.Duobench.Spider_gen.databases in
+            let session = Duocore.Duoquest.create_session db in
+            let index = Duocore.Duoquest.session_index session in
+            let tsq =
+              Duobench.Tsq_synth.synthesize trng db task.Duobench.Spider_gen.sp_gold
+                ~detail:Duobench.Tsq_synth.Minimal
+            in
+            let nlq =
+              Duonl.Nlq.with_literals ~index task.Duobench.Spider_gen.sp_nlq
+                task.Duobench.Spider_gen.sp_literals
+            in
+            let ctx = Duoguide.Model.make ~index (Duodb.Database.schema db) nlq in
+            let config =
+              { Duocore.Enumerate.default_config with
+                Duocore.Enumerate.max_pops = 4_000;
+                max_candidates = 100;
+                time_budget_s = 600.0 }
+            in
+            match
+              Duocheck.Props.lazy_eager_diff config ctx db ~index ~tsq
+                ~literals:(List.map (fun l -> l.Duonl.Nlq.lit_value) nlq.Duonl.Nlq.literals)
+                ()
+            with
+            | None -> ()
+            | Some d -> Alcotest.failf "mini seed %d task %d: %s" seed i d
+          end)
+        (List.combine split.Duobench.Spider_gen.tasks rngs))
+    [ (11, [ 16; 18; 22 ]); (17, [ 17; 19 ]) ]
+
 let suite =
   [
     Alcotest.test_case "reference: Figure 2 query" `Quick test_reference_on_fig2;
@@ -162,5 +207,7 @@ let suite =
       test_mas_golds_survive_cascade;
     Alcotest.test_case "MAS golds: domains=4 synthesis identical" `Quick
       test_mas_golds_parallel_identical;
+    Alcotest.test_case "lazy runs = eager reference on Minimal-sketch tasks" `Quick
+      test_lazy_runs_on_tasks;
   ]
   @ seeded_props

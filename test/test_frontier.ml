@@ -111,55 +111,114 @@ let test_pop_k_compaction_interaction () =
   Alcotest.(check bool) "dropped monotone" true (Frontier.dropped f >= dropped0)
 
 (* The frontier against a sorted-list model.  Each operation runs on
-   both; pops, settled marks, sizes and the pushed/dropped counters must
-   agree after every step.  Confidences and join lengths come from small
-   sets so ties on both are common; states carry a unique id in [depth].
-   A settle re-inserts the state the last pop returned, under its
-   sequence number, and only right after a pop that returned one. *)
+   both; pops, settled marks, sizes, the pushed/dropped counters and the
+   number of children built must agree after every step.  Confidences
+   and join lengths come from small sets so ties on both are common;
+   states carry a unique id in [depth].  A settle re-inserts the state
+   the last pop returned, under its sequence number, and only right
+   after a pop that returned one.  A run's children enter the model
+   unbuilt, under sequence numbers reserved in generation order; one is
+   built when it reaches the head, or when a state arriving at the cap
+   (or a run that could meet it) builds every unbuilt child in sequence
+   order.  Run children carry a key in [nproj], drawn from a small set,
+   and the frontier's [admit] refuses a child whose key it took before
+   (a visited set); the model keeps its own, so a child built out of
+   order shows as a different admission. *)
 type op =
   | Push of float * int
+  | Push_run of (float * int * int) list
   | Pop
   | Settle of float
+
+let confs = [ 0.2; 0.5; 0.9 ]
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
-        (3, map2 (fun c j -> Push (c, j)) (oneofl [ 0.2; 0.5; 0.9 ]) (int_range 0 2));
-        (1, return Pop);
-        (1, map (fun c -> Settle c) (oneofl [ 0.2; 0.5; 0.9 ]));
+        (3, map2 (fun c j -> Push (c, j)) (oneofl confs) (int_range 0 2));
+        ( 2,
+          map
+            (fun l -> Push_run l)
+            (list_size (int_range 0 5) (triple (oneofl confs) (int_range 0 2) (int_range 0 40))) );
+        (2, return Pop);
+        (1, map (fun c -> Settle c) (oneofl confs));
       ])
 
 let show_op = function
   | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
+  | Push_run l ->
+      "run ["
+      ^ String.concat "; " (List.map (fun (c, j, k) -> Printf.sprintf "%.1f/%d#%d" c j k) l)
+      ^ "]"
   | Pop -> "pop"
   | Settle c -> Printf.sprintf "settle %.1f" c
 
 let edge =
   { Duosql.Ast.j_from = Duosql.Ast.col "starring" "aid"; j_to = Duosql.Ast.col "actor" "aid" }
 
+(* A visited set on run children's keys: [admit]. *)
+let admits seen (p : Partial.t) =
+  (not (Hashtbl.mem seen p.Partial.nproj)) && (Hashtbl.replace seen p.Partial.nproj (); true)
+
+type entry = { e_state : Partial.t; e_seq : int; e_unbuilt : bool }
+
 type model = {
-  mutable entries : (Partial.t * int) list;  (* sorted by priority *)
+  cap : int;
+  mutable entries : entry list;  (* sorted by priority *)
+  mutable m_seq : int;
   mutable m_pushed : int;
   mutable m_dropped : int;
+  mutable m_built : int;
+  m_seen : (int, unit) Hashtbl.t;  (* the model's visited set *)
   m_settled : (int, unit) Hashtbl.t;  (* ids queued by a settle *)
-  mutable m_last : (Partial.t * int) option;  (* the pop a settle may follow *)
+  mutable m_last : entry option;  (* the pop a settle may follow *)
 }
 
-let model_insert m cap e =
-  if List.length m.entries >= cap then begin
-    let keep = min (max 1 (cap / 2)) (List.length m.entries) in
-    m.m_dropped <- m.m_dropped + (List.length m.entries - keep);
+let priority a b = Partial.compare_priority (a.e_state, a.e_seq) (b.e_state, b.e_seq)
+let model_add m e = m.entries <- List.merge priority m.entries [ e ]
+
+(* A built state that [admit] took, arriving with no child unbuilt. *)
+let model_insert_state m e =
+  let n = List.length m.entries in
+  if n >= m.cap then begin
+    let keep = min (max 1 (m.cap / 2)) n in
+    m.m_dropped <- m.m_dropped + (n - keep);
     m.entries <- List.filteri (fun i _ -> i < keep) m.entries
   end;
-  m.entries <- List.merge Partial.compare_priority m.entries [ e ]
+  model_add m e
 
-let model_pop m =
+(* Build a child and queue it if [admit] takes it. *)
+let model_admit m e =
+  m.m_built <- m.m_built + 1;
+  if admits m.m_seen e.e_state then begin
+    m.m_pushed <- m.m_pushed + 1;
+    model_insert_state m { e with e_unbuilt = false }
+  end
+
+let model_flush m =
+  let unbuilt = List.filter (fun e -> e.e_unbuilt) m.entries in
+  m.entries <- List.filter (fun e -> not e.e_unbuilt) m.entries;
+  List.iter (model_admit m) (List.sort (fun a b -> Int.compare a.e_seq b.e_seq) unbuilt)
+
+let model_insert m e =
+  if List.length m.entries >= m.cap then model_flush m;
+  model_insert_state m e
+
+let rec model_pop m =
   match m.entries with
+  | e :: rest when e.e_unbuilt ->
+      m.entries <- rest;
+      m.m_built <- m.m_built + 1;
+      if admits m.m_seen e.e_state then begin
+        m.m_pushed <- m.m_pushed + 1;
+        Some { e with e_unbuilt = false }
+      end
+      else model_pop m
   | e :: rest ->
       m.entries <- rest;
-      [ e ]
-  | [] -> []
+      Some e
+  | [] -> None
 
 let prop_model =
   QCheck.Test.make ~name:"frontier = sorted-list model" ~count:300
@@ -167,43 +226,69 @@ let prop_model =
       pair (int_range 2 12)
         (make ~print:(QCheck.Print.list show_op) QCheck.Gen.(list_size (int_range 0 80) gen_op)))
     (fun (cap, ops) ->
-      let f = Frontier.create ~cap () in
+      let f = Frontier.create ~cap ~admit:(admits (Hashtbl.create 16)) () in
       let m =
-        { entries = []; m_pushed = 0; m_dropped = 0; m_settled = Hashtbl.create 8; m_last = None }
+        { cap; entries = []; m_seq = 0; m_pushed = 0; m_dropped = 0; m_built = 0;
+          m_seen = Hashtbl.create 16; m_settled = Hashtbl.create 8; m_last = None }
       in
+      let built = ref 0 in
       let next_id = ref 0 in
+      let state_of (c, j, key) =
+        let p =
+          { (state c) with
+            Partial.depth = !next_id;
+            nproj = key;
+            from =
+              Some { Duosql.Ast.f_tables = [ "actor" ]; f_joins = List.init j (fun _ -> edge) } }
+        in
+        incr next_id;
+        p
+      in
       let ids l = List.map (fun (p : Partial.t) -> p.Partial.depth) l in
       let step op =
         let last = m.m_last in
         m.m_last <- None;
         match op with
         | Push (c, j) ->
-            let p =
-              { (state c) with
-                Partial.depth = !next_id;
-                from =
-                  Some { Duosql.Ast.f_tables = [ "actor" ]; f_joins = List.init j (fun _ -> edge) } }
-            in
-            incr next_id;
+            let p = state_of (c, j, -1) in
             Frontier.push f p;
-            model_insert m cap (p, m.m_pushed);
+            let e = { e_state = p; e_seq = m.m_seq; e_unbuilt = false } in
+            m.m_seq <- m.m_seq + 1;
             m.m_pushed <- m.m_pushed + 1;
+            model_insert m e;
+            true
+        | Push_run l ->
+            let kids = Array.of_list (List.map state_of l) in
+            let n = Array.length kids in
+            Frontier.push_run f
+              ~conf:(Array.map (fun (p : Partial.t) -> p.Partial.confidence) kids)
+              ~jlen:(Array.map Partial.join_length kids)
+              (fun i ->
+                incr built;
+                kids.(i));
+            let es = Array.mapi (fun i p -> { e_state = p; e_seq = m.m_seq + i; e_unbuilt = true }) kids in
+            m.m_seq <- m.m_seq + n;
+            if List.length m.entries + n > cap then begin
+              model_flush m;
+              Array.iter (model_admit m) es
+            end
+            else Array.iter (model_add m) es;
             true
         | Pop -> (
             let got = Frontier.pop f in
             match model_pop m with
-            | [ ((p, _) as e) ] ->
+            | Some e ->
                 m.m_last <- Some e;
-                ids (Option.to_list got) = ids [ p ]
-                && Frontier.settled f = Hashtbl.mem m.m_settled p.Partial.depth
-            | _ -> got = None)
+                ids (Option.to_list got) = ids [ e.e_state ]
+                && Frontier.settled f = Hashtbl.mem m.m_settled e.e_state.Partial.depth
+            | None -> got = None)
         | Settle c -> (
             match last with
             | None -> true
-            | Some (p, seq) ->
-                let p = { p with Partial.confidence = c } in
+            | Some e ->
+                let p = { e.e_state with Partial.confidence = c } in
                 Frontier.settle f p;
-                model_insert m cap (p, seq);
+                model_insert m { e with e_state = p };
                 Hashtbl.replace m.m_settled p.Partial.depth ();
                 true)
       in
@@ -212,11 +297,15 @@ let prop_model =
           step op
           && Frontier.size f = List.length m.entries
           && Frontier.pushed f = m.m_pushed
-          && Frontier.dropped f = m.m_dropped)
+          && Frontier.dropped f = m.m_dropped
+          && !built = m.m_built)
         ops
       &&
       let rec drain acc = match Frontier.pop f with Some p -> drain (p :: acc) | None -> List.rev acc in
-      ids (drain []) = ids (List.map fst m.entries))
+      let rec model_drain acc =
+        match model_pop m with Some e -> model_drain (e.e_state :: acc) | None -> List.rev acc
+      in
+      ids (drain []) = ids (model_drain []))
 
 let suite =
   [

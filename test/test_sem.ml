@@ -228,7 +228,9 @@ let test_mas_counters () =
 (* A run whose canonical layer fires (two-predicate WHERE clauses in
    both orders): the hashed visited set and the predicate-only canonical
    layer admit exactly the states the string-keyed two-layer dedup
-   admitted, offer by offer. *)
+   admits, offer by offer, over the children the run reaches; and the
+   run's candidates, confidences and pops are those of the loop that
+   builds and admits every child at its parent's expansion. *)
 let test_dedup_replay () =
   let db = Duobench.Movies.database () in
   let session = Duocore.Duoquest.create_session db in
@@ -260,7 +262,9 @@ let test_dedup_replay () =
   Alcotest.(check int) "visited hits match the replay" r.Duocheck.Props.rp_hits
     o.Duocore.Enumerate.out_stats.Duocore.Verify.visited_hits;
   Alcotest.(check int) "admitted offers are the pushes" (r.Duocheck.Props.rp_admitted + 1)
-    o.Duocore.Enumerate.out_pushed
+    o.Duocore.Enumerate.out_pushed;
+  Alcotest.(check (option string)) "the eager reference's candidates and pops" None
+    (Duocheck.Props.lazy_eager_diff config ctx db ~index ~tsq:None ~literals ())
 
 let suite =
   [

@@ -100,21 +100,20 @@ let test_joinpath_cache_keyed_by_structure () =
       (fun f -> f.Duosql.Ast.f_joins)
       (Joinpath.construct s ~tables:[ "items"; "users" ])
   in
-  ignore (joins_of s1);
-  (* under the name-only cache key this returned s1's items.users_ref edge *)
-  List.iter
-    (fun (j : Duosql.Ast.join_edge) ->
-      List.iter
-        (fun (c : Duosql.Ast.col_ref) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "column %s.%s exists in s2" c.Duosql.Ast.cr_table
-               c.Duosql.Ast.cr_col)
-            true
-            (Option.is_some
-               (Duodb.Schema.find_column s2 ~table:c.Duosql.Ast.cr_table
-                  c.Duosql.Ast.cr_col)))
-        [ j.Duosql.Ast.j_from; j.Duosql.Ast.j_to ])
-    (joins_of s2)
+  let exists_in s (j : Duosql.Ast.join_edge) =
+    List.iter
+      (fun (c : Duosql.Ast.col_ref) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "column %s.%s exists in %s" c.Duosql.Ast.cr_table
+             c.Duosql.Ast.cr_col (if s == s1 then "s1" else "s2"))
+          true
+          (Option.is_some
+             (Duodb.Schema.find_column s ~table:c.Duosql.Ast.cr_table c.Duosql.Ast.cr_col)))
+      [ j.Duosql.Ast.j_from; j.Duosql.Ast.j_to ]
+  in
+  (* under the name-only cache key s2 got s1's items.users_ref edge; the
+     way back to s1 must not keep s2's signature either *)
+  List.iter (fun s -> List.iter (exists_in s) (joins_of s)) [ s1; s2; s1 ]
 
 let test_covers () =
   let f = List.hd (Joinpath.construct movie_schema ~tables:[ "actor"; "movies" ]) in
