@@ -1520,6 +1520,128 @@ let domain_lattice_prop seed =
       chain
   end
 
+(* --- guidance memo -------------------------------------------------------- *)
+
+(* Schemas and NLQs for [guidance_memo_prop] besides a scenario's own:
+   the MAS study tasks' and a mini Spider split's. *)
+let memo_pool =
+  lazy
+    (let nlq text lits = Duonl.Nlq.with_literals text lits in
+     let mas =
+       List.map
+         (fun (t : Duobench.Mas.task) ->
+           (Duobench.Mas.schema, nlq t.Duobench.Mas.task_nlq t.Duobench.Mas.task_literals))
+         (Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks)
+     in
+     let mini = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+     let spider =
+       List.map
+         (fun (t : Duobench.Spider_gen.task) ->
+           ( Duodb.Database.schema
+               (List.assoc t.Duobench.Spider_gen.sp_db mini.Duobench.Spider_gen.databases),
+             nlq t.Duobench.Spider_gen.sp_nlq t.Duobench.Spider_gen.sp_literals ))
+         mini.Duobench.Spider_gen.tasks
+     in
+     Array.of_list (mas @ spider))
+
+(* The guidance model's memoized distributions are exact: over a random
+   sequence of calls on one context, on a scenario's schema, the MAS
+   schema or a mini Spider one, every distribution equals a fresh
+   context's first call for the same arguments (items, bit-equal
+   probabilities, best-first order), and a call with an equal key
+   ([used] or [projected] sets in another order) returns the physically
+   same entry. *)
+let guidance_memo_prop ((sc : Gen.scenario), seed) =
+  let module M = Duoguide.Model in
+  let st = Random.State.make [| seed |] in
+  let schema, nlq =
+    let pool = Lazy.force memo_pool in
+    match seed mod 3 with
+    | 0 -> (Duodb.Database.schema sc.Gen.sc_db, M.nlq (ctx_of sc))
+    | _ -> pool.(Random.State.int st (Array.length pool))
+  in
+  let ctx = M.make schema nlq in
+  let columns = Array.of_list (Duodb.Schema.all_columns schema) in
+  let int n = Random.State.int st n in
+  let column () = columns.(int (Array.length columns)) in
+  let some_of f = if int 4 = 0 then None else Some (f ()) in
+  let list_of k f = List.init (int (k + 1)) (fun _ -> f ()) in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let out () =
+    match int 3 with
+    | 0 -> None
+    | 1 -> Some Duodb.Datatype.Text
+    | _ -> Some Duodb.Datatype.Number
+  in
+  let agg () =
+    match int 6 with
+    | 0 -> None
+    | 1 -> Some Duosql.Ast.Count
+    | 2 -> Some Duosql.Ast.Sum
+    | 3 -> Some Duosql.Ast.Avg
+    | 4 -> Some Duosql.Ast.Min
+    | _ -> Some Duosql.Ast.Max
+  in
+  let hint () = some_of (fun () -> int 12) in
+  let bits d = Array.map Int64.bits_of_float d.M.d_probs in
+  (* [call] on [ctx], then on a fresh context, then [again] (an equal
+     key) on [ctx]. *)
+  let check name call again =
+    let d = call ctx in
+    let fresh = call (M.make schema nlq) in
+    if compare d.M.d_items fresh.M.d_items <> 0 || bits d <> bits fresh
+       || d.M.d_order <> fresh.M.d_order
+    then QCheck.Test.fail_reportf "%s: memoized entry differs from a fresh context's" name
+    else if again ctx != d then
+      QCheck.Test.fail_reportf "%s: an equal key did not return the stored entry" name
+    else true
+  in
+  let one () =
+    match int 8 with
+    | 0 ->
+        let out = out () in
+        let used =
+          list_of 2 (fun () ->
+              if int 5 = 0 then M.Target_count_star else M.Target_column (column ()))
+        in
+        let again = shuffle (used @ used) in
+        check "projection_targets"
+          (fun c -> M.projection_targets ?out c ~used)
+          (fun c -> M.projection_targets ?out c ~used:again)
+    | 1 ->
+        let used = list_of 3 column in
+        let again = shuffle used in
+        check "where_columns" (fun c -> M.where_columns c ~used) (fun c ->
+            M.where_columns c ~used:again)
+    | 2 ->
+        let projected = list_of 3 column in
+        let again = shuffle (projected @ projected) in
+        check "group_columns" (fun c -> M.group_columns c ~projected) (fun c ->
+            M.group_columns c ~projected:again)
+    | 3 ->
+        let projected = list_of 4 (fun () -> (agg (), some_of column)) in
+        check "order_targets" (fun c -> M.order_targets c ~projected) (fun c ->
+            M.order_targets c ~projected)
+    | 4 ->
+        let col = column () in
+        check "values" (fun c -> M.values c col) (fun c -> M.values c col)
+    | 5 ->
+        let col = column () and uniform = int 2 = 0 in
+        check "where_rhs" (fun c -> M.where_rhs ~uniform c col) (fun c ->
+            M.where_rhs ~uniform c col)
+    | 6 ->
+        let hint = hint () in
+        check "num_projections" (fun c -> M.num_projections c ~hint) (fun c ->
+            M.num_projections c ~hint)
+    | _ ->
+        let hint = hint () in
+        check "limit" (fun c -> M.limit c ~hint) (fun c -> M.limit c ~hint)
+  in
+  let rec go k = k = 0 || (one () && go (k - 1)) in
+  go 60
+
 let arb_seeded =
   QCheck.make
     ~print:(fun (sc, seed) ->
@@ -1572,6 +1694,9 @@ let tests ?(mult = 1) () =
       arb_seeded dedup_exact_prop;
     QCheck.Test.make ~count:(6 * mult) ~name:"lazy runs = eager reference" arb_seeded
       lazy_runs_prop;
+    QCheck.Test.make ~count:(30 * mult)
+      ~name:"guidance memo: each stored distribution = a fresh context's" arb_seeded
+      guidance_memo_prop;
     QCheck.Test.make ~count:(80 * mult)
       ~name:"Duosem equivalence: canonical query = original on its database"
       Gen.arb_scenario duosem_equiv_prop;

@@ -46,6 +46,9 @@
       a reference loop that builds and admits every child at its
       parent's expansion ({!lazy_eager_diff}) in NLI, dual, warm-rebase
       and frontier-capped runs;
+    - {b guidance memo}: each distribution {!Duoguide.Model} stores per
+      context equals a fresh context's first call, bit for bit, and an
+      equal key returns the stored entry ({!guidance_memo_prop});
     - {b verify on pop}: the cascade, [static] included, gives one
       verdict on each {!Duocore.Partial.key} partition and each
       {!Duocore.Partial.canonical_key} partition (permuted WHERE
@@ -124,6 +127,13 @@ val lazy_eager_diff :
   string option
 
 val lazy_runs_prop : Gen.scenario * int -> bool
+
+(** The guidance model's per-state distributions, memoized per context,
+    equal a fresh context's first call (items, bit-equal probabilities,
+    best-first order) over random call sequences on a scenario's, the
+    MAS or a mini Spider schema, and an equal key ([used] and
+    [projected] sets in any order) returns the physically same entry. *)
+val guidance_memo_prop : Gen.scenario * int -> bool
 
 (** The cascade verdict ({!Duocore.Verify.verify}, [static] included)
     is the same for every state of one

@@ -112,9 +112,8 @@ let next_after_pred (t : Partial.t) i =
 
 let col_ref_of c = col c.Duodb.Schema.col_table c.Duodb.Schema.col_name
 
-(* Candidate join paths for a state whose referenced tables may have grown
-   (Section 3.3.4): keep the current path when it still covers, otherwise
-   fork one state per candidate clause. *)
+(* A child one decision deeper: it moves to [phase] and carries the
+   parent's confidence times the decision's probability (Property 1). *)
 let step (t : Partial.t) phase prob =
   { t with
     Partial.phase;
@@ -153,22 +152,6 @@ let advance ~tables (c : Duodb.Schema.column option) (t : Partial.t) phase prob 
       t'
   | _, (Some _ | None) -> { t' with Partial.phase = Partial.P_joinpath phase }
 
-let uniform cands =
-  match cands with
-  | [] -> []
-  | _ ->
-      let p = 1.0 /. float_of_int (List.length cands) in
-      List.map (fun (x, _) -> (x, p)) cands
-
-(* Rescale a weighted choice list to total mass 1.  Expansions that drop
-   some branches (no literal for a comparison shape, no range pair for
-   BETWEEN) would otherwise leak the dropped branches' probability mass
-   and break Property 1: children confidences must sum to the parent's. *)
-let renormalize pairs =
-  let total = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 pairs in
-  if total <= 0.0 then pairs
-  else List.map (fun (x, p) -> (x, p /. total)) pairs
-
 let replace_last lst x =
   match List.rev lst with
   | [] -> invalid_arg "replace_last: empty"
@@ -177,37 +160,43 @@ let replace_last lst x =
 (* One expansion's children, unbuilt: child [i] has confidence
    [conf.(i)] and join length [jlen.(i)], and [build i] builds it.  The
    confidences are computed with [step]'s expression, so a built child
-   carries exactly its [conf] entry. *)
+   carries exactly its [conf] entry.  [order], when given, is a guess at
+   the children's best-first order that the frontier checks. *)
 type children = {
   conf : float array;
   jlen : int array;
+  order : int array option;
   build : int -> Partial.t;
 }
 
-let no_children = { conf = [||]; jlen = [||]; build = (fun _ -> Partial.root) }
+let no_children =
+  { conf = [||]; jlen = [||]; order = None; build = (fun _ -> Partial.root) }
 
-(* Children from a weighted choice list: child [i] is [make x p] for the
-   [i]th choice [(x, p)], which keeps the parent's join path. *)
-let choices (t : Partial.t) pairs make =
-  let a = Array.of_list pairs in
+(* Children from one decision's distribution: child [i] is [make x p]
+   for its [i]th choice [(x, p)], which keeps the parent's join path, so
+   the distribution's best-first order is the children's unless two
+   products [c *. p] round to one confidence. *)
+let choices (t : Partial.t) (d : _ Model.dist) make =
   let c = t.Partial.confidence in
+  let items = d.Model.d_items and probs = d.Model.d_probs in
   {
-    conf = Array.map (fun (_, p) -> c *. p) a;
-    jlen = Array.make (Array.length a) (Partial.join_length t);
-    build =
-      (fun i ->
-        let x, p = a.(i) in
-        make x p);
+    conf = Array.map (fun p -> c *. p) probs;
+    jlen = Array.make (Array.length probs) (Partial.join_length t);
+    order = Some d.Model.d_order;
+    build = (fun i -> make items.(i) probs.(i));
   }
 
+(* The one-choice decision of a join-path phase with no table to join. *)
+let certain = Model.renormalized [ ((), 1.0) ]
+
 let generate ~guided hints ctx (t : Partial.t) =
-  let maybe_uniform cands = if guided then cands else uniform cands in
+  let maybe_uniform d = if guided then d else Model.uniform d in
   let tables = lazy (Partial.referenced_tables t) in
   match t.Partial.phase with
   | Partial.P_done -> no_children
   | Partial.P_joinpath next ->
       let tables = Lazy.force tables in
-      if tables = [] then choices t [ ((), 1.0) ] (fun () _ -> { t with Partial.phase = next })
+      if tables = [] then choices t certain (fun () _ -> { t with Partial.phase = next })
       else
         let depth = if is_counting t then 2 else 1 in
         (* Join-path siblings keep the parent's confidence (Section 3.3.4);
@@ -216,6 +205,7 @@ let generate ~guided hints ctx (t : Partial.t) =
         {
           conf = Array.make (Array.length fs) t.Partial.confidence;
           jlen = Array.map (fun f -> List.length f.f_joins) fs;
+          order = None;
           build = (fun i -> { t with Partial.from = Some fs.(i); phase = next });
         }
   | Partial.P_keywords ->
@@ -276,27 +266,7 @@ let generate ~guided hints ctx (t : Partial.t) =
       match t.Partial.where_pending with
       | None -> no_children
       | Some c ->
-          let shapes = maybe_uniform (Model.operators ctx c.Duodb.Schema.col_type) in
-          let rhss =
-            List.concat_map
-              (fun (shape, p_shape) ->
-                match shape with
-                | Model.Shape_cmp op ->
-                    List.map
-                      (fun (v, p_val) -> (Cmp (op, v), p_shape *. p_val))
-                      (maybe_uniform (Model.values ctx c))
-                | Model.Shape_between ->
-                    let ranges = Model.value_ranges ctx in
-                    let n = List.length ranges in
-                    if n = 0 then []
-                    else
-                      List.map
-                        (fun (lo, hi) ->
-                          (Between (lo, hi), p_shape /. float_of_int n))
-                        ranges)
-              shapes
-          in
-          choices t (renormalize rhss) (fun rhs p ->
+          choices t (Model.where_rhs ~uniform:(not guided) ctx c) (fun rhs p ->
               let pred = { pr_agg = None; pr_col = Some (col_ref_of c); pr_rhs = rhs } in
               let t' =
                 { t with
@@ -370,10 +340,10 @@ let generate ~guided hints ctx (t : Partial.t) =
                           ( { pr_agg = agg; pr_col = colref; pr_rhs = Cmp (op, v) },
                             p_target *. p_op /. float_of_int n_vals ))
                         numeric_values)
-              ops)
+              (Model.to_list ops))
           targets
       in
-      choices t (renormalize preds) (fun pred p ->
+      choices t (Model.renormalized preds) (fun pred p ->
           step { t with Partial.having_pred = Some pred } (after_group t) p)
   | Partial.P_order_target ->
       let projected =
@@ -674,7 +644,9 @@ let step ?max_pops s =
                  let m2 = Clock.mono () in
                  s.st_times.expand_s <- s.st_times.expand_s +. (m2 -. m1);
                  if eager then Array.iter (push_fresh s) children
-                 else Frontier.push_run s.st_frontier ~conf:g.conf ~jlen:g.jlen g.build;
+                 else
+                   Frontier.push_run s.st_frontier ?order:g.order ~conf:g.conf ~jlen:g.jlen
+                     g.build;
                  s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
                end
              end

@@ -215,27 +215,49 @@ let push t (p : Partial.t) =
   t.pushed <- t.pushed + 1;
   insert t p r
 
-let push_run t ~conf ~jlen build =
+(* Whether [order], a permutation of the child indices, lists them in
+   the heap's order: confidence non-increasing, then join length, then
+   index. *)
+let in_key_order conf jlen order =
+  let ok = ref true and k = ref 1 in
+  while !ok && !k < Array.length order do
+    let i = order.(!k - 1) and j = order.(!k) in
+    let c = Float.compare conf.(j) conf.(i) in
+    ok := c < 0 || (c = 0 && (jlen.(i) < jlen.(j) || (jlen.(i) = jlen.(j) && i < j)));
+    incr k
+  done;
+  !ok
+
+let push_run ?order t ~conf ~jlen build =
   let n = Array.length conf in
-  let r =
-    { r_build = build; r_conf = conf; r_jlen = jlen; r_seq = t.seq;
-      r_order = Array.init n Fun.id; r_next = 0 }
+  let run r_order =
+    { r_build = build; r_conf = conf; r_jlen = jlen; r_seq = t.seq; r_order; r_next = 0 }
   in
-  t.seq <- t.seq + n;
   if t.size + n > t.cap then begin
     (* Some child might meet the cap: queue them as that frontier would. *)
+    let r = run (Array.init n Fun.id) in
+    t.seq <- t.seq + n;
     flush t;
     admit_all t r r.r_order
   end
   else if n > 0 then begin
-    (* Child indices follow sequence numbers, so a stable sort on
-       (confidence desc, join length) is the heap's order. *)
-    Array.stable_sort
-      (fun i j ->
-        let c = Float.compare conf.(j) conf.(i) in
-        if c <> 0 then c else Int.compare jlen.(i) jlen.(j))
-      r.r_order;
-    let head = r.r_order.(0) in
+    let sorted =
+      match order with
+      | Some o when Array.length o = n && in_key_order conf jlen o -> o
+      | Some _ | None ->
+          (* Child indices follow sequence numbers, so a stable sort on
+             (confidence desc, join length) is the heap's order. *)
+          let o = Array.init n Fun.id in
+          Array.stable_sort
+            (fun i j ->
+              let c = Float.compare conf.(j) conf.(i) in
+              if c <> 0 then c else Int.compare jlen.(i) jlen.(j))
+            o;
+          o
+    in
+    let r = run sorted in
+    t.seq <- t.seq + n;
+    let head = sorted.(0) in
     t.size <- t.size + n;
     t.queued_runs <- t.queued_runs + 1;
     sift_in t Partial.root r conf.(head) (child_rank r head)

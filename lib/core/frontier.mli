@@ -33,14 +33,25 @@ val is_empty : t -> bool
     number. *)
 val push : t -> Partial.t -> unit
 
-(** [push_run t ~conf ~jlen build] enqueues the children [build 0 ..
-    build (n-1)], [n = Array.length conf], under confidences [conf] and
-    join lengths [jlen] (which must be the children's own), reserving
-    [n] consecutive sequence numbers in index order.  No child is built
-    here unless the run could meet the cap: then every queued run's
-    remaining children and these are built and admitted, in sequence
-    order, and the cap applies to them as to pushed states. *)
-val push_run : t -> conf:float array -> jlen:int array -> (int -> Partial.t) -> unit
+(** [push_run ?order t ~conf ~jlen build] enqueues the children [build 0
+    .. build (n-1)], [n = Array.length conf], under confidences [conf]
+    and join lengths [jlen] (which must be the children's own),
+    reserving [n] consecutive sequence numbers in index order.  [order],
+    a permutation of the child indices, is used as the run's best-first
+    order when an O(n) check finds it is that order (confidence
+    descending, then join length, then index); otherwise, or without
+    it, the indices are sorted.  It is kept, not copied, and must not be
+    mutated.  No child is built here unless the run could meet the cap:
+    then every queued run's remaining children and these are built and
+    admitted, in sequence order, and the cap applies to them as to
+    pushed states. *)
+val push_run :
+  ?order:int array ->
+  t ->
+  conf:float array ->
+  jlen:int array ->
+  (int -> Partial.t) ->
+  unit
 
 (** Remove and return the highest-priority state.  A run child that
     reaches the top is built and meets [admit] first; one that [admit]

@@ -38,6 +38,3 @@ let column_similarity ~nlq_words col =
 let normalize ?temperature cands =
   let probs = softmax ?temperature (Array.of_list (List.map snd cands)) in
   List.mapi (fun i (x, _) -> (x, probs.(i))) cands
-
-let rank cands =
-  List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) cands

@@ -23,6 +23,3 @@ val column_similarity : nlq_words:string list -> Duodb.Schema.column -> float
 (** Attach softmax probabilities to scored candidates, preserving order of
     the input list. *)
 val normalize : ?temperature:float -> ('a * float) list -> ('a * float) list
-
-(** Sort candidates by probability, highest first (stable). *)
-val rank : ('a * float) list -> ('a * float) list

@@ -123,12 +123,37 @@ let test_pop_k_compaction_interaction () =
    order.  Run children carry a key in [nproj], drawn from a small set,
    and the frontier's [admit] refuses a child whose key it took before
    (a visited set); the model keeps its own, so a child built out of
-   order shows as a different admission. *)
+   order shows as a different admission.  A run goes in with an order
+   hint ([order_hint]) that the model ignores: a wrong one must change
+   nothing. *)
 type op =
   | Push of float * int
-  | Push_run of (float * int * int) list
+  | Push_run of (float * int * int) list * int
   | Pop
   | Settle of float
+
+(* The best-first order hint a run is pushed with, by code: none; the
+   stable order on confidence alone (the enumerator's guess, wrong when
+   join lengths differ); a permutation drawn from the code. *)
+let order_hint code (l : (float * int * int) list) =
+  let n = List.length l in
+  match code with
+  | 0 -> None
+  | 1 ->
+      let conf = Array.of_list (List.map (fun (c, _, _) -> c) l) in
+      let o = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Float.compare conf.(j) conf.(i)) o;
+      Some o
+  | k ->
+      let st = Random.State.make [| k |] in
+      let o = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = o.(i) in
+        o.(i) <- o.(j);
+        o.(j) <- x
+      done;
+      Some o
 
 let confs = [ 0.2; 0.5; 0.9 ]
 
@@ -138,19 +163,20 @@ let gen_op =
       [
         (3, map2 (fun c j -> Push (c, j)) (oneofl confs) (int_range 0 2));
         ( 2,
-          map
-            (fun l -> Push_run l)
-            (list_size (int_range 0 5) (triple (oneofl confs) (int_range 0 2) (int_range 0 40))) );
+          map2
+            (fun l h -> Push_run (l, h))
+            (list_size (int_range 0 5) (triple (oneofl confs) (int_range 0 2) (int_range 0 40)))
+            (int_range 0 4) );
         (2, return Pop);
         (1, map (fun c -> Settle c) (oneofl confs));
       ])
 
 let show_op = function
   | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
-  | Push_run l ->
+  | Push_run (l, h) ->
       "run ["
       ^ String.concat "; " (List.map (fun (c, j, k) -> Printf.sprintf "%.1f/%d#%d" c j k) l)
-      ^ "]"
+      ^ Printf.sprintf "] hint %d" h
   | Pop -> "pop"
   | Settle c -> Printf.sprintf "settle %.1f" c
 
@@ -257,10 +283,10 @@ let prop_model =
             m.m_pushed <- m.m_pushed + 1;
             model_insert m e;
             true
-        | Push_run l ->
+        | Push_run (l, h) ->
             let kids = Array.of_list (List.map state_of l) in
             let n = Array.length kids in
-            Frontier.push_run f
+            Frontier.push_run ?order:(order_hint h l) f
               ~conf:(Array.map (fun (p : Partial.t) -> p.Partial.confidence) kids)
               ~jlen:(Array.map Partial.join_length kids)
               (fun i ->

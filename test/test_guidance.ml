@@ -7,11 +7,9 @@ let schema = Fixtures.movie_schema
 let ctx nlq_text =
   Model.make schema (Duonl.Nlq.analyze nlq_text)
 
-let sums_to_one name cands =
-  let total = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 cands in
+let sums_to_one name (d : _ Model.dist) =
+  let total = Array.fold_left ( +. ) 0.0 d.Model.d_probs in
   Alcotest.(check (float 1e-6)) name 1.0 total
-
-let all_positive cands = List.for_all (fun (_, p) -> p > 0.0) cands
 
 let test_softmax_normalizes () =
   let p = Score.softmax [| 1.0; 2.0; 3.0 |] in
@@ -55,7 +53,7 @@ let test_keyword_evidence () =
   let p_of ctx pred =
     List.fold_left
       (fun acc (kw, p) -> if pred kw then acc +. p else acc)
-      0.0 (Model.keywords ctx)
+      0.0 (Model.to_list (Model.keywords ctx))
   in
   let order_ctx = ctx "movies sorted by year" in
   let plain_ctx = ctx "movie names" in
@@ -65,7 +63,7 @@ let test_keyword_evidence () =
 
 let test_column_evidence () =
   let c = ctx "show the revenue of movies" in
-  let targets = Model.projection_targets c ~used:[] in
+  let targets = Model.to_list (Model.projection_targets c ~used:[]) in
   let p_of name =
     List.fold_left
       (fun acc (t, p) ->
@@ -81,7 +79,7 @@ let test_grounded_literal_guides_where () =
   let index = Duodb.Index.build db in
   let nlq = Duonl.Nlq.analyze ~index "movies starring \"Tom Hanks\"" in
   let c = Model.make ~index schema nlq in
-  let cands = Model.where_columns c ~used:[] in
+  let cands = Model.to_list (Model.where_columns c ~used:[]) in
   let p_of table name =
     List.fold_left
       (fun acc (col, p) ->
@@ -104,26 +102,29 @@ let test_values_respect_types () =
   let year_col = Duodb.Schema.find_column_exn schema ~table:"movies" "year" in
   let name_col = Duodb.Schema.find_column_exn schema ~table:"movies" "name" in
   Alcotest.(check bool) "numeric col gets numeric values" true
-    (List.for_all (fun (v, _) -> Duodb.Value.is_numeric v) (Model.values c year_col));
+    (Array.for_all Duodb.Value.is_numeric (Model.values c year_col).Model.d_items);
   Alcotest.(check bool) "text col gets text values" true
-    (List.for_all
-       (fun (v, _) -> match v with Duodb.Value.Text _ -> true | _ -> false)
-       (Model.values c name_col))
+    (Array.for_all
+       (fun v -> match v with Duodb.Value.Text _ -> true | _ -> false)
+       (Model.values c name_col).Model.d_items)
 
 let test_used_columns_excluded () =
   let c = ctx "movie names and years" in
   let all = Model.projection_targets c ~used:[] in
-  match all with
+  match Model.to_list all with
   | (first, _) :: _ ->
       let rest = Model.projection_targets c ~used:[ first ] in
-      Alcotest.(check int) "one fewer candidate" (List.length all - 1) (List.length rest);
-      Alcotest.(check bool) "still a distribution" true (all_positive rest);
+      Alcotest.(check int) "one fewer candidate"
+        (Array.length all.Model.d_items - 1)
+        (Array.length rest.Model.d_items);
+      Alcotest.(check bool) "still a distribution" true
+        (Array.for_all (fun p -> p > 0.0) rest.Model.d_probs);
       sums_to_one "renormalized" rest
   | [] -> Alcotest.fail "expected candidates"
 
 let test_limit_hint () =
   let c = ctx "top movies" in
-  let with_hint = Model.limit c ~hint:(Some 7) in
+  let with_hint = Model.to_list (Model.limit c ~hint:(Some 7)) in
   Alcotest.(check bool) "hinted limit offered" true
     (List.exists (fun (l, _) -> l = Some 7) with_hint)
 
@@ -147,10 +148,10 @@ let prop_distributions_sum_to_one =
       let close l =
         abs_float (List.fold_left (fun acc (_, p) -> acc +. p) 0.0 l -. 1.0) < 1e-6
       in
-      close (Model.keywords c)
-      && close (Model.projection_targets c ~used:[])
-      && close (Model.where_columns c ~used:[])
-      && close (Model.num_projections c ~hint:None))
+      close (Model.to_list (Model.keywords c))
+      && close (Model.to_list (Model.projection_targets c ~used:[]))
+      && close (Model.to_list (Model.where_columns c ~used:[]))
+      && close (Model.to_list (Model.num_projections c ~hint:None)))
 
 (* [Model.make] stores the NLQ's lexicon evidence and the distributions
    of the modules whose only other input is finite; each must equal, bit
@@ -181,7 +182,7 @@ let check_precomputed name c =
   let group_ev = Hints.group_signal words +. (0.4 *. (count +. sum +. avg)) in
   let order_ev = Hints.order_signal words in
   let bools = [ false; true ] in
-  same "keywords" (Model.keywords c)
+  same "keywords" (Model.to_list (Model.keywords c))
     (Score.normalize
        (List.concat_map
           (fun wh ->
@@ -213,7 +214,7 @@ let check_precomputed name c =
             | Some (Min | Max) | None -> ty
           in
           same "aggregates"
-            (Model.aggregates ?out c ty)
+            (Model.to_list (Model.aggregates ?out c ty))
             (Score.normalize
                (match out with
                | None -> cands
@@ -221,7 +222,7 @@ let check_precomputed name c =
         [ None; Some text; Some number ])
     [ text; number ];
   let o = Hints.op_signals all_words in
-  same "text operators" (Model.operators c text)
+  same "text operators" (Model.to_list (Model.operators c text))
     (Score.normalize
        [ (Model.Shape_cmp Eq, o.(0) +. 1.0); (Model.Shape_cmp Neq, o.(1) -. 0.5);
          (Model.Shape_cmp Like, o.(6) -. 0.3); (Model.Shape_cmp Not_like, o.(7) -. 0.8) ]);
@@ -230,25 +231,25 @@ let check_precomputed name c =
       0.4 +. Hints.count_matches words [ "between"; "within" ]
     else -2.0
   in
-  same "number operators" (Model.operators c number)
+  same "number operators" (Model.to_list (Model.operators c number))
     (Score.normalize
        [ (Model.Shape_cmp Eq, o.(0)); (Model.Shape_cmp Neq, o.(1) -. 0.5);
          (Model.Shape_cmp Lt, o.(2)); (Model.Shape_cmp Le, o.(3) -. 0.3);
          (Model.Shape_cmp Gt, o.(4)); (Model.Shape_cmp Ge, o.(5) -. 0.3);
          (Model.Shape_between, between_ev) ]);
   let lits = List.length nlq.Duonl.Nlq.literals in
-  same "num_predicates" (Model.num_predicates c)
+  same "num_predicates" (Model.to_list (Model.num_predicates c))
     (Score.normalize
        (List.map
           (fun n ->
             let s = if n <= lits then 1.0 else -0.5 -. float_of_int (n - lits) in
             (n, s +. if n = 1 then 0.3 else 0.0))
           [ 1; 2; 3 ]));
-  same "connective" (Model.connective c)
+  same "connective" (Model.to_list (Model.connective c))
     (Score.normalize [ (And, 1.0); (Or, Hints.or_signal all_words -. 0.3) ]);
-  same "having_presence" (Model.having_presence c)
+  same "having_presence" (Model.to_list (Model.having_presence c))
     (Score.normalize [ (false, 1.0); (true, Hints.having_signal words -. 0.4) ]);
-  same "direction" (Model.direction c)
+  same "direction" (Model.to_list (Model.direction c))
     (Score.normalize [ (Asc, 0.6); (Desc, Hints.descending_signal words) ])
 
 let test_precomputed_guidance () =
