@@ -23,17 +23,19 @@ let pick st arr = arr.(Random.State.int st (Array.length arr))
 let pick_list st l = List.nth l (Random.State.int st (List.length l))
 let chance st p = Random.State.float st 1.0 < p
 
-let table_pool = [| "users"; "orders"; "items"; "events" |]
+let table_pool = [| "users"; "orders"; "items"; "events"; "venues" |]
 let word_pool = [| "amber"; "birch"; "cedar"; "delta"; "ember"; "fjord"; "grove"; "iris" |]
 
 let extra_col_pool =
   [| ("label", Datatype.Text); ("city", Datatype.Text); ("score", Datatype.Number);
      ("year", Datatype.Number); ("qty", Datatype.Number) |]
 
-(* --- random schema: a tree of 2-3 tables joined by FK-PK edges --- *)
+(* --- random schema: a tree of 2 to [max_tables] tables joined by FK-PK
+   edges, each table's parent drawn among the earlier ones (so a wider
+   tree often has multi-hop chains) --- *)
 
-let gen_schema st =
-  let n = rint st 2 3 in
+let gen_schema ?(max_tables = 3) st =
+  let n = rint st 2 (min max_tables (Array.length table_pool)) in
   let names = Array.init n (fun i -> table_pool.(i)) in
   let parent = Array.init n (fun i -> if i = 0 then None else Some (Random.State.int st i)) in
   let extras st =
@@ -346,8 +348,8 @@ let gen_tsq st db q =
       in
       Tsq.make ~types ~tuples ~sorted ~limit ~negatives ?min_support ()
 
-let gen_scenario st =
-  let schema = gen_schema st in
+let gen_scenario ?max_tables st =
+  let schema = gen_schema ?max_tables st in
   let db = gen_db st schema in
   let q = gen_query st db in
   { sc_db = db; sc_query = q; sc_tsq = gen_tsq st db q }

@@ -18,7 +18,9 @@ type scenario = {
 
 (** Raw generators, exposed for composing custom properties. *)
 
-val gen_schema : Random.State.t -> Duodb.Schema.t
+(** [gen_schema ?max_tables st]: an FK tree of 2 to [max_tables] tables
+    (default 3, at most 5). *)
+val gen_schema : ?max_tables:int -> Random.State.t -> Duodb.Schema.t
 val gen_db : Random.State.t -> Duodb.Schema.t -> Duodb.Database.t
 val gen_query : Random.State.t -> Duodb.Database.t -> Duosql.Ast.query
 
@@ -29,7 +31,7 @@ val gen_query : Random.State.t -> Duodb.Database.t -> Duosql.Ast.query
     the sketch deliberately unsatisfiable by [q]. *)
 val gen_tsq : Random.State.t -> Duodb.Database.t -> Duosql.Ast.query -> Duocore.Tsq.t
 
-val gen_scenario : Random.State.t -> scenario
+val gen_scenario : ?max_tables:int -> Random.State.t -> scenario
 
 (** A few concrete values scanned deterministically from the database, for
     populating guidance-model literal pools (see {!Duonl.Nlq.with_literals}). *)

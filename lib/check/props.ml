@@ -340,11 +340,11 @@ let streamed_match_prop ((sc : Gen.scenario), seed) =
 
 (* Guidance context for a scenario: the query's own literals plus a few
    database values, so the model's WHERE/HAVING branches are populated. *)
-let ctx_of (sc : Gen.scenario) =
+let ctx_of ?(nlq = "find the matching rows") (sc : Gen.scenario) =
   let lits =
     Duosql.Ast.literals sc.Gen.sc_query @ Gen.seed_literals sc.Gen.sc_db
   in
-  let nlq = Duonl.Nlq.with_literals "find the matching rows" lits in
+  let nlq = Duonl.Nlq.with_literals nlq lits in
   Duoguide.Model.make (Duodb.Database.schema sc.Gen.sc_db) nlq
 
 (* no Verify stage prunes a state with a satisfying completion *)
@@ -1133,28 +1133,34 @@ let lazy_eager_diff ?rebase config ctx db ?index ~tsq ~literals () =
   let prunes stats = List.map (Duocore.Verify.pruned_by stats) Duocore.Verify.all_stages in
   let show cs = String.concat "\n  " (List.map (fun (q, c, n) -> Printf.sprintf "%.17g %d %s" c n q) cs) in
   if cands <> eager_cands then
-    Some (Printf.sprintf "candidates differ:\nlazy:\n  %s\neager:\n  %s" (show cands) (show eager_cands))
+    Error (Printf.sprintf "candidates differ:\nlazy:\n  %s\neager:\n  %s" (show cands) (show eager_cands))
   else if o.E.out_pops <> eg.eg_pops then
-    Some (Printf.sprintf "pops differ: lazy %d, eager %d" o.E.out_pops eg.eg_pops)
+    Error (Printf.sprintf "pops differ: lazy %d, eager %d" o.E.out_pops eg.eg_pops)
   else if prunes o.E.out_stats <> prunes eg.eg_stats then
-    Some
+    Error
       (Printf.sprintf "prunes differ: lazy [%s], eager [%s]"
          (String.concat "," (List.map string_of_int (prunes o.E.out_stats)))
          (String.concat "," (List.map string_of_int (prunes eg.eg_stats))))
   else if o.E.out_dropped <> Duocore.Frontier.dropped eg.eg_frontier then
-    Some
+    Error
       (Printf.sprintf "compaction drops differ: lazy %d, eager %d" o.E.out_dropped
          (Duocore.Frontier.dropped eg.eg_frontier))
-  else None
+  else Ok o
 
-(* Lazy sibling runs change no observable: on NLI and dual runs, a warm
-   rebase and a frontier cap small enough to compact, the run and the
-   eager reference agree on candidates (SQL, confidence, [cand_pops]),
-   pops, every stage's prunes and compaction drops. *)
-let lazy_runs_prop ((sc : Gen.scenario), seed) =
+(* Lazy sibling runs, and join decisions taken once per run, change no
+   observable: on NLI and dual runs, a warm rebase and a frontier cap
+   small enough to compact, the run and the eager reference agree on
+   candidates (SQL, confidence, [cand_pops]), pops, every stage's prunes
+   and compaction drops.  Every third seed asks to count rows, so COUNT
+   of all rows is the likeliest target and its join paths reach two FK
+   hops.  [repeating] counts the cases in which a run skipped a repeated
+   join decision. *)
+let lazy_runs_prop ?(repeating = ref 0) ((sc : Gen.scenario), seed) =
   let module E = Duocore.Enumerate in
   let module Tsq = Duocore.Tsq in
-  let ctx = ctx_of sc in
+  let ctx =
+    ctx_of ~nlq:(if seed mod 3 = 0 then "count the matching rows" else "find the matching rows") sc
+  in
   let config =
     { E.default_config with E.max_pops = 400; max_candidates = 10; time_budget_s = 20.0 }
   in
@@ -1165,18 +1171,25 @@ let lazy_runs_prop ((sc : Gen.scenario), seed) =
       sorted = false;
       negatives = [] }
   in
+  let repeats = ref 0 in
   let check name ?rebase config ~tsq =
     match lazy_eager_diff ?rebase config ctx sc.Gen.sc_db ~tsq ~literals:[] () with
-    | None -> true
-    | Some d -> QCheck.Test.fail_reportf "%s: %s" name d
+    | Ok o ->
+        repeats := !repeats + o.E.out_stats.Duocore.Verify.join_repeats;
+        true
+    | Error d -> QCheck.Test.fail_reportf "%s: %s" name d
   in
-  check "nli" config ~tsq:None
-  && check "dual" config ~tsq:(Some sc.Gen.sc_tsq)
-  && check "capped"
-       { config with E.max_frontier = 8 + (seed mod 40) }
-       ~tsq:(if seed land 1 = 0 then None else Some sc.Gen.sc_tsq)
-  && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
-     || check "warm-rebase" ~rebase:(1 + (seed mod 40), new_t) config ~tsq:(Some old_t))
+  let ok =
+    check "nli" config ~tsq:None
+    && check "dual" config ~tsq:(Some sc.Gen.sc_tsq)
+    && check "capped"
+         { config with E.max_frontier = 8 + (seed mod 40) }
+         ~tsq:(if seed land 1 = 0 then None else Some sc.Gen.sc_tsq)
+    && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
+       || check "warm-rebase" ~rebase:(1 + (seed mod 40), new_t) config ~tsq:(Some old_t))
+  in
+  if !repeats > 0 then incr repeating;
+  ok
 
 (* --- Duolint error soundness ---------------------------------------- *)
 
@@ -1642,13 +1655,19 @@ let guidance_memo_prop ((sc : Gen.scenario), seed) =
   let rec go k = k = 0 || (one () && go (k - 1)) in
   go 60
 
-let arb_seeded =
+let seeded ?max_tables () =
   QCheck.make
     ~print:(fun (sc, seed) ->
       Printf.sprintf "seed %d\n%s" seed (Gen.print_scenario sc))
     ~shrink:(fun (sc, seed) yield ->
       Gen.shrink_scenario sc (fun sc' -> yield (sc', seed)))
-    (fun st -> (Gen.gen_scenario st, Random.State.int st 1_000_000))
+    (fun st -> (Gen.gen_scenario ?max_tables st, Random.State.int st 1_000_000))
+
+let arb_seeded = seeded ()
+
+(* Scenarios over FK trees of up to five tables, whose join paths have
+   multi-hop chains and several forks per decision. *)
+let arb_joins = seeded ~max_tables:5 ()
 
 let tests ?(mult = 1) () =
   [
@@ -1692,8 +1711,15 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;
-    QCheck.Test.make ~count:(6 * mult) ~name:"lazy runs = eager reference" arb_seeded
-      lazy_runs_prop;
+    (let count = 20 * mult and cases = ref 0 and repeating = ref 0 in
+     (* The coverage guard: by the last case, some run must have skipped
+        a repeated join decision, or the generator no longer reaches
+        join-path diamonds and the property pins nothing about them. *)
+     QCheck.Test.make ~count ~name:"lazy runs = eager reference" arb_joins (fun case ->
+         incr cases;
+         lazy_runs_prop ~repeating case
+         && (!cases < count || !repeating > 0
+            || QCheck.Test.fail_reportf "no run in %d cases repeated a join decision" count)));
     QCheck.Test.make ~count:(30 * mult)
       ~name:"guidance memo: each stored distribution = a fresh context's" arb_seeded
       guidance_memo_prop;

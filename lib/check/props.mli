@@ -42,10 +42,12 @@
       enumerator admits exactly the states the string-keyed two-layer
       dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
     - {b lazy runs}: the enumerator, which builds and dedups a
-      predicate-free child only when the search reaches it, agrees with
-      a reference loop that builds and admits every child at its
-      parent's expansion ({!lazy_eager_diff}) in NLI, dual, warm-rebase
-      and frontier-capped runs;
+      predicate-free child only when the search reaches it and expands
+      each join decision once, agrees with a reference loop that builds
+      and admits every child at its parent's expansion
+      ({!lazy_eager_diff}) in NLI, dual, warm-rebase and
+      frontier-capped runs, on FK trees of up to five tables; some case
+      must skip a repeated join decision;
     - {b guidance memo}: each distribution {!Duoguide.Model} stores per
       context equals a fresh context's first call, bit for bit, and an
       equal key returns the stored entry ({!guidance_memo_prop});
@@ -112,9 +114,10 @@ val dedup_exact_prop : Gen.scenario * int -> bool
     predicate, the canonical one, on printed keys; the rest of its loop
     is [Enumerate.step]'s, with no time budget.  Returns how the two runs
     differ in candidates (SQL, confidence, [cand_pops]), pops, any
-    stage's prunes or compaction drops, or [None].  With
-    [rebase = (k, tsq')], both runs take [k] pops and then rebase onto
-    [tsq']. *)
+    stage's prunes or compaction drops, or, when they agree, the run's
+    outcome (its counters show which mechanisms it exercised: a skipped
+    join decision is a [join_repeats]).  With [rebase = (k, tsq')], both
+    runs take [k] pops and then rebase onto [tsq']. *)
 val lazy_eager_diff :
   ?rebase:int * Duocore.Tsq.t ->
   Duocore.Enumerate.config ->
@@ -124,9 +127,13 @@ val lazy_eager_diff :
   tsq:Duocore.Tsq.t option ->
   literals:Duodb.Value.t list ->
   unit ->
-  string option
+  (Duocore.Enumerate.outcome, string) result
 
-val lazy_runs_prop : Gen.scenario * int -> bool
+(** NLI, dual, frontier-capped and warm-rebase runs agree with the eager
+    reference ({!lazy_eager_diff}); every third seed guides toward
+    COUNT of all rows.  [repeating] is incremented when a run of the
+    case skipped a repeated join decision ([join_repeats > 0]). *)
+val lazy_runs_prop : ?repeating:int ref -> Gen.scenario * int -> bool
 
 (** The guidance model's per-state distributions, memoized per context,
     equal a fresh context's first call (items, bit-equal probabilities,

@@ -416,6 +416,10 @@ type state = {
   st_visited : Partial.Tbl.t;
       (* offered states, by [Partial.key] partition, probed without
          printing keys *)
+  st_joined : Partial.Tbl.t;
+      (* expanded [P_joinpath] states, by [Partial.key] partition with
+         FROM left out: the join decisions this run has made (see
+         [repeats_join]) *)
   st_canon : Partial.Canon.t;
       (* admitted states with a WHERE or HAVING predicate, by
          [Partial.canonical_key] partition: a second visited-set layer
@@ -476,6 +480,7 @@ let init config ctx db ?index ?relcache ~tsq ~literals
     st_stats = stats;
     st_frontier = frontier;
     st_visited = visited;
+    st_joined = Partial.Tbl.create ~from:false 256;
     st_canon = Partial.Canon.create 512;
     st_emitted = Hashtbl.create 64;
     st_on_candidate = on_candidate;
@@ -550,6 +555,29 @@ let judge s (p : Partial.t) =
               p.Partial.confidence *. (s.st_config.static_penalty ** float_of_int n);
           };
         false
+
+(* Whether [p] is a join decision this run has already made, counted in
+   [join_repeats]: a [P_joinpath] state equal but for its FROM to one
+   expanded before.  Otherwise a [P_joinpath] state is recorded, as it
+   is about to be expanded.  A join-path state references a table ([advance] enters
+   the phase only then), so its forks come from [Joinpath.construct] on
+   its referenced tables and counting, never from its FROM: the twin's
+   children have the same keys and join lengths.  Pops never rise, so
+   each twin child has a confidence no lower and an earlier sequence
+   number, and is reached, or flushed, first: every child of [p] would
+   be a visited hit (DESIGN.md, "Join decisions once per run"). *)
+let repeats_join s (p : Partial.t) =
+  match p.Partial.phase with
+  | Partial.P_joinpath _ ->
+      let fresh = Partial.Tbl.add s.st_joined p in
+      let stats = s.st_stats in
+      stats.Verify.key_renders <- stats.Verify.key_renders + Partial.Tbl.take_renders s.st_joined;
+      if not fresh then stats.Verify.join_repeats <- stats.Verify.join_repeats + 1;
+      not fresh
+  | Partial.P_keywords | P_num_proj | P_proj_target _ | P_proj_agg _ | P_where_num
+  | P_where_col _ | P_where_op _ | P_where_conn | P_group_col | P_having_presence
+  | P_having_pred | P_order_target | P_order_dir | P_limit | P_done ->
+      false
 
 exception Slice_exhausted
 
@@ -632,6 +660,9 @@ let step ?max_pops s =
                  (* Complete states are emitted when popped, so candidates
                     stream out in nonincreasing confidence order. *)
                  Option.iter (emit p) (Partial.to_query p)
+               else if repeats_join s p then
+                 (* Its children are its twin's, already queued. *)
+                 s.st_times.expand_s <- s.st_times.expand_s +. (Clock.mono () -. m1)
                else begin
                  (* Predicate-free children wait in one run and are built
                     and deduped when the search reaches them; children

@@ -135,14 +135,16 @@ val hints_of_tsq : Tsq.t -> hints
 (** One [EnumNextStep]: all children of a state, built, confidences
     updated.  The run builds a predicate-free child only when the search
     reaches it, from the same generator.  Exposed for tests
-    (completeness and Property-1 checks) and reference loops. *)
+    (completeness and Property-1 checks) and reference loops; unlike
+    the run, it expands a repeated join decision too. *)
 val expand :
   guided:bool -> hints -> Duoguide.Model.ctx -> Partial.t -> Partial.t list
 
 (** {2 Resumable enumeration}
 
-    A {!state} is a paused run: the frontier, dedup table, join-path
-    memos, the verification environment and all accounting.  {!init}
+    A {!state} is a paused run: the frontier, dedup tables, the join
+    decisions it has expanded, the verification environment and all
+    accounting.  {!init}
     builds it, {!step} advances it by a bounded number of frontier pops,
     and {!outcome} snapshots the observable results at any point.
     {!run} is exactly [init] + one unbounded [step] + [outcome], so a run
@@ -166,7 +168,11 @@ type status =
     predicate when its parent is expanded, for a predicate-free child
     when the search reaches it (observability: which states were
     enumerated, and in what order).  A child the search never reaches
-    is never offered.  [init] raises
+    is never offered, and neither is a child of a repeated join
+    decision: a [P_joinpath] state equal but for its FROM to one the
+    run already expanded generates none (each would be refused as a
+    visited hit, so [out_pushed] is unchanged; counted in
+    [Verify.join_repeats]).  [init] raises
     [Invalid_argument] when [static_penalty] lies outside \[0, 1\].
     [index] and [relcache] thread a session's inverted index and its
     relation cache for the calling domain into the verification

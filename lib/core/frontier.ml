@@ -241,19 +241,26 @@ let push_run ?order t ~conf ~jlen build =
     admit_all t r r.r_order
   end
   else if n > 0 then begin
-    let sorted =
+    (* Without a guess, generation order is the guess: join-path forks
+       share one confidence and come shortest first. *)
+    let guess =
       match order with
-      | Some o when Array.length o = n && in_key_order conf jlen o -> o
-      | Some _ | None ->
-          (* Child indices follow sequence numbers, so a stable sort on
-             (confidence desc, join length) is the heap's order. *)
-          let o = Array.init n Fun.id in
-          Array.stable_sort
-            (fun i j ->
-              let c = Float.compare conf.(j) conf.(i) in
-              if c <> 0 then c else Int.compare jlen.(i) jlen.(j))
-            o;
-          o
+      | Some o when Array.length o = n -> o
+      | Some _ | None -> Array.init n Fun.id
+    in
+    let sorted =
+      if in_key_order conf jlen guess then guess
+      else begin
+        (* Child indices follow sequence numbers, so a stable sort on
+           (confidence desc, join length) is the heap's order. *)
+        let o = Array.init n Fun.id in
+        Array.stable_sort
+          (fun i j ->
+            let c = Float.compare conf.(j) conf.(i) in
+            if c <> 0 then c else Int.compare jlen.(i) jlen.(j))
+          o;
+        o
+      end
     in
     let r = run sorted in
     t.seq <- t.seq + n;

@@ -39,8 +39,9 @@ val push : t -> Partial.t -> unit
     reserving [n] consecutive sequence numbers in index order.  [order],
     a permutation of the child indices, is used as the run's best-first
     order when an O(n) check finds it is that order (confidence
-    descending, then join length, then index); otherwise, or without
-    it, the indices are sorted.  It is kept, not copied, and must not be
+    descending, then join length, then index); without it the check
+    runs on index order.  When the check fails the indices are
+    sorted.  It is kept, not copied, and must not be
     mutated.  No child is built here unless the run could meet the cap:
     then every queued run's remaining children and these are built and
     admitted, in sequence order, and the cap applies to them as to

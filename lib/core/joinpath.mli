@@ -6,7 +6,10 @@
     contains tables not otherwise referenced, as in Example 3.2).  When no
     table is referenced yet, every single table is a candidate. *)
 
-(** Candidate FROM clauses, shortest join paths first.  Returns [[]] when
+(** Candidate FROM clauses in non-decreasing join length: the Steiner
+    tree first, then each extension level (the frontier takes this as
+    the best-first order of a join-path state's forks, which share one
+    confidence).  Returns [[]] when
     the referenced tables cannot be connected.  [depth] controls how many
     FK hops beyond the Steiner tree are explored (Algorithm 2's recursive
     extension); default 1.  Counting queries need depth 2: COUNT of all

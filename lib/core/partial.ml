@@ -488,19 +488,22 @@ let canonical_hash t =
 (* Field-wise equality of everything [key] prints: [true] implies
    [key a = key b]; [false] can still mean equal keys (the printer's
    lossy spots, or fields [key] ignores like a COUNT( * ) slot's
-   aggregate decision), which [Tbl] settles by printing. *)
-let equal_rendered a b =
+   aggregate decision), which [Tbl] settles by printing.  Without
+   [from], FROM is left out. *)
+let equal_fields ~from a b =
   a == b
   || a.phase = b.phase && a.nproj = b.nproj && a.where_n = b.where_n
      && a.conn = b.conn && a.kw = b.kw
      && (a.projs == b.projs || a.projs = b.projs)
-     && (a.from == b.from || a.from = b.from)
+     && ((not from) || a.from == b.from || a.from = b.from)
      && (a.where_preds == b.where_preds || a.where_preds = b.where_preds)
      && a.where_pending = b.where_pending
      && a.group_col = b.group_col && a.having_pred = b.having_pred
      && a.order_item = b.order_item
      && (a.order_item = None || a.order_dir = b.order_dir)
      && a.limit = b.limit
+
+let equal_rendered a b = equal_fields ~from:true a b
 
 (* Equal literal multisets (compared like [equal_rendered] compares
    predicates). *)
@@ -532,6 +535,7 @@ let memo m k f =
 let memo_of f k = { m_key = k; m_hash = f k }
 
 type set = {
+  keyed_from : bool;  (* whether FROM is part of the partition *)
   mutable hashes : int array;
   mutable states : t array;
   mutable count : int;
@@ -545,10 +549,11 @@ type set = {
   m_order : (agg option * col_ref option) option memo;
 }
 
-let set n =
+let set ?(from = true) n =
   let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
   let cap = pow2 16 in
   {
+    keyed_from = from;
     hashes = Array.make cap 0;
     states = Array.make cap root;
     count = 0;
@@ -568,7 +573,7 @@ let memo_combine m t ~where_h ~having_h =
   combine t
     ~pending_h:(memo m.m_pending t.where_pending pending_hash)
     ~projs_h:(memo m.m_projs t.projs projs_hash)
-    ~from_h:(memo m.m_from t.from from_hash)
+    ~from_h:(if m.keyed_from then memo m.m_from t.from from_hash else from_hash None)
     ~where_h
     ~group_h:(memo m.m_group t.group_col group_hash)
     ~having_h
@@ -616,17 +621,20 @@ let take_renders m =
 
 (* A set over [key]'s partition, probed without printing: only states
    with equal [key_hash]es are compared, and only those that are not
-   field-wise equal print their keys. *)
+   field-wise equal print their keys.  Without FROM, states are hashed,
+   compared and printed as if their FROM were [None]. *)
 module Tbl = struct
   type t = set
 
   let create = set
 
   let same m a b =
-    equal_rendered a b
+    let from = m.keyed_from in
+    equal_fields ~from a b
     || begin
          m.renders <- m.renders + 2;
-         String.equal (key a) (key b)
+         if from then String.equal (key a) (key b)
+         else String.equal (key { a with from = None }) (key { b with from = None })
        end
 
   let add m st =

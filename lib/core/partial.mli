@@ -142,7 +142,11 @@ module Tbl : sig
   type state := t
   type t
 
-  val create : int -> t
+  (** [create ?from n]: a set sized for about [n] states.  With
+      [~from:false] it partitions states by {!key} with FROM left out
+      (the key of [{ st with from = None }]), with no copy made: the
+      enumerator's expanded join decisions. *)
+  val create : ?from:bool -> int -> t
 
   (** [add tbl st] adds [st] and returns [true] when no member has
       [st]'s key; otherwise returns [false] and adds nothing: the

@@ -52,6 +52,7 @@ type stats = {
   mutable pruned : int;
   mutable dedup_semantic : int;
   mutable visited_hits : int;
+  mutable join_repeats : int;
   mutable canon_checked : int;
   mutable key_renders : int;
   mutable static_warnings : int;
@@ -67,7 +68,7 @@ let new_stats () =
   { column_probes = 0; index_probes = 0; row_probes = 0; full_executions = 0;
     relcache_hits = 0; pushdown_builds = 0; join_index_builds = 0;
     join_index_hits = 0; pruned = 0; dedup_semantic = 0; visited_hits = 0;
-    canon_checked = 0; key_renders = 0; static_warnings = 0;
+    join_repeats = 0; canon_checked = 0; key_renders = 0; static_warnings = 0;
     batch_rounds = 0; batched_probes = 0; early_stops = 0; verify_calls = 0;
     stage_seconds = Array.make (List.length all_stages) 0.0;
     stage_pruned = Array.make (List.length all_stages) 0 }
@@ -92,6 +93,7 @@ let merge_stats ~into s =
   into.pruned <- into.pruned + s.pruned;
   into.dedup_semantic <- into.dedup_semantic + s.dedup_semantic;
   into.visited_hits <- into.visited_hits + s.visited_hits;
+  into.join_repeats <- into.join_repeats + s.join_repeats;
   into.canon_checked <- into.canon_checked + s.canon_checked;
   into.key_renders <- into.key_renders + s.key_renders;
   into.static_warnings <- into.static_warnings + s.static_warnings;

@@ -76,7 +76,14 @@ type stats = {
       (** enumerator children refused because a state with the same
           {!Partial.key} was already admitted: a child with a predicate
           at its parent's expansion, a predicate-free one when the search
-          reaches it (a child never reached is never looked up) *)
+          reaches it (a child never reached is never looked up, and a
+          repeated join decision, counted in [join_repeats], generates
+          none) *)
+  mutable join_repeats : int;
+      (** join-path states popped after a state equal to them but for
+          their FROM had been expanded: the run generates no children
+          for them, since each would be refused as a visited hit (see
+          DESIGN.md, "Join decisions once per run") *)
   mutable canon_checked : int;
       (** admitted states looked up in the canonical layer
           ({!Partial.Canon}); states without WHERE or HAVING predicates

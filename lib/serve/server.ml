@@ -226,6 +226,7 @@ let dedup_fields t =
     t.sessions;
   [
     ("visited_hits", Json.Num (float_of_int total.Duocore.Verify.visited_hits));
+    ("join_repeats", Json.Num (float_of_int total.Duocore.Verify.join_repeats));
     ("canon_checked", Json.Num (float_of_int total.Duocore.Verify.canon_checked));
     ("key_renders", Json.Num (float_of_int total.Duocore.Verify.key_renders));
   ]

@@ -192,8 +192,8 @@ let test_lazy_runs_on_tasks () =
                 ~literals:(List.map (fun l -> l.Duonl.Nlq.lit_value) nlq.Duonl.Nlq.literals)
                 ()
             with
-            | None -> ()
-            | Some d -> Alcotest.failf "mini seed %d task %d: %s" seed i d
+            | Ok _ -> ()
+            | Error d -> Alcotest.failf "mini seed %d task %d: %s" seed i d
           end)
         (List.combine split.Duobench.Spider_gen.tasks rngs))
     [ (11, [ 16; 18; 22 ]); (17, [ 17; 19 ]) ]

@@ -699,6 +699,35 @@ let check_eager name config ctx db ~tsq =
     (o.Enumerate.out_stats.Duocore.Verify.static_warnings > 0);
   eager_pops
 
+(* Join decisions once per run on the MAS B tier at Full detail, the
+   mas-spec2 tasks: the run skips each join-path state whose twin (the
+   same state but for its FROM) it already expanded, and it still agrees
+   with Duocheck's eager reference, which expands every one. *)
+let test_join_repeats_mas_b () =
+  let db = Lazy.force mas in
+  let index = Duocore.Duoquest.session_index (Duocore.Duoquest.create_session db) in
+  List.iter
+    (fun id ->
+      let task = mas_task id in
+      let nlq =
+        Duonl.Nlq.with_literals ~index task.Duobench.Mas.task_nlq task.Duobench.Mas.task_literals
+      in
+      let ctx = Model.make ~index Duobench.Mas.schema nlq in
+      let tsq =
+        Duobench.Tsq_synth.synthesize (Duobench.Rng.create 29) db (Duobench.Mas.gold task)
+          ~detail:Duobench.Tsq_synth.Full
+      in
+      match
+        Duocheck.Props.lazy_eager_diff mas_config ctx db ~index ~tsq
+          ~literals:(List.map (fun l -> l.Duonl.Nlq.lit_value) nlq.Duonl.Nlq.literals)
+          ()
+      with
+      | Error d -> Alcotest.failf "%s: %s" id d
+      | Ok o ->
+          Alcotest.(check bool) (id ^ ": some join decisions repeated") true
+            (o.Enumerate.out_stats.Duocore.Verify.join_repeats > 0))
+    [ "B1"; "B2"; "B3"; "B4" ]
+
 (* A warned child whose penalised confidence falls below a sibling's
    pops after that sibling: the run pops what penalising at push pops,
    and at a penalty of 0.1 the C1 constant-output warning on
@@ -905,6 +934,8 @@ let suite =
     Alcotest.test_case "static at pop: a dead child is queued, costs no pop" `Quick
       test_static_dead_costs_no_pop;
     Alcotest.test_case "static_penalty outside [0, 1] rejected" `Quick test_penalty_range;
+    Alcotest.test_case "join decisions once per run: MAS B tier = eager reference" `Quick
+      test_join_repeats_mas_b;
     Alcotest.test_case "MAS A1-D3: no frontier drops at the default cap" `Quick
       test_mas_no_frontier_drops;
     Alcotest.test_case "resume: exhaustion flags survive pausing" `Quick

@@ -201,7 +201,7 @@ let test_golden_list_and_stats () =
   check_transcript "list_dbs and stats goldens"
     [
       "{\"ok\":true,\"dbs\":[\"movies\"]}";
-      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"failed\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"read_pauses\":0,\"long_lines\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0}}";
+      "{\"ok\":true,\"sessions\":0,\"running\":0,\"opened\":0,\"rejected\":0,\"completed\":0,\"runs_completed\":0,\"cancelled\":0,\"failed\":0,\"refined\":0,\"rebased\":0,\"slices\":0,\"read_pauses\":0,\"long_lines\":0,\"draining\":false,\"dedup\":{\"visited_hits\":0,\"join_repeats\":0,\"canon_checked\":0,\"key_renders\":0},\"relcache\":{\"hits\":0,\"misses\":0,\"join_index_builds\":0,\"join_index_hits\":0}}";
     ]
     (transcript server [ "{\"op\":\"list_dbs\"}"; "{\"op\":\"stats\"}" ]);
   Server.destroy server
@@ -502,7 +502,7 @@ let test_stats_survive_close () =
       (fun (block, name) ->
         let b = Option.get (Json.member block stats) in
         Option.get (Json.get_int (Option.get (Json.member name b))))
-      [ ("dedup", "visited_hits"); ("relcache", "misses");
+      [ ("dedup", "join_repeats"); ("relcache", "misses");
         ("relcache", "join_index_builds") ]
   in
   let send line = ignore (Server.handle_line server line) in

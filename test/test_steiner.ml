@@ -73,6 +73,36 @@ let test_joinpath_depth2 () =
          = [ "author"; "organization"; "writes" ])
        d2)
 
+(* Join-path forks share their parent's confidence, so the frontier
+   takes [construct]'s order as their best-first order: it must be
+   non-decreasing in join length, for every table and pair of tables
+   of the MAS schema and a mini Spider split's, at depths 1 and 2. *)
+let test_joinpath_length_order () =
+  let mini = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+  let schemas =
+    Mas.schema
+    :: List.map (fun (_, db) -> Duodb.Database.schema db) mini.Duobench.Spider_gen.databases
+  in
+  let rec sorted = function a :: (b :: _ as rest) -> a <= b && sorted rest | [ _ ] | [] -> true in
+  List.iter
+    (fun (schema : Duodb.Schema.t) ->
+      let names = List.map (fun t -> t.Duodb.Schema.tbl_name) schema.Duodb.Schema.tables in
+      let sets =
+        List.concat_map (fun a -> [ a ] :: List.map (fun b -> [ a; b ]) names) names
+      in
+      List.iter
+        (fun depth ->
+          List.iter
+            (fun tables ->
+              let lengths = List.map Joinpath.length (Joinpath.construct ~depth schema ~tables) in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s depth %d [%s]: shortest first" schema.Duodb.Schema.name depth
+                   (String.concat "," tables))
+                true (sorted lengths))
+            sets)
+        [ 1; 2 ])
+    schemas
+
 let test_joinpath_empty_tables () =
   let clauses = Joinpath.construct movie_schema ~tables:[] in
   Alcotest.(check int) "one clause per table" 3 (List.length clauses)
@@ -144,6 +174,8 @@ let suite =
     Alcotest.test_case "joinpath: base first + extension" `Quick test_joinpath_construct_base_first;
     Alcotest.test_case "joinpath: depth 2" `Quick test_joinpath_depth2;
     Alcotest.test_case "joinpath: no tables" `Quick test_joinpath_empty_tables;
+    Alcotest.test_case "joinpath: non-decreasing join length" `Quick
+      test_joinpath_length_order;
     Alcotest.test_case "joinpath: cache keyed by structure" `Quick
       test_joinpath_cache_keyed_by_structure;
     Alcotest.test_case "joinpath: covers" `Quick test_covers;
