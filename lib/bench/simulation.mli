@@ -56,6 +56,6 @@ val top_k_count : per_task list -> int -> int
 val by_difficulty : per_task list -> Spider_gen.difficulty -> per_task list
 
 (** Fraction of tasks whose gold query was found within [t] wall-clock
-    seconds (candidate timestamps use {!Duocore.Clock.now}), for the
+    seconds (candidate timestamps use {!Duocore.Clock.mono}), for the
     Figure 12 curves. *)
 val completed_within : per_task list -> float -> float

@@ -1003,7 +1003,11 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
    [Enumerate.step]: the cascade and the warning penalty at pop,
    emission dedup on [Duosem.dedup_key], the pop and candidate budgets,
    the frontier cap; [eager_rebase] is [Enumerate.rebase]'s warm
-   restart.  No time budget. *)
+   restart.  No time budget.  It expands every join-path state, and
+   counts in [eg_late_joins] the ones that pass [judge] after a twin
+   (the same state but for its FROM) failed it, or went back under its
+   warning penalty, and before any twin passed: the join decisions a
+   run that recorded them before [judge] would wrongly skip. *)
 type eager = {
   eg_config : Duocore.Enumerate.config;
   eg_ctx : Duoguide.Model.ctx;
@@ -1014,6 +1018,9 @@ type eager = {
   eg_visited : (string, unit) Hashtbl.t;
   eg_canon : (string, unit) Hashtbl.t;
   eg_emitted : (string, unit) Hashtbl.t;
+  eg_join_passed : (string, unit) Hashtbl.t;
+  eg_join_failed : (string, unit) Hashtbl.t;
+  mutable eg_late_joins : int;
   mutable eg_cands : (Duosql.Ast.query * float * int) list;  (* newest first *)
   mutable eg_pops : int;
   mutable eg_pop_base : int;
@@ -1037,11 +1044,30 @@ let eager_init (config : Duocore.Enumerate.config) ctx db ?index ~tsq ~literals 
     eg_visited = Hashtbl.create 256;
     eg_canon = Hashtbl.create 64;
     eg_emitted = Hashtbl.create 64;
+    eg_join_passed = Hashtbl.create 64;
+    eg_join_failed = Hashtbl.create 64;
+    eg_late_joins = 0;
     eg_cands = [];
     eg_pops = 0;
     eg_pop_base = 0;
     eg_finished = false;
   }
+
+(* Book a popped join-path state's verdict on its join decision. *)
+let note_join eg (p : Partial.t) ok =
+  match p.Partial.phase with
+  | Partial.P_joinpath _ ->
+      let k = Partial.key { p with Partial.from = None } in
+      if Hashtbl.mem eg.eg_join_passed k then ()
+      else if ok then begin
+        if Hashtbl.mem eg.eg_join_failed k then eg.eg_late_joins <- eg.eg_late_joins + 1;
+        Hashtbl.replace eg.eg_join_passed k ()
+      end
+      else Hashtbl.replace eg.eg_join_failed k ()
+  | Partial.P_keywords | P_num_proj | P_proj_target _ | P_proj_agg _ | P_where_num
+  | P_where_col _ | P_where_op _ | P_where_conn | P_group_col | P_having_presence
+  | P_having_pred | P_order_target | P_order_dir | P_limit | P_done ->
+      ()
 
 let eager_step ?(max_pops = max_int) eg =
   let module E = Duocore.Enumerate in
@@ -1090,7 +1116,9 @@ let eager_step ?(max_pops = max_int) eg =
       match Duocore.Frontier.pop f with
       | None -> eg.eg_finished <- true
       | Some p ->
-          if judge p then begin
+          let ok = judge p in
+          note_join eg p ok;
+          if ok then begin
             eg.eg_pops <- eg.eg_pops + 1;
             if Partial.is_complete p then Option.iter (emit p) (Partial.to_query p)
             else List.iter admit (E.expand ~guided:config.E.guided eg.eg_hints eg.eg_ctx p)
@@ -1109,7 +1137,7 @@ let eager_rebase eg ~tsq =
   eg.eg_pop_base <- eg.eg_pops;
   eg.eg_finished <- List.length eg.eg_cands >= eg.eg_config.Duocore.Enumerate.max_candidates
 
-let lazy_eager_diff ?rebase config ctx db ?index ~tsq ~literals () =
+let lazy_eager_diff ?rebase ?(late_joins = ref 0) config ctx db ?index ~tsq ~literals () =
   let module E = Duocore.Enumerate in
   let st = E.init config ctx db ?index ~tsq ~literals () in
   let eg = eager_init config ctx db ?index ~tsq ~literals () in
@@ -1122,6 +1150,7 @@ let lazy_eager_diff ?rebase config ctx db ?index ~tsq ~literals () =
     rebase;
   ignore (E.step st);
   eager_step eg;
+  late_joins := !late_joins + eg.eg_late_joins;
   let o = E.outcome st in
   let cands =
     List.map
@@ -1153,9 +1182,15 @@ let lazy_eager_diff ?rebase config ctx db ?index ~tsq ~literals () =
    candidates (SQL, confidence, [cand_pops]), pops, every stage's prunes
    and compaction drops.  Every third seed asks to count rows, so COUNT
    of all rows is the likeliest target and its join paths reach two FK
-   hops.  [repeating] counts the cases in which a run skipped a repeated
-   join decision. *)
-let lazy_runs_prop ?(repeating = ref 0) ((sc : Gen.scenario), seed) =
+   hops.  A fifth run, [grouped], takes a types-only sorted sketch over
+   one text column and an NLQ that cues grouping and ordering: its search
+   reaches grouped states ordered by a column of a table not joined yet,
+   which Duolint warns about (an ungrouped ORDER BY column), so join-path
+   states go back under the warning penalty and pass when they pop again,
+   after their first pop failed [judge].  [repeating] counts the cases in
+   which a run skipped a repeated join decision, [late] those in which a
+   join decision passed [judge] only after a twin failed it. *)
+let lazy_runs_prop ?(repeating = ref 0) ?(late = ref 0) ((sc : Gen.scenario), seed) =
   let module E = Duocore.Enumerate in
   let module Tsq = Duocore.Tsq in
   let ctx =
@@ -1171,9 +1206,9 @@ let lazy_runs_prop ?(repeating = ref 0) ((sc : Gen.scenario), seed) =
       sorted = false;
       negatives = [] }
   in
-  let repeats = ref 0 in
-  let check name ?rebase config ~tsq =
-    match lazy_eager_diff ?rebase config ctx sc.Gen.sc_db ~tsq ~literals:[] () with
+  let repeats = ref 0 and late_joins = ref 0 in
+  let check name ?rebase ?(ctx = ctx) config ~tsq =
+    match lazy_eager_diff ?rebase ~late_joins config ctx sc.Gen.sc_db ~tsq ~literals:[] () with
     | Ok o ->
         repeats := !repeats + o.E.out_stats.Duocore.Verify.join_repeats;
         true
@@ -1187,8 +1222,11 @@ let lazy_runs_prop ?(repeating = ref 0) ((sc : Gen.scenario), seed) =
          ~tsq:(if seed land 1 = 0 then None else Some sc.Gen.sc_tsq)
     && (Tsq.refines ~old:old_t ~new_:new_t <> Tsq.Tightening
        || check "warm-rebase" ~rebase:(1 + (seed mod 40), new_t) config ~tsq:(Some old_t))
+    && check "grouped" ~ctx:(ctx_of ~nlq:"order every group" sc) config
+         ~tsq:(Some (Tsq.make ~types:[ Duodb.Datatype.Text ] ~sorted:true ()))
   in
   if !repeats > 0 then incr repeating;
+  if !late_joins > 0 then incr late;
   ok
 
 (* --- Duolint error soundness ---------------------------------------- *)
@@ -1711,15 +1749,21 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;
-    (let count = 20 * mult and cases = ref 0 and repeating = ref 0 in
-     (* The coverage guard: by the last case, some run must have skipped
-        a repeated join decision, or the generator no longer reaches
-        join-path diamonds and the property pins nothing about them. *)
+    (let count = 20 * mult and cases = ref 0 and repeating = ref 0 and late = ref 0 in
+     (* The coverage guards: by the last case, some run must have skipped
+        a repeated join decision, and some join decision must have passed
+        [judge] only after a twin failed it, or the generator no longer
+        reaches join-path diamonds, or no longer makes a run that records
+        join decisions before [judge] lose children, and the property
+        pins nothing about them. *)
      QCheck.Test.make ~count ~name:"lazy runs = eager reference" arb_joins (fun case ->
          incr cases;
-         lazy_runs_prop ~repeating case
+         lazy_runs_prop ~repeating ~late case
          && (!cases < count || !repeating > 0
-            || QCheck.Test.fail_reportf "no run in %d cases repeated a join decision" count)));
+            || QCheck.Test.fail_reportf "no run in %d cases repeated a join decision" count)
+         && (!cases < count || !late > 0
+            || QCheck.Test.fail_reportf
+                 "no join decision in %d cases passed judge after a twin failed it" count)));
     QCheck.Test.make ~count:(30 * mult)
       ~name:"guidance memo: each stored distribution = a fresh context's" arb_seeded
       guidance_memo_prop;

@@ -45,9 +45,10 @@
       predicate-free child only when the search reaches it and expands
       each join decision once, agrees with a reference loop that builds
       and admits every child at its parent's expansion
-      ({!lazy_eager_diff}) in NLI, dual, warm-rebase and
-      frontier-capped runs, on FK trees of up to five tables; some case
-      must skip a repeated join decision;
+      ({!lazy_eager_diff}) in NLI, dual, warm-rebase, frontier-capped
+      and grouped runs, on FK trees of up to five tables; some case must
+      skip a repeated join decision, and some join decision must pass
+      [judge] only after a twin failed it;
     - {b guidance memo}: each distribution {!Duoguide.Model} stores per
       context equals a fresh context's first call, bit for bit, and an
       equal key returns the stored entry ({!guidance_memo_prop});
@@ -117,9 +118,13 @@ val dedup_exact_prop : Gen.scenario * int -> bool
     stage's prunes or compaction drops, or, when they agree, the run's
     outcome (its counters show which mechanisms it exercised: a skipped
     join decision is a [join_repeats]).  With [rebase = (k, tsq')], both
-    runs take [k] pops and then rebase onto [tsq']. *)
+    runs take [k] pops and then rebase onto [tsq'].  [late_joins] is
+    incremented for each join-path state the reference saw pass [judge]
+    after a twin (equal but for its FROM) had failed it or gone back
+    under its warning penalty, and before any twin passed. *)
 val lazy_eager_diff :
   ?rebase:int * Duocore.Tsq.t ->
+  ?late_joins:int ref ->
   Duocore.Enumerate.config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
@@ -131,9 +136,13 @@ val lazy_eager_diff :
 
 (** NLI, dual, frontier-capped and warm-rebase runs agree with the eager
     reference ({!lazy_eager_diff}); every third seed guides toward
-    COUNT of all rows.  [repeating] is incremented when a run of the
-    case skipped a repeated join decision ([join_repeats > 0]). *)
-val lazy_runs_prop : ?repeating:int ref -> Gen.scenario * int -> bool
+    COUNT of all rows.  A fifth run guides toward grouped queries
+    ordered by another table's column under a types-only sorted sketch,
+    so warned join-path states pass on their second pop.  [repeating] is incremented when a run of the
+    case skipped a repeated join decision ([join_repeats > 0]), [late]
+    when a join decision passed [judge] only after a twin failed it
+    (see [late_joins] in {!lazy_eager_diff}). *)
+val lazy_runs_prop : ?repeating:int ref -> ?late:int ref -> Gen.scenario * int -> bool
 
 (** The guidance model's per-state distributions, memoized per context,
     equal a fresh context's first call (items, bit-equal probabilities,

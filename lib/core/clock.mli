@@ -1,24 +1,20 @@
-(** Clocks for the enumeration loop.
+(** The one clock of the enumeration loop.
 
-    Budgets and candidate timestamps must reflect {e real} time: the
-    paper's 60 s budget (Section 5) is wall clock, and a synthesis run
-    that blocks on anything other than CPU would otherwise overrun its
-    budget unnoticed.  Profiling accumulators sample far more often than
-    budgets do — once per cascade stage per pushed child — so they use
-    the cheapest clock available instead. *)
+    The loop, the verification cascade and the run's budgets all read
+    {!mono}: phases and stages are timed back to back, so the stamp that
+    closes one interval opens the next ({!mark}), and the time budget
+    and candidate timestamps reuse those stamps instead of reading a
+    clock of their own.  A pop then costs one read per boundary it
+    crosses (DESIGN.md, "One stamp per boundary"). *)
 
-(** Wall-clock seconds since an arbitrary epoch.  Backed by
-    [Unix.gettimeofday]: the closest thing to a monotonic clock available
-    without external dependencies; callers only ever take differences. *)
-val now : unit -> float
-
-(** Processor time ([Sys.time]) — insensitive to scheduling noise, but a
-    sample costs a syscall (~250 ns), which swamps sub-microsecond
-    intervals.  Kept for coarse accumulators. *)
-val cpu : unit -> float
-
-(** Monotonic wall clock via [clock_gettime(CLOCK_MONOTONIC)] — served
-    from the vDSO, so a sample costs ~20 ns with nanosecond resolution.
-    The right clock for per-stage profiling accumulators, where the
-    measured interval is often shorter than one [cpu] sample. *)
+(** Monotonic wall clock in seconds since an arbitrary epoch, via
+    [clock_gettime(CLOCK_MONOTONIC)]: served from the vDSO, so a read
+    costs about 20 ns with nanosecond resolution.  Callers only take
+    differences.  It is wall time, so a run that blocks is charged for
+    the wait, as the paper's wall-clock budget (Section 5) requires. *)
 val mono : unit -> float
+
+(** The stamp that closed the last interval of a sequence timed back to
+    back: the next interval opens there without a read of its own.  An
+    all-float record, so an update stores an unboxed float. *)
+type mark = { mutable at : float }

@@ -1,10 +1,10 @@
-/* Monotonic clock for the per-stage profiling accumulators.
+/* Monotonic clock for the enumeration loop's timers and budgets.
 
-   Sys.time goes through the times() syscall (~250 ns per sample here),
-   which is the same order of magnitude as the cheap cascade stages it is
-   supposed to measure.  CLOCK_MONOTONIC is served from the vDSO without
-   entering the kernel, so a sample costs ~20 ns and the accumulators
-   measure the stage instead of the clock. */
+   Sys.time goes through the times() syscall (~250 ns per sample), which
+   is the same order of magnitude as the cheap cascade stages it would
+   measure.  CLOCK_MONOTONIC is served from the vDSO without entering the
+   kernel, so a sample costs ~20 ns and the timers measure the work
+   instead of the clock. */
 
 #include <time.h>
 

@@ -385,7 +385,9 @@ let children_have_predicates (t : Partial.t) =
 exception Budget_exhausted
 
 (* Loop timers, in an all-float record so that an update stores an
-   unboxed float instead of allocating one. *)
+   unboxed float instead of allocating one.  They tile the active time:
+   every interval between two of the loop's stamps goes to one of
+   them. *)
 type timers = {
   mutable expand_s : float;
   mutable verify_s : float;
@@ -442,6 +444,9 @@ type state = {
   mutable st_finished : bool;
   mutable st_elapsed_s : float;  (* active wall time across steps *)
   st_times : timers;
+  st_clock : Clock.mark;
+      (* the loop's last stamp, shared with the cascade: the stamp that
+         closes one interval opens the next *)
 }
 
 (* The visited layer: test-and-insert on [Partial.key]'s partition. *)
@@ -496,6 +501,7 @@ let init config ctx db ?index ?relcache ~tsq ~literals
     st_finished = false;
     st_elapsed_s = 0.0;
     st_times = new_timers ();
+    st_clock = { Clock.at = 0.0 };
   }
 
 let finished s = s.st_finished
@@ -526,35 +532,34 @@ let push_fresh s (child : Partial.t) =
   s.st_on_offer child fresh;
   if fresh then Frontier.push s.st_frontier child
 
-(* A popped state's verdict: whether to expand or emit it now.  On its
-   first pop a state meets the [static] stage, and a survivor that
-   Duolint warns about [n > 0] times goes back once, settled, under
-   confidence x [static_penalty]^n and its own rank: warnings lower the
-   priority, never inside [expand], so children's confidences still sum
-   to the parent's (Property 1).  A queued key is never below the
-   penalised one, so a state popped under its final key beats every
-   queued state's final key: the pops are those of penalising at push.
-   The other stages run once the penalty is settled, when [prune_partial]
-   holds or the state is complete. *)
-let judge_settled s (p : Partial.t) =
-  (not (s.st_config.prune_partial || Partial.is_complete p))
-  || Verify.check_deferred s.st_env ~first:Verify.S_clauses ~last:Verify.S_complete p
+(* A popped state's verdict: whether to expand or emit it now, in one
+   cascade pass that opens at the pop's stamp.  On its first pop a state
+   meets the [static] stage, and a survivor that Duolint warns about
+   [n > 0] times goes back once, settled ([settle]), under confidence x
+   [static_penalty]^n and its own rank: warnings lower the priority,
+   never inside [expand], so children's confidences still sum to the
+   parent's (Property 1).  A queued key is never below the penalised
+   one, so a state popped under its final key beats every queued state's
+   final key: the pops are those of penalising at push.  The other
+   stages run once the penalty is settled, when [prune_partial] holds or
+   the state is complete. *)
+let settle s n (p : Partial.t) =
+  Frontier.settle s.st_frontier
+    { p with
+      Partial.confidence =
+        p.Partial.confidence *. (s.st_config.static_penalty ** float_of_int n) }
 
-let judge s (p : Partial.t) =
-  if Frontier.settled s.st_frontier then judge_settled s p
+let judge s ~on_warnings (p : Partial.t) =
+  let last =
+    if s.st_config.prune_partial || Partial.is_complete p then Verify.S_complete
+    else Verify.S_static
+  in
+  if Frontier.settled s.st_frontier then
+    last = Verify.S_static
+    || Verify.check_deferred ~clock:s.st_clock s.st_env ~first:Verify.S_clauses ~last p
   else
-    Verify.check_deferred s.st_env ~first:Verify.S_static ~last:Verify.S_static p
-    &&
-    match Verify.static_warnings s.st_env p with
-    | 0 -> judge_settled s p
-    | n ->
-        Frontier.settle s.st_frontier
-          {
-            p with
-            Partial.confidence =
-              p.Partial.confidence *. (s.st_config.static_penalty ** float_of_int n);
-          };
-        false
+    Verify.check_deferred ~clock:s.st_clock ~on_warnings s.st_env ~first:Verify.S_static ~last
+      p
 
 (* Whether [p] is a join decision this run has already made, counted in
    [join_repeats]: a [P_joinpath] state equal but for its FROM to one
@@ -584,13 +589,22 @@ exception Slice_exhausted
 (* [step ?max_pops s] advances the run by at most [max_pops] further
    counted pops (unbounded when omitted), stopping early when any budget
    of [s.st_config] finishes the run.  The time budget counts only active
-   stepping time, so a paused session is not charged for the pause. *)
+   stepping time, so a paused session is not charged for the pause.
+
+   One clock read per boundary: [s.st_clock] holds the last stamp, which
+   opens the next interval.  The budget check and candidate timestamps
+   read it instead of the clock, the cascade opens at the pop's stamp
+   and leaves its closing stamp there, and the interval up to the next
+   pop (a candidate's emission, the budget checks, reaching a run's
+   head) is timed with that pop.  So the timers tile the step. *)
 let step ?max_pops s =
   if s.st_finished then Finished
   else begin
-    let config = s.st_config in
-    let t0 = Clock.now () in
-    let now () = s.st_elapsed_s +. (Clock.now () -. t0) in
+    let config = s.st_config and clock = s.st_clock and times = s.st_times in
+    let t0 = Clock.mono () in
+    clock.Clock.at <- t0;
+    let now () = s.st_elapsed_s +. (clock.Clock.at -. t0) in
+    let on_warnings = settle s in
     let pop_limit =
       match max_pops with
       | None -> max_int
@@ -630,7 +644,7 @@ let step ?max_pops s =
          if s.st_pops >= pop_limit then raise Slice_exhausted;
          (* Reaching run heads, building and deduping each child there,
             is admission work: it is timed with the pop. *)
-         let m_reach = Clock.mono () in
+         let m_reach = clock.Clock.at in
          if Frontier.is_empty s.st_frontier then begin
            (* An empty frontier only proves exhaustion when compaction never
               discarded a state: dropped states stay in [st_visited] and can
@@ -647,22 +661,25 @@ let step ?max_pops s =
              (* Verify on pop: a pushed state has met no stage, and the
                 cascade runs now, on a state the search reached.  A state
                 that fails, or goes back under its warning penalty, costs
-                no pop.  Verify, expand and admit share their clock
-                stamps. *)
+                no pop. *)
              let m0 = Clock.mono () in
-             s.st_times.admit_s <- s.st_times.admit_s +. (m0 -. m_reach);
-             let ok = judge s p in
-             let m1 = Clock.mono () in
-             s.st_times.verify_s <- s.st_times.verify_s +. (m1 -. m0);
+             times.admit_s <- times.admit_s +. (m0 -. m_reach);
+             clock.Clock.at <- m0;
+             let ok = judge s ~on_warnings p in
+             let m1 = clock.Clock.at in
+             times.verify_s <- times.verify_s +. (m1 -. m0);
              if ok then begin
                s.st_pops <- s.st_pops + 1;
                if Partial.is_complete p then
                  (* Complete states are emitted when popped, so candidates
                     stream out in nonincreasing confidence order. *)
                  Option.iter (emit p) (Partial.to_query p)
-               else if repeats_join s p then
+               else if repeats_join s p then begin
                  (* Its children are its twin's, already queued. *)
-                 s.st_times.expand_s <- s.st_times.expand_s +. (Clock.mono () -. m1)
+                 let m2 = Clock.mono () in
+                 times.expand_s <- times.expand_s +. (m2 -. m1);
+                 clock.Clock.at <- m2
+               end
                else begin
                  (* Predicate-free children wait in one run and are built
                     and deduped when the search reaches them; children
@@ -673,19 +690,23 @@ let step ?max_pops s =
                  let eager = children_have_predicates p in
                  let children = if eager then Array.init (Array.length g.conf) g.build else [||] in
                  let m2 = Clock.mono () in
-                 s.st_times.expand_s <- s.st_times.expand_s +. (m2 -. m1);
+                 times.expand_s <- times.expand_s +. (m2 -. m1);
                  if eager then Array.iter (push_fresh s) children
                  else
                    Frontier.push_run s.st_frontier ?order:g.order ~conf:g.conf ~jlen:g.jlen
                      g.build;
-                 s.st_times.admit_s <- s.st_times.admit_s +. (Clock.mono () -. m2)
+                 let m3 = Clock.mono () in
+                 times.admit_s <- times.admit_s +. (m3 -. m2);
+                 clock.Clock.at <- m3
                end
              end
        done
      with
     | Budget_exhausted -> s.st_finished <- true
     | Slice_exhausted -> ());
-    s.st_elapsed_s <- now ();
+    let t1 = Clock.mono () in
+    times.admit_s <- times.admit_s +. (t1 -. clock.Clock.at);
+    s.st_elapsed_s <- s.st_elapsed_s +. (t1 -. t0);
     if s.st_finished then Finished else Running
   end
 
@@ -715,8 +736,9 @@ let charge s seconds = if seconds > 0.0 then s.st_elapsed_s <- s.st_elapsed_s +.
    therefore candidate-for-candidate the cold run's prefix (unit- and
    property-tested). *)
 let rebase s ~tsq =
-  let t0 = Clock.now () in
+  let clock = s.st_clock in
   let m0 = Clock.mono () in
+  clock.Clock.at <- m0;
   (* Retarget the environment and the guidance hints (visited-key dedup
      is unaffected: any state whose key is already recorded was either
      kept, or pruned — and a pruned state stays pruned under a
@@ -727,8 +749,13 @@ let rebase s ~tsq =
   (* Re-filter the emitted candidates ([st_candidates] is newest-first)
      and renumber the survivors in emission order. *)
   let kept_cands =
-    List.filter (fun c -> Verify.reverify_query env c.cand_query) s.st_candidates
+    List.filter (fun c -> Verify.reverify_query ~clock env c.cand_query) s.st_candidates
   in
+  (* The re-checks share their stamps, the first opening at [m0]: the
+     retarget is timed with it, and the verify timer takes exactly
+     what the complete stage booked. *)
+  let m1 = clock.Clock.at in
+  s.st_times.verify_s <- s.st_times.verify_s +. (m1 -. m0);
   let n = List.length kept_cands in
   s.st_candidates <- List.mapi (fun i c -> { c with cand_index = n - 1 - i }) kept_cands;
   (* The emission-dedup table must mirror the surviving candidate list:
@@ -751,8 +778,9 @@ let rebase s ~tsq =
   s.st_pop_base <- s.st_pops;
   s.st_finished <- s.st_n_candidates >= s.st_config.max_candidates;
   if not s.st_finished then s.st_exhausted <- false;
-  s.st_times.verify_s <- s.st_times.verify_s +. (Clock.mono () -. m0);
-  s.st_elapsed_s <- s.st_elapsed_s +. (Clock.now () -. t0)
+  let m2 = Clock.mono () in
+  s.st_times.admit_s <- s.st_times.admit_s +. (m2 -. m1);
+  s.st_elapsed_s <- s.st_elapsed_s +. (m2 -. m0)
 
 (* The one place the outcome record is written.  The Duopar fields keep
    their sequential values: one domain, no speculation.  A fresh record

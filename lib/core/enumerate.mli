@@ -69,7 +69,9 @@ type candidate = {
   cand_confidence : float;
   cand_index : int;  (** 0-based emission rank *)
   cand_pops : int;  (** frontier pops before this emission *)
-  cand_time_s : float;  (** wall-clock seconds from run start to emission *)
+  cand_time_s : float;
+      (** active wall-clock seconds from run start to emission, read off
+          the stamp that closed the candidate's cascade pass *)
 }
 
 type outcome = {
@@ -81,19 +83,26 @@ type outcome = {
           expansion, a predicate-free one when the search reaches it;
           a child never reached is not counted) *)
   out_stats : Verify.stats;
-  out_elapsed_s : float;  (** wall-clock seconds for the whole run *)
+  out_elapsed_s : float;
+      (** active wall-clock seconds for the whole run: its steps and
+          rebases, plus any time {!charge}d to it *)
   out_expand_s : float;
       (** time spent in EnumNextStep: generating each expansion's
           children, and building those with a predicate *)
   out_verify_s : float;
-      (** time spent in the verification cascade and the warning count,
-          all at pop *)
+      (** time spent in the verification cascade at pop, the warning
+          count and a warned state's re-queue included, and in a
+          rebase's candidate re-checks; equal to the sum of
+          [out_stats.stage_seconds] up to float rounding *)
   out_admit_s : float;
       (** time spent admitting children: visited and canonical dedup
           and the frontier push at expansion, and the frontier pop with
           the build and dedup of each predicate-free child the search
-          reaches; with [out_expand_s] and [out_verify_s] it accounts
-          for the enumeration loop *)
+          reaches, with the budget checks and any candidate emission
+          before it.  The three timers tile the run: the loop and the
+          cascade share one clock stamp per boundary, so [out_expand_s
+          +. out_verify_s +. out_admit_s] is [out_elapsed_s] up to float
+          rounding, less any {!charge}d time *)
   out_exhausted : bool;
       (** the frontier emptied within budget {e and} compaction never
           dropped a state — i.e. the reachable space was fully enumerated *)
@@ -195,7 +204,8 @@ val init :
     pops (unbounded when omitted); a state discarded or put back at pop
     does not count, here or against [max_pops] in the config.  Budgets come from the
     config given to {!init}; the wall-clock budget counts only active
-    stepping time, so a paused session is not charged for its pause.
+    stepping time, so a paused session is not charged for its pause; it
+    is checked before each pop, at the loop's last clock stamp.
     Stepping a [Finished] state is a no-op. *)
 val step : ?max_pops:int -> state -> status
 

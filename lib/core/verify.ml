@@ -202,7 +202,26 @@ type env = {
   e_relcache_base : relcache_counters;
   (* (table, column) -> min/max range, for AVG checks *)
   e_range_cache : (string * string, (Value.t * Value.t) option) Hashtbl.t;
+  (* the stages that can fail a state under this env, a bit per
+     [stage_index] (see [kept_stages]) *)
+  e_kept : int;
 }
+
+(* The stages that can fail a state under these settings and sketch.
+   Each left-out stage's check accepts every state: [static] and
+   [semantics] when switched off, [clauses] without a sketch,
+   [cardinality] without a required tuple count, [types] without type
+   annotations, [column] and [row] without example tuples.  [complete]
+   always stays: it checks the NLQ's literals. *)
+let kept_stages ~static ~semantics tsq sketch =
+  let bit stage keep = if keep then 1 lsl stage_index stage else 0 in
+  let tuples = Array.length sketch.sk_tuples > 0 in
+  bit S_static static
+  lor bit S_clauses (Option.is_some tsq)
+  lor bit S_cardinality (sketch.sk_support > 0)
+  lor bit S_semantics semantics
+  lor bit S_types (Option.is_some (Option.bind tsq (fun t -> t.Tsq.types)))
+  lor bit S_column tuples lor bit S_row tuples lor bit S_complete true
 
 let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
     ~tsq ~literals () =
@@ -211,10 +230,11 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
     | Some c -> c
     | None -> Duoengine.Executor.create_cache ()
   in
+  let sketch = compile_sketch tsq in
   {
     e_db = db;
     e_tsq = tsq;
-    e_sketch = compile_sketch tsq;
+    e_sketch = sketch;
     e_literals = literals;
     e_semantics = semantics;
     e_static = static;
@@ -231,9 +251,11 @@ let make_env ?stats ?(semantics = true) ?(static = true) ?index ?relcache ~db
     e_relcache = relcache;
     e_relcache_base = relcache_counters relcache;
     e_range_cache = Hashtbl.create 64;
+    e_kept = kept_stages ~static ~semantics tsq sketch;
   }
 
 let stats env = env.e_stats
+let keeps env stage = env.e_kept land (1 lsl stage_index stage) <> 0
 
 (* Set [into]'s relation-cache counters to the env's cache activity
    since the env was made.  Called after each executor call with the
@@ -709,29 +731,58 @@ let stages =
 
 let check_stage env stage t = (snd stages.(stage_index stage)) env t
 
-(* Stages [first] .. [last] in order, [check k] judging stage [k], up to
-   the first that fails: the clock stamp that closes a stage opens the
-   next, and a failure is booked against its stage. *)
-let run_stages env ~first ~last check =
+(* The kept stages among [first] .. [last], in order, [check k] judging
+   stage [k], up to the first that fails: its index, or -1 when all
+   pass.  A left-out stage is neither called nor stamped.  The pass
+   opens at [clock]'s stamp (at a fresh read without one), the stamp
+   that closes a stage opens the next, and the last is left in [clock],
+   so a pass that runs no stage leaves [clock] as it was. *)
+let run_stages ?clock env ~first ~last check =
   let s = env.e_stats and last = stage_index last in
   s.verify_calls <- s.verify_calls + 1;
-  let k = ref (stage_index first) and ok = ref true in
-  let t0 = ref (Clock.mono ()) in
-  while !ok && !k <= last do
-    ok := check !k;
-    let t1 = Clock.mono () in
-    s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. !t0);
-    t0 := t1;
-    if !ok then incr k
+  let k = ref (stage_index first) and failed = ref (-1) in
+  let t0 = ref (match clock with Some c -> c.Clock.at | None -> Clock.mono ()) in
+  while !failed < 0 && !k <= last do
+    if env.e_kept land (1 lsl !k) <> 0 then begin
+      let ok = check !k in
+      let t1 = Clock.mono () in
+      s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. !t0);
+      t0 := t1;
+      if not ok then failed := !k
+    end;
+    incr k
   done;
-  if not !ok then begin
-    s.stage_pruned.(!k) <- s.stage_pruned.(!k) + 1;
-    s.pruned <- s.pruned + 1
-  end;
-  !ok
+  Option.iter (fun c -> c.Clock.at <- !t0) clock;
+  !failed
 
-let check_deferred env ~first ~last (t : Partial.t) =
-  run_stages env ~first ~last (fun k -> (snd stages.(k)) env t)
+let book_prune s k =
+  s.stage_pruned.(k) <- s.stage_pruned.(k) + 1;
+  s.pruned <- s.pruned + 1
+
+(* With [on_warnings], a state that passes [static] has its Duolint
+   warnings counted within that stage, and one with [n > 0] of them is
+   handed to [on_warnings n] and fails the pass without counting as a
+   prune. *)
+let check_deferred ?clock ?on_warnings env ~first ~last (t : Partial.t) =
+  let warned = ref false in
+  let warns k =
+    k <> stage_index S_static
+    ||
+    match on_warnings with
+    | None -> true
+    | Some settle -> (
+        match static_warnings env t with
+        | 0 -> true
+        | n ->
+            warned := true;
+            settle n t;
+            false)
+  in
+  let failed =
+    run_stages ?clock env ~first ~last (fun k -> (snd stages.(k)) env t && warns k)
+  in
+  if failed >= 0 && not !warned then book_prune env.e_stats failed;
+  failed < 0
 
 let verify env t = check_deferred env ~first:S_static ~last:S_complete t
 
@@ -747,13 +798,20 @@ let verify_batch env (children : Partial.t list) =
    *match verdicts* against the sketch's tuples and support threshold, so
    it must start empty. *)
 let retarget env ~tsq =
+  let sketch = compile_sketch (Some tsq) in
   { env with
     e_tsq = Some tsq;
-    e_sketch = compile_sketch (Some tsq);
-    e_row_cache = Hashtbl.create 256 }
+    e_sketch = sketch;
+    e_row_cache = Hashtbl.create 256;
+    e_kept =
+      kept_stages ~static:env.e_static ~semantics:env.e_semantics (Some tsq) sketch }
 
 (* Re-check an already-emitted candidate under the retargeted sketch, as
    the complete stage: it passed [static] and [semantics] when it was
    emitted, and neither reads the sketch. *)
-let reverify_query env q =
-  run_stages env ~first:S_complete ~last:S_complete (fun _ -> verify_complete env q)
+let reverify_query ?clock env q =
+  let failed =
+    run_stages ?clock env ~first:S_complete ~last:S_complete (fun _ -> verify_complete env q)
+  in
+  if failed >= 0 then book_prune env.e_stats failed;
+  failed < 0

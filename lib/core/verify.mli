@@ -35,7 +35,9 @@
 
     The enumerator runs every stage, [static] included, on popped
     states only ({!check_deferred}), so no check is paid for a state
-    the search never reaches. *)
+    the search never reaches.  An env keeps only the stages that can
+    fail a state under its settings and sketch ({!keeps}); the others
+    are skipped, with no call and no clock read. *)
 
 (** The cascade's stages, cheapest first.  [stats.stage_seconds] and
     [stats.stage_pruned] are indexed by {!stage_index}; {!all_stages}
@@ -105,17 +107,22 @@ type stats = {
           output because every example tuple already held enough
           matching rows *)
   mutable verify_calls : int;
-      (** cascade invocations: one per call of {!check_deferred},
+      (** cascade passes: one per call of {!check_deferred},
           {!verify} and {!reverify_query}, one per child through
           {!verify_batch} *)
   mutable stage_seconds : float array;
       (** monotonic wall time per cascade stage, indexed by
           {!stage_index}: the sum over the stage's runs, one clock stamp
-          per stage boundary *)
+          per stage boundary.  Exactly 0 for a stage the env leaves out
+          ({!keeps}), which never runs.  Within the enumerator they sum
+          to [Enumerate.outcome.out_verify_s] up to float rounding:
+          [static]'s share includes the warning count and the re-queue
+          of a warned state, and the first stage a pass runs opens at
+          the pop's stamp. *)
   stage_pruned : int array;
       (** states rejected per cascade stage, indexed like
-          [stage_seconds]; they sum to [pruned].  Read through
-          {!pruned_by}. *)
+          [stage_seconds]; they sum to [pruned], and stay 0 for a stage
+          the env leaves out.  Read through {!pruned_by}. *)
 }
 
 val new_stats : unit -> stats
@@ -161,6 +168,15 @@ val make_env :
 
 val stats : env -> stats
 
+(** [keeps env stage] holds when [stage] can fail a state under [env]:
+    always for [S_complete], and otherwise [S_static] only when static
+    rules are on, [S_semantics] only when semantic rules are on,
+    [S_clauses] only with a sketch, [S_cardinality] only when the sketch
+    requires at least one tuple, [S_types] only with type annotations,
+    [S_column] and [S_row] only with example tuples.  A stage left out
+    accepts every state, so the cascade skips it. *)
+val keeps : env -> stage -> bool
+
 (** [verify env pq] is Algorithm 3's [Verify]: true when the partial query
     survives every applicable stage ([check_deferred] from [S_static] to
     [S_complete]). *)
@@ -175,11 +191,29 @@ val verify_batch : env -> Partial.t list -> (Partial.t * bool) list
 val check_stage : env -> stage -> Partial.t -> bool
 
 (** [check_deferred env ~first ~last pq] runs the stages [first] ..
-    [last] on one state, in cascade order, up to the first that fails,
-    with one clock stamp per stage boundary.  The enumerator runs
-    [S_static] on a state's first pop and the later stages once its
-    warning penalty is settled. *)
-val check_deferred : env -> first:stage -> last:stage -> Partial.t -> bool
+    [last] that [env] {!keeps} on one state, in cascade order, up to the
+    first that fails, which is booked in [stage_pruned]; a range with no
+    kept stage passes.  One clock stamp per stage boundary: the stamp
+    that closes a stage opens the next.  With [clock], the pass opens at
+    [clock.at] instead of reading the clock, and leaves its closing
+    stamp there (unchanged when no stage ran), so a caller timing the
+    work around it shares both stamps.
+
+    With [on_warnings], a state that passes [S_static] has its Duolint
+    warnings counted ({!static_warnings}) within that stage's time; when
+    there are [n > 0], [on_warnings n pq] runs, still within it, and the
+    pass fails at once without booking a prune.  The enumerator makes
+    one pass per pop: from [S_static] on a state's first pop (a warned
+    state is re-queued by [on_warnings]) or from [S_clauses] once its
+    penalty is settled. *)
+val check_deferred :
+  ?clock:Clock.mark ->
+  ?on_warnings:(int -> Partial.t -> unit) ->
+  env ->
+  first:stage ->
+  last:stage ->
+  Partial.t ->
+  bool
 
 (** Project an enumerator state into Duolint's open-world clause view.
     Finality flags are conservative: set only when no later decision can
@@ -222,11 +256,14 @@ val verify_complete : env -> Duosql.Ast.query -> bool
 (** [retarget env ~tsq] points the environment at a tightened sketch for
     {!Enumerate.rebase}.  The column-probe and range caches memoize pure
     database facts and carry over; the sketch's compiled example cells
-    and support are rebuilt, and the row-probe cache memoizes match
-    verdicts against the sketch's tuples and is reset. *)
+    and support are rebuilt, and so are the stages the env {!keeps}
+    (a sketch that gains tuples brings [S_column] and [S_row] back), and
+    the row-probe cache memoizes match verdicts against the sketch's
+    tuples and is reset. *)
 val retarget : env -> tsq:Tsq.t -> env
 
 (** [reverify_query env q] re-checks an already-emitted candidate under
     the retargeted sketch with {!verify_complete}, with time and prunes
-    attributed to the complete stage. *)
-val reverify_query : env -> Duosql.Ast.query -> bool
+    attributed to the complete stage; [clock] shares stamps as in
+    {!check_deferred}. *)
+val reverify_query : ?clock:Clock.mark -> env -> Duosql.Ast.query -> bool

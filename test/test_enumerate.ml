@@ -728,6 +728,87 @@ let test_join_repeats_mas_b () =
             (o.Enumerate.out_stats.Duocore.Verify.join_repeats > 0))
     [ "B1"; "B2"; "B3"; "B4" ]
 
+(* --- the loop's timers tile its time --------------------------------- *)
+
+(* The loop and the cascade share their clock stamps, so expand, verify
+   and admit account for the run's whole active time, the stages'
+   seconds sum to the verify timer, and a stage left out of every env
+   the run used never runs.  [tsqs] are the sketches the run verified
+   against. *)
+let check_timers name ~db ~tsqs (o : Enumerate.outcome) =
+  let module V = Duocore.Verify in
+  let stats = o.Enumerate.out_stats in
+  let elapsed = o.Enumerate.out_elapsed_s in
+  let tiled = o.Enumerate.out_expand_s +. o.Enumerate.out_verify_s +. o.Enumerate.out_admit_s in
+  if not (elapsed > 0.0 && tiled >= 0.99 *. elapsed && tiled <= elapsed *. (1.0 +. 1e-9)) then
+    Alcotest.failf "%s: expand + verify + admit = %.9f s of %.9f s elapsed" name tiled elapsed;
+  let stages = Array.fold_left ( +. ) 0.0 stats.V.stage_seconds in
+  if Float.abs (stages -. o.Enumerate.out_verify_s) > 1e-9 *. (1.0 +. o.Enumerate.out_verify_s)
+  then
+    Alcotest.failf "%s: stages sum to %.12f s, verify timer %.12f s" name stages
+      o.Enumerate.out_verify_s;
+  let envs = List.map (fun tsq -> V.make_env ~db ~tsq ~literals:[] ()) tsqs in
+  let left_out =
+    List.filter (fun st -> not (List.exists (fun env -> V.keeps env st) envs)) V.all_stages
+  in
+  List.iter
+    (fun st ->
+      let secs = stats.V.stage_seconds.(V.stage_index st) in
+      if secs <> 0.0 || V.pruned_by stats st <> 0 then
+        Alcotest.failf "%s: left-out stage %s took %g s and pruned %d" name (V.stage_name st)
+          secs (V.pruned_by stats st))
+    left_out;
+  List.length left_out
+
+let test_timers_add_up () =
+  let db = Lazy.force mas in
+  let session = Duocore.Duoquest.create_session db in
+  let task = mas_task "A1" in
+  let nlq = task.Duobench.Mas.task_nlq and literals = task.Duobench.Mas.task_literals in
+  let tight =
+    match
+      Duobench.Tsq_synth.synthesize (Duobench.Rng.create 7) db (Duobench.Mas.gold task)
+        ~detail:Duobench.Tsq_synth.Full
+    with
+    | Some t -> { t with Duocore.Tsq.min_support = None }
+    | None -> Alcotest.fail "A1: no Full sketch"
+  in
+  let full =
+    Duocore.Duoquest.synthesize ~config:mas_config ~tsq:tight ~literals session ~nlq ()
+  in
+  ignore (check_timers "A1 Full" ~db ~tsqs:[ Some tight ] full);
+  (* a warm rebase, stepped in slices *)
+  let loose =
+    { tight with
+      Duocore.Tsq.tuples = (match tight.Duocore.Tsq.tuples with [] -> [] | t :: _ -> [ t ]);
+      sorted = false;
+      negatives = [] }
+  in
+  Alcotest.(check bool) "A1: the edit is a tightening" true
+    (Duocore.Tsq.refines ~old:loose ~new_:tight = Duocore.Tsq.Tightening);
+  let st = Duocore.Duoquest.prepare ~config:mas_config ~tsq:loose ~literals session ~nlq () in
+  let rec go () =
+    match Enumerate.step ~max_pops:200 st with Enumerate.Running -> go () | Enumerate.Finished -> ()
+  in
+  go ();
+  Enumerate.rebase st ~tsq:tight;
+  go ();
+  let warm = Enumerate.outcome st in
+  Alcotest.(check int) "A1: one rebase" 1 warm.Enumerate.out_rebases;
+  Alcotest.(check bool) "A1: the rebase re-checked candidates" true
+    (warm.Enumerate.out_rebase_kept + warm.Enumerate.out_rebase_dropped > 0);
+  ignore (check_timers "A1 warm rebase" ~db ~tsqs:[ Some loose; Some tight ] warm);
+  (* one dev task in NLI mode: five stages cannot prune without a sketch *)
+  let dev = Duobench.Spider_gen.mini ~seed:11 ~n_dbs:4 ~per_db:9 () in
+  let t = List.hd dev.Duobench.Spider_gen.tasks in
+  let ddb = List.assoc t.Duobench.Spider_gen.sp_db dev.Duobench.Spider_gen.databases in
+  let nli =
+    Duocore.Duoquest.synthesize ~config:mas_config ~mode:`Nli
+      ~literals:t.Duobench.Spider_gen.sp_literals
+      (Duocore.Duoquest.create_session ddb) ~nlq:t.Duobench.Spider_gen.sp_nlq ()
+  in
+  Alcotest.(check int) "dev NLI: stages left out" 5 (check_timers "dev NLI" ~db:ddb ~tsqs:[ None ] nli)
+
 (* A warned child whose penalised confidence falls below a sibling's
    pops after that sibling: the run pops what penalising at push pops,
    and at a penalty of 0.1 the C1 constant-output warning on
@@ -936,6 +1017,8 @@ let suite =
     Alcotest.test_case "static_penalty outside [0, 1] rejected" `Quick test_penalty_range;
     Alcotest.test_case "join decisions once per run: MAS B tier = eager reference" `Quick
       test_join_repeats_mas_b;
+    Alcotest.test_case "timers add up: the loop's timers tile its time" `Quick
+      test_timers_add_up;
     Alcotest.test_case "MAS A1-D3: no frontier drops at the default cap" `Quick
       test_mas_no_frontier_drops;
     Alcotest.test_case "resume: exhaustion flags survive pausing" `Quick

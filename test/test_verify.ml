@@ -340,11 +340,12 @@ let check_sibling_sets name ~db ~tsq ~literals ctx gold =
           if ok <> ok' then
             Alcotest.failf "%s: %s is %b batched, %b alone" name (Partial.to_string child)
               ok ok';
-          (* the child reaches every stage up to the one that prunes it *)
+          (* the child reaches every stage up to the one that prunes it,
+             and runs the ones the env keeps *)
           let rec reach = function
             | [] -> true
             | st :: rest ->
-                ran.(Verify.stage_index st) <- true;
+                if Verify.keeps oracle st then ran.(Verify.stage_index st) <- true;
                 if stage_check st oracle child then reach rest
                 else begin
                   pruned.(Verify.stage_index st) <- pruned.(Verify.stage_index st) + 1;
@@ -411,6 +412,102 @@ let test_sibling_set_cascade () =
        (Duonl.Nlq.with_literals task.Duobench.Spider_gen.sp_nlq
           task.Duobench.Spider_gen.sp_literals))
     task.Duobench.Spider_gen.sp_gold
+
+(* --- stages an env leaves out pass every state ------------------------ *)
+
+(* [Verify.keeps] leaves a stage out of an env's cascade only when its
+   check accepts every state under that env: checked on the sibling sets
+   of MAS gold derivations under NLI, Minimal, Partial and Full
+   sketches, with the static and semantic rules on and off.  The kept
+   set is also pinned to what the sketch carries. *)
+let test_left_out_stages_pass () =
+  let mdb = Duobench.Mas.database () in
+  let tasks = Duobench.Mas.nli_study_tasks @ Duobench.Mas.pbe_study_tasks in
+  let left_out = ref 0 in
+  List.iter
+    (fun id ->
+      let task = List.find (fun t -> t.Duobench.Mas.task_id = id) tasks in
+      let gold = Duobench.Mas.gold task in
+      let ctx =
+        Model.make Duobench.Mas.schema (Duonl.Nlq.analyze task.Duobench.Mas.task_nlq)
+      in
+      let sketch detail =
+        let rng = Duobench.Rng.create (Hashtbl.hash (id, Duobench.Tsq_synth.detail_to_string detail)) in
+        Duobench.Tsq_synth.synthesize rng mdb gold ~detail
+      in
+      let tsqs =
+        None
+        :: List.map sketch
+             [ Duobench.Tsq_synth.Minimal; Duobench.Tsq_synth.Partial; Duobench.Tsq_synth.Full ]
+      in
+      List.iter
+        (fun tsq ->
+          let hints = match tsq with Some t -> Enumerate.hints_of_tsq t | None -> Enumerate.no_hints in
+          let states = List.concat (sibling_sets ctx hints gold) in
+          List.iter
+            (fun (static, semantics) ->
+              let env =
+                Verify.make_env ~static ~semantics ~db:mdb ~tsq
+                  ~literals:task.Duobench.Mas.task_literals ()
+              in
+              let tuples =
+                match tsq with Some t -> t.Tsq.tuples <> [] | None -> false
+              in
+              let want st =
+                match st with
+                | Verify.S_static -> static
+                | Verify.S_clauses -> tsq <> None
+                | Verify.S_cardinality -> (
+                    match tsq with Some t -> Tsq.required_support t > 0 | None -> false)
+                | Verify.S_semantics -> semantics
+                | Verify.S_types -> (
+                    match tsq with Some t -> t.Tsq.types <> None | None -> false)
+                | Verify.S_column | Verify.S_row -> tuples
+                | Verify.S_complete -> true
+              in
+              List.iter
+                (fun st ->
+                  let name =
+                    Printf.sprintf "%s/%s static=%b semantics=%b: %s" id
+                      (if tsq = None then "NLI" else "sketch") static semantics
+                      (Verify.stage_name st)
+                  in
+                  if Verify.keeps env st <> want st then
+                    Alcotest.failf "%s kept %b" name (Verify.keeps env st);
+                  if not (Verify.keeps env st) then begin
+                    incr left_out;
+                    List.iter
+                      (fun t ->
+                        if not (stage_check st env t) then
+                          Alcotest.failf "%s is left out but fails %s" name
+                            (Partial.to_string t))
+                      states
+                  end)
+                Verify.all_stages)
+            [ (true, true); (false, true); (true, false); (false, false) ])
+        tsqs)
+    [ "A1"; "B1"; "B4"; "D1" ];
+  if !left_out = 0 then Alcotest.fail "no env left a stage out"
+
+(* A retarget recompiles the kept stages: a sketch that gains example
+   tuples brings [column] and [row] back. *)
+let test_retarget_keeps () =
+  let db = Fixtures.movie_db () in
+  let types = Tsq.make ~types:[ Duodb.Datatype.Text ] () in
+  let env = Verify.make_env ~db ~tsq:(Some types) ~literals:[] () in
+  List.iter
+    (fun st ->
+      Alcotest.(check bool) ("types only: " ^ Verify.stage_name st)
+        (st <> Verify.S_column && st <> Verify.S_row && st <> Verify.S_cardinality)
+        (Verify.keeps env st))
+    Verify.all_stages;
+  let env' =
+    Verify.retarget env
+      ~tsq:(Tsq.make ~types:[ Duodb.Datatype.Text ] ~tuples:[ [ Tsq.Exact (Value.Text "Up") ] ] ())
+  in
+  List.iter
+    (fun st -> Alcotest.(check bool) ("with a tuple: " ^ Verify.stage_name st) true (Verify.keeps env' st))
+    Verify.all_stages
 
 (* --- memoized warning count = recomputed warning count -------------- *)
 
@@ -559,6 +656,8 @@ let suite =
       test_row_probe_over_max_rows;
     QCheck_alcotest.to_alcotest prop_no_prefix_of_gold_pruned;
     Alcotest.test_case "sibling set = child by child" `Quick test_sibling_set_cascade;
+    Alcotest.test_case "left-out stages pass every state" `Quick test_left_out_stages_pass;
+    Alcotest.test_case "retarget with tuples keeps column and row" `Quick test_retarget_keeps;
     Alcotest.test_case "memoized warnings = recomputed" `Quick test_warning_memo;
     Alcotest.test_case "outline memos share GROUP BY and ORDER BY" `Quick
       test_outline_shares_clauses;
