@@ -648,18 +648,19 @@ let derivation_sample (sc : Gen.scenario) seed ~max_states =
    COUNT( * ) slot's aggregate decision changed, confidence and depth
    changed.  Some print alike and some do not; the property is stated
    over whichever do. *)
+let swap_value = function
+  | Value.Int n -> Value.Float (float_of_int n)
+  | Value.Float f when Float.is_integer f && Float.abs f < 1e15 -> Value.Int (int_of_float f)
+  | (Value.Null | Value.Float _ | Value.Text _) as v -> v
+
+let swap_pred (p : Duosql.Ast.pred) =
+  match p.Duosql.Ast.pr_rhs with
+  | Duosql.Ast.Cmp (op, v) -> { p with Duosql.Ast.pr_rhs = Duosql.Ast.Cmp (op, swap_value v) }
+  | Duosql.Ast.Between (lo, hi) ->
+      { p with Duosql.Ast.pr_rhs = Duosql.Ast.Between (swap_value lo, swap_value hi) }
+
 let twins (t : Partial.t) =
   let open Duosql.Ast in
-  let swap_value = function
-    | Value.Int n -> Value.Float (float_of_int n)
-    | Value.Float f when Float.is_integer f && Float.abs f < 1e15 -> Value.Int (int_of_float f)
-    | (Value.Null | Value.Float _ | Value.Text _) as v -> v
-  in
-  let swap_pred p =
-    match p.pr_rhs with
-    | Cmp (op, v) -> { p with pr_rhs = Cmp (op, swap_value v) }
-    | Between (lo, hi) -> { p with pr_rhs = Between (swap_value lo, swap_value hi) }
-  in
   let reorder f_of =
     match t.Partial.from with
     | Some f -> [ { t with Partial.from = Some (f_of f) } ]
@@ -806,6 +807,55 @@ let key_hash_prop ((sc : Gen.scenario), seed) =
           else true)
     sample
 
+(* Respellings of a state for the key-to-canonical implication: each
+   predicate alone with its literals swapped between [Int n] and
+   [Float n.] (the key prints them alike), the HAVING one included, and
+   each WHERE conjunct duplicated, as written and respelled. *)
+let respellings (t : Partial.t) =
+  let preds = t.Partial.where_preds in
+  let with_preds l = { t with Partial.where_preds = l; where_n = List.length l } in
+  let respell i = with_preds (List.mapi (fun j p -> if i = j then swap_pred p else p) preds) in
+  List.mapi (fun i _ -> respell i) preds
+  @ Option.to_list
+      (Option.map (fun h -> { t with Partial.having_pred = Some (swap_pred h) }) t.Partial.having_pred)
+  @ List.concat_map (fun p -> [ with_preds (preds @ [ p ]); with_preds (preds @ [ swap_pred p ]) ]) preds
+
+(* Key-equal states are canonical-equal, which is why a state with a
+   predicate meets only the canonical layer of the enumerator's dedup.
+   Over a derivation sample's states with a predicate, with their twins
+   and respellings: equal keys imply equal canonical keys, and in one
+   pass of a [Partial.Tbl] and a [Partial.Canon] set over them, every
+   state the first refuses the second refuses too.  [respelled] counts
+   the cases in which a respelled predicate shared its state's key. *)
+let key_canonical_prop ?(respelled = ref 0) ((sc : Gen.scenario), seed) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let sample = derivation_sample sc seed ~max_states:(100 + (seed mod 100)) in
+  let tbl = Partial.Tbl.create 64 and canon = Partial.Canon.create 64 in
+  let by_key = Hashtbl.create 256 and shared = ref false in
+  let check (t : Partial.t) =
+    let k = Partial.key t and ck = Partial.canonical_key t in
+    (match Hashtbl.find_opt by_key k with
+    | Some ck' -> String.equal ck ck' || fail "equal keys, different canonical keys:\n%s\n%s" ck ck'
+    | None ->
+        Hashtbl.replace by_key k ck;
+        true)
+    &&
+    let key_fresh = Partial.Tbl.add tbl t in
+    let canon_fresh = Partial.Canon.add canon t in
+    key_fresh || (not canon_fresh)
+    || fail "the visited set refuses, the canonical set admits:\n%s" k
+  in
+  let family (t : Partial.t) =
+    let vs = List.filter Partial.has_predicates (twins t @ respellings t) in
+    let preds (p : Partial.t) = (p.Partial.where_preds, p.Partial.having_pred) in
+    if List.exists (fun v -> preds v <> preds t && String.equal (Partial.key v) (Partial.key t)) vs
+    then shared := true;
+    List.for_all check (t :: vs)
+  in
+  let ok = List.for_all family (List.filter Partial.has_predicates sample) in
+  if !shared then incr respelled;
+  ok
+
 (* Spellings of a state's WHERE clause for the canonical layer: every
    rotation of the predicate list, and the literals of two numeric
    predicates swapped between them (a BETWEEN bound included), which
@@ -916,7 +966,10 @@ let replay_offer r child admitted =
   let k = Partial.key child in
   let expected =
     if Hashtbl.mem r.rp_visited k then begin
-      r.rp_hits <- r.rp_hits + 1;
+      (* A state with a predicate meets only the canonical layer, which
+         refuses every key twin of a state it saw. *)
+      if Partial.has_predicates child then r.rp_canon_hits <- r.rp_canon_hits + 1
+      else r.rp_hits <- r.rp_hits + 1;
       false
     end
     else begin
@@ -999,7 +1052,9 @@ let dedup_exact_prop ((sc : Gen.scenario), seed) =
 (* The enumeration loop as it ran before sibling runs, as a reference:
    every child is built when its parent is expanded and admitted then,
    through the visited layer and, for a child with a predicate, the
-   canonical one (on printed keys), and pushed.  The rest follows
+   canonical one (on printed keys), and pushed; [eg_refused] counts the
+   children refused, and [eg_repeat_kids] the children of join-path
+   states whose join decision passed [judge] before.  The rest follows
    [Enumerate.step]: the cascade and the warning penalty at pop,
    emission dedup on [Duosem.dedup_key], the pop and candidate budgets,
    the frontier cap; [eager_rebase] is [Enumerate.rebase]'s warm
@@ -1021,6 +1076,8 @@ type eager = {
   eg_join_passed : (string, unit) Hashtbl.t;
   eg_join_failed : (string, unit) Hashtbl.t;
   mutable eg_late_joins : int;
+  mutable eg_refused : int;
+  mutable eg_repeat_kids : int;
   mutable eg_cands : (Duosql.Ast.query * float * int) list;  (* newest first *)
   mutable eg_pops : int;
   mutable eg_pop_base : int;
@@ -1047,27 +1104,34 @@ let eager_init (config : Duocore.Enumerate.config) ctx db ?index ~tsq ~literals 
     eg_join_passed = Hashtbl.create 64;
     eg_join_failed = Hashtbl.create 64;
     eg_late_joins = 0;
+    eg_refused = 0;
+    eg_repeat_kids = 0;
     eg_cands = [];
     eg_pops = 0;
     eg_pop_base = 0;
     eg_finished = false;
   }
 
-(* Book a popped join-path state's verdict on its join decision. *)
+(* Book a popped join-path state's verdict on its join decision; whether
+   one of its twins passed [judge] before. *)
 let note_join eg (p : Partial.t) ok =
   match p.Partial.phase with
   | Partial.P_joinpath _ ->
       let k = Partial.key { p with Partial.from = None } in
-      if Hashtbl.mem eg.eg_join_passed k then ()
+      if Hashtbl.mem eg.eg_join_passed k then true
       else if ok then begin
         if Hashtbl.mem eg.eg_join_failed k then eg.eg_late_joins <- eg.eg_late_joins + 1;
-        Hashtbl.replace eg.eg_join_passed k ()
+        Hashtbl.replace eg.eg_join_passed k ();
+        false
       end
-      else Hashtbl.replace eg.eg_join_failed k ()
+      else begin
+        Hashtbl.replace eg.eg_join_failed k ();
+        false
+      end
   | Partial.P_keywords | P_num_proj | P_proj_target _ | P_proj_agg _ | P_where_num
   | P_where_col _ | P_where_op _ | P_where_conn | P_group_col | P_having_presence
   | P_having_pred | P_order_target | P_order_dir | P_limit | P_done ->
-      ()
+      false
 
 let eager_step ?(max_pops = max_int) eg =
   let module E = Duocore.Enumerate in
@@ -1079,6 +1143,7 @@ let eager_step ?(max_pops = max_int) eg =
       fresh eg.eg_visited (Partial.key c)
       && ((not (Partial.has_predicates c)) || fresh eg.eg_canon (Partial.canonical_key c))
     then Duocore.Frontier.push f c
+    else eg.eg_refused <- eg.eg_refused + 1
   in
   let judge_settled (p : Partial.t) =
     (not (config.E.prune_partial || Partial.is_complete p))
@@ -1117,11 +1182,15 @@ let eager_step ?(max_pops = max_int) eg =
       | None -> eg.eg_finished <- true
       | Some p ->
           let ok = judge p in
-          note_join eg p ok;
+          let repeat = note_join eg p ok in
           if ok then begin
             eg.eg_pops <- eg.eg_pops + 1;
             if Partial.is_complete p then Option.iter (emit p) (Partial.to_query p)
-            else List.iter admit (E.expand ~guided:config.E.guided eg.eg_hints eg.eg_ctx p)
+            else begin
+              let kids = E.expand ~guided:config.E.guided eg.eg_hints eg.eg_ctx p in
+              if repeat then eg.eg_repeat_kids <- eg.eg_repeat_kids + List.length kids;
+              List.iter admit kids
+            end
           end
   done
 
@@ -1137,7 +1206,7 @@ let eager_rebase eg ~tsq =
   eg.eg_pop_base <- eg.eg_pops;
   eg.eg_finished <- List.length eg.eg_cands >= eg.eg_config.Duocore.Enumerate.max_candidates
 
-let lazy_eager_diff ?rebase ?(late_joins = ref 0) config ctx db ?index ~tsq ~literals () =
+let lazy_eager_diff ?rebase ?(late_joins = ref 0) ?(drained = ref 0) config ctx db ?index ~tsq ~literals () =
   let module E = Duocore.Enumerate in
   let st = E.init config ctx db ?index ~tsq ~literals () in
   let eg = eager_init config ctx db ?index ~tsq ~literals () in
@@ -1174,7 +1243,30 @@ let lazy_eager_diff ?rebase ?(late_joins = ref 0) config ctx db ?index ~tsq ~lit
     Error
       (Printf.sprintf "compaction drops differ: lazy %d, eager %d" o.E.out_dropped
          (Duocore.Frontier.dropped eg.eg_frontier))
-  else Ok o
+  else
+    (* Once the reference's frontier is empty with the candidate budget
+       unspent, the run has reached, and so offered, every child too: it
+       admits what the reference admits, and refuses what it refuses but
+       for the children of repeated join decisions, which it never
+       generates. *)
+    let s = o.E.out_stats in
+    let refused = s.Duocore.Verify.visited_hits + s.Duocore.Verify.dedup_semantic in
+    let eg_refused = eg.eg_refused - eg.eg_repeat_kids + eg.eg_stats.Duocore.Verify.dedup_semantic in
+    if
+      Duocore.Frontier.size eg.eg_frontier > 0
+      || List.length eg.eg_cands >= config.E.max_candidates
+    then Ok o
+    else if o.E.out_pushed <> Duocore.Frontier.pushed eg.eg_frontier then
+      Error
+        (Printf.sprintf "pushes differ on a drained frontier: lazy %d, eager %d" o.E.out_pushed
+           (Duocore.Frontier.pushed eg.eg_frontier))
+    else if refused <> eg_refused then
+      Error
+        (Printf.sprintf "refusals differ on a drained frontier: lazy %d, eager %d" refused eg_refused)
+    else begin
+      incr drained;
+      Ok o
+    end
 
 (* Lazy sibling runs, and join decisions taken once per run, change no
    observable: on NLI and dual runs, a warm rebase and a frontier cap
@@ -1189,8 +1281,13 @@ let lazy_eager_diff ?rebase ?(late_joins = ref 0) config ctx db ?index ~tsq ~lit
    states go back under the warning penalty and pass when they pop again,
    after their first pop failed [judge].  [repeating] counts the cases in
    which a run skipped a repeated join decision, [late] those in which a
-   join decision passed [judge] only after a twin failed it. *)
-let lazy_runs_prop ?(repeating = ref 0) ?(late = ref 0) ((sc : Gen.scenario), seed) =
+   join decision passed [judge] only after a twin failed it.  A sixth
+   run, [tiny], caps the frontier at 2 to 5 states with no candidate
+   budget, so the search dives and often drains the frontier: then the
+   two runs' pushes and refusals must agree too ([drained] counts the
+   cases in which some run's did). *)
+let lazy_runs_prop ?(repeating = ref 0) ?(late = ref 0) ?(drained = ref 0)
+    ((sc : Gen.scenario), seed) =
   let module E = Duocore.Enumerate in
   let module Tsq = Duocore.Tsq in
   let ctx =
@@ -1206,9 +1303,11 @@ let lazy_runs_prop ?(repeating = ref 0) ?(late = ref 0) ((sc : Gen.scenario), se
       sorted = false;
       negatives = [] }
   in
-  let repeats = ref 0 and late_joins = ref 0 in
+  let repeats = ref 0 and late_joins = ref 0 and drains = ref 0 in
   let check name ?rebase ?(ctx = ctx) config ~tsq =
-    match lazy_eager_diff ?rebase ~late_joins config ctx sc.Gen.sc_db ~tsq ~literals:[] () with
+    match
+      lazy_eager_diff ?rebase ~late_joins ~drained:drains config ctx sc.Gen.sc_db ~tsq ~literals:[] ()
+    with
     | Ok o ->
         repeats := !repeats + o.E.out_stats.Duocore.Verify.join_repeats;
         true
@@ -1224,9 +1323,13 @@ let lazy_runs_prop ?(repeating = ref 0) ?(late = ref 0) ((sc : Gen.scenario), se
        || check "warm-rebase" ~rebase:(1 + (seed mod 40), new_t) config ~tsq:(Some old_t))
     && check "grouped" ~ctx:(ctx_of ~nlq:"order every group" sc) config
          ~tsq:(Some (Tsq.make ~types:[ Duodb.Datatype.Text ] ~sorted:true ()))
+    && check "tiny"
+         { config with E.max_frontier = 2 + (seed mod 4); max_candidates = max_int }
+         ~tsq:(if seed land 2 = 0 then None else Some sc.Gen.sc_tsq)
   in
   if !repeats > 0 then incr repeating;
   if !late_joins > 0 then incr late;
+  if !drains > 0 then incr drained;
   ok
 
 (* --- Duolint error soundness ---------------------------------------- *)
@@ -1740,6 +1843,17 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(20 * mult)
       ~name:"render-free dedup: key_hash is consistent with key" arb_seeded
       key_hash_prop;
+    (let count = 20 * mult and cases = ref 0 and respelled = ref 0 in
+     (* The coverage guard: some case must respell a literal without
+        changing its state's key, or the property pins nothing about
+        [Int n] and [Float n.] spellings. *)
+     QCheck.Test.make ~count
+       ~name:"one dedup layer per state: key-equal implies canonical-equal" arb_seeded
+       (fun case ->
+         incr cases;
+         key_canonical_prop ~respelled case
+         && (!cases < count || !respelled > 0
+            || QCheck.Test.fail_reportf "no case in %d respelled a literal under one key" count)));
     QCheck.Test.make ~count:(12 * mult)
       ~name:"verify on pop: the deferred verdict is constant on key and canonical partitions"
       arb_seeded partition_verdict_prop;
@@ -1749,7 +1863,8 @@ let tests ?(mult = 1) () =
     QCheck.Test.make ~count:(6 * mult)
       ~name:"render-free dedup: hashed run pushes what string keys push"
       arb_seeded dedup_exact_prop;
-    (let count = 20 * mult and cases = ref 0 and repeating = ref 0 and late = ref 0 in
+    (let count = 20 * mult and cases = ref 0 and repeating = ref 0 and late = ref 0
+     and drained = ref 0 in
      (* The coverage guards: by the last case, some run must have skipped
         a repeated join decision, and some join decision must have passed
         [judge] only after a twin failed it, or the generator no longer
@@ -1758,12 +1873,14 @@ let tests ?(mult = 1) () =
         pins nothing about them. *)
      QCheck.Test.make ~count ~name:"lazy runs = eager reference" arb_joins (fun case ->
          incr cases;
-         lazy_runs_prop ~repeating ~late case
+         lazy_runs_prop ~repeating ~late ~drained case
          && (!cases < count || !repeating > 0
             || QCheck.Test.fail_reportf "no run in %d cases repeated a join decision" count)
          && (!cases < count || !late > 0
             || QCheck.Test.fail_reportf
-                 "no join decision in %d cases passed judge after a twin failed it" count)));
+                 "no join decision in %d cases passed judge after a twin failed it" count)
+         && (!cases < count || !drained > 0
+            || QCheck.Test.fail_reportf "no run in %d cases drained its frontier" count)));
     QCheck.Test.make ~count:(30 * mult)
       ~name:"guidance memo: each stored distribution = a fresh context's" arb_seeded
       guidance_memo_prop;

@@ -41,14 +41,21 @@
       collides canonically with one that has them; and the hashed
       enumerator admits exactly the states the string-keyed two-layer
       dedup admits, offer by offer, in NLI, dual and warm-rebase runs;
+    - {b one dedup layer per state}: key-equal states with a predicate
+      are canonical-equal, over derivation samples, their twins and
+      respellings (one literal swapped between [Int n] and [Float n.],
+      duplicated conjuncts), so the canonical layer refuses every state
+      the visited layer would ({!key_canonical_prop});
     - {b lazy runs}: the enumerator, which builds and dedups a
       predicate-free child only when the search reaches it and expands
       each join decision once, agrees with a reference loop that builds
       and admits every child at its parent's expansion
       ({!lazy_eager_diff}) in NLI, dual, warm-rebase, frontier-capped
-      and grouped runs, on FK trees of up to five tables; some case must
-      skip a repeated join decision, and some join decision must pass
-      [judge] only after a twin failed it;
+      and grouped runs, on FK trees of up to five tables, and on
+      [out_pushed] and refusals in runs capped at 2–5 states that drain
+      their frontier; some case must skip a repeated join decision, some
+      join decision must pass [judge] only after a twin failed it, and
+      some run must drain;
     - {b guidance memo}: each distribution {!Duoguide.Model} stores per
       context equals a fresh context's first call, bit for bit, and an
       equal key returns the stored entry ({!guidance_memo_prop});
@@ -87,16 +94,19 @@ val cached_prop : Gen.scenario -> bool
 val soundness_prop : Gen.scenario -> bool
 val property1_prop : Gen.scenario * int -> bool
 val key_hash_prop : Gen.scenario * int -> bool
+val key_canonical_prop : ?respelled:int ref -> Gen.scenario * int -> bool
 
 (** The string-keyed two-layer dedup ({!Duocore.Partial.key}, then
     {!Duocore.Partial.canonical_key} for every state) the enumerator ran
     before its visited set stopped printing keys, as an
     [Enumerate.init ~on_offer] observer that replays each offer and
-    records the first verdict that differs. *)
+    records the first verdict that differs.  A key hit on a state with
+    a predicate counts as a canonical hit: such a state meets only the
+    enumerator's canonical layer, which refuses every key twin. *)
 type replay = {
   rp_visited : (string, unit) Hashtbl.t;
   rp_canon : (string, unit) Hashtbl.t;
-  mutable rp_hits : int;  (** offers rejected by the key layer *)
+  mutable rp_hits : int;  (** predicate-free offers rejected by the key layer *)
   mutable rp_canon_hits : int;  (** offers rejected by the canonical layer *)
   mutable rp_admitted : int;  (** offers the run admitted *)
   mutable rp_mismatch : (string * bool) option;
@@ -121,10 +131,17 @@ val dedup_exact_prop : Gen.scenario * int -> bool
     runs take [k] pops and then rebase onto [tsq'].  [late_joins] is
     incremented for each join-path state the reference saw pass [judge]
     after a twin (equal but for its FROM) had failed it or gone back
-    under its warning penalty, and before any twin passed. *)
+    under its warning penalty, and before any twin passed.  When the
+    reference ends with an empty frontier and its candidate budget
+    unspent, every child has been offered in both runs, and they must
+    also agree on [out_pushed] and on [visited_hits + dedup_semantic]
+    (the reference's refusals, less the children of repeated join
+    decisions, which the run never generates); [drained] counts those
+    comparisons. *)
 val lazy_eager_diff :
   ?rebase:int * Duocore.Tsq.t ->
   ?late_joins:int ref ->
+  ?drained:int ref ->
   Duocore.Enumerate.config ->
   Duoguide.Model.ctx ->
   Duodb.Database.t ->
@@ -141,8 +158,12 @@ val lazy_eager_diff :
     so warned join-path states pass on their second pop.  [repeating] is incremented when a run of the
     case skipped a repeated join decision ([join_repeats > 0]), [late]
     when a join decision passed [judge] only after a twin failed it
-    (see [late_joins] in {!lazy_eager_diff}). *)
-val lazy_runs_prop : ?repeating:int ref -> ?late:int ref -> Gen.scenario * int -> bool
+    (see [late_joins] in {!lazy_eager_diff}).  A sixth run caps the
+    frontier at 2 to 5 states with no candidate budget; [drained] is
+    incremented when some run of the case drained its frontier, so
+    pushes and refusals were compared. *)
+val lazy_runs_prop :
+  ?repeating:int ref -> ?late:int ref -> ?drained:int ref -> Gen.scenario * int -> bool
 
 (** The guidance model's per-state distributions, memoized per context,
     equal a fresh context's first call (items, bit-equal probabilities,

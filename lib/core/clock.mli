@@ -11,8 +11,11 @@
     [clock_gettime(CLOCK_MONOTONIC)]: served from the vDSO, so a read
     costs about 20 ns with nanosecond resolution.  Callers only take
     differences.  It is wall time, so a run that blocks is charged for
-    the wait, as the paper's wall-clock budget (Section 5) requires. *)
-val mono : unit -> float
+    the wait, as the paper's wall-clock budget (Section 5) requires.
+    Declared external here too, so a caller in another module calls the
+    stub directly and gets the float unboxed: a read allocates nothing. *)
+external mono : unit -> (float[@unboxed]) = "duo_clock_mono_byte" "duo_clock_mono"
+[@@noalloc]
 
 (** The stamp that closed the last interval of a sequence timed back to
     back: the next interval opens there without a read of its own.  An

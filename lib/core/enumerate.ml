@@ -416,17 +416,18 @@ type state = {
   st_stats : Verify.stats;
   st_frontier : Frontier.t;
   st_visited : Partial.Tbl.t;
-      (* offered states, by [Partial.key] partition, probed without
-         printing keys *)
+      (* reached predicate-free states, by [Partial.key] partition,
+         probed without printing keys *)
   st_joined : Partial.Tbl.t;
       (* expanded [P_joinpath] states, by [Partial.key] partition with
          FROM left out: the join decisions this run has made (see
          [repeats_join]) *)
   st_canon : Partial.Canon.t;
       (* admitted states with a WHERE or HAVING predicate, by
-         [Partial.canonical_key] partition: a second visited-set layer
-         collapsing states that differ only by predicate order or by
-         equivalent predicate spellings, probed without printing keys *)
+         [Partial.canonical_key] partition: the one dedup layer of such
+         a state, collapsing states that differ only by predicate order
+         or by equivalent predicate spellings, probed without printing
+         keys *)
   st_emitted : (string, unit) Hashtbl.t;
       (* Duosem canonical keys of emitted candidates *)
   st_on_candidate : candidate -> unit;
@@ -507,30 +508,41 @@ let init config ctx db ?index ?relcache ~tsq ~literals
 let finished s = s.st_finished
 
 (* Admit a child built at its parent's expansion, one that carries a
-   predicate: the visited layer, then a second one that collapses
-   states whose decided content is Duosem-canonically equal (predicate
-   order, equivalent spellings).  A predicate-free child skips the
-   second layer, so it waits unbuilt in its parent's run instead (see
-   [step]): its canonical key is its key with an empty literal segment
-   spliced in, so it can collide only with a predicate-free state of
-   the same key (a predicated state's literal segment is never empty),
-   which the visited layer catches. *)
-let push_fresh s (child : Partial.t) =
+   predicate, through its one dedup layer: the canonical one, which
+   collapses states whose decided content is Duosem-canonically equal
+   (predicate order, equivalent spellings).  Key-equal states are
+   canonical-equal, so the visited layer would refuse nothing this one
+   admits.  A predicate-free child meets only the visited layer, when
+   it is reached (see [step]): its canonical key is its key with an
+   empty literal segment spliced in, so it can collide only with a
+   predicate-free state of the same key (a predicated state's literal
+   segment is never empty). *)
+let canonical_fresh s (child : Partial.t) =
   let stats = s.st_stats in
-  let fresh =
-    visit s.st_visited stats child
-    && begin
-         stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
-         let fresh = Partial.Canon.add s.st_canon child in
-         stats.Verify.key_renders <-
-           stats.Verify.key_renders + Partial.Canon.take_renders s.st_canon;
-         if not fresh then
-           stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
-         fresh
-       end
-  in
+  stats.Verify.canon_checked <- stats.Verify.canon_checked + 1;
+  let fresh = Partial.Canon.add s.st_canon child in
+  stats.Verify.key_renders <- stats.Verify.key_renders + Partial.Canon.take_renders s.st_canon;
+  if not fresh then stats.Verify.dedup_semantic <- stats.Verify.dedup_semantic + 1;
   s.st_on_offer child fresh;
-  if fresh then Frontier.push s.st_frontier child
+  fresh
+
+(* Queue the children [kids] of [g], built, that the canonical layer
+   admits as one pre-admitted run, under [g]'s keys and best-first
+   order restricted to them ([at.(i)]: kid [i]'s index in the run). *)
+let push_admitted s (g : children) kids =
+  let n = Array.length kids in
+  let at = Array.make n (-1) and m = ref 0 in
+  Array.iteri (fun i kid -> if canonical_fresh s kid then begin at.(i) <- !m; incr m end) kids;
+  let g, kids =
+    if !m = n then (g, kids)
+    else
+      let keep a = Array.of_list (List.filteri (fun i _ -> at.(i) >= 0) (Array.to_list a)) in
+      let order o = Array.of_list (List.filter (( <= ) 0) (List.map (Array.get at) (Array.to_list o))) in
+      let g = { g with conf = keep g.conf; jlen = keep g.jlen; order = Option.map order g.order } in
+      (g, keep kids)
+  in
+  Frontier.push_run s.st_frontier ?order:g.order ~admitted:true ~conf:g.conf ~jlen:g.jlen
+    (Array.get kids)
 
 (* A popped state's verdict: whether to expand or emit it now, in one
    cascade pass that opens at the pop's stamp.  On its first pop a state
@@ -549,17 +561,16 @@ let settle s n (p : Partial.t) =
       Partial.confidence =
         p.Partial.confidence *. (s.st_config.static_penalty ** float_of_int n) }
 
-let judge s ~on_warnings (p : Partial.t) =
+(* [clock] and [on_warnings] come wrapped once per step, so the pass
+   allocates nothing. *)
+let judge s ~clock ~on_warnings (p : Partial.t) =
   let last =
     if s.st_config.prune_partial || Partial.is_complete p then Verify.S_complete
     else Verify.S_static
   in
   if Frontier.settled s.st_frontier then
-    last = Verify.S_static
-    || Verify.check_deferred ~clock:s.st_clock s.st_env ~first:Verify.S_clauses ~last p
-  else
-    Verify.check_deferred ~clock:s.st_clock ~on_warnings s.st_env ~first:Verify.S_static ~last
-      p
+    last = Verify.S_static || Verify.check_deferred ?clock s.st_env ~first:Verify.S_clauses ~last p
+  else Verify.check_deferred ?clock ?on_warnings s.st_env ~first:Verify.S_static ~last p
 
 (* Whether [p] is a join decision this run has already made, counted in
    [join_repeats]: a [P_joinpath] state equal but for its FROM to one
@@ -604,7 +615,7 @@ let step ?max_pops s =
     let t0 = Clock.mono () in
     clock.Clock.at <- t0;
     let now () = s.st_elapsed_s +. (clock.Clock.at -. t0) in
-    let on_warnings = settle s in
+    let on_warnings = Some (settle s) and clock_opt = Some clock in
     let pop_limit =
       match max_pops with
       | None -> max_int
@@ -665,7 +676,7 @@ let step ?max_pops s =
              let m0 = Clock.mono () in
              times.admit_s <- times.admit_s +. (m0 -. m_reach);
              clock.Clock.at <- m0;
-             let ok = judge s ~on_warnings p in
+             let ok = judge s ~clock:clock_opt ~on_warnings p in
              let m1 = clock.Clock.at in
              times.verify_s <- times.verify_s +. (m1 -. m0);
              if ok then begin
@@ -683,15 +694,15 @@ let step ?max_pops s =
                else begin
                  (* Predicate-free children wait in one run and are built
                     and deduped when the search reaches them; children
-                    with a predicate are built and admitted now, through
-                    both dedup layers (see DESIGN.md, "Lazy sibling
-                    runs"). *)
+                    with a predicate are built and deduped now, and
+                    those admitted wait in one pre-admitted run (see
+                    DESIGN.md, "Lazy sibling runs"). *)
                  let g = generate ~guided:config.guided s.st_hints s.st_ctx p in
                  let eager = children_have_predicates p in
                  let children = if eager then Array.init (Array.length g.conf) g.build else [||] in
                  let m2 = Clock.mono () in
                  times.expand_s <- times.expand_s +. (m2 -. m1);
-                 if eager then Array.iter (push_fresh s) children
+                 if eager then push_admitted s g children
                  else
                    Frontier.push_run s.st_frontier ?order:g.order ~conf:g.conf ~jlen:g.jlen
                      g.build;

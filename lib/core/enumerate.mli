@@ -95,8 +95,9 @@ type outcome = {
           rebase's candidate re-checks; equal to the sum of
           [out_stats.stage_seconds] up to float rounding *)
   out_admit_s : float;
-      (** time spent admitting children: visited and canonical dedup
-          and the frontier push at expansion, and the frontier pop with
+      (** time spent admitting children: the canonical dedup of
+          children with a predicate and the run push at expansion, and
+          the frontier pop with
           the build and dedup of each predicate-free child the search
           reaches, with the budget checks and any candidate emission
           before it.  The three timers tile the run: the loop and the

@@ -6,12 +6,15 @@
    settled bit never decides a comparison).  A comparison reads no state.
 
    An entry is a state, or a run: one expansion's children, sorted by
-   their keys and not yet built.  A run's slot holds its next child's
-   key, so the heap pops run children in the order of one heap holding
-   every child, and builds each only when it reaches the top. *)
+   their keys.  A run's slot holds its next child's key, so the heap
+   pops run children in the order of one heap holding every child.  A
+   run of predicate-free children builds each only when it reaches the
+   top; a pre-admitted run holds children built and admitted at its
+   push.  A reached child waits outside the heap as the next pop. *)
 
 type run = {
   r_build : int -> Partial.t;
+  r_admitted : bool;  (* children admitted and counted at the push *)
   r_conf : float array;  (* by child index *)
   r_jlen : int array;  (* by child index *)
   r_seq : int;  (* child [i]'s sequence number is [r_seq + i] *)
@@ -21,7 +24,7 @@ type run = {
 
 (* The [runs] entry of a slot that holds a state. *)
 let no_run =
-  { r_build = (fun _ -> Partial.root); r_conf = [||]; r_jlen = [||]; r_seq = 0;
+  { r_build = (fun _ -> Partial.root); r_admitted = false; r_conf = [||]; r_jlen = [||]; r_seq = 0;
     r_order = [||]; r_next = 0 }
 
 type t = {
@@ -36,6 +39,9 @@ type t = {
   mutable pushed : int;
   mutable last_rank : int;  (* of the last popped entry *)
   mutable dropped : int;
+  mutable holding : bool;  (* a reached child waits in [held] *)
+  mutable held : Partial.t;
+  mutable held_rank : int;
   cap : int;
   admit : Partial.t -> bool;
 }
@@ -53,6 +59,9 @@ let create ?(cap = max_int) ?(admit = fun _ -> true) () =
     pushed = 0;
     last_rank = 0;
     dropped = 0;
+    holding = false;
+    held = Partial.root;
+    held_rank = 0;
     cap;
     admit;
   }
@@ -160,20 +169,29 @@ let insert_state t (p : Partial.t) rank =
   t.size <- t.size + 1;
   sift_in t p no_run p.Partial.confidence rank
 
+(* Whether a built run child is queued: a pre-admitted run's is, and
+   another's when {!admit} takes it, counted in [pushed]. *)
+let takes t r child = r.r_admitted || (t.admit child && (t.pushed <- t.pushed + 1; true))
+
 (* Build a run's children at the indices [is], in order, and queue those
-   {!admit} takes. *)
+   it takes. *)
 let admit_all t r is =
   Array.iter
     (fun i ->
       let child = r.r_build i in
-      if t.admit child then begin
-        t.pushed <- t.pushed + 1;
-        insert_state t child (child_rank r i)
-      end)
+      if takes t r child then insert_state t child (child_rank r i))
     is
 
+(* Put a held child back under its keys: an entry inserted now might
+   outrank it. *)
+let release t =
+  if t.holding then begin
+    t.holding <- false;
+    sift_in t t.held no_run t.held.Partial.confidence t.held_rank
+  end
+
 (* Build every queued run's remaining children, in sequence-number
-   order, through {!admit}: the admissions a frontier that builds each
+   order, through {!takes}: the admissions a frontier that builds each
    child at its push makes, in that frontier's order.  After a flush
    [size] counts exactly the states such a frontier holds, so the cap
    decides a compaction at the same point. *)
@@ -206,6 +224,7 @@ let flush t =
   end
 
 let insert t (p : Partial.t) rank =
+  release t;
   if t.size >= t.cap then flush t;
   insert_state t p rank
 
@@ -228,10 +247,13 @@ let in_key_order conf jlen order =
   done;
   !ok
 
-let push_run ?order t ~conf ~jlen build =
+let push_run ?order ?(admitted = false) t ~conf ~jlen build =
+  release t;
   let n = Array.length conf in
+  if admitted then t.pushed <- t.pushed + n;
   let run r_order =
-    { r_build = build; r_conf = conf; r_jlen = jlen; r_seq = t.seq; r_order; r_next = 0 }
+    { r_build = build; r_admitted = admitted; r_conf = conf; r_jlen = jlen; r_seq = t.seq;
+      r_order; r_next = 0 }
   in
   if t.size + n > t.cap then begin
     (* Some child might meet the cap: queue them as that frontier would. *)
@@ -270,47 +292,48 @@ let push_run ?order t ~conf ~jlen build =
     sift_in t Partial.root r conf.(head) (child_rank r head)
   end
 
-(* Reach run heads until the top slot holds a state or the heap is
-   empty.  A reached child meets {!admit}: taken, it replaces its run in
-   the top slot under the same keys, and the rest of the run goes back
-   in under its next child's keys; refused, it is gone and the run takes
-   its next child's keys in place. *)
-let rec reach t =
-  if t.len > 0 && t.runs.(0) != no_run then begin
+(* Reach run heads until a child is held, the top slot holds a state or
+   the heap is empty.  A reached child that its run takes is held: its
+   keys beat every queued key, so it is the next pop.  One refused is
+   gone.  Either way the run takes its next child's keys in place, or
+   leaves the heap when none is left. *)
+let reach t =
+  while (not t.holding) && t.len > 0 && t.runs.(0) != no_run do
     let r = t.runs.(0) in
     let i = r.r_order.(r.r_next) in
     r.r_next <- r.r_next + 1;
     let child = r.r_build i in
-    let more = r.r_next < Array.length r.r_order in
-    if not more then t.queued_runs <- t.queued_runs - 1;
-    if t.admit child then begin
-      t.pushed <- t.pushed + 1;
-      t.states.(0) <- child;
-      t.runs.(0) <- no_run;
-      if more then
-        let j = r.r_order.(r.r_next) in
-        sift_in t Partial.root r r.r_conf.(j) (child_rank r j)
+    if takes t r child then begin
+      t.holding <- true;
+      t.held <- child;
+      t.held_rank <- child_rank r i
     end
+    else t.size <- t.size - 1;
+    if r.r_next < Array.length r.r_order then
+      let j = r.r_order.(r.r_next) in
+      sift_down t 0 Partial.root r r.r_conf.(j) (child_rank r j)
     else begin
-      t.size <- t.size - 1;
-      if more then
-        let j = r.r_order.(r.r_next) in
-        sift_down t 0 Partial.root r r.r_conf.(j) (child_rank r j)
-      else remove_top t
-    end;
-    reach t
-  end
+      t.queued_runs <- t.queued_runs - 1;
+      remove_top t
+    end
+  done
 
 let is_empty t =
   reach t;
-  t.len = 0
+  (not t.holding) && t.len = 0
 
 let settle t (p : Partial.t) = insert t p (t.last_rank lor 1)
 let settled t = t.last_rank land 1 = 1
 
 let pop t =
   reach t;
-  if t.len = 0 then None
+  if t.holding then begin
+    t.holding <- false;
+    t.last_rank <- t.held_rank;
+    t.size <- t.size - 1;
+    Some t.held
+  end
+  else if t.len = 0 then None
   else begin
     let top = t.states.(0) in
     t.last_rank <- t.ranks.(0);

@@ -731,58 +731,52 @@ let stages =
 
 let check_stage env stage t = (snd stages.(stage_index stage)) env t
 
-(* The kept stages among [first] .. [last], in order, [check k] judging
-   stage [k], up to the first that fails: its index, or -1 when all
-   pass.  A left-out stage is neither called nor stamped.  The pass
-   opens at [clock]'s stamp (at a fresh read without one), the stamp
-   that closes a stage opens the next, and the last is left in [clock],
-   so a pass that runs no stage leaves [clock] as it was. *)
-let run_stages ?clock env ~first ~last check =
-  let s = env.e_stats and last = stage_index last in
-  s.verify_calls <- s.verify_calls + 1;
-  let k = ref (stage_index first) and failed = ref (-1) in
-  let t0 = ref (match clock with Some c -> c.Clock.at | None -> Clock.mono ()) in
-  while !failed < 0 && !k <= last do
-    if env.e_kept land (1 lsl !k) <> 0 then begin
-      let ok = check !k in
-      let t1 = Clock.mono () in
-      s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. !t0);
-      t0 := t1;
-      if not ok then failed := !k
-    end;
-    incr k
-  done;
-  Option.iter (fun c -> c.Clock.at <- !t0) clock;
-  !failed
-
 let book_prune s k =
   s.stage_pruned.(k) <- s.stage_pruned.(k) + 1;
   s.pruned <- s.pruned + 1
 
-(* With [on_warnings], a state that passes [static] has its Duolint
-   warnings counted within that stage, and one with [n > 0] of them is
-   handed to [on_warnings n] and fails the pass without counting as a
-   prune. *)
+(* The kept stages among [first] .. [last], in order, up to the first
+   that fails, which is booked as the prune.  A left-out stage is
+   neither called nor stamped.  The pass opens at [clock]'s stamp (at a
+   fresh read without one), the stamp that closes a stage opens the
+   next, and the last is left in [clock], so a pass that runs no stage
+   leaves [clock] as it was.  With [on_warnings], a state that passes
+   [static] has its Duolint warnings counted within that stage, and one
+   with [n > 0] of them is handed to [on_warnings n] and fails the pass
+   without counting as a prune.  No closure and no boxed float: given
+   [clock], a pass allocates nothing. *)
 let check_deferred ?clock ?on_warnings env ~first ~last (t : Partial.t) =
-  let warned = ref false in
-  let warns k =
-    k <> stage_index S_static
-    ||
-    match on_warnings with
-    | None -> true
-    | Some settle -> (
-        match static_warnings env t with
-        | 0 -> true
-        | n ->
-            warned := true;
-            settle n t;
-            false)
-  in
-  let failed =
-    run_stages ?clock env ~first ~last (fun k -> (snd stages.(k)) env t && warns k)
-  in
-  if failed >= 0 && not !warned then book_prune env.e_stats failed;
-  failed < 0
+  let s = env.e_stats and last = stage_index last in
+  s.verify_calls <- s.verify_calls + 1;
+  let k = ref (stage_index first) and failed = ref (-1) and warned = ref false in
+  (* The last stamp lives in the all-float mark: a float ref would box
+     each one. *)
+  let c = match clock with Some c -> c | None -> { Clock.at = Clock.mono () } in
+  while !failed < 0 && !k <= last do
+    if env.e_kept land (1 lsl !k) <> 0 then begin
+      let ok =
+        (snd stages.(!k)) env t
+        && (!k <> stage_index S_static
+           ||
+           match on_warnings with
+           | None -> true
+           | Some settle -> (
+               match static_warnings env t with
+               | 0 -> true
+               | n ->
+                   warned := true;
+                   settle n t;
+                   false))
+      in
+      let t1 = Clock.mono () in
+      s.stage_seconds.(!k) <- s.stage_seconds.(!k) +. (t1 -. c.Clock.at);
+      c.Clock.at <- t1;
+      if not ok then failed := !k
+    end;
+    incr k
+  done;
+  if !failed >= 0 && not !warned then book_prune s !failed;
+  !failed < 0
 
 let verify env t = check_deferred env ~first:S_static ~last:S_complete t
 
@@ -810,8 +804,13 @@ let retarget env ~tsq =
    the complete stage: it passed [static] and [semantics] when it was
    emitted, and neither reads the sketch. *)
 let reverify_query ?clock env q =
-  let failed =
-    run_stages ?clock env ~first:S_complete ~last:S_complete (fun _ -> verify_complete env q)
-  in
-  if failed >= 0 then book_prune env.e_stats failed;
-  failed < 0
+  (* [complete] is always kept. *)
+  let s = env.e_stats and k = stage_index S_complete in
+  let c = match clock with Some c -> c | None -> { Clock.at = Clock.mono () } in
+  s.verify_calls <- s.verify_calls + 1;
+  let ok = verify_complete env q in
+  let t1 = Clock.mono () in
+  s.stage_seconds.(k) <- s.stage_seconds.(k) +. (t1 -. c.Clock.at);
+  c.Clock.at <- t1;
+  if not ok then book_prune s k;
+  ok

@@ -72,24 +72,27 @@ type stats = {
       (** join steps served by an already-built join-key index *)
   mutable pruned : int;  (** states rejected by any stage *)
   mutable dedup_semantic : int;
-      (** enumerator pushes/emissions suppressed because a
-          Duosem-canonically-equal state or candidate was already seen *)
+      (** enumerator children and emissions suppressed because a
+          Duosem-canonically-equal state or candidate was already seen:
+          the canonical layer's refusals of children with a WHERE or
+          HAVING predicate at their parent's expansion (key twins of an
+          earlier child among them), and repeated candidates *)
   mutable visited_hits : int;
-      (** enumerator children refused because a state with the same
-          {!Partial.key} was already admitted: a child with a predicate
-          at its parent's expansion, a predicate-free one when the search
-          reaches it (a child never reached is never looked up, and a
-          repeated join decision, counted in [join_repeats], generates
-          none) *)
+      (** predicate-free enumerator children refused, when the search
+          reaches them, because a state with the same {!Partial.key} was
+          already reached (a child never reached is never looked up, and
+          a repeated join decision, counted in [join_repeats], generates
+          none); a child with a predicate never meets the visited set *)
   mutable join_repeats : int;
       (** join-path states popped after a state equal to them but for
           their FROM had been expanded: the run generates no children
           for them, since each would be refused as a visited hit (see
           DESIGN.md, "Join decisions once per run") *)
   mutable canon_checked : int;
-      (** admitted states looked up in the canonical layer
-          ({!Partial.Canon}); states without WHERE or HAVING predicates
-          skip it *)
+      (** children looked up in the canonical layer ({!Partial.Canon}):
+          every child with a WHERE or HAVING predicate, at its parent's
+          expansion; it is such a child's one dedup layer, and states
+          without a predicate skip it *)
   mutable key_renders : int;
       (** {!Partial.key} and {!Partial.canonical_key} strings rendered by
           the visited and canonical sets' equality fallbacks (hash-equal
@@ -197,7 +200,9 @@ val check_stage : env -> stage -> Partial.t -> bool
     that closes a stage opens the next.  With [clock], the pass opens at
     [clock.at] instead of reading the clock, and leaves its closing
     stamp there (unchanged when no stage ran), so a caller timing the
-    work around it shares both stamps.
+    work around it shares both stamps.  A caller that passes [clock]
+    and [on_warnings] as options it built once ([?clock], [?on_warnings])
+    makes a pass that allocates nothing beyond its stages' own work.
 
     With [on_warnings], a state that passes [S_static] has its Duolint
     warnings counted ({!static_warnings}) within that stage's time; when

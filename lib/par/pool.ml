@@ -31,6 +31,7 @@ type t = {
 }
 
 let domains t = t.n_domains
+let started t = List.length t.handles
 
 (* Claim and run tasks until the round's index counter is exhausted.
    Exceptions are recorded (first one wins) and the task still counts as

@@ -37,6 +37,11 @@ val create : domains:int -> t
 (** Number of domains participating in rounds (workers + caller). *)
 val domains : t -> int
 
+(** Worker domains started and not yet joined: [0] until the first
+    round of more than one task, [domains - 1] from then until
+    {!shutdown}. *)
+val started : t -> int
+
 (** [run t n f] executes [f ~worker i] for every [i] in [0 .. n-1],
     distributing tasks across all domains, and returns when all have
     completed.  [worker] identifies the executing domain

@@ -123,13 +123,18 @@ let test_pop_k_compaction_interaction () =
    order.  Run children carry a key in [nproj], drawn from a small set,
    and the frontier's [admit] refuses a child whose key it took before
    (a visited set); the model keeps its own, so a child built out of
-   order shows as a different admission.  A run goes in with an order
-   hint ([order_hint]) that the model ignores: a wrong one must change
-   nothing. *)
+   order shows as a different admission.  A pre-admitted run's children
+   enter the model built and counted as pushed, and draw their keys
+   from the same set, so one offered to [admit] shows as a different
+   admission too.  A run goes in with an order hint ([order_hint]) that
+   the model ignores: a wrong one must change nothing.  [Is_empty]
+   reaches the head as a pop would, and leaves it queued: a push that
+   follows must still outrank it where its keys say so. *)
 type op =
   | Push of float * int
-  | Push_run of (float * int * int) list * int
+  | Push_run of bool * (float * int * int) list * int  (* pre-admitted? *)
   | Pop
+  | Is_empty
   | Settle of float
 
 (* The best-first order hint a run is pushed with, by code: none; the
@@ -162,22 +167,25 @@ let gen_op =
     frequency
       [
         (3, map2 (fun c j -> Push (c, j)) (oneofl confs) (int_range 0 2));
-        ( 2,
-          map2
-            (fun l h -> Push_run (l, h))
+        ( 3,
+          map3
+            (fun a l h -> Push_run (a, l, h))
+            bool
             (list_size (int_range 0 5) (triple (oneofl confs) (int_range 0 2) (int_range 0 40)))
             (int_range 0 4) );
         (2, return Pop);
+        (1, return Is_empty);
         (1, map (fun c -> Settle c) (oneofl confs));
       ])
 
 let show_op = function
   | Push (c, j) -> Printf.sprintf "push %.1f/%d" c j
-  | Push_run (l, h) ->
-      "run ["
+  | Push_run (a, l, h) ->
+      (if a then "admitted run [" else "run [")
       ^ String.concat "; " (List.map (fun (c, j, k) -> Printf.sprintf "%.1f/%d#%d" c j k) l)
       ^ Printf.sprintf "] hint %d" h
   | Pop -> "pop"
+  | Is_empty -> "is_empty"
   | Settle c -> Printf.sprintf "settle %.1f" c
 
 let edge =
@@ -231,16 +239,25 @@ let model_insert m e =
   if List.length m.entries >= m.cap then model_flush m;
   model_insert_state m e
 
-let rec model_pop m =
+(* Build unbuilt heads until the head is built: taken, it stays there;
+   refused, it is gone. *)
+let rec model_reach m =
   match m.entries with
   | e :: rest when e.e_unbuilt ->
-      m.entries <- rest;
       m.m_built <- m.m_built + 1;
       if admits m.m_seen e.e_state then begin
         m.m_pushed <- m.m_pushed + 1;
-        Some { e with e_unbuilt = false }
+        m.entries <- { e with e_unbuilt = false } :: rest
       end
-      else model_pop m
+      else begin
+        m.entries <- rest;
+        model_reach m
+      end
+  | _ -> ()
+
+let model_pop m =
+  model_reach m;
+  match m.entries with
   | e :: rest ->
       m.entries <- rest;
       Some e
@@ -283,23 +300,31 @@ let prop_model =
             m.m_pushed <- m.m_pushed + 1;
             model_insert m e;
             true
-        | Push_run (l, h) ->
+        | Push_run (admitted, l, h) ->
             let kids = Array.of_list (List.map state_of l) in
             let n = Array.length kids in
-            Frontier.push_run ?order:(order_hint h l) f
+            Frontier.push_run ?order:(order_hint h l) ~admitted f
               ~conf:(Array.map (fun (p : Partial.t) -> p.Partial.confidence) kids)
               ~jlen:(Array.map Partial.join_length kids)
               (fun i ->
-                incr built;
+                if not admitted then incr built;
                 kids.(i));
-            let es = Array.mapi (fun i p -> { e_state = p; e_seq = m.m_seq + i; e_unbuilt = true }) kids in
+            let es =
+              Array.mapi
+                (fun i p -> { e_state = p; e_seq = m.m_seq + i; e_unbuilt = not admitted })
+                kids
+            in
             m.m_seq <- m.m_seq + n;
+            if admitted then m.m_pushed <- m.m_pushed + n;
             if List.length m.entries + n > cap then begin
               model_flush m;
-              Array.iter (model_admit m) es
+              Array.iter (if admitted then model_insert_state m else model_admit m) es
             end
             else Array.iter (model_add m) es;
             true
+        | Is_empty ->
+            model_reach m;
+            Frontier.is_empty f = (m.entries = [])
         | Pop -> (
             let got = Frontier.pop f in
             match model_pop m with
@@ -333,6 +358,56 @@ let prop_model =
       in
       ids (drain []) = ids (model_drain []))
 
+(* A child [is_empty] reached is held for the next pop: a caller that
+   stops there and resumes pops it, counted once in [size] and [pushed];
+   [settle] re-queues it under its rank; and a state pushed while a
+   child is held still pops first when it outranks it. *)
+let test_held_child () =
+  let id (p : Partial.t) = p.Partial.depth in
+  let kid i c = { (state c) with Partial.depth = i } in
+  let f = Frontier.create () in
+  Frontier.push f (kid 10 0.7);
+  let kids = [| kid 0 0.9; kid 1 0.5; kid 2 0.2 |] in
+  Frontier.push_run f ~conf:[| 0.9; 0.5; 0.2 |] ~jlen:[| 0; 0; 0 |] (Array.get kids);
+  Alcotest.(check bool) "a child reached" false (Frontier.is_empty f);
+  Alcotest.(check bool) "resumed: still reached" false (Frontier.is_empty f);
+  Alcotest.(check (pair int int)) "size, pushed count it once" (4, 2)
+    (Frontier.size f, Frontier.pushed f);
+  let p = Option.get (Frontier.pop f) in
+  Alcotest.(check int) "the held child pops" 0 (id p);
+  Frontier.settle f { p with Partial.confidence = 0.5 };
+  Alcotest.(check (pair int int)) "settled: size, pushed" (4, 2) (Frontier.size f, Frontier.pushed f);
+  let pop_settled () =
+    let p = Option.get (Frontier.pop f) in
+    (id p, Frontier.settled f)
+  in
+  let first = pop_settled () in
+  let order = [ first; pop_settled () ] in
+  Alcotest.(check (list (pair int bool))) "settled under its rank, before its later tie"
+    [ (10, false); (0, true) ] order;
+  Alcotest.(check bool) "child 1 reached" false (Frontier.is_empty f);
+  Frontier.push f (kid 11 0.6);
+  Alcotest.(check (list int)) "a push outranks the held child" [ 11; 1; 2 ]
+    (List.map id (pop_k f 4));
+  Alcotest.(check (pair int int)) "drained: size, pushed" (0, 5) (Frontier.size f, Frontier.pushed f)
+
+(* A pre-admitted run that meets a small cap queues and compacts exactly
+   like its children pushed one by one. *)
+let test_admitted_run_cap () =
+  let kids = Array.init 7 (fun i -> { (state (float_of_int ((i * 5) mod 7) /. 10.0)) with Partial.depth = i }) in
+  let fill f = List.iter (fun c -> Frontier.push f (state c)) [ 0.35; 0.05; 0.45 ] in
+  let one_by_one = Frontier.create ~cap:6 () and run = Frontier.create ~cap:6 () in
+  fill one_by_one;
+  fill run;
+  Array.iter (Frontier.push one_by_one) kids;
+  Frontier.push_run run ~admitted:true
+    ~conf:(Array.map (fun (p : Partial.t) -> p.Partial.confidence) kids)
+    ~jlen:(Array.make 7 0) (Array.get kids);
+  let counters f = (Frontier.size f, Frontier.pushed f, Frontier.dropped f) in
+  Alcotest.(check (triple int int int)) "size, pushed, dropped" (counters one_by_one) (counters run);
+  let popped f = List.map (fun (p : Partial.t) -> (p.Partial.depth, p.Partial.confidence)) (pop_k f 20) in
+  Alcotest.(check (list (pair int (float 0.0)))) "pops" (popped one_by_one) (popped run)
+
 let suite =
   [
     Alcotest.test_case "pop order" `Quick test_pop_order;
@@ -342,6 +417,8 @@ let suite =
     Alcotest.test_case "join-length tiebreak" `Quick test_join_length_tiebreak;
     Alcotest.test_case "empty pop" `Quick test_empty_pop;
     Alcotest.test_case "cap compaction" `Quick test_cap_compaction;
+    Alcotest.test_case "held child" `Quick test_held_child;
+    Alcotest.test_case "pre-admitted run at a small cap" `Quick test_admitted_run_cap;
     QCheck_alcotest.to_alcotest prop_heap_order;
     QCheck_alcotest.to_alcotest prop_pushed_count;
     QCheck_alcotest.to_alcotest prop_model;

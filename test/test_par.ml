@@ -73,34 +73,20 @@ let test_caller_participates () =
       Pool.run p 3 (fun ~worker i -> if i = 0 then Atomic.set seen worker);
       Alcotest.(check int) "domains=1 runs on caller" 0 (Atomic.get seen))
 
-(* The process's OS thread count, from /proc/self/status; every worker
-   domain is one more thread. *)
-let threads () =
-  In_channel.with_open_text "/proc/self/status" (fun ic ->
-      let rec find () =
-        match In_channel.input_line ic with
-        | None -> Alcotest.fail "no Threads: line in /proc/self/status"
-        | Some line -> (
-            match String.split_on_char ':' line with
-            | [ "Threads"; n ] -> int_of_string (String.trim n)
-            | _ -> find ())
-      in
-      find ())
-
 (* Creating a pool, and running rounds of one task on it, starts no
-   domain; the first round of several tasks starts the workers. *)
+   domain; the first round of several tasks starts the workers, by the
+   pool's own count. *)
 let test_lazy_start () =
-  let before = threads () in
   let p = Pool.create ~domains:3 in
+  Alcotest.(check int) "create starts no worker" 0 (Pool.started p);
   Pool.run p 1 (fun ~worker:_ _ -> ());
-  Alcotest.(check bool) "no thread before a multi-task round" true
-    (threads () <= before);
+  Alcotest.(check int) "no worker before a multi-task round" 0 (Pool.started p);
   let ran = Atomic.make 0 in
   Pool.run p 6 (fun ~worker:_ _ -> Atomic.incr ran);
   Alcotest.(check int) "round ran" 6 (Atomic.get ran);
-  Alcotest.(check bool) "the first multi-task round started workers" true
-    (threads () > before);
-  Pool.shutdown p
+  Alcotest.(check int) "the first multi-task round started workers" 2 (Pool.started p);
+  Pool.shutdown p;
+  Alcotest.(check int) "shutdown joined them" 0 (Pool.started p)
 
 let suite =
   [
